@@ -1,17 +1,18 @@
 """Profiler overhead: armed must stay cheap, off must stay free.
 
 The engine self-profiler follows the strictest form of the repo's
-guard discipline: ``Engine.step`` performs exactly one
-``self.profiler is not None`` test and, when it is None, falls through
-to the original un-instrumented body -- the profiled variant lives in
-a separate ``_step_profiled`` method, so the off path contains no
-timer calls at all.  This benchmark bounds the armed side on an
-e01-style run (CR, 8-ary 2-torus, moderate load):
+guard discipline: the cycle function performs exactly one
+``self.profiler is None`` test and, when it is None, walks the phase
+table (an ordered tuple of ``(name, callable)``) with no timer calls
+at all; when armed it hands the same tuple to
+``EngineProfiler.timed_cycle``, which brackets each entry.  This
+benchmark bounds the armed side on an e01-style run (CR, 8-ary
+2-torus, moderate load):
 
 * **disabled**: building without ``profile`` leaves
   ``engine.profiler is None`` -- the unprofiled run *is* the plain run
   (one guard check per step);
-* **enabled**: the armed run brackets every phase with
+* **enabled**: the armed run brackets every table entry with
   ``perf_counter_ns``; end-to-end min-of-N against the plain run the
   slowdown must stay under ``OVERHEAD_BUDGET`` (< 5%, the ISSUE 5
   acceptance bound).

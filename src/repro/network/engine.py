@@ -1,20 +1,27 @@
 """The cycle engine: drives every network component in lockstep.
 
-Each cycle runs fixed phases over state as of the cycle start (arrivals
-and credits are staged with latency, so intra-cycle evaluation order
-cannot leak information):
+Each cycle walks one *phase table* -- an ordered tuple of
+``(profiler phase name, callable(now))`` built by
+:meth:`Engine._phase_table` -- over state as of the cycle start
+(arrivals and credits are staged with latency, so intra-cycle
+evaluation order cannot leak information).  The table's names, in the
+table's order (``repro.obs.profile.PHASES`` minus ``idle``):
 
-1.  credit ticks           -- due credits become spendable,
-2.  arrival merges         -- in-flight flits land in buffers (corrupted
-                              headers trigger router kills under FCR),
-3.  receivers              -- consume ejected flits, deliver / FKILL,
-4.  kill wavefronts        -- flush one worm segment per dying message,
-5.  traffic generation     -- new messages enter node queues,
-6.  injectors              -- start/stream/stall-count/kill,
-7.  routing                -- blocked headers try to claim output VCs,
-8.  switch                 -- one flit per physical channel moves,
-9.  path-wide monitor      -- the E10 ablation's per-router timeout,
-10. watchdog               -- detect a wedged network (true deadlock).
+1.  credit     -- due credits become spendable,
+2.  fault      -- the fault model's per-cycle sweep (when attached),
+3.  arrival    -- in-flight flits land in buffers (corrupted headers
+                  trigger router kills under FCR),
+4.  ejection   -- receivers consume ejected flits, deliver / FKILL,
+5.  kill       -- flush one worm segment per dying message,
+6.  traffic    -- new messages enter node queues; the software-retry
+                  layer ticks (when either is attached),
+7.  injection  -- injectors start/stream/stall-count/kill; PCS probes,
+8.  routing    -- blocked headers try to claim output VCs,
+9.  switch     -- one flit per physical channel moves,
+10. monitor    -- the E10 path-wide timeout, the E19 drop-at-block
+                  baseline, and the watchdog (a wedged network),
+11. sampler    -- the interval sampler's window close (when attached),
+12. checker    -- the invariant checker's sweep (when attached).
 
 The watchdog is a simulator safety net, not part of CR: with CR/FCR it
 never fires (timeouts guarantee progress); with naive adaptive routing
@@ -25,8 +32,7 @@ and the deadlock-demonstration example relies on it.
 from __future__ import annotations
 
 import random
-from time import perf_counter_ns
-from typing import TYPE_CHECKING, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
 from ..core.guarantees import DeliveryLedger
 from ..core.kill import KillManager
@@ -44,6 +50,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .network import WormholeNetwork
 
 _LIVE_PHASES = (MessagePhase.INJECTING, MessagePhase.COMMITTED)
+
+#: one entry of a phase table: (profiler phase name, callable(now)).
+Phase = Tuple[str, Callable[[int], None]]
 
 
 class NetworkDeadlockError(RuntimeError):
@@ -162,7 +171,7 @@ class Engine:
         # retry baseline); set via SoftwareReliability.attach().
         self.reliability = None
         # Self-profiling (repro.obs.profile): same guard discipline --
-        # one is-None check per step dispatches to the timed copy.
+        # one is-None check per cycle hands the table to the timed walk.
         self.profiler = None
         # Alert rules engine (repro.obs.alerts) and telemetry publisher
         # (repro.obs.server): both ride the sampler's listener list, so
@@ -228,8 +237,10 @@ class Engine:
     # ------------------------------------------------------------------
 
     def run(self, cycles: int) -> None:
-        for _ in range(cycles):
-            self.step()
+        table = self._phase_table()
+        remaining = cycles
+        while remaining > 0:
+            remaining -= self._advance(table, remaining)
 
     def run_until_drained(self, max_cycles: int) -> bool:
         """Run with generation off until no work remains.
@@ -247,10 +258,12 @@ class Engine:
         if not replaying:
             self.generator = None
         try:
-            for _ in range(max_cycles):
+            table = self._phase_table()
+            remaining = max_cycles
+            while remaining > 0:
                 if self._drained():
                     return True
-                self.step()
+                remaining -= self._advance(table, remaining)
             return self._drained()
         finally:
             self.generator = generator
@@ -263,117 +276,105 @@ class Engine:
         return self.reliability is None or not self.reliability.outstanding
 
     def step(self) -> None:
-        if self.profiler is not None:
-            self._step_profiled()
-            return
+        self._cycle(self._phase_table())
+
+    def _phase_table(self) -> Tuple[Phase, ...]:
+        """The cycle's phases, in order, for the hooks armed right now.
+
+        Built on entry to ``run`` / ``run_until_drained`` / a bare
+        ``step()``; an unarmed hook (``fault_model``, ``generator`` and
+        ``reliability``, ``sampler``, ``checker``) contributes no
+        entry, and a name appears at most once, so a profiled phase is
+        recorded exactly once per cycle or not at all.  Hooks are fixed
+        for the duration of a call: nothing in the package assigns one
+        while cycles run (``run_until_drained`` silences the generator
+        *before* it builds its table), and instance patches land on
+        methods the phases look up per call, never on a phase itself.
+        """
+        table: List[Phase] = [("credit", self._tick_credits)]
+        if self.fault_model is not None:
+            table.append(("fault", self._fault_sweep))
+        table += [
+            ("arrival", self._merge_arrivals),
+            ("ejection", self._eject),
+            ("kill", self.kills.advance),
+        ]
+        if self.generator is not None or self.reliability is not None:
+            table.append(("traffic", self._traffic))
+        table += [
+            ("injection", self._inject),
+            ("routing", self._route_headers),
+            ("switch", self._switch),
+            ("monitor", self._monitors),
+        ]
+        if self.sampler is not None:
+            table.append(("sampler", self.sampler.on_cycle))
+        if self.checker is not None:
+            table.append(("checker", self.checker.on_cycle_end))
+        return tuple(table)
+
+    def _cycle(self, table: Tuple[Phase, ...]) -> None:
+        """Run ``table`` at the current cycle, then advance the clock.
+
+        The only place phases are invoked in order; an armed profiler
+        walks the same tuple with a clock bracket per entry.
+        """
         now = self.now
+        if self.profiler is None:
+            for _, phase in table:
+                phase(now)
+        else:
+            self.profiler.timed_cycle(table, now)
+        self.now = now + 1
+
+    def _advance(self, table: Tuple[Phase, ...], limit: int) -> int:
+        """One cycle, or one skipped span of at most ``limit`` cycles."""
+        skipped = self._skip(table, limit)
+        if skipped:
+            return skipped
+        self._cycle(table)
+        return 1
+
+    def _skip(self, table: Tuple[Phase, ...], limit: int) -> int:
+        """Cycles elided ahead of the next stepped one: the reference
+        engine steps every cycle."""
+        return 0
+
+    # ------------------------------------------------------------------
+    # Phases that are plain sweeps over every component
+    # ------------------------------------------------------------------
+
+    def _tick_credits(self, now: int) -> None:
         for channel in self._all_channels:
             channel.tick(now)
-        if self.fault_model is not None:
-            self.fault_model.on_cycle(now, self.network)
-        self._merge_arrivals(now)
+
+    def _fault_sweep(self, now: int) -> None:
+        self.fault_model.on_cycle(now, self.network)
+
+    def _eject(self, now: int) -> None:
         for node in self.nodes:
             node.receiver.process(now)
-        self.kills.advance(now)
+
+    def _traffic(self, now: int) -> None:
         if self.generator is not None:
             self.generator.tick(self, now)
         if self.reliability is not None:
             self.reliability.tick(now)
+
+    def _inject(self, now: int) -> None:
         for node in self.nodes:
             for injector in node.injectors:
                 injector.step(now)
         if self.pcs is not None:
             self.pcs.step(now)
-        self._route_headers(now)
-        self._switch(now)
+
+    def _monitors(self, now: int) -> None:
         self._path_wide_monitor(now)
         self._drop_at_block_monitor(now)
         self._watchdog_check(now)
-        if self.sampler is not None:
-            self.sampler.on_cycle(now)
-        if self.checker is not None:
-            self.checker.on_cycle_end(now)
-        self.now = now + 1
-
-    def _step_profiled(self) -> None:
-        # Timed copy of step(): identical phase order and side effects,
-        # each phase bracketed with perf_counter_ns.  Kept separate so
-        # the unprofiled path stays guard-only.  Any change to step()
-        # must be mirrored here (tests assert profiled and plain runs
-        # produce identical reports).
-        clock = perf_counter_ns
-        phases = self.profiler.phases
-        now = self.now
-        step_start = clock()
-
-        t0 = clock()
-        for channel in self._all_channels:
-            channel.tick(now)
-        phases["credit"].record(clock() - t0)
-
-        if self.fault_model is not None:
-            t0 = clock()
-            self.fault_model.on_cycle(now, self.network)
-            phases["fault"].record(clock() - t0)
-
-        t0 = clock()
-        self._merge_arrivals(now)
-        phases["arrival"].record(clock() - t0)
-
-        t0 = clock()
-        for node in self.nodes:
-            node.receiver.process(now)
-        phases["ejection"].record(clock() - t0)
-
-        t0 = clock()
-        self.kills.advance(now)
-        phases["kill"].record(clock() - t0)
-
-        if self.generator is not None or self.reliability is not None:
-            t0 = clock()
-            if self.generator is not None:
-                self.generator.tick(self, now)
-            if self.reliability is not None:
-                self.reliability.tick(now)
-            phases["traffic"].record(clock() - t0)
-
-        t0 = clock()
-        for node in self.nodes:
-            for injector in node.injectors:
-                injector.step(now)
-        if self.pcs is not None:
-            self.pcs.step(now)
-        phases["injection"].record(clock() - t0)
-
-        t0 = clock()
-        self._route_headers(now)
-        phases["routing"].record(clock() - t0)
-
-        t0 = clock()
-        self._switch(now)
-        phases["switch"].record(clock() - t0)
-
-        t0 = clock()
-        self._path_wide_monitor(now)
-        self._drop_at_block_monitor(now)
-        self._watchdog_check(now)
-        phases["monitor"].record(clock() - t0)
-
-        if self.sampler is not None:
-            t0 = clock()
-            self.sampler.on_cycle(now)
-            phases["sampler"].record(clock() - t0)
-
-        if self.checker is not None:
-            t0 = clock()
-            self.checker.on_cycle_end(now)
-            phases["checker"].record(clock() - t0)
-
-        self.now = now + 1
-        self.profiler.on_step_end(now, clock() - step_start)
 
     # ------------------------------------------------------------------
-    # Phase 2: arrivals
+    # Arrivals
     # ------------------------------------------------------------------
 
     def _merge_arrivals(self, now: int) -> None:
@@ -408,7 +409,7 @@ class Engine:
             self._arrival_buffers.discard(buffer)
 
     # ------------------------------------------------------------------
-    # Phase 7: routing (header output-VC allocation)
+    # Routing (header output-VC allocation)
     # ------------------------------------------------------------------
 
     def _route_headers(self, now: int) -> None:
@@ -467,7 +468,7 @@ class Engine:
         return False
 
     # ------------------------------------------------------------------
-    # Phase 8: switch traversal (one flit per physical channel)
+    # Switch traversal (one flit per physical channel)
     # ------------------------------------------------------------------
 
     def _switch(self, now: int) -> None:
@@ -553,7 +554,7 @@ class Engine:
         self.mark_progress(now)
 
     # ------------------------------------------------------------------
-    # Phase 9: path-wide timeout (E10 ablation)
+    # Path-wide timeout (E10 ablation)
     # ------------------------------------------------------------------
 
     def _path_wide_monitor(self, now: int) -> None:
@@ -605,7 +606,7 @@ class Engine:
                 )
 
     # ------------------------------------------------------------------
-    # Phase 10: watchdog
+    # Watchdog
     # ------------------------------------------------------------------
 
     def _watchdog_check(self, now: int) -> None:

@@ -2,9 +2,12 @@
 
 ``FastEngine`` is a second implementation of :class:`Engine` selected
 via ``SimConfig(engine="fast")``.  It produces *flit-for-flit identical*
-runs — same events, same reports, same RNG draw sequence — by running
-the exact same per-cycle phase functions as the reference engine, but
-only where work can exist:
+runs — same events, same reports, same RNG draw sequence — by walking
+the reference engine's phase table (``Engine._phase_table``) through
+the reference engine's loops (``Engine.run`` / ``run_until_drained`` /
+``step``), with its own callables swapped in for the phases it can
+narrow to where work can exist, and event skipping plugged into the
+loops' ``_skip`` hook:
 
 * **Batched credit processing.**  Channels built as
   :class:`LedgerChannel` register every scheduled credit return in a
@@ -42,7 +45,7 @@ only where work can exist:
 Configurations the fast path cannot accelerate faithfully — PCS probe
 circuits, the software-retry reliability layer, or networks built
 without :class:`LedgerChannel` — transparently fall back to the
-reference ``Engine.step`` per cycle, so ``engine="fast"`` is always
+reference phase table with skipping off, so ``engine="fast"`` is always
 safe to request.
 """
 
@@ -68,7 +71,7 @@ from ..routing.misrouting import MisroutingAdaptive
 from ..traffic.generator import TrafficGenerator
 from ..traffic.trace import TraceReplayGenerator
 from .channel import Channel
-from .engine import Engine, _LIVE_PHASES
+from .engine import Engine, Phase, _LIVE_PHASES
 from .flit import Flit, FlitKind
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -314,9 +317,10 @@ class FastEngine(Engine):
     """Event-skipping engine, flit-for-flit identical to :class:`Engine`.
 
     All protocol components (injectors, receivers, kill manager,
-    routers, channels) are the reference implementations; this class
-    only reorganises *when* their per-cycle hooks run.  See the module
-    docstring for the mechanisms and their exactness arguments.
+    routers, channels) are the reference implementations, and so are
+    the loops; this class only swaps phase implementations into the
+    table and reorganises *when* their per-cycle hooks run.  See the
+    module docstring for the mechanisms and their exactness arguments.
     """
 
     def __init__(self, network, **kwargs) -> None:
@@ -341,7 +345,6 @@ class FastEngine(Engine):
         self._credit_buckets = self.credit_ledger._buckets
         self._arrival_items = self._arrival_buffers._items
         self._route_items = self.route_pending._items
-        self._in_run = False
         self._active_recv: Set[int] = set()
         self._active_inj: Set[int] = set()
         self._active_switch: Set[int] = set()
@@ -355,9 +358,10 @@ class FastEngine(Engine):
     def _seed_active(self) -> None:
         """Rescan engine state into the activity sets.
 
-        Called on entry to ``run``/``run_until_drained`` and before any
-        externally driven ``step()``, so state planted between runs
-        (tests enqueue messages by hand) is picked up.
+        Called where the phase table is built -- on entry to ``run`` /
+        ``run_until_drained`` and before any externally driven
+        ``step()`` -- so state planted between runs (tests enqueue
+        messages by hand) is picked up.
         """
         self._active_recv = {
             node.node_id for node in self.nodes if node.receiver.staging
@@ -675,32 +679,38 @@ class FastEngine(Engine):
         self.last_progress = now
 
     # ------------------------------------------------------------------
-    # Stepping
+    # The phase table: reference order, fast implementations
     # ------------------------------------------------------------------
 
-    def step(self) -> None:
-        if not self._in_run:
-            self._seed_active()
-        self._step_once()
-
-    def _step_once(self) -> None:
-        fallback = (
+    def _fallback(self) -> bool:
+        """PCS probes, the software-retry layer and non-ledger channels
+        need the reference sweeps (and never skip)."""
+        return (
             not self._fast_ok
             or self.pcs is not None
             or self.reliability is not None
         )
-        if self.profiler is not None:
-            if fallback:
-                Engine._step_profiled(self)
-                self.credit_ledger.forget(self.now - 1)
-            else:
-                self._fast_step_profiled()
-            return
-        if fallback:
-            Engine.step(self)
-            self.credit_ledger.forget(self.now - 1)
-            return
-        self._fast_step()
+
+    def _phase_table(self) -> Tuple[Phase, ...]:
+        self._seed_active()
+        if self._fallback():
+            swap = {"credit": self._tick_credits_and_forget}
+        else:
+            swap = {
+                "credit": self.credit_ledger.drain,
+                "ejection": self._process_receivers,
+                "injection": self._step_injectors,
+            }
+        return tuple(
+            (name, swap.get(name, phase))
+            for name, phase in Engine._phase_table(self)
+        )
+
+    def _tick_credits_and_forget(self, now: int) -> None:
+        # The reference sweep just settled every channel, so buckets
+        # up to now would only accumulate.
+        self._tick_credits(now)
+        self.credit_ledger.forget(now)
 
     def _step_injectors(self, now: int) -> None:
         active = self._active_inj
@@ -832,141 +842,11 @@ class FastEngine(Engine):
             if not receiver.staging:
                 recv.discard(node_id)
 
-    def _fast_step(self) -> None:
-        now = self.now
-        self.credit_ledger.drain(now)
-        if self.fault_model is not None:
-            self.fault_model.on_cycle(now, self.network)
-        self._merge_arrivals(now)
-        self._process_receivers(now)
-        self.kills.advance(now)
-        if self.generator is not None:
-            self.generator.tick(self, now)
-        self._step_injectors(now)
-        self._route_headers(now)
-        self._switch(now)
-        self._path_wide_monitor(now)
-        self._drop_at_block_monitor(now)
-        self._watchdog_check(now)
-        if self.sampler is not None:
-            self.sampler.on_cycle(now)
-        if self.checker is not None:
-            self.checker.on_cycle_end(now)
-        self.now = now + 1
-
-    def _fast_step_profiled(self) -> None:
-        # Timed copy of _fast_step (mirrors Engine._step_profiled's
-        # discipline: identical order and side effects, phases
-        # bracketed with perf_counter_ns).
-        clock = perf_counter_ns
-        phases = self.profiler.phases
-        now = self.now
-        step_start = clock()
-
-        t0 = clock()
-        self.credit_ledger.drain(now)
-        phases["credit"].record(clock() - t0)
-
-        if self.fault_model is not None:
-            t0 = clock()
-            self.fault_model.on_cycle(now, self.network)
-            phases["fault"].record(clock() - t0)
-
-        t0 = clock()
-        self._merge_arrivals(now)
-        phases["arrival"].record(clock() - t0)
-
-        t0 = clock()
-        self._process_receivers(now)
-        phases["ejection"].record(clock() - t0)
-
-        t0 = clock()
-        self.kills.advance(now)
-        phases["kill"].record(clock() - t0)
-
-        if self.generator is not None:
-            t0 = clock()
-            self.generator.tick(self, now)
-            phases["traffic"].record(clock() - t0)
-
-        t0 = clock()
-        self._step_injectors(now)
-        phases["injection"].record(clock() - t0)
-
-        t0 = clock()
-        self._route_headers(now)
-        phases["routing"].record(clock() - t0)
-
-        t0 = clock()
-        self._switch(now)
-        phases["switch"].record(clock() - t0)
-
-        t0 = clock()
-        self._path_wide_monitor(now)
-        self._drop_at_block_monitor(now)
-        self._watchdog_check(now)
-        phases["monitor"].record(clock() - t0)
-
-        if self.sampler is not None:
-            t0 = clock()
-            self.sampler.on_cycle(now)
-            phases["sampler"].record(clock() - t0)
-
-        if self.checker is not None:
-            t0 = clock()
-            self.checker.on_cycle_end(now)
-            phases["checker"].record(clock() - t0)
-
-        self.now = now + 1
-        self.profiler.on_step_end(now, clock() - step_start)
-
-    # ------------------------------------------------------------------
-    # Main loops with event skipping
-    # ------------------------------------------------------------------
-
-    def run(self, cycles: int) -> None:
-        self._seed_active()
-        self._in_run = True
-        try:
-            remaining = cycles
-            while remaining > 0:
-                skipped = self._try_skip(remaining)
-                if skipped:
-                    remaining -= skipped
-                    continue
-                self._step_once()
-                remaining -= 1
-        finally:
-            self._in_run = False
-
-    def run_until_drained(self, max_cycles: int) -> bool:
-        generator = self.generator
-        replaying = getattr(generator, "exhausted", None) is False
-        if not replaying:
-            self.generator = None
-        self._seed_active()
-        self._in_run = True
-        try:
-            remaining = max_cycles
-            while remaining > 0:
-                if self._drained():
-                    return True
-                skipped = self._try_skip(remaining)
-                if skipped:
-                    remaining -= skipped
-                    continue
-                self._step_once()
-                remaining -= 1
-            return self._drained()
-        finally:
-            self._in_run = False
-            self.generator = generator
-
     # ------------------------------------------------------------------
     # Event skipping
     # ------------------------------------------------------------------
 
-    def _try_skip(self, limit: int) -> int:
+    def _skip(self, table: Tuple[Phase, ...], limit: int) -> int:
         """Skip to the next cycle where anything can happen.
 
         Returns the number of cycles elided (0 when the network is not
@@ -975,11 +855,7 @@ class FastEngine(Engine):
         a skipped reference cycle is provably a no-op that draws no
         randomness; see the individual conditions.
         """
-        if (
-            not self._fast_ok
-            or self.pcs is not None
-            or self.reliability is not None
-        ):
+        if self._fallback():
             return 0
         if (
             self.kills.dying
@@ -1087,14 +963,14 @@ class FastEngine(Engine):
             if self.profiler is not None:
                 # Profiled runs keep per-cycle generator phases timed.
                 return 0
-            return self._paced_skip(target)
+            return self._paced_skip(table, target)
         count = target - now
         if count <= 0:
             return 0
         if self.profiler is not None:
             t0 = perf_counter_ns()
             self._finish_skip(target)
-            self.profiler.on_idle(count, perf_counter_ns() - t0)
+            self.profiler.on_idle(now, count, perf_counter_ns() - t0)
         else:
             self._finish_skip(target)
         self.cycles_skipped += count
@@ -1112,15 +988,16 @@ class FastEngine(Engine):
             self.last_progress = target - 1
         self.now = target
 
-    def _paced_skip(self, target: int) -> int:
+    def _paced_skip(self, table: Tuple[Phase, ...], target: int) -> int:
         """Advance cycle-by-cycle running only the generator draws.
 
         Used while a Bernoulli generator is active and the rest of the
         network is quiescent: every other reference phase is a no-op
-        (the caps in ``_try_skip`` bound the span), but the generator's
+        (the caps in ``_skip`` bound the span), but the generator's
         per-node RNG draws must happen each cycle to keep the stream
         identical.  The first cycle that admits a message finishes as a
-        full reference cycle.
+        full cycle: the rest of the table, from the entry after
+        ``traffic``.
         """
         generator = self.generator
         ledger = self.credit_ledger
@@ -1132,8 +1009,8 @@ class FastEngine(Engine):
             before = generator.generated
             generator.tick(self, cycle)
             if generator.generated != before:
-                self._post_traffic(cycle)
-                self.now = cycle + 1
+                traffic = [name for name, _ in table].index("traffic")
+                self._cycle(table[traffic + 1:])
                 self.cycles_skipped += count
                 return count + 1
             if not self.live:
@@ -1143,19 +1020,6 @@ class FastEngine(Engine):
         self.now = cycle
         self.cycles_skipped += count
         return count
-
-    def _post_traffic(self, now: int) -> None:
-        """The reference phases that follow traffic generation."""
-        self._step_injectors(now)
-        self._route_headers(now)
-        self._switch(now)
-        self._path_wide_monitor(now)
-        self._drop_at_block_monitor(now)
-        self._watchdog_check(now)
-        if self.sampler is not None:
-            self.sampler.on_cycle(now)
-        if self.checker is not None:
-            self.checker.on_cycle_end(now)
 
     def _node_wake(self, node: "Node", now: int):
         """When this parked node could next start a message.

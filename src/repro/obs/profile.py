@@ -5,9 +5,13 @@ phase is hot* — kill wavefront propagation vs. routing vs. credit
 ticks — matters as much as end-to-end numbers.  The profiler follows
 the same guard discipline as `repro.obs` and `repro.verify`: the
 engine holds ``self.profiler = None`` and the unprofiled hot path pays
-exactly one is-None check per step.  When armed
-(``SimConfig(profile=True)``), the engine runs an explicit timed copy
-of ``step()`` that brackets each phase with ``perf_counter_ns``.
+exactly one is-None check per step.  A cycle is a walk over the
+engine's *phase table* -- an ordered tuple of ``(phase name,
+callable(now))`` (``Engine._phase_table``; the fast engine swaps in
+its own credit/ejection/injection callables and adds event skipping).
+When armed (``SimConfig(profile=True)``), the engine hands the same
+tuple to :meth:`EngineProfiler.timed_cycle`, which walks it with a
+``perf_counter_ns`` bracket per entry -- one loop, timed or not.
 
 Phase taxonomy (:data:`PHASES`):
 
@@ -31,14 +35,16 @@ Per-phase counters: calls, wall-ns, max single-call ns.  The profiler
 also keeps the *outer* per-step wall time, so the per-phase sum is
 always ≤ the total (timer overhead and inter-phase glue land in the
 gap) — an inequality the CI smoke job asserts.  Optional periodic
-snapshots feed a Chrome-trace *counter track* that
-:func:`repro.obs.perfetto.chrome_trace` merges into the span view.
+snapshots (one per ``snapshot_interval`` boundary the clock crosses,
+whether a cycle was stepped or skipped over it) feed a Chrome-trace
+*counter track* that :func:`repro.obs.perfetto.chrome_trace` merges
+into the span view.
 """
 
 from __future__ import annotations
 
 from time import perf_counter_ns
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 #: phase names in engine execution order.
 PHASES: Tuple[str, ...] = (
@@ -111,22 +117,32 @@ class EngineProfiler:
             name: 0 for name in PHASES
         }
 
-    # -- recording (called from Engine._step_profiled) ------------------
+    # -- recording (called from Engine._cycle / FastEngine._skip) --------
+
+    def timed_cycle(
+        self, table: Sequence[Tuple[str, Callable[[int], None]]], now: int
+    ) -> None:
+        """Walk the engine's phase table for cycle ``now``, timing each
+        entry under its name."""
+        clock = perf_counter_ns
+        phases = self.phases
+        step_start = clock()
+        for name, phase in table:
+            t0 = clock()
+            phase(now)
+            phases[name].record(clock() - t0)
+        self.on_step_end(now, clock() - step_start)
 
     def on_step_end(self, now: int, step_ns: int) -> None:
         self.cycles += 1
         self.step_wall_ns += step_ns
         interval = self.snapshot_interval
         if interval and (now + 1) % interval == 0:
-            delta = {}
-            last = self._last_snapshot
-            for name, stats in self.phases.items():
-                delta[name] = stats.wall_ns - last[name]
-                last[name] = stats.wall_ns
-            self.snapshots.append((now + 1, delta))
+            self._snapshot(now + 1)
 
-    def on_idle(self, cycles: int, idle_ns: int) -> None:
-        """Account a span of event-skipped cycles (fast engine).
+    def on_idle(self, now: int, cycles: int, idle_ns: int) -> None:
+        """Account the ``cycles`` event-skipped cycles starting at
+        ``now`` (fast engine).
 
         The skipped span is attributed to the explicit ``idle`` phase
         and counted into both the cycle total and the outer step wall
@@ -136,6 +152,23 @@ class EngineProfiler:
         self.phases["idle"].record(idle_ns)
         self.cycles += cycles
         self.step_wall_ns += idle_ns
+        interval = self.snapshot_interval
+        if interval:
+            # Every window boundary the span crossed closes, as it
+            # would have had the cycles been stepped; the first one
+            # takes the accumulated deltas.
+            for boundary in range(
+                now - now % interval + interval, now + cycles + 1, interval
+            ):
+                self._snapshot(boundary)
+
+    def _snapshot(self, cycle: int) -> None:
+        delta = {}
+        last = self._last_snapshot
+        for name, stats in self.phases.items():
+            delta[name] = stats.wall_ns - last[name]
+            last[name] = stats.wall_ns
+        self.snapshots.append((cycle, delta))
 
     # -- reporting ------------------------------------------------------
 
@@ -244,9 +277,7 @@ def detach_profiler(engine: Any) -> Optional[EngineProfiler]:
     return profiler
 
 
-# re-export for engine's timed step (single import site, keeps the
-# profiled path free of attribute lookups through the time module).
 __all__ = [
     "PHASES", "PhaseStats", "EngineProfiler",
-    "attach_profiler", "detach_profiler", "perf_counter_ns",
+    "attach_profiler", "detach_profiler",
 ]

@@ -3,12 +3,30 @@
 import pytest
 
 from repro import SimConfig, run_simulation
+from repro.network.message import reset_uid_counter
 from repro.obs.profile import (
+    _PHASE_HELP,
     PHASES,
     EngineProfiler,
     attach_profiler,
     detach_profiler,
 )
+from repro.traffic.trace import record_trace
+
+
+ENGINES = ("reference", "fast")
+
+# One config per distinct phase table: plain CR, the fault sweep, the
+# two modes where the fast engine falls back to the reference sweeps,
+# and the optional tail entries.
+TABLE_VARIANTS = {
+    "cr": {},
+    "fcr-faults": dict(routing="fcr", num_vcs=2, fault_rate=5e-4),
+    "pcs": dict(routing="pcs", num_vcs=2),
+    "swretry": dict(routing="dor", num_vcs=2, software_retry=True,
+                    fault_rate=5e-4),
+    "sampler-checker": dict(sample_interval=50, verify=True),
+}
 
 
 def quick_config(**overrides):
@@ -18,6 +36,24 @@ def quick_config(**overrides):
     )
     params.update(overrides)
     return SimConfig(**params)
+
+
+@pytest.fixture(scope="module")
+def sparse_replay():
+    """Runner replaying one load-0.02 trace: the gaps between entries
+    have no actor at all, so the fast engine skips them outright."""
+    reset_uid_counter()
+    trace = record_trace(quick_config(load=0.02, measure=1000))
+
+    def replay(engine, **overrides):
+        reset_uid_counter()
+        return run_simulation(
+            quick_config(engine=engine, load=0.0, measure=1000,
+                         trace=trace, **overrides),
+            keep_engine=True,
+        )
+
+    return replay
 
 
 class TestGuardDiscipline:
@@ -47,15 +83,57 @@ class TestGuardDiscipline:
 
 
 class TestDeterminism:
-    def test_profiled_run_reproduces_the_unprofiled_report(self):
-        # Profiling must only *observe*: the simulation outcome, flit
-        # for flit, is identical with and without the profiler armed.
-        plain = run_simulation(quick_config())
-        profiled = run_simulation(quick_config(profile=True))
+    @staticmethod
+    def assert_profile_only_observes(**overrides):
+        plain = run_simulation(quick_config(**overrides))
+        profiled = run_simulation(quick_config(profile=True, **overrides))
         profiled_report = dict(profiled.report)
         profile = profiled_report.pop("profile")
         assert profiled_report == plain.report
         assert profile["cycles"] == profiled.cycles_run
+
+    def test_profiled_run_reproduces_the_unprofiled_report(self):
+        # Profiling must only *observe*: the simulation outcome, flit
+        # for flit, is identical with and without the profiler armed.
+        self.assert_profile_only_observes()
+
+    @pytest.mark.parametrize("variant", list(TABLE_VARIANTS))
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_timed_walk_matches_plain_walk(self, engine, variant):
+        # The timed and the plain cycle walk the same table, whichever
+        # engine built it and whichever hooks are in it.
+        self.assert_profile_only_observes(
+            engine=engine, **TABLE_VARIANTS[variant]
+        )
+
+
+class TestPhaseTable:
+    """The profiler taxonomy and the engines' phase tables cannot drift."""
+
+    @staticmethod
+    def table_names(engine):
+        # Every hook armed: fault sweep, generator, PCS, sampler, checker.
+        config = quick_config(
+            engine=engine, routing="pcs", num_vcs=2, fault_rate=1e-4,
+            sample_interval=50, verify=True,
+        )
+        return [name for name, _ in config.build()._phase_table()]
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_full_table_is_the_profiler_taxonomy(self, engine):
+        assert self.table_names(engine) == [
+            name for name in PHASES if name != "idle"
+        ]
+
+    def test_every_profiler_phase_can_be_emitted(self):
+        # ``idle`` is the one name no table carries: the fast engine
+        # records it from event skipping (asserted in
+        # tests/network/test_fastengine.py).
+        emitted = {"idle"}
+        for engine in ENGINES:
+            emitted.update(self.table_names(engine))
+        assert set(PHASES) == emitted
+        assert set(_PHASE_HELP) == emitted
 
 
 class TestAttribution:
@@ -66,9 +144,11 @@ class TestAttribution:
         # Timer + glue overhead lands in the gap, never in a phase.
         assert 0 < profiler.phase_wall_ns() <= profiler.step_wall_ns
 
-    def test_every_cycle_phases_called_once(self):
-        result = run_simulation(quick_config(profile=True),
-                                keep_engine=True)
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_every_cycle_phases_called_once(self, engine):
+        result = run_simulation(
+            quick_config(profile=True, engine=engine), keep_engine=True
+        )
         profiler = result.engine.profiler
         cycles = result.cycles_run
         assert profiler.cycles == cycles
@@ -81,10 +161,11 @@ class TestAttribution:
         assert profiler.phases["sampler"].calls == 0
         assert profiler.phases["checker"].calls == 0
 
-    def test_optional_phases_counted_when_attached(self):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_optional_phases_counted_when_attached(self, engine):
         result = run_simulation(
             quick_config(profile=True, sample_interval=50,
-                         fault_rate=1e-4),
+                         fault_rate=1e-4, engine=engine),
             keep_engine=True,
         )
         profiler = result.engine.profiler
@@ -139,6 +220,25 @@ class TestExports:
             assert set(event["args"]) <= set(PHASES)
         # Snapshot timestamps land on interval boundaries.
         assert all(event["ts"] % 100 == 0 for event in events)
+
+    def test_skipped_window_boundaries_still_snapshot(self, sparse_replay):
+        # A boundary that falls inside an event-skipped span closes its
+        # window all the same: both engines emit the same snapshot
+        # cycles, and profiling does not change what gets skipped.
+        runs = {
+            engine: sparse_replay(engine, profile=50) for engine in ENGINES
+        }
+        cycles = {
+            engine: [cycle for cycle, _ in run.engine.profiler.snapshots]
+            for engine, run in runs.items()
+        }
+        assert cycles["fast"] == cycles["reference"]
+        assert cycles["reference"] == list(
+            range(50, runs["reference"].cycles_run + 1, 50)
+        )
+        skipped = runs["fast"].engine.cycles_skipped
+        assert skipped > 50
+        assert skipped == sparse_replay("fast").engine.cycles_skipped
 
     def test_no_snapshots_means_no_counter_track(self):
         result = run_simulation(quick_config(profile=True),

@@ -52,3 +52,17 @@ class TestVersion:
         parts = repro.__version__.split(".")
         assert len(parts) == 3
         assert all(part.isdigit() for part in parts)
+
+    def test_pyproject_carries_no_literal_version(self):
+        # repro.__version__ is the single source (the store, the sweep
+        # cache key and cr_build_info read it); packaging derives it.
+        import pathlib
+        import re
+
+        text = (
+            pathlib.Path(__file__).parent.parent / "pyproject.toml"
+        ).read_text()
+        assert not re.search(r'^\s*version\s*=\s*"', text, re.MULTILINE)
+        assert re.search(r'^dynamic\s*=\s*\[[^\]]*"version"', text,
+                         re.MULTILINE)
+        assert 'attr = "repro.__version__"' in text
