@@ -37,6 +37,7 @@ class VCBuffer:
         "routed",
         "last_advance",
         "route_stall_since",
+        "route_fail_key",
     )
 
     def __init__(self, router: "Router", port: int, vc: int, depth: int) -> None:
@@ -55,6 +56,9 @@ class VCBuffer:
         self.routed = False
         self.last_advance = 0
         self.route_stall_since: Optional[int] = None
+        # Fast engine: router stamp + fault epoch of the header's last
+        # failed allocation (cleared with route_stall_since).
+        self.route_fail_key: Optional[int] = None
 
     # ------------------------------------------------------------------
     # Flit movement
@@ -112,6 +116,7 @@ class VCBuffer:
         self.out_port = None
         self.out_vc = None
         self.route_stall_since = None
+        self.route_fail_key = None
         self.last_advance = now
 
     def release(self) -> None:
@@ -121,6 +126,7 @@ class VCBuffer:
         self.out_port = None
         self.out_vc = None
         self.route_stall_since = None
+        self.route_fail_key = None
 
     def flush_owner(self, now: int) -> int:
         """Drop every flit of the owning worm and release the buffer.

@@ -42,6 +42,25 @@ loops' ``_skip`` hook:
   instead runs a *paced* loop that performs only the generator draws
   (exactly the reference RNG sequence) until a message is admitted.
 
+* **Change stamps.**  A blocked header's wait can only end when a
+  specific resource changes hands, so the engine stops polling.  Every
+  :class:`Router` mutator that writes ``out_owner`` bumps the router's
+  ``stamp``; the engine bumps a *fault epoch* where it builds a phase
+  table (state planted between runs) and in the ``fault`` phase on
+  every cycle ``_fault_next_event`` says the model may act (an unknown
+  ``on_cycle`` override: every cycle).  Those are the only inputs of
+  ``_grant`` that can change while a header is blocked -- the routing
+  relations read header state, which moves only with the header, and
+  channel death -- so a header whose last failure carries the current
+  stamp and epoch is skipped: the attempt would fail again, and a
+  failed attempt draws no randomness (``selection.pick`` runs only on
+  a non-empty free list).  The pending list is still built and
+  shuffled in full; the shuffle draw is part of the contract.  The
+  same mutators drop the router's cached claim order, so the switch
+  stage re-sorts a claim table only after it changed, and the
+  injector's stall threshold -- fixed by ``begin_attempt`` -- is
+  worked out once per stall streak instead of once per stalled cycle.
+
 Configurations the fast path cannot accelerate faithfully — PCS probe
 circuits, the software-retry reliability layer, or networks built
 without :class:`LedgerChannel` — transparently fall back to the
@@ -54,13 +73,9 @@ from __future__ import annotations
 from time import perf_counter_ns
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
-try:  # pragma: no cover - exercised implicitly on both kinds of host
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy-less fallback
-    _np = None
-
 from ..core.kill import KillManager
 from ..core.protocol import KillCause, ProtocolMode
+from ..core.timeout import FixedTimeout, LengthScaledTimeout
 from ..faults.cascading import LoadDependentFaults
 from ..faults.model import CompositeFaultModel, FaultModel
 from ..faults.permanent import PermanentFaultSchedule
@@ -74,7 +89,19 @@ from .channel import Channel
 from .engine import Engine, Phase, _LIVE_PHASES
 from .flit import Flit, FlitKind
 
+
+def _numpy():
+    """numpy or None, imported on first use: only the snapshot helpers
+    want it, and ``import repro`` should not pay for it."""
+    try:
+        import numpy
+    except ImportError:  # pragma: no cover - numpy-less fallback
+        return None
+    return numpy
+
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..core.injector import Injector
     from ..core.node import Node
     from ..network.buffer import VCBuffer
     from ..network.message import Message
@@ -182,10 +209,11 @@ class CreditLedger:
             min(due for due, _ in ch._pending) if ch._pending else -1
             for ch in self.channels
         ]
-        if _np is not None:
+        np = _numpy()
+        if np is not None:
             return (
-                _np.array(counts, dtype=_np.int64),
-                _np.array(earliest, dtype=_np.int64),
+                np.array(counts, dtype=np.int64),
+                np.array(earliest, dtype=np.int64),
             )
         return counts, earliest
 
@@ -208,13 +236,14 @@ def channel_state(engine: Engine):
     ]
     carried = [ch.flits_carried for ch in channels]
     pending = [len(ch._pending) for ch in channels]
-    if _np is not None:
+    np = _numpy()
+    if np is not None:
         return {
-            "credits": _np.array(credits_rows, dtype=_np.int64).reshape(
+            "credits": np.array(credits_rows, dtype=np.int64).reshape(
                 n, max_vcs
             ),
-            "flits_carried": _np.array(carried, dtype=_np.int64),
-            "pending": _np.array(pending, dtype=_np.int64),
+            "flits_carried": np.array(carried, dtype=np.int64),
+            "pending": np.array(pending, dtype=np.int64),
         }
     return {
         "credits": credits_rows,
@@ -238,22 +267,26 @@ class RoutingTable:
 
     Any other relation — or a routing object whose ``candidates`` has
     been instance-patched (the mutation harness does this) — is called
-    live every time.  Kind detection is deferred to the first lookup so
-    patches applied after construction are honoured.
+    live every time.  :meth:`resolve` classifies the relation as it
+    stands when called; the engine calls it wherever it builds a phase
+    table, so a patch planted or lifted between runs is honoured and
+    the answer holds for the duration of a call.
     """
 
-    __slots__ = ("routing", "_kind", "_resolved", "_cache")
+    __slots__ = ("routing", "patched", "_kind", "_cache")
 
     def __init__(self, routing) -> None:
         self.routing = routing
         self._kind = "live"
-        self._resolved = False
         self._cache: Dict[tuple, List[List[Candidate]]] = {}
+        self.resolve()
 
-    def _resolve(self) -> None:
+    def resolve(self) -> None:
         routing = self.routing
         kind = "live"
-        if "candidates" not in vars(routing):
+        #: True while ``routing.candidates`` is instance-patched.
+        self.patched = "candidates" in vars(routing)
+        if not self.patched:
             impl = type(routing).candidates
             if impl is MisroutingAdaptive.candidates:
                 kind = "misroute"
@@ -261,14 +294,13 @@ class RoutingTable:
                 kind = "minimal"
             elif impl is DimensionOrder.candidates:
                 kind = "dor"
-        self._kind = kind
-        self._resolved = True
+        if kind != self._kind:
+            self._kind = kind
+            self._cache.clear()
 
     def candidates(
         self, router: "Router", message: "Message"
     ) -> List[List[Candidate]]:
-        if not self._resolved:
-            self._resolve()
         kind = self._kind
         routing = self.routing
         if kind == "minimal":
@@ -350,6 +382,12 @@ class FastEngine(Engine):
         self._active_switch: Set[int] = set()
         #: cycles elided by event skipping (diagnostics / benchmarks).
         self.cycles_skipped = 0
+        #: bumped whenever channel-death state may have changed.
+        self._fault_epoch = 0
+        #: blocked headers skip repeat failures (set per phase table).
+        self._gate_headers = False
+        #: stall count at which each stalled injector's timeout fires.
+        self._stall_limits: Dict["Injector", float] = {}
 
     # ------------------------------------------------------------------
     # Activity bookkeeping
@@ -463,6 +501,8 @@ class FastEngine(Engine):
         if len(pending) > 1:
             self.rng.shuffle(pending)
         pop = route_items.pop
+        gate = self._gate_headers
+        epoch = self._fault_epoch
         for buffer in pending:
             fifo = buffer.fifo
             head = fifo[0] if fifo else None
@@ -478,11 +518,24 @@ class FastEngine(Engine):
             if message.phase not in _LIVE_PHASES:
                 pop(buffer, None)
                 continue
+            # Change stamps: _grant's verdict is a function of header
+            # state (fixed while the header is blocked), the router's
+            # out_owner (stamp) and channel death (fault epoch).  Both
+            # counters only grow, so their sum repeats only when
+            # neither moved -- then the attempt is a repeat failure,
+            # and a failure draws no randomness (selection.pick needs
+            # a non-empty free list).
+            key = buffer.router.stamp + epoch
+            if gate and buffer.route_fail_key == key:
+                continue
             if self._grant(buffer, message):
                 buffer.route_stall_since = None
+                buffer.route_fail_key = None
                 pop(buffer, None)
-            elif buffer.route_stall_since is None:
-                buffer.route_stall_since = now
+            else:
+                buffer.route_fail_key = key
+                if buffer.route_stall_since is None:
+                    buffer.route_stall_since = now
 
     def _grant(self, buffer: "VCBuffer", message: "Message") -> bool:
         router = buffer.router
@@ -564,7 +617,8 @@ class FastEngine(Engine):
                 transfer(router, port, vc, buffer, now)
                 continue
             # Claims are keyed (port, vc) and an output VC is claimed
-            # by at most one input, so sorting the items gives exactly
+            # by at most one input, so the items in sorted order (the
+            # router caches them between writes to claims) are exactly
             # the reference's per-port arbitration order: ports
             # ascending, and within a port the entries already sorted
             # by the deterministic (vc, in_port, in_vc) tie-break (vc
@@ -575,7 +629,7 @@ class FastEngine(Engine):
             used_inputs: Set[int] = set()
             entries: List = []
             cur_port = -1
-            for (port, vc), buffer in sorted(claims.items()):
+            for (port, vc), buffer in router.claim_order():
                 if port != cur_port:
                     if entries:
                         count = len(entries)
@@ -693,6 +747,15 @@ class FastEngine(Engine):
 
     def _phase_table(self) -> Tuple[Phase, ...]:
         self._seed_active()
+        # State planted between runs (a test assigning channel.dead, a
+        # mutation patching a method) must be seen by everything cached
+        # across cycles, and seen the same way for the whole call.
+        self._fault_epoch += 1
+        self._stall_limits.clear()
+        self._table.resolve()
+        self._gate_headers = (
+            not self._table.patched and "_grant" not in vars(self)
+        )
         if self._fallback():
             swap = {"credit": self._tick_credits_and_forget}
         else:
@@ -706,6 +769,36 @@ class FastEngine(Engine):
             for name, phase in Engine._phase_table(self)
         )
 
+    def _fault_sweep(self, now: int) -> None:
+        # Channel death changes only inside on_cycle, and only on the
+        # cycles the model may act (unknown model: any cycle).
+        next_event = self._fault_next_event(self.fault_model)
+        if next_event is None or next_event <= now:
+            self._fault_epoch += 1
+        self.fault_model.on_cycle(now, self.network)
+
+    def _stall_limit(self, injector: "Injector", message: "Message"):
+        """Stall count at which ``_check_timeout`` first does anything.
+
+        Fixed for a stall streak (``wire_length`` is set by
+        ``begin_attempt``); 0 -- ask every cycle -- unless the policy
+        is one of the two known pure ones and the check is unpatched.
+        (PCS, the third mode that never kills on stall, does not come
+        through ``_step_injectors``.)
+        """
+        protocol = self.protocol
+        if "_check_timeout" in injector.__dict__:
+            return 0
+        if (
+            protocol.mode is ProtocolMode.PLAIN
+            or protocol.path_wide is not None
+        ):
+            return _INF
+        timeout = protocol.timeout
+        if type(timeout) in (FixedTimeout, LengthScaledTimeout):
+            return timeout.threshold(message, self.num_vcs)
+        return 0
+
     def _tick_credits_and_forget(self, now: int) -> None:
         # The reference sweep just settled every channel, so buckets
         # up to now would only accumulate.
@@ -718,6 +811,7 @@ class FastEngine(Engine):
             return
         stats = self.stats
         arrival_items = self._arrival_items
+        stall_limits = self._stall_limits
         # Ascending node id matches the reference node order; inactive
         # nodes (empty queue, idle injectors) step to a no-op there and
         # draw no randomness.
@@ -742,15 +836,23 @@ class FastEngine(Engine):
                 channel = injector.channel
                 vc = injector.vc
                 if channel.dead or channel.credits[vc] <= 0:
-                    injector.stall += 1
+                    stall = injector.stall = injector.stall + 1
                     stats.on_injection_stall()
-                    if injector.stall == 1 and self.bus is not None:
+                    if stall == 1 and self.bus is not None:
                         from ..obs.events import InjectionStalled
 
                         self.bus.emit(
                             InjectionStalled(now, message.uid, message.src)
                         )
-                    injector._check_timeout(message, now)
+                    # The timeout threshold is fixed for the streak:
+                    # work it out on the first stalled cycle and leave
+                    # _check_timeout alone until the streak reaches it.
+                    if stall == 1 or injector not in stall_limits:
+                        stall_limits[injector] = self._stall_limit(
+                            injector, message
+                        )
+                    if stall >= stall_limits[injector]:
+                        injector._check_timeout(message, now)
                     if injector.current is not None:
                         busy = True
                     continue

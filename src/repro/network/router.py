@@ -12,6 +12,12 @@ It owns:
 * ``claims[(port, vc)]`` -- the input buffer through which the owning
   worm's flits flow, i.e. the switch-allocation requests.
 
+Both dicts are written only by the mutators below, which keep two
+change trackers for the fast engine: ``stamp`` counts the writes to
+``out_owner`` (a header that failed to get an output VC at this stamp
+fails again until it moves), and ``_order`` caches ``claims`` in
+arbitration order until the next write to ``claims``.
+
 Ownership of a link output VC is released when the worm's tail pops out
 of the *downstream* input buffer (not when it leaves this router): the
 downstream buffer may still hold flits of the old worm, and a new header
@@ -20,7 +26,7 @@ must not be routed into a non-empty buffer.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .buffer import VCBuffer
 
@@ -44,6 +50,11 @@ class Router:
         self.num_link_out = 0
         self.out_owner: Dict[Tuple[int, int], "Message"] = {}
         self.claims: Dict[Tuple[int, int], VCBuffer] = {}
+        #: bumped by every mutator that writes ``out_owner``.
+        self.stamp = 0
+        #: ``sorted(claims.items())``, or None since the last write to
+        #: ``claims``; rebuilt by :meth:`claim_order`.
+        self._order: Optional[List[Tuple[Tuple[int, int], VCBuffer]]] = None
         self._rr: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
@@ -85,6 +96,8 @@ class Router:
             )
         self.out_owner[key] = message
         self.claims[key] = buffer
+        self.stamp += 1
+        self._order = None
         buffer.routed = True
         buffer.out_port = port
         buffer.out_vc = vc
@@ -95,6 +108,8 @@ class Router:
         key = (port, vc)
         self.out_owner.pop(key, None)
         self.claims.pop(key, None)
+        self.stamp += 1
+        self._order = None
 
     def release_output_if(
         self, port: int, vc: int, message: "Message"
@@ -109,16 +124,26 @@ class Router:
         if self.out_owner.get(key) is message:
             del self.out_owner[key]
             self.claims.pop(key, None)
+            self.stamp += 1
+            self._order = None
 
     def retire_claim(self, port: int, vc: int) -> None:
         """Stop switching through an output whose tail has left this
         router, while keeping ownership until the downstream buffer
         drains (a new header must not enter a non-empty buffer)."""
         self.claims.pop((port, vc), None)
+        self._order = None
 
     # ------------------------------------------------------------------
-    # Switch arbitration helper
+    # Switch arbitration helpers
     # ------------------------------------------------------------------
+
+    def claim_order(self) -> List[Tuple[Tuple[int, int], VCBuffer]]:
+        """``sorted(claims.items())``: ports ascending, VCs within."""
+        order = self._order
+        if order is None:
+            order = self._order = sorted(self.claims.items())
+        return order
 
     def rotate(self, port: int, count: int) -> int:
         """Round-robin pointer for output ``port`` over ``count`` requests."""

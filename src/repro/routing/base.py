@@ -71,6 +71,11 @@ class RoutingFunction(abc.ABC):
         (``router.node_id != message.dst``); ejection is handled by the
         router itself.  Candidates for dead channels are filtered by the
         caller, so implementations may ignore faults.
+
+        The result may depend on the message's header state and on
+        which channels are dead, and on nothing else that changes while
+        the header waits: the fast engine re-asks a blocked header only
+        after one of those (or the router's output ownership) changed.
         """
 
     def injection_vc(

@@ -1,0 +1,270 @@
+"""Change stamps: the invariant the fast engine's polling cut rests on.
+
+``FastEngine`` stops re-trying a blocked header while its router's
+``stamp`` and the engine's fault epoch stand where they stood at the
+header's last failure, and walks a router's cached claim order instead
+of re-sorting.  Both are sound only if the counters move whenever their
+inputs do; these tests check exactly that, cycle by cycle, on long
+single ``run()`` calls (a bare ``step()`` rebuilds the phase table,
+bumps the epoch and so never gates).
+"""
+
+from __future__ import annotations
+
+import inspect
+import random
+import re
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.faults.permanent import (
+    PermanentFaultSchedule,
+    random_channel_faults,
+)
+from repro.network.buffer import VCBuffer
+from repro.network.engine import _LIVE_PHASES
+from repro.network.fastengine import FastEngine
+from repro.network.flit import FlitKind
+from repro.network.message import Message, reset_uid_counter
+from repro.network.router import Router
+from repro.obs.tracing import config_for_experiment
+from repro.routing.base import Candidate
+from repro.sim.config import SimConfig
+
+SMALL = dict(radix=4, dims=2, message_length=8, seed=11, engine="fast")
+
+
+class _CheckedFastEngine(FastEngine):
+    """FastEngine asserting the stamp invariants at every cycle's end."""
+
+    gated_checked = 0
+
+    def _monitors(self, now: int) -> None:
+        super()._monitors(now)
+        for router in self.routers:
+            assert router._order is None or router._order == sorted(
+                router.claims.items()
+            ), f"t={now}: router {router.node_id} serves a stale claim order"
+        for buffer in self.route_pending:
+            if not self._gate_would_skip(buffer):
+                continue
+            self.gated_checked += 1
+            free = self._free_now(buffer, buffer.fifo[0].message)
+            assert not free, (
+                f"t={now}: {buffer!r} would be skipped, yet {free} is free"
+            )
+
+    def _gate_would_skip(self, buffer) -> bool:
+        head = buffer.fifo[0] if buffer.fifo else None
+        return (
+            self._gate_headers
+            and head is not None
+            and head.kind is FlitKind.HEAD
+            and not buffer.routed
+            and head.message.phase in _LIVE_PHASES
+            and buffer.route_fail_key
+            == buffer.router.stamp + self._fault_epoch
+        )
+
+    def _free_now(self, buffer, message):
+        """``_grant``'s free candidates, recomputed from the live
+        relation with no memo, no claim and no draw."""
+        router = buffer.router
+        if router.node_id == message.dst:
+            tiers = [[Candidate(port, 0) for port in router.eject_ports]]
+        else:
+            tiers = self.routing.candidates(router, message)
+        return [
+            cand
+            for tier in tiers
+            for cand in tier
+            if router.output_free(cand.port, cand.vc)
+            and not router.out_channels[cand.port].dead
+        ]
+
+
+def _checked(config: SimConfig) -> _CheckedFastEngine:
+    reset_uid_counter()
+    engine = config.build()
+    assert type(engine) is FastEngine
+    engine.__class__ = _CheckedFastEngine
+    return engine
+
+
+def _run_and_drain(engine, cycles: int, drain: int = 6000) -> bool:
+    engine.run(cycles)
+    drained = engine.run_until_drained(drain)
+    assert engine.gated_checked > 0, "no header was ever gated"
+    return drained
+
+
+class TestStampSoundness:
+    @pytest.mark.parametrize("routing", ("cr", "dor"))
+    def test_saturated_e01_torus(self, routing):
+        config = config_for_experiment("e01").with_(
+            routing=routing, num_vcs=2, load=0.5, engine="fast"
+        )
+        assert _run_and_drain(_checked(config), 600)
+
+    def test_cascading_faults_with_misrouting(self):
+        engine = _checked(SimConfig(
+            routing="fcr", misrouting=True, num_vcs=2, load=0.4,
+            workload="mmpp",
+            cascade_faults=(
+                "base_hazard=2e-4,load_gain=8,check_interval=16,"
+                "neighbor_boost=10,boost_cycles=96,repair_cycles=200"
+            ),
+            **SMALL,
+        ))
+        epoch = engine._fault_epoch
+        # A quarter of the links stay dead at any time, so the drain
+        # runs its budget out: 2 100 cycles of kills, detours, repairs.
+        _run_and_drain(engine, 600, drain=1500)
+        # One bump per check_interval boundary, not one per cycle.
+        assert 600 // 16 <= engine._fault_epoch - epoch < engine.now // 8
+        assert engine.fault_model.channel_faults > 0
+
+    def test_permanent_fault_firing_mid_run(self):
+        config = SimConfig(
+            routing="fcr", misrouting=True, num_vcs=2, load=0.5, **SMALL
+        )
+        engine = _checked(config)
+        engine.fault_model = PermanentFaultSchedule(random_channel_faults(
+            engine.network, 3, random.Random(5), cycle=150
+        ))
+        epoch = engine._fault_epoch
+        assert _run_and_drain(engine, 400)
+        assert not engine.fault_model.pending
+        # Entry to run, the firing cycle, entry to run_until_drained.
+        assert engine._fault_epoch - epoch == 3
+
+    def test_channel_death_assigned_between_runs(self):
+        # Plain DOR never kills, so headers pile up behind a dead link
+        # for as long as it stays dead: reviving it between two runs
+        # turns every one of those gated failures into a grant, which
+        # only the epoch bump at the phase table's build can announce.
+        engine = _checked(
+            SimConfig(routing="dor", num_vcs=2, load=0.3, **SMALL)
+        )
+        engine.run(100)
+        victims = engine.network.link_channels[::5]
+        for channel in victims:
+            channel.dead = True
+        engine.run(150)
+        blocked = [
+            buffer for buffer in engine.route_pending
+            if engine._gate_would_skip(buffer)
+        ]
+        assert blocked, "nothing is parked behind the dead links"
+        for channel in victims:
+            channel.dead = False
+        freed = [
+            buffer for buffer in blocked
+            if engine._free_now(buffer, buffer.fifo[0].message)
+        ]
+        assert freed, "no parked header wanted a revived link"
+        engine.run(1)
+        assert any(buffer.routed for buffer in freed)
+        assert _run_and_drain(engine, 100)
+
+
+class TestRouterDrift:
+    """Every way into ``out_owner`` / ``claims`` moves its tracker."""
+
+    #: one value per parameter name a public Router method may take.
+    @staticmethod
+    def _arguments(router, key):
+        return {
+            "port": key[0],
+            "vc": key[1],
+            "buffer": VCBuffer(router, 0, 0, 4),
+            "message": router.out_owner[(0, 0)],
+            "count": 2,
+            "buffer_depth": 4,
+        }
+
+    @staticmethod
+    def _router():
+        router = Router(0, 2)
+        router.claim_output(0, 0, VCBuffer(router, 1, 0, 4), Message(0, 1, 4))
+        router.claim_order()  # populate the cache
+        return router
+
+    def _public_methods(self):
+        # add_output_channel wires a Channel and touches neither dict.
+        return [
+            name for name, member in inspect.getmembers(
+                Router, inspect.isfunction
+            )
+            if not name.startswith("_") and name != "add_output_channel"
+        ]
+
+    @pytest.mark.parametrize("key", [(0, 0), (1, 1)], ids=["owned", "free"])
+    def test_writers_move_their_tracker(self, key):
+        wrote_owner, wrote_claims = set(), set()
+        for name in self._public_methods():
+            router = self._router()
+            pool = self._arguments(router, key)
+            params = list(
+                inspect.signature(getattr(router, name)).parameters
+            )
+            unknown = [param for param in params if param not in pool]
+            assert not unknown, (
+                f"Router.{name} takes {unknown}: teach _arguments about "
+                f"it so the drift test can call the new method"
+            )
+            owner, claims = dict(router.out_owner), dict(router.claims)
+            stamp = router.stamp
+            try:
+                getattr(router, name)(*(pool[param] for param in params))
+            except RuntimeError:
+                continue  # claim_output on an owned output
+            if router.out_owner != owner:
+                wrote_owner.add(name)
+                assert router.stamp != stamp, (
+                    f"Router.{name} wrote out_owner without bumping stamp"
+                )
+            if router.claims != claims:
+                wrote_claims.add(name)
+                assert router._order is None, (
+                    f"Router.{name} wrote claims and kept the cached order"
+                )
+        if key == (0, 0):
+            assert wrote_owner == {"release_output", "release_output_if"}
+            assert wrote_claims == wrote_owner | {"retire_claim"}
+        else:
+            assert wrote_owner == wrote_claims == {"claim_output"}
+
+    def test_claim_order_is_the_sorted_claims(self):
+        router = Router(0, 2)
+        for port, vc in ((2, 1), (0, 1), (2, 0), (0, 0)):
+            router.claim_output(
+                port, vc, VCBuffer(router, port, vc, 4), Message(0, 1, 4)
+            )
+        assert router.claim_order() == sorted(router.claims.items())
+        assert router.claim_order() is router.claim_order()
+        router.retire_claim(2, 0)
+        assert router.claim_order() == sorted(router.claims.items())
+
+    def test_nothing_outside_router_py_writes_either_dict(self):
+        write = re.compile(
+            r"\.(out_owner|claims)\s*("
+            r"=[^=]"                                    # rebinding
+            r"|\[[^\]]*\]\s*=[^=]"                      # item assignment
+            r"|\.(pop|popitem|clear|update|setdefault)\("
+            r")"
+            r"|\bdel\s+[\w.]+\.(out_owner|claims)\b"
+        )
+        package = Path(repro.__file__).parent
+        offenders = [
+            f"{path.relative_to(package)}:{number}: {line.strip()}"
+            for path in sorted(package.rglob("*.py"))
+            if path.name != "router.py"
+            for number, line in enumerate(
+                path.read_text(encoding="utf-8").splitlines(), 1
+            )
+            if write.search(line)
+        ]
+        assert not offenders, "\n".join(offenders)

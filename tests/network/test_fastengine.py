@@ -7,7 +7,13 @@ same config, both engines, identical events/report/channel state.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
+
+import repro
 
 from repro.network.fastengine import FastEngine
 from repro.network.message import reset_uid_counter
@@ -75,6 +81,35 @@ class TestTargetedEquivalence:
                 routing="fcr", num_vcs=2, fault_rate=5e-4, **SMALL
             ),
             label="fcr-faults",
+        )
+
+
+    def test_cascade_misrouting_mmpp_is_identical(self):
+        # Bursty traffic into dying and repaired links, with misroute
+        # budget left on the retries: the one place headers stay
+        # blocked across fault-epoch bumps and can be unblocked by one.
+        assert_engines_equivalent(
+            SimConfig(
+                routing="fcr", misrouting=True, num_vcs=2,
+                workload="mmpp",
+                cascade_faults=(
+                    "base_hazard=2e-4,load_gain=8,check_interval=16,"
+                    "neighbor_boost=10,boost_cycles=96,repair_cycles=200"
+                ),
+                **{**SMALL, "load": 0.4, "drain": 4000},
+            ),
+            label="cascade-misrouting-mmpp",
+        )
+
+    def test_drop_at_block_is_identical(self):
+        # E19's monitor reads route_stall_since of headers the fast
+        # engine has stopped re-trying.
+        assert_engines_equivalent(
+            SimConfig(
+                routing="drop", drop_at_block_cycles=6,
+                **{**SMALL, "load": 0.5},
+            ),
+            label="e19-drop-at-block",
         )
 
 
@@ -146,3 +181,47 @@ class TestEngineBehaviour:
 
     def test_reference_engine_is_the_default(self):
         assert SimConfig(**SMALL).engine == "reference"
+
+
+class TestLatePatch:
+    """A patch planted between two run() calls is honoured by both."""
+
+    @staticmethod
+    def _candidates_calls(engine_name):
+        reset_uid_counter()
+        engine = SimConfig(
+            radix=4, dims=2, routing="cr", load=0.3, seed=3,
+            engine=engine_name,
+        ).build()
+        engine.run(100)
+        calls = []
+        real = engine.routing.candidates
+
+        def counting(router, message):
+            calls.append((engine.now, router.node_id, message.uid))
+            return real(router, message)
+
+        engine.routing.candidates = counting
+        engine.run(100)
+        return calls
+
+    def test_candidates_patch_between_runs_sees_every_call(self):
+        # The routing memo used to classify the relation once, at the
+        # first lookup, and then served memo hits past a later patch.
+        reference = self._candidates_calls("reference")
+        fast = self._candidates_calls("fast")
+        assert reference, "no header was routed: the case tests nothing"
+        assert fast == reference
+
+
+def test_import_repro_does_not_import_numpy():
+    # Only the snapshot helpers use numpy; every run, worker process
+    # and CLI call would otherwise pay its import.
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro, repro.network.fastengine; "
+         "sys.exit('numpy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0
