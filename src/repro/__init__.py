@@ -117,14 +117,12 @@ from .obs import (
     AlertRule,
     DeadlockReport,
     EngineProfiler,
-    EngineTelemetry,
     EventBus,
     IntervalSampler,
     JsonlSink,
     ListSink,
     MetricsRegistry,
     RingBufferSink,
-    TelemetryServer,
     TracedRun,
     attach,
     builtin_rules,
@@ -392,3 +390,12 @@ __all__ = [
     "pcs_latency",
     "mean_uniform_latency",
 ]
+
+
+def __getattr__(name: str):
+    # The telemetry server's names load http.server; see repro.obs.
+    if name in ("EngineTelemetry", "TelemetryServer"):
+        from . import obs
+
+        return getattr(obs, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -61,6 +61,23 @@ loops' ``_skip`` hook:
   injector's stall threshold -- fixed by ``begin_attempt`` -- is
   worked out once per stall streak instead of once per stalled cycle.
 
+* **Arbitrate, then move.**  The switch stage is the two pipeline
+  stages it is in hardware.  ``_arbitrate`` walks each active router's
+  cached claim records -- ``(port, vc, buffer, fifo, channel,
+  credits)``, built by ``Router.claim_order`` once per write to
+  ``claims`` -- and picks every output port's winner; ``_move`` then
+  pushes one flit through each, the reference's ``_transfer`` chain
+  flattened into one loop body.  Deferring the moves is exact:
+  arbitration reads only a router's own ``claims`` and ``_rr``, its
+  input buffers' ``fifo`` / ``owner`` (and ``owner.phase``) and its
+  own output channels' ``dead`` / ``credits``, and a move writes none
+  of those for a router still to be arbitrated -- flits land in
+  ``sink.incoming`` and credits in ``feeder._pending``, both a channel
+  latency away; ``sink.acquire`` binds a buffer that holds no claim
+  until its header is granted; the upstream ``release_output_if`` pops
+  a claim retired when the tail left that router.  The moves keep the
+  reference's order, and with it every fault draw and bus event.
+
 Configurations the fast path cannot accelerate faithfully — PCS probe
 circuits, the software-retry reliability layer, or networks built
 without :class:`LedgerChannel` — transparently fall back to the
@@ -105,7 +122,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.node import Node
     from ..network.buffer import VCBuffer
     from ..network.message import Message
-    from ..network.router import Router
+    from ..network.router import ClaimRecord, Router
 
 _INF = float("inf")
 _HEAD = FlitKind.HEAD
@@ -432,60 +449,49 @@ class FastEngine(Engine):
     # ------------------------------------------------------------------
 
     def _merge_arrivals(self, now: int) -> None:
-        buffers = self._arrival_buffers
-        if not buffers:
+        items = self._arrival_items
+        if not items:
             return
-        fcr = self.protocol.mode is ProtocolMode.FCR
-        route_items = self._route_items
-        done = []
+        # One pass: take the set, clear it, and put back only a buffer
+        # with a flit still in flight (channel latency > 1).  Survivors
+        # keep their relative order and later arrivals land behind
+        # them -- the order that discarding the others would leave.
+        buffers = list(items)
+        items.clear()
+        landed = False
         for buffer in buffers:
             incoming = buffer.incoming
             if len(incoming) == 1:
-                # The overwhelmingly common case with unit latency:
-                # one flit, due now, head handling fully specialised.
                 due, flit = incoming[0]
                 if due > now:
+                    items[buffer] = None
                     continue
                 del incoming[0]
                 buffer.fifo.append(flit)
-                self.last_progress = now
+                landed = True
                 if flit.kind is _HEAD:
-                    message = flit.message
-                    if message.phase in _LIVE_PHASES:
-                        if fcr and flit.corrupted:
-                            self.kills.initiate(
-                                message,
-                                KillCause.HEADER_FAULT,
-                                backward=True,
-                                now=now,
-                            )
-                        else:
-                            route_items[buffer] = None
-                done.append(buffer)
+                    self._header_landed(buffer, flit, now)
                 continue
-            arrived = buffer.merge_incoming(now)
-            if arrived:
-                self.last_progress = now
-                for flit in arrived:
-                    if flit.kind is not _HEAD:
-                        continue
-                    message = flit.message
-                    if message.phase not in _LIVE_PHASES:
-                        continue
-                    if fcr and flit.corrupted:
-                        self.kills.initiate(
-                            message,
-                            KillCause.HEADER_FAULT,
-                            backward=True,
-                            now=now,
-                        )
-                    else:
-                        route_items[buffer] = None
-            if not buffer.incoming:
-                done.append(buffer)
-        items = self._arrival_items
-        for buffer in done:
-            del items[buffer]
+            for flit in buffer.merge_incoming(now):
+                landed = True
+                if flit.kind is _HEAD:
+                    self._header_landed(buffer, flit, now)
+            if buffer.incoming:
+                items[buffer] = None
+        if landed:
+            self.last_progress = now
+
+    def _header_landed(self, buffer: "VCBuffer", flit: Flit, now: int) -> None:
+        message = flit.message
+        if message.phase not in _LIVE_PHASES:
+            return
+        if flit.corrupted and self.protocol.mode is ProtocolMode.FCR:
+            # Per-flit check code fails at the router: backward kill.
+            self.kills.initiate(
+                message, KillCause.HEADER_FAULT, backward=True, now=now
+            )
+        else:
+            self._route_items[buffer] = None
 
     # ------------------------------------------------------------------
     # Routing: memoised relation, same grant logic
@@ -579,158 +585,152 @@ class FastEngine(Engine):
             # PCS probes create claims outside _grant; the activity set
             # cannot see them, so run the reference full sweep.
             Engine._switch(self, now)
-            return
+        elif self._active_switch:
+            self._move(self._arbitrate(), now)
+
+    def _arbitrate(self) -> List["ClaimRecord"]:
+        """Switch allocation: every output port's winning claim record,
+        in reference transfer order (routers, then ports, ascending)."""
         active = self._active_switch
-        if not active:
-            return
-        # The inlined transfer pipeline is legal only while _transfer
-        # has not been instance-patched (the mutation harness wraps it
-        # to plant credit bugs) and every channel reports to the ledger.
-        inline = self._fast_ok and "_transfer" not in vars(self)
-        transfer = self._transfer_fast if inline else self._transfer
         routers = self.routers
+        live = _LIVE_PHASES
+        moves: List["ClaimRecord"] = []
         # Ascending node id matches the reference router order; routers
         # outside the set hold no claims, so the reference loop skips
         # them with zero side effects.
         for node_id in sorted(active):
             router = routers[node_id]
-            claims = router.claims
-            if not claims:
+            if not router.claims:
                 active.discard(node_id)
                 continue
-            out_channels = router.out_channels
             rr = router._rr
-            if len(claims) == 1:
-                # One claim: arbitration is trivial, skip the grouping
-                # machinery (the round-robin pointer still advances
-                # exactly as the reference's rotate(port, 1) would).
-                ((port, vc), buffer), = claims.items()
-                if not buffer.fifo:
-                    continue
-                owner = buffer.owner
-                if owner is None or owner.phase not in _LIVE_PHASES:
-                    continue
-                channel = out_channels[port]
-                if channel.dead or channel.credits[vc] <= 0:
-                    continue
-                rr[port] = 1  # rotate(port, 1): index 0, pointer -> 1
-                transfer(router, port, vc, buffer, now)
-                continue
-            # Claims are keyed (port, vc) and an output VC is claimed
-            # by at most one input, so the items in sorted order (the
-            # router caches them between writes to claims) are exactly
-            # the reference's per-port arbitration order: ports
-            # ascending, and within a port the entries already sorted
-            # by the deterministic (vc, in_port, in_vc) tie-break (vc
-            # alone is unique per port).  One pass with a flush on
-            # port change replaces the by_port dict + per-port sort;
-            # each port's winner lands in used_inputs before the next
-            # port's entries are filtered, as in the reference.
-            used_inputs: Set[int] = set()
-            entries: List = []
+            # Claims are keyed (port, vc), so the records come in the
+            # reference's arbitration order: ports ascending, and
+            # within a port its (vc, in_port, in_vc) tie-break (vc
+            # alone is unique per port).  A port's requesters are
+            # adjacent: the lone one -- the usual case -- stays in
+            # ``first``, ``rest`` exists once a second appears, and the
+            # winner's input port has its bit in used_inputs before
+            # the next port's requesters are filtered.
+            used_inputs = 0
             cur_port = -1
-            for (port, vc), buffer in router.claim_order():
-                if port != cur_port:
-                    if entries:
-                        count = len(entries)
-                        idx = rr.get(cur_port, 0) % count
-                        rr[cur_port] = idx + 1
-                        won_vc, won = entries[idx]
-                        used_inputs.add(won.port)
-                        transfer(router, cur_port, won_vc, won, now)
-                        entries = []
-                    cur_port = port
-                if not buffer.fifo:
+            first = rest = None
+            for record in router._order or router.claim_order():
+                port, vc, buffer, fifo, channel, credits = record
+                if credits[vc] <= 0 or not fifo or channel.dead:
                     continue
                 owner = buffer.owner
-                if owner is None or owner.phase not in _LIVE_PHASES:
+                if owner is None or owner.phase not in live:
                     continue
-                channel = out_channels[port]
-                if channel.dead or channel.credits[vc] <= 0:
+                if port != cur_port:
+                    if first is not None:
+                        if rest is None:
+                            rr[cur_port] = 1  # rotate(cur_port, 1)
+                        else:
+                            first = rest[router.rotate(cur_port, len(rest))]
+                            rest = None
+                        used_inputs |= 1 << first[2].port
+                        moves.append(first)
+                        first = None
+                    cur_port = port
+                if used_inputs >> buffer.port & 1:
                     continue
-                if buffer.port in used_inputs:
-                    continue
-                entries.append((vc, buffer))
-            if entries:
-                count = len(entries)
-                idx = rr.get(cur_port, 0) % count
-                rr[cur_port] = idx + 1
-                won_vc, won = entries[idx]
-                transfer(router, cur_port, won_vc, won, now)
+                if first is None:
+                    first = record
+                elif rest is None:
+                    rest = [first, record]
+                else:
+                    rest.append(record)
+            if first is not None:
+                if rest is None:
+                    rr[cur_port] = 1
+                else:
+                    first = rest[router.rotate(cur_port, len(rest))]
+                moves.append(first)
+        return moves
 
-    def _transfer_fast(
-        self, router, port: int, vc: int, buffer, now: int
-    ) -> None:
-        """Inlined ``Engine._transfer`` + ``VCBuffer.pop`` + ``Channel.send``.
+    def _move(self, moves: List["ClaimRecord"], now: int) -> None:
+        """Switch traversal: one flit through each arbitrated output.
 
-        Flattens the per-flit call chain (pop → return_credit → send →
-        stage → note_arrival → mark_progress) into one frame.  Used
-        only when ``_transfer`` is unpatched and PCS is off; every
-        branch below mirrors the reference methods line for line, so
-        the two paths are observationally identical.
+        ``Engine._transfer`` + ``VCBuffer.pop`` + ``Channel.send`` in
+        one loop body, every branch mirroring the reference methods --
+        legal only while ``_transfer`` is not instance-patched (the
+        mutation harness wraps it to plant credit bugs) and every
+        channel reports to the ledger; otherwise each move goes through
+        ``self._transfer``.  Hoisted lookups are redone on every call.
         """
-        # VCBuffer.pop
-        flit = buffer.fifo.popleft()
-        buffer.last_advance = now
-        feeder = buffer.feeder
-        if feeder is not None:
-            # LedgerChannel.return_credit
-            due = now + feeder.latency
-            feeder._pending.append((due, buffer.vc))
-            buckets = self._credit_buckets
-            bucket = buckets.get(due)
-            if bucket is None:
-                buckets[due] = [feeder]
-            else:
-                bucket.append(feeder)
-        message = flit.message
-        channel = router.out_channels[port]
-        is_ejection = channel.is_ejection
+        if not self._fast_ok or "_transfer" in vars(self):
+            for port, vc, buffer, _, _, _ in moves:
+                self._transfer(buffer.router, port, vc, buffer, now)
+            return
+        buckets = self._credit_buckets
+        arrival_items = self._arrival_items
         fault_model = self.fault_model
-        if (
-            fault_model is not None
-            and not is_ejection
-            and not channel.is_injection
-            and fault_model.corrupt(flit, channel, self.rng)
-        ):
-            flit.corrupted = True
-            self.stats.on_fault_injected()
-            if self.bus is not None:
-                from ..obs.events import FaultActivated
+        corrupt = None if fault_model is None else fault_model.corrupt
+        on_header_hop = self.routing.on_header_hop
+        for port, vc, buffer, fifo, channel, credits in moves:
+            # VCBuffer.pop
+            flit = fifo.popleft()
+            buffer.last_advance = now
+            feeder = buffer.feeder
+            if feeder is not None:
+                # LedgerChannel.return_credit
+                due = now + feeder.latency
+                feeder._pending.append((due, buffer.vc))
+                bucket = buckets.get(due)
+                if bucket is None:
+                    buckets[due] = [feeder]
+                else:
+                    bucket.append(feeder)
+            is_ejection = channel.is_ejection
+            if (
+                corrupt is not None
+                and not is_ejection
+                and not channel.is_injection
+                and corrupt(flit, channel, self.rng)
+            ):
+                flit.corrupted = True
+                self.stats.on_fault_injected()
+                if self.bus is not None:
+                    from ..obs.events import FaultActivated
 
-                self.bus.emit(FaultActivated(
-                    now, "transient", channel.src_node, channel.dst_node,
-                    uid=message.uid,
-                ))
-        # Channel.send (credits checked by can_send in _switch)
-        channel.credits[vc] -= 1
-        channel.flits_carried += 1
-        if is_ejection:
-            self.nodes[router.node_id].receiver.stage(
-                flit, now + channel.latency, channel
-            )
-            self._active_recv.add(router.node_id)
-        else:
-            sink = channel.sinks[vc]
-            # VCBuffer.stage + Engine.note_arrival
-            sink.incoming.append((now + channel.latency, flit))
-            self._arrival_items[sink] = None
-            if flit.kind is _HEAD:
-                self.routing.on_header_hop(message, channel)
-                sink.acquire(message, now)
-                message.segments.append(sink)
-        if flit.is_tail:
-            buffer.release()
-            if feeder is not None and not feeder.is_injection:
-                self.routers[feeder.src_node].release_output_if(
-                    feeder.src_port, buffer.vc, message
-                )
-            message.tail_seg += 1
+                    self.bus.emit(FaultActivated(
+                        now, "transient", channel.src_node, channel.dst_node,
+                        uid=flit.message.uid,
+                    ))
+            # Channel.send (credits checked in _arbitrate)
+            credits[vc] -= 1
+            channel.flits_carried += 1
             if is_ejection:
-                router.release_output(port, vc)
+                node_id = buffer.router.node_id
+                self.nodes[node_id].receiver.stage(
+                    flit, now + channel.latency, channel
+                )
+                self._active_recv.add(node_id)
             else:
-                router.retire_claim(port, vc)
-        self.last_progress = now
+                sink = channel.sinks[vc]
+                # VCBuffer.stage + Engine.note_arrival
+                sink.incoming.append((now + channel.latency, flit))
+                arrival_items[sink] = None
+                if flit.kind is _HEAD:
+                    message = flit.message
+                    on_header_hop(message, channel)
+                    sink.acquire(message, now)
+                    message.segments.append(sink)
+            if flit.is_tail:
+                message = flit.message
+                buffer.release()
+                if feeder is not None and not feeder.is_injection:
+                    self.routers[feeder.src_node].release_output_if(
+                        feeder.src_port, buffer.vc, message
+                    )
+                message.tail_seg += 1
+                if is_ejection:
+                    buffer.router.release_output(port, vc)
+                else:
+                    buffer.router.retire_claim(port, vc)
+        if moves:
+            self.last_progress = now
 
     # ------------------------------------------------------------------
     # The phase table: reference order, fast implementations

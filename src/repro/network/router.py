@@ -16,7 +16,8 @@ Both dicts are written only by the mutators below, which keep two
 change trackers for the fast engine: ``stamp`` counts the writes to
 ``out_owner`` (a header that failed to get an output VC at this stamp
 fails again until it moves), and ``_order`` caches ``claims`` in
-arbitration order until the next write to ``claims``.
+arbitration order -- one record per claim, carrying the objects switch
+allocation reads -- until the next write to ``claims``.
 
 Ownership of a link output VC is released when the worm's tail pops out
 of the *downstream* input buffer (not when it leaves this router): the
@@ -26,13 +27,20 @@ must not be routed into a non-empty buffer.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 
 from .buffer import VCBuffer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .channel import Channel
+    from .flit import Flit
     from .message import Message
+
+#: one switch-allocation request: ``(port, vc, buffer, buffer.fifo,
+#: out_channels[port], out_channels[port].credits)``.
+ClaimRecord = Tuple[
+    int, int, VCBuffer, "Deque[Flit]", "Channel", List[int]
+]
 
 
 class Router:
@@ -52,9 +60,9 @@ class Router:
         self.claims: Dict[Tuple[int, int], VCBuffer] = {}
         #: bumped by every mutator that writes ``out_owner``.
         self.stamp = 0
-        #: ``sorted(claims.items())``, or None since the last write to
-        #: ``claims``; rebuilt by :meth:`claim_order`.
-        self._order: Optional[List[Tuple[Tuple[int, int], VCBuffer]]] = None
+        #: ``claims`` as sorted :data:`ClaimRecord` s, or None since the
+        #: last write to ``claims``; rebuilt by :meth:`claim_order`.
+        self._order: Optional[List[ClaimRecord]] = None
         self._rr: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
@@ -138,11 +146,25 @@ class Router:
     # Switch arbitration helpers
     # ------------------------------------------------------------------
 
-    def claim_order(self) -> List[Tuple[Tuple[int, int], VCBuffer]]:
-        """``sorted(claims.items())``: ports ascending, VCs within."""
+    def claim_order(self) -> List[ClaimRecord]:
+        """One record per claim, ports ascending, VCs within.
+
+        A record names the claim and the three objects arbitration
+        reads for it, so the switch stage follows no attribute chain
+        per claim.  ``fifo`` and ``credits`` are bound once, where
+        their owners are constructed, and ``out_channels`` only grows,
+        so a record stays true for as long as its claim stands.
+        """
         order = self._order
         if order is None:
-            order = self._order = sorted(self.claims.items())
+            out_channels = self.out_channels
+            order = self._order = [
+                (
+                    port, vc, buffer, buffer.fifo,
+                    out_channels[port], out_channels[port].credits,
+                )
+                for (port, vc), buffer in sorted(self.claims.items())
+            ]
         return order
 
     def rotate(self, port: int, count: int) -> int:

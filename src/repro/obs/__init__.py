@@ -65,12 +65,6 @@ from .metrics import (
     engine_metrics,
     parse_prometheus_text,
 )
-from .server import (
-    EngineTelemetry,
-    TelemetryServer,
-    make_telemetry_server,
-    parse_serve,
-)
 from .perfetto import chrome_trace, chrome_trace_events, write_chrome_trace
 from .profile import (
     PHASES,
@@ -218,3 +212,20 @@ __all__ = [
     "traceparent_environ",
     "write_chrome_trace",
 ]
+
+#: ``repro.obs.server`` brings in ``http.server``; only a run that
+#: serves telemetry should pay for that, so its names resolve on demand.
+_SERVER_NAMES = (
+    "EngineTelemetry",
+    "TelemetryServer",
+    "make_telemetry_server",
+    "parse_serve",
+)
+
+
+def __getattr__(name: str) -> Any:
+    if name in _SERVER_NAMES:
+        from . import server
+
+        return getattr(server, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -37,7 +37,6 @@ import json
 import os
 import re
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
@@ -303,6 +302,13 @@ def run_reports(
                 elapsed = report.elapsed  # type: ignore[union-attr]
             landed(index, report, elapsed, False)
     else:
+        # Imported here: a serial run never loads multiprocessing.
+        from concurrent.futures import (
+            FIRST_COMPLETED,
+            ProcessPoolExecutor,
+            wait,
+        )
+
         pool_size = min(workers, len(pending))
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
             waiting = {

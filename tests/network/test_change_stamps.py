@@ -1,12 +1,19 @@
-"""Change stamps: the invariant the fast engine's polling cut rests on.
+"""Change stamps and the switch seam: what the fast engine's cuts rest on.
 
 ``FastEngine`` stops re-trying a blocked header while its router's
 ``stamp`` and the engine's fault epoch stand where they stood at the
-header's last failure, and walks a router's cached claim order instead
-of re-sorting.  Both are sound only if the counters move whenever their
-inputs do; these tests check exactly that, cycle by cycle, on long
-single ``run()`` calls (a bare ``step()`` rebuilds the phase table,
-bumps the epoch and so never gates).
+header's last failure, and walks a router's cached claim records
+instead of re-sorting.  Both are sound only if the counters move
+whenever their inputs do; these tests check exactly that, cycle by
+cycle, on long single ``run()`` calls (a bare ``step()`` rebuilds the
+phase table, bumps the epoch and so never gates).
+
+The same runs check the switch stage's seam: ``_switch`` picks every
+output port's winner first (``_arbitrate``) and moves the flits
+afterwards (``_move``), which is the reference's interleaved loop only
+if the winners are the ones ``Engine._switch`` would pick from the same
+state, in the same order, and every cached claim record holds the live
+objects it stands for.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from repro.faults.permanent import (
     random_channel_faults,
 )
 from repro.network.buffer import VCBuffer
+from repro.network.channel import Channel
 from repro.network.engine import _LIVE_PHASES
 from repro.network.fastengine import FastEngine
 from repro.network.flit import FlitKind
@@ -36,17 +44,90 @@ from repro.sim.config import SimConfig
 SMALL = dict(radix=4, dims=2, message_length=8, seed=11, engine="fast")
 
 
+def assert_order_is_current(router, order, where="") -> None:
+    """``order`` is ``router``'s claims, sorted, one record each, and
+    every record holds the very objects it stands for."""
+    assert [((port, vc), buffer) for port, vc, buffer, *_ in order] == sorted(
+        router.claims.items()
+    ), f"{where}router {router.node_id} serves a stale claim order"
+    for port, vc, buffer, fifo, channel, credits in order:
+        assert fifo is buffer.fifo, f"{where}{buffer!r}: stale fifo"
+        assert channel is router.out_channels[port], (
+            f"{where}router {router.node_id} port {port}: stale channel"
+        )
+        assert credits is channel.credits, f"{where}{channel!r}: stale credits"
+
+
+def reference_winners(engine):
+    """``Engine._switch``'s selection from the state as it stands:
+    eligibility, ``used_inputs``, the ``(vc, in-port, in-vc)``
+    tie-break and the round-robin pointer, read without advancing it.
+    Returns the transfers it would make, in order, and the ``_rr`` each
+    router would be left with."""
+    winners, pointers = [], {}
+    for router in engine.routers:
+        by_port = {}
+        for (port, vc), buffer in router.claims.items():
+            if not buffer.fifo:
+                continue
+            owner = buffer.owner
+            if owner is None or owner.phase not in _LIVE_PHASES:
+                continue
+            if not router.out_channels[port].can_send(vc):
+                continue
+            by_port.setdefault(port, []).append((vc, buffer))
+        rr = dict(router._rr)
+        used_inputs = set()
+        for port in sorted(by_port):
+            entries = [
+                (vc, buffer) for vc, buffer in by_port[port]
+                if buffer.port not in used_inputs
+            ]
+            if not entries:
+                continue
+            entries.sort(key=lambda e: (e[0], e[1].port, e[1].vc))
+            idx = rr.get(port, 0) % len(entries)
+            rr[port] = idx + 1
+            vc, buffer = entries[idx]
+            used_inputs.add(buffer.port)
+            winners.append((router.node_id, port, vc, buffer))
+        pointers[router.node_id] = rr
+    return winners, pointers
+
+
 class _CheckedFastEngine(FastEngine):
-    """FastEngine asserting the stamp invariants at every cycle's end."""
+    """FastEngine asserting the stamp invariants at every cycle's end
+    and every arbitration against the reference's selection."""
 
     gated_checked = 0
+    moves_checked = 0
+    contested = 0
+
+    def _arbitrate(self):
+        expected, pointers = reference_winners(self)
+        moves = super()._arbitrate()
+        where = f"t={self.now}: "
+        assert [
+            (buffer.router.node_id, port, vc, buffer)
+            for port, vc, buffer, *_ in moves
+        ] == expected, f"{where}winners differ from the reference's"
+        for router in self.routers:
+            assert router._rr == pointers[router.node_id], (
+                f"{where}router {router.node_id}: round-robin pointers "
+                f"are not where rotate() would leave them"
+            )
+            if router._order is not None:
+                assert_order_is_current(router, router._order, where)
+                ports = [port for port, *_ in router._order]
+                self.contested += len(ports) - len(set(ports))
+        self.moves_checked += len(moves)
+        return moves
 
     def _monitors(self, now: int) -> None:
         super()._monitors(now)
         for router in self.routers:
-            assert router._order is None or router._order == sorted(
-                router.claims.items()
-            ), f"t={now}: router {router.node_id} serves a stale claim order"
+            if router._order is not None:
+                assert_order_is_current(router, router._order, f"t={now}: ")
         for buffer in self.route_pending:
             if not self._gate_would_skip(buffer):
                 continue
@@ -97,6 +178,8 @@ def _run_and_drain(engine, cycles: int, drain: int = 6000) -> bool:
     engine.run(cycles)
     drained = engine.run_until_drained(drain)
     assert engine.gated_checked > 0, "no header was ever gated"
+    assert engine.moves_checked > 1000, "hardly a flit moved"
+    assert engine.contested > 0, "no output port ever had two claims"
     return drained
 
 
@@ -107,6 +190,18 @@ class TestStampSoundness:
             routing=routing, num_vcs=2, load=0.5, engine="fast"
         )
         assert _run_and_drain(_checked(config), 600)
+
+    @pytest.mark.parametrize("shape", (
+        dict(channel_latency=2),
+        dict(num_inject=2, num_vcs=4),
+    ), ids=("latency-2", "two-injectors-four-vcs"))
+    def test_other_network_shapes(self, shape):
+        # Flits in flight across a cycle boundary (the arrival set's
+        # survivors) and more than two requesters per output port.
+        config = SimConfig(**{
+            **SMALL, "routing": "cr", "num_vcs": 2, "load": 0.6, **shape
+        })
+        assert _run_and_drain(_checked(config), 500)
 
     def test_cascading_faults_with_misrouting(self):
         engine = _checked(SimConfig(
@@ -186,8 +281,14 @@ class TestRouterDrift:
         }
 
     @staticmethod
-    def _router():
+    def _router(out_ports=2):
         router = Router(0, 2)
+        for _ in range(out_ports):
+            router.add_output_channel(Channel(0, 1, 2))
+        return router
+
+    def _claimed_router(self):
+        router = self._router()
         router.claim_output(0, 0, VCBuffer(router, 1, 0, 4), Message(0, 1, 4))
         router.claim_order()  # populate the cache
         return router
@@ -205,7 +306,7 @@ class TestRouterDrift:
     def test_writers_move_their_tracker(self, key):
         wrote_owner, wrote_claims = set(), set()
         for name in self._public_methods():
-            router = self._router()
+            router = self._claimed_router()
             pool = self._arguments(router, key)
             params = list(
                 inspect.signature(getattr(router, name)).parameters
@@ -238,15 +339,33 @@ class TestRouterDrift:
             assert wrote_owner == wrote_claims == {"claim_output"}
 
     def test_claim_order_is_the_sorted_claims(self):
-        router = Router(0, 2)
+        router = self._router(out_ports=3)
         for port, vc in ((2, 1), (0, 1), (2, 0), (0, 0)):
             router.claim_output(
                 port, vc, VCBuffer(router, port, vc, 4), Message(0, 1, 4)
             )
-        assert router.claim_order() == sorted(router.claims.items())
+        assert len(router.claim_order()) == 4
+        assert_order_is_current(router, router.claim_order())
         assert router.claim_order() is router.claim_order()
         router.retire_claim(2, 0)
-        assert router.claim_order() == sorted(router.claims.items())
+        assert len(router.claim_order()) == 3
+        assert_order_is_current(router, router.claim_order())
+
+    def test_nothing_rebinds_fifo_or_credits(self):
+        # A claim record holds buffer.fifo and channel.credits for as
+        # long as the claim stands: both may be mutated, never replaced.
+        rebind = re.compile(r"\.(fifo|credits)\s*(:[^=]+)?=[^=]")
+        package = Path(repro.__file__).parent
+        lines = [
+            f"{path.relative_to(package)}: {line.strip()}"
+            for path in sorted(package.rglob("*.py"))
+            for line in path.read_text(encoding="utf-8").splitlines()
+            if rebind.search(line)
+        ]
+        assert lines == [
+            'network/buffer.py: self.fifo: Deque["Flit"] = deque()',
+            "network/channel.py: self.credits: List[int] = [0] * num_vcs",
+        ]
 
     def test_nothing_outside_router_py_writes_either_dict(self):
         write = re.compile(

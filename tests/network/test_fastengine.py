@@ -213,15 +213,98 @@ class TestLatePatch:
         assert reference, "no header was routed: the case tests nothing"
         assert fast == reference
 
+    # The switch stage arbitrates every port first and moves the flits
+    # afterwards; what it hoists out of the move loop it must look up
+    # again on every call.  Either slip shows as a reordered or missing
+    # call here.
+
+    @staticmethod
+    def _faulty_engine(engine_name):
+        reset_uid_counter()
+        engine = SimConfig(
+            radix=4, dims=2, routing="fcr", num_vcs=2, message_length=8,
+            load=0.4, fault_rate=2e-3, seed=11, engine=engine_name,
+        ).build()
+        engine.run(100)
+        return engine
+
+    def _transfer_calls(self, engine_name):
+        engine = self._faulty_engine(engine_name)
+        calls = []
+        real = engine._transfer
+
+        def counting(router, port, vc, buffer, now):
+            calls.append(("transfer", router.node_id, port, vc, now))
+            real(router, port, vc, buffer, now)
+
+        engine._transfer = counting
+        engine.run(150)
+        return calls
+
+    def test_transfer_patch_between_runs_sees_every_move_in_order(self):
+        # The per-move fallback of FastEngine._move.
+        reference = self._transfer_calls("reference")
+        fast = self._transfer_calls("fast")
+        assert len(reference) > 1000
+        assert fast == reference
+
+    def _hook_calls(self, engine_name):
+        engine = self._faulty_engine(engine_name)
+        calls = []
+        routing, faults = engine.routing, engine.fault_model
+        receiver = engine.nodes[5].receiver
+        hop, corrupt, stage = (
+            routing.on_header_hop, faults.corrupt, receiver.stage
+        )
+
+        def record(name, channel, flit, now):
+            calls.append((
+                name, channel.src_node, channel.src_port,
+                flit.message.uid, flit.index, now,
+            ))
+
+        def counting_hop(message, channel):
+            calls.append((
+                "hop", channel.src_node, channel.src_port, message.uid,
+                0, engine.now,
+            ))
+            hop(message, channel)
+
+        def counting_corrupt(flit, channel, rng):
+            record("corrupt", channel, flit, engine.now)
+            return corrupt(flit, channel, rng)
+
+        def counting_stage(flit, arrival, channel):
+            record("stage", channel, flit, arrival)
+            stage(flit, arrival, channel)
+
+        routing.on_header_hop = counting_hop
+        faults.corrupt = counting_corrupt
+        receiver.stage = counting_stage
+        engine.run(150)
+        assert "_transfer" not in vars(engine)
+        return calls
+
+    def test_hooks_inside_the_inlined_move_keep_their_order(self):
+        reference = self._hook_calls("reference")
+        fast = self._hook_calls("fast")
+        assert {name for name, *_ in reference} == {"hop", "corrupt", "stage"}
+        assert fast == reference
+
 
 def test_import_repro_does_not_import_numpy():
-    # Only the snapshot helpers use numpy; every run, worker process
-    # and CLI call would otherwise pay its import.
+    # Only the snapshot helpers use numpy, only a run that serves
+    # telemetry uses http.server, only a parallel sweep uses a process
+    # pool; every run, worker process and CLI call would otherwise pay
+    # their imports.  (ci.yml's tier1 job runs the same check.)
     src = os.path.dirname(os.path.dirname(repro.__file__))
     done = subprocess.run(
         [sys.executable, "-c",
-         "import sys, repro, repro.network.fastengine; "
-         "sys.exit('numpy' in sys.modules)"],
+         "import sys, repro, repro.campaign, repro.network.fastengine; "
+         "heavy = ('numpy', 'http.server', 'concurrent.futures', "
+         "'multiprocessing'); "
+         "sys.exit(', '.join(m for m in heavy if m in sys.modules) or 0)"],
         env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True,
     )
-    assert done.returncode == 0
+    assert done.returncode == 0, f"import repro loads {done.stderr.strip()}"
