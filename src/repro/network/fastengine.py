@@ -57,9 +57,14 @@ loops' ``_skip`` hook:
   a non-empty free list).  The pending list is still built and
   shuffled in full; the shuffle draw is part of the contract.  The
   same mutators drop the router's cached claim order, so the switch
-  stage re-sorts a claim table only after it changed, and the
-  injector's stall threshold -- fixed by ``begin_attempt`` -- is
-  worked out once per stall streak instead of once per stalled cycle.
+  stage re-sorts a claim table only after it changed.  The injector's
+  stall threshold is fixed by ``begin_attempt``, so it is worked out
+  once per streak, and a stalled visit short of it takes a three-step
+  path -- ``injector.stall += 1``, one local tally, ``continue`` --
+  the only effects the reference's visit has.  ``stall`` itself is
+  never deferred (forensics reads it mid-run); the three injection
+  counters are added in bulk, flushed before every call that leaves
+  the inlined body, so hooks and sinks read the reference's values.
 
 * **Arbitrate, then move.**  The switch stage is the two pipeline
   stages it is in hardware.  ``_arbitrate`` walks each active router's
@@ -809,17 +814,25 @@ class FastEngine(Engine):
         active = self._active_inj
         if not active:
             return
-        stats = self.stats
         arrival_items = self._arrival_items
-        stall_limits = self._stall_limits
+        limits = self._stall_limits
+        flush = self._count_injection
+        # injection_stall_cycles, flits_injected, pad_flits_injected
+        # are tallied here and added in bulk: flush() before every call
+        # that leaves this body, so whatever runs there reads the
+        # reference's counters.  injector.stall is never deferred.
+        stalls = sent = pads = 0
         # Ascending node id matches the reference node order; inactive
         # nodes (empty queue, idle injectors) step to a no-op there and
         # draw no randomness.
+        nodes = self.nodes
         for node_id in sorted(active):
-            node = self.nodes[node_id]
+            node = nodes[node_id]
             busy = False
             for injector in node.injectors:
                 if injector.current is None:
+                    if stalls or sent:
+                        stalls = sent = pads = flush(stalls, sent, pads)
                     injector._try_start(now)
                 message = injector.current
                 if message is None:
@@ -827,6 +840,7 @@ class FastEngine(Engine):
                 if "_try_send" in injector.__dict__:
                     # Instance-patched send (test harnesses): dispatch
                     # through the patch, exactly like Injector.step.
+                    stalls = sent = pads = flush(stalls, sent, pads)
                     injector._try_send(now)
                     if injector.current is not None:
                         busy = True
@@ -835,23 +849,33 @@ class FastEngine(Engine):
                 # (_step_injectors only runs when self.pcs is None).
                 channel = injector.channel
                 vc = injector.vc
-                if channel.dead or channel.credits[vc] <= 0:
+                credits = channel.credits
+                if channel.dead or credits[vc] <= 0:
                     stall = injector.stall = injector.stall + 1
-                    stats.on_injection_stall()
+                    stalls += 1
+                    # Inside a streak and short of its threshold the
+                    # reference does those two increments and nothing
+                    # else: the event fired at stall 1 and fires() is a
+                    # comparison that fails.
+                    if 1 < stall < limits.get(injector, 0):
+                        busy = True
+                        continue
                     if stall == 1 and self.bus is not None:
                         from ..obs.events import InjectionStalled
 
+                        stalls = sent = pads = flush(stalls, sent, pads)
                         self.bus.emit(
                             InjectionStalled(now, message.uid, message.src)
                         )
-                    # The timeout threshold is fixed for the streak:
-                    # work it out on the first stalled cycle and leave
+                    # The threshold is fixed for the streak: work it
+                    # out on the first stalled cycle and leave
                     # _check_timeout alone until the streak reaches it.
-                    if stall == 1 or injector not in stall_limits:
-                        stall_limits[injector] = self._stall_limit(
+                    if stall == 1 or injector not in limits:
+                        limits[injector] = self._stall_limit(
                             injector, message
                         )
-                    if stall >= stall_limits[injector]:
+                    if stall >= limits[injector]:
+                        stalls = sent = pads = flush(stalls, sent, pads)
                         injector._check_timeout(message, now)
                     if injector.current is not None:
                         busy = True
@@ -864,9 +888,9 @@ class FastEngine(Engine):
                 else:
                     kind = _PAD
                 is_tail = index == message.wire_length - 1
-                flit = Flit(message, kind, index, is_tail=is_tail)
+                flit = Flit(message, kind, index, is_tail)
                 # Channel.send (can_send just checked above)
-                channel.credits[vc] -= 1
+                credits[vc] -= 1
                 channel.flits_carried += 1
                 sink = channel.sinks[vc]
                 sink.incoming.append((now + channel.latency, flit))
@@ -876,19 +900,33 @@ class FastEngine(Engine):
                     message.segments.append(sink)
                 if kind is _PAD:
                     message.pad_flits_sent += 1
-                    stats.on_flit_injected(True)
-                else:
-                    stats.on_flit_injected(False)
+                    pads += 1
+                sent += 1
                 message.flits_injected += 1
                 self.last_progress = now
                 injector.stall = 0
                 injector.next_index = index + 1
                 if is_tail:
+                    stalls = sent = pads = flush(stalls, sent, pads)
                     injector._commit(message, now)
                 else:
                     busy = True
             if not busy and not node.queue:
                 active.discard(node_id)
+        flush(stalls, sent, pads)
+
+    def _count_injection(self, stalls: int, sent: int, pads: int) -> int:
+        """Add ``_step_injectors``' tallies to the run's counters (only
+        the ones that moved: a Counter key exists once touched).
+        Returns 0, what the caller resets its tallies to."""
+        counters = self.stats.counters
+        if stalls:
+            counters["injection_stall_cycles"] += stalls
+        if sent:
+            counters["flits_injected"] += sent
+        if pads:
+            counters["pad_flits_injected"] += pads
+        return 0
 
     def _process_receivers(self, now: int) -> None:
         recv = self._active_recv

@@ -20,7 +20,7 @@ from __future__ import annotations
 import abc
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..network.channel import Channel
@@ -52,6 +52,29 @@ class RoutingFunction(abc.ABC):
 
     def __init__(self, topology: "Topology") -> None:
         self.topology = topology
+        self._pool: Dict[Tuple[int, bool], List[List[Candidate]]] = {}
+
+    def _port_candidates(
+        self, num_vcs: int, is_misroute: bool = False
+    ) -> List[List[Candidate]]:
+        """``[port][vc]`` -> the one ``Candidate(port, vc)`` this
+        relation hands out, for every link port and ``vc < num_vcs``.
+
+        Built once per VC count: a candidate is a frozen value, so
+        every answer naming the same (port, vc) can hold the same
+        object.
+        """
+        key = (num_vcs, is_misroute)
+        pool = self._pool.get(key)
+        if pool is None:
+            pool = self._pool[key] = [
+                [
+                    Candidate(port, vc, is_misroute=is_misroute)
+                    for vc in range(num_vcs)
+                ]
+                for port in range(self.topology.max_link_ports())
+            ]
+        return pool
 
     @abc.abstractmethod
     def min_vcs(self) -> int:
@@ -76,6 +99,11 @@ class RoutingFunction(abc.ABC):
         which channels are dead, and on nothing else that changes while
         the header waits: the fast engine re-asks a blocked header only
         after one of those (or the router's output ownership) changed.
+
+        The outer list is the caller's (a subclass may append a tier to
+        what ``super()`` returned); the candidates in it may be objects
+        shared with other answers -- they are frozen values, compare
+        them with ``==``.
         """
 
     def injection_vc(

@@ -69,7 +69,7 @@ class DimensionOrder(RoutingFunction):
             if self.vc_classes == 2
             else 0
         )
-        return [[Candidate(link.port, vc)]]
+        return [[self._port_candidates(router.num_vcs)[link.port][vc]]]
 
     def dateline_class(self, message: "Message", hop_dim: int) -> int:
         """Dateline VC class for a hop in ``hop_dim``.

@@ -30,12 +30,12 @@ class MinimalAdaptive(RoutingFunction):
     def candidates(
         self, router: "Router", message: "Message"
     ) -> List[List[Candidate]]:
-        links = self.topology.productive_links(router.node_id, message.dst)
-        tier = [
-            Candidate(link.port, vc)
-            for link in links
-            for vc in range(router.num_vcs)
-        ]
+        by_port = self._port_candidates(router.num_vcs)
+        tier: List[Candidate] = []
+        for link in self.topology.productive_links(
+            router.node_id, message.dst
+        ):
+            tier += by_port[link.port]
         return [tier]
 
 

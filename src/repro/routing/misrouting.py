@@ -62,17 +62,19 @@ class MisroutingAdaptive(MinimalAdaptive):
         # Merely-busy productive links are ordinary contention, which the
         # normal CR timeout handles; misrouting around them would let
         # congestion inflate paths and snowball into kill storms.
-        productive_ports = {cand.port for cand in tiers[0]}
-        if any(
-            not router.out_channels[port].dead for port in productive_ports
-        ):
-            return tiers
-        detour = [
-            Candidate(link.port, vc, is_misroute=True)
-            for link in self.topology.links(router.node_id)
-            if link.port not in productive_ports
-            for vc in range(router.num_vcs)
-        ]
+        out_channels = router.out_channels
+        productive_ports = set()
+        for cand in tiers[0]:
+            if not out_channels[cand.port].dead:
+                return tiers
+            productive_ports.add(cand.port)
+        by_port = self._port_candidates(router.num_vcs, is_misroute=True)
+        detour: List[Candidate] = []
+        for link in self.topology.links(router.node_id):
+            if link.port not in productive_ports:
+                detour += by_port[link.port]
         if detour:
+            # super() built this outer list for this call: appending
+            # to it reaches no other caller's answer.
             tiers.append(detour)
         return tiers

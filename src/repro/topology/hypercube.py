@@ -47,6 +47,7 @@ class Hypercube(Topology):
         return f"{self.dims}-cube"
 
     def links(self, node: int) -> Sequence[LinkSpec]:
+        self.validate_node(node)
         return self._links[node]
 
     def coords(self, node: int) -> Tuple[int, ...]:
@@ -64,8 +65,7 @@ class Hypercube(Topology):
         return node
 
     def min_distance(self, src: int, dst: int) -> int:
-        self.validate_node(src)
-        self.validate_node(dst)
+        self._validate_pair(src, dst)
         return bin(src ^ dst).count("1")
 
     def average_min_distance(self) -> float:
@@ -77,13 +77,21 @@ class Hypercube(Topology):
         total = self.dims * (n * n // 2)
         return total / (n * (n - 1))
 
+    def _validate_pair(self, node: int, dst: int) -> None:
+        n = self._num_nodes
+        if not (0 <= node < n and 0 <= dst < n):
+            self.validate_node(node)
+            self.validate_node(dst)
+
     def productive_links(self, node: int, dst: int) -> List[LinkSpec]:
+        self._validate_pair(node, dst)
         diff = node ^ dst
         return [
             link for link in self._links[node] if diff & (1 << link.dim)
         ]
 
     def dor_link(self, node: int, dst: int) -> LinkSpec:
+        self._validate_pair(node, dst)
         diff = node ^ dst
         if diff == 0:
             raise ValueError(f"dor_link called with node == dst ({node})")

@@ -8,7 +8,8 @@ and prior adaptive schemes need more).
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from itertools import product
+from typing import Dict, List, Sequence, Tuple
 
 from .base import LinkSpec, Topology
 
@@ -22,6 +23,13 @@ class KAryNCube(Topology):
     ``(dim 0, +), (dim 0, -), (dim 1, +), ...``; in a mesh, edge nodes
     simply lack the ports that would leave the array, and ports stay
     densely numbered.
+
+    Everything the routing questions are made of is tabled at
+    construction -- coordinates per node, distance and minimal
+    directions per coordinate pair of one dimension, and each node's
+    ``(dim, direction) -> link`` map (O(nodes + radix^2) in all) -- so
+    ``coords``, ``min_distance``, ``productive_links`` and ``dor_link``
+    are lookups.
     """
 
     def __init__(self, radix: int, dims: int, wrap: bool = True) -> None:
@@ -37,8 +45,25 @@ class KAryNCube(Topology):
         self.dims = dims
         self.wrap = wrap
         self._num_nodes = radix**dims
+        # Row-major with c[0] slowest is the order product() counts in.
+        self._coords: List[Tuple[int, ...]] = list(
+            product(range(radix), repeat=dims)
+        )
+        ring = range(radix)
+        #: _dist[a][b] / _dirs[a][b]: one dimension, coordinate a to b.
+        self._dist: List[List[int]] = [
+            [self._dim_distance(a, b) for b in ring] for a in ring
+        ]
+        self._dirs: List[List[Tuple[int, ...]]] = [
+            [tuple(self._minimal_directions(a, b)) for b in ring]
+            for a in ring
+        ]
         self._links: List[List[LinkSpec]] = [
             self._build_links(node) for node in range(self._num_nodes)
+        ]
+        self._ports: List[Dict[Tuple[int, int], LinkSpec]] = [
+            {(link.dim, link.direction): link for link in links}
+            for links in self._links
         ]
 
     # ------------------------------------------------------------------
@@ -55,15 +80,14 @@ class KAryNCube(Topology):
         return f"{self.radix}-ary {self.dims}-{kind}"
 
     def links(self, node: int) -> Sequence[LinkSpec]:
+        self.validate_node(node)
         return self._links[node]
 
     def coords(self, node: int) -> Tuple[int, ...]:
-        self.validate_node(node)
-        out = []
-        for _ in range(self.dims):
-            out.append(node % self.radix)
-            node //= self.radix
-        return tuple(reversed(out))
+        # The range test is not optional: _coords[-1] would answer.
+        if not 0 <= node < self._num_nodes:
+            self.validate_node(node)
+        return self._coords[node]
 
     def node_at(self, coords: Tuple[int, ...]) -> int:
         if len(coords) != self.dims:
@@ -76,34 +100,32 @@ class KAryNCube(Topology):
         return node
 
     def min_distance(self, src: int, dst: int) -> int:
-        sc, dc = self.coords(src), self.coords(dst)
-        return sum(self._dim_distance(s, d) for s, d in zip(sc, dc))
+        dist = self._dist
+        total = 0
+        for s, d in zip(self.coords(src), self.coords(dst)):
+            total += dist[s][d]
+        return total
 
     def productive_links(self, node: int, dst: int) -> List[LinkSpec]:
         cur, goal = self.coords(node), self.coords(dst)
-        wanted = set()
-        for dim in range(self.dims):
-            for direction in self._minimal_directions(cur[dim], goal[dim]):
-                wanted.add((dim, direction))
+        ports = self._ports[node]
+        dirs = self._dirs
+        # Dimensions ascending, +1 before -1: port order.  A minimal
+        # direction always has a port (a mesh never points off its edge).
         return [
-            link
-            for link in self._links[node]
-            if (link.dim, link.direction) in wanted
+            ports[dim, direction]
+            for dim in range(self.dims)
+            for direction in dirs[cur[dim]][goal[dim]]
         ]
 
     def dor_link(self, node: int, dst: int) -> LinkSpec:
         cur, goal = self.coords(node), self.coords(dst)
+        dirs = self._dirs
         for dim in range(self.dims):
-            directions = self._minimal_directions(cur[dim], goal[dim])
-            if not directions:
-                continue
-            direction = directions[0]  # ties resolved toward +1
-            for link in self._links[node]:
-                if link.dim == dim and link.direction == direction:
-                    return link
-            raise RuntimeError(
-                f"no port for dim {dim} direction {direction} at {node}"
-            )
+            directions = dirs[cur[dim]][goal[dim]]
+            if directions:
+                # ties resolved toward +1
+                return self._ports[node][dim, directions[0]]
         raise ValueError(f"dor_link called with node == dst ({node})")
 
     def average_min_distance(self) -> float:
@@ -117,9 +139,7 @@ class KAryNCube(Topology):
         so the result is bit-identical to the brute-force mean.
         """
         k = self.radix
-        per_dim_total = sum(
-            self._dim_distance(a, b) for a in range(k) for b in range(k)
-        )
+        per_dim_total = sum(map(sum, self._dist))
         n = self._num_nodes
         total = self.dims * per_dim_total * k ** (2 * (self.dims - 1))
         return total / (n * (n - 1))
@@ -154,7 +174,7 @@ class KAryNCube(Topology):
         return [1, -1]
 
     def _build_links(self, node: int) -> List[LinkSpec]:
-        coords = self.coords(node)
+        coords = self._coords[node]
         links: List[LinkSpec] = []
         for dim in range(self.dims):
             c = coords[dim]

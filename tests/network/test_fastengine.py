@@ -7,6 +7,7 @@ same config, both engines, identical events/report/channel state.
 
 from __future__ import annotations
 
+import copy
 import os
 import subprocess
 import sys
@@ -16,8 +17,10 @@ import pytest
 import repro
 
 from repro.network.fastengine import FastEngine
-from repro.network.message import reset_uid_counter
+from repro.network.message import Message, reset_uid_counter
 from repro.obs.tracing import run_traced
+from repro.routing.dor import DimensionOrder
+from repro.routing.misrouting import MisroutingAdaptive
 from repro.sim.config import SimConfig
 from repro.verify import (
     ENGINE_EQUIVALENCE_PRESETS,
@@ -290,6 +293,160 @@ class TestLatePatch:
         fast = self._hook_calls("fast")
         assert {name for name, *_ in reference} == {"hop", "corrupt", "stage"}
         assert fast == reference
+
+
+class TestRoutingTableAgainstTheRelation:
+    """``RoutingTable.candidates`` is ``routing.candidates``, for every
+    ``(node, dst)`` and every bit of header state the relations read.
+
+    The relations hand out pooled ``Candidate`` objects and the table
+    hands one answer to many callers, so equality is checked against a
+    second relation object that shares neither, against a copy taken at
+    the first asking, and in both orders over the pairs.
+    """
+
+    SHAPES = {
+        "4-ary-2-torus": dict(topology="torus", radix=4, dims=2),
+        "3x3-mesh": dict(topology="mesh", radix=3, dims=2),
+        "3-cube": dict(topology="hypercube", dims=3),
+    }
+
+    @staticmethod
+    def _engine(shape, **overrides):
+        reset_uid_counter()
+        return SimConfig(
+            engine="fast", num_vcs=4, load=0.0, **shape, **overrides
+        ).build()
+
+    @staticmethod
+    def _pairs(engine):
+        nodes = range(engine.topology.num_nodes)
+        pairs = [(node, dst) for node in nodes for dst in nodes if node != dst]
+        return pairs + pairs[::-1]
+
+    def _check(self, engine, states, fresh=None):
+        """Ask the table and an unshared relation about every pair in
+        every header state; returns how many answers were compared."""
+        routing = engine.routing
+        if fresh is None:
+            fresh = type(routing)(engine.topology)
+        table = engine._table
+        first = {}
+        for node, dst in self._pairs(engine):
+            router = engine.routers[node]
+            message = Message(0 if dst else 1, dst, 4)
+            for state in states:
+                for name, value in state.items():
+                    setattr(message, name, value)
+                where = f"{engine.topology.name} {node} -> {dst} {state}"
+                expected = fresh.candidates(router, message)
+                answer = table.candidates(router, message)
+                again = table.candidates(router, message)
+                assert answer == expected, where
+                assert again == expected, where
+                assert routing.candidates(router, message) == expected, where
+                key = (node, dst, tuple(state.items()))
+                if key in first:
+                    assert answer == first[key], f"{where}: answer moved"
+                else:
+                    first[key] = copy.deepcopy(answer)
+        return len(first)
+
+    @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES)
+    def test_minimal_adaptive(self, shape):
+        engine = self._engine(shape, routing="cr")
+        assert engine._table._kind == "minimal"
+        assert self._check(engine, [{}])
+        assert engine._table._cache
+
+    @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES)
+    @pytest.mark.parametrize("routing", ("dor", "dor+cr"))
+    def test_dimension_order(self, shape, routing):
+        engine = self._engine(shape, routing=routing)
+        assert engine._table._kind == "dor"
+        dateline = routing == "dor" and shape["topology"] == "torus"
+        assert engine.routing.vc_classes == (2 if dateline else 1)
+        states = [
+            dict(lane=lane, dor_dim=dor_dim, dateline_bit=bit)
+            for lane in range(5)
+            for dor_dim in range(-1, shape["dims"])
+            for bit in (0, 1)
+        ]
+        fresh = DimensionOrder(engine.topology, dateline=routing == "dor")
+        assert self._check(engine, states, fresh)
+        vcs = {
+            tier[0].vc for tiers in engine._table._cache.values()
+            for tier in tiers
+        }
+        assert vcs == set(range(4)), "a lane or dateline class went unused"
+
+    @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES)
+    def test_duato(self, shape):
+        engine = self._engine(shape, routing="duato")
+        assert engine._table._kind == "live"
+        states = [
+            dict(dor_dim=dor_dim, dateline_bit=bit)
+            for dor_dim in range(-1, shape["dims"]) for bit in (0, 1)
+        ]
+        assert self._check(engine, states)
+
+    @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES)
+    @pytest.mark.parametrize("dead", ("none", "some", "all"))
+    def test_misrouting(self, shape, dead):
+        engine = self._engine(shape, routing="cr", misrouting=True)
+        assert engine._table._kind == "misroute"
+        topology = engine.topology
+        exhausted = dict(misroute_budget=2, misroutes_used=2)
+        states = [
+            dict(misroute_budget=0, misroutes_used=0),
+            dict(misroute_budget=2, misroutes_used=1),
+            exhausted,
+        ]
+        detours = 0
+        for node, dst in self._pairs(engine):
+            router = engine.routers[node]
+            productive = [
+                router.out_channels[link.port]
+                for link in topology.productive_links(node, dst)
+            ]
+            victims = {
+                "none": [], "some": productive[:-1], "all": productive
+            }[dead]
+            for channel in victims:
+                channel.dead = True
+            try:
+                message = Message(0 if dst else 1, dst, 4)
+                fresh = MisroutingAdaptive(topology)
+                answers = []
+                for state in states + states:
+                    for name, value in state.items():
+                        setattr(message, name, value)
+                    expected = fresh.candidates(router, message)
+                    assert engine._table.candidates(
+                        router, message
+                    ) == expected, f"{node} -> {dst} {state} dead={dead}"
+                    answers.append(copy.deepcopy(expected))
+                # Budget 0, budget left, budget spent -- and the same
+                # again after the budget-left call appended its detour
+                # tier: the memoised answers must not have grown one.
+                assert answers[:3] == answers[3:]
+                assert answers[0] == answers[2]
+                assert len(answers[0]) == 1
+                detoured = len(answers[1]) == 2
+                assert detoured == (
+                    dead == "all"
+                    and len(productive) < len(topology.links(node))
+                )
+                if detoured:
+                    detours += 1
+                    assert all(cand.is_misroute for cand in answers[1][1])
+                    assert not {c.port for c in answers[1][1]} & {
+                        c.port for c in answers[1][0]
+                    }
+            finally:
+                for channel in victims:
+                    channel.dead = False
+        assert (detours > 0) == (dead == "all")
 
 
 def test_import_repro_does_not_import_numpy():

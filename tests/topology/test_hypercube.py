@@ -60,3 +60,24 @@ class TestHypercube:
     def test_bad_coordinate_value(self):
         with pytest.raises(ValueError):
             Hypercube(3).node_at((0, 2, 0))
+
+    @pytest.mark.parametrize(
+        "offset", [-1, 0, 7, 91], ids=["-1", "n", "n+7", "99"]
+    )
+    def test_out_of_range_node_is_a_value_error_everywhere(self, offset):
+        # productive_links(0, 99) and dor_link(0, 99) used to answer
+        # for a node that does not exist; (99, 0) was an IndexError and
+        # (-1, 0) the last node's links.
+        topo = Hypercube(3)
+        bad = offset if offset < 0 else topo.num_nodes + offset
+        for lookup in (topo.coords, topo.links):
+            with pytest.raises(ValueError, match=f"node {bad} out of range"):
+                lookup(bad)
+        for lookup in (
+            topo.min_distance, topo.productive_links, topo.dor_link
+        ):
+            for args in ((bad, 0), (0, bad), (bad, bad)):
+                with pytest.raises(
+                    ValueError, match=f"node {bad} out of range"
+                ):
+                    lookup(*args)

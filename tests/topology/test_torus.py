@@ -187,3 +187,139 @@ class TestDorLink:
             hops += 1
             assert hops <= topo.min_distance(src, dst)
         assert hops == topo.min_distance(src, dst)
+
+
+# ----------------------------------------------------------------------
+# The lookups are tables; these are the loops the tables replaced.
+# ----------------------------------------------------------------------
+
+def brute_coords(topo, node):
+    out = []
+    for _ in range(topo.dims):
+        out.append(node % topo.radix)
+        node //= topo.radix
+    return tuple(reversed(out))
+
+
+def brute_dim_distance(topo, a, b):
+    delta = abs(a - b)
+    return min(delta, topo.radix - delta) if topo.wrap else delta
+
+
+def brute_minimal_directions(topo, cur, goal):
+    if cur == goal:
+        return []
+    if not topo.wrap:
+        return [1] if goal > cur else [-1]
+    forward = (goal - cur) % topo.radix
+    backward = (cur - goal) % topo.radix
+    if forward < backward:
+        return [1]
+    if backward < forward:
+        return [-1]
+    return [1, -1]
+
+
+def brute_min_distance(topo, src, dst):
+    return sum(
+        brute_dim_distance(topo, s, d)
+        for s, d in zip(brute_coords(topo, src), brute_coords(topo, dst))
+    )
+
+
+def brute_productive_links(topo, node, dst):
+    cur, goal = brute_coords(topo, node), brute_coords(topo, dst)
+    wanted = set()
+    for dim in range(topo.dims):
+        for direction in brute_minimal_directions(topo, cur[dim], goal[dim]):
+            wanted.add((dim, direction))
+    return [
+        link for link in topo.links(node)
+        if (link.dim, link.direction) in wanted
+    ]
+
+
+def brute_dor_link(topo, node, dst):
+    cur, goal = brute_coords(topo, node), brute_coords(topo, dst)
+    for dim in range(topo.dims):
+        directions = brute_minimal_directions(topo, cur[dim], goal[dim])
+        if not directions:
+            continue
+        for link in topo.links(node):
+            if link.dim == dim and link.direction == directions[0]:
+                return link
+    return None
+
+
+SHAPES = [
+    pytest.param(radix, dims, True, id=f"{radix}-ary-{dims}-torus")
+    for radix in (3, 4, 5) for dims in (1, 2, 3)
+] + [
+    pytest.param(radix, dims, False, id=f"{radix}-ary-{dims}-mesh")
+    for radix in (2, 3, 4, 5) for dims in (1, 2, 3)
+]
+
+
+class TestTablesAgainstBruteForce:
+    """Every (node, dst): same values, same list order (a mesh's edge
+    nodes lack ports, so their port numbers are not ``2 * dim + k``)."""
+
+    @pytest.mark.parametrize("radix,dims,wrap", SHAPES)
+    def test_every_pair(self, radix, dims, wrap):
+        topo = KAryNCube(radix, dims, wrap=wrap)
+        nodes = range(topo.num_nodes)
+        for node in nodes:
+            assert topo.coords(node) == brute_coords(topo, node)
+            assert isinstance(topo.coords(node), tuple)
+            ports = [link.port for link in topo.links(node)]
+            assert ports == list(range(len(ports)))
+            for dst in nodes:
+                where = f"{topo.name}: {node} -> {dst}"
+                assert topo.min_distance(node, dst) == brute_min_distance(
+                    topo, node, dst
+                ), where
+                links = topo.productive_links(node, dst)
+                assert links == brute_productive_links(topo, node, dst), where
+                assert [link.port for link in links] == sorted(
+                    link.port for link in links
+                ), where
+                if node == dst:
+                    assert links == []
+                    with pytest.raises(ValueError, match="node == dst"):
+                        topo.dor_link(node, dst)
+                else:
+                    assert topo.dor_link(node, dst) is brute_dor_link(
+                        topo, node, dst
+                    ), where
+        assert topo.average_min_distance() == pytest.approx(
+            sum(brute_min_distance(topo, a, b) for a in nodes for b in nodes)
+            / (topo.num_nodes * (topo.num_nodes - 1))
+        )
+
+    def test_productive_links_answers_are_the_callers(self):
+        topo = torus(4, 2)
+        first = topo.productive_links(0, 10)
+        first.append(None)
+        assert topo.productive_links(0, 10) == first[:-1]
+
+
+class TestOutOfRangeNodes:
+    """Every public lookup rejects a node that does not exist -- also
+    ``-1``, which a bare list lookup would answer from the far end."""
+
+    @pytest.mark.parametrize("topo", [torus(4, 2), mesh(3, 2), mesh(2, 3)],
+                             ids=lambda topo: topo.name)
+    @pytest.mark.parametrize("offset", [-1, 0, 7], ids=["-1", "n", "n+7"])
+    def test_value_error_everywhere(self, topo, offset):
+        bad = offset if offset < 0 else topo.num_nodes + offset
+        for lookup in (topo.coords, topo.links):
+            with pytest.raises(ValueError, match=f"node {bad} out of range"):
+                lookup(bad)
+        for lookup in (
+            topo.min_distance, topo.productive_links, topo.dor_link
+        ):
+            for args in ((bad, 0), (0, bad), (bad, bad)):
+                with pytest.raises(
+                    ValueError, match=f"node {bad} out of range"
+                ):
+                    lookup(*args)
