@@ -157,15 +157,9 @@ from .topology.base import LinkSpec, Topology
 from .topology.graph import GraphTopology
 from .topology.hypercube import Hypercube
 from .topology.torus import KAryNCube, mesh, torus
-from .traffic.generator import TrafficGenerator
 from .traffic.lengths import BimodalLength, FixedLength, LengthDistribution
 from .traffic.loads import capacity_flits_per_node_cycle, injection_rate
-from .traffic.trace import (
-    Trace,
-    TraceEntry,
-    TraceReplayGenerator,
-    record_trace,
-)
+from .traffic.trace import Trace, TraceEntry, record_trace
 from .traffic.patterns import (
     BitReversal,
     Complement,
@@ -295,7 +289,6 @@ __all__ = [
     "random_channel_faults",
     "kill_router",
     # traffic
-    "TrafficGenerator",
     "TrafficPattern",
     "Uniform",
     "Transpose",
@@ -314,7 +307,6 @@ __all__ = [
     "injection_rate",
     "Trace",
     "TraceEntry",
-    "TraceReplayGenerator",
     "record_trace",
     # workloads (see repro.workload for the full surface)
     "ArrivalProcess",

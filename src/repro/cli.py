@@ -521,14 +521,22 @@ def _workload_usage_error(args: argparse.Namespace, prog: str):
     """Validate --workload/--cascade-faults eagerly: misuse exits 2."""
     try:
         if getattr(args, "workload", None) is not None:
-            from .workload import WorkloadSpec
+            from .workload import build_workload
 
-            WorkloadSpec.parse(args.workload)
+            # Kind, parameters and trace file, on the network shape the
+            # command names (the default where it names none).
+            shape = {
+                name: getattr(args, name)
+                for name in ("topology", "radix", "dims")
+                if hasattr(args, name)
+            }
+            config = SimConfig(workload=args.workload, **shape)
+            build_workload(config, config.make_topology())
         if getattr(args, "cascade_faults", None) is not None:
             from .faults.cascading import make_cascading
 
             make_cascading(args.cascade_faults)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OSError) as exc:
         print(f"cr-sim {prog}: {exc}", file=sys.stderr)
         return 2
     return None

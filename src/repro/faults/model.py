@@ -3,6 +3,7 @@
 The engine consults the fault model at two points: once per cycle
 (``on_cycle`` -- used to enact scheduled permanent faults) and once per
 link traversal (``corrupt`` -- used to inject transient data errors).
+``next_event`` tells the fast engine which cycles ``on_cycle`` needs.
 Faults are only applied to router-to-router links; the paper treats the
 processor-side interfaces as part of the (trusted) node.
 """
@@ -11,12 +12,14 @@ from __future__ import annotations
 
 import abc
 import random
-from typing import TYPE_CHECKING, List
+from typing import TYPE_CHECKING, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..network.channel import Channel
     from ..network.flit import Flit
     from ..network.network import WormholeNetwork
+
+_INF = float("inf")
 
 
 class FaultModel(abc.ABC):
@@ -45,6 +48,23 @@ class FaultModel(abc.ABC):
 
     def on_cycle(self, now: int, network: "WormholeNetwork") -> None:
         """Hook run at the start of every cycle."""
+
+    def next_event(self, now: int) -> Optional[float]:
+        """The cycle :meth:`on_cycle` next acts, asked at cycle ``now``.
+
+        The fast engine's wake protocol.  A cycle ``<= now`` means
+        "this one"; a later cycle is stepped in full and the quiescent
+        cycles before it may be skipped; ``inf`` means never; ``None``
+        means "cannot say" and turns event skipping off.  Override this
+        whenever you override :meth:`on_cycle`: a subclass that
+        overrides only the hook gets ``None`` here, which is always
+        right and never fast.
+        """
+        if type(self).on_cycle is FaultModel.on_cycle:
+            # No cycle hook (NoFaults, TransientFaults): the model acts
+            # only per transfer, and nothing transfers during a skip.
+            return _INF
+        return None
 
     def corrupt(
         self, flit: "Flit", channel: "Channel", rng: random.Random
@@ -76,6 +96,16 @@ class CompositeFaultModel(FaultModel):
     def on_cycle(self, now: int, network: "WormholeNetwork") -> None:
         for model in self.models:
             model.on_cycle(now, network)
+
+    def next_event(self, now: int) -> Optional[float]:
+        nxt = _INF
+        for model in self.models:
+            child_next = model.next_event(now)
+            if child_next is None:
+                return None
+            if child_next < nxt:
+                nxt = child_next
+        return nxt
 
     def corrupt(self, flit, channel, rng) -> bool:
         return any(model.corrupt(flit, channel, rng) for model in self.models)

@@ -23,6 +23,8 @@ from .model import FaultModel
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..network.network import WormholeNetwork
 
+_INF = float("inf")
+
 
 @dataclass(frozen=True)
 class ChannelFault:
@@ -53,6 +55,9 @@ class PermanentFaultSchedule(FaultModel):
                 self.bus.emit(FaultActivated(
                     now, "channel_dead", fault.src, fault.dst
                 ))
+
+    def next_event(self, now: int) -> float:
+        return self.pending[0].cycle if self.pending else _INF
 
 
 def random_channel_faults(

@@ -46,7 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..network.buffer import VCBuffer
     from ..network.message import Message
     from ..routing.base import Candidate
-    from ..traffic.generator import TrafficGenerator
+    from ..workload.generator import WorkloadGenerator
     from .network import WormholeNetwork
 
 _LIVE_PHASES = (MessagePhase.INJECTING, MessagePhase.COMMITTED)
@@ -111,7 +111,7 @@ class Engine:
         stats: Optional[StatsCollector] = None,
         ledger: Optional[DeliveryLedger] = None,
         fault_model: Optional["FaultModel"] = None,
-        generator: Optional["TrafficGenerator"] = None,
+        generator: Optional["WorkloadGenerator"] = None,
         watchdog: int = 20000,
         queue_cap: int = 64,
     ) -> None:

@@ -37,18 +37,23 @@ loops' ``_skip`` hook:
   staged, no kill wavefronts, no worms in flight, every queued message
   parked behind a retransmission gap — the clock jumps directly to the
   next cycle where anything can happen: the earliest retransmission,
-  trace arrival, scheduled fault, sampler/checker boundary, or the
-  watchdog horizon.  While a stochastic generator is active the engine
-  instead runs a *paced* loop that performs only the generator draws
-  (exactly the reference RNG sequence) until a message is admitted.
+  scheduled arrival, scheduled fault, sampler/checker boundary, or the
+  watchdog horizon.  The engine names no input class: the generator's
+  ``skip_state(now)`` and the fault model's ``next_event(now)`` say
+  when each next acts, and an input that cannot say (no ``skip_state``
+  method; ``next_event`` returning ``None``) turns skipping off.
+  While a per-cycle-draw source is active the engine instead runs a
+  *paced* loop that performs only the generator draws (exactly the
+  reference RNG sequence) until a message is admitted.
 
 * **Change stamps.**  A blocked header's wait can only end when a
   specific resource changes hands, so the engine stops polling.  Every
   :class:`Router` mutator that writes ``out_owner`` bumps the router's
   ``stamp``; the engine bumps a *fault epoch* where it builds a phase
   table (state planted between runs) and in the ``fault`` phase on
-  every cycle ``_fault_next_event`` says the model may act (an unknown
-  ``on_cycle`` override: every cycle).  Those are the only inputs of
+  every cycle ``fault_model.next_event`` says the model may act (an
+  ``on_cycle`` override that does not say: every cycle).  Those are
+  the only inputs of
   ``_grant`` that can change while a header is blocked -- the routing
   relations read header state, which moves only with the header, and
   channel death -- so a header whose last failure carries the current
@@ -98,15 +103,10 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 from ..core.kill import KillManager
 from ..core.protocol import KillCause, ProtocolMode
 from ..core.timeout import FixedTimeout, LengthScaledTimeout
-from ..faults.cascading import LoadDependentFaults
-from ..faults.model import CompositeFaultModel, FaultModel
-from ..faults.permanent import PermanentFaultSchedule
 from ..routing.base import Candidate
 from ..routing.dor import DimensionOrder
 from ..routing.minimal_adaptive import MinimalAdaptive
 from ..routing.misrouting import MisroutingAdaptive
-from ..traffic.generator import TrafficGenerator
-from ..traffic.trace import TraceReplayGenerator
 from .channel import Channel
 from .engine import Engine, Phase, _LIVE_PHASES
 from .flit import Flit, FlitKind
@@ -777,7 +777,7 @@ class FastEngine(Engine):
     def _fault_sweep(self, now: int) -> None:
         # Channel death changes only inside on_cycle, and only on the
         # cycles the model may act (unknown model: any cycle).
-        next_event = self._fault_next_event(self.fault_model)
+        next_event = self.fault_model.next_event(now)
         if next_event is None or next_event <= now:
             self._fault_epoch += 1
         self.fault_model.on_cycle(now, self.network)
@@ -1042,40 +1042,28 @@ class FastEngine(Engine):
                     return 0
                 if node_wake < wake:
                     wake = node_wake
-        # Traffic generation.
+        # Traffic generation and scheduled faults: each input says
+        # when it next acts (``skip_state`` / ``next_event``).
         paced = False
         trace_next = _INF
         generator = self.generator
         if generator is not None:
-            kind = type(generator)
-            if kind is TrafficGenerator:
-                if generator.message_rate > 0.0 and (
-                    generator.stop_at is None or now < generator.stop_at
-                ):
-                    paced = True
-            elif kind is TraceReplayGenerator:
-                if generator._pending:
-                    return 0
-                entries = generator.trace.entries
-                if generator._cursor < len(entries):
-                    trace_next = entries[generator._cursor].cycle
+            skip_state = getattr(generator, "skip_state", None)
+            if skip_state is None:
+                # A generator that does not say may act on any cycle.
+                return 0
+            state, cycle = skip_state(now)
+            if state == "busy":
+                return 0
+            if state == "paced":
+                paced = True
             else:
-                skip_state = getattr(generator, "skip_state", None)
-                if skip_state is None:
-                    # Unknown generator: assume it may act on any cycle.
-                    return 0
-                # Workload protocol: the generator classifies this
-                # cycle itself (see WorkloadGenerator.skip_state).
-                state, cycle = skip_state(now)
-                if state == "busy":
-                    return 0
-                if state == "paced":
-                    paced = True
-                elif cycle < trace_next:
-                    trace_next = cycle
-        fault_next = self._fault_next_event(self.fault_model)
-        if fault_next is None:
-            return 0
+                trace_next = cycle
+        fault_next = _INF
+        if self.fault_model is not None:
+            fault_next = self.fault_model.next_event(now)
+            if fault_next is None:
+                return 0
         # The skip target: the earliest cycle any actor, monitor, or
         # periodic hook must observe.  That cycle itself is stepped.
         target = now + limit
@@ -1204,33 +1192,3 @@ class FastEngine(Engine):
                 if sink is not None and sink.owner is None:
                     return True
         return False
-
-    def _fault_next_event(self, model: Optional[FaultModel]):
-        """Next cycle the fault model acts, inf if never, None if unknown."""
-        if model is None:
-            return _INF
-        cls = type(model)
-        if cls.on_cycle is FaultModel.on_cycle:
-            # Base no-op hook (NoFaults, TransientFaults, ...): the
-            # model only acts per-transfer, and nothing transfers
-            # during a skip.
-            return _INF
-        if cls is PermanentFaultSchedule:
-            pending = model.pending
-            return pending[0].cycle if pending else _INF
-        if cls is CompositeFaultModel:
-            nxt = _INF
-            for child in model.models:
-                child_next = self._fault_next_event(child)
-                if child_next is None:
-                    return None
-                if child_next < nxt:
-                    nxt = child_next
-            return nxt
-        if cls is LoadDependentFaults:
-            # Acts only on check_interval boundaries; off-boundary
-            # cycles are provable no-ops (see repro.faults.cascading).
-            return model.next_event(self.now)
-        # Unknown on_cycle override: its hook may act any cycle, so
-        # event skipping is off (the fast per-cycle path still runs it).
-        return None

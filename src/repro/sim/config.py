@@ -33,10 +33,8 @@ from ..stats.collector import StatsCollector
 from ..topology.base import Topology
 from ..topology.hypercube import Hypercube
 from ..topology.torus import KAryNCube
-from ..traffic.generator import TrafficGenerator
 from ..traffic.lengths import FixedLength, LengthDistribution
-from ..traffic.loads import injection_rate
-from ..traffic.patterns import make_pattern
+from ..workload.spec import build_workload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..verify.invariants import VerifyConfig
@@ -114,8 +112,8 @@ class SimConfig:
     # Production workload spec (repro.workload): a kind string
     # ("mmpp", "pareto:alpha=1.4", "incast:period=64", "client-server",
     # "phased", "trace:<path>"), a dict ({"kind": ...}), or a
-    # WorkloadSpec.  None keeps the legacy Bernoulli generator;
-    # "bernoulli" is its draw-for-draw equivalent through the new layer.
+    # WorkloadSpec.  None is "bernoulli", the paper's open-loop source
+    # (the two spellings keep distinct config hashes).
     workload: Optional[Any] = None
     # --- faults --------------------------------------------------------
     fault_rate: float = 0.0
@@ -261,29 +259,7 @@ class SimConfig:
                 else None
             ),
         )
-        if self.trace is not None:
-            if self.workload is not None:
-                raise ValueError(
-                    "trace and workload are mutually exclusive; use "
-                    "workload='trace:<path>' for trace-driven workloads"
-                )
-            from ..traffic.trace import TraceReplayGenerator
-
-            generator = TraceReplayGenerator(self.trace)
-        elif self.workload is not None:
-            from ..workload import build_workload
-
-            generator = build_workload(self, topology)
-        else:
-            lengths = self.make_lengths()
-            rate = injection_rate(topology, self.load, lengths.mean())
-            generator = TrafficGenerator(
-                make_pattern(self.pattern, **self.pattern_kwargs),
-                lengths,
-                message_rate=min(rate, 1.0),
-                seed=self.seed + 1,
-                stop_at=self.warmup + self.measure,
-            )
+        generator = build_workload(self, topology)
         stats = StatsCollector(
             topology.num_nodes,
             warmup_end=self.warmup,
@@ -299,7 +275,7 @@ class SimConfig:
             watchdog=self.watchdog,
             queue_cap=self.queue_cap,
         )
-        if getattr(generator, "wants_delivery_hook", False):
+        if generator.wants_delivery_hook:
             engine.delivery_listener = generator
         if engine.fault_model is not None:
             engine.fault_model.bind_stats(stats)

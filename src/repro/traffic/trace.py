@@ -18,12 +18,9 @@ are retried every cycle until admitted, preserving workload totals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, List, Tuple
+from typing import Iterable, List, Tuple
 
-from ..network.message import Message
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..network.engine import Engine
+from ..workload.spec import build_workload
 
 
 @dataclass(frozen=True)
@@ -65,78 +62,28 @@ class Trace:
         return cls(TraceEntry(*t) for t in tuples)
 
 
-class TraceReplayGenerator:
-    """Drop-in traffic generator that replays a :class:`Trace`.
-
-    Entries whose cycle has passed but could not be admitted (full
-    queue) stay pending and are re-offered every cycle -- the workload
-    is preserved exactly, only its admission may slip.
-    """
-
-    def __init__(self, trace: Trace) -> None:
-        self.trace = trace
-        self._cursor = 0
-        self._pending: List[TraceEntry] = []
-        self.replayed = 0
-
-    def tick(self, engine: "Engine", now: int) -> None:
-        entries = self.trace.entries
-        while self._cursor < len(entries) and \
-                entries[self._cursor].cycle <= now:
-            self._pending.append(entries[self._cursor])
-            self._cursor += 1
-        if not self._pending:
-            return
-        still_pending = []
-        for entry in self._pending:
-            message = Message(
-                entry.src,
-                entry.dst,
-                entry.length,
-                created_at=entry.cycle,
-                seq=engine.next_seq(entry.src, entry.dst),
-            )
-            if engine.admit(message):
-                self.replayed += 1
-            else:
-                still_pending.append(entry)
-        self._pending = still_pending
-
-    @property
-    def exhausted(self) -> bool:
-        return self._cursor >= len(self.trace.entries) and \
-            not self._pending
-
-
 def record_trace(config) -> Trace:
     """Generate the workload a config's generator *would* offer.
 
-    Runs only the traffic generator (no network) for the config's
-    generation window, capturing every arrival -- including those a live
-    run might have dropped at a full queue, so the recorded trace is the
-    pure offered load.
+    Runs only the default (Bernoulli) traffic source -- no network, no
+    ``Message`` -- for the config's generation window, capturing every
+    arrival, including those a live run might have dropped at a full
+    queue, so the recorded trace is the pure offered load.
     """
-    import random
-
-    from .patterns import make_pattern
-
+    if config.trace is not None:
+        raise ValueError(
+            "record_trace: config.trace is already set; there is "
+            "nothing to record"
+        )
+    if config.workload not in (None, "bernoulli"):
+        raise ValueError(
+            f"record_trace: config.workload={config.workload!r} is not "
+            "recorded, only the default Bernoulli source is"
+        )
     topology = config.make_topology()
-    lengths = config.make_lengths()
-    pattern = make_pattern(config.pattern, **config.pattern_kwargs)
-    from .loads import injection_rate
-
-    rate = min(injection_rate(topology, config.load, lengths.mean()), 1.0)
-    rng = random.Random(config.seed + 1)
-    entries: List[TraceEntry] = []
-    horizon = config.warmup + config.measure
-    for cycle in range(horizon):
-        for src in range(topology.num_nodes):
-            if rng.random() >= rate:
-                continue
-            dst = pattern.destination(topology, src, rng)
-            if dst is None or dst == src:
-                continue
-            entries.append(
-                TraceEntry(cycle, src, dst, lengths.sample(rng))
-            )
-    return Trace(entries)
+    (source,) = build_workload(config, topology).sources
+    return Trace(
+        TraceEntry(cycle, src, dst, length)
+        for cycle in range(config.warmup + config.measure)
+        for src, dst, length in source.offers(topology, cycle)
+    )

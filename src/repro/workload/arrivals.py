@@ -1,18 +1,16 @@
 """Arrival processes: when does each node offer its next message?
 
-The legacy :class:`~repro.traffic.generator.TrafficGenerator` hard-codes
-one arrival model — an independent per-node-per-cycle Bernoulli draw
-from a single shared RNG stream.  Production traffic is not Bernoulli:
-interarrivals are bursty (on/off sources) and heavy-tailed (a few
-sources dominate).  This module factors the *arrival decision* out of
-the generator so the workload layer can swap it:
+The paper's arrival model is an independent per-node-per-cycle
+Bernoulli draw from a single shared RNG stream.  Production traffic is
+not Bernoulli: interarrivals are bursty (on/off sources) and
+heavy-tailed (a few sources dominate).  This module factors the
+*arrival decision* out of the generator so the workload layer can swap
+it:
 
-* :class:`BernoulliArrivals` — the back-compat shim.  It reproduces the
-  legacy generator's RNG draw sequence *draw for draw* (one shared
-  stream, one ``random()`` per node per cycle, destination and length
-  sampled from the same stream), so a run with
-  ``SimConfig(workload="bernoulli")`` is byte-identical to one with
-  ``workload`` unset.
+* :class:`BernoulliArrivals` — the default (``workload`` unset builds
+  it): one shared stream, one ``random()`` per node per cycle,
+  destination and length sampled from the same stream.  Its draw
+  sequence is pinned by ``tests/golden/traffic.json``.
 * :class:`GeometricArrivals` — renewal process with geometric
   interarrival gaps (the discrete-time Poisson analogue).  Same mean
   rate as Bernoulli, but arrivals are *scheduled*: idle cycles draw no
@@ -25,7 +23,7 @@ the generator so the workload layer can swap it:
   interarrivals: heavy-tailed, infinite variance for ``alpha <= 2``.
   Gaps shorter than a cycle batch into multi-message bursts.
 
-Every process except the Bernoulli shim uses *per-node* RNG streams
+Every process except Bernoulli uses *per-node* RNG streams
 seeded ``f"{seed}:{node}"``, so node ``i``'s arrival sequence is a pure
 function of ``(seed, i)`` — independent of how many other nodes exist
 and of what they do (the property tests pin this).
@@ -34,6 +32,7 @@ and of what they do (the property tests pin this).
 from __future__ import annotations
 
 import abc
+import inspect
 import math
 import random
 from typing import Dict, List
@@ -105,14 +104,14 @@ class ArrivalProcess(abc.ABC):
 
 
 class BernoulliArrivals(ArrivalProcess):
-    """The legacy model, draw-for-draw: shared stream, one draw/node/cycle."""
+    """The paper's model: one shared stream, one draw per node per cycle."""
 
     name = "bernoulli"
     per_cycle_draws = True
 
     def bind(self, num_nodes: int, seed, start: int = 0) -> None:
-        # One *shared* stream, exactly like TrafficGenerator(seed=...):
-        # the node loop interleaves every node's draws on it.
+        # One *shared* stream: the node loop interleaves every node's
+        # draws on it.
         self._rng = random.Random(seed)
 
     def emits(self, node: int, now: int) -> int:
@@ -280,4 +279,10 @@ def make_arrivals(kind: str, rate: float, **kwargs) -> ArrivalProcess:
             f"unknown arrival process {kind!r}; "
             f"choose from {sorted(ARRIVAL_KINDS)}"
         ) from None
+    if kwargs:
+        # Everything the class takes after ``rate`` is a spec parameter.
+        accepted = list(inspect.signature(cls).parameters)[1:]
+        unknown = sorted(set(kwargs) - set(accepted))
+        if unknown:
+            raise ValueError(f"unknown {kind} parameters {unknown}")
     return cls(rate, **kwargs)

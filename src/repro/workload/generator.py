@@ -1,6 +1,7 @@
 """The workload generator: open-loop sources + scheduled arrivals + replies.
 
-This is the drop-in ``engine.generator`` the workload layer installs.
+This is the ``engine.generator`` every ``SimConfig`` builds (through
+:func:`~repro.workload.spec.build_workload`, the only constructor).
 It composes three arrival streams:
 
 * **Open-loop sources** — an :class:`~repro.workload.arrivals.ArrivalProcess`
@@ -10,8 +11,8 @@ It composes three arrival streams:
 * **Scheduled arrivals** — a static, pre-sorted list of
   ``(cycle, src, dst, length)`` entries: trace replays, incast bursts,
   and phase collectives.  Entries whose cycle passed but could not be
-  admitted (full queue) stay pending and re-offer every cycle, exactly
-  like :class:`~repro.traffic.trace.TraceReplayGenerator`.
+  admitted (full queue) stay pending and re-offer every cycle -- the
+  workload is preserved exactly, only its admission may slip.
 * **Replies** — when a :class:`RequestReply` policy is attached the
   engine points its delivery hook here (``engine.delivery_listener``);
   delivery of a tracked request at a server schedules a reply back to
@@ -31,7 +32,9 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Set
+from typing import (
+    TYPE_CHECKING, Iterable, List, Optional, Sequence, Set, Tuple,
+)
 
 from ..network.message import Message
 from ..traffic.lengths import LengthDistribution
@@ -71,10 +74,49 @@ class OpenLoopSource:
     #: admitted messages to a server count as requests (client-server).
     track_requests: bool = False
 
-    def active(self, now: int) -> bool:
-        if now < self.start:
-            return False
-        return self.stop is None or now < self.stop
+    def offers(
+        self, topology: "Topology", now: int
+    ) -> List[Tuple[int, int, int]]:
+        """Cycle ``now``'s arrivals as ``(src, dst, length)``.
+
+        Nothing outside ``[start, stop)`` or at zero rate (no draws
+        either).  The draw order is defined here and nowhere else: node
+        by node, the arrival decision, then the destination, then the
+        length (E23's byte-identical workloads rest on it).  Callers
+        may consume the whole list before acting on it: admission
+        draws nothing from these streams.
+        """
+        process = self.process
+        if now < self.start or process.idle() or (
+            self.stop is not None and now >= self.stop
+        ):
+            return []
+        pattern = self.pattern
+        lengths = self.lengths
+        num_nodes = topology.num_nodes
+        out: List[Tuple[int, int, int]] = []
+        if type(process) is BernoulliArrivals:
+            # One shared stream: ``emits`` / ``rng_for`` draw for draw,
+            # minus two method calls per node on the default workload.
+            rng = process._rng
+            rate = process.rate
+            rnd = rng.random
+            for src in range(num_nodes):
+                if rnd() >= rate:
+                    continue
+                dst = pattern.destination(topology, src, rng)
+                if dst is None or dst == src:
+                    continue
+                out.append((src, dst, lengths.sample(rng)))
+            return out
+        for src in range(num_nodes):
+            for _ in range(process.emits(src, now)):
+                rng = process.rng_for(src)
+                dst = pattern.destination(topology, src, rng)
+                if dst is None or dst == src:
+                    continue
+                out.append((src, dst, lengths.sample(rng)))
+        return out
 
 
 class RequestReply:
@@ -112,7 +154,7 @@ class RequestReply:
 
 
 class WorkloadGenerator:
-    """Drop-in traffic generator driven by the workload layer."""
+    """The engine's message source: every arrival of a run comes from here."""
 
     def __init__(
         self,
@@ -156,63 +198,21 @@ class WorkloadGenerator:
         if self._pending or self._replies or \
                 self._cursor < len(self._entries):
             self._admit_scheduled(engine, now)
-        # Open-loop generation.  For a single Bernoulli source over
-        # [0, stop_at) this loop is draw-for-draw identical to
-        # TrafficGenerator.tick (same stream, same draw order, same
-        # admission calls) — the back-compat tests pin it byte-for-byte.
         topology = self.topology
+        rr = self.request_reply
         for source in self.sources:
-            if not source.active(now):
-                continue
-            process = source.process
-            if process.idle():
-                continue
-            pattern = source.pattern
-            lengths = source.lengths
-            track = source.track_requests and self.request_reply is not None
-            if type(process) is BernoulliArrivals and not track:
-                # Hot path for the back-compat shim: inline the shared
-                # stream draw loop (same draws as process.emits, minus
-                # the per-node method dispatch) so workload="bernoulli"
-                # costs the same as the legacy generator.
-                rng = process._rng
-                rate = process.rate
-                rnd = rng.random
-                for src in range(self.num_nodes):
-                    if rnd() >= rate:
-                        continue
-                    dst = pattern.destination(topology, src, rng)
-                    if dst is None or dst == src:
-                        continue
-                    message = Message(
-                        src,
-                        dst,
-                        lengths.sample(rng),
-                        created_at=now,
-                        seq=engine.next_seq(src, dst),
-                    )
-                    if engine.admit(message):
-                        self.generated += 1
-                continue
-            for src in range(self.num_nodes):
-                for _ in range(process.emits(src, now)):
-                    rng = process.rng_for(src)
-                    dst = pattern.destination(topology, src, rng)
-                    if dst is None or dst == src:
-                        continue
-                    message = Message(
-                        src,
-                        dst,
-                        lengths.sample(rng),
-                        created_at=now,
-                        seq=engine.next_seq(src, dst),
-                    )
-                    if engine.admit(message):
-                        self.generated += 1
-                        if track and dst in self.request_reply.server_set:
-                            self._outstanding.add(message.uid)
-                            self.requests_sent += 1
-                            engine.stats.counters["workload_requests"] += 1
+            track = source.track_requests and rr is not None
+            for src, dst, length in source.offers(topology, now):
+                message = Message(
+                    src, dst, length, created_at=now,
+                    seq=engine.next_seq(src, dst),
+                )
+                if engine.admit(message):
+                    self.generated += 1
+                    if track and dst in rr.server_set:
+                        self._outstanding.add(message.uid)
+                        self.requests_sent += 1
+                        engine.stats.counters["workload_requests"] += 1
 
     def on_delivered(self, message: "Message", now: int) -> None:
         """Receiver delivery hook: schedule the reply for a request."""
@@ -234,8 +234,8 @@ class WorkloadGenerator:
 
         Owed work: unreached/unadmitted scheduled entries, queued
         replies, and in-flight requests (their delivery will schedule a
-        reply).  Stochastic sources do not count — like the legacy
-        generator they are silenced during the drain phase.  Requests
+        reply).  Stochastic sources do not count — they are silenced
+        during the drain phase.  Requests
         that died (abandoned at the retry limit) are pruned against the
         engine's live set so an undeliverable request cannot wedge the
         drain loop.

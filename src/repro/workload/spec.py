@@ -20,8 +20,7 @@ Kinds
 -----
 ``bernoulli``/``geometric``/``poisson``/``pareto``/``mmpp``
     One open-loop source with that arrival process.  ``bernoulli`` is
-    the draw-for-draw back-compat shim (byte-identical to ``workload``
-    unset).
+    the default (``workload`` unset builds exactly this).
 ``incast``
     Periodic N-to-1 bursts: every ``period`` cycles, ``fanin`` distinct
     clients each fire one message at a sink (rotating through
@@ -51,6 +50,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Tuple
 
 from ..traffic.lengths import LengthDistribution
+from ..traffic.loads import injection_rate
 from ..traffic.patterns import Incast, TrafficPattern, make_pattern
 from .arrivals import ARRIVAL_KINDS, MMPPArrivals, make_arrivals
 from .generator import (
@@ -135,15 +135,30 @@ class WorkloadSpec:
 
 def build_workload(config: "SimConfig",
                    topology: "Topology") -> WorkloadGenerator:
-    """Construct the generator a config's ``workload`` field describes."""
-    from ..traffic.loads import injection_rate
+    """Construct the generator ``config`` describes.
 
-    spec = WorkloadSpec.parse(config.workload)
+    The only generator constructor: ``trace`` replays as scheduled
+    arrivals, ``workload=None`` is ``"bernoulli"``.  Every parameter is
+    validated here, before an engine exists.
+    """
+    if config.trace is not None:
+        if config.workload is not None:
+            raise ValueError(
+                "trace and workload are mutually exclusive; use "
+                "workload='trace:<path>' for trace-driven workloads"
+            )
+        return WorkloadGenerator(topology, scheduled=[
+            ScheduledArrival(e.cycle, e.src, e.dst, e.length)
+            for e in config.trace
+        ])
+    spec = WorkloadSpec.parse(
+        "bernoulli" if config.workload is None else config.workload
+    )
     lengths = config.make_lengths()
     rate = min(injection_rate(topology, config.load, lengths.mean()), 1.0)
     pattern = make_pattern(config.pattern, **config.pattern_kwargs)
     stop = config.warmup + config.measure
-    seed = config.seed + 1  # the legacy generator's stream namespace
+    seed = config.seed + 1  # the traffic stream's namespace
     params = dict(spec.params)
     if spec.kind in ARRIVAL_KINDS:
         return _build_open_loop(

@@ -133,3 +133,44 @@ class TestComposite:
         model.on_cycle(0, network)
         assert not model.corrupt(a_flit(), network.link_channels[0],
                                  random.Random(0))
+
+
+class TestNextEvent:
+    """The wake protocol: when does ``on_cycle`` next act?"""
+
+    class Unannounced(NoFaults):
+        """Overrides the hook, not ``next_event``."""
+
+        def on_cycle(self, now, network):
+            pass
+
+    def test_models_without_a_cycle_hook_never_act(self):
+        inf = float("inf")
+        assert NoFaults().next_event(0) == inf
+        assert TransientFaults(1e-3).next_event(17) == inf
+
+    def test_a_hook_that_does_not_say_is_unknown(self):
+        assert self.Unannounced().next_event(0) is None
+
+    def test_schedule_names_the_head_of_pending(self):
+        network = make_network()
+        link = network.link_channels[0]
+        schedule = PermanentFaultSchedule([
+            ChannelFault(300, link.src_node, link.dst_node),
+            ChannelFault(20, link.dst_node, link.src_node),
+        ])
+        assert schedule.next_event(0) == 20
+        schedule.on_cycle(20, network)
+        assert schedule.next_event(21) == 300
+        schedule.on_cycle(300, network)
+        assert schedule.next_event(301) == float("inf")
+
+    def test_composite_takes_the_earliest_child(self):
+        schedule = PermanentFaultSchedule([ChannelFault(300, 0, 1)])
+        model = CompositeFaultModel([TransientFaults(1e-3), schedule])
+        assert model.next_event(0) == 300
+
+    def test_unknown_child_wins_over_a_finite_one(self):
+        schedule = PermanentFaultSchedule([ChannelFault(300, 0, 1)])
+        model = CompositeFaultModel([schedule, self.Unannounced()])
+        assert model.next_event(0) is None

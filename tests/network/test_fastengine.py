@@ -16,6 +16,8 @@ import pytest
 
 import repro
 
+from repro.faults.model import CompositeFaultModel, FaultModel
+from repro.faults.permanent import ChannelFault, PermanentFaultSchedule
 from repro.network.fastengine import FastEngine
 from repro.network.message import Message, reset_uid_counter
 from repro.obs.tracing import run_traced
@@ -184,6 +186,88 @@ class TestEngineBehaviour:
 
     def test_reference_engine_is_the_default(self):
         assert SimConfig(**SMALL).engine == "reference"
+
+
+class TestInputsThatDoNotSay:
+    """The wake protocol's safety fallbacks.
+
+    A fault model whose ``on_cycle`` override does not define
+    ``next_event``, and a hand-assigned generator with no
+    ``skip_state``, may act on any cycle: the fast engine must step
+    every one of them, and stay identical to the reference.
+    """
+
+    # Near idle: everything here would be skipped if the input said so.
+    IDLE = dict(
+        radix=4, dims=2, routing="fcr", misrouting=True, num_vcs=2,
+        message_length=8, load=0.01, warmup=0, measure=1200, drain=2000,
+        seed=3,
+    )
+
+    class KillsALinkAt700(FaultModel):
+        def on_cycle(self, now, network):
+            if now == 700:
+                network.find_link(0, 1).dead = True
+
+    class HandGenerator:
+        """``tick`` / ``generated`` only."""
+
+        def __init__(self):
+            self.generated = 0
+
+        def tick(self, engine, now):
+            if now in (5, 400, 900):
+                message = Message(
+                    0, 1, 8, created_at=now, seq=engine.next_seq(0, 1)
+                )
+                if engine.admit(message):
+                    self.generated += 1
+
+    def _run(self, engine_name, generator=None, **overrides):
+        reset_uid_counter()
+        config = SimConfig(engine=engine_name, **{**self.IDLE, **overrides})
+        engine = config.build()
+        sink = repro.ListSink()
+        repro.attach(engine, sink)
+        if generator is not None:
+            engine.generator = generator
+        engine.run(config.measure)
+        assert engine.run_until_drained(config.drain)
+        return engine, [repr(event) for event in sink.events]
+
+    def _assert_identical_and_unskipped(self, inputs):
+        # ``inputs()`` builds fresh kwargs for ``_run``: each engine
+        # consumes its own fault model / generator.
+        _, reference = self._run("reference", **inputs())
+        fast, events = self._run("fast", **inputs())
+        assert events == reference
+        assert any("MessageDelivered" in event for event in events)
+        assert fast.cycles_skipped == 0
+        return fast
+
+    def test_the_same_run_skips_when_its_inputs_say(self):
+        fast, _ = self._run("fast")
+        assert fast.cycles_skipped > 0
+
+    def test_fault_hook_without_next_event(self):
+        fast = self._assert_identical_and_unskipped(
+            lambda: {"fault_model": self.KillsALinkAt700()}
+        )
+        assert fast.network.find_link(0, 1).dead
+
+    def test_unknown_child_turns_skipping_off_for_the_composite(self):
+        self._assert_identical_and_unskipped(lambda: {
+            "fault_model": CompositeFaultModel([
+                PermanentFaultSchedule([ChannelFault(300, 4, 5)]),
+                self.KillsALinkAt700(),
+            ]),
+        })
+
+    def test_hand_assigned_generator_without_skip_state(self):
+        fast = self._assert_identical_and_unskipped(
+            lambda: {"generator": self.HandGenerator()}
+        )
+        assert fast.generator.generated == 3
 
 
 class TestLatePatch:

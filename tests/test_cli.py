@@ -317,6 +317,29 @@ class TestUsageExitCodes:
         assert "unknown workload kind" in err
         assert "mmpp" in err  # the message lists the choices
 
+    @pytest.mark.parametrize("spec, named", [
+        ("mmpp:mean_onn=3", "mean_onn"),
+        ("bernoulli:foo=1", "foo"),
+        ("client-server:foo=1", "foo"),
+        ("incast:bogus=1", "bogus"),
+        ("pareto:alpha=0.5", "alpha"),
+        ("client-server:process=nope", "nope"),
+        ("trace:/no/such/workload.jsonl", "/no/such/workload.jsonl"),
+    ])
+    @pytest.mark.parametrize("argv", [
+        ["run"],
+        ["sweep", "--loads", "0.1"],
+        ["trace"],
+        ["campaign", "run", "fault-matrix"],
+    ], ids=["run", "sweep", "trace", "campaign-run"])
+    def test_bad_workload_parameters_exit_2(self, argv, spec, named,
+                                            capsys):
+        assert cli_main(argv + ["--workload", spec]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert named in err
+
     def test_malformed_cascade_spec_exits_2(self, capsys):
         assert cli_main(
             ["run", "--cascade-faults", "base_hazard"]

@@ -3,12 +3,7 @@
 import pytest
 
 from repro import SimConfig, run_simulation
-from repro.traffic.trace import (
-    Trace,
-    TraceEntry,
-    TraceReplayGenerator,
-    record_trace,
-)
+from repro.traffic.trace import Trace, TraceEntry, record_trace
 
 
 def base_config(**overrides):
@@ -59,6 +54,22 @@ class TestRecord:
         b = record_trace(base_config(seed=2))
         assert a.as_tuples() != b.as_tuples()
 
+    def test_explicit_bernoulli_records_the_default_trace(self):
+        assert record_trace(base_config(workload="bernoulli")).as_tuples() \
+            == record_trace(base_config()).as_tuples()
+
+    @pytest.mark.parametrize(
+        "workload", ["mmpp", "incast:period=32,fanin=4"]
+    )
+    def test_other_workloads_are_refused_not_ignored(self, workload):
+        with pytest.raises(ValueError, match="config.workload"):
+            record_trace(base_config(workload=workload))
+
+    def test_a_config_that_replays_a_trace_is_refused(self):
+        trace = record_trace(base_config())
+        with pytest.raises(ValueError, match="config.trace"):
+            record_trace(base_config(trace=trace))
+
 
 class TestReplay:
     def test_replay_offers_identical_workload_to_both_schemes(self):
@@ -85,9 +96,9 @@ class TestReplay:
 
     def test_exhausted_flag(self):
         trace = Trace([TraceEntry(0, 0, 1, 4)])
-        generator = TraceReplayGenerator(trace)
-        engine = base_config().build()
-        engine.generator = generator
+        engine = base_config(trace=trace).build()
+        generator = engine.generator
+        assert not generator.exhausted
         engine.run(5)
         assert generator.exhausted
         assert generator.replayed == 1

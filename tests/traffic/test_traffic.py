@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro import (
+    BernoulliArrivals,
     BimodalLength,
     BitReversal,
     Complement,
@@ -20,7 +21,6 @@ from repro import (
     torus,
 )
 from repro.topology.hypercube import Hypercube
-from repro.traffic.generator import TrafficGenerator
 
 
 class TestPatterns:
@@ -157,9 +157,9 @@ class TestLoads:
 class TestGenerator:
     def test_message_rate_bounds(self):
         with pytest.raises(ValueError):
-            TrafficGenerator(Uniform(), FixedLength(8), message_rate=1.5)
+            BernoulliArrivals(1.5)
         with pytest.raises(ValueError):
-            TrafficGenerator(Uniform(), FixedLength(8), message_rate=-0.1)
+            BernoulliArrivals(-0.1)
 
     def test_generation_volume_and_stop(self):
         config = SimConfig(
@@ -169,7 +169,8 @@ class TestGenerator:
         engine = config.build()
         engine.run(300)
         created = engine.stats.counters["messages_created"]
-        rate = engine.generator.message_rate
+        (source,) = engine.generator.sources
+        rate = source.process.rate
         expected = rate * 16 * 300
         assert 0.7 * expected < created < 1.3 * expected
         # Generation must stop after warmup+measure.
