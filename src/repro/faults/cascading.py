@@ -46,14 +46,44 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 import random
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .model import FaultModel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..network.buffer import VCBuffer
     from ..network.channel import Channel
     from ..network.network import WormholeNetwork
+
+#: ``LoadDependentFaults`` parameters by the kind of number each must
+#: be; with ``seed``, the keys ``make_cascading`` accepts.
+_INTEGERS = ("check_interval", "boost_cycles", "repair_cycles")
+_RATES = (
+    "base_hazard", "load_gain", "ewma_alpha", "neighbor_boost",
+    "max_dead_fraction",
+)
+PARAMETERS = _RATES + _INTEGERS + ("seed",)
+
+
+def _check_types(given: Dict[str, object]) -> None:
+    """``ValueError`` naming the first parameter of the wrong type
+    (``bool`` is not a number; a rate is a finite real)."""
+    for name in _INTEGERS:
+        value = given[name]
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer (got {value!r})")
+    for name in _RATES:
+        value = given[name]
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)
+        ):
+            raise ValueError(
+                f"{name} must be a finite number (got {value!r})"
+            )
 
 
 class LoadDependentFaults(FaultModel):
@@ -71,6 +101,7 @@ class LoadDependentFaults(FaultModel):
         max_dead_fraction: float = 0.25,
         seed=0,
     ) -> None:
+        _check_types(locals())
         if base_hazard < 0:
             raise ValueError("base_hazard must be >= 0")
         if not 0.0 < ewma_alpha <= 1.0:
@@ -81,6 +112,10 @@ class LoadDependentFaults(FaultModel):
             raise ValueError("neighbor_boost must be >= 1 (it multiplies)")
         if not 0.0 <= max_dead_fraction <= 1.0:
             raise ValueError("max_dead_fraction must be in [0, 1]")
+        if boost_cycles < 0:
+            raise ValueError("boost_cycles must be >= 0")
+        if repair_cycles < 0:
+            raise ValueError("repair_cycles must be >= 0")
         self.base_hazard = base_hazard
         self.load_gain = load_gain
         self.ewma_alpha = ewma_alpha
@@ -96,6 +131,8 @@ class LoadDependentFaults(FaultModel):
         self._channels: List["Channel"] = []
         self._ewma: List[float] = []
         self._capacity: List[int] = []
+        #: each channel's attached sink buffers (its occupancy is theirs).
+        self._sinks: List[List["VCBuffer"]] = []
         #: cycle until which each channel's hazard is boosted (-1 = no).
         self._boost_until: List[int] = []
         #: channel index -> cluster id, for channels we killed.
@@ -136,10 +173,12 @@ class LoadDependentFaults(FaultModel):
         self._channels = list(network.link_channels)
         count = len(self._channels)
         self._ewma = [0.0] * count
-        self._capacity = [
-            sum(sink.depth for sink in channel.sinks if sink is not None)
-            or 1
+        self._sinks = [
+            [sink for sink in channel.sinks if sink is not None]
             for channel in self._channels
+        ]
+        self._capacity = [
+            sum(sink.depth for sink in sinks) or 1 for sinks in self._sinks
         ]
         self._boost_until = [-1] * count
         nodes = range(network.topology.num_nodes)
@@ -176,22 +215,32 @@ class LoadDependentFaults(FaultModel):
         dead_total = sum(
             1 for channel in self._channels if channel.dead
         )
+        # The sweep visits every live channel on every check: lists and
+        # parameters are bound once, and a sink's occupancy is read as
+        # VCBuffer.occupancy computes it.  The arithmetic, its order
+        # and the one draw per live channel are the contract.
+        ewmas, capacity, all_sinks = self._ewma, self._capacity, self._sinks
+        boost_until = self._boost_until
+        base_hazard, load_gain = self.base_hazard, self.load_gain
+        neighbor_boost = self.neighbor_boost
+        check_interval = self.check_interval
+        exp, draw_one = math.exp, self._rng.random
         for index, channel in enumerate(self._channels):
             if channel.dead:
                 continue
-            load = sum(
-                sink.occupancy for sink in channel.sinks
-                if sink is not None
-            ) / self._capacity[index]
-            ewma = self._ewma[index] + alpha * (load - self._ewma[index])
-            self._ewma[index] = ewma
-            hazard = self.base_hazard * math.exp(self.load_gain * ewma)
-            if self._boost_until[index] >= now:
-                hazard *= self.neighbor_boost
-            probability = min(0.5, hazard * self.check_interval)
+            occupied = 0
+            for sink in all_sinks[index]:
+                occupied += len(sink.fifo) + len(sink.incoming)
+            load = occupied / capacity[index]
+            ewma = ewmas[index] + alpha * (load - ewmas[index])
+            ewmas[index] = ewma
+            hazard = base_hazard * exp(load_gain * ewma)
+            if boost_until[index] >= now:
+                hazard *= neighbor_boost
+            probability = min(0.5, hazard * check_interval)
             # Always draw, even when the fault cannot be applied: the
             # draw sequence must not depend on the guard outcomes.
-            draw = self._rng.random()
+            draw = draw_one()
             if probability <= 0.0 or draw >= probability:
                 continue
             if dead_total >= cap or not self._may_kill(channel):
@@ -283,6 +332,17 @@ class LoadDependentFaults(FaultModel):
         )
 
 
+def _from_parameters(kwargs: dict, seed) -> LoadDependentFaults:
+    for key in kwargs:
+        if key not in PARAMETERS:
+            raise ValueError(
+                f"unknown cascade parameter {key!r} "
+                f"(known: {', '.join(PARAMETERS)})"
+            )
+    kwargs.setdefault("seed", seed)
+    return LoadDependentFaults(**kwargs)
+
+
 def make_cascading(value, seed=0) -> LoadDependentFaults:
     """Coerce a config value into a LoadDependentFaults instance.
 
@@ -295,9 +355,7 @@ def make_cascading(value, seed=0) -> LoadDependentFaults:
     if value is True:
         return LoadDependentFaults(seed=seed)
     if isinstance(value, dict):
-        kwargs = dict(value)
-        kwargs.setdefault("seed", seed)
-        return LoadDependentFaults(**kwargs)
+        return _from_parameters(dict(value), seed)
     if isinstance(value, str):
         text = value.strip()
         if text in ("", "cascade", "default"):
@@ -320,8 +378,7 @@ def make_cascading(value, seed=0) -> LoadDependentFaults:
                 except ValueError:
                     parsed = raw
             kwargs[key.strip()] = parsed
-        kwargs.setdefault("seed", seed)
-        return LoadDependentFaults(**kwargs)
+        return _from_parameters(kwargs, seed)
     raise TypeError(
         f"cascade_faults must be an instance, True, dict, or string "
         f"(got {type(value).__name__})"

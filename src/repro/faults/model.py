@@ -3,7 +3,12 @@
 The engine consults the fault model at two points: once per cycle
 (``on_cycle`` -- used to enact scheduled permanent faults) and once per
 link traversal (``corrupt`` -- used to inject transient data errors).
-``next_event`` tells the fast engine which cycles ``on_cycle`` needs.
+Each hook has a question the fast engine asks so that it calls the hook
+only where it can matter: ``next_event`` says which cycles ``on_cycle``
+needs, ``corrupts`` whether ``corrupt`` is anything but the base no-op.
+Both are answered from what a subclass overrides -- override
+``corrupt`` and you are asked; nothing to declare -- and both err
+towards asking: a model that does not say is consulted every time.
 Faults are only applied to router-to-router links; the paper treats the
 processor-side interfaces as part of the (trusted) node.
 """
@@ -72,6 +77,21 @@ class FaultModel(abc.ABC):
         """Return True to corrupt ``flit`` on this traversal."""
         return False
 
+    def corrupts(self) -> bool:
+        """Whether :meth:`corrupt` can ever answer True (or draw).
+
+        ``next_event``'s sibling, for the per-traversal hook: the fast
+        engine asks once per switch phase and, on False, does not call
+        :meth:`corrupt` for that phase's flits.  False only when
+        ``corrupt`` is this class's no-op -- not overridden, not patched
+        on the instance.  Override ``corrupt`` and you are asked;
+        nothing to declare.
+        """
+        return (
+            type(self).corrupt is not FaultModel.corrupt
+            or "corrupt" in vars(self)
+        )
+
 
 class NoFaults(FaultModel):
     """Explicit fault-free model (identical to passing None)."""
@@ -109,3 +129,10 @@ class CompositeFaultModel(FaultModel):
 
     def corrupt(self, flit, channel, rng) -> bool:
         return any(model.corrupt(flit, channel, rng) for model in self.models)
+
+    def corrupts(self) -> bool:
+        return (
+            type(self).corrupt is not CompositeFaultModel.corrupt
+            or "corrupt" in vars(self)
+            or any(model.corrupts() for model in self.models)
+        )

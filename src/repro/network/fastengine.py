@@ -80,13 +80,17 @@ loops' ``_skip`` hook:
   flattened into one loop body.  Deferring the moves is exact:
   arbitration reads only a router's own ``claims`` and ``_rr``, its
   input buffers' ``fifo`` / ``owner`` (and ``owner.phase``) and its
-  own output channels' ``dead`` / ``credits``, and a move writes none
-  of those for a router still to be arbitrated -- flits land in
-  ``sink.incoming`` and credits in ``feeder._pending``, both a channel
-  latency away; ``sink.acquire`` binds a buffer that holds no claim
-  until its header is granted; the upstream ``release_output_if`` pops
-  a claim retired when the tail left that router.  The moves keep the
-  reference's order, and with it every fault draw and bus event.
+  own output channels' ``dead`` / ``credits``, and the reference's
+  move writes none of those for a router still to be arbitrated (it
+  stages flits and credits a channel latency away; ``sink.acquire``
+  binds a buffer that holds no claim until its header is granted; the
+  upstream ``release_output_if`` pops a claim retired when the tail
+  left that router).  The moves keep the reference's order, and with
+  it every fault draw and bus event.  Here all arbitration precedes
+  all moves, so a move may write what arbitration reads: a flit sent
+  over a unit-latency link lands in ``sink.fifo`` at once (*direct
+  landing*), only a header is kept for the next arrival phase, and
+  nothing in between tells ``fifo`` from ``incoming`` (SIMULATOR.md).
 
 Configurations the fast path cannot accelerate faithfully — PCS probe
 circuits, the software-retry reliability layer, or networks built
@@ -410,6 +414,9 @@ class FastEngine(Engine):
         self._gate_headers = False
         #: stall count at which each stalled injector's timeout fires.
         self._stall_limits: Dict["Injector", float] = {}
+        #: the headers, as ``(sink, flit)``, among the flits ``_move`` has
+        #: landed directly since the last arrival phase; None: no flit.
+        self._landed: Optional[List[Tuple["VCBuffer", Flit]]] = None
 
     # ------------------------------------------------------------------
     # Activity bookkeeping
@@ -455,7 +462,8 @@ class FastEngine(Engine):
 
     def _merge_arrivals(self, now: int) -> None:
         items = self._arrival_items
-        if not items:
+        heads, self._landed = self._landed, None
+        if not items and heads is None:
             return
         # One pass: take the set, clear it, and put back only a buffer
         # with a flit still in flight (channel latency > 1).  Survivors
@@ -463,7 +471,7 @@ class FastEngine(Engine):
         # them -- the order that discarding the others would leave.
         buffers = list(items)
         items.clear()
-        landed = False
+        landed = heads is not None
         for buffer in buffers:
             incoming = buffer.incoming
             if len(incoming) == 1:
@@ -483,6 +491,10 @@ class FastEngine(Engine):
                     self._header_landed(buffer, flit, now)
             if buffer.incoming:
                 items[buffer] = None
+        # Directly landed flits arrive now: after the staged ones, as
+        # link sinks stand in the reference's arrival set, in move order.
+        for buffer, flit in heads or ():
+            self._header_landed(buffer, flit, now)
         if landed:
             self.last_progress = now
 
@@ -671,8 +683,11 @@ class FastEngine(Engine):
         buckets = self._credit_buckets
         arrival_items = self._arrival_items
         fault_model = self.fault_model
-        corrupt = None if fault_model is None else fault_model.corrupt
+        # A model that says it never corrupts is not asked per flit.
+        asked = fault_model is not None and fault_model.corrupts()
+        corrupt = fault_model.corrupt if asked else None
         on_header_hop = self.routing.on_header_hop
+        heads, landed = [], False
         for port, vc, buffer, fifo, channel, credits in moves:
             # VCBuffer.pop
             flit = fifo.popleft()
@@ -708,20 +723,31 @@ class FastEngine(Engine):
             channel.flits_carried += 1
             if is_ejection:
                 node_id = buffer.router.node_id
-                self.nodes[node_id].receiver.stage(
-                    flit, now + channel.latency, channel
-                )
+                receiver = self.nodes[node_id].receiver
+                arrival = now + channel.latency
+                if "stage" in receiver.__dict__:
+                    receiver.stage(flit, arrival, channel)
+                else:  # Receiver.stage
+                    receiver.staging.append((arrival, flit, channel))
                 self._active_recv.add(node_id)
             else:
                 sink = channel.sinks[vc]
-                # VCBuffer.stage + Engine.note_arrival
-                sink.incoming.append((now + channel.latency, flit))
-                arrival_items[sink] = None
+                direct = channel.latency == 1
+                if direct:
+                    # Direct landing: where arrival would put the flit.
+                    sink.fifo.append(flit)
+                    landed = True
+                else:
+                    # VCBuffer.stage + Engine.note_arrival
+                    sink.incoming.append((now + channel.latency, flit))
+                    arrival_items[sink] = None
                 if flit.kind is _HEAD:
                     message = flit.message
                     on_header_hop(message, channel)
                     sink.acquire(message, now)
                     message.segments.append(sink)
+                    if direct:
+                        heads.append((sink, flit))
             if flit.is_tail:
                 message = flit.message
                 buffer.release()
@@ -734,6 +760,8 @@ class FastEngine(Engine):
                     buffer.router.release_output(port, vc)
                 else:
                     buffer.router.retire_claim(port, vc)
+        if landed:
+            self._landed = heads
         if moves:
             self.last_progress = now
 
@@ -935,11 +963,17 @@ class FastEngine(Engine):
         stats = self.stats
         checker = self.checker
         buckets = self._credit_buckets
+        # flits_ejected: tallied here, added before every call out of
+        # this body and at its end (as _step_injectors' three counters).
+        ejected = 0
         for node_id in sorted(recv):
             receiver = self.nodes[node_id].receiver
             if "process" in receiver.__dict__:
                 # Instance-patched process (the mutation harness plants
                 # ejection bugs here): dispatch through the patch.
+                if ejected:
+                    stats.on_flits_ejected(ejected)
+                    ejected = 0
                 receiver.process(now)
                 if not receiver.staging:
                     recv.discard(node_id)
@@ -955,7 +989,7 @@ class FastEngine(Engine):
                 else:
                     ready = [e for e in staging if e[0] <= now]
                     receiver.staging = [e for e in staging if e[0] > now]
-                stats.on_flits_ejected(len(ready))
+                ejected += len(ready)
                 for _, flit, channel in ready:
                     # LedgerChannel.return_credit(0, now); _fast_ok
                     # guarantees every channel reports to the ledger.
@@ -975,12 +1009,17 @@ class FastEngine(Engine):
                         or flit.kind is _HEAD
                         or flit.message.phase not in _LIVE_PHASES
                     ):
+                        if ejected:
+                            stats.on_flits_ejected(ejected)
+                            ejected = 0
                         receiver._consume(flit, now)
                 if checker is not None:
                     checker.on_flits_consumed(len(ready))
                 self.last_progress = now
             if not receiver.staging:
                 recv.discard(node_id)
+        if ejected:
+            stats.on_flits_ejected(ejected)
 
     # ------------------------------------------------------------------
     # Event skipping
@@ -1000,6 +1039,7 @@ class FastEngine(Engine):
         if (
             self.kills.dying
             or self._arrival_buffers
+            or self._landed is not None
             or self.route_pending
             or self.in_flight
             or self.injecting

@@ -209,6 +209,18 @@ class TestInputsThatDoNotSay:
             if now == 700:
                 network.find_link(0, 1).dead = True
 
+    class CorruptsOneFlit(FaultModel):
+        """Overrides ``corrupt`` only, and declares nothing: asked on
+        every link traversal, each one a draw from the engine's rng."""
+
+        def corrupt(self, flit, channel, rng):
+            noise = rng.random()
+            message = flit.message
+            return noise >= 0 and (
+                message.uid, message.attempts, flit.index,
+                channel.src_node, channel.dst_node,
+            ) == (2, 1, 3, 0, 1)
+
     class HandGenerator:
         """``tick`` / ``generated`` only."""
 
@@ -268,6 +280,18 @@ class TestInputsThatDoNotSay:
             lambda: {"generator": self.HandGenerator()}
         )
         assert fast.generator.generated == 3
+
+    def test_corrupt_override_that_declares_nothing_is_asked(self):
+        # The third hand-made message loses payload flit 3 on its one
+        # link, first attempt only: FKILLed at the receiver,
+        # retransmitted, delivered.
+        fast = self._assert_identical_and_unskipped(lambda: {
+            "generator": self.HandGenerator(),
+            "fault_model": self.CorruptsOneFlit(),
+        })
+        assert fast.fault_model.corrupts()
+        assert fast.stats.counters["faults_injected"] == 1
+        assert fast.stats.counters["kills_fkill"] == 1
 
 
 class TestLatePatch:

@@ -345,3 +345,24 @@ class TestUsageExitCodes:
             ["run", "--cascade-faults", "base_hazard"]
         ) == 2
         assert "key=value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec, named", [
+        ("load_gain=abc", "load_gain"),
+        ("boost_cycles=abc", "boost_cycles"),
+        ("check_interval=2.5", "check_interval"),
+        ("repair_cycles=1.5", "repair_cycles"),
+        ("foo=1", "'foo'"),
+        ("base_hazard=abc", "base_hazard"),
+    ])
+    def test_bad_cascade_parameters_exit_2(self, spec, named, capsys):
+        # Each of these used to get past the eager check: a traceback
+        # mid-run, a model firing on fractional cycles, or a message
+        # that did not say which parameter.
+        assert cli_main([
+            "run", "--radix", "4", "--measure", "100",
+            "--cascade-faults", spec,
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert named in err
