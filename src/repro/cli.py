@@ -517,25 +517,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _workload_usage_error(args: argparse.Namespace, prog: str):
-    """Validate --workload/--cascade-faults eagerly: misuse exits 2."""
+#: the flags ``SimConfig.build()`` range-checks the values of.
+_CHECKED_FLAGS = (
+    "topology", "radix", "dims", "routing", "num_vcs", "buffer_depth",
+    "num_inject", "num_sink", "message_length", "pattern", "load",
+    "workload", "fault_rate", "permanent_faults", "cascade_faults",
+    "sample_interval",
+)
+
+
+def _config_usage_error(args: argparse.Namespace, prog: str):
+    """Build the configuration the command names (the flags it has,
+    defaults for the rest) eagerly: misuse exits 2."""
+    named = {
+        name: getattr(args, name)
+        for name in _CHECKED_FLAGS
+        if hasattr(args, name)
+    }
     try:
-        if getattr(args, "workload", None) is not None:
-            from .workload import build_workload
-
-            # Kind, parameters and trace file, on the network shape the
-            # command names (the default where it names none).
-            shape = {
-                name: getattr(args, name)
-                for name in ("topology", "radix", "dims")
-                if hasattr(args, name)
-            }
-            config = SimConfig(workload=args.workload, **shape)
-            build_workload(config, config.make_topology())
-        if getattr(args, "cascade_faults", None) is not None:
-            from .faults.cascading import make_cascading
-
-            make_cascading(args.cascade_faults)
+        SimConfig(**named).build()
     except (TypeError, ValueError, OSError) as exc:
         print(f"cr-sim {prog}: {exc}", file=sys.stderr)
         return 2
@@ -577,7 +577,7 @@ def _print_alerts(report: Dict[str, Any]) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    error = _workload_usage_error(args, "run")
+    error = _config_usage_error(args, "run")
     if error is not None:
         return error
     if args.alerts not in (None, True):
@@ -677,7 +677,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from .sim.export import rows_to_csv
     from .sim.sweep import load_sweep
 
-    error = _workload_usage_error(args, "sweep")
+    error = _config_usage_error(args, "sweep")
     if error is not None:
         return error
     loads = [float(v) for v in args.loads.split(",") if v.strip()]
@@ -749,7 +749,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         occupancy_snapshot,
     )
 
-    error = _workload_usage_error(args, "trace")
+    error = _config_usage_error(args, "trace")
     if error is not None:
         return error
     if args.experiment is not None:
@@ -953,7 +953,7 @@ def _resolve_campaign_spec(name: str, scale_name: str):
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
     from .campaign import CampaignPointStatus, CampaignStore, run_campaign
 
-    error = _workload_usage_error(args, "campaign")
+    error = _config_usage_error(args, "campaign")
     if error is not None:
         return error
     scale = "quick" if getattr(args, "quick", False) else args.scale

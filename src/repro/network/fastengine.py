@@ -13,10 +13,10 @@ loops' ``_skip`` hook:
   :class:`LedgerChannel` register every scheduled credit return in a
   shared :class:`CreditLedger` bucketed by due cycle, so each cycle
   ticks only the channels with a credit maturing *now* instead of
-  sweeping every channel in the network.  The ledger also maintains a
-  struct-of-arrays mirror (per-channel pending counts and earliest due
-  cycles, numpy-backed when available) used by the differential
-  equivalence snapshots and the benchmarks.
+  sweeping every channel in the network.  It carries the receivers'
+  ejection credits, the kill wavefront's flushes and every return over
+  a channel of latency > 1; the switch stage's pops over unit-latency
+  channels never enter it (*direct credit return*, below).
 
 * **Activity sets.**  Receivers, injectors, and switch stages are only
   visited for nodes that can actually do something (staged arrivals,
@@ -90,7 +90,12 @@ loops' ``_skip`` hook:
   all moves, so a move may write what arbitration reads: a flit sent
   over a unit-latency link lands in ``sink.fifo`` at once (*direct
   landing*), only a header is kept for the next arrival phase, and
-  nothing in between tells ``fifo`` from ``incoming`` (SIMULATOR.md).
+  nothing in between tells ``fifo`` from ``incoming``; a pop from a
+  buffer fed over one adds its credit to ``feeder.credits`` at once
+  (*direct credit return*): injection and arbitration alone read a
+  spendable count, both are over for this cycle and follow the credit
+  phase that would have released it in the next, and the checker in
+  between reads ``credits + pending`` (SIMULATOR.md).
 
 Configurations the fast path cannot accelerate faithfully — PCS probe
 circuits, the software-retry reliability layer, or networks built
@@ -169,14 +174,9 @@ class CreditLedger:
     ``drain_range(upto)`` settles a skipped span in one call;
     ``forget(upto)`` discards buckets already settled by a reference
     full-sweep step (fallback mode) so they cannot accumulate.
-
-    The hot path keeps nothing but the buckets; the struct-of-arrays
-    view (:meth:`soa`) is materialised on demand for snapshots and
-    benchmarks, never per credit.
     """
 
-    def __init__(self, channels: List[Channel]) -> None:
-        self.channels = list(channels)
+    def __init__(self) -> None:
         self._buckets: Dict[int, List[Channel]] = {}
 
     def register(self, due: int, channel: Channel) -> None:
@@ -223,26 +223,6 @@ class CreditLedger:
         for due in [due for due in self._buckets if due <= upto]:
             del self._buckets[due]
 
-    def soa(self):
-        """Per-channel (pending_count, earliest_due) arrays, on demand.
-
-        numpy int64 arrays when numpy is importable, plain lists
-        otherwise; ``earliest_due`` is -1 for channels with no credit
-        in flight.
-        """
-        counts = [len(ch._pending) for ch in self.channels]
-        earliest = [
-            min(due for due, _ in ch._pending) if ch._pending else -1
-            for ch in self.channels
-        ]
-        np = _numpy()
-        if np is not None:
-            return (
-                np.array(counts, dtype=np.int64),
-                np.array(earliest, dtype=np.int64),
-            )
-        return counts, earliest
-
 
 def channel_state(engine: Engine):
     """A struct-of-arrays snapshot of all channel state for an engine.
@@ -252,7 +232,10 @@ def channel_state(engine: Engine):
     ``(n_channels, max_vcs)`` matrix padded with -1), otherwise nested
     lists.  Two runs are channel-state identical iff the snapshots
     compare equal — the flat form the differential tests diff without
-    walking object graphs.
+    walking object graphs.  The arrays are the reference engine's at
+    every cycle boundary: credits the fast engine's last cycle returned
+    directly, which the reference holds until the coming credit phase,
+    are put back in flight in the copy returned.
     """
     channels = engine._all_channels
     n = len(channels)
@@ -262,6 +245,15 @@ def channel_state(engine: Engine):
     ]
     carried = [ch.flits_carried for ch in channels]
     pending = [len(ch._pending) for ch in channels]
+    due, moves = getattr(engine, "_returned", (None, ()))
+    if due == engine.now:
+        row_of = {ch: row for row, ch in enumerate(channels)}
+        for _, _, buffer, _, _, _ in moves:
+            feeder = buffer.feeder
+            if feeder is not None and feeder.latency == 1:
+                row = row_of[feeder]
+                credits_rows[row][buffer.vc] -= 1
+                pending[row] += 1
     np = _numpy()
     if np is not None:
         return {
@@ -388,7 +380,7 @@ class FastEngine(Engine):
         self.kills = _FastKillManager(self)
         self._table = RoutingTable(self.routing)
         self._eject_cache: Dict[int, List[List[Candidate]]] = {}
-        self.credit_ledger = CreditLedger(self._all_channels)
+        self.credit_ledger = CreditLedger()
         fast_ok = True
         for chan in self._all_channels:
             if isinstance(chan, LedgerChannel):
@@ -417,6 +409,9 @@ class FastEngine(Engine):
         #: the headers, as ``(sink, flit)``, among the flits ``_move`` has
         #: landed directly since the last arrival phase; None: no flit.
         self._landed: Optional[List[Tuple["VCBuffer", Flit]]] = None
+        #: the last inlined ``_move``'s records and the cycle whose credit
+        #: phase would have released the credits it returned directly.
+        self._returned: Tuple[int, List["ClaimRecord"]] = (0, [])
 
     # ------------------------------------------------------------------
     # Activity bookkeeping
@@ -694,14 +689,18 @@ class FastEngine(Engine):
             buffer.last_advance = now
             feeder = buffer.feeder
             if feeder is not None:
-                # LedgerChannel.return_credit
-                due = now + feeder.latency
-                feeder._pending.append((due, buffer.vc))
-                bucket = buckets.get(due)
-                if bucket is None:
-                    buckets[due] = [feeder]
+                if feeder.latency == 1:
+                    # Direct return: what the next credit phase would do.
+                    feeder.credits[buffer.vc] += 1
                 else:
-                    bucket.append(feeder)
+                    # LedgerChannel.return_credit
+                    due = now + feeder.latency
+                    feeder._pending.append((due, buffer.vc))
+                    bucket = buckets.get(due)
+                    if bucket is None:
+                        buckets[due] = [feeder]
+                    else:
+                        bucket.append(feeder)
             is_ejection = channel.is_ejection
             if (
                 corrupt is not None
@@ -762,6 +761,7 @@ class FastEngine(Engine):
                     buffer.router.retire_claim(port, vc)
         if landed:
             self._landed = heads
+        self._returned = (now + 1, moves)
         if moves:
             self.last_progress = now
 

@@ -266,6 +266,32 @@ class TestVerifyCommand:
         assert "credit-loss" in err
 
 
+#: out-of-range network shapes, on every subcommand that has the flag:
+#: (argv, what the one stderr line must name).
+BAD_SHAPES = [
+    (base + [flag, value], named)
+    for base, flags in (
+        (["run"], None),
+        (["sweep", "--loads", "0.1", "--no-cache"],
+         ("--num-vcs", "--message-length", "--radix", "--dims")),
+        (["trace"],
+         ("--message-length", "--radix", "--dims", "--load",
+          "--sample-interval")),
+    )
+    for flag, value, named in (
+        ("--buffer-depth", "0", "buffer_depth"),
+        ("--num-vcs", "0", "VCs"),
+        ("--message-length", "0", "message length"),
+        ("--radix", "1", "radix"),
+        ("--dims", "0", "dims"),
+        ("--num-inject", "0", "injection"),
+        ("--load", "-0.1", "load"),
+        ("--sample-interval", "-5", "sample interval"),
+    )
+    if flags is None or flag in flags
+]
+
+
 class TestUsageExitCodes:
     """Consistency pin: misuse exits 2 with a message on stderr.
 
@@ -365,4 +391,16 @@ class TestUsageExitCodes:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert len(err.splitlines()) == 1
+        assert named in err
+
+    @pytest.mark.parametrize("argv, named", BAD_SHAPES,
+                             ids=[" ".join(argv) for argv, _ in BAD_SHAPES])
+    def test_out_of_range_shape_exits_2(self, argv, named, capsys):
+        # Each of these used to raise ValueError out of SimConfig.build()
+        # inside the command: a traceback and exit 1.
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"cr-sim {argv[0]}: ")
         assert named in err
