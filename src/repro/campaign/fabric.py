@@ -357,6 +357,12 @@ class Worker:
         self.stats.reclaims += reclaimed
         with self._lock:
             self._held.update({lease.point_id: lease for lease in leases})
+        if reclaimed:
+            # Published at once, not with the next beat: a reclaimed
+            # batch can finish inside one heartbeat interval, and the
+            # coordinator settles on the poll that sees the last point
+            # done — its reclaim total must already be on the table.
+            self._beat(store, "running")
         batch_points = [by_id[lease.point_id] for lease in leases]
 
         if self._tracer is not None:

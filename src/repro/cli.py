@@ -35,11 +35,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_engine(p: argparse.ArgumentParser) -> None:
         p.add_argument(
-            "--engine", default="reference",
+            "--engine", default=None,
             choices=["reference", "fast"],
-            help="simulation engine: the reference cycle loop or the "
-                 "flit-identical fast engine with event skipping "
-                 "(see docs/SIMULATOR.md)",
+            help="simulation engine: the fast engine with event "
+                 "skipping or the flit-identical reference cycle loop "
+                 "it is checked against (default: SimConfig's, or the "
+                 "preset's; see docs/SIMULATOR.md)",
         )
 
     def add_serve(p: argparse.ArgumentParser) -> None:
@@ -526,6 +527,12 @@ _CHECKED_FLAGS = (
 )
 
 
+def _engine_override(args: argparse.Namespace) -> Dict[str, str]:
+    """``--engine`` as ``SimConfig`` keywords: absent, it overrides
+    nothing; given, it always does."""
+    return {} if args.engine is None else {"engine": args.engine}
+
+
 def _config_usage_error(args: argparse.Namespace, prog: str):
     """Build the configuration the command names (the flags it has,
     defaults for the rest) eagerly: misuse exits 2."""
@@ -608,12 +615,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         measure=args.measure,
         drain=args.drain,
         seed=args.seed,
-        engine=args.engine,
         verify=args.verify or None,
         profile=args.profile,
         alerts=args.alerts,
         serve=server,
         sample_interval=args.sample_interval,
+        **_engine_override(args),
     )
     try:
         result = run_simulation(config, keep_engine=args.profile)
@@ -693,7 +700,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         measure=args.measure,
         drain=args.drain,
         seed=args.seed,
-        engine=args.engine,
+        **_engine_override(args),
     )
     workers = args.workers if args.workers > 0 else None
     cache = None if args.no_cache else SweepCache(args.cache_dir)
@@ -782,8 +789,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             seed=args.seed,
         )
         title = f"{args.routing} / {args.pattern} / load {args.load}"
-    if args.engine != "reference":
-        config = config.with_(engine=args.engine)
+    config = config.with_(**_engine_override(args))
     if args.workload is not None:
         config = config.with_(workload=args.workload)
         title += f" / workload {args.workload}"

@@ -83,14 +83,10 @@ class FaultModel(abc.ABC):
         ``next_event``'s sibling, for the per-traversal hook: the fast
         engine asks once per switch phase and, on False, does not call
         :meth:`corrupt` for that phase's flits.  False only when
-        ``corrupt`` is this class's no-op -- not overridden, not patched
-        on the instance.  Override ``corrupt`` and you are asked;
-        nothing to declare.
+        ``corrupt`` is this class's no-op.  Override ``corrupt`` and
+        you are asked; nothing to declare.
         """
-        return (
-            type(self).corrupt is not FaultModel.corrupt
-            or "corrupt" in vars(self)
-        )
+        return type(self).corrupt is not FaultModel.corrupt
 
 
 class NoFaults(FaultModel):
@@ -133,6 +129,5 @@ class CompositeFaultModel(FaultModel):
     def corrupts(self) -> bool:
         return (
             type(self).corrupt is not CompositeFaultModel.corrupt
-            or "corrupt" in vars(self)
             or any(model.corrupts() for model in self.models)
         )

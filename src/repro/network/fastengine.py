@@ -1,9 +1,10 @@
-"""Drop-in fast engine: identical protocol behaviour, far fewer cycles.
+"""The fast engine: identical protocol behaviour, far fewer cycles.
 
-``FastEngine`` is a second implementation of :class:`Engine` selected
-via ``SimConfig(engine="fast")``.  It produces *flit-for-flit identical*
-runs — same events, same reports, same RNG draw sequence — by walking
-the reference engine's phase table (``Engine._phase_table``) through
+``FastEngine`` is the product engine, what ``SimConfig.build()`` makes
+unless told ``engine="reference"``; :class:`Engine` is the spec it is
+checked against.  It produces *flit-for-flit identical* runs — same
+events, same reports, same RNG draw sequence — by walking the
+reference engine's phase table (``Engine._phase_table``) through
 the reference engine's loops (``Engine.run`` / ``run_until_drained`` /
 ``step``), with its own callables swapped in for the phases it can
 narrow to where work can exist, and event skipping plugged into the
@@ -97,11 +98,16 @@ loops' ``_skip`` hook:
   phase that would have released it in the next, and the checker in
   between reads ``credits + pending`` (SIMULATOR.md).
 
-Configurations the fast path cannot accelerate faithfully — PCS probe
-circuits, the software-retry reliability layer, or networks built
-without :class:`LedgerChannel` — transparently fall back to the
-reference phase table with skipping off, so ``engine="fast"`` is always
-safe to request.
+The engine has one mode.  What it does not run -- PCS probe circuits,
+an attached software-retry reliability layer, a network built without
+:class:`LedgerChannel` -- it refuses with :class:`FastEngineRefusal`,
+and ``SimConfig.build()`` hands those configurations to the reference
+engine.  Its hot paths are the reference's methods inlined, so a patch
+planted on an engine, injector, receiver or routing *instance* is not
+seen: build ``engine="reference"`` to patch anything (``repro.verify``'s
+mutations are planted there).  Hooks the inlined bodies look up on every
+call -- ``routing.on_header_hop``, an overridden ``fault_model.corrupt``
+-- still are.
 """
 
 from __future__ import annotations
@@ -144,6 +150,16 @@ _BODY = FlitKind.BODY
 _PAD = FlitKind.PAD
 
 
+class FastEngineRefusal(TypeError):
+    """Asked of the fast engine what only the reference engine runs."""
+
+    def __init__(self, what: str) -> None:
+        super().__init__(
+            f'the fast engine does not run {what}: build engine="reference" '
+            f"(SimConfig.build() does, for a configuration that needs it)"
+        )
+
+
 class LedgerChannel(Channel):
     """A channel that reports scheduled credit returns to a ledger.
 
@@ -171,9 +187,7 @@ class CreditLedger:
 
     ``drain(now)`` ticks only the channels holding a credit due at
     ``now`` — the engine never sweeps the full channel list.
-    ``drain_range(upto)`` settles a skipped span in one call;
-    ``forget(upto)`` discards buckets already settled by a reference
-    full-sweep step (fallback mode) so they cannot accumulate.
+    ``drain_range(upto)`` settles a skipped span in one call.
     """
 
     def __init__(self) -> None:
@@ -217,11 +231,6 @@ class CreditLedger:
                 touched[id(channel)] = channel
         for channel in touched.values():
             channel.tick(upto)
-
-    def forget(self, upto: int) -> None:
-        """Drop buckets settled elsewhere (reference full-sweep steps)."""
-        for due in [due for due in self._buckets if due <= upto]:
-            del self._buckets[due]
 
 
 def channel_state(engine: Engine):
@@ -283,38 +292,24 @@ class RoutingTable:
       (the relation then reduces to minimal); with budget remaining it
       reads live channel-death state, so those calls stay live.
 
-    Any other relation — or a routing object whose ``candidates`` has
-    been instance-patched (the mutation harness does this) — is called
-    live every time.  :meth:`resolve` classifies the relation as it
-    stands when called; the engine calls it wherever it builds a phase
-    table, so a patch planted or lifted between runs is honoured and
-    the answer holds for the duration of a call.
+    Any other relation is called live every time.  The relation is
+    classified once, by the class that defines ``candidates``.
     """
 
-    __slots__ = ("routing", "patched", "_kind", "_cache")
+    __slots__ = ("routing", "_kind", "_cache")
 
     def __init__(self, routing) -> None:
         self.routing = routing
-        self._kind = "live"
         self._cache: Dict[tuple, List[List[Candidate]]] = {}
-        self.resolve()
-
-    def resolve(self) -> None:
-        routing = self.routing
-        kind = "live"
-        #: True while ``routing.candidates`` is instance-patched.
-        self.patched = "candidates" in vars(routing)
-        if not self.patched:
-            impl = type(routing).candidates
-            if impl is MisroutingAdaptive.candidates:
-                kind = "misroute"
-            elif impl is MinimalAdaptive.candidates:
-                kind = "minimal"
-            elif impl is DimensionOrder.candidates:
-                kind = "dor"
-        if kind != self._kind:
-            self._kind = kind
-            self._cache.clear()
+        impl = type(routing).candidates
+        if impl is MisroutingAdaptive.candidates:
+            self._kind = "misroute"
+        elif impl is MinimalAdaptive.candidates:
+            self._kind = "minimal"
+        elif impl is DimensionOrder.candidates:
+            self._kind = "dor"
+        else:
+            self._kind = "live"
 
     def candidates(
         self, router: "Router", message: "Message"
@@ -381,15 +376,17 @@ class FastEngine(Engine):
         self._table = RoutingTable(self.routing)
         self._eject_cache: Dict[int, List[List[Candidate]]] = {}
         self.credit_ledger = CreditLedger()
-        fast_ok = True
+        if self.pcs is not None:
+            # Probes create claims outside _grant, where no activity set
+            # sees them.
+            raise FastEngineRefusal("PCS probe circuits")
         for chan in self._all_channels:
-            if isinstance(chan, LedgerChannel):
-                chan.ledger = self.credit_ledger
-            else:
-                fast_ok = False
-        #: True when every channel reports credits to the ledger; the
-        #: fast per-cycle path and event skipping require it.
-        self._fast_ok = fast_ok
+            if not isinstance(chan, LedgerChannel):
+                raise FastEngineRefusal(
+                    f"a network of {type(chan).__name__}s (it ticks "
+                    f"LedgerChannels, through their ledger)"
+                )
+            chan.ledger = self.credit_ledger
         # Direct handles on the ledger buckets and the OrderedSet
         # backing dicts for the inlined transfer/injection pipelines.
         self._credit_buckets = self.credit_ledger._buckets
@@ -402,8 +399,6 @@ class FastEngine(Engine):
         self.cycles_skipped = 0
         #: bumped whenever channel-death state may have changed.
         self._fault_epoch = 0
-        #: blocked headers skip repeat failures (set per phase table).
-        self._gate_headers = False
         #: stall count at which each stalled injector's timeout fires.
         self._stall_limits: Dict["Injector", float] = {}
         #: the headers, as ``(sink, flit)``, among the flits ``_move`` has
@@ -444,11 +439,6 @@ class FastEngine(Engine):
         if admitted:
             self._active_inj.add(message.src)
         return admitted
-
-    def _transfer(self, router, port: int, vc: int, buffer, now: int) -> None:
-        Engine._transfer(self, router, port, vc, buffer, now)
-        if router.out_channels[port].is_ejection:
-            self._active_recv.add(router.node_id)
 
     # ------------------------------------------------------------------
     # Arrivals: inlined single-flit merge (the overwhelmingly common
@@ -519,7 +509,6 @@ class FastEngine(Engine):
         if len(pending) > 1:
             self.rng.shuffle(pending)
         pop = route_items.pop
-        gate = self._gate_headers
         epoch = self._fault_epoch
         for buffer in pending:
             fifo = buffer.fifo
@@ -528,8 +517,8 @@ class FastEngine(Engine):
                 pop(buffer, None)
                 continue
             if buffer.routed:
-                # Already holds an output (a PCS probe reserved it, or
-                # a stale queue entry): nothing to allocate.
+                # Already holds an output (a stale queue entry):
+                # nothing to allocate.
                 pop(buffer, None)
                 continue
             message = head.message
@@ -544,7 +533,7 @@ class FastEngine(Engine):
             # and a failure draws no randomness (selection.pick needs
             # a non-empty free list).
             key = buffer.router.stamp + epoch
-            if gate and buffer.route_fail_key == key:
+            if buffer.route_fail_key == key:
                 continue
             if self._grant(buffer, message):
                 buffer.route_stall_since = None
@@ -593,11 +582,7 @@ class FastEngine(Engine):
     # ------------------------------------------------------------------
 
     def _switch(self, now: int) -> None:
-        if self.pcs is not None:
-            # PCS probes create claims outside _grant; the activity set
-            # cannot see them, so run the reference full sweep.
-            Engine._switch(self, now)
-        elif self._active_switch:
+        if self._active_switch:
             self._move(self._arbitrate(), now)
 
     def _arbitrate(self) -> List["ClaimRecord"]:
@@ -664,17 +649,10 @@ class FastEngine(Engine):
     def _move(self, moves: List["ClaimRecord"], now: int) -> None:
         """Switch traversal: one flit through each arbitrated output.
 
-        ``Engine._transfer`` + ``VCBuffer.pop`` + ``Channel.send`` in
-        one loop body, every branch mirroring the reference methods --
-        legal only while ``_transfer`` is not instance-patched (the
-        mutation harness wraps it to plant credit bugs) and every
-        channel reports to the ledger; otherwise each move goes through
-        ``self._transfer``.  Hoisted lookups are redone on every call.
+        ``Engine._transfer`` + ``VCBuffer.pop`` + ``Channel.send`` +
+        ``Receiver.stage`` in one loop body, every branch mirroring the
+        reference methods.  Hoisted lookups are redone on every call.
         """
-        if not self._fast_ok or "_transfer" in vars(self):
-            for port, vc, buffer, _, _, _ in moves:
-                self._transfer(buffer.router, port, vc, buffer, now)
-            return
         buckets = self._credit_buckets
         arrival_items = self._arrival_items
         fault_model = self.fault_model
@@ -722,12 +700,10 @@ class FastEngine(Engine):
             channel.flits_carried += 1
             if is_ejection:
                 node_id = buffer.router.node_id
-                receiver = self.nodes[node_id].receiver
-                arrival = now + channel.latency
-                if "stage" in receiver.__dict__:
-                    receiver.stage(flit, arrival, channel)
-                else:  # Receiver.stage
-                    receiver.staging.append((arrival, flit, channel))
+                # Receiver.stage
+                self.nodes[node_id].receiver.staging.append(
+                    (now + channel.latency, flit, channel)
+                )
                 self._active_recv.add(node_id)
             else:
                 sink = channel.sinks[vc]
@@ -769,34 +745,21 @@ class FastEngine(Engine):
     # The phase table: reference order, fast implementations
     # ------------------------------------------------------------------
 
-    def _fallback(self) -> bool:
-        """PCS probes, the software-retry layer and non-ledger channels
-        need the reference sweeps (and never skip)."""
-        return (
-            not self._fast_ok
-            or self.pcs is not None
-            or self.reliability is not None
-        )
-
     def _phase_table(self) -> Tuple[Phase, ...]:
+        if self.reliability is not None:
+            # Its retry deadlines fall on cycles no wake protocol
+            # announces, so a skip would jump them.
+            raise FastEngineRefusal("an attached reliability layer")
         self._seed_active()
-        # State planted between runs (a test assigning channel.dead, a
-        # mutation patching a method) must be seen by everything cached
-        # across cycles, and seen the same way for the whole call.
+        # State planted between runs (a test assigning channel.dead)
+        # must be seen by everything cached across cycles.
         self._fault_epoch += 1
         self._stall_limits.clear()
-        self._table.resolve()
-        self._gate_headers = (
-            not self._table.patched and "_grant" not in vars(self)
-        )
-        if self._fallback():
-            swap = {"credit": self._tick_credits_and_forget}
-        else:
-            swap = {
-                "credit": self.credit_ledger.drain,
-                "ejection": self._process_receivers,
-                "injection": self._step_injectors,
-            }
+        swap = {
+            "credit": self.credit_ledger.drain,
+            "ejection": self._process_receivers,
+            "injection": self._step_injectors,
+        }
         return tuple(
             (name, swap.get(name, phase))
             for name, phase in Engine._phase_table(self)
@@ -810,18 +773,14 @@ class FastEngine(Engine):
             self._fault_epoch += 1
         self.fault_model.on_cycle(now, self.network)
 
-    def _stall_limit(self, injector: "Injector", message: "Message"):
+    def _stall_limit(self, message: "Message"):
         """Stall count at which ``_check_timeout`` first does anything.
 
         Fixed for a stall streak (``wire_length`` is set by
         ``begin_attempt``); 0 -- ask every cycle -- unless the policy
-        is one of the two known pure ones and the check is unpatched.
-        (PCS, the third mode that never kills on stall, does not come
-        through ``_step_injectors``.)
+        is one of the two known pure ones.
         """
         protocol = self.protocol
-        if "_check_timeout" in injector.__dict__:
-            return 0
         if (
             protocol.mode is ProtocolMode.PLAIN
             or protocol.path_wide is not None
@@ -831,12 +790,6 @@ class FastEngine(Engine):
         if type(timeout) in (FixedTimeout, LengthScaledTimeout):
             return timeout.threshold(message, self.num_vcs)
         return 0
-
-    def _tick_credits_and_forget(self, now: int) -> None:
-        # The reference sweep just settled every channel, so buckets
-        # up to now would only accumulate.
-        self._tick_credits(now)
-        self.credit_ledger.forget(now)
 
     def _step_injectors(self, now: int) -> None:
         active = self._active_inj
@@ -865,16 +818,7 @@ class FastEngine(Engine):
                 message = injector.current
                 if message is None:
                     continue
-                if "_try_send" in injector.__dict__:
-                    # Instance-patched send (test harnesses): dispatch
-                    # through the patch, exactly like Injector.step.
-                    stalls = sent = pads = flush(stalls, sent, pads)
-                    injector._try_send(now)
-                    if injector.current is not None:
-                        busy = True
-                    continue
-                # Inlined Injector._try_send, non-PCS streaming path
-                # (_step_injectors only runs when self.pcs is None).
+                # Inlined Injector._try_send, non-PCS streaming path.
                 channel = injector.channel
                 vc = injector.vc
                 credits = channel.credits
@@ -899,9 +843,7 @@ class FastEngine(Engine):
                     # out on the first stalled cycle and leave
                     # _check_timeout alone until the streak reaches it.
                     if stall == 1 or injector not in limits:
-                        limits[injector] = self._stall_limit(
-                            injector, message
-                        )
+                        limits[injector] = self._stall_limit(message)
                     if stall >= limits[injector]:
                         stalls = sent = pads = flush(stalls, sent, pads)
                         injector._check_timeout(message, now)
@@ -968,16 +910,6 @@ class FastEngine(Engine):
         ejected = 0
         for node_id in sorted(recv):
             receiver = self.nodes[node_id].receiver
-            if "process" in receiver.__dict__:
-                # Instance-patched process (the mutation harness plants
-                # ejection bugs here): dispatch through the patch.
-                if ejected:
-                    stats.on_flits_ejected(ejected)
-                    ejected = 0
-                receiver.process(now)
-                if not receiver.staging:
-                    recv.discard(node_id)
-                continue
             # Inlined Receiver.process.  Arrival stamps are appended in
             # nondecreasing order, so the common all-ready case is a
             # whole-list take with no rebuild.
@@ -991,8 +923,7 @@ class FastEngine(Engine):
                     receiver.staging = [e for e in staging if e[0] > now]
                 ejected += len(ready)
                 for _, flit, channel in ready:
-                    # LedgerChannel.return_credit(0, now); _fast_ok
-                    # guarantees every channel reports to the ledger.
+                    # LedgerChannel.return_credit(0, now)
                     due = now + channel.latency
                     channel._pending.append((due, 0))
                     bucket = buckets.get(due)
@@ -1029,13 +960,10 @@ class FastEngine(Engine):
         """Skip to the next cycle where anything can happen.
 
         Returns the number of cycles elided (0 when the network is not
-        quiescent, a cap lands on the current cycle, or the
-        configuration requires the reference fallback).  Every phase of
+        quiescent or a cap lands on the current cycle).  Every phase of
         a skipped reference cycle is provably a no-op that draws no
         randomness; see the individual conditions.
         """
-        if self._fallback():
-            return 0
         if (
             self.kills.dying
             or self._arrival_buffers

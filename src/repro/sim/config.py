@@ -131,11 +131,13 @@ class SimConfig:
     queue_cap: int = 64
     watchdog: int = 20000
     # --- engine implementation -----------------------------------------
-    # "reference" runs the plain per-cycle Engine; "fast" runs
-    # repro.network.fastengine.FastEngine (batched credits, memoised
-    # routing relations, event skipping) — flit-for-flit identical
-    # output, selected purely for speed.
-    engine: str = "reference"
+    # "fast" runs repro.network.fastengine.FastEngine (batched credits,
+    # memoised routing relations, event skipping); "reference" runs the
+    # plain per-cycle Engine, the spec the fast one is checked against
+    # -- flit-for-flit identical output.  build() hands the reference
+    # engine what only it runs (PCS, software_retry, a verify mutation)
+    # whatever this says.
+    engine: str = "fast"
     # --- observability -------------------------------------------------
     # When set, build() attaches a repro.obs.IntervalSampler collecting
     # time-series metrics every N cycles; run_simulation() then reports
@@ -214,15 +216,26 @@ class SimConfig:
                 f"unknown engine {self.engine!r}; "
                 "choose 'reference' or 'fast'"
             )
-        channel_factory = None
-        engine_cls = Engine
-        if self.engine == "fast":
-            from ..network.fastengine import FastEngine, LedgerChannel
-
-            engine_cls = FastEngine
-            channel_factory = LedgerChannel
         topology = self.make_topology()
         routing, mode = self.make_routing(topology)
+        verify_config = None
+        if self.verify is not None and self.verify is not False:
+            from ..verify import VerifyConfig
+
+            verify_config = VerifyConfig.coerce(self.verify)
+        # The one place an engine class is chosen.  PCS probe circuits,
+        # the software ack/retry layer (the foils of E20 and E18) and
+        # instance-patched methods (a planted mutation) are the
+        # reference engine's alone; everything else honours ``engine``.
+        engine_cls, channel_factory = Engine, None
+        if self.engine == "fast" and not (
+            mode is ProtocolMode.PCS
+            or self.software_retry
+            or getattr(verify_config, "mutation", None) is not None
+        ):
+            from ..network.fastengine import FastEngine, LedgerChannel
+
+            engine_cls, channel_factory = FastEngine, LedgerChannel
         num_vcs = self.resolved_num_vcs(routing)
         network = WormholeNetwork(
             topology,
@@ -326,14 +339,9 @@ class SimConfig:
             engine.sampler.listeners.append(engine.telemetry)
             # Publish the cycle-0 state so scrapes work immediately.
             engine.telemetry.publish(engine)
-        if self.verify is not None and self.verify is not False:
-            from ..verify import (
-                InvariantChecker,
-                VerifyConfig,
-                apply_mutation,
-            )
+        if verify_config is not None:
+            from ..verify import InvariantChecker, apply_mutation
 
-            verify_config = VerifyConfig.coerce(self.verify)
             engine.checker = InvariantChecker(engine, verify_config)
             if verify_config.mutation is not None:
                 apply_mutation(engine, verify_config.mutation)

@@ -8,8 +8,10 @@ registered mutation is caught by at least one invariant while the
 unmutated simulator passes them all (``tests/verify/test_mutations.py``).
 
 Mutations are applied *per engine instance* at build time (enable one
-via ``SimConfig(verify=VerifyConfig(mutation="..."))``), by wrapping
-bound methods of the non-slotted protocol objects (engine, kill
+via ``SimConfig(verify=VerifyConfig(mutation="..."))``, which builds
+the reference engine whatever ``engine`` says: the fast engine inlines
+the methods patched here and is refused), by wrapping bound methods of
+the non-slotted protocol objects (engine, kill
 manager, injectors, receivers, routing) or by perturbing channel state
 directly -- ``Channel`` and ``VCBuffer`` use ``__slots__``, so faults
 against them are injected at the data level.
@@ -24,6 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List
+
+from ..network.fastengine import FastEngine, FastEngineRefusal
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..network.engine import Engine
@@ -62,7 +66,8 @@ def mutation_names() -> List[str]:
 
 
 def apply_mutation(engine: "Engine", name: str) -> None:
-    """Plant the named bug into ``engine`` (raises on unknown names)."""
+    """Plant the named bug into ``engine`` (raises on unknown names,
+    and on a fast engine, whose inlined paths would bypass the patch)."""
     try:
         mutation = MUTATIONS[name]
     except KeyError:
@@ -70,6 +75,8 @@ def apply_mutation(engine: "Engine", name: str) -> None:
         raise ValueError(
             f"unknown mutation {name!r}; choose from {known}"
         ) from None
+    if isinstance(engine, FastEngine):
+        raise FastEngineRefusal("instance-patched methods (a mutation)")
     mutation.apply(engine)
 
 

@@ -126,6 +126,23 @@ class TestWorker:
         assert worker.stats.complete
         assert worker.stats.ran == 0  # everything already settled
 
+    def test_reclaim_is_published_before_the_batch_runs(self, spec, db):
+        """A takeover is on the worker's row by the time its first
+        point settles, not a heartbeat interval (here 20 s) later: the
+        coordinator's settling poll must count it."""
+        with CampaignStore(db) as store:
+            store.register(spec)
+            candidates = point_candidates(list(spec.points()))
+            store.acquire_leases(spec.name, "ghost", candidates[:1],
+                                 limit=1, ttl=1.0, now=0.0)
+            published = []
+            run_worker(
+                spec, db, worker_id="w1", batch=4, ttl=60.0,
+                progress=lambda status: published.append(sum(
+                    row["reclaims"] for row in store.workers(spec.name))),
+            )
+        assert published == [1, 1, 1, 1]
+
     def test_default_worker_id_embeds_pid(self):
         assert default_worker_id().endswith(str(__import__("os").getpid()))
 

@@ -213,15 +213,6 @@ class TestCorrupts:
             [CompositeFaultModel([self.OnlyCorrupt()])]
         ).corrupts()
 
-    @pytest.mark.parametrize("model", [
-        NoFaults, lambda: CompositeFaultModel([NoFaults()]),
-    ], ids=["plain", "composite"])
-    def test_an_instance_patch_is_asked(self, model):
-        model = model()
-        assert not model.corrupts()
-        model.corrupt = lambda flit, channel, rng: True
-        assert model.corrupts()
-
 
 class TestCascadeParameters:
     """Type and range of every parameter, checked where the model is

@@ -140,8 +140,7 @@ class _CheckedFastEngine(FastEngine):
     def _gate_would_skip(self, buffer) -> bool:
         head = buffer.fifo[0] if buffer.fifo else None
         return (
-            self._gate_headers
-            and head is not None
+            head is not None
             and head.kind is FlitKind.HEAD
             and not buffer.routed
             and head.message.phase in _LIVE_PHASES

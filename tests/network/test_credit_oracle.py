@@ -133,12 +133,9 @@ def _build(config: SimConfig, engine_name: str, observed: bool = True):
     return engine
 
 
-def _observe(config, engine_name, cycles, drain, between=None):
+def _observe(config, engine_name, cycles, drain):
     engine = _build(config, engine_name)
     engine.run(cycles)
-    if between is not None:
-        between(engine)
-        engine.run(cycles)
     engine.run_until_drained(drain)
     return engine
 
@@ -190,15 +187,14 @@ def assert_direct(reference, fast, cycles):
     assert any(reference.staged[now] for now in quiet)
 
 
-def assert_credits_identical(config, cycles=500, drain=4000, between=None):
+def assert_credits_identical(config, cycles=500, drain=4000):
     """Run both engines; compare what every credit and switch phase
-    left.  ``between(engine)`` runs after ``cycles`` cycles, before as
-    many again.  Returns ``(reference, fast)``."""
-    reference = _observe(config, "reference", cycles, drain, between)
-    fast = _observe(config, "fast", cycles, drain, between)
+    left.  Returns ``(reference, fast)``."""
+    reference = _observe(config, "reference", cycles, drain)
+    fast = _observe(config, "fast", cycles, drain)
     assert_records_identical(reference, fast)
     assert dict(fast.stats.counters) == dict(reference.stats.counters)
-    if config.channel_latency == 1 and between is None:
+    if config.channel_latency == 1:
         assert_direct(reference, fast, list(fast.staged))
     return reference, fast
 
@@ -265,40 +261,6 @@ class TestCreditsPhaseByPhase:
         assert_credits_identical(SimConfig(
             routing="cr", num_inject=2, num_vcs=4, load=0.6, **SMALL
         ))
-
-    def test_software_retry_returns_directly_too(self):
-        # The reliability layer selects the reference's full credit
-        # sweep, which finds the direct returns already in.
-        _, fast = assert_credits_identical(SimConfig(
-            routing="dor", software_retry=True, num_vcs=2, load=0.3,
-            fault_rate=5e-4, **SMALL,
-        ))
-        assert fast._fallback()
-
-    def test_transfer_patch_between_runs_flips_the_mode(self):
-        # The last cycle of the first run() returned its credits
-        # directly; the second starts with every move going through the
-        # patched _transfer, whose pops stage theirs.
-        def plant(engine):
-            real = engine._transfer
-            engine.transfers = []
-
-            def counting(router, port, vc, buffer, now):
-                engine.transfers.append((now, router.node_id, port, vc))
-                real(router, port, vc, buffer, now)
-
-            engine._transfer = counting
-
-        reference, fast = assert_credits_identical(SimConfig(
-            routing="cr", num_vcs=2, load=0.5, **SMALL
-        ), cycles=150, between=plant)
-        assert fast.transfers == reference.transfers
-        assert len(reference.transfers) > 1000
-        assert_direct(reference, fast, range(150))
-        assert reference.staged[149]
-        for now in range(150, 300):
-            assert fast.staged[now] == reference.staged[now]
-            assert fast.staged[now]
 
 
 def _snapshot(engine):

@@ -16,9 +16,16 @@ import pytest
 
 import repro
 
+from repro.core.swretry import SoftwareReliability
 from repro.faults.model import CompositeFaultModel, FaultModel
 from repro.faults.permanent import ChannelFault, PermanentFaultSchedule
-from repro.network.fastengine import FastEngine
+from repro.network.channel import Channel
+from repro.network.engine import Engine
+from repro.network.fastengine import (
+    FastEngine,
+    FastEngineRefusal,
+    LedgerChannel,
+)
 from repro.network.message import Message, reset_uid_counter
 from repro.obs.tracing import run_traced
 from repro.routing.dor import DimensionOrder
@@ -26,6 +33,8 @@ from repro.routing.misrouting import MisroutingAdaptive
 from repro.sim.config import SimConfig
 from repro.verify import (
     ENGINE_EQUIVALENCE_PRESETS,
+    VerifyConfig,
+    apply_mutation,
     assert_engines_equivalent,
     engine_equivalence_presets,
     iter_fuzz_equivalence_configs,
@@ -64,21 +73,19 @@ class TestFuzzCorpusEquivalence:
 
 class TestTargetedEquivalence:
     def test_pcs_falls_back_and_stays_identical(self):
-        # PCS uses the reference stepping path inside FastEngine; the
-        # outputs must still match exactly.
-        assert_engines_equivalent(
-            SimConfig(routing="pcs", num_vcs=2, **SMALL),
-            label="pcs",
-        )
+        # build() falls back: PCS is the reference engine's, so asking
+        # for "fast" gets Engine, and trivially the same run.
+        config = SimConfig(routing="pcs", num_vcs=2, **SMALL)
+        assert type(config.with_(engine="fast").build()) is Engine
+        assert_engines_equivalent(config, label="pcs")
 
     def test_swretry_falls_back_and_stays_identical(self):
-        assert_engines_equivalent(
-            SimConfig(
-                routing="dor", software_retry=True, num_vcs=2,
-                fault_rate=5e-4, **SMALL
-            ),
-            label="swretry",
+        config = SimConfig(
+            routing="dor", software_retry=True, num_vcs=2,
+            fault_rate=5e-4, **SMALL
         )
+        assert type(config.with_(engine="fast").build()) is Engine
+        assert_engines_equivalent(config, label="swretry")
 
     def test_faulty_run_is_identical(self):
         assert_engines_equivalent(
@@ -184,8 +191,92 @@ class TestEngineBehaviour:
         with pytest.raises(ValueError, match="unknown engine"):
             SimConfig(engine="bogus", **SMALL).build()
 
-    def test_reference_engine_is_the_default(self):
-        assert SimConfig(**SMALL).engine == "reference"
+    def test_fast_engine_is_the_default(self):
+        assert SimConfig().engine == "fast"
+        assert type(SimConfig(**SMALL).build()) is FastEngine
+
+
+class TestEngineSelection:
+    """``build()`` picks the class, from the config alone: what only
+    the reference engine runs gets it whatever ``engine`` says."""
+
+    BUILT = {
+        "fast": (FastEngine, LedgerChannel),
+        "reference": (Engine, Channel),
+    }
+
+    @pytest.mark.parametrize("engine,routing,software_retry,mutation,built", [
+        ("fast", "cr", False, None, "fast"),
+        ("fast", "fcr", False, None, "fast"),
+        ("fast", "dor", False, None, "fast"),
+        ("fast", "drop", False, None, "fast"),
+        ("fast", "pcs", False, None, "reference"),
+        ("fast", "dor", True, None, "reference"),
+        ("fast", "cr", False, "credit-loss", "reference"),
+        ("fast", "dor", True, "credit-loss", "reference"),
+        ("reference", "cr", False, None, "reference"),
+        ("reference", "pcs", False, None, "reference"),
+        ("reference", "dor", True, None, "reference"),
+        ("reference", "cr", False, "credit-loss", "reference"),
+    ])
+    def test_build_selects_the_class(
+        self, engine, routing, software_retry, mutation, built
+    ):
+        # The checker alone (mutation None) rides either engine.
+        engine = SimConfig(
+            engine=engine, routing=routing, software_retry=software_retry,
+            verify=VerifyConfig(mutation=mutation), num_vcs=2, **SMALL,
+        ).build()
+        engine_cls, channel_cls = self.BUILT[built]
+        assert type(engine) is engine_cls
+        assert {type(ch) for ch in engine._all_channels} == {channel_cls}
+        assert engine.checker is not None
+        assert (engine.reliability is not None) == software_retry
+        assert (engine.pcs is not None) == (routing == "pcs")
+
+
+class TestRefusals:
+    """What the fast engine does not run it refuses, early, naming the
+    engine that does -- it has no second mode to change into."""
+
+    @staticmethod
+    def _parts(engine_name, routing="dor"):
+        """The network and protocol ``build()`` would hand ``engine_name``."""
+        built = SimConfig(
+            engine=engine_name, routing=routing, num_vcs=2, **SMALL
+        ).build()
+        return built.network, built.protocol
+
+    def test_pcs_protocol_is_refused_at_construction(self):
+        _, pcs = self._parts("reference", routing="pcs")
+        network, _ = self._parts("fast")
+        with pytest.raises(FastEngineRefusal, match='engine="reference"'):
+            FastEngine(network, protocol=pcs)
+
+    def test_plain_channels_are_refused_at_construction(self):
+        network, protocol = self._parts("reference")
+        with pytest.raises(FastEngineRefusal, match='engine="reference"'):
+            FastEngine(network, protocol=protocol)
+
+    def test_attached_reliability_layer_is_refused_before_a_cycle(self):
+        engine = SimConfig(routing="dor", num_vcs=2, **SMALL).build()
+        assert type(engine) is FastEngine
+        SoftwareReliability().attach(engine)
+        for drive in (
+            lambda: engine.run(10),
+            lambda: engine.run_until_drained(10),
+            engine.step,
+        ):
+            with pytest.raises(FastEngineRefusal, match='engine="reference"'):
+                drive()
+        assert engine.now == 0
+        assert not engine.stats.counters
+
+    def test_a_mutation_is_not_planted_on_a_fast_engine(self):
+        engine = SimConfig(routing="cr", **SMALL).build()
+        with pytest.raises(TypeError, match='engine="reference"'):
+            apply_mutation(engine, "credit-loss")
+        assert "_transfer" not in vars(engine)
 
 
 class TestInputsThatDoNotSay:
@@ -295,34 +386,11 @@ class TestInputsThatDoNotSay:
 
 
 class TestLatePatch:
-    """A patch planted between two run() calls is honoured by both."""
-
-    @staticmethod
-    def _candidates_calls(engine_name):
-        reset_uid_counter()
-        engine = SimConfig(
-            radix=4, dims=2, routing="cr", load=0.3, seed=3,
-            engine=engine_name,
-        ).build()
-        engine.run(100)
-        calls = []
-        real = engine.routing.candidates
-
-        def counting(router, message):
-            calls.append((engine.now, router.node_id, message.uid))
-            return real(router, message)
-
-        engine.routing.candidates = counting
-        engine.run(100)
-        return calls
-
-    def test_candidates_patch_between_runs_sees_every_call(self):
-        # The routing memo used to classify the relation once, at the
-        # first lookup, and then served memo hits past a later patch.
-        reference = self._candidates_calls("reference")
-        fast = self._candidates_calls("fast")
-        assert reference, "no header was routed: the case tests nothing"
-        assert fast == reference
+    """The hooks the inlined move looks up per call -- a routing
+    object's ``on_header_hop``, a fault model's overridden ``corrupt`` --
+    are honoured when patched between two run() calls, in the
+    reference's order.  (Methods the fast engine inlines are not: patch
+    those on ``engine="reference"``.)"""
 
     # The switch stage arbitrates every port first and moves the flits
     # afterwards; what it hoists out of the move loop it must look up
@@ -330,49 +398,16 @@ class TestLatePatch:
     # call here.
 
     @staticmethod
-    def _faulty_engine(engine_name):
+    def _hook_calls(engine_name):
         reset_uid_counter()
         engine = SimConfig(
             radix=4, dims=2, routing="fcr", num_vcs=2, message_length=8,
             load=0.4, fault_rate=2e-3, seed=11, engine=engine_name,
         ).build()
         engine.run(100)
-        return engine
-
-    def _transfer_calls(self, engine_name):
-        engine = self._faulty_engine(engine_name)
-        calls = []
-        real = engine._transfer
-
-        def counting(router, port, vc, buffer, now):
-            calls.append(("transfer", router.node_id, port, vc, now))
-            real(router, port, vc, buffer, now)
-
-        engine._transfer = counting
-        engine.run(150)
-        return calls
-
-    def test_transfer_patch_between_runs_sees_every_move_in_order(self):
-        # The per-move fallback of FastEngine._move.
-        reference = self._transfer_calls("reference")
-        fast = self._transfer_calls("fast")
-        assert len(reference) > 1000
-        assert fast == reference
-
-    def _hook_calls(self, engine_name):
-        engine = self._faulty_engine(engine_name)
         calls = []
         routing, faults = engine.routing, engine.fault_model
-        receiver = engine.nodes[5].receiver
-        hop, corrupt, stage = (
-            routing.on_header_hop, faults.corrupt, receiver.stage
-        )
-
-        def record(name, channel, flit, now):
-            calls.append((
-                name, channel.src_node, channel.src_port,
-                flit.message.uid, flit.index, now,
-            ))
+        hop, corrupt = routing.on_header_hop, faults.corrupt
 
         def counting_hop(message, channel):
             calls.append((
@@ -382,24 +417,21 @@ class TestLatePatch:
             hop(message, channel)
 
         def counting_corrupt(flit, channel, rng):
-            record("corrupt", channel, flit, engine.now)
+            calls.append((
+                "corrupt", channel.src_node, channel.src_port,
+                flit.message.uid, flit.index, engine.now,
+            ))
             return corrupt(flit, channel, rng)
-
-        def counting_stage(flit, arrival, channel):
-            record("stage", channel, flit, arrival)
-            stage(flit, arrival, channel)
 
         routing.on_header_hop = counting_hop
         faults.corrupt = counting_corrupt
-        receiver.stage = counting_stage
         engine.run(150)
-        assert "_transfer" not in vars(engine)
         return calls
 
     def test_hooks_inside_the_inlined_move_keep_their_order(self):
         reference = self._hook_calls("reference")
         fast = self._hook_calls("fast")
-        assert {name for name, *_ in reference} == {"hop", "corrupt", "stage"}
+        assert {name for name, *_ in reference} == {"hop", "corrupt"}
         assert fast == reference
 
 

@@ -132,12 +132,9 @@ def _build(config: SimConfig, engine_name: str):
     return engine
 
 
-def _observe(config, engine_name, cycles, drain, between=None):
+def _observe(config, engine_name, cycles, drain):
     engine = _build(config, engine_name)
     engine.run(cycles)
-    if between is not None:
-        between(engine)
-        engine.run(cycles)
     engine.run_until_drained(drain)
     return engine
 
@@ -165,12 +162,11 @@ def assert_records_identical(reference, fast):
     assert fast.now == reference.now
 
 
-def assert_landing_identical(config, cycles=500, drain=4000, between=None):
+def assert_landing_identical(config, cycles=500, drain=4000):
     """Run both engines; compare what every arrival and switch phase
-    left.  ``between(engine)`` runs after ``cycles`` cycles, before as
-    many again.  Returns ``(reference, fast)``."""
-    reference = _observe(config, "reference", cycles, drain, between)
-    fast = _observe(config, "fast", cycles, drain, between)
+    left.  Returns ``(reference, fast)``."""
+    reference = _observe(config, "reference", cycles, drain)
+    fast = _observe(config, "fast", cycles, drain)
     assert_records_identical(reference, fast)
     assert dict(fast.stats.counters) == dict(reference.stats.counters)
     assert any(
@@ -178,7 +174,7 @@ def assert_landing_identical(config, cycles=500, drain=4000, between=None):
         for state in fast.seen["arrival"].values()
     ), "route_pending never held two headers: its order went untested"
     assert any(reference.staged.values())
-    if config.channel_latency == 1 and between is None:
+    if config.channel_latency == 1:
         for now, sinks in fast.staged.items():
             assert not sinks, (
                 f"t={now}: unit-latency link sinks {sinks} hold a flit "
@@ -231,40 +227,6 @@ class TestLandingPhaseByPhase:
         assert_landing_identical(SimConfig(
             routing="cr", num_vcs=2, buffer_depth=1, load=0.5, **SMALL
         ))
-
-    def test_software_retry_runs_the_inlined_move(self):
-        # The reliability layer selects the reference table for every
-        # phase but switch, which still goes through _move.
-        _, fast = assert_landing_identical(SimConfig(
-            routing="dor", software_retry=True, num_vcs=2, load=0.3,
-            fault_rate=5e-4, **SMALL,
-        ))
-        assert fast._fallback()
-
-    def test_transfer_patch_between_runs_flips_the_mode(self):
-        # Flits landed directly by the last cycle of the first run()
-        # are still owed their arrival phase when the second one starts
-        # with every move going through the patched _transfer.
-        def plant(engine):
-            real = engine._transfer
-            engine.transfers = []
-
-            def counting(router, port, vc, buffer, now):
-                engine.transfers.append((now, router.node_id, port, vc))
-                real(router, port, vc, buffer, now)
-
-            engine._transfer = counting
-
-        reference, fast = assert_landing_identical(SimConfig(
-            routing="cr", num_vcs=2, load=0.5, **SMALL
-        ), cycles=150, between=plant)
-        assert fast.transfers == reference.transfers
-        assert len(reference.transfers) > 1000
-        # Direct up to the patch (and its last cycle did land flits),
-        # staged from it on.
-        assert not any(fast.staged[now] for now in range(150))
-        assert fast.seen["switch"][149] != fast.seen["switch"][148]
-        assert all(fast.staged[now] for now in range(150, 300))
 
     def test_the_watchdog_fires_on_the_same_cycle(self):
         # Plain wormhole with naive adaptive routing wedges; the last

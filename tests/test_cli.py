@@ -98,6 +98,49 @@ class TestRunCommand:
         assert "routing" in out and "switch" in out
 
 
+class TestEngineFlag:
+    """``--engine`` has no default of its own: absent, the run gets what
+    ``SimConfig`` (or the preset) says; given, it always overrides."""
+
+    SIZE = ["--radix", "4", "--message-length", "8"]
+    PHASES = ["--warmup", "20", "--measure", "100", "--drain", "1500"]
+    COMMANDS = {
+        "run": ["run", "--routing", "cr", "--load", "0.1"] + SIZE + PHASES,
+        "sweep": ["sweep", "--routing", "dor", "--loads", "0.1",
+                  "--no-cache"] + SIZE + PHASES,
+        "trace": ["trace", "--routing", "cr", "--load", "0.2",
+                  "--cycles", "100"] + SIZE,
+        "trace-preset": ["trace", "e01", "--seed", "1"],
+    }
+
+    @pytest.mark.parametrize("flag, expected", [
+        (None, "FastEngine"), ("fast", "FastEngine"), ("reference", "Engine"),
+    ], ids=["absent", "fast", "reference"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_the_run_gets_the_engine_named(
+        self, command, flag, expected, tmp_path, monkeypatch, capsys
+    ):
+        from repro import SimConfig
+
+        built = []
+        build = SimConfig.build
+
+        def recording(config):
+            engine = build(config)
+            built.append(type(engine).__name__)
+            return engine
+
+        monkeypatch.setattr(SimConfig, "build", recording)
+        monkeypatch.chdir(tmp_path)  # a preset writes under results/
+        args = self.COMMANDS[command]
+        if flag is not None:
+            args = args + ["--engine", flag]
+        assert cli_main(args) == 0
+        # The eager usage check builds the flags' configuration first;
+        # the engine that ran is the last one built.
+        assert built[-1] == expected
+
+
 class TestSweepCommand:
     ARGS = [
         "sweep", "--routing", "dor", "--radix", "4",
