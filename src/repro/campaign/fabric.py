@@ -50,6 +50,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
+from ..obs import open_telemetry
 from ..obs.log import StructuredLogger, campaign_log_path
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import (
@@ -63,7 +64,12 @@ from ..obs.trace import (
     tracing_armed,
 )
 from ..sim.parallel import PointFailure, run_reports
-from .monitor import STALE_AFTER, status_path, write_status
+from .monitor import (
+    STALE_AFTER,
+    build_info_gauge,
+    publish_heartbeat,
+    status_path,
+)
 from .runner import (
     CampaignProgress,
     CampaignRunStats,
@@ -460,19 +466,9 @@ class Worker:
 
     def _settled(self, store: CampaignStore,
                  expected: Dict[str, Optional[str]]) -> bool:
-        states = store.result_states(self.campaign)
-        for point_id, expected_hash in expected.items():
-            state = states.get(point_id)
-            if state is None:
-                return False
-            if (state["status"] == "ok"
-                    and state["config_hash"] == expected_hash):
-                continue
-            if (state["status"] == "failed"
-                    and state["attempts"] >= self.max_attempts):
-                continue
-            return False
-        return True
+        outcomes = store.settlement(self.campaign, expected,
+                                    self.max_attempts)
+        return len(outcomes) == len(expected)
 
 
 # ----------------------------------------------------------------------
@@ -602,16 +598,7 @@ class Coordinator:
         self._c_reclaims = self.registry.counter(
             "lease_reclaims_total",
             "Expired leases taken over from dead workers.")
-        from .. import __version__
-        from .store import STORE_SCHEMA_VERSION
-
-        self.registry.gauge(
-            "build_info",
-            "Constant 1; the labels attribute scrapes to a repro "
-            "version and campaign store schema.",
-            labels={"version": __version__,
-                    "schema": str(STORE_SCHEMA_VERSION)},
-        ).set(1)
+        build_info_gauge(self.registry)
 
     def traceparent(self) -> Optional[str]:
         """The root span's W3C traceparent (spawned workers join it)."""
@@ -624,21 +611,11 @@ class Coordinator:
     def poll(self, state: str = "running") -> Dict[str, Any]:
         """Read the store once; write + publish the aggregated heartbeat."""
         now = time.time()
-        states = self.store.result_states(self.spec.name)
-        ok = failed = 0
-        failures: List[str] = []
-        for point_id, expected_hash in self.expected.items():
-            stored = states.get(point_id)
-            if stored is None:
-                continue
-            if (stored["status"] == "ok"
-                    and stored["config_hash"] == expected_hash):
-                ok += 1
-            elif (stored["status"] == "failed"
-                    and stored["attempts"] >= self.max_attempts):
-                failed += 1
-                failures.append(point_id)
-        done = ok + failed
+        outcomes = self.store.settlement(self.spec.name, self.expected,
+                                         self.max_attempts)
+        failures = [point_id for point_id, outcome in outcomes.items()
+                    if outcome == "failed"]
+        done, failed = len(outcomes), len(failures)
 
         leases = self.store.leases(self.spec.name, now=now)
         held = sum(1 for lease in leases if lease["live"])
@@ -724,30 +701,15 @@ class Coordinator:
             },
             "metrics": self.registry.snapshot(),
         }
-        if self.path is not None:
-            write_status(self.path, status)
-        if self.server is not None:
-            from .. import __version__
-
-            metrics_text = self.registry.prometheus_text()
-            if self.trace_registry is not None:
-                # Two registries, one scrape: cr_fabric_* gauges plus
-                # the cr_trace_spans_total / cr_log_records_total
-                # counters (valid Prometheus text concatenates).
-                metrics_text += self.trace_registry.prometheus_text()
-            self.server.publish(
-                metrics_text=metrics_text,
-                health={
-                    "status": ("ok" if status["state"] == "running"
-                               else status["state"]),
-                    "campaign": self.spec.name,
-                    "done": done,
-                    "total": self.total,
-                    "workers_live": live_workers,
-                    "version": __version__,
-                },
-                status=status,
-            )
+        # Two registries, one scrape: cr_fabric_* gauges plus the
+        # cr_trace_spans_total / cr_log_records_total counters.
+        registries = [self.registry]
+        if self.trace_registry is not None:
+            registries.append(self.trace_registry)
+        publish_heartbeat(
+            status, self.path, self.server, registries,
+            health={"workers_live": live_workers},
+        )
         if self.on_poll is not None:
             self.on_poll(status)
         self._last_status = status
@@ -927,14 +889,7 @@ def run_fabric(
     still terminates the children.  ``serve`` attaches a telemetry
     server exactly like :func:`~repro.campaign.runner.run_campaign`.
     """
-    server = None
-    owns_server = False
-    if serve is not None and serve is not False:
-        from ..obs.server import TelemetryServer, make_telemetry_server
-
-        owns_server = not isinstance(serve, TelemetryServer)
-        server = make_telemetry_server(serve)
-
+    server, owns_server = open_telemetry(serve)
     store = CampaignStore(db_path)
     procs: List["subprocess.Popen[bytes]"] = []
     try:
@@ -969,6 +924,6 @@ def run_fabric(
                 proc.kill()
                 proc.wait(timeout=10.0)
         store.close()
-        if server is not None and owns_server:
+        if owns_server:
             server.stop()
     return stats

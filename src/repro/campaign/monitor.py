@@ -22,7 +22,7 @@ import json
 import os
 import time
 from collections import deque
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from ..obs.metrics import WALL_TIME_BUCKETS, MetricsRegistry
 
@@ -67,6 +67,54 @@ def read_status(path: str) -> Dict[str, Any]:
     """Read a heartbeat; raises FileNotFoundError if none exists yet."""
     with open(path, "r", encoding="utf-8") as handle:
         return json.load(handle)
+
+
+def publish_heartbeat(
+    status: Dict[str, Any],
+    path: Optional[str],
+    server: Optional[Any],
+    registries: Sequence[MetricsRegistry],
+    health: Dict[str, Any],
+) -> None:
+    """One heartbeat, everywhere it is read: the status file and, with
+    a :class:`~repro.obs.server.TelemetryServer` attached, ``/status``,
+    ``/metrics`` (the registries' Prometheus text, concatenated — valid
+    exposition text does) and ``/health`` (progress from ``status``
+    plus the runner's own ``health`` keys).  The local runner's monitor
+    and the fabric coordinator both publish through here."""
+    if path is not None:
+        write_status(path, status)
+    if server is not None:
+        from .. import __version__
+
+        state = status["state"]
+        server.publish(
+            metrics_text="".join(
+                registry.prometheus_text() for registry in registries),
+            health={
+                "status": "ok" if state == "running" else state,
+                "campaign": status["name"],
+                "done": status["done"],
+                "total": status["total"],
+                **health,
+                "version": __version__,
+            },
+            status=status,
+        )
+
+
+def build_info_gauge(registry: MetricsRegistry) -> None:
+    """Stamp ``registry`` with the constant-1 ``build_info`` gauge."""
+    from .. import __version__
+    from .store import STORE_SCHEMA_VERSION
+
+    registry.gauge(
+        "build_info",
+        "Constant 1; the labels attribute scrapes to a repro "
+        "version and campaign store schema.",
+        labels={"version": __version__,
+                "schema": str(STORE_SCHEMA_VERSION)},
+    ).set(1)
 
 
 class CampaignMonitor:
@@ -122,16 +170,7 @@ class CampaignMonitor:
         self._alerts = self.registry.counter(
             "alerts_total",
             "Alert episodes journaled across simulated points.")
-        from .. import __version__
-        from .store import STORE_SCHEMA_VERSION
-
-        self.registry.gauge(
-            "build_info",
-            "Constant 1; the labels attribute scrapes to a repro "
-            "version and campaign store schema.",
-            labels={"version": __version__,
-                    "schema": str(STORE_SCHEMA_VERSION)},
-        ).set(1)
+        build_info_gauge(self.registry)
         self.done = 0
         self.failed_settled = 0  #: terminal failures counted into done
         self._recent_wall: deque = deque(maxlen=ROLLING_WINDOW)
@@ -251,23 +290,10 @@ class CampaignMonitor:
 
     def _write(self, state: str, now: float) -> None:
         status = self.snapshot(state)
-        if self.path is not None:
-            write_status(self.path, status)
-        if self.server is not None:
-            from .. import __version__
-
-            self.server.publish(
-                metrics_text=self.registry.prometheus_text(),
-                health={
-                    "status": ("ok" if state == "running" else state),
-                    "campaign": self.name,
-                    "done": self.done,
-                    "total": self.total,
-                    "alerts": status["alerts"]["by_rule"],
-                    "version": __version__,
-                },
-                status=status,
-            )
+        publish_heartbeat(
+            status, self.path, self.server, [self.registry],
+            health={"alerts": status["alerts"]["by_rule"]},
+        )
         self._last_write = now
 
 

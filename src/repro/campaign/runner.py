@@ -38,16 +38,12 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Tuple
 
+from ..obs import open_telemetry
 from ..obs.trace import Tracer
-from ..sim.parallel import (
-    CacheSpec,
-    PointFailure,
-    config_cache_key,
-    run_reports,
-)
+from ..sim.parallel import PointFailure, config_cache_key, run_reports
 from .monitor import CampaignMonitor, status_path
 from .spec import CampaignPoint, CampaignSpec
-from .store import CampaignStore
+from .store import CampaignStore, settled
 
 
 @dataclass(frozen=True)
@@ -311,7 +307,6 @@ def run_campaign(
     spec: CampaignSpec,
     store: CampaignStore,
     workers: Optional[int] = 1,
-    cache: CacheSpec = None,
     retries: int = 2,
     backoff: float = 0.25,
     backoff_cap: float = 5.0,
@@ -357,111 +352,113 @@ def run_campaign(
     see :func:`repro.campaign.fabric.run_fabric` and
     ``cr-sim campaign run --workers-fabric N``.
     """
-    # -- submit phase ---------------------------------------------------
+    server, owns_server = open_telemetry(serve)
+    stats = CampaignRunStats()
     tracer: Optional[Tracer] = None
     root = None
     logger = None
-    if trace:
-        from ..obs.log import StructuredLogger, campaign_log_path
+    try:
+        # -- submit phase -----------------------------------------------
+        if trace:
+            from ..obs.log import StructuredLogger, campaign_log_path
 
-        tracer = Tracer(worker_id="local")
-        root = tracer.start_span(
-            f"campaign {spec.name}", kind="root",
-            attrs={"executor": "local"},
-        )
-        logger = StructuredLogger(
-            campaign_log_path(store.path, spec.name, "local"),
-            worker_id="local", tracer=tracer,
-        )
-    points = submit_campaign(spec, store, verify=verify)
-    stats = CampaignRunStats(total=len(points))
-    done_hashes = store.completed(spec.name)
-    if tracer is not None:
-        # Journal the root open so `campaign timeline` on a live run
-        # shows the in-flight trace; it closes at the end of this call.
-        store.record_spans(spec.name, [root.to_dict()])
-        logger.info("campaign_started", campaign=spec.name,
-                    points=len(points), executor="local")
+            tracer = Tracer(worker_id="local")
+            root = tracer.start_span(
+                f"campaign {spec.name}", kind="root",
+                attrs={"executor": "local"},
+            )
+            logger = StructuredLogger(
+                campaign_log_path(store.path, spec.name, "local"),
+                worker_id="local", tracer=tracer,
+            )
+        points = submit_campaign(spec, store, verify=verify)
+        stats.total = len(points)
+        states = store.result_states(spec.name)
+        if logger is not None:
+            # Journal the root open so `campaign timeline` on a live
+            # run shows the in-flight trace; teardown closes it.
+            store.record_spans(spec.name, [root.to_dict()])
+            logger.info("campaign_started", campaign=spec.name,
+                        points=len(points), executor="local")
 
-    server = None
-    owns_server = False
-    if serve is not None and serve is not False:
-        from ..obs.server import TelemetryServer, make_telemetry_server
+        monitor: Optional[CampaignMonitor] = None
+        if heartbeat is not None:
+            target = heartbeat_path or status_path(store.path, spec.name)
+            if target is not None or server is not None:
+                monitor = CampaignMonitor(
+                    spec.name, len(points), target, interval=heartbeat,
+                    server=server,
+                )
 
-        owns_server = not isinstance(serve, TelemetryServer)
-        server = make_telemetry_server(serve)
+        reporter = PointReporter(spec, store, stats, monitor=monitor,
+                                 progress=progress, tracer=tracer)
 
-    monitor: Optional[CampaignMonitor] = None
-    if heartbeat is not None:
-        target = heartbeat_path or status_path(store.path, spec.name)
-        if target is not None or server is not None:
-            monitor = CampaignMonitor(
-                spec.name, len(points), target, interval=heartbeat,
-                server=server,
+        # -- lease phase (local: claim everything not already settled) -
+        # max_attempts=None: the retry budget is per invocation, so a
+        # stored failure is pending again.  A point with no row is not
+        # hashed.
+        pending: List[CampaignPoint] = []
+        for point in points:
+            stored = states.get(point.point_id)
+            if stored is not None and settled(
+                stored, config_cache_key(point.config), None
+            ):
+                reporter.skip(point)
+                continue
+            pending.append(point)
+
+        # -- run + report phases ----------------------------------------
+        attempt = 1
+        while pending:
+            failed_now: List[CampaignPoint] = []
+
+            def journal(index: int, report: object, elapsed: float,
+                        cached: bool) -> None:
+                point = pending[index]
+                final = (isinstance(report, PointFailure)
+                         and attempt > retries)
+                outcome = reporter.report(point, report, elapsed, attempt,
+                                          final=final)
+                if outcome == "failed" and not final:
+                    failed_now.append(point)
+
+            run_reports(
+                [point.config for point in pending],
+                workers=workers,
+                on_result=journal,
+                failures="return",
             )
 
-    reporter = PointReporter(spec, store, stats, monitor=monitor,
-                             progress=progress, tracer=tracer)
+            if not failed_now:
+                break
+            stats.retried += len(failed_now)
+            time.sleep(min(backoff * (2 ** (attempt - 1)), backoff_cap))
+            pending = failed_now
+            attempt += 1
 
-    # -- lease phase (local: claim everything not already settled) -----
-    pending: List[CampaignPoint] = []
-    for point in points:
-        if (
-            point.point_id in done_hashes
-            and done_hashes[point.point_id] == config_cache_key(point.config)
-        ):
-            reporter.skip(point)
-            continue
-        pending.append(point)
-
-    # -- run + report phases --------------------------------------------
-    attempt = 1
-    while pending:
-        failed_now: List[CampaignPoint] = []
-
-        def journal(index: int, report: object, elapsed: float,
-                    cached: bool) -> None:
-            point = pending[index]
-            final = isinstance(report, PointFailure) and attempt > retries
-            outcome = reporter.report(point, report, elapsed, attempt,
-                                      final=final)
-            if outcome == "failed" and not final:
-                failed_now.append(point)
-
-        run_reports(
-            [point.config for point in pending],
-            workers=workers,
-            cache=cache,
-            on_result=journal,
-            failures="return",
-        )
-
-        if not failed_now:
-            break
-        stats.retried += len(failed_now)
-        time.sleep(min(backoff * (2 ** (attempt - 1)), backoff_cap))
-        pending = failed_now
-        attempt += 1
-
-    if monitor is not None:
-        monitor.finalize()
-    if tracer is not None:
-        logger.log("info" if stats.complete else "warning",
-                   "campaign_settled", campaign=spec.name,
-                   ran=stats.ran, skipped=stats.skipped,
-                   failed=stats.failed)
-        closed = tracer.end_span(
-            root, "ok" if stats.complete else "error",
-            attrs={"ran": stats.ran, "skipped": stats.skipped,
-                   "failed": stats.failed},
-        )
-        store.record_spans(spec.name, [closed.to_dict()])
-        # No span left open: force-close stragglers (an interrupt
-        # between a point's open journal span and its close).
-        store.close_open_spans(spec.name)
-        logger.close()
-    if server is not None and owns_server:
-        server.stop()
+        if monitor is not None:
+            monitor.finalize()
+    finally:
+        # Teardown runs on an interrupt between points too: the trace
+        # keeps its "no span left open" guarantee, the log is closed and
+        # a server this call started is stopped.
+        if logger is not None:
+            logger.log("info" if stats.complete else "warning",
+                       "campaign_settled", campaign=spec.name,
+                       ran=stats.ran, skipped=stats.skipped,
+                       failed=stats.failed)
+            closed = tracer.end_span(
+                root, "ok" if stats.complete else "error",
+                attrs={"ran": stats.ran, "skipped": stats.skipped,
+                       "failed": stats.failed},
+            )
+            store.record_spans(spec.name, [closed.to_dict()])
+            # Force-close stragglers (an interrupt between a point's
+            # open journal span and its close).
+            store.close_open_spans(spec.name)
+            logger.close()
+        if owns_server:
+            server.stop()
     return stats
 
 

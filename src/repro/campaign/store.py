@@ -9,11 +9,11 @@ the store schema version, wall time and a timestamp.  Failures are
 recorded too (status ``failed`` with the error text), so a campaign
 report can show holes instead of silently dropping scenarios.
 
-Resume semantics live in :meth:`CampaignStore.completed`: a point is
-*done* only if its stored status is ``ok`` **and** its stored config
-hash matches the hash of the config the current spec would run — edit
-the spec (or upgrade the simulator version embedded in the hash entry)
-and the stale points re-run instead of being trusted.
+Resume semantics live in :func:`settled`: a point is *done* only if
+its stored status is ``ok`` **and** its stored config hash matches the
+hash of the config the current spec would run — edit the spec (or
+upgrade the simulator version embedded in the hash entry) and the
+stale points re-run instead of being trusted.
 
 Since schema v4 the store is also the coordination surface for the
 distributed campaign fabric (:mod:`repro.campaign.fabric`): the file
@@ -175,6 +175,31 @@ class Lease:
     attempt: int
     expiry: float
     reclaimed: bool = False  #: True when this grant took over an expired lease
+
+
+def settled(stored: Optional[Any], expected_hash: Optional[str],
+            max_attempts: Optional[int]) -> Optional[str]:
+    """Is a point settled?  The campaign layer's *committed ⇒ delivered*.
+
+    ``stored`` is the point's results row (``status`` / ``attempts`` /
+    ``config_hash``; ``None`` when nothing was journaled yet).  Returns
+    ``"ok"`` for a row stored ok under ``expected_hash``, ``"failed"``
+    for a failure that has used up ``max_attempts``, ``None`` for a
+    point that still has to run.  Every consumer asks here —
+    :meth:`CampaignStore.acquire_leases`, a fabric worker's exit test,
+    the coordinator's done count and the local runner's resume pass —
+    so they cannot drift apart.  ``max_attempts=None`` is the local
+    runner's deliberate difference: it keeps its retry budget per
+    invocation, so a ``failed`` row always re-runs on resume.
+    """
+    if stored is None:
+        return None
+    if stored["status"] == "ok" and stored["config_hash"] == expected_hash:
+        return "ok"
+    if (stored["status"] == "failed" and max_attempts is not None
+            and stored["attempts"] >= max_attempts):
+        return "failed"
+    return None
 
 
 def _library_version() -> str:
@@ -614,10 +639,9 @@ class CampaignStore:
         ``candidates`` is an ordered ``(point_id, expected_config_hash)``
         sequence — normally every point of the expanded grid.  Inside
         one IMMEDIATE transaction a candidate is granted unless it is
-
-        * already stored ``ok`` under the expected hash (completed),
-        * stored ``failed`` with ``attempts >= max_attempts`` (terminal),
-        * or covered by a *live* lease (another worker is running it).
+        :func:`settled` (stored ``ok`` under the expected hash, or
+        ``failed`` with its attempts used up) or covered by a *live*
+        lease (another worker is running it).
 
         A candidate whose lease has **expired** is taken over —
         ``Lease.reclaimed`` is True and the attempt advances past the
@@ -648,13 +672,8 @@ class CampaignStore:
                 if len(granted) >= limit:
                     break
                 stored = results.get(point_id)
-                if stored is not None:
-                    if (stored["status"] == "ok"
-                            and stored["config_hash"] == expected_hash):
-                        continue  # completed: nothing to lease
-                    if (stored["status"] == "failed"
-                            and stored["attempts"] >= max_attempts):
-                        continue  # terminally failed: stop retrying
+                if settled(stored, expected_hash, max_attempts):
+                    continue  # completed or terminally failed
                 lease = leases.get(point_id)
                 reclaimed = False
                 prior = 0
@@ -820,6 +839,20 @@ class CampaignStore:
             for row in rows
         }
 
+    def settlement(self, campaign: str,
+                   expected: Dict[str, Optional[str]],
+                   max_attempts: Optional[int]) -> Dict[str, str]:
+        """point_id -> ``"ok"`` | ``"failed"`` for the :func:`settled`
+        points of ``expected`` (point_id -> expected config hash)."""
+        states = self.result_states(campaign)
+        outcomes = {}
+        for point_id, expected_hash in expected.items():
+            outcome = settled(states.get(point_id), expected_hash,
+                              max_attempts)
+            if outcome is not None:
+                outcomes[point_id] = outcome
+        return outcomes
+
     def completed(self, campaign: str) -> Dict[str, Optional[str]]:
         """point_id -> stored config hash for every 'ok' point."""
         rows = self._conn.execute(
@@ -831,10 +864,8 @@ class CampaignStore:
 
     def is_done(self, campaign: str, point: CampaignPoint) -> bool:
         """True when ``point`` is stored 'ok' with a matching config hash."""
-        done = self.completed(campaign)
-        if point.point_id not in done:
-            return False
-        return done[point.point_id] == config_cache_key(point.config)
+        stored = self.result_states(campaign).get(point.point_id)
+        return settled(stored, config_cache_key(point.config), None) == "ok"
 
     def rows(self, campaign: str,
              status: Optional[str] = None) -> List[Dict[str, Any]]:

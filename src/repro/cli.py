@@ -312,10 +312,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="extra attempts per failing point before recording failure",
     )
     crun_p.add_argument(
-        "--sweep-cache", action="store_true",
-        help="also reuse the on-disk sweep result cache for points",
-    )
-    crun_p.add_argument(
         "--verify", action="store_true",
         help="arm the invariant checker on every campaign point "
              "(changes point hashes: unverified points re-run)",
@@ -1009,7 +1005,6 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
                 spec,
                 store,
                 workers=args.workers if args.workers > 0 else None,
-                cache=True if args.sweep_cache else None,
                 retries=args.retries,
                 progress=report,
                 verify=args.verify,

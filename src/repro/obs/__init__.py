@@ -17,7 +17,7 @@ path (JSONL + Perfetto + time-series in one call).  See
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Tuple
 
 from .alerts import (
     BUILTIN_RULE_NAMES,
@@ -201,6 +201,7 @@ __all__ = [
     "load_rules",
     "make_alert_engine",
     "make_telemetry_server",
+    "open_telemetry",
     "parse_prometheus_text",
     "parse_serve",
     "parse_traceparent",
@@ -221,6 +222,23 @@ _SERVER_NAMES = (
     "make_telemetry_server",
     "parse_serve",
 )
+
+
+def open_telemetry(serve: Any) -> Tuple[Any, bool]:
+    """``(started server, owned)`` for a ``serve=`` argument.
+
+    ``None`` / ``False`` is off -- ``(None, False)``, and nothing is
+    imported.  A spec coerced into a fresh server is *owned*: whoever
+    opened it stops it.  A caller-constructed ``TelemetryServer`` comes
+    back as itself, started, and is the caller's to stop (it may be
+    shared across runs).
+    """
+    if serve is None or serve is False:
+        return None, False
+    from .server import make_telemetry_server
+
+    server = make_telemetry_server(serve)
+    return server, server is not serve
 
 
 def __getattr__(name: str) -> Any:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 import warnings
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional
@@ -129,26 +128,13 @@ class JsonlSink(EventSink):
         self.close()
 
 
-#: trailing partial lines tolerated by :func:`read_jsonl` since import.
-#:
-#: .. deprecated:: 1.7
-#:    A module-level tally is inherently racy under concurrent readers
-#:    (two threads reading truncated traces interleave their ``+= 1``
-#:    read-modify-writes).  It is still maintained — under a lock, so
-#:    the *total* stays exact — but per-call code should use the
-#:    :attr:`ReadResult.truncated` attribute on the returned list.
-truncated_line_count = 0
-
-_truncated_lock = threading.Lock()
-
-
 class ReadResult(List[dict]):
     """The records :func:`read_jsonl` parsed, plus per-call metadata.
 
     A plain ``list`` subclass, so every existing caller keeps working;
     ``truncated`` carries how many crash-truncated trailing lines this
-    particular call dropped (0 or 1), without racing other threads the
-    way the deprecated module-global tally does.
+    particular call dropped (0 or 1); being per call, concurrent
+    readers cannot race on it.
     """
 
     truncated: int = 0
@@ -162,11 +148,9 @@ def read_jsonl(path: str) -> ReadResult:
     exception: a malformed *final* line with no trailing newline is a
     crash-truncated record (the writer died mid-line), so it is dropped
     with a warning and reported on the returned
-    :class:`ReadResult`'s ``truncated`` attribute (the deprecated
-    module-global :data:`truncated_line_count` still accumulates the
-    process-wide total) instead of failing the whole trace.
+    :class:`ReadResult`'s ``truncated`` attribute instead of failing
+    the whole trace.
     """
-    global truncated_line_count
     out = ReadResult()
     with open(path, "r", encoding="utf-8") as handle:
         raw_lines = handle.readlines()
@@ -180,8 +164,6 @@ def read_jsonl(path: str) -> ReadResult:
             last = index == len(raw_lines) - 1
             if last and not raw.endswith("\n"):
                 out.truncated += 1
-                with _truncated_lock:
-                    truncated_line_count += 1
                 warnings.warn(
                     f"dropping truncated final JSONL line in {path!r} "
                     f"({len(raw)} bytes; writer likely killed mid-record)",

@@ -322,20 +322,10 @@ class SimConfig:
             engine.alerts = make_alert_engine(self.alerts)
             engine.sampler.listeners.append(engine.alerts)
         if self.serve is not None and self.serve is not False:
-            from ..obs.server import (
-                EngineTelemetry,
-                TelemetryServer,
-                make_telemetry_server,
-            )
+            from ..obs import open_telemetry
+            from ..obs.server import EngineTelemetry
 
-            server = make_telemetry_server(self.serve)
-            engine.telemetry = EngineTelemetry(
-                server,
-                # A caller-constructed server outlives this run (the
-                # caller may share it across runs); specs we coerced
-                # into a fresh server are ours to stop at close().
-                owns_server=not isinstance(self.serve, TelemetryServer),
-            )
+            engine.telemetry = EngineTelemetry(*open_telemetry(self.serve))
             engine.sampler.listeners.append(engine.telemetry)
             # Publish the cycle-0 state so scrapes work immediately.
             engine.telemetry.publish(engine)

@@ -101,7 +101,7 @@ class TestRunnerJournaling:
     def test_alerting_campaign_lands_episodes_in_the_store(
             self, store):
         spec = alerting_spec()
-        stats = run_campaign(spec, store, workers=1, cache=None)
+        stats = run_campaign(spec, store, workers=1)
         assert stats.complete
         journaled = store.alerts("al")
         assert len(journaled) == spec.size
@@ -116,7 +116,7 @@ class TestRunnerJournaling:
                      "drain": 2000, "message_length": 8},
             "axes": {"routing": ["cr"], "load": [0.1]},
         })
-        run_campaign(spec, store, workers=1, cache=None)
+        run_campaign(spec, store, workers=1)
         assert store.alerts("flat") == {}
 
     def test_cascade_stress_arms_the_builtin_rules(self):
@@ -153,7 +153,7 @@ class TestLiveServing:
         spec = alerting_spec(loads=(0.1,))
         try:
             stats = run_campaign(
-                spec, store, workers=1, cache=None,
+                spec, store, workers=1,
                 heartbeat=0.0, serve=server, progress=scrape,
             )
         finally:
@@ -175,13 +175,13 @@ class TestLiveServing:
         spec = alerting_spec(name="al2", loads=(0.1,))
         # A spec (True) makes the runner build and own the server; we
         # can't reach it afterwards, so just assert clean completion.
-        stats = run_campaign(spec, store, workers=1, cache=None,
+        stats = run_campaign(spec, store, workers=1,
                              heartbeat=0.0, serve=True)
         assert stats.complete
         # An instance stays caller-owned: still running afterwards.
         server = TelemetryServer()
         try:
-            run_campaign(spec, store, workers=1, cache=None,
+            run_campaign(spec, store, workers=1,
                          heartbeat=0.0, serve=server)
             assert server.running
             assert server.status()["state"] == "finished"
@@ -332,7 +332,7 @@ class TestWatchRendering:
 class TestCampaignMarkdownAlerts:
     def test_report_counts_and_lists_episodes(self, store):
         spec = alerting_spec()
-        run_campaign(spec, store, workers=1, cache=None)
+        run_campaign(spec, store, workers=1)
         text = campaign_markdown(store, "al")
         assert "| alerts |" in text  # scenario table column
         assert "## Alerts" in text
@@ -346,7 +346,7 @@ class TestCampaignMarkdownAlerts:
                      "drain": 2000, "message_length": 8},
             "axes": {"routing": ["cr"], "load": [0.1]},
         })
-        run_campaign(spec, store, workers=1, cache=None)
+        run_campaign(spec, store, workers=1)
         text = campaign_markdown(store, "flat")
         assert "## Alerts" not in text
         assert "| — |" in text or "| alerts |" in text

@@ -12,11 +12,15 @@ import os
 import random
 import signal
 import time
+import urllib.request
 
 import pytest
 
 from repro.campaign import CampaignSpec, CampaignStore, Coordinator
 from repro.campaign.fabric import spawn_worker
+from repro.campaign.monitor import read_status, render_status
+from repro.obs.metrics import parse_prometheus_text
+from repro.obs.server import TelemetryServer
 
 #: fixed chaos seed: the kill point is randomized but reproducible.
 CHAOS_SEED = 0xC0FFEE
@@ -49,19 +53,12 @@ def wait_for(predicate, timeout, interval=0.02, message="condition"):
     raise AssertionError(f"timed out waiting for {message}")
 
 
-def test_sigkilled_worker_points_are_reclaimed_and_completed(
-    spec, tmp_path
-):
-    rng = random.Random(CHAOS_SEED)
-    # Kill once the victim has journaled this many points (and still
-    # holds live leases) — a seeded-random moment mid-campaign.
-    kill_after = rng.randrange(0, 3)
-
-    db = str(tmp_path / "chaos.sqlite")
+def kill_victim_then_heal(spec, db, kill_after=0, **coordinator):
+    """SIGKILL a worker mid-lease, then let two survivors finish under
+    a ``Coordinator(**coordinator)``.  Returns its stats and the lease
+    rows the victim died holding."""
     with CampaignStore(db) as store:
         store.register(spec)
-    total = len(list(spec.points()))
-
     victim = spawn_worker(
         spec.name, db, worker_id="victim",
         batch=4, ttl=TTL, poll=0.05,
@@ -92,10 +89,9 @@ def test_sigkilled_worker_points_are_reclaimed_and_completed(
                          batch=2, ttl=TTL, poll=0.05)
             for i in (1, 2)
         ]
-        coordinator = Coordinator(
-            spec, watcher, heartbeat_path=None, interval=0.1, ttl=TTL,
-        )
-        stats = coordinator.run(
+        stats = Coordinator(
+            spec, watcher, interval=0.1, ttl=TTL, **coordinator
+        ).run(
             timeout=180,
             stop=lambda: all(p.poll() is not None for p in survivors),
         )
@@ -104,7 +100,21 @@ def test_sigkilled_worker_points_are_reclaimed_and_completed(
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=30)
+        watcher.close()
+    return stats, orphaned
 
+
+def test_sigkilled_worker_points_are_reclaimed_and_completed(
+    spec, tmp_path
+):
+    rng = random.Random(CHAOS_SEED)
+    db = str(tmp_path / "chaos.sqlite")
+    total = len(list(spec.points()))
+    # Kill once the victim has journaled this many points (and still
+    # holds live leases) — a seeded-random moment mid-campaign.
+    stats, orphaned = kill_victim_then_heal(
+        spec, db, kill_after=rng.randrange(0, 3), heartbeat_path=None,
+    )
     assert stats.complete, (
         f"campaign did not heal after SIGKILL: {stats}"
     )
@@ -132,6 +142,44 @@ def test_sigkilled_worker_points_are_reclaimed_and_completed(
         assert retried, "no orphaned point shows a takeover attempt"
         # No leases left behind once the campaign settled.
         assert store.leases(spec.name) == []
+
+
+def test_the_healing_shows_on_a_live_scrape_and_the_watch_pane(
+    spec, tmp_path
+):
+    """What a reader of the running fabric sees: ``cr_fabric_*`` gauges
+    on ``/metrics`` while the coordinator polls, and the per-worker
+    pane ``cr-sim campaign watch`` renders from the status file."""
+    server = TelemetryServer().start()
+    scrapes = []
+
+    def scrape(status):
+        with urllib.request.urlopen(
+            f"{server.url}/metrics", timeout=5
+        ) as response:
+            scrapes.append(response.read().decode("utf-8"))
+
+    heartbeat = str(tmp_path / "chaos.status.json")
+    try:
+        stats, _ = kill_victim_then_heal(
+            spec, str(tmp_path / "chaos.sqlite"), server=server,
+            on_poll=scrape, heartbeat_path=heartbeat,
+        )
+    finally:
+        server.stop()
+    assert stats.complete and stats.workers_seen == 3, stats
+    parsed = parse_prometheus_text(scrapes[-1])
+    for name, expected in (
+        ("cr_fabric_points_done", stats.total),
+        ("cr_fabric_points_total", stats.total),
+        ("cr_fabric_lease_reclaims_total", stats.reclaims),
+        ("cr_fabric_workers_seen", 3),
+    ):
+        assert parsed[name]["samples"][name] == expected, name
+    assert stats.reclaims >= 1
+    rendered = render_status(read_status(heartbeat))
+    assert "workers: 3" in rendered, rendered
+    assert f"lease reclaims: {stats.reclaims}" in rendered, rendered
 
 
 def test_sigkilled_workers_orphan_spans_are_closed_aborted(

@@ -16,8 +16,10 @@ invariants the fabric's crash-safety argument rests on:
   so attempt numbers work as fencing tokens across worker deaths.
 """
 
+from dataclasses import replace
+
 import pytest
-from hypothesis import settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -27,7 +29,9 @@ from hypothesis.stateful import (
 )
 
 from repro.campaign import CampaignSpec, CampaignStore
+from repro.campaign.fabric import Coordinator, Worker
 from repro.campaign.runner import point_candidates
+from repro.campaign.store import settled
 
 TTL = 10.0
 MAX_ATTEMPTS = 3
@@ -179,6 +183,79 @@ LeaseMachine.TestCase.settings = settings(
     max_examples=40, stateful_step_count=40, deadline=None,
 )
 TestLeaseStateMachine = LeaseMachine.TestCase
+
+
+#: one point's tables: a results row (or none) and a lease (or none).
+ROW = st.one_of(
+    st.none(),
+    st.tuples(st.sampled_from(("ok", "stale-ok", "failed")),
+              st.integers(min_value=1, max_value=MAX_ATTEMPTS + 1)),
+)
+LEASE = st.sampled_from((None, "live", "expired"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables=st.lists(st.tuples(ROW, LEASE), min_size=4, max_size=4))
+@example(tables=[(("ok", 1), None), (("failed", MAX_ATTEMPTS), "expired"),
+                 (("ok", 2), "live"), (("failed", MAX_ATTEMPTS + 1), None)])
+@example(tables=[(("ok", 1), None), (("failed", MAX_ATTEMPTS - 1), None),
+                 (("stale-ok", 1), None), (None, "live")])
+def test_every_consumer_of_settled_agrees(tables):
+    """``store.settled`` has four callers; over random result / lease
+    tables they give one answer."""
+    points = list(SPEC.points())
+    expected = dict(point_candidates(points))
+    clock = 1000.0
+    with CampaignStore(":memory:") as store:
+        coordinator = Coordinator(SPEC, store, max_attempts=MAX_ATTEMPTS)
+        live = set()
+        for point, (row, lease) in zip(points, tables):
+            if lease is not None:
+                store.acquire_leases(
+                    "leases", "owner", [(point.point_id, None)], limit=1,
+                    ttl=TTL if lease == "live" else TTL / 100,
+                    now=clock - TTL / 2,
+                )
+                if lease == "live":
+                    live.add(point.point_id)
+            if row is not None:
+                status, attempts = row
+                if status == "stale-ok":  # ok, under another config's hash
+                    point = replace(
+                        point, config=point.config.with_(buffer_depth=5))
+                if status == "failed":
+                    store.record_failure("leases", point, "boom", 0.0,
+                                         attempts=attempts)
+                else:
+                    store.record_success("leases", point, {}, 0.0,
+                                         attempts=attempts)
+        states = store.result_states("leases")
+        verdicts = {
+            point_id: settled(states.get(point_id), expected_hash,
+                              MAX_ATTEMPTS)
+            for point_id, expected_hash in expected.items()
+        }
+        # acquire_leases: without a live lease, granted <=> unsettled.
+        granted = {
+            lease.point_id for lease in store.acquire_leases(
+                "leases", "probe", list(expected.items()), limit=4,
+                ttl=TTL, max_attempts=MAX_ATTEMPTS, now=clock,
+            )
+        }
+        assert granted == {point_id for point_id, verdict in verdicts.items()
+                           if verdict is None and point_id not in live}
+        # The worker's exit test and the coordinator's done count.
+        worker = Worker("leases", ":memory:", max_attempts=MAX_ATTEMPTS)
+        status = coordinator.poll()
+        assert status["done"] == sum(v is not None for v in verdicts.values())
+        assert status["failed"] == sum(v == "failed" for v in verdicts.values())
+        assert worker._settled(store, expected) == (
+            status["done"] == len(points))
+        # The local runner keeps its retry budget per invocation
+        # (max_attempts=None): ok rows skip, a failed row always re-runs.
+        for point_id, verdict in verdicts.items():
+            assert settled(states.get(point_id), expected[point_id], None) == (
+                "ok" if verdict == "ok" else None)
 
 
 def test_completed_grid_stops_granting():

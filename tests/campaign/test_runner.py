@@ -1,5 +1,7 @@
 """Campaign runner: resume, crash safety, failure retry."""
 
+import threading
+
 import pytest
 
 from repro.campaign import CampaignSpec, CampaignStore, run_campaign
@@ -85,6 +87,38 @@ class TestRunAndResume:
         assert stats.complete
         assert (stats.ran, stats.skipped) == (2, 2)
         assert len(calls) == 2  # completed points never re-simulated
+
+    def test_interrupt_between_points_still_tears_down(self, spec, store):
+        from repro.obs.log import campaign_log_dir, read_campaign_logs
+        from repro.obs.server import TelemetryServer
+
+        def interrupt_after_two(status):
+            if status.done == 2:
+                raise KeyboardInterrupt
+
+        def serving():
+            return {thread.name for thread in threading.enumerate()
+                    if thread.name.startswith("cr-telemetry:")}
+
+        before = serving()
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign(spec, store, progress=interrupt_after_two,
+                         trace=True, serve=0)
+        # No span left open (`campaign timeline` relies on it), the log
+        # closed on its settle record, the server this call started gone.
+        assert "open" not in store.span_counts("r")
+        records = read_campaign_logs(campaign_log_dir(store.path, "r"))
+        assert records[-1]["event"] == "campaign_settled"
+        assert serving() == before
+        # A caller's server is the caller's to stop.
+        server = TelemetryServer()
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                run_campaign(spec, store, progress=interrupt_after_two,
+                             serve=server)
+            assert server.running
+        finally:
+            server.stop()
 
     def test_progress_reports_skips_and_runs(self, spec, store):
         run_campaign(spec, store)

@@ -26,6 +26,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from lockstep import CASCADE, build
 from repro.faults.permanent import (
     PermanentFaultSchedule,
     random_channel_faults,
@@ -35,7 +36,7 @@ from repro.network.channel import Channel
 from repro.network.engine import _LIVE_PHASES
 from repro.network.fastengine import FastEngine
 from repro.network.flit import FlitKind
-from repro.network.message import Message, reset_uid_counter
+from repro.network.message import Message
 from repro.network.router import Router
 from repro.obs.tracing import config_for_experiment
 from repro.routing.base import Candidate
@@ -166,9 +167,7 @@ class _CheckedFastEngine(FastEngine):
 
 
 def _checked(config: SimConfig) -> _CheckedFastEngine:
-    reset_uid_counter()
-    engine = config.build()
-    assert type(engine) is FastEngine
+    engine = build(config, "fast")
     engine.__class__ = _CheckedFastEngine
     return engine
 
@@ -206,10 +205,7 @@ class TestStampSoundness:
         engine = _checked(SimConfig(
             routing="fcr", misrouting=True, num_vcs=2, load=0.4,
             workload="mmpp",
-            cascade_faults=(
-                "base_hazard=2e-4,load_gain=8,check_interval=16,"
-                "neighbor_boost=10,boost_cycles=96,repair_cycles=200"
-            ),
+            cascade_faults=CASCADE,
             **SMALL,
         ))
         epoch = engine._fault_epoch

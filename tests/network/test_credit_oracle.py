@@ -14,28 +14,18 @@ reference only if
 * ``channel_state`` reads the same at every cycle boundary, whatever
   the run is cut into.
 
-As in ``test_landing_oracle.py`` the two engines cannot run side by
-side (message uids come from one process-wide counter): each is run
-alone, observed through wrappers around the table's ``credit``,
-``kill`` and ``switch`` entries, and the per-cycle records are compared
-afterwards.
+The runs go through ``lockstep.py``'s driver, observed after the
+table's ``credit``, ``kill`` and ``switch`` entries.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.network.engine import Engine
-from repro.network.fastengine import FastEngine, channel_state
-from repro.network.message import reset_uid_counter
+from lockstep import CASCADE, SMALL, build, first_difference, observe_both
+from repro.network.fastengine import channel_state
 from repro.obs.tracing import config_for_experiment
 from repro.sim.config import SimConfig
-
-SMALL = dict(radix=4, dims=2, message_length=8, seed=11)
-CASCADE = (
-    "base_hazard=2e-4,load_gain=8,check_interval=16,"
-    "neighbor_boost=10,boost_cycles=96,repair_cycles=200"
-)
 
 
 def in_flight(engine, upstream_only=False):
@@ -73,129 +63,51 @@ def switch_state(engine):
     )}
 
 
-class _ObservedCredits:
-    """Mixin recording the two states after their phases, what the
-    upstream channels hold in flight after switch, and the segments the
-    kill phase flushed."""
-
-    RECORDERS = {"credit": credit_state, "switch": switch_state}
-
-    def _phase_table(self):
-        return tuple(
-            (name, self._observed(name, phase))
-            if name in self.RECORDERS or name == "kill" else (name, phase)
-            for name, phase in super()._phase_table()
-        )
-
-    def _observed(self, name, phase):
-        if name == "kill":
-            counters = self.stats.counters
-
-            def kill(now: int) -> None:
-                before = counters["kill_segments_flushed"]
-                phase(now)
-                self.flushed[now] = counters["kill_segments_flushed"] - before
-
-            return kill
-        record = self.RECORDERS[name]
-        seen = self.seen[name]
-
-        def observed(now: int) -> None:
-            phase(now)
-            seen[now] = record(self)
-            if name == "switch":
-                self.staged[now] = in_flight(self, upstream_only=True)
-
-        return observed
+RECORDERS = {"credit": credit_state, "switch": switch_state}
+PROBES = {
+    "switch": lambda engine: in_flight(engine, upstream_only=True),
+    "kill": lambda engine: engine.stats.counters.get(
+        "kill_segments_flushed", 0
+    ),
+}
 
 
-class _ObservedEngine(_ObservedCredits, Engine):
-    pass
+def staged(engine):
+    """cycle -> upstream channels with a credit in flight after switch."""
+    return engine.probed["switch"]
 
 
-class _ObservedFastEngine(_ObservedCredits, FastEngine):
-    pass
+def flushed(engine):
+    """cycle -> segments its kill phase flushed (the counter moves in no
+    other phase, so a kill phase's share is the step since the last)."""
+    segments, before = {}, 0
+    for now, total in engine.probed["kill"].items():
+        segments[now], before = total - before, total
+    return segments
 
 
-def _build(config: SimConfig, engine_name: str, observed: bool = True):
-    reset_uid_counter()
-    engine = config.with_(engine=engine_name).build()
-    assert type(engine) is (FastEngine if engine_name == "fast" else Engine)
-    if observed:
-        engine.__class__ = (
-            _ObservedFastEngine if engine_name == "fast" else _ObservedEngine
-        )
-        engine.seen = {"credit": {}, "switch": {}}
-        #: cycle -> upstream channels with a credit in flight after switch.
-        engine.staged = {}
-        #: cycle -> segments its kill phase flushed.
-        engine.flushed = {}
-    return engine
-
-
-def _observe(config, engine_name, cycles, drain):
-    engine = _build(config, engine_name)
-    engine.run(cycles)
-    engine.run_until_drained(drain)
-    return engine
-
-
-def _first_difference(got, want):
-    """The first channel two records disagree on (a record is a dict
-    keyed by channel index, or a sequence with one entry per channel)."""
-    if isinstance(got, dict):
-        channels = sorted(set(got) | set(want))
-        got, want = map(got.get, channels), map(want.get, channels)
-    else:
-        channels = range(len(got))
-    for channel, mine, theirs in zip(channels, got, want):
-        if mine != theirs:
-            return f"channel {channel}: {mine} != {theirs}"
-    return "no channel differs"
-
-
-def assert_records_identical(reference, fast):
-    """Every phase the fast engine ran left what the reference's did
-    (cycles it skipped are cycles nothing could happen in)."""
-    for phase in ("credit", "switch"):
-        assert fast.seen[phase], f"the fast engine never ran {phase}"
-        for now, state in fast.seen[phase].items():
-            expected = reference.seen[phase][now]
-            for name, got in state.items():
-                assert got == expected[name], (
-                    f"t={now}, after {phase}: {name}, fast vs reference: "
-                    f"{_first_difference(got, expected[name])}"
-                )
-    assert fast.now == reference.now
-
-
-def assert_direct(reference, fast, cycles):
-    """Over ``cycles`` the fast engine staged no switch-stage credit: an
-    upstream channel holds one after switch only where that cycle's kill
-    phase flushed a segment (a paced cycle runs no kill phase: nothing
-    is dying) -- and the reference, on those same quiet cycles, did
-    stage some."""
-    quiet = [
-        now for now in cycles
-        if now in fast.staged and not fast.flushed.get(now)
-    ]
+def assert_direct(reference, fast):
+    """The fast engine staged no switch-stage credit: an upstream
+    channel holds one after switch only where that cycle's kill phase
+    flushed a segment (a paced cycle runs no kill phase: nothing is
+    dying) -- and the reference, on those same quiet cycles, did stage
+    some."""
+    killed = flushed(fast)
+    quiet = [now for now in staged(fast) if not killed.get(now)]
     for now in quiet:
-        assert not fast.staged[now], (
+        assert not staged(fast)[now], (
             f"t={now}: no segment flushed, yet unit-latency channels "
-            f"{sorted(fast.staged[now])} hold a credit in flight"
+            f"{sorted(staged(fast)[now])} hold a credit in flight"
         )
-    assert any(reference.staged[now] for now in quiet)
+    assert any(staged(reference)[now] for now in quiet)
 
 
 def assert_credits_identical(config, cycles=500, drain=4000):
     """Run both engines; compare what every credit and switch phase
     left.  Returns ``(reference, fast)``."""
-    reference = _observe(config, "reference", cycles, drain)
-    fast = _observe(config, "fast", cycles, drain)
-    assert_records_identical(reference, fast)
-    assert dict(fast.stats.counters) == dict(reference.stats.counters)
+    reference, fast = observe_both(config, RECORDERS, PROBES, cycles, drain)
     if config.channel_latency == 1:
-        assert_direct(reference, fast, list(fast.staged))
+        assert_direct(reference, fast)
     return reference, fast
 
 
@@ -207,7 +119,7 @@ class TestCreditsPhaseByPhase:
         )
         _, fast = assert_credits_identical(config, cycles=600, drain=6000)
         if routing == "cr":
-            assert any(fast.flushed.values()), "no kill flushed a segment"
+            assert any(flushed(fast).values()), "no kill flushed a segment"
 
     def test_cascading_faults_misrouting_mmpp(self):
         reference, fast = assert_credits_identical(SimConfig(
@@ -217,7 +129,7 @@ class TestCreditsPhaseByPhase:
         assert reference.fault_model.applied
         # The wavefront's flushes stay on the ledger, under both.
         assert any(
-            fast.staged[now] for now, count in fast.flushed.items() if count
+            staged(fast)[now] for now, count in flushed(fast).items() if count
         )
 
     def test_corrupted_headers(self):
@@ -230,9 +142,9 @@ class TestCreditsPhaseByPhase:
         reference, fast = assert_credits_identical(SimConfig(
             routing="cr", num_vcs=2, load=0.5, channel_latency=2, **SMALL,
         ))
-        assert any(fast.staged.values()), "no switch-stage credit staged"
-        for now, staged in fast.staged.items():
-            assert staged == reference.staged[now]
+        assert any(staged(fast).values()), "no switch-stage credit staged"
+        for now, held in staged(fast).items():
+            assert held == staged(reference)[now]
         # ...and one in flight outlives a credit phase.
         upstream = {
             index for index, channel in enumerate(fast._all_channels)
@@ -271,7 +183,7 @@ def _snapshot(engine):
 
 
 def _chunked(config, engine_name, chunk, cycles):
-    engine = _build(config, engine_name, observed=False)
+    engine = build(config, engine_name)
     snapshots = []
     for _ in range(0, cycles, chunk):
         engine.run(chunk)
@@ -296,7 +208,7 @@ class TestChannelStateAtEveryBoundary:
             for name in want:
                 assert got[name] == want[name], (
                     f"t={(index + 1) * chunk}: {name}, fast vs reference: "
-                    f"{_first_difference(got[name], want[name])}"
+                    f"{first_difference(got[name], want[name])}"
                 )
         # The run ends undrained, and the boundaries did fall behind
         # cycles that moved flits: the reference holds credits in flight.

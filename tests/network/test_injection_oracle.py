@@ -10,119 +10,56 @@ same -- and if everything the phase calls out to (``_try_start``,
 ``_check_timeout``, ``_commit``, the kill manager, an event sink) finds
 the counters the reference would have shown it.
 
-The runs are single long ``run()`` / ``run_until_drained()`` calls (a
-bare ``step()`` rebuilds the phase table and forgets every stall
-limit), observed through a wrapper around the table's ``injection``
-entry.  The two engines cannot run side by side -- message uids come
-from one process-wide counter -- so each is run alone and the per-cycle
-records are compared afterwards.
+The runs go through ``lockstep.py``'s driver, observed after the
+table's ``injection`` entry.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from lockstep import CASCADE, SMALL, build, observe, observe_both
 from repro.core.timeout import TimeoutPolicy
-from repro.network.engine import Engine
-from repro.network.fastengine import FastEngine
-from repro.network.message import reset_uid_counter
 from repro.obs import attach
 from repro.obs.events import InjectionStalled, InjectionStarted
 from repro.obs.tracing import config_for_experiment
 from repro.sim.config import SimConfig
 
-SMALL = dict(radix=4, dims=2, message_length=8, seed=11)
 COUNTERS = ("injection_stall_cycles", "flits_injected", "pad_flits_injected")
+INJECTORS = "injector (uid, stall, next_index, vc)"
 
 
 def injection_state(engine):
     """Every injector's ``(uid, stall, next_index, vc)`` and the three
     counters (``None`` while a counter has never been touched: a key
     that exists early would show in ``dict(stats.counters)``)."""
-    injectors = tuple(
-        (
-            None if injector.current is None else injector.current.uid,
-            injector.stall,
-            injector.next_index,
-            injector.vc,
-        )
-        for node in engine.nodes
-        for injector in node.injectors
-    )
     counters = engine.stats.counters
-    return injectors, tuple(counters.get(name) for name in COUNTERS)
+    return {
+        INJECTORS: tuple(
+            (
+                None if injector.current is None else injector.current.uid,
+                injector.stall,
+                injector.next_index,
+                injector.vc,
+            )
+            for node in engine.nodes
+            for injector in node.injectors
+        ),
+        str(COUNTERS): tuple(counters.get(name) for name in COUNTERS),
+    }
 
 
-class _ObservedInjection:
-    """Mixin recording ``injection_state`` after every injection phase."""
-
-    def _phase_table(self):
-        return tuple(
-            (name, self._observed(phase) if name == "injection" else phase)
-            for name, phase in super()._phase_table()
-        )
-
-    def _observed(self, phase):
-        def injection(now: int) -> None:
-            phase(now)
-            self.seen[now] = injection_state(self)
-
-        return injection
-
-
-class _ObservedEngine(_ObservedInjection, Engine):
-    pass
-
-
-class _ObservedFastEngine(_ObservedInjection, FastEngine):
-    pass
-
-
-def _build(config: SimConfig, engine_name: str):
-    reset_uid_counter()
-    engine = config.with_(engine=engine_name).build()
-    if engine_name == "fast":
-        assert type(engine) is FastEngine
-        engine.__class__ = _ObservedFastEngine
-    else:
-        assert type(engine) is Engine
-        engine.__class__ = _ObservedEngine
-    engine.seen = {}
-    return engine
-
-
-def _observe(config: SimConfig, engine_name: str, cycles: int, drain: int):
-    engine = _build(config, engine_name)
-    engine.run(cycles)
-    engine.run_until_drained(drain)
-    return engine
+RECORDERS = {"injection": injection_state}
 
 
 def assert_injection_identical(config, cycles=500, drain=4000):
     """Run both engines; compare what every injection phase left."""
-    reference = _observe(config, "reference", cycles, drain)
-    fast = _observe(config, "fast", cycles, drain)
-    assert fast.now == reference.now
-    assert fast.seen, "the fast engine never ran an injection phase"
-    # Cycles the fast engine skipped are cycles nothing could happen
-    # in; every one it did step must read as the reference's did.
-    for now, state in fast.seen.items():
-        expected = reference.seen[now]
-        if state == expected:
-            continue
-        for index, (got, want) in enumerate(zip(state[0], expected[0])):
-            assert got == want, (
-                f"t={now}: injector #{index} stands at (uid, stall, "
-                f"next_index, vc) = {got}, the reference's at {want}"
-            )
-        assert state[1] == expected[1], (
-            f"t={now}: {COUNTERS} read {state[1]} after the injection "
-            f"phase, {expected[1]} under the reference"
-        )
-    assert dict(fast.stats.counters) == dict(reference.stats.counters)
+    reference, fast = observe_both(
+        config, RECORDERS, cycles=cycles, drain=drain
+    )
     longest = max(
-        stall for injectors, _ in fast.seen.values()
-        for _, stall, _, _ in injectors
+        stall for state in fast.seen["injection"].values()
+        for _, stall, _, _ in state[INJECTORS]
     )
     assert longest > 2, "no stall streak ever got past its second cycle"
     return reference, fast
@@ -141,12 +78,7 @@ class TestInjectionPhaseByPhase:
         # the retries pad for a misroute budget (a new threshold).
         assert_injection_identical(SimConfig(
             routing="fcr", misrouting=True, num_vcs=2, load=0.4,
-            workload="mmpp",
-            cascade_faults=(
-                "base_hazard=2e-4,load_gain=8,check_interval=16,"
-                "neighbor_boost=10,boost_cycles=96,repair_cycles=200"
-            ),
-            **SMALL,
+            workload="mmpp", cascade_faults=CASCADE, **SMALL,
         ), drain=1500)
 
     def test_two_injectors_four_vcs(self):
@@ -186,12 +118,12 @@ class TestInjectionPhaseByPhase:
             config = SimConfig(
                 routing="cr", num_vcs=2, load=0.6, timeout=policy, **SMALL
             )
-            engine = _observe(config, name, 500, 4000)
+            engine = observe(config, name, RECORDERS)
             assert policy.calls == engine.stats.counters[
                 "injection_stall_cycles"
             ], f"{name}: fires() was not asked on every stalled cycle"
             assert engine.stats.counters["kills"] > 0
-            asked[name] = (policy.calls, engine.seen)
+            asked[name] = (policy.calls, engine.seen["injection"])
         assert asked["fast"][0] == asked["reference"][0]
         for now, state in asked["fast"][1].items():
             assert state == asked["reference"][1][now], f"t={now}"
@@ -227,7 +159,7 @@ class TestCallOutsSeeTheReferenceCounters:
         return patched
 
     def _patched_calls(self, engine_name):
-        engine = _build(self.CONFIG, engine_name)
+        engine = build(self.CONFIG, engine_name)
         log = []
         # One injector's call-outs are recorded; the others reach
         # kills.initiate through the unpatched check at their streak's
@@ -272,7 +204,7 @@ class TestCallOutsSeeTheReferenceCounters:
             assert got == want
 
     def _event_log(self, engine_name):
-        engine = _build(self.CONFIG, engine_name)
+        engine = build(self.CONFIG, engine_name)
         log = []
         attach(engine, _CounterSink(engine, log))
         engine.run(500)

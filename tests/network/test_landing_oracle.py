@@ -13,29 +13,27 @@ for the next arrival phase to collect.  That is the reference only if
   ``incoming`` does -- everything that runs between a move and the next
   arrival phase reads the two together, never the split.
 
-As in ``test_injection_oracle.py`` the two engines cannot run side by
-side (message uids come from one process-wide counter): each is run
-alone through single long ``run()`` / ``run_until_drained()`` calls,
-observed through wrappers around the table's ``arrival`` and ``switch``
-entries, and the per-cycle records are compared afterwards.
+The runs go through ``lockstep.py``'s driver, observed after the
+table's ``arrival`` and ``switch`` entries.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.network.engine import Engine, NetworkDeadlockError
-from repro.network.fastengine import FastEngine
+from lockstep import (
+    CASCADE,
+    SMALL,
+    assert_records_identical,
+    build,
+    observe_both,
+    observed,
+)
+from repro.network.engine import NetworkDeadlockError
 from repro.network.flit import Flit, FlitKind
-from repro.network.message import Message, reset_uid_counter
+from repro.network.message import Message
 from repro.obs.tracing import config_for_experiment
 from repro.sim.config import SimConfig
-
-SMALL = dict(radix=4, dims=2, message_length=8, seed=11)
-CASCADE = (
-    "base_hazard=2e-4,load_gain=8,check_interval=16,"
-    "neighbor_boost=10,boost_cycles=96,repair_cycles=200"
-)
 
 
 def _buffers(engine):
@@ -84,98 +82,26 @@ def link_sinks_in_flight(engine):
     ]
 
 
-class _ObservedLanding:
-    """Mixin recording the two states after their phases."""
-
-    RECORDERS = {"arrival": arrival_state, "switch": switch_state}
-
-    def _phase_table(self):
-        return tuple(
-            (name, self._observed(name, phase))
-            if name in self.RECORDERS else (name, phase)
-            for name, phase in super()._phase_table()
-        )
-
-    def _observed(self, name, phase):
-        record = self.RECORDERS[name]
-        seen = self.seen[name]
-
-        def observed(now: int) -> None:
-            phase(now)
-            seen[now] = record(self)
-            if name == "switch":
-                self.staged[now] = link_sinks_in_flight(self)
-
-        return observed
+RECORDERS = {"arrival": arrival_state, "switch": switch_state}
+PROBES = {"switch": link_sinks_in_flight}
 
 
-class _ObservedEngine(_ObservedLanding, Engine):
-    pass
-
-
-class _ObservedFastEngine(_ObservedLanding, FastEngine):
-    pass
-
-
-def _build(config: SimConfig, engine_name: str):
-    reset_uid_counter()
-    engine = config.with_(engine=engine_name).build()
-    if engine_name == "fast":
-        assert type(engine) is FastEngine
-        engine.__class__ = _ObservedFastEngine
-    else:
-        assert type(engine) is Engine
-        engine.__class__ = _ObservedEngine
-    engine.seen = {"arrival": {}, "switch": {}}
-    #: cycle -> link sinks with a flit in ``incoming`` after switch.
-    engine.staged = {}
-    return engine
-
-
-def _observe(config, engine_name, cycles, drain):
-    engine = _build(config, engine_name)
-    engine.run(cycles)
-    engine.run_until_drained(drain)
-    return engine
-
-
-def _first_difference(got, want):
-    if isinstance(got, dict):
-        for key in sorted(set(got) | set(want)):
-            if got.get(key) != want.get(key):
-                return f"buffer {key}: {got.get(key)} != {want.get(key)}"
-    return f"{got} != {want}"
-
-
-def assert_records_identical(reference, fast):
-    """Every phase the fast engine ran left what the reference's did
-    (cycles it skipped are cycles nothing could happen in)."""
-    for phase in ("arrival", "switch"):
-        assert fast.seen[phase], f"the fast engine never ran {phase}"
-        for now, state in fast.seen[phase].items():
-            expected = reference.seen[phase][now]
-            for name, got in state.items():
-                assert got == expected[name], (
-                    f"t={now}, after {phase}: {name}, fast vs reference: "
-                    f"{_first_difference(got, expected[name])}"
-                )
-    assert fast.now == reference.now
+def staged(engine):
+    """cycle -> link sinks with a flit in ``incoming`` after switch."""
+    return engine.probed["switch"]
 
 
 def assert_landing_identical(config, cycles=500, drain=4000):
     """Run both engines; compare what every arrival and switch phase
     left.  Returns ``(reference, fast)``."""
-    reference = _observe(config, "reference", cycles, drain)
-    fast = _observe(config, "fast", cycles, drain)
-    assert_records_identical(reference, fast)
-    assert dict(fast.stats.counters) == dict(reference.stats.counters)
+    reference, fast = observe_both(config, RECORDERS, PROBES, cycles, drain)
     assert any(
         len(state["route_pending"]) > 1
         for state in fast.seen["arrival"].values()
     ), "route_pending never held two headers: its order went untested"
-    assert any(reference.staged.values())
+    assert any(staged(reference).values())
     if config.channel_latency == 1:
-        for now, sinks in fast.staged.items():
+        for now, sinks in staged(fast).items():
             assert not sinks, (
                 f"t={now}: unit-latency link sinks {sinks} hold a flit "
                 f"in incoming"
@@ -213,7 +139,7 @@ class TestLandingPhaseByPhase:
         _, fast = assert_landing_identical(SimConfig(
             routing="cr", num_vcs=2, load=0.5, channel_latency=2, **SMALL,
         ))
-        assert any(fast.staged.values()), "no link sink ever staged a flit"
+        assert any(staged(fast).values()), "no link sink ever staged a flit"
         assert fast._landed is None
 
     def test_two_injectors_four_vcs(self):
@@ -238,7 +164,7 @@ class TestLandingPhaseByPhase:
         )
         engines, reports = [], []
         for name in ("reference", "fast"):
-            engine = _build(config, name)
+            engine = observed(config, name, RECORDERS)
             with pytest.raises(NetworkDeadlockError) as excinfo:
                 engine.run(5000)
             engines.append(engine)
@@ -253,10 +179,9 @@ class TestSkipWaitsForLandedFlits:
         # network keeps its worm in ``in_flight``), pinned the way the
         # arrival set is: the skip decision must not depend on which
         # of the two places a sent flit waits in.
-        reset_uid_counter()
-        engine = SimConfig(
-            routing="cr", num_vcs=2, load=0.0, engine="fast", **SMALL
-        ).build()
+        engine = build(
+            SimConfig(routing="cr", num_vcs=2, load=0.0, **SMALL), "fast"
+        )
         engine.generator = None
         table = engine._phase_table()
         assert engine._skip(table, 100) == 100

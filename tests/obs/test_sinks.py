@@ -108,19 +108,16 @@ class TestJsonlSink:
         # A crash mid-write leaves a partial record with no trailing
         # newline: every complete line still parses, the fragment is
         # dropped, and the reader warns instead of raising.
-        from repro.obs import sinks
-
         path = tmp_path / "crashed.jsonl"
         path.write_text(
             '{"event": "A", "cycle": 1}\n'
             '{"event": "B", "cycle": 2}\n'
             '{"event": "C", "cy'
         )
-        before = sinks.truncated_line_count
         with pytest.warns(RuntimeWarning, match="truncated"):
             events = read_jsonl(str(path))
         assert [e["event"] for e in events] == ["A", "B"]
-        assert sinks.truncated_line_count == before + 1
+        assert events.truncated == 1
 
     def test_newline_terminated_garbage_still_raises(self, tmp_path):
         # Only the crash-truncation shape is tolerated: a malformed
@@ -159,14 +156,9 @@ class TestReadResultTruncation:
                                              {"event": "B"}]
 
     def test_concurrent_readers_do_not_race(self, tmp_path):
-        # The deprecated module-global tally used to be a bare += on a
-        # module attribute: N threads reading truncated traces could
-        # interleave the read-modify-write and lose counts.  Each call
-        # now reports its own ReadResult.truncated, and the global
-        # (kept as a deprecated alias) is locked so the total stays
-        # exact.
-        from repro.obs import sinks
-
+        # Each call reports its own ReadResult.truncated: there is no
+        # shared tally for N threads reading truncated traces to
+        # interleave a read-modify-write on.
         paths = [self._truncated_file(tmp_path, f"t{i}.jsonl")
                  for i in range(8)]
         results = [None] * len(paths)
@@ -178,7 +170,6 @@ class TestReadResultTruncation:
                 warnings.simplefilter("ignore", RuntimeWarning)
                 results[index] = read_jsonl(paths[index])
 
-        before = sinks.truncated_line_count
         threads = [threading.Thread(target=reader, args=(i,))
                    for i in range(len(paths))]
         for thread in threads:
@@ -187,7 +178,6 @@ class TestReadResultTruncation:
             thread.join()
         assert [r.truncated for r in results] == [1] * len(paths)
         assert all([e["event"] for e in r] == ["A"] for r in results)
-        assert sinks.truncated_line_count == before + len(paths)
 
 
 class TestFsyncDurability:
