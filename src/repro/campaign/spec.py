@@ -69,6 +69,16 @@ def decode_field(name: str, value: Any) -> Any:
     return value
 
 
+def _mapping(value: Any, where: str) -> Mapping[str, Any]:
+    """``value``, once it is known to be the mapping a spec needs there
+    (a spec file is outside input: its shape is checked, not assumed)."""
+    if not isinstance(value, Mapping):
+        raise ValueError(
+            f"{where} must be a mapping, got {type(value).__name__}"
+        )
+    return value
+
+
 def _check_fields(mapping: Mapping[str, Any], where: str) -> None:
     for name in mapping:
         if name == "seed":
@@ -112,6 +122,23 @@ class Grid:
         names = list(self.axes)
         for combo in itertools.product(*(self.axes[n] for n in names)):
             yield dict(zip(names, combo))
+
+
+def _grid_from_dict(label: str, body: Any) -> Grid:
+    """One ``{base, axes}`` body of the dict format."""
+    where = f"grid {label!r}"
+    body = _mapping(body, where)
+    axes = _mapping(body.get("axes", {}), f"{where} axes")
+    return Grid(
+        label=label,
+        base=dict(_mapping(body.get("base", {}), f"{where} base")),
+        # A scalar stays as it is for Grid to refuse by name.
+        axes={
+            name: list(values) if isinstance(values, (list, tuple))
+            else values
+            for name, values in axes.items()
+        },
+    )
 
 
 @dataclass(frozen=True)
@@ -171,7 +198,7 @@ class CampaignSpec:
         a ``grids`` mapping of label -> ``{base, axes}``; the two forms
         are mutually exclusive.
         """
-        data = dict(data)
+        data = dict(_mapping(data, "campaign spec"))
         name = data.get("name", "")
         if "grids" in data:
             if "axes" in data or "base" in data:
@@ -179,22 +206,12 @@ class CampaignSpec:
                     f"campaign {name!r}: give either top-level "
                     f"base/axes or grids, not both"
                 )
-            grids = tuple(
-                Grid(
-                    label=label,
-                    base=dict(body.get("base", {})),
-                    axes={k: list(v) for k, v in body.get("axes", {}).items()},
-                )
-                for label, body in data["grids"].items()
-            )
+            bodies = _mapping(data["grids"], f"campaign {name!r} grids")
         else:
-            grids = (
-                Grid(
-                    label="",
-                    base=dict(data.get("base", {})),
-                    axes={k: list(v) for k, v in data.get("axes", {}).items()},
-                ),
-            )
+            bodies = {"": data}
+        grids = tuple(
+            _grid_from_dict(label, body) for label, body in bodies.items()
+        )
         return cls(
             name=name,
             description=data.get("description", ""),

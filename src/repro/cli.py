@@ -8,19 +8,185 @@ Examples::
     cr-sim list
     cr-sim campaign run fault-matrix --workers 0
     cr-sim campaign report fault-matrix fault-matrix-v2
+
+Three conventions, each fact in one place:
+
+* **Flag table.**  A ``SimConfig``-backed flag is declared once, in
+  ``_CONFIG_FLAGS``; a subcommand lists the names it takes and its own
+  defaults in ``_COMMAND_FLAGS``; ``_config_from_args`` builds the
+  configuration from exactly those, and ``_checked`` builds it eagerly.
+* **UsageError.**  Misuse raises ``UsageError`` where it is detected;
+  ``main()`` catches it once, prints ``cr-sim <command>: <message>`` on
+  one stderr line and exits 2.  Exit 1 is a run that failed or found a
+  violation; argparse's own errors (unknown flag, bad choice) still
+  raise ``SystemExit``.
+* **Handler binding.**  A subparser binds its handler with
+  ``set_defaults(handler=...)`` where it is declared; ``main()`` calls it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
+import os
 import sys
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from .experiments import PAPER, QUICK, REGISTRY
+from . import experiments
 from .sim.config import SCHEMES, SimConfig
 from .sim.parallel import DEFAULT_CACHE_DIR, PointStatus, SweepCache
 from .sim.simulator import run_simulation
 from .stats.report import format_table
+
+
+class UsageError(Exception):
+    """The command line asks for something the command cannot do."""
+
+
+#: every ``SimConfig``-backed flag, declared once: field name -> the
+#: argparse keywords of ``--field-name``.  A ``default`` here is the
+#: flag's value when absent wherever that is not ``SimConfig``'s own
+#: (``--engine`` has none: absent, it overrides nothing).
+_CONFIG_FLAGS: Dict[str, Dict[str, Any]] = {
+    "routing": {"choices": sorted(SCHEMES)},
+    "topology": {"choices": ["torus", "mesh", "hypercube"]},
+    "radix": {"type": int},
+    "dims": {"type": int},
+    "num_vcs": {"type": int},
+    "buffer_depth": {"type": int},
+    "num_inject": {"type": int},
+    "num_sink": {"type": int},
+    "message_length": {"type": int},
+    "pattern": {},
+    "load": {"type": float},
+    "workload": {
+        "metavar": "SPEC",
+        "help": "production workload spec: bernoulli | geometric | poisson "
+                "| mmpp | pareto | incast | client-server | phased | "
+                "trace:<path>, with optional k=v args after ':' "
+                "(see docs/WORKLOADS.md)",
+    },
+    "fault_rate": {"type": float},
+    "permanent_faults": {"type": int},
+    "cascade_faults": {
+        "metavar": "SPEC",
+        "help": "load-dependent cascading faults: 'cascade' for defaults "
+                "or 'k=v,...' LoadDependentFaults kwargs "
+                "(see docs/WORKLOADS.md)",
+    },
+    "warmup": {"type": int},
+    "measure": {"type": int},
+    "drain": {"type": int},
+    "seed": {"type": int},
+    "verify": {
+        "action": "store_true", "default": False,
+        "help": "arm the runtime protocol-invariant checker "
+                "(see docs/VERIFICATION.md)",
+    },
+    "profile": {
+        "action": "store_true",
+        "help": "arm the engine self-profiler and print the per-phase "
+                "hotspot table (see docs/OBSERVABILITY.md)",
+    },
+    "alerts": {
+        "nargs": "?", "const": True, "metavar": "RULES.json",
+        "help": "arm the alert rules engine: built-in rules, or a JSON "
+                "rules file (see docs/OBSERVABILITY.md)",
+    },
+    "sample_interval": {
+        "type": int, "metavar": "CYCLES",
+        "help": "collect time-series metrics every CYCLES cycles (alerts "
+                "and --serve evaluate on these boundaries; default 200 "
+                "when either is armed)",
+    },
+    "engine": {
+        "default": None, "choices": ["reference", "fast"],
+        "help": "simulation engine: the fast engine with event "
+                "skipping or the flit-identical reference cycle loop "
+                "it is checked against (default: SimConfig's, or the "
+                "preset's; see docs/SIMULATOR.md)",
+    },
+}
+
+#: subcommand -> (the config flags it takes, in --help order; its own
+#: defaults where they differ from the table's and ``SimConfig``'s).
+_COMMAND_FLAGS: Dict[str, Tuple[Tuple[str, ...], Dict[str, Any]]] = {
+    "run": (
+        tuple(_CONFIG_FLAGS),  # every one of them
+        {"load": 0.3, "warmup": 500, "measure": 2000},
+    ),
+    "sweep": (
+        ("routing", "radix", "dims", "num_vcs", "message_length",
+         "pattern", "workload", "warmup", "measure", "drain", "seed",
+         "engine"),
+        {"warmup": 500, "measure": 2000},
+    ),
+    "trace": (
+        ("routing", "radix", "dims", "pattern", "load", "workload",
+         "message_length", "seed", "sample_interval", "engine"),
+        {"pattern": "transpose", "load": 0.3},
+    ),
+}
+
+#: the ``trace`` flags that also apply over a preset: given, they
+#: override it; absent (None), they leave it alone.
+_PRESET_OVERRIDES = ("workload", "sample_interval", "engine")
+
+
+def _add_config_flags(parser: argparse.ArgumentParser,
+                      command: str) -> None:
+    """Declare ``command``'s share of the flag table on its parser."""
+    names, own = _COMMAND_FLAGS[command]
+    defaults = {f.name: f.default for f in dataclasses.fields(SimConfig)}
+    for name in names:
+        parser.add_argument(
+            "--" + name.replace("_", "-"),
+            **{"default": defaults[name], **_CONFIG_FLAGS[name]},
+        )
+    parser.set_defaults(**own)
+
+
+def _given(**values: Any) -> Dict[str, Any]:
+    """Keywords for the flags that were given: an absent flag (None)
+    leaves the callee's own default in place."""
+    return {k: v for k, v in values.items() if v is not None}
+
+
+def _named(args: argparse.Namespace,
+           names: Tuple[str, ...]) -> Dict[str, Any]:
+    """The ``SimConfig`` fields those flags name; absent, a flag leaves
+    ``SimConfig``'s -- or a preset's -- value standing."""
+    return _given(**{name: getattr(args, name) for name in names})
+
+
+def _config_from_args(args: argparse.Namespace, **fixed: Any) -> SimConfig:
+    """The configuration a subcommand's declared flags name, plus the
+    fields the subcommand fixes itself."""
+    return SimConfig(**_named(args, _COMMAND_FLAGS[args.command][0]),
+                     **fixed)
+
+
+def _checked(config: SimConfig) -> SimConfig:
+    """``config``, built once before anything else starts (a telemetry
+    server, a pool): whatever ``build()`` rejects is misuse."""
+    try:
+        config.build()
+    except (TypeError, ValueError, OSError) as exc:
+        raise UsageError(str(exc)) from None
+    return config
+
+
+def _pool_width(workers: int) -> Optional[int]:
+    """``--workers`` as an executor width: 0 is one per CPU (None)."""
+    if workers < 0:
+        raise UsageError(f"--workers must be >= 0, got {workers}")
+    return workers or None
+
+
+def _scale(name: str):
+    """The experiment scale ``--scale`` names."""
+    return experiments.PAPER if name == "paper" else experiments.QUICK
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -33,16 +199,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_engine(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--engine", default=None,
-            choices=["reference", "fast"],
-            help="simulation engine: the fast engine with event "
-                 "skipping or the flit-identical reference cycle loop "
-                 "it is checked against (default: SimConfig's, or the "
-                 "preset's; see docs/SIMULATOR.md)",
-        )
-
     def add_serve(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--serve", default=None, metavar="[HOST:]PORT",
@@ -51,71 +207,19 @@ def _build_parser() -> argparse.ArgumentParser:
                  "(port 0 = ephemeral; see docs/OBSERVABILITY.md)",
         )
 
+    def add_scale(p: argparse.ArgumentParser, help=None) -> None:
+        p.add_argument(
+            "--scale", default="quick", choices=["quick", "paper"], help=help
+        )
+
     run_p = sub.add_parser("run", help="run one simulation")
-    run_p.add_argument(
-        "--routing", default="cr", choices=sorted(SCHEMES)
-    )
-    run_p.add_argument(
-        "--topology", default="torus", choices=["torus", "mesh", "hypercube"]
-    )
-    run_p.add_argument("--radix", type=int, default=8)
-    run_p.add_argument("--dims", type=int, default=2)
-    run_p.add_argument("--num-vcs", type=int, default=None)
-    run_p.add_argument("--buffer-depth", type=int, default=2)
-    run_p.add_argument("--num-inject", type=int, default=1)
-    run_p.add_argument("--num-sink", type=int, default=1)
-    run_p.add_argument("--message-length", type=int, default=16)
-    run_p.add_argument("--pattern", default="uniform")
-    run_p.add_argument("--load", type=float, default=0.3)
-    run_p.add_argument(
-        "--workload", default=None, metavar="SPEC",
-        help="production workload spec: bernoulli | geometric | poisson "
-             "| mmpp | pareto | incast | client-server | phased | "
-             "trace:<path>, with optional k=v args after ':' "
-             "(see docs/WORKLOADS.md)",
-    )
-    run_p.add_argument("--fault-rate", type=float, default=0.0)
-    run_p.add_argument("--permanent-faults", type=int, default=0)
-    run_p.add_argument(
-        "--cascade-faults", default=None, metavar="SPEC",
-        help="load-dependent cascading faults: 'cascade' for defaults "
-             "or 'k=v,...' LoadDependentFaults kwargs "
-             "(see docs/WORKLOADS.md)",
-    )
-    run_p.add_argument("--warmup", type=int, default=500)
-    run_p.add_argument("--measure", type=int, default=2000)
-    run_p.add_argument("--drain", type=int, default=4000)
-    run_p.add_argument("--seed", type=int, default=42)
-    run_p.add_argument(
-        "--verify", action="store_true",
-        help="arm the runtime protocol-invariant checker "
-             "(see docs/VERIFICATION.md)",
-    )
-    run_p.add_argument(
-        "--profile", action="store_true",
-        help="arm the engine self-profiler and print the per-phase "
-             "hotspot table (see docs/OBSERVABILITY.md)",
-    )
-    run_p.add_argument(
-        "--alerts", nargs="?", const=True, default=None,
-        metavar="RULES.json",
-        help="arm the alert rules engine: built-in rules, or a JSON "
-             "rules file (see docs/OBSERVABILITY.md)",
-    )
-    run_p.add_argument(
-        "--sample-interval", type=int, default=None, metavar="CYCLES",
-        help="collect time-series metrics every CYCLES cycles (alerts "
-             "and --serve evaluate on these boundaries; default 200 "
-             "when either is armed)",
-    )
+    _add_config_flags(run_p, "run")
     add_serve(run_p)
-    add_engine(run_p)
+    run_p.set_defaults(handler=_cmd_run)
 
     exp_p = sub.add_parser("experiment", help="reproduce a table/figure")
-    exp_p.add_argument("id", choices=sorted(REGISTRY))
-    exp_p.add_argument(
-        "--scale", default="quick", choices=["quick", "paper"]
-    )
+    exp_p.add_argument("id", choices=sorted(experiments.REGISTRY))
+    add_scale(exp_p)
     exp_p.add_argument(
         "--workers",
         type=int,
@@ -132,29 +236,15 @@ def _build_parser() -> argparse.ArgumentParser:
         "--verify", action="store_true",
         help="arm the invariant checker on every run of the experiment",
     )
+    exp_p.set_defaults(handler=_cmd_experiment)
 
     sweep_p = sub.add_parser("sweep", help="latency/throughput load sweep")
-    sweep_p.add_argument(
-        "--routing", default="cr", choices=sorted(SCHEMES)
-    )
-    sweep_p.add_argument("--radix", type=int, default=8)
-    sweep_p.add_argument("--dims", type=int, default=2)
-    sweep_p.add_argument("--num-vcs", type=int, default=None)
-    sweep_p.add_argument("--message-length", type=int, default=16)
-    sweep_p.add_argument("--pattern", default="uniform")
-    sweep_p.add_argument(
-        "--workload", default=None, metavar="SPEC",
-        help="production workload spec (see cr-sim run --workload)",
-    )
+    _add_config_flags(sweep_p, "sweep")
     sweep_p.add_argument(
         "--loads",
         default="0.1,0.2,0.3,0.4",
         help="comma-separated load fractions",
     )
-    sweep_p.add_argument("--warmup", type=int, default=500)
-    sweep_p.add_argument("--measure", type=int, default=2000)
-    sweep_p.add_argument("--drain", type=int, default=4000)
-    sweep_p.add_argument("--seed", type=int, default=42)
     sweep_p.add_argument("--out", default=None, help="CSV output path")
     sweep_p.add_argument(
         "--workers",
@@ -173,7 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_CACHE_DIR,
         help="sweep result cache location (default: %(default)s)",
     )
-    add_engine(sweep_p)
+    sweep_p.set_defaults(handler=_cmd_sweep)
 
     trace_p = sub.add_parser(
         "trace",
@@ -186,18 +276,8 @@ def _build_parser() -> argparse.ArgumentParser:
              "Perfetto artifacts under results/traces/.  Omit to "
              "configure the run with the flags below.",
     )
-    trace_p.add_argument("--routing", default="cr", choices=sorted(SCHEMES))
-    trace_p.add_argument("--radix", type=int, default=8)
-    trace_p.add_argument("--dims", type=int, default=2)
-    trace_p.add_argument("--pattern", default="transpose")
-    trace_p.add_argument("--load", type=float, default=0.3)
-    trace_p.add_argument(
-        "--workload", default=None, metavar="SPEC",
-        help="production workload spec (see cr-sim run --workload)",
-    )
+    _add_config_flags(trace_p, "trace")
     trace_p.add_argument("--cycles", type=int, default=1500)
-    trace_p.add_argument("--message-length", type=int, default=16)
-    trace_p.add_argument("--seed", type=int, default=42)
     trace_p.add_argument(
         "--svg", default=None, help="write a heat-map SVG to this path"
     )
@@ -215,10 +295,6 @@ def _build_parser() -> argparse.ArgumentParser:
     trace_p.add_argument(
         "--events", type=int, default=0, metavar="N",
         help="print the last N events of the run",
-    )
-    trace_p.add_argument(
-        "--sample-interval", type=int, default=None, metavar="CYCLES",
-        help="collect time-series metrics every CYCLES cycles",
     )
     trace_p.add_argument(
         "--series-csv", default=None, metavar="PATH",
@@ -249,9 +325,10 @@ def _build_parser() -> argparse.ArgumentParser:
              "format (default path: results/traces/<name>.prom.txt)",
     )
     add_serve(trace_p)
-    add_engine(trace_p)
+    trace_p.set_defaults(handler=_cmd_trace)
 
-    sub.add_parser("list", help="list available experiments")
+    list_p = sub.add_parser("list", help="list available experiments")
+    list_p.set_defaults(handler=_cmd_list)
 
     camp_p = sub.add_parser(
         "campaign",
@@ -275,10 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="built-in campaign name or path to a JSON spec file",
     )
     add_db(crun_p)
-    crun_p.add_argument(
-        "--scale", default="quick", choices=["quick", "paper"],
-        help="network/run sizing for built-in campaigns",
-    )
+    add_scale(crun_p, help="network/run sizing for built-in campaigns")
     crun_p.add_argument(
         "--quick", action="store_true",
         help="shorthand for --scale quick",
@@ -323,6 +397,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "for `campaign logs` (see docs/OBSERVABILITY.md)",
     )
     add_serve(crun_p)
+    crun_p.set_defaults(handler=_cmd_campaign_run)
 
     cworker_p = camp_sub.add_parser(
         "worker",
@@ -368,12 +443,14 @@ def _build_parser() -> argparse.ArgumentParser:
              "worker joins the coordinator's trace via CR_TRACEPARENT "
              "or the store's open root span)",
     )
+    cworker_p.set_defaults(handler=_cmd_campaign_worker)
 
     cstat_p = camp_sub.add_parser(
         "status", help="stored campaigns, or one campaign in detail"
     )
     cstat_p.add_argument("name", nargs="?", default=None)
     add_db(cstat_p)
+    cstat_p.set_defaults(handler=_cmd_campaign_status)
 
     cwatch_p = camp_sub.add_parser(
         "watch",
@@ -410,6 +487,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "(default: 15; raise for slow points or remote "
              "filesystems)",
     )
+    cwatch_p.set_defaults(handler=_cmd_campaign_watch)
 
     ctl_p = camp_sub.add_parser(
         "timeline",
@@ -424,6 +502,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "path: <db dir>/<name>.timeline.perfetto.json); without "
              "this flag only the span summary prints",
     )
+    ctl_p.set_defaults(handler=_cmd_campaign_timeline)
 
     clog_p = camp_sub.add_parser(
         "logs",
@@ -455,6 +534,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true",
         help="print raw JSONL records instead of formatted lines",
     )
+    clog_p.set_defaults(handler=_cmd_campaign_logs)
 
     crep_p = camp_sub.add_parser(
         "report", help="markdown regression report: baseline vs candidate"
@@ -472,13 +552,13 @@ def _build_parser() -> argparse.ArgumentParser:
     crep_p.add_argument(
         "--csv", default=None, help="also write comparison rows as CSV"
     )
+    crep_p.set_defaults(handler=_cmd_campaign_report)
 
     clist_p = camp_sub.add_parser(
         "list", help="built-in campaigns and their grid sizes"
     )
-    clist_p.add_argument(
-        "--scale", default="quick", choices=["quick", "paper"]
-    )
+    add_scale(clist_p)
+    clist_p.set_defaults(handler=_cmd_campaign_list)
 
     verify_p = sub.add_parser(
         "verify",
@@ -511,56 +591,31 @@ def _build_parser() -> argparse.ArgumentParser:
         "--quick", action="store_true",
         help="shrink the replayed runs (smoke-test sizing)",
     )
+    verify_p.set_defaults(handler=_cmd_verify)
     return parser
 
 
-#: the flags ``SimConfig.build()`` range-checks the values of.
-_CHECKED_FLAGS = (
-    "topology", "radix", "dims", "routing", "num_vcs", "buffer_depth",
-    "num_inject", "num_sink", "message_length", "pattern", "load",
-    "workload", "fault_rate", "permanent_faults", "cascade_faults",
-    "sample_interval",
-)
-
-
-def _engine_override(args: argparse.Namespace) -> Dict[str, str]:
-    """``--engine`` as ``SimConfig`` keywords: absent, it overrides
-    nothing; given, it always does."""
-    return {} if args.engine is None else {"engine": args.engine}
-
-
-def _config_usage_error(args: argparse.Namespace, prog: str):
-    """Build the configuration the command names (the flags it has,
-    defaults for the rest) eagerly: misuse exits 2."""
-    named = {
-        name: getattr(args, name)
-        for name in _CHECKED_FLAGS
-        if hasattr(args, name)
-    }
-    try:
-        SimConfig(**named).build()
-    except (TypeError, ValueError, OSError) as exc:
-        print(f"cr-sim {prog}: {exc}", file=sys.stderr)
-        return 2
-    return None
-
-
-def _start_server(spec: Optional[str]):
-    """Start a telemetry server for --serve and announce its URL."""
+@contextlib.contextmanager
+def _serving(spec: Optional[str]) -> Iterator[Any]:
+    """The ``--serve`` telemetry server for the length of a run: started
+    and announced on entry, stopped on exit; None without the flag."""
     if spec is None:
-        return None
+        yield None
+        return
     from .obs.server import make_telemetry_server
 
     try:
         server = make_telemetry_server(spec)
     except (ValueError, OSError) as exc:
-        print(f"cr-sim: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+        raise UsageError(str(exc)) from None
     print(
         f"  telemetry: {server.url}/metrics  /health  /status",
         file=sys.stderr,
     )
-    return server
+    try:
+        yield server
+    finally:
+        server.stop()
 
 
 def _print_alerts(report: Dict[str, Any]) -> None:
@@ -579,50 +634,24 @@ def _print_alerts(report: Dict[str, Any]) -> None:
               f"{ep['message']}")
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    error = _config_usage_error(args, "run")
-    if error is not None:
-        return error
-    if args.alerts not in (None, True):
-        import os
+def _print_hotspots(profiler: Any) -> None:
+    print()
+    print(format_table(
+        profiler.hotspot_rows(),
+        ["phase", "calls", "wall_ms", "share_pct", "mean_us", "max_us"],
+        title=f"engine phase hotspots ({profiler.cycles} cycles, "
+              f"{profiler.step_wall_ns / 1e6:.1f} ms)",
+    ))
 
-        if not os.path.exists(args.alerts):
-            print(f"cr-sim run: no alert rules file {args.alerts!r}",
-                  file=sys.stderr)
-            return 2
-    server = _start_server(args.serve)
-    config = SimConfig(
-        topology=args.topology,
-        radix=args.radix,
-        dims=args.dims,
-        routing=args.routing,
-        num_vcs=args.num_vcs,
-        buffer_depth=args.buffer_depth,
-        num_inject=args.num_inject,
-        num_sink=args.num_sink,
-        message_length=args.message_length,
-        pattern=args.pattern,
-        load=args.load,
-        workload=args.workload,
-        fault_rate=args.fault_rate,
-        permanent_faults=args.permanent_faults,
-        cascade_faults=args.cascade_faults,
-        warmup=args.warmup,
-        measure=args.measure,
-        drain=args.drain,
-        seed=args.seed,
-        verify=args.verify or None,
-        profile=args.profile,
-        alerts=args.alerts,
-        serve=server,
-        sample_interval=args.sample_interval,
-        **_engine_override(args),
-    )
-    try:
-        result = run_simulation(config, keep_engine=args.profile)
-    finally:
-        if server is not None:
-            server.stop()
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    if args.alerts not in (None, True) and not os.path.exists(args.alerts):
+        raise UsageError(f"no alert rules file {args.alerts!r}")
+    config = _checked(_config_from_args(args))
+    with _serving(args.serve) as server:
+        result = run_simulation(
+            config.with_(serve=server), keep_engine=args.profile
+        )
     verify_summary = result.report.get("verify")
     rows = [
         {"metric": key, "value": value}
@@ -648,16 +677,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 for key, value in sorted(verify_summary.items())
             )
         )
-    if args.profile and result.engine is not None:
-        profiler = result.engine.profiler
-        print()
-        print(format_table(
-            profiler.hotspot_rows(),
-            ["phase", "calls", "wall_ms", "share_pct", "mean_us",
-             "max_us"],
-            title=f"engine phase hotspots ({profiler.cycles} cycles, "
-                  f"{profiler.step_wall_ns / 1e6:.1f} ms)",
-        ))
+    if args.profile:
+        _print_hotspots(result.engine.profiler)
     return 0
 
 
@@ -680,31 +701,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from .sim.export import rows_to_csv
     from .sim.sweep import load_sweep
 
-    error = _config_usage_error(args, "sweep")
-    if error is not None:
-        return error
-    loads = [float(v) for v in args.loads.split(",") if v.strip()]
-    base = SimConfig(
-        routing=args.routing,
-        radix=args.radix,
-        dims=args.dims,
-        num_vcs=args.num_vcs,
-        message_length=args.message_length,
-        pattern=args.pattern,
-        workload=args.workload,
-        warmup=args.warmup,
-        measure=args.measure,
-        drain=args.drain,
-        seed=args.seed,
-        **_engine_override(args),
-    )
-    workers = args.workers if args.workers > 0 else None
+    try:
+        loads = [float(v) for v in args.loads.split(",") if v.strip()]
+    except ValueError as exc:
+        raise UsageError(f"--loads: {exc}") from None
+    if not loads:
+        raise UsageError("--loads names no load point")
+    base = _config_from_args(args)
+    _checked(base.with_(load=loads[0]))
     cache = None if args.no_cache else SweepCache(args.cache_dir)
     rows = load_sweep(
         base,
         loads,
         label=args.routing,
-        workers=workers,
+        workers=_pool_width(args.workers),
         cache=cache,
         progress=_progress_printer(len(loads)),
     )
@@ -729,11 +739,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _preset_config(name: str, **overrides: Any) -> SimConfig:
+    """The experiment preset ``trace`` and ``verify`` know as ``name``."""
+    from .obs import config_for_experiment
+
+    try:
+        return config_for_experiment(name, **overrides)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _trace_artifact_path(arg: Optional[str], name: str,
                          suffix: str) -> Optional[str]:
     """Resolve --jsonl/--perfetto: None, an explicit path, or 'auto'."""
-    import os
-
     from .obs import DEFAULT_TRACE_DIR
 
     if arg is None:
@@ -752,18 +770,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         occupancy_snapshot,
     )
 
-    error = _config_usage_error(args, "trace")
-    if error is not None:
-        return error
+    if args.hotspot is not None and args.profile is None:
+        raise UsageError("--hotspot needs --profile")
     if args.experiment is not None:
-        from .obs import config_for_experiment
-
         name = args.experiment
-        try:
-            config = config_for_experiment(name, seed=args.seed)
-        except ValueError as exc:
-            print(f"cr-sim trace: {exc}", file=sys.stderr)
-            return 2
+        config = _preset_config(name, seed=args.seed).with_(
+            **_named(args, _PRESET_OVERRIDES)
+        )
         # A preset run exists to produce artifacts: default both on.
         if args.jsonl is None:
             args.jsonl = "auto"
@@ -772,45 +785,24 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         title = f"{name} ({config.routing}, load {config.load})"
     else:
         name = args.routing
-        config = SimConfig(
-            routing=args.routing,
-            radix=args.radix,
-            dims=args.dims,
-            pattern=args.pattern,
-            load=args.load,
-            message_length=args.message_length,
-            warmup=0,
-            measure=args.cycles,
-            drain=0,
-            seed=args.seed,
+        config = _config_from_args(
+            args, warmup=0, measure=args.cycles, drain=0
         )
         title = f"{args.routing} / {args.pattern} / load {args.load}"
-    config = config.with_(**_engine_override(args))
     if args.workload is not None:
-        config = config.with_(workload=args.workload)
         title += f" / workload {args.workload}"
+    _checked(config)
 
-    if args.hotspot is not None and args.profile is None:
-        print("cr-sim trace: --hotspot needs --profile", file=sys.stderr)
-        return 2
-
-    server = _start_server(args.serve)
-    if server is not None:
-        config = config.with_(serve=server)
-    try:
+    with _serving(args.serve) as server:
         traced = run_traced(
-            config,
+            config.with_(serve=server),
             jsonl_path=_trace_artifact_path(args.jsonl, name, ".jsonl"),
             perfetto_path=_trace_artifact_path(
                 args.perfetto, name, ".perfetto.json"
             ),
-            sample_interval=args.sample_interval,
             keep_engine=True,
-            profile=args.profile if args.profile is not None else False,
+            profile=args.profile or False,
         )
-    finally:
-        if server is not None:
-            server.stop()
     engine = traced.result.engine
     print(f"{title} on {engine.topology.name}, t={engine.now}\n")
     print("buffer occupancy (flits per router):")
@@ -872,27 +864,15 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         print(f"wrote {traced.perfetto_entries} trace entries to "
               f"{traced.perfetto_path} (load at ui.perfetto.dev)")
 
-    profiler = traced.profiler
-    if profiler is not None:
-        print()
-        print(
-            format_table(
-                profiler.hotspot_rows(),
-                ["phase", "calls", "wall_ms", "share_pct", "mean_us",
-                 "max_us"],
-                title=f"engine phase hotspots ({profiler.cycles} cycles, "
-                      f"{profiler.step_wall_ns / 1e6:.1f} ms)",
-            )
-        )
+    if traced.profiler is not None:
+        _print_hotspots(traced.profiler)
         hotspot_path = _trace_artifact_path(args.hotspot, name,
                                             ".hotspot.md")
         if hotspot_path:
-            import os
-
             os.makedirs(os.path.dirname(hotspot_path) or ".",
                         exist_ok=True)
             with open(hotspot_path, "w") as handle:
-                handle.write(profiler.hotspot_markdown())
+                handle.write(traced.profiler.hotspot_markdown())
             print(f"\nwrote hotspot report to {hotspot_path}")
     prom_path = _trace_artifact_path(args.prom, name, ".prom.txt")
     if prom_path:
@@ -914,12 +894,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    module = REGISTRY[args.id]
-    scale = PAPER if args.scale == "paper" else QUICK
+    module = experiments.REGISTRY[args.id]
+    scale = _scale(args.scale)
     if args.workers is not None:
-        scale = scale.scaled(
-            workers=args.workers if args.workers > 0 else None
-        )
+        scale = scale.scaled(workers=_pool_width(args.workers))
     if args.no_cache:
         scale = scale.scaled(cache=False)
     if args.verify:
@@ -932,58 +910,47 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 def _resolve_campaign_spec(name: str, scale_name: str):
     """A built-in campaign by name, or a JSON spec file by path."""
     import json
-    import os
 
     from .campaign import BUILTIN_CAMPAIGNS, CampaignSpec, get_campaign
-    from .experiments import PAPER, QUICK
 
     if name in BUILTIN_CAMPAIGNS:
-        return get_campaign(
-            name, PAPER if scale_name == "paper" else QUICK
+        return get_campaign(name, _scale(scale_name))
+    if not os.path.exists(name):
+        raise UsageError(
+            f"{name!r} is neither a built-in campaign "
+            f"({sorted(BUILTIN_CAMPAIGNS)}) nor a spec file"
         )
-    if os.path.exists(name):
+    try:
         with open(name, "r", encoding="utf-8") as handle:
             return CampaignSpec.from_dict(json.load(handle))
-    print(
-        f"cr-sim campaign: {name!r} is neither a built-in campaign "
-        f"({sorted(BUILTIN_CAMPAIGNS)}) nor a spec file",
-        file=sys.stderr,
-    )
-    raise SystemExit(2)
+    except (OSError, TypeError, ValueError) as exc:
+        raise UsageError(f"spec file {name}: {exc}") from None
 
 
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
     from .campaign import CampaignPointStatus, CampaignStore, run_campaign
 
-    error = _config_usage_error(args, "campaign")
-    if error is not None:
-        return error
-    scale = "quick" if getattr(args, "quick", False) else args.scale
-    spec = _resolve_campaign_spec(args.name, scale)
-    if getattr(args, "workload", None) is not None:
-        from .campaign import CampaignSpec
+    spec = _resolve_campaign_spec(
+        args.name, "quick" if args.quick else args.scale
+    )
+    if args.workload is not None:
+        spec = dataclasses.replace(spec, grids=tuple(
+            dataclasses.replace(
+                grid, base={**grid.base, "workload": args.workload}
+            )
+            for grid in spec.grids
+        ))
+        _checked(next(spec.points()).config)
+    if args.retries < 0:
+        raise UsageError(f"--retries must be >= 0, got {args.retries}")
+    workers = _pool_width(args.workers)
 
-        data = spec.to_dict()
-        if "grids" in data:
-            for body in data["grids"].values():
-                body.setdefault("base", {})["workload"] = args.workload
-        else:
-            data.setdefault("base", {})["workload"] = args.workload
-        spec = CampaignSpec.from_dict(data)
-
-    fabric_workers = getattr(args, "workers_fabric", 0) or 0
-    if fabric_workers <= 0 and (
-        getattr(args, "lease_ttl", None) is not None
-        or getattr(args, "lease_batch", None) is not None
-    ):
-        print(
-            "cr-sim campaign run: --lease-ttl/--lease-batch need "
-            "--workers-fabric N",
-            file=sys.stderr,
+    if args.workers_fabric > 0:
+        return _campaign_run_fabric(args, spec)
+    if args.lease_ttl is not None or args.lease_batch is not None:
+        raise UsageError(
+            "--lease-ttl/--lease-batch need --workers-fabric N"
         )
-        return 2
-    if fabric_workers > 0:
-        return _campaign_run_fabric(args, spec, fabric_workers)
 
     def report(status: CampaignPointStatus) -> None:
         if status.outcome == "skipped":
@@ -998,22 +965,17 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
 
-    server = _start_server(getattr(args, "serve", None))
-    try:
-        with CampaignStore(args.db) as store:
-            stats = run_campaign(
-                spec,
-                store,
-                workers=args.workers if args.workers > 0 else None,
-                retries=args.retries,
-                progress=report,
-                verify=args.verify,
-                serve=server,
-                trace=args.trace,
-            )
-    finally:
-        if server is not None:
-            server.stop()
+    with _serving(args.serve) as server, CampaignStore(args.db) as store:
+        stats = run_campaign(
+            spec,
+            store,
+            workers=workers,
+            retries=args.retries,
+            progress=report,
+            verify=args.verify,
+            serve=server,
+            trace=args.trace,
+        )
     print(
         f"campaign {spec.name!r}: {stats.ran} point(s) run, "
         f"{stats.skipped} resumed, {stats.failed} failed "
@@ -1025,23 +987,19 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     return 0 if stats.complete else 1
 
 
-def _campaign_run_fabric(args: argparse.Namespace, spec,
-                         workers: int) -> int:
-    """`campaign run --workers-fabric N`: coordinator + N local workers."""
-    from .campaign.fabric import (
-        DEFAULT_BATCH,
-        DEFAULT_TTL,
-        run_fabric,
-    )
-
-    if args.db == ":memory:":
-        print(
-            "cr-sim campaign run: the fabric shards across worker "
-            "processes, which need a shared on-disk --db (not :memory:)",
-            file=sys.stderr,
+def _require_shared_db(db: str) -> None:
+    if db == ":memory:":
+        raise UsageError(
+            "the fabric shards across worker processes, which need a "
+            "shared on-disk --db (not :memory:)"
         )
-        return 2
 
+
+def _campaign_run_fabric(args: argparse.Namespace, spec) -> int:
+    """`campaign run --workers-fabric N`: coordinator + N local workers."""
+    from .campaign.fabric import run_fabric
+
+    _require_shared_db(args.db)
     last = {"done": -1}
 
     def narrate(status: Dict[str, Any]) -> None:
@@ -1059,23 +1017,20 @@ def _campaign_run_fabric(args: argparse.Namespace, spec,
             file=sys.stderr,
         )
 
-    server = _start_server(getattr(args, "serve", None))
-    try:
+    with _serving(args.serve) as server:
         stats = run_fabric(
             spec,
             args.db,
-            workers=workers,
-            batch=args.lease_batch or DEFAULT_BATCH,
-            ttl=args.lease_ttl or DEFAULT_TTL,
+            workers=args.workers_fabric,
             max_attempts=args.retries + 1,
             verify=args.verify,
             serve=server,
             on_poll=narrate,
             trace=args.trace,
+            # --lease-batch 0 / --lease-ttl 0 ask for the default too.
+            **_given(batch=args.lease_batch or None,
+                     ttl=args.lease_ttl or None),
         )
-    finally:
-        if server is not None:
-            server.stop()
     print(
         f"campaign {spec.name!r}: {stats.ok} point(s) ok, "
         f"{stats.failed} failed across {stats.workers_seen} worker(s) "
@@ -1088,38 +1043,22 @@ def _campaign_run_fabric(args: argparse.Namespace, spec,
 
 
 def _cmd_campaign_worker(args: argparse.Namespace) -> int:
-    from .campaign.fabric import (
-        DEFAULT_BATCH,
-        DEFAULT_MAX_ATTEMPTS,
-        DEFAULT_POLL,
-        DEFAULT_TTL,
-        Worker,
-    )
+    from .campaign.fabric import Worker
 
-    if args.db == ":memory:":
-        print(
-            "cr-sim campaign worker: fabric workers need a shared "
-            "on-disk --db (not :memory:)",
-            file=sys.stderr,
-        )
-        return 2
+    _require_shared_db(args.db)
     worker = Worker(
         args.name,
         args.db,
         worker_id=args.worker_id,
-        batch=args.batch if args.batch is not None else DEFAULT_BATCH,
-        ttl=args.ttl if args.ttl is not None else DEFAULT_TTL,
-        poll=args.poll if args.poll is not None else DEFAULT_POLL,
-        max_attempts=(args.max_attempts if args.max_attempts is not None
-                      else DEFAULT_MAX_ATTEMPTS),
         verify=args.verify,
         trace=True if args.trace else None,
+        **_given(batch=args.batch, ttl=args.ttl, poll=args.poll,
+                 max_attempts=args.max_attempts),
     )
     try:
         stats = worker.run()
     except LookupError as exc:
-        print(f"cr-sim campaign worker: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(str(exc)) from None
     print(
         f"worker {worker.worker_id!r}: {stats.ran} point(s) run, "
         f"{stats.failed} failed attempt(s), {stats.reclaims} lease(s) "
@@ -1128,6 +1067,17 @@ def _cmd_campaign_worker(args: argparse.Namespace) -> int:
         file=sys.stderr,
     )
     return 0 if stats.complete else 1
+
+
+def _require_stored(store: Any, *names: str) -> None:
+    """Each of ``names`` is a campaign the store holds."""
+    known = sorted(c["name"] for c in store.campaigns())
+    for name in names:
+        if name not in known:
+            raise UsageError(
+                f"no stored campaign {name!r} in {store.path} "
+                f"(have: {known})"
+            )
 
 
 def _cmd_campaign_status(args: argparse.Namespace) -> int:
@@ -1149,6 +1099,7 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
                 title=f"stored campaigns in {args.db}",
             ))
         else:
+            _require_stored(store, args.name)
             print(campaign_markdown(store, args.name))
     return 0
 
@@ -1163,15 +1114,7 @@ def _cmd_campaign_report(args: argparse.Namespace) -> int:
 
     metrics = [m for m in args.metrics.split(",") if m.strip()]
     with CampaignStore(args.db) as store:
-        known = {c["name"] for c in store.campaigns()}
-        for name in (args.baseline, args.candidate):
-            if name not in known:
-                print(
-                    f"cr-sim campaign report: no stored campaign "
-                    f"{name!r} in {args.db} (have: {sorted(known)})",
-                    file=sys.stderr,
-                )
-                return 2
+        _require_stored(store, args.baseline, args.candidate)
         rows = compare_campaigns(
             store, args.baseline, args.candidate, metrics
         )
@@ -1190,9 +1133,8 @@ def _cmd_campaign_report(args: argparse.Namespace) -> int:
 
 def _cmd_campaign_list(args: argparse.Namespace) -> int:
     from .campaign import campaign_names, get_campaign
-    from .experiments import PAPER, QUICK
 
-    scale = PAPER if args.scale == "paper" else QUICK
+    scale = _scale(args.scale)
     rows = []
     for name in campaign_names():
         spec = get_campaign(name, scale)
@@ -1210,7 +1152,6 @@ def _cmd_campaign_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_watch(args: argparse.Namespace) -> int:
-    import os
     import time
 
     from .campaign import read_status, render_status, status_path
@@ -1218,35 +1159,27 @@ def _cmd_campaign_watch(args: argparse.Namespace) -> int:
 
     path = args.status_file or status_path(args.db, args.name)
     if path is None:
-        print(
-            "cr-sim campaign watch: in-memory stores have no status "
-            "file; pass --status-file",
-            file=sys.stderr,
+        raise UsageError(
+            "in-memory stores have no status file; pass --status-file"
         )
-        return 2
 
     def render_once() -> Optional[Dict[str, Any]]:
         if not os.path.exists(path):
             return None
         status = read_status(path)
-        stale_kw = {}
-        if args.stale_after is not None:
-            stale_kw["stale_after"] = args.stale_after
-        print(render_status(status, alerts_only=args.alerts, **stale_kw))
+        print(render_status(status, alerts_only=args.alerts,
+                            **_given(stale_after=args.stale_after)))
         if args.svg:
             with open(args.svg, "w", encoding="utf-8") as handle:
                 handle.write(status_svg(status))
         return status
 
     if args.once:
-        status = render_once()
-        if status is None:
-            print(
-                f"cr-sim campaign watch: no status file at {path} "
-                f"(is the campaign running with a heartbeat?)",
-                file=sys.stderr,
+        if render_once() is None:
+            raise UsageError(
+                f"no status file at {path} "
+                f"(is the campaign running with a heartbeat?)"
             )
-            return 2
         return 0
 
     waited = 0.0
@@ -1258,12 +1191,10 @@ def _cmd_campaign_watch(args: argparse.Namespace) -> int:
                     print(f"waiting for {path} ...", file=sys.stderr)
                 waited += args.interval
                 if waited > 60.0:
-                    print(
-                        f"cr-sim campaign watch: gave up after 60s "
-                        f"without a status file at {path}",
-                        file=sys.stderr,
+                    raise UsageError(
+                        f"gave up after 60s without a status file at "
+                        f"{path}"
                     )
-                    return 2
             elif status.get("state") == "finished":
                 return 0
             time.sleep(args.interval)
@@ -1282,13 +1213,10 @@ def _cmd_campaign_timeline(args: argparse.Namespace) -> int:
     with CampaignStore(args.db) as store:
         summary = timeline_summary(store, args.name)
         if summary["spans"] == 0:
-            print(
-                f"cr-sim campaign timeline: campaign {args.name!r} in "
-                f"{args.db} has no journaled spans; run it with "
-                f"--trace",
-                file=sys.stderr,
+            raise UsageError(
+                f"campaign {args.name!r} in {args.db} has no journaled "
+                f"spans; run it with --trace"
             )
-            return 2
         kinds = ", ".join(
             f"{kind} {count}"
             for kind, count in sorted(summary["by_kind"].items())
@@ -1301,14 +1229,9 @@ def _cmd_campaign_timeline(args: argparse.Namespace) -> int:
         )
         print(f"  by kind: {kinds}")
         if args.perfetto is not None:
-            try:
-                path = write_campaign_timeline(
-                    store, args.name, args.perfetto or None
-                )
-            except ValueError as exc:
-                print(f"cr-sim campaign timeline: {exc}",
-                      file=sys.stderr)
-                return 2
+            path = write_campaign_timeline(
+                store, args.name, args.perfetto or None
+            )
             print(f"wrote merged Perfetto timeline to {path}")
             print("  open it at https://ui.perfetto.dev")
     return 0
@@ -1316,7 +1239,6 @@ def _cmd_campaign_timeline(args: argparse.Namespace) -> int:
 
 def _cmd_campaign_logs(args: argparse.Namespace) -> int:
     import json as json_mod
-    import os
 
     from .obs.log import (
         campaign_log_dir,
@@ -1327,19 +1249,12 @@ def _cmd_campaign_logs(args: argparse.Namespace) -> int:
 
     log_dir = campaign_log_dir(args.db, args.name)
     if log_dir is None:
-        print(
-            "cr-sim campaign logs: in-memory stores have no log "
-            "directory",
-            file=sys.stderr,
-        )
-        return 2
+        raise UsageError("in-memory stores have no log directory")
     if not os.path.isdir(log_dir):
-        print(
-            f"cr-sim campaign logs: no log directory at {log_dir} "
-            f"(run the campaign with --trace)",
-            file=sys.stderr,
+        raise UsageError(
+            f"no log directory at {log_dir} "
+            f"(run the campaign with --trace)"
         )
-        return 2
     records = read_campaign_logs(log_dir)
     records = filter_log_records(
         records, worker=args.worker, level=args.level, trace=args.trace
@@ -1353,28 +1268,6 @@ def _cmd_campaign_logs(args: argparse.Namespace) -> int:
             print(format_log_record(record))
     print(f"{len(records)} record(s) from {log_dir}", file=sys.stderr)
     return 0
-
-
-def _cmd_campaign(args: argparse.Namespace) -> int:
-    if args.campaign_command == "run":
-        return _cmd_campaign_run(args)
-    if args.campaign_command == "worker":
-        return _cmd_campaign_worker(args)
-    if args.campaign_command == "status":
-        return _cmd_campaign_status(args)
-    if args.campaign_command == "report":
-        return _cmd_campaign_report(args)
-    if args.campaign_command == "list":
-        return _cmd_campaign_list(args)
-    if args.campaign_command == "watch":
-        return _cmd_campaign_watch(args)
-    if args.campaign_command == "timeline":
-        return _cmd_campaign_timeline(args)
-    if args.campaign_command == "logs":
-        return _cmd_campaign_logs(args)
-    raise AssertionError(
-        f"unhandled campaign command {args.campaign_command}"
-    )
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -1398,31 +1291,22 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                   f"{mutation.description}")
         return 0
     if args.experiment is not None:
-        if args.experiment not in trace_experiments():
-            print(
-                f"cr-sim verify: unknown experiment "
-                f"{args.experiment!r}; choose from "
-                f"{', '.join(trace_experiments())}",
-                file=sys.stderr,
-            )
-            return 2
-        experiments = [args.experiment]
+        _preset_config(args.experiment)  # an unknown name is misuse
+        presets = [args.experiment]
     else:
-        experiments = trace_experiments()
+        presets = trace_experiments()
     if args.mutation is not None and args.mutation not in mutation_names():
-        print(
-            f"cr-sim verify: unknown mutation {args.mutation!r}; "
-            f"choose from {', '.join(mutation_names())}",
-            file=sys.stderr,
+        raise UsageError(
+            f"unknown mutation {args.mutation!r}; "
+            f"choose from {', '.join(mutation_names())}"
         )
-        return 2
     overrides = (
         {"radix": 4, "warmup": 50, "measure": 400, "drain": 3000}
         if args.quick
         else None
     )
     outcomes = verify_presets(
-        experiments,
+        presets,
         seed=args.seed,
         mutation=args.mutation,
         check_interval=args.check_interval,
@@ -1460,14 +1344,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if clean else 1
 
 
-def _cmd_list() -> int:
+def _cmd_list(args: argparse.Namespace) -> int:
     rows = [
         {
             "id": key,
             "module": module.__name__.rsplit(".", 1)[-1],
             "what": (module.__doc__ or "").strip().splitlines()[0],
         }
-        for key, module in sorted(REGISTRY.items())
+        for key, module in sorted(experiments.REGISTRY.items())
     ]
     print(format_table(rows, ["id", "module", "what"]))
     return 0
@@ -1475,21 +1359,15 @@ def _cmd_list() -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "experiment":
-        return _cmd_experiment(args)
-    if args.command == "list":
-        return _cmd_list()
-    if args.command == "campaign":
-        return _cmd_campaign(args)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    raise AssertionError(f"unhandled command {args.command}")
+    try:
+        return args.handler(args)
+    except UsageError as exc:
+        command = args.command
+        if command == "campaign":
+            command += " " + args.campaign_command
+        print(f"cr-sim {command}: {' '.join(str(exc).split())}",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - manual entry point

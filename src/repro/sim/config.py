@@ -216,6 +216,12 @@ class SimConfig:
                 f"unknown engine {self.engine!r}; "
                 "choose 'reference' or 'fast'"
             )
+        for phase in ("warmup", "measure", "drain"):
+            if getattr(self, phase) < 0:
+                raise ValueError(
+                    f"{phase} must be >= 0 cycles, "
+                    f"got {getattr(self, phase)}"
+                )
         topology = self.make_topology()
         routing, mode = self.make_routing(topology)
         verify_config = None

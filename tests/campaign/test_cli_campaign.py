@@ -60,11 +60,22 @@ class TestWatch:
         ) == 0
         assert "[finished]" in capsys.readouterr().out
 
-    def test_missing_heartbeat_is_an_error(self, db, capsys):
+    def test_missing_heartbeat_is_an_error(self, db, usage_error):
         assert cli_main(
             ["campaign", "watch", "nothing-here", "--db", db, "--once"]
         ) == 2
-        assert "no status file" in capsys.readouterr().err
+        usage_error("campaign watch", "no status file")
+
+    def test_loop_gives_up_without_a_heartbeat(self, db, capsys):
+        # An interval past the 60 s patience gives up on the first miss,
+        # after the one "waiting" note the loop prints.
+        assert cli_main(
+            ["campaign", "watch", "nothing-here", "--db", db,
+             "--interval", "61"]
+        ) == 2
+        waiting, gave_up = capsys.readouterr().err.splitlines()
+        assert waiting.startswith("waiting for ")
+        assert gave_up.startswith("cr-sim campaign watch: gave up after 60s")
 
     def test_svg_export(self, tmp_path, db, capsys):
         path = spec_file(tmp_path)
@@ -86,11 +97,11 @@ class TestWatch:
              "--once", "--status-file", status_path(db, "from-file")]
         ) == 0
 
-    def test_in_memory_db_without_status_file_rejected(self, capsys):
+    def test_in_memory_db_without_status_file_rejected(self, usage_error):
         assert cli_main(
             ["campaign", "watch", "x", "--db", ":memory:", "--once"]
         ) == 2
-        assert "--status-file" in capsys.readouterr().err
+        usage_error("campaign watch", "--status-file")
 
 
 class TestList:
@@ -113,11 +124,9 @@ class TestRun:
         assert "0 point(s) run, 2 resumed" in second.out
         assert "already stored" in second.err
 
-    def test_unknown_name_rejected(self, db, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli_main(["campaign", "run", "banana", "--db", db])
-        assert exc.value.code == 2
-        assert "neither a built-in" in capsys.readouterr().err
+    def test_unknown_name_rejected(self, db, usage_error):
+        assert cli_main(["campaign", "run", "banana", "--db", db]) == 2
+        usage_error("campaign run", "neither a built-in")
 
     def test_killed_and_restarted_fault_matrix_resumes(
         self, tiny_builtin_scale, db, monkeypatch, capsys
@@ -209,13 +218,24 @@ class TestStatusAndReport:
         rows = read_csv(str(csv))
         assert rows and "baseline_hashes" in rows[0]
 
-    def test_report_unknown_campaign_rejected(self, db, capsys):
+    def test_report_unknown_campaign_rejected(self, db, usage_error):
         from repro.campaign import CampaignStore
 
         with CampaignStore(db):
             pass
         assert cli_main(["campaign", "report", "a", "b", "--db", db]) == 2
-        assert "no stored campaign" in capsys.readouterr().err
+        usage_error("campaign report", "no stored campaign")
+
+    def test_status_unknown_campaign_rejected(self, tmp_path, db, capsys,
+                                              usage_error):
+        # Used to print an empty report and exit 0.
+        path = spec_file(tmp_path)
+        assert cli_main(["campaign", "run", path, "--db", db]) == 0
+        capsys.readouterr()
+        assert cli_main(["campaign", "status", "from-fiel", "--db", db]) \
+            == 2
+        usage_error("campaign status", "no stored campaign 'from-fiel'",
+                    "(have: ['from-file'])")
 
 
 class TestTimelineAndLogs:
@@ -254,14 +274,15 @@ class TestTimelineAndLogs:
         capsys.readouterr()
         assert json.loads(open(target, encoding="utf-8").read())
 
-    def test_timeline_without_spans_errors(self, tmp_path, db, capsys):
+    def test_timeline_without_spans_errors(self, tmp_path, db, capsys,
+                                           usage_error):
         path = spec_file(tmp_path)
         assert cli_main(["campaign", "run", path, "--db", db]) == 0
         capsys.readouterr()
         assert cli_main(
             ["campaign", "timeline", "from-file", "--db", db]
         ) == 2
-        assert "--trace" in capsys.readouterr().err
+        usage_error("campaign timeline", "--trace")
 
     def test_logs_filtering_and_json(self, traced_db, capsys):
         assert cli_main(
@@ -288,14 +309,15 @@ class TestTimelineAndLogs:
         ) == 0
         assert capsys.readouterr().out == ""
 
-    def test_logs_without_log_dir_errors(self, tmp_path, db, capsys):
+    def test_logs_without_log_dir_errors(self, tmp_path, db, capsys,
+                                         usage_error):
         path = spec_file(tmp_path)
         assert cli_main(["campaign", "run", path, "--db", db]) == 0
         capsys.readouterr()
         assert cli_main(
             ["campaign", "logs", "from-file", "--db", db]
         ) == 2
-        assert "--trace" in capsys.readouterr().err
+        usage_error("campaign logs", "--trace")
 
     def test_watch_stale_after_flag(self, traced_db, capsys):
         # The finished heartbeat renders with any threshold (finished

@@ -252,36 +252,37 @@ class TestCli:
             env=env,
         )
 
-    def test_worker_unregistered_campaign_exits_2(self, tmp_path):
+    def test_worker_unregistered_campaign_exits_2(self, tmp_path,
+                                                  usage_error):
         proc = self.run_cli(
             "campaign", "worker", "ghost", "--db", "c.sqlite",
             cwd=tmp_path,
         )
         assert proc.returncode == 2
-        assert "not registered" in proc.stderr
+        usage_error("campaign worker", "not registered", err=proc.stderr)
 
-    def test_worker_memory_db_exits_2(self, tmp_path):
+    def test_worker_memory_db_exits_2(self, tmp_path, usage_error):
         proc = self.run_cli(
             "campaign", "worker", "x", "--db", ":memory:", cwd=tmp_path,
         )
         assert proc.returncode == 2
-        assert "on-disk" in proc.stderr
+        usage_error("campaign worker", "on-disk", err=proc.stderr)
 
-    def test_lease_flags_require_fabric(self, tmp_path):
+    def test_lease_flags_require_fabric(self, tmp_path, usage_error):
         proc = self.run_cli(
             "campaign", "run", "fault-matrix", "--db", "c.sqlite",
             "--lease-ttl", "5", cwd=tmp_path,
         )
         assert proc.returncode == 2
-        assert "--workers-fabric" in proc.stderr
+        usage_error("campaign run", "--workers-fabric", err=proc.stderr)
 
-    def test_fabric_run_memory_db_exits_2(self, tmp_path):
+    def test_fabric_run_memory_db_exits_2(self, tmp_path, usage_error):
         proc = self.run_cli(
             "campaign", "run", "fault-matrix", "--db", ":memory:",
             "--workers-fabric", "2", cwd=tmp_path,
         )
         assert proc.returncode == 2
-        assert "on-disk" in proc.stderr
+        usage_error("campaign run", "on-disk", err=proc.stderr)
 
     def test_registered_campaign_worker_completes(self, spec, tmp_path):
         db = str(tmp_path / "c.sqlite")

@@ -60,6 +60,23 @@ class TestValidation:
         with pytest.raises(ValueError, match="non-empty"):
             CampaignSpec.from_dict(tiny_dict(axes={"load": []}))
 
+    @pytest.mark.parametrize("data, named", [
+        ([1, 2], "campaign spec must be a mapping, got list"),
+        ({"name": "x", "axes": 5}, "axes must be a mapping, got int"),
+        ({"name": "x", "base": 5}, "base must be a mapping, got int"),
+        ({"name": "x", "grids": [1]}, "grids must be a mapping, got list"),
+        ({"name": "x", "grids": {"a": 5}},
+         "grid 'a' must be a mapping, got int"),
+        ({"name": "x", "axes": {"load": 5}}, "axis 'load' needs a non-empty"),
+        ({"name": "x", "axes": {"routing": "cr"}},
+         "axis 'routing' needs a non-empty"),
+    ])
+    def test_wrong_shape_rejected_by_name(self, data, named):
+        # Each used to be an AttributeError / TypeError from the middle
+        # of from_dict (or, for the string, the axis ['c', 'r']).
+        with pytest.raises(ValueError, match=named):
+            CampaignSpec.from_dict(data)
+
     def test_grids_and_axes_exclusive(self):
         with pytest.raises(ValueError, match="not both"):
             CampaignSpec.from_dict(

@@ -27,3 +27,23 @@ def run_tiny(config: SimConfig):
     from repro import run_simulation
 
     return run_simulation(config)
+
+
+@pytest.fixture
+def usage_error(capsys):
+    """The CLI's misuse contract, in one place: exactly one stderr line,
+    ``cr-sim <command>: <message>``, and no traceback.  Call it after
+    ``main()`` returned 2 (``err=`` takes a subprocess's stderr); the
+    line comes back for message-specific assertions."""
+
+    def check(command: str, *named: str, err: str = None) -> str:
+        if err is None:
+            err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith(f"cr-sim {command}: "), err
+        for name in named:
+            assert name in err
+        return err
+
+    return check

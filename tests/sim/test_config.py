@@ -97,3 +97,11 @@ class TestBuild:
         engine = SimConfig(radix=4, dims=2, path_wide_cycles=32).build()
         assert engine.protocol.path_wide is not None
         assert engine.protocol.path_wide.cycles == 32
+
+    @pytest.mark.parametrize("phase", ["warmup", "measure", "drain"])
+    def test_negative_run_phase_is_refused(self, phase):
+        # The engine used to run zero cycles and report zeros.
+        with pytest.raises(ValueError, match=f"{phase} must be >= 0"):
+            SimConfig(radix=4, dims=2, **{phase: -1}).build()
+        # Zero stays legal: `cr-sim trace` runs warmup=0, drain=0.
+        SimConfig(radix=4, dims=2, **{phase: 0}).build()

@@ -1,7 +1,14 @@
 """CLI surface: every subcommand and failure mode."""
 
+import dataclasses
+import glob
+import os
+import re
+import shlex
+
 import pytest
 
+from repro import SimConfig, cli
 from repro.cli import main as cli_main
 from repro.experiments import REGISTRY
 
@@ -18,6 +25,109 @@ class TestParser:
     def test_unknown_routing_rejected(self, capsys):
         with pytest.raises(SystemExit):
             cli_main(["run", "--routing", "banana"])
+
+
+class TestFlagTable:
+    """``cli._CONFIG_FLAGS`` / ``cli._COMMAND_FLAGS`` against
+    ``SimConfig``: the table cannot name a field that is not there, and
+    a default that is not ``SimConfig``'s own is a reviewed diff."""
+
+    #: (subcommand, flag) -> the value an absent flag takes, wherever
+    #: that is not the ``SimConfig`` default.  ``engine`` None is "no
+    #: default of its own" (see TestEngineFlag); ``verify`` False builds
+    #: what ``SimConfig``'s None builds.
+    OWN_DEFAULTS = {
+        ("run", "load"): 0.3,
+        ("run", "warmup"): 500,
+        ("run", "measure"): 2000,
+        ("run", "verify"): False,
+        ("run", "engine"): None,
+        ("sweep", "warmup"): 500,
+        ("sweep", "measure"): 2000,
+        ("sweep", "engine"): None,
+        ("trace", "pattern"): "transpose",
+        ("trace", "load"): 0.3,
+        ("trace", "engine"): None,
+    }
+
+    def test_every_name_is_a_simconfig_field(self):
+        fields = {f.name for f in dataclasses.fields(SimConfig)}
+        assert set(cli._CONFIG_FLAGS) <= fields
+        for names, own in cli._COMMAND_FLAGS.values():
+            assert set(names) <= set(cli._CONFIG_FLAGS)
+            assert set(own) <= set(names)
+
+    def test_defaults_that_differ_from_simconfig_are_the_listed_ones(self):
+        defaults = {f.name: f.default for f in dataclasses.fields(SimConfig)}
+        parser = cli._build_parser()
+        found = {}
+        for command, (names, _) in cli._COMMAND_FLAGS.items():
+            namespace = parser.parse_args([command])
+            for name in names:
+                value = getattr(namespace, name)
+                if value != defaults[name]:
+                    found[(command, name)] = value
+        assert found == self.OWN_DEFAULTS
+
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: where users and CI copy command lines from.
+DOCUMENTED = [
+    "README.md", "EXPERIMENTS.md", "DESIGN.md",
+    ".claude/skills/verify/SKILL.md", ".github/workflows/ci.yml",
+    "Makefile",
+] + sorted(
+    os.path.relpath(path, REPO)
+    for path in glob.glob(os.path.join(REPO, "docs", "*.md"))
+)
+
+INVOKES_CLI = re.compile(
+    r"(?:^|\s)(?:cr-sim|(?:python3?|\$\(PYTHON\)) -m repro\.cli)\s+(.*)"
+)
+PLACEHOLDER = re.compile(r"<[^>]+>|\.\.\.|\u2026")
+SHELL_OPERATORS = {"&&", "||", "|", "&", ";", ">", ">>", "2>&1"}
+
+
+def documented_invocations(path):
+    """The argv of every ``cr-sim`` / ``python -m repro.cli`` command
+    line in ``path``: fenced code and whole-line code spans of a
+    markdown file, every line of a workflow or Makefile."""
+    with open(os.path.join(REPO, path), encoding="utf-8") as handle:
+        text = handle.read()
+    if path.endswith(".md"):
+        text = "\n".join(
+            re.findall(r"^```[^\n]*\n(.*?)^```", text, re.S | re.M)
+            + re.findall(r"^\s*(?:[-*] )?`([^`\n]+)`$", text, re.M)
+        )
+    for line in text.replace("\\\n", " ").splitlines():
+        match = INVOKES_CLI.search(line)
+        if match is None or PLACEHOLDER.search(match.group(1)):
+            continue
+        argv = []
+        for token in shlex.split(match.group(1), comments=True):
+            if token in SHELL_OPERATORS:
+                break
+            argv.append(token)
+        yield argv
+
+
+class TestDocumentedInvocations:
+    def test_every_documented_command_line_parses(self):
+        """A flag dropped or renamed in ``cli.py`` fails here, not in a
+        CI job tier-1 never runs or on a reader's terminal."""
+        parser = cli._build_parser()
+        seen, rejected = 0, []
+        for path in DOCUMENTED:
+            for argv in documented_invocations(path):
+                seen += 1
+                try:
+                    parser.parse_args(argv)
+                except SystemExit:
+                    rejected.append(f"{path}: cr-sim {' '.join(argv)}")
+        assert not rejected, "\n".join(rejected)
+        # The extractor itself must keep finding them (57 at PR 22).
+        assert seen >= 50
 
 
 class TestListCommand:
@@ -215,11 +325,9 @@ class TestTraceCommand:
         with open(perfetto) as handle:
             assert json.load(handle)["traceEvents"]
 
-    def test_unknown_preset_fails_with_choices(self, capsys):
-        code = cli_main(["trace", "e99"])
-        assert code != 0
-        err = capsys.readouterr().err
-        assert "fault-matrix" in err
+    def test_unknown_preset_fails_with_choices(self, usage_error):
+        assert cli_main(["trace", "e99"]) == 2
+        usage_error("trace", "fault-matrix")
 
     def test_profile_writes_hotspot_and_prometheus(
         self, tmp_path, capsys
@@ -254,10 +362,10 @@ class TestTraceCommand:
             entries = json.load(handle)["traceEvents"]
         assert any(e.get("ph") == "C" for e in entries)
 
-    def test_hotspot_without_profile_exits_2(self, capsys):
+    def test_hotspot_without_profile_exits_2(self, usage_error):
         code = cli_main(self.ARGS + ["--hotspot"])
         assert code == 2
-        assert "--profile" in capsys.readouterr().err
+        usage_error("trace", "--profile")
 
 
 class TestExperimentCommand:
@@ -296,17 +404,13 @@ class TestVerifyCommand:
         assert "CAUGHT e01" in out
         assert "caught in 1/1" in out
 
-    def test_unknown_preset_exits_2(self, capsys):
+    def test_unknown_preset_exits_2(self, usage_error):
         assert cli_main(["verify", "e99"]) == 2
-        err = capsys.readouterr().err
-        assert "unknown experiment" in err
-        assert "e01" in err
+        usage_error("verify", "unknown experiment", "e01")
 
-    def test_unknown_mutation_exits_2(self, capsys):
+    def test_unknown_mutation_exits_2(self, usage_error):
         assert cli_main(["verify", "e01", "--mutation", "nope"]) == 2
-        err = capsys.readouterr().err
-        assert "unknown mutation" in err
-        assert "credit-loss" in err
+        usage_error("verify", "unknown mutation", "credit-loss")
 
 
 #: out-of-range network shapes, on every subcommand that has the flag:
@@ -332,7 +436,50 @@ BAD_SHAPES = [
         ("--sample-interval", "-5", "sample interval"),
     )
     if flags is None or flag in flags
+] + [
+    # a negative run phase (``trace --cycles`` is its ``measure``)
+    (["run", "--measure", "-5"], "measure"),
+    (["sweep", "--loads", "0.1", "--no-cache", "--measure", "-5"],
+     "measure"),
+    (["trace", "--cycles", "-1"], "measure"),
 ]
+
+#: misuse a subcommand detects itself, beyond the shapes above:
+#: (argv, what the one stderr line must name).
+MISUSE = [
+    (["sweep", "--loads", "abc"], "--loads"),
+    (["sweep", "--loads", ""], "--loads"),
+    (["sweep", "--loads", "0.1", "--workers", "-3"], "--workers"),
+    (["experiment", "t01", "--workers", "-1"], "--workers"),
+    (["campaign", "run", "fault-matrix", "--db", ":memory:",
+      "--workers", "-1"], "--workers"),
+    (["campaign", "run", "fault-matrix", "--db", ":memory:",
+      "--retries", "-1"], "--retries"),
+    (["campaign", "status", "ghost", "--db", ":memory:"],
+     "no stored campaign 'ghost'"),
+    (["campaign", "logs", "x", "--db", ":memory:"], "in-memory"),
+]
+
+#: spec files ``campaign run`` must refuse: (file text, what the one
+#: stderr line must carry of the spec's own message).
+BAD_SPECS = {
+    "malformed-json": ('{"name": "x", ', "Expecting"),
+    "unknown-field": (
+        '{"name": "x", "base": {"bogus": 1}, "axes": {"load": [0.1]}}',
+        "unknown SimConfig field 'bogus'",
+    ),
+    "empty-axis": ('{"name": "x", "axes": {"load": []}}', "non-empty"),
+    "wrong-shape": ('{"name": "x", "axes": 5}', "axes must be a mapping"),
+    "seed-in-base": (
+        '{"name": "x", "base": {"seed": 7}, "axes": {"load": [0.1]}}',
+        "must not set 'seed'",
+    ),
+}
+
+
+def command_of(argv):
+    """The subcommand ``argv`` invokes, as its stderr line names it."""
+    return " ".join(argv[:2] if argv[0] == "campaign" else argv[:1])
 
 
 class TestUsageExitCodes:
@@ -356,23 +503,40 @@ class TestUsageExitCodes:
         assert exc.value.code == 2
         assert "usage" in capsys.readouterr().err
 
-    def test_unknown_campaign_name_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli_main(["campaign", "run", "no-such-campaign"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "neither a built-in campaign" in err
+    def test_unknown_campaign_name_exits_2(self, usage_error):
+        assert cli_main(["campaign", "run", "no-such-campaign"]) == 2
+        usage_error("campaign run", "neither a built-in campaign")
 
-    def test_unknown_report_campaign_exits_2(self, tmp_path, capsys):
+    def test_unknown_report_campaign_exits_2(self, tmp_path, usage_error):
         db = str(tmp_path / "empty.db")
         assert cli_main(
             ["campaign", "report", "missing-a", "missing-b", "--db", db]
         ) == 2
-        assert "no stored campaign" in capsys.readouterr().err
+        usage_error("campaign report", "no stored campaign")
 
-    def test_trace_unknown_preset_exits_2(self, capsys):
+    def test_trace_unknown_preset_exits_2(self, usage_error):
         assert cli_main(["trace", "e99"]) == 2
-        assert "unknown experiment" in capsys.readouterr().err
+        usage_error("trace", "unknown experiment")
+
+    @pytest.mark.parametrize("argv, named", MISUSE,
+                             ids=[" ".join(argv) for argv, _ in MISUSE])
+    def test_misuse_a_subcommand_detects_exits_2(self, argv, named,
+                                                 usage_error):
+        # Each of these used to be a traceback (exit 1) or a silent
+        # success: "(no rows)", "one worker per CPU", an empty table.
+        assert cli_main(argv) == 2
+        usage_error(command_of(argv), named)
+
+    @pytest.mark.parametrize("kind", BAD_SPECS)
+    def test_refused_spec_file_exits_2(self, kind, tmp_path, usage_error):
+        # Each of these used to leave as a ValueError traceback, exit 1.
+        text, named = BAD_SPECS[kind]
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        assert cli_main(
+            ["campaign", "run", str(path), "--db", ":memory:"]
+        ) == 2
+        usage_error("campaign run", str(path), named)
 
     @pytest.mark.parametrize("argv", [
         ["run", "--workload", "zipf"],
@@ -380,11 +544,10 @@ class TestUsageExitCodes:
         ["trace", "--workload", "zipf"],
         ["campaign", "run", "fault-matrix", "--workload", "zipf"],
     ])
-    def test_unknown_workload_exits_2(self, argv, capsys):
+    def test_unknown_workload_exits_2(self, argv, usage_error):
         assert cli_main(argv) == 2
-        err = capsys.readouterr().err
-        assert "unknown workload kind" in err
-        assert "mmpp" in err  # the message lists the choices
+        # the message lists the choices
+        usage_error(command_of(argv), "unknown workload kind", "mmpp")
 
     @pytest.mark.parametrize("spec, named", [
         ("mmpp:mean_onn=3", "mean_onn"),
@@ -402,18 +565,15 @@ class TestUsageExitCodes:
         ["campaign", "run", "fault-matrix"],
     ], ids=["run", "sweep", "trace", "campaign-run"])
     def test_bad_workload_parameters_exit_2(self, argv, spec, named,
-                                            capsys):
+                                            usage_error):
         assert cli_main(argv + ["--workload", spec]) == 2
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        assert len(err.splitlines()) == 1
-        assert named in err
+        usage_error(command_of(argv), named)
 
-    def test_malformed_cascade_spec_exits_2(self, capsys):
+    def test_malformed_cascade_spec_exits_2(self, usage_error):
         assert cli_main(
             ["run", "--cascade-faults", "base_hazard"]
         ) == 2
-        assert "key=value" in capsys.readouterr().err
+        usage_error("run", "key=value")
 
     @pytest.mark.parametrize("spec, named", [
         ("load_gain=abc", "load_gain"),
@@ -423,7 +583,7 @@ class TestUsageExitCodes:
         ("foo=1", "'foo'"),
         ("base_hazard=abc", "base_hazard"),
     ])
-    def test_bad_cascade_parameters_exit_2(self, spec, named, capsys):
+    def test_bad_cascade_parameters_exit_2(self, spec, named, usage_error):
         # Each of these used to get past the eager check: a traceback
         # mid-run, a model firing on fractional cycles, or a message
         # that did not say which parameter.
@@ -431,19 +591,13 @@ class TestUsageExitCodes:
             "run", "--radix", "4", "--measure", "100",
             "--cascade-faults", spec,
         ]) == 2
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        assert len(err.splitlines()) == 1
-        assert named in err
+        usage_error("run", named)
 
     @pytest.mark.parametrize("argv, named", BAD_SHAPES,
                              ids=[" ".join(argv) for argv, _ in BAD_SHAPES])
-    def test_out_of_range_shape_exits_2(self, argv, named, capsys):
+    def test_out_of_range_shape_exits_2(self, argv, named, usage_error):
         # Each of these used to raise ValueError out of SimConfig.build()
-        # inside the command: a traceback and exit 1.
+        # inside the command (a traceback and exit 1) or, for a negative
+        # run phase, to print a table of zeros and exit 0.
         assert cli_main(argv) == 2
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        assert len(err.splitlines()) == 1
-        assert err.startswith(f"cr-sim {argv[0]}: ")
-        assert named in err
+        usage_error(argv[0], named)

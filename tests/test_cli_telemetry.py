@@ -48,12 +48,20 @@ class TestRunAlerts:
         assert "[info] heartbeat" in out
         assert "still firing" in out
 
-    def test_missing_rules_file_is_a_usage_error(self, capsys):
+    def test_missing_rules_file_is_a_usage_error(self, usage_error):
         assert cli_main(
             QUICK_RUN + ["--alerts", "/no/such/rules.json"]
         ) == 2
-        err = capsys.readouterr().err
-        assert "no alert rules file" in err
+        usage_error("run", "no alert rules file")
+
+    def test_malformed_rules_file_is_a_usage_error(
+            self, tmp_path, usage_error):
+        # Used to pass the eager check (--alerts was not a "checked"
+        # flag) and leave as a ValueError traceback from the run.
+        path = tmp_path / "rules.json"
+        path.write_text('{"rules": []}')
+        assert cli_main(QUICK_RUN + ["--alerts", str(path)]) == 2
+        usage_error("run", "alert rules spec is empty")
 
 
 class TestRunServe:
@@ -78,12 +86,9 @@ class TestRunServe:
         with pytest.raises(SystemExit):
             cli_main(QUICK_RUN + ["--serve"])  # needs a value
 
-    def test_malformed_serve_spec_exits_2_with_a_message(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            cli_main(QUICK_RUN + ["--serve", "host:port:extra"])
-        assert excinfo.value.code == 2
-        err = capsys.readouterr().err
-        assert "is not [HOST:]PORT" in err
+    def test_malformed_serve_spec_exits_2_with_a_message(self, usage_error):
+        assert cli_main(QUICK_RUN + ["--serve", "host:port:extra"]) == 2
+        usage_error("run", "is not [HOST:]PORT")
 
 
 class TestWatchAlerts:
