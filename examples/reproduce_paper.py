@@ -1,11 +1,11 @@
 #!/usr/bin/env python
 """Regenerate every table and figure of the paper's evaluation.
 
-Runs the full experiment registry (e01..e19, t01..t03) at the chosen
-scale, prints each reproduction table, and writes both the tables
-(``results/<id>.txt``) and the raw rows (``results/<id>.csv``) for
-external plotting.  See EXPERIMENTS.md for the paper-vs-measured
-reading of each artifact.
+Runs the full experiment registry (e01..e23, t01..t03) at the chosen
+scale, prints each reproduction table and whether the experiment's
+shape claim holds, and writes both the tables (``results/<id>.txt``)
+and the raw rows (``results/<id>.csv``) for external plotting.  See
+EXPERIMENTS.md for the paper-vs-measured reading of each artifact.
 
 Run:  python examples/reproduce_paper.py [--scale quick|paper]
                                          [--only e01,e07,...]
@@ -17,11 +17,11 @@ individual experiments with --only.
 """
 
 import argparse
-import csv
 import pathlib
 import time
 
 from repro.experiments import PAPER, QUICK, REGISTRY
+from repro.sim.export import rows_to_csv
 
 
 def parse_args():
@@ -40,20 +40,6 @@ def parse_args():
     return parser.parse_args()
 
 
-def write_csv(path: pathlib.Path, rows) -> None:
-    columns = []
-    for row in rows:
-        for key in row:
-            if key not in columns:
-                columns.append(key)
-    with open(path, "w", newline="") as handle:
-        writer = csv.DictWriter(
-            handle, fieldnames=columns, extrasaction="ignore", restval=""
-        )
-        writer.writeheader()
-        writer.writerows(rows)
-
-
 def main() -> None:
     args = parse_args()
     scale = PAPER if args.scale == "paper" else QUICK
@@ -67,16 +53,17 @@ def main() -> None:
 
     grand_start = time.time()
     for exp_id in wanted:
-        module = REGISTRY[exp_id]
+        experiment = REGISTRY[exp_id]
         start = time.time()
-        rows = module.run(scale)
-        text = module.table(rows)
+        rows = experiment.run(scale)
+        text = experiment.table(rows)
         elapsed = time.time() - start
         print(f"==== {exp_id} ({elapsed:.0f}s) " + "=" * 40)
         print(text)
+        print(experiment.verdict(rows, scale))
         print()
         (out_dir / f"{exp_id}.txt").write_text(text + "\n")
-        write_csv(out_dir / f"{exp_id}.csv", rows)
+        rows_to_csv(rows, str(out_dir / f"{exp_id}.csv"))
     total = time.time() - grand_start
     print(
         f"reproduced {len(wanted)} artifacts at the {scale.name} scale "

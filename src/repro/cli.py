@@ -894,7 +894,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    module = experiments.REGISTRY[args.id]
+    experiment = experiments.REGISTRY[args.id]
     scale = _scale(args.scale)
     if args.workers is not None:
         scale = scale.scaled(workers=_pool_width(args.workers))
@@ -902,8 +902,11 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         scale = scale.scaled(cache=False)
     if args.verify:
         scale = scale.scaled(verify=True)
-    rows = module.run(scale)
-    print(module.table(rows))
+    rows = experiment.run(scale)
+    print(experiment.table(rows))
+    # Not the exit status: a claim is written for the quick scale and
+    # may legitimately fail at another.
+    print(experiment.verdict(rows, scale))
     return 0
 
 

@@ -1,73 +1,52 @@
 """Experiment registry: one module per paper table/figure.
 
 See DESIGN.md for the per-experiment index mapping each id to its
-evidence in the paper.  Each module exposes ``run(scale) -> rows`` and
-``table(rows) -> str``; the benchmark suite and the CLI dispatch through
-:data:`REGISTRY`.
+evidence in the paper.  Each module declares its grid, row, table and
+claim (see :mod:`.common`); :data:`REGISTRY` wraps it in an
+:class:`Experiment`, whose ``run(scale) -> rows``, ``table(rows) ->
+str`` and ``claim(rows, scale)`` are what the CLI, the benchmark suite,
+``examples/reproduce_paper.py`` and the tests call.
 """
 
 from __future__ import annotations
 
-from types import ModuleType
+from importlib import import_module
 from typing import Dict
 
-from . import (
-    e01_latency_load,
-    e02_timeout_sweep,
-    e03_fig11_backoff,
-    e04_fig14ab_buffers,
-    e05_fig14cd_vcs,
-    e06_fig14ef_interface,
-    e07_fcr_faults,
-    e08_fcr_permanent,
-    e09_pds_estimate,
-    e10_pathwide,
-    e11_padding,
-    e12_ordering,
-    e13_bimodal,
-    e14_variance,
-    e15_deep_networks,
-    e16_mesh_novc,
-    e17_ablation,
-    e18_fcr_vs_software,
-    e19_drop_at_block,
-    e20_pcs,
-    e21_latency_distribution,
-    e22_clock_adjusted,
-    e23_trace_identical,
-    t01_hw_interface,
-    t02_hw_router,
-    t03_buffer_cost,
-)
-from .common import PAPER, QUICK, Scale
+from .common import PAPER, QUICK, Experiment, Scale
 
-REGISTRY: Dict[str, ModuleType] = {
-    "e01": e01_latency_load,
-    "e02": e02_timeout_sweep,
-    "e03": e03_fig11_backoff,
-    "e04": e04_fig14ab_buffers,
-    "e05": e05_fig14cd_vcs,
-    "e06": e06_fig14ef_interface,
-    "e07": e07_fcr_faults,
-    "e08": e08_fcr_permanent,
-    "e09": e09_pds_estimate,
-    "e10": e10_pathwide,
-    "e11": e11_padding,
-    "e12": e12_ordering,
-    "e13": e13_bimodal,
-    "e14": e14_variance,
-    "e15": e15_deep_networks,
-    "e16": e16_mesh_novc,
-    "e17": e17_ablation,
-    "e18": e18_fcr_vs_software,
-    "e19": e19_drop_at_block,
-    "e20": e20_pcs,
-    "e21": e21_latency_distribution,
-    "e22": e22_clock_adjusted,
-    "e23": e23_trace_identical,
-    "t01": t01_hw_interface,
-    "t02": t02_hw_router,
-    "t03": t03_buffer_cost,
+_MODULES = (
+    "e01_latency_load",
+    "e02_timeout_sweep",
+    "e03_fig11_backoff",
+    "e04_fig14ab_buffers",
+    "e05_fig14cd_vcs",
+    "e06_fig14ef_interface",
+    "e07_fcr_faults",
+    "e08_fcr_permanent",
+    "e09_pds_estimate",
+    "e10_pathwide",
+    "e11_padding",
+    "e12_ordering",
+    "e13_bimodal",
+    "e14_variance",
+    "e15_deep_networks",
+    "e16_mesh_novc",
+    "e17_ablation",
+    "e18_fcr_vs_software",
+    "e19_drop_at_block",
+    "e20_pcs",
+    "e21_latency_distribution",
+    "e22_clock_adjusted",
+    "e23_trace_identical",
+    "t01_hw_interface",
+    "t02_hw_router",
+    "t03_buffer_cost",
+)
+
+REGISTRY: Dict[str, Experiment] = {
+    name[:3]: Experiment(import_module(f"{__name__}.{name}"))
+    for name in _MODULES
 }
 
-__all__ = ["REGISTRY", "Scale", "QUICK", "PAPER"]
+__all__ = ["REGISTRY", "Experiment", "Scale", "QUICK", "PAPER"]

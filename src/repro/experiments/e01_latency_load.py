@@ -10,22 +10,21 @@ them as adaptive lanes and recovers from deadlock by kill/retry.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
-from ..sim.sweep import matrix_sweep
 from ..stats.report import format_series
-from .common import QUICK, Scale
+from .common import MATRIX_COLUMNS, Row, Scale, at_load, matrix_points
 
-Row = Dict[str, object]
+COLUMNS = MATRIX_COLUMNS
 
 
-def run(scale: Scale = QUICK) -> List[Row]:
+def points(scale: Scale):
     base = scale.base_config(num_vcs=2, buffer_depth=2)
     configs = {
         "cr_2vc": base.with_(routing="cr"),
         "dor_2vc": base.with_(routing="dor"),
     }
-    return matrix_sweep(configs, scale.loads, **scale.sweep_options())
+    return matrix_points(configs, scale.loads)
 
 
 def table(rows: List[Row]) -> str:
@@ -41,5 +40,13 @@ def table(rows: List[Row]) -> str:
     return latency + "\n\n" + throughput
 
 
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(table(run()))
+def claim(rows: List[Row], scale: Scale) -> None:
+    # A crossover, not dominance: below the knee CR's pad flits cost it
+    # latency (EXPERIMENTS.md E01); past it CR wins both latency and
+    # accepted throughput at equal resources.
+    loads = sorted({r["load"] for r in rows})
+    low = at_load(rows, loads[0], "config")
+    top = at_load(rows, loads[-1], "config")
+    assert low["cr_2vc"]["latency_mean"] > low["dor_2vc"]["latency_mean"]
+    assert top["cr_2vc"]["latency_mean"] < top["dor_2vc"]["latency_mean"]
+    assert top["cr_2vc"]["throughput"] >= top["dor_2vc"]["throughput"]

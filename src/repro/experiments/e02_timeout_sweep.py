@@ -9,42 +9,31 @@ time -- its Fig. 11 runs use 32 cycles, its Fig. 14 runs use
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from ..core.timeout import FixedTimeout
-from ..sim.simulator import run_simulation
-from .common import QUICK, Scale
-
-Row = Dict[str, object]
+from ..stats.report import format_table
+from .common import Row, Scale
 
 TIMEOUTS = (8, 16, 32, 64, 128, 256)
 
+COLUMNS = (
+    "timeout", "load", "latency_mean", "latency_p95", "throughput",
+    "kills", "kill_rate", "undelivered",
+)
 
-def run(scale: Scale = QUICK) -> List[Row]:
+
+def points(scale: Scale):
     load = scale.loads[len(scale.loads) // 2]
     base = scale.base_config(routing="cr", load=load)
-    rows: List[Row] = []
-    for cycles in TIMEOUTS:
-        result = run_simulation(base.with_(timeout=FixedTimeout(cycles)))
-        report = result.report
-        rows.append(
-            {
-                "timeout": cycles,
-                "load": load,
-                "latency_mean": report["latency_mean"],
-                "latency_p95": report["latency_p95"],
-                "throughput": report["throughput"],
-                "kills": report.get("kills", 0),
-                "kill_rate": report["kill_rate"],
-                "undelivered": report["undelivered"],
-            }
-        )
-    return rows
+    return [
+        ({"timeout": cycles, "load": load},
+         base.with_(timeout=FixedTimeout(cycles)))
+        for cycles in TIMEOUTS
+    ]
 
 
 def table(rows: List[Row]) -> str:
-    from ..stats.report import format_table
-
     return format_table(
         rows,
         [
@@ -59,5 +48,17 @@ def table(rows: List[Row]) -> str:
     )
 
 
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(table(run()))
+def claim(rows: List[Row], scale: Scale) -> None:
+    # Short timeouts over-kill: the kill count falls as the timeout
+    # grows.
+    assert rows[0]["kills"] >= rows[-1]["kills"]
+    # The sweet spot sits near the message service time L...
+    best = min(rows, key=lambda r: r["latency_mean"])
+    length = scale.message_length
+    assert length <= best["timeout"] <= 4 * length
+    # ...and on a network big enough to contend (a 4-ary torus's curve
+    # is flat: 94 cycles at the minimum, 101-115 at the ends) both ends
+    # of the sweep are at least 1.5x worse.
+    if scale.radix >= 8:
+        assert rows[0]["latency_mean"] >= 1.5 * best["latency_mean"]
+        assert rows[-1]["latency_mean"] >= 1.5 * best["latency_mean"]

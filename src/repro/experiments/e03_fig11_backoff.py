@@ -14,27 +14,26 @@ static gap across the whole load range.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from ..core.backoff import ExponentialBackoff, StaticGap
 from ..core.timeout import FixedTimeout
-from ..sim.sweep import matrix_sweep
 from ..stats.report import format_series
-from .common import QUICK, Scale
-
-Row = Dict[str, object]
+from .common import MATRIX_COLUMNS, Row, Scale, at_load, matrix_points
 
 STATIC_GAPS = (4, 16, 64, 256)
 
+COLUMNS = MATRIX_COLUMNS
 
-def run(scale: Scale = QUICK) -> List[Row]:
+
+def points(scale: Scale):
     base = scale.base_config(routing="cr", timeout=FixedTimeout(32))
     configs = {
         f"static_{gap}": base.with_(backoff=StaticGap(gap))
         for gap in STATIC_GAPS
     }
     configs["dynamic"] = base.with_(backoff=ExponentialBackoff(slot_cycles=16))
-    return matrix_sweep(configs, scale.loads, **scale.sweep_options())
+    return matrix_points(configs, scale.loads)
 
 
 def table(rows: List[Row]) -> str:
@@ -46,5 +45,13 @@ def table(rows: List[Row]) -> str:
     )
 
 
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(table(run()))
+def claim(rows: List[Row], scale: Scale) -> None:
+    # The dynamic scheme stays close to the best static gap at every
+    # load (within 40% of the per-load minimum latency).
+    for load in sorted({r["load"] for r in rows}):
+        curves = {
+            config: row["latency_mean"]
+            for config, row in at_load(rows, load, "config").items()
+        }
+        best_static = min(v for k, v in curves.items() if k != "dynamic")
+        assert curves["dynamic"] <= best_static * 1.4, (load, curves)

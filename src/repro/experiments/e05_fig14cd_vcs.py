@@ -12,22 +12,21 @@ physical channel with v-1 lanes advances every v-th cycle when healthy.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from ..core.timeout import LengthScaledTimeout
-from ..sim.sweep import matrix_sweep
 from ..stats.report import format_series
-from .common import QUICK, Scale
-
-Row = Dict[str, object]
+from .common import MATRIX_COLUMNS, Row, Scale, at_top, matrix_points
 
 #: total buffer flits per input port given to the DOR router
 DOR_BUDGET = 16
 
+COLUMNS = MATRIX_COLUMNS
 
-def run(scale: Scale = QUICK) -> List[Row]:
+
+def points(scale: Scale):
     base = scale.base_config(timeout=LengthScaledTimeout())
-    configs: Dict[str, object] = {}
+    configs = {}
     for vcs in (2, 4, 8):
         configs[f"dor_{vcs}vc_d{DOR_BUDGET // vcs}"] = base.with_(
             routing="dor", num_vcs=vcs, buffer_depth=DOR_BUDGET // vcs
@@ -36,7 +35,7 @@ def run(scale: Scale = QUICK) -> List[Row]:
         configs[f"cr_{vcs}vc_d2"] = base.with_(
             routing="cr", num_vcs=vcs, buffer_depth=2
         )
-    return matrix_sweep(configs, scale.loads, **scale.sweep_options())
+    return matrix_points(configs, scale.loads)
 
 
 def table(rows: List[Row]) -> str:
@@ -55,5 +54,8 @@ def table(rows: List[Row]) -> str:
     return latency + "\n\n" + throughput
 
 
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(table(run()))
+def claim(rows: List[Row], scale: Scale) -> None:
+    # More CR lanes must not lose throughput at the top load.
+    top = at_top(rows, "config")
+    assert top["cr_2vc_d2"]["throughput"] >= \
+        0.8 * top["cr_1vc_d2"]["throughput"]

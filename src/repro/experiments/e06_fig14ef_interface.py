@@ -13,18 +13,17 @@ saturates on its network paths instead.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
-from ..sim.sweep import matrix_sweep
 from ..stats.report import format_series
-from .common import QUICK, Scale
-
-Row = Dict[str, object]
+from .common import MATRIX_COLUMNS, Row, Scale, at_top, matrix_points
 
 INTERFACE_WIDTHS = (1, 2, 4)
 
+COLUMNS = MATRIX_COLUMNS
 
-def run(scale: Scale = QUICK) -> List[Row]:
+
+def points(scale: Scale):
     base = scale.base_config(num_vcs=2, buffer_depth=2)
     configs = {}
     for width in INTERFACE_WIDTHS:
@@ -34,7 +33,7 @@ def run(scale: Scale = QUICK) -> List[Row]:
         configs[f"dor_{width}ch"] = base.with_(
             routing="dor", num_inject=width, num_sink=width
         )
-    return matrix_sweep(configs, scale.loads, **scale.sweep_options())
+    return matrix_points(configs, scale.loads)
 
 
 def table(rows: List[Row]) -> str:
@@ -53,5 +52,7 @@ def table(rows: List[Row]) -> str:
     return throughput + "\n\n" + latency
 
 
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(table(run()))
+def claim(rows: List[Row], scale: Scale) -> None:
+    # Widening the interface raises CR's saturated throughput.
+    top = at_top(rows, "config")
+    assert top["cr_4ch"]["throughput"] >= top["cr_1ch"]["throughput"]

@@ -10,43 +10,30 @@ but every message still arrives).
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
-from ..sim.simulator import run_simulation
 from ..stats.report import format_table
-from .common import QUICK, Scale
-
-Row = Dict[str, object]
+from .common import Row, Scale
 
 FAULT_RATES = (0.0, 1e-4, 1e-3, 5e-3)
 
+COLUMNS = (
+    "fault_rate", "load", "latency_mean", "latency_p99", "throughput",
+    ("fkills", "kills_fkill"), ("header_kills", "kills_header_fault"),
+    "faults_injected", "corrupt_deliveries", "late_corruption",
+    ("delivered", "messages_delivered"), "undelivered",
+)
 
-def run(scale: Scale = QUICK) -> List[Row]:
+
+def points(scale: Scale):
     load = scale.loads[0]
     base = scale.base_config(
         routing="fcr", load=load, drain=scale.drain * 2
     )
-    rows: List[Row] = []
-    for rate in FAULT_RATES:
-        result = run_simulation(base.with_(fault_rate=rate))
-        report = result.report
-        rows.append(
-            {
-                "fault_rate": rate,
-                "load": load,
-                "latency_mean": report["latency_mean"],
-                "latency_p99": report["latency_p99"],
-                "throughput": report["throughput"],
-                "fkills": report.get("kills_fkill", 0),
-                "header_kills": report.get("kills_header_fault", 0),
-                "faults_injected": report.get("faults_injected", 0),
-                "corrupt_deliveries": report.get("corrupt_deliveries", 0),
-                "late_corruption": report.get("late_corruption", 0),
-                "delivered": report.get("messages_delivered", 0),
-                "undelivered": report["undelivered"],
-            }
-        )
-    return rows
+    return [
+        ({"fault_rate": rate, "load": load}, base.with_(fault_rate=rate))
+        for rate in FAULT_RATES
+    ]
 
 
 def table(rows: List[Row]) -> str:
@@ -67,5 +54,11 @@ def table(rows: List[Row]) -> str:
     )
 
 
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(table(run()))
+def claim(rows: List[Row], scale: Scale) -> None:
+    # Integrity: nothing corrupt is ever delivered...
+    for r in rows:
+        assert r["corrupt_deliveries"] == 0
+        assert r["late_corruption"] == 0
+    # ...and higher fault rates trigger more recoveries.
+    recoveries = [r["fkills"] + r["header_kills"] for r in rows]
+    assert recoveries[-1] > recoveries[0]

@@ -17,40 +17,31 @@ with latency rising as the fault count grows.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
-from ..sim.simulator import run_simulation
 from ..stats.report import format_table
-from .common import QUICK, Scale
-
-Row = Dict[str, object]
+from .common import Row, Scale
 
 FAULT_COUNTS = (0, 1, 2, 4)
 
+COLUMNS = (
+    "dead_links", "load", "latency_mean", "latency_p99", "kills",
+    "kill_rate", ("delivered", "messages_delivered"), "undelivered",
+    "drained",
+)
 
-def run(scale: Scale = QUICK) -> List[Row]:
+
+def points(scale: Scale):
     load = scale.loads[0]
     base = scale.base_config(
         routing="fcr", load=load, drain=scale.drain * 2, misrouting=True
     )
-    rows: List[Row] = []
-    for count in FAULT_COUNTS:
-        result = run_simulation(base.with_(permanent_faults=count))
-        report = result.report
-        rows.append(
-            {
-                "dead_links": 2 * count,  # bidirectional pairs
-                "load": load,
-                "latency_mean": report["latency_mean"],
-                "latency_p99": report["latency_p99"],
-                "kills": report.get("kills", 0),
-                "kill_rate": report["kill_rate"],
-                "delivered": report.get("messages_delivered", 0),
-                "undelivered": report["undelivered"],
-                "drained": report["drained"],
-            }
-        )
-    return rows
+    return [
+        # dead links come in bidirectional pairs
+        ({"dead_links": 2 * count, "load": load},
+         base.with_(permanent_faults=count))
+        for count in FAULT_COUNTS
+    ]
 
 
 def table(rows: List[Row]) -> str:
@@ -69,5 +60,6 @@ def table(rows: List[Row]) -> str:
     )
 
 
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(table(run()))
+def claim(rows: List[Row], scale: Scale) -> None:
+    for r in rows:
+        assert r["undelivered"] == 0, r

@@ -16,54 +16,58 @@ to the escape counts for comparison.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
-from ..sim.simulator import run_simulation
 from ..stats.report import format_table
-from .common import QUICK, Scale
+from .common import Row, Scale
 
-Row = Dict[str, object]
+COLUMNS = (
+    "load", "escape_grants", "messages_used_escape", "escape_per_1k_msgs",
+    "duato_latency", "cr_kills", "cr_latency",
+)
+POINT_COLUMNS = (
+    "load", "escape_grants", "messages_used_escape", "messages_delivered",
+    "latency_mean", "kills",
+)
 
 
-def run(scale: Scale = QUICK) -> List[Row]:
+def points(scale: Scale):
     duato = scale.base_config(routing="duato")
     cr = scale.base_config(routing="cr")
-    rows: List[Row] = []
-    for load in scale.loads:
-        d = run_simulation(duato.with_(load=load)).report
-        c = run_simulation(cr.with_(load=load)).report
-        delivered = max(1, int(d.get("messages_delivered", 0)))
-        rows.append(
-            {
-                "load": load,
-                "escape_grants": d.get("escape_grants", 0),
-                "messages_used_escape": d.get("messages_used_escape", 0),
-                "escape_per_1k_msgs": round(
-                    1000.0 * d.get("escape_grants", 0) / delivered, 2
-                ),
-                "duato_latency": d["latency_mean"],
-                "cr_kills": c.get("kills", 0),
-                "cr_latency": c["latency_mean"],
-            }
-        )
-    return rows
+    return [
+        ({"load": load}, config.with_(load=load))
+        for load in scale.loads
+        for config in (duato, cr)
+    ]
+
+
+def combine(rows: List[Row], scale: Scale) -> List[Row]:
+    """One row per load: the Duato run next to the CR run."""
+    return [
+        {
+            "load": d["load"],
+            "escape_grants": d["escape_grants"],
+            "messages_used_escape": d["messages_used_escape"],
+            "escape_per_1k_msgs": round(
+                1000.0 * d["escape_grants"]
+                / max(1, int(d["messages_delivered"])),
+                2,
+            ),
+            "duato_latency": d["latency_mean"],
+            "cr_kills": c["kills"],
+            "cr_latency": c["latency_mean"],
+        }
+        for d, c in zip(rows[::2], rows[1::2])
+    ]
 
 
 def table(rows: List[Row]) -> str:
     return format_table(
         rows,
-        [
-            "load",
-            "escape_grants",
-            "messages_used_escape",
-            "escape_per_1k_msgs",
-            "duato_latency",
-            "cr_kills",
-            "cr_latency",
-        ],
         title="E09: PDS estimate (Duato escape-channel usage) vs CR kills",
     )
 
 
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(table(run()))
+def claim(rows: List[Row], scale: Scale) -> None:
+    # Escape usage (the PDS proxy) grows with offered load.
+    assert rows[-1]["escape_grants"] >= rows[0]["escape_grants"]

@@ -14,17 +14,19 @@ run's traffic (the property tests do this exactly; here it is reported).
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from ..core.padding import PaddingParams, cr_wire_length, padding_overhead
-from ..sim.simulator import run_simulation
 from ..stats.report import format_table
-from .common import QUICK, Scale
-
-Row = Dict[str, object]
+from .common import Row, Scale
 
 MESSAGE_LENGTHS = (4, 8, 16, 32, 64, 128)
 BUFFER_DEPTHS = (1, 2, 4, 8)
+
+COLUMNS = (
+    "buffer_depth", "payload", "hops", "wire", "overhead",
+    "measured_pad_overhead",
+)
 
 
 def analytic_rows(hops: int) -> List[Row]:
@@ -40,58 +42,47 @@ def analytic_rows(hops: int) -> List[Row]:
                     "hops": hops,
                     "wire": wire,
                     "overhead": round(padding_overhead(length, wire), 3),
+                    "measured_pad_overhead": "",
                 }
             )
     return rows
 
 
-def measured_row(scale: Scale) -> Row:
+def points(scale: Scale):
+    """The one measured point, under the analytic rows' columns."""
     config = scale.base_config(routing="cr", load=scale.loads[0])
-    result = run_simulation(config)
-    return {
-        "payload": scale.message_length,
+    coords = {
         "buffer_depth": config.buffer_depth,
-        "measured_pad_overhead": round(
-            float(result.report["pad_overhead"]), 3
-        ),
-        "delivered": result.report.get("messages_delivered", 0),
+        "payload": scale.message_length,
+        "hops": "sim",
+        "wire": "",
+        "overhead": "",
+    }
+    return [(coords, config)]
+
+
+def from_report(report, **coords) -> Row:
+    return {
+        "measured_pad_overhead": round(float(report["pad_overhead"]), 3)
     }
 
 
-def run(scale: Scale = QUICK) -> List[Row]:
+def combine(rows: List[Row], scale: Scale) -> List[Row]:
     # Average hop count of uniform traffic on the scale's torus.
     hops = scale.dims * (scale.radix // 4)
-    rows = analytic_rows(hops)
-    measured = measured_row(scale)
-    for row in rows:
-        row["measured_pad_overhead"] = ""
-    rows.append(
-        {
-            "buffer_depth": measured["buffer_depth"],
-            "payload": measured["payload"],
-            "hops": "sim",
-            "wire": "",
-            "overhead": "",
-            "measured_pad_overhead": measured["measured_pad_overhead"],
-        }
-    )
-    return rows
+    return analytic_rows(hops) + rows
 
 
 def table(rows: List[Row]) -> str:
     return format_table(
         rows,
-        [
-            "buffer_depth",
-            "payload",
-            "hops",
-            "wire",
-            "overhead",
-            "measured_pad_overhead",
-        ],
         title="E11: CR padding overhead (analytic + one measured point)",
     )
 
 
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(table(run()))
+def claim(rows: List[Row], scale: Scale) -> None:
+    # Overhead falls with payload at every buffer depth.
+    analytic = [r for r in rows if r["hops"] != "sim"]
+    for depth in BUFFER_DEPTHS:
+        ovs = [r["overhead"] for r in analytic if r["buffer_depth"] == depth]
+        assert ovs == sorted(ovs, reverse=True)

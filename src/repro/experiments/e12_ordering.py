@@ -9,54 +9,47 @@ attempts are killed and retried on different adaptive paths.
 
 The experiment drives CR hard enough to cause thousands of kills and
 then validates FIFO order over every communicating pair.
+
+Runs in-process: the FIFO check walks the delivery ledger, which only
+the live ``SimResult`` carries (``--workers`` and the sweep cache do not
+apply).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
-from ..sim.simulator import run_simulation
 from ..stats.report import format_table
-from .common import QUICK, Scale
+from .common import Row, Scale
 
-Row = Dict[str, object]
+COLUMNS = (
+    "load", "pairs_checked", "deliveries", "kills", "retransmissions",
+    "fifo_violations",
+)
 
 
-def run(scale: Scale = QUICK) -> List[Row]:
-    rows: List[Row] = []
-    for load in scale.loads:
-        result = run_simulation(
-            scale.base_config(routing="cr", load=load)
-        )
-        pairs = result.ledger.validate_fifo()  # raises on violation
-        report = result.report
-        rows.append(
-            {
-                "load": load,
-                "pairs_checked": pairs,
-                "deliveries": len(result.ledger.deliveries),
-                "kills": report.get("kills", 0),
-                "retransmissions": report.get("retransmissions", 0),
-                "fifo_violations": 0,
-            }
-        )
-    return rows
+def points(scale: Scale):
+    return [
+        ({"load": load}, scale.base_config(routing="cr", load=load))
+        for load in scale.loads
+    ]
+
+
+def from_result(result, **coords) -> Row:
+    return {
+        "pairs_checked": result.ledger.validate_fifo(),  # raises on violation
+        "deliveries": len(result.ledger.deliveries),
+        "fifo_violations": 0,
+    }
 
 
 def table(rows: List[Row]) -> str:
     return format_table(
-        rows,
-        [
-            "load",
-            "pairs_checked",
-            "deliveries",
-            "kills",
-            "retransmissions",
-            "fifo_violations",
-        ],
-        title="E12: per-pair FIFO delivery under kill/retry",
+        rows, title="E12: per-pair FIFO delivery under kill/retry"
     )
 
 
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(table(run()))
+def claim(rows: List[Row], scale: Scale) -> None:
+    for r in rows:
+        assert r["fifo_violations"] == 0
+        assert r["pairs_checked"] > 0

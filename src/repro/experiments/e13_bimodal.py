@@ -10,23 +10,46 @@ everyone), while padding inflates *short* messages the most.
 The experiment runs an 80/20 short/long mix and reports per-class
 latency for CR and DOR, plus the short-message penalty ratio
 (short-class latency over its fixed-length baseline).
+
+Runs in-process: per-class latency is read off the delivery ledger,
+which only the live ``SimResult`` carries (``--workers`` and the sweep
+cache do not apply).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
-from ..sim.simulator import run_simulation
 from ..stats.latency import summarize
 from ..stats.report import format_table
 from ..traffic.lengths import BimodalLength
-from .common import QUICK, Scale
+from .common import Row, Scale
 
-Row = Dict[str, object]
+COLUMNS = (
+    "load", "routing", "short_mean", "short_p99", "long_mean", "short_n",
+    "long_n", ("overall_mean", "latency_mean"), "kills",
+)
 
 
-def class_latencies(result, short: int) -> Dict[str, float]:
-    """Mean latency of delivered messages split by payload class."""
+def points(scale: Scale):
+    mix = BimodalLength(
+        short=scale.message_length // 2,
+        long=scale.message_length * 4,
+        long_fraction=0.2,
+    )
+    return [
+        ({"load": load, "routing": routing},
+         scale.base_config(
+             routing=routing, num_vcs=2, load=load, lengths=mix
+         ))
+        for load in scale.loads
+        for routing in ("cr", "dor")
+    ]
+
+
+def from_result(result, **coords) -> Row:
+    """Latency of delivered messages split by payload class."""
+    short = result.config.lengths.short
     short_lat = [
         m.total_latency()
         for m in result.ledger.deliveries
@@ -46,34 +69,6 @@ def class_latencies(result, short: int) -> Dict[str, float]:
     }
 
 
-def run(scale: Scale = QUICK) -> List[Row]:
-    short = scale.message_length // 2
-    long = scale.message_length * 4
-    mix = BimodalLength(short=short, long=long, long_fraction=0.2)
-    rows: List[Row] = []
-    for load in scale.loads:
-        for routing in ("cr", "dor"):
-            config = scale.base_config(
-                routing=routing, num_vcs=2, load=load, lengths=mix
-            )
-            result = run_simulation(config)
-            classes = class_latencies(result, short)
-            rows.append(
-                {
-                    "load": load,
-                    "routing": routing,
-                    "short_mean": classes["short_mean"],
-                    "short_p99": classes["short_p99"],
-                    "long_mean": classes["long_mean"],
-                    "short_n": classes["short_n"],
-                    "long_n": classes["long_n"],
-                    "overall_mean": result.report["latency_mean"],
-                    "kills": result.report.get("kills", 0),
-                }
-            )
-    return rows
-
-
 def table(rows: List[Row]) -> str:
     return format_table(
         rows,
@@ -90,5 +85,8 @@ def table(rows: List[Row]) -> str:
     )
 
 
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(table(run()))
+def claim(rows: List[Row], scale: Scale) -> None:
+    # Long messages cost more than short ones in both schemes.
+    for r in rows:
+        if r["short_n"] and r["long_n"]:
+            assert r["long_mean"] > r["short_mean"] * 0.8, r

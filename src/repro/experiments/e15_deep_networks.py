@@ -14,43 +14,32 @@ latency versus DOR's (DOR pays the latency too, but not the padding).
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
-from ..sim.simulator import run_simulation
 from ..stats.report import format_table
-from .common import QUICK, Scale
-
-Row = Dict[str, object]
+from .common import Row, Scale
 
 CHANNEL_LATENCIES = (1, 2, 4)
 
+COLUMNS = (
+    "channel_latency", "routing", "latency_mean", "throughput",
+    "pad_overhead", "kills", "undelivered",
+)
 
-def run(scale: Scale = QUICK) -> List[Row]:
-    load = scale.loads[0]
-    rows: List[Row] = []
-    for latency in CHANNEL_LATENCIES:
-        for routing in ("cr", "dor"):
-            config = scale.base_config(
-                routing=routing,
-                num_vcs=2,
-                load=load,
-                channel_latency=latency,
-                drain=scale.drain * 2,
-            )
-            result = run_simulation(config)
-            report = result.report
-            rows.append(
-                {
-                    "channel_latency": latency,
-                    "routing": routing,
-                    "latency_mean": report["latency_mean"],
-                    "throughput": report["throughput"],
-                    "pad_overhead": report["pad_overhead"],
-                    "kills": report.get("kills", 0),
-                    "undelivered": report["undelivered"],
-                }
-            )
-    return rows
+
+def points(scale: Scale):
+    return [
+        ({"channel_latency": latency, "routing": routing},
+         scale.base_config(
+             routing=routing,
+             num_vcs=2,
+             load=scale.loads[0],
+             channel_latency=latency,
+             drain=scale.drain * 2,
+         ))
+        for latency in CHANNEL_LATENCIES
+        for routing in ("cr", "dor")
+    ]
 
 
 def table(rows: List[Row]) -> str:
@@ -69,5 +58,10 @@ def table(rows: List[Row]) -> str:
     )
 
 
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(table(run()))
+def claim(rows: List[Row], scale: Scale) -> None:
+    # CR's padding grows with channel depth; DOR's stays zero.
+    pads = [r["pad_overhead"] for r in rows if r["routing"] == "cr"]
+    assert pads == sorted(pads)
+    assert all(
+        r["pad_overhead"] == 0 for r in rows if r["routing"] == "dor"
+    )

@@ -16,45 +16,34 @@ both but restricted in which paths it may use.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
-from ..sim.simulator import run_simulation
 from ..stats.report import format_table
-from .common import QUICK, Scale
-
-Row = Dict[str, object]
+from .common import Row, Scale
 
 SCHEMES = ("cr", "turn", "dor")
 PATTERNS = ("uniform", "transpose")
 
+COLUMNS = (
+    "pattern", "routing", "load", "latency_mean", "latency_p95",
+    "throughput", "kills", "pad_overhead",
+)
 
-def run(scale: Scale = QUICK) -> List[Row]:
+
+def points(scale: Scale):
     load = scale.loads[len(scale.loads) // 2]
-    rows: List[Row] = []
-    for pattern in PATTERNS:
-        for routing in SCHEMES:
-            config = scale.base_config(
-                topology="mesh",
-                routing=routing,
-                num_vcs=1,
-                load=load,
-                pattern=pattern,
-            )
-            result = run_simulation(config)
-            report = result.report
-            rows.append(
-                {
-                    "pattern": pattern,
-                    "routing": routing,
-                    "load": load,
-                    "latency_mean": report["latency_mean"],
-                    "latency_p95": report["latency_p95"],
-                    "throughput": report["throughput"],
-                    "kills": report.get("kills", 0),
-                    "pad_overhead": report["pad_overhead"],
-                }
-            )
-    return rows
+    return [
+        ({"pattern": pattern, "routing": routing, "load": load},
+         scale.base_config(
+             topology="mesh",
+             routing=routing,
+             num_vcs=1,
+             load=load,
+             pattern=pattern,
+         ))
+        for pattern in PATTERNS
+        for routing in SCHEMES
+    ]
 
 
 def table(rows: List[Row]) -> str:
@@ -74,5 +63,7 @@ def table(rows: List[Row]) -> str:
     )
 
 
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(table(run()))
+def claim(rows: List[Row], scale: Scale) -> None:
+    # On transpose, full adaptivity (CR) beats deterministic DOR.
+    tr = {r["routing"]: r for r in rows if r["pattern"] == "transpose"}
+    assert tr["cr"]["throughput"] >= tr["dor"]["throughput"]

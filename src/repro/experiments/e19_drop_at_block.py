@@ -21,85 +21,69 @@ the other columns:
   when the tail leaves -- the flow-control handshake is the ack;
 * ordering: drop-and-retry reorders same-pair messages freely; CR's
   commit gating keeps them FIFO.
+
+Runs in-process: release times and FIFO violations come from the
+delivery ledger, which only the live ``SimResult`` carries
+(``--workers`` and the sweep cache do not apply).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
-from ..sim.simulator import run_simulation
 from ..stats.report import format_table
-from .common import QUICK, Scale
+from .common import Row, Scale, at_top
 
-Row = Dict[str, object]
-
-
-def _copy_held_mean(result, release_attr: str) -> float:
-    """Average cycles the source must buffer a message."""
-    samples = []
-    for msg in result.ledger.deliveries:
-        if not msg.measured:
-            continue
-        release = getattr(msg, release_attr)
-        if release is not None:
-            samples.append(release - msg.created_at)
-    return sum(samples) / len(samples) if samples else 0.0
+COLUMNS = (
+    "load", "scheme", "latency_mean", "throughput", "kills", "kill_rate",
+    "copy_held", "fifo_violations",
+)
 
 
-def run(scale: Scale = QUICK) -> List[Row]:
-    rows: List[Row] = []
-    for load in scale.loads:
-        for scheme in ("cr", "drop"):
-            # CR runs with its order gate (part of the framework);
-            # drop-at-block cannot provide ordering from commit gating
-            # (no padding lemma), so it runs ungated.
-            config = scale.base_config(
-                routing=scheme,
-                num_vcs=1,
-                load=load,
-                order_preserving=(scheme == "cr"),
-            )
-            result = run_simulation(config)
-            report = result.report
-            release_attr = (
-                "committed_at" if scheme == "cr" else "delivered_at"
-            )
-            rows.append(
-                {
-                    "load": load,
-                    "scheme": scheme,
-                    "latency_mean": report["latency_mean"],
-                    "throughput": report["throughput"],
-                    "kills": report.get("kills", 0),
-                    "kill_rate": report["kill_rate"],
-                    "copy_held": round(
-                        _copy_held_mean(result, release_attr), 1
-                    ),
-                    "fifo_violations": (
-                        result.ledger.count_fifo_violations()
-                    ),
-                }
-            )
-    return rows
+def points(scale: Scale):
+    # CR runs with its order gate (part of the framework); drop-at-block
+    # cannot provide ordering from commit gating (no padding lemma), so
+    # it runs ungated.
+    return [
+        ({"load": load, "scheme": scheme},
+         scale.base_config(
+             routing=scheme,
+             num_vcs=1,
+             load=load,
+             order_preserving=(scheme == "cr"),
+         ))
+        for load in scale.loads
+        for scheme in ("cr", "drop")
+    ]
+
+
+def from_result(result, scheme, **coords) -> Row:
+    # Cycles the source must buffer a message: until commit under CR,
+    # until delivery under drop-at-block.
+    release_attr = "committed_at" if scheme == "cr" else "delivered_at"
+    held = [
+        getattr(msg, release_attr) - msg.created_at
+        for msg in result.ledger.deliveries
+        if msg.measured and getattr(msg, release_attr) is not None
+    ]
+    return {
+        "copy_held": round(sum(held) / len(held) if held else 0.0, 1),
+        "fifo_violations": result.ledger.count_fifo_violations(),
+    }
 
 
 def table(rows: List[Row]) -> str:
     return format_table(
         rows,
-        [
-            "load",
-            "scheme",
-            "latency_mean",
-            "throughput",
-            "kills",
-            "kill_rate",
-            "copy_held",
-            "fifo_violations",
-        ],
         title="E19: CR vs drop-at-block (BBN Butterfly lineage) -- "
               "CR pays latency for ordering + early source release",
     )
 
 
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(table(run()))
+def claim(rows: List[Row], scale: Scale) -> None:
+    top = at_top(rows, "scheme")
+    # Dropping fires on every conflict: more kills than timeout-based CR.
+    assert top["drop"]["kills"] > top["cr"]["kills"]
+    # CR keeps per-pair FIFO under kill pressure; drop-and-retry cannot.
+    assert top["cr"]["fifo_violations"] == 0
+    assert top["drop"]["fifo_violations"] > 0

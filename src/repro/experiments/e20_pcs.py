@@ -18,16 +18,19 @@ backtracks) and delivery completeness.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
-from ..sim.simulator import run_simulation
 from ..stats.report import format_table
-from .common import QUICK, Scale
+from .common import Row, Scale, at_top
 
-Row = Dict[str, object]
+COLUMNS = (
+    "part", "load", "scheme", "dead_links", "latency_mean", "latency_p99",
+    "throughput", "recovery_events", ("setup_failures", "probe_failures"),
+    "undelivered",
+)
 
 
-def _row(scale: Scale, scheme: str, load: float, faults: int) -> Row:
+def _point(scale: Scale, scheme: str, load: float, faults: int):
     config = scale.base_config(
         routing=scheme,
         num_vcs=1,
@@ -36,54 +39,49 @@ def _row(scale: Scale, scheme: str, load: float, faults: int) -> Row:
         misrouting=faults > 0,  # both schemes detour around faults
         drain=scale.drain * (2 if faults else 1),
     )
-    result = run_simulation(config)
-    report = result.report
-    return {
+    coords = {
         "part": "faults" if faults else "healthy",
         "load": load,
         "scheme": scheme,
         "dead_links": 2 * faults,
-        "latency_mean": report["latency_mean"],
-        "latency_p99": report["latency_p99"],
-        "throughput": report["throughput"],
+    }
+    return coords, config
+
+
+def points(scale: Scale):
+    healthy = [
+        _point(scale, scheme, load, faults=0)
+        for load in scale.loads
+        for scheme in ("cr", "pcs")
+    ]
+    return healthy + [
+        _point(scale, scheme, scale.loads[0], faults=2)
+        for scheme in ("cr", "pcs")
+    ]
+
+
+def from_report(report, **coords) -> Row:
+    return {
         "recovery_events": (
             report.get("kills", 0) + report.get("probe_backtracks", 0)
-        ),
-        "setup_failures": report.get("probe_failures", 0),
-        "undelivered": report["undelivered"],
+        )
     }
-
-
-def run(scale: Scale = QUICK) -> List[Row]:
-    rows: List[Row] = []
-    for load in scale.loads:
-        for scheme in ("cr", "pcs"):
-            rows.append(_row(scale, scheme, load, faults=0))
-    fault_load = scale.loads[0]
-    for scheme in ("cr", "pcs"):
-        rows.append(_row(scale, scheme, fault_load, faults=2))
-    return rows
 
 
 def table(rows: List[Row]) -> str:
     return format_table(
         rows,
-        [
-            "part",
-            "load",
-            "scheme",
-            "dead_links",
-            "latency_mean",
-            "latency_p99",
-            "throughput",
-            "recovery_events",
-            "setup_failures",
-            "undelivered",
-        ],
         title="E20: CR (optimistic kill/retry) vs PCS "
               "(conservative probe/reserve)",
     )
 
 
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(table(run()))
+def claim(rows: List[Row], scale: Scale) -> None:
+    # Both schemes deliver everything, healthy and faulted.
+    assert all(r["undelivered"] == 0 for r in rows)
+    top = at_top([r for r in rows if r["part"] == "healthy"], "scheme")
+    # Probes search constantly: far more (cheap) recovery events than
+    # CR's (expensive) kills...
+    assert top["pcs"]["recovery_events"] > top["cr"]["recovery_events"]
+    # ...and some probe attempts fail outright and are retried.
+    assert top["pcs"]["setup_failures"] > 0

@@ -6,6 +6,10 @@ fast, but "repeated kills can give some messages much larger
 latencies".  This experiment prints the actual distribution -- fixed-
 width histogram bins of total latency for CR and DOR at the same load --
 plus the kill-count distribution that produces CR's tail.
+
+Runs in-process: the histogram needs every latency sample and the
+ledger's kill counts, which only the live ``SimResult`` carries
+(``--workers`` and the sweep cache do not apply).
 """
 
 from __future__ import annotations
@@ -13,40 +17,50 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, List
 
-from ..sim.simulator import run_simulation
 from ..stats.latency import histogram
 from ..stats.report import format_table
-from .common import QUICK, Scale
-
-Row = Dict[str, object]
+from .common import Row, Scale
 
 BIN_WIDTH = 64
 MAX_BINS = 12
 
+COLUMNS = ("latency_bin", "cr", "dor", "load")
+POINT_COLUMNS = ("scheme", "load", "latencies", "kill_counts")
 
-def run(scale: Scale = QUICK) -> List[Row]:
+
+def points(scale: Scale):
     load = scale.loads[len(scale.loads) // 2]
-    samples: Dict[str, List[int]] = {}
-    kill_histogram: Counter = Counter()
-    for scheme in ("cr", "dor"):
-        result = run_simulation(
-            scale.base_config(routing=scheme, num_vcs=2, load=load)
-        )
-        samples[scheme] = list(result.stats.total_latencies)
-        if scheme == "cr":
-            for msg in result.ledger.deliveries:
-                if msg.measured:
-                    kill_histogram[msg.kills + msg.fkills] += 1
+    return [
+        ({"scheme": scheme, "load": load},
+         scale.base_config(routing=scheme, num_vcs=2, load=load))
+        for scheme in ("cr", "dor")
+    ]
+
+
+def from_result(result, **coords) -> Row:
+    return {
+        "latencies": list(result.stats.total_latencies),
+        "kill_counts": Counter(
+            msg.kills + msg.fkills
+            for msg in result.ledger.deliveries
+            if msg.measured
+        ),
+    }
+
+
+def combine(rows: List[Row], scale: Scale) -> List[Row]:
+    """Both runs' samples, binned side by side; then CR's kill counts."""
+    load = rows[0]["load"]
     bins: Dict[int, Dict[str, int]] = {}
-    for scheme, values in samples.items():
-        for start, count in histogram(values, BIN_WIDTH):
-            bins.setdefault(start, {})[scheme] = count
-    rows: List[Row] = []
+    for run in rows:
+        for start, count in histogram(run["latencies"], BIN_WIDTH):
+            bins.setdefault(start, {})[run["scheme"]] = count
+    out: List[Row] = []
     overflow = {"cr": 0, "dor": 0}
     for index, start in enumerate(sorted(bins)):
         entry = bins[start]
         if index < MAX_BINS:
-            rows.append(
+            out.append(
                 {
                     "latency_bin": f"{start}-{start + BIN_WIDTH - 1}",
                     "cr": entry.get("cr", 0),
@@ -57,7 +71,7 @@ def run(scale: Scale = QUICK) -> List[Row]:
         else:
             overflow["cr"] += entry.get("cr", 0)
             overflow["dor"] += entry.get("dor", 0)
-    rows.append(
+    out.append(
         {
             "latency_bin": f">={MAX_BINS * BIN_WIDTH} (tail)",
             "cr": overflow["cr"],
@@ -65,8 +79,9 @@ def run(scale: Scale = QUICK) -> List[Row]:
             "load": load,
         }
     )
+    kill_histogram = rows[0]["kill_counts"]
     for kills in sorted(kill_histogram):
-        rows.append(
+        out.append(
             {
                 "latency_bin": f"cr killed {kills}x",
                 "cr": kill_histogram[kills],
@@ -74,7 +89,7 @@ def run(scale: Scale = QUICK) -> List[Row]:
                 "load": load,
             }
         )
-    return rows
+    return out
 
 
 def table(rows: List[Row]) -> str:
@@ -86,5 +101,15 @@ def table(rows: List[Row]) -> str:
     )
 
 
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(table(run()))
+def claim(rows: List[Row], scale: Scale) -> None:
+    kill_rows = [
+        r for r in rows if str(r["latency_bin"]).startswith("cr killed")
+    ]
+    assert kill_rows, "kill-count distribution missing"
+    counts = [int(r["cr"]) for r in kill_rows]
+    # The modal experience is zero kills...
+    assert counts[0] == max(counts)
+    # ...and the latency histogram covers both schemes.
+    latency_rows = [r for r in rows if r not in kill_rows]
+    assert sum(int(r["cr"]) for r in latency_rows) > 0
+    assert sum(int(r["dor"] or 0) for r in latency_rows) > 0

@@ -13,69 +13,28 @@ datapath on top.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
-from ..hardware.costmodel import (
-    InterfaceParams,
-    injector_components,
-    interface_table,
-    receiver_components,
-)
+from ..hardware.costmodel import InterfaceParams, interface_table
 from ..stats.report import format_table
-from .common import QUICK, Scale
+from .common import Row, Scale
 
-Row = Dict[str, object]
-
-
-def run(scale: Scale = QUICK) -> List[Row]:
-    params = InterfaceParams(radix=scale.radix, dims=scale.dims)
-    return interface_table(params)
+COLUMNS = (
+    "interface", "injector_gates", "injector_latches", "receiver_gates",
+    "receiver_latches", "total_gates", "total_latches",
+)
 
 
-def component_rows(scale: Scale = QUICK, mode: str = "fcr") -> List[Row]:
-    """Per-component breakdown (the detailed version of the table)."""
-    params = InterfaceParams(radix=scale.radix, dims=scale.dims)
-    rows: List[Row] = []
-    for side, parts in (
-        ("injector", injector_components(params, mode)),
-        ("receiver", receiver_components(params, mode)),
-    ):
-        for part in parts:
-            rows.append(
-                {
-                    "side": side,
-                    "component": part.name,
-                    "gates": part.gates,
-                    "latches": part.latches,
-                    "purpose": part.purpose,
-                }
-            )
-    return rows
+def rows(scale: Scale) -> List[Row]:
+    return interface_table(InterfaceParams(radix=scale.radix, dims=scale.dims))
 
 
 def table(rows: List[Row]) -> str:
     return format_table(
-        rows,
-        [
-            "interface",
-            "injector_gates",
-            "injector_latches",
-            "receiver_gates",
-            "receiver_latches",
-            "total_gates",
-            "total_latches",
-        ],
-        title="T01: network-interface hardware inventory",
+        rows, title="T01: network-interface hardware inventory"
     )
 
 
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(table(run()))
-    print()
-    print(
-        format_table(
-            component_rows(),
-            ["side", "component", "gates", "latches", "purpose"],
-            title="T01 detail: FCR interface components",
-        )
-    )
+def claim(rows: List[Row], scale: Scale) -> None:
+    gates = {r["interface"]: r["total_gates"] for r in rows}
+    assert gates["plain"] < gates["cr"] < gates["fcr"]

@@ -10,36 +10,29 @@ Linder-Harden) in critical-path delay -- adaptivity without the VC tax.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from ..hardware.routermodel import router_table
 from ..stats.report import format_table
-from .common import QUICK, Scale
+from .common import Row, Scale
 
-Row = Dict[str, object]
+COLUMNS = (
+    "router", "vcs", "freedom", "routing_ns", "vc_alloc_ns", "switch_ns",
+    "flow_ns", "total_ns", "vs_dor",
+)
 
 
-def run(scale: Scale = QUICK) -> List[Row]:
+def rows(scale: Scale) -> List[Row]:
     return router_table(dims=scale.dims, torus=True)
 
 
 def table(rows: List[Row]) -> str:
     return format_table(
-        rows,
-        [
-            "router",
-            "vcs",
-            "freedom",
-            "routing_ns",
-            "vc_alloc_ns",
-            "switch_ns",
-            "flow_ns",
-            "total_ns",
-            "vs_dor",
-        ],
-        title="T02: router critical-path model (2D torus)",
+        rows, title="T02: router critical-path model (2D torus)"
     )
 
 
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(table(run()))
+def claim(rows: List[Row], scale: Scale) -> None:
+    delays = {r["router"]: r["total_ns"] for r in rows}
+    assert delays["CR"] < delays["Duato"]
+    assert delays["CR"] <= delays["DOR"] * 1.1

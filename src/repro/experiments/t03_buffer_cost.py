@@ -10,68 +10,57 @@ of the storage -- becomes one column.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
-from ..hardware.buffercost import (
-    BufferOrganisation,
-    standard_organisations,
-    throughput_per_flit,
-)
-from ..sim.simulator import run_simulation
+from ..hardware.buffercost import standard_organisations
 from ..stats.report import format_table
-from .common import QUICK, Scale
+from .common import Row, Scale
 
-Row = Dict[str, object]
-
-
-def _config_for(org: BufferOrganisation, scale: Scale, load: float):
-    scheme = "cr" if org.name.startswith("cr") else "dor"
-    return scale.base_config(
-        routing=scheme,
-        num_vcs=org.num_vcs,
-        buffer_depth=org.buffer_depth,
-        load=load,
-    )
+COLUMNS = (
+    "organisation", "vcs", "depth", "flits_per_router", "throughput",
+    "thr_per_buffer_flit", "latency_mean",
+)
 
 
-def run(scale: Scale = QUICK) -> List[Row]:
-    load = scale.loads[-1]
-    rows: List[Row] = []
-    for org in standard_organisations(scale.dims):
-        result = run_simulation(_config_for(org, scale, load))
-        throughput = float(result.report["throughput"])
-        rows.append(
-            {
-                "organisation": org.name,
-                "vcs": org.num_vcs,
-                "depth": org.buffer_depth,
-                "flits_per_router": org.flits_per_router,
-                "throughput": throughput,
-                "thr_per_buffer_flit": round(
-                    throughput_per_flit(throughput, org), 4
-                ),
-                "latency_mean": result.report["latency_mean"],
-            }
+def points(scale: Scale):
+    return [
+        ({
+            "organisation": org.name,
+            "vcs": org.num_vcs,
+            "depth": org.buffer_depth,
+            "flits_per_router": org.flits_per_router,
+        },
+         scale.base_config(
+             routing="cr" if org.name.startswith("cr") else "dor",
+             num_vcs=org.num_vcs,
+             buffer_depth=org.buffer_depth,
+             load=scale.loads[-1],
+         ))
+        for org in standard_organisations(scale.dims)
+    ]
+
+
+def from_report(report, flits_per_router, **coords) -> Row:
+    return {
+        "thr_per_buffer_flit": round(
+            float(report["throughput"]) / flits_per_router, 4
         )
-    return rows
+    }
 
 
 def table(rows: List[Row]) -> str:
     return format_table(
         rows,
-        [
-            "organisation",
-            "vcs",
-            "depth",
-            "flits_per_router",
-            "throughput",
-            "thr_per_buffer_flit",
-            "latency_mean",
-        ],
         title="T03: buffer storage vs delivered throughput "
               "(top swept load)",
     )
 
 
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(table(run()))
+def claim(rows: List[Row], scale: Scale) -> None:
+    # CR's shallow-buffer organisation delivers more throughput per
+    # flit of buffer storage than any deep-FIFO DOR organisation.
+    by_name = {r["organisation"]: r for r in rows}
+    cr = by_name["cr_2vc_d2"]
+    for name, row in by_name.items():
+        if name.startswith("dor"):
+            assert cr["thr_per_buffer_flit"] >= row["thr_per_buffer_flit"], row

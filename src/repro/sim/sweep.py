@@ -10,13 +10,17 @@ on long sweeps.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import (
+    Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
+)
 
 from .config import SimConfig
 from .parallel import CacheSpec, ProgressCallback, Report, run_reports
 from .simulator import SimResult
 
 Row = Dict[str, object]
+#: one sweep point: its coordinates (the row's leading columns) + config
+Point = Tuple[Dict[str, object], SimConfig]
 
 #: report keys every sweep row carries
 DEFAULT_FIELDS = (
@@ -53,6 +57,45 @@ def result_row(result: SimResult, fields: Sequence[str] = DEFAULT_FIELDS) -> Row
     return report_row(result.report, fields)
 
 
+def point_rows(
+    points: Sequence[Point],
+    fill: Callable[[Dict[str, object], Report], Row],
+    workers: Optional[int] = 1,
+    cache: CacheSpec = None,
+    progress: Optional[ProgressCallback] = None,
+) -> List[Row]:
+    """Points to rows: the one function under every sweep and experiment.
+
+    A point is ``(coordinates, config)``.  All configs go to
+    :func:`run_reports` as one batch -- so a process pool stays busy
+    across curve boundaries -- and ``fill(coordinates, report)`` makes
+    each point's row, in submission order.
+    """
+    reports = run_reports(
+        [config for _, config in points],
+        workers=workers, cache=cache, progress=progress,
+    )
+    return [
+        fill(coords, report) for (coords, _), report in zip(points, reports)
+    ]
+
+
+def matrix_points(
+    configs: Dict[str, SimConfig], loads: Iterable[float]
+) -> List[Point]:
+    """One point per labelled configuration per load, curve by curve."""
+    load_list = list(loads)
+    return [
+        ({"load": load, "config": label}, config.with_(load=load))
+        for label, config in configs.items()
+        for load in load_list
+    ]
+
+
+def _coords_then(fields: Sequence[str]):
+    return lambda coords, report: {**coords, **report_row(report, fields)}
+
+
 def load_sweep(
     base: SimConfig,
     loads: Iterable[float],
@@ -63,19 +106,11 @@ def load_sweep(
     progress: Optional[ProgressCallback] = None,
 ) -> List[Row]:
     """Run ``base`` across offered loads; one row per load point."""
-    load_list = list(loads)
-    reports = run_reports(
-        [base.with_(load=load) for load in load_list],
-        workers=workers, cache=cache, progress=progress,
-    )
-    rows: List[Row] = []
-    for load, report in zip(load_list, reports):
-        row: Row = {"load": load}
-        if label is not None:
-            row["config"] = label
-        row.update(report_row(report, fields))
-        rows.append(row)
-    return rows
+    if label is not None:
+        points = matrix_points({label: base}, loads)
+    else:
+        points = [({"load": load}, base.with_(load=load)) for load in loads]
+    return point_rows(points, _coords_then(fields), workers, cache, progress)
 
 
 def param_sweep(
@@ -88,17 +123,10 @@ def param_sweep(
     progress: Optional[ProgressCallback] = None,
 ) -> List[Row]:
     """Run ``base`` with ``param`` set to each value; one row each."""
-    value_list = list(values)
-    reports = run_reports(
-        [base.with_(**{param: value}) for value in value_list],
-        workers=workers, cache=cache, progress=progress,
-    )
-    rows: List[Row] = []
-    for value, report in zip(value_list, reports):
-        row: Row = {param: value}
-        row.update(report_row(report, fields))
-        rows.append(row)
-    return rows
+    points = [
+        ({param: value}, base.with_(**{param: value})) for value in values
+    ]
+    return point_rows(points, _coords_then(fields), workers, cache, progress)
 
 
 def matrix_sweep(
@@ -113,28 +141,12 @@ def matrix_sweep(
 
     This is the shape of the paper's comparison figures: one curve per
     configuration (CR vs DOR at various buffer depths, VC counts, ...),
-    sharing the offered-load x-axis.  The whole label x load matrix is
-    submitted as one batch, so a process pool stays busy across curve
-    boundaries instead of draining at the end of each curve.
+    sharing the offered-load x-axis.
     """
-    load_list = list(loads)
-    labels = list(configs)
-    reports = run_reports(
-        [
-            configs[label].with_(load=load)
-            for label in labels
-            for load in load_list
-        ],
-        workers=workers, cache=cache, progress=progress,
+    return point_rows(
+        matrix_points(configs, loads), _coords_then(fields),
+        workers, cache, progress,
     )
-    rows: List[Row] = []
-    report_iter = iter(reports)
-    for label in labels:
-        for load in load_list:
-            row: Row = {"load": load, "config": label}
-            row.update(report_row(next(report_iter), fields))
-            rows.append(row)
-    return rows
 
 
 def saturation_load(

@@ -374,6 +374,29 @@ class TestExperimentCommand:
         out = capsys.readouterr().out
         assert "interface" in out
         assert "fcr" in out
+        assert out.splitlines()[-1] == "claim: holds"
+
+    def test_a_failed_claim_is_a_line_not_an_exit_status(
+        self, capsys, monkeypatch
+    ):
+        """A claim is written for the quick scale; at another (here a
+        4-ary torus, where CR never overtakes DOR) it may fail, and the
+        table is still the command's result."""
+        import repro.experiments
+
+        monkeypatch.setattr(
+            repro.experiments, "QUICK",
+            repro.experiments.Scale(
+                name="tiny", radix=4, warmup=50, measure=250, drain=2500,
+                message_length=8, loads=(0.1, 0.25), seed=3,
+            ),
+        )
+        assert cli_main(["experiment", "e01"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("E01 mean latency")
+        assert out.splitlines()[-1].startswith(
+            'claim: FAILS — assert top["cr_2vc"]["latency_mean"] < '
+        )
 
     def test_workers_override_accepted(self, capsys):
         assert cli_main(
