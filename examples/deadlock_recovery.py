@@ -13,7 +13,7 @@ Run:  python examples/deadlock_recovery.py
 """
 
 from repro import (
-    Engine,
+    FastEngine,
     FirstFree,
     Message,
     MinimalAdaptive,
@@ -25,7 +25,7 @@ from repro import (
 )
 
 
-def build_engine(mode: ProtocolMode) -> Engine:
+def build_engine(mode: ProtocolMode) -> FastEngine:
     topology = torus(4, 1)  # a 4-node ring
     network = WormholeNetwork(
         topology,
@@ -34,7 +34,7 @@ def build_engine(mode: ProtocolMode) -> Engine:
         num_vcs=1,
         buffer_depth=2,
     )
-    return Engine(
+    return FastEngine(
         network,
         protocol=ProtocolConfig(mode=mode),
         seed=0,
@@ -42,7 +42,7 @@ def build_engine(mode: ProtocolMode) -> Engine:
     )
 
 
-def inject_cycle(engine: Engine):
+def inject_cycle(engine: FastEngine):
     messages = []
     for src in range(4):
         msg = Message(src, (src + 2) % 4, 40, seq=src)

@@ -16,7 +16,7 @@ Run:  python examples/irregular_network.py
 """
 
 from repro import (
-    Engine,
+    FastEngine,
     GraphTopology,
     Message,
     MinimalAdaptive,
@@ -48,7 +48,7 @@ def main() -> None:
         num_vcs=1,
         buffer_depth=2,
     )
-    engine = Engine(
+    engine = FastEngine(
         network,
         protocol=ProtocolConfig(mode=ProtocolMode.CR),
         seed=19,

@@ -54,6 +54,7 @@ class Channel:
         "dead",
         "sinks",
         "flits_carried",
+        "ledger",
     )
 
     def __init__(
@@ -87,6 +88,10 @@ class Channel:
         self.dead = False
         self.sinks: List[Optional["VCBuffer"]] = [None] * num_vcs
         self.flits_carried = 0
+        #: told the due cycle of every scheduled credit return: the fast
+        #: engine's ``CreditLedger``, so it ticks only the channels with
+        #: a credit maturing on a given cycle.  None: nobody is.
+        self.ledger = None
 
     # ------------------------------------------------------------------
     # Wiring
@@ -120,7 +125,10 @@ class Channel:
 
     def return_credit(self, vc: int, now: int) -> None:
         """Schedule a credit to become available after reverse latency."""
-        self._pending.append((now + self.latency, vc))
+        due = now + self.latency
+        self._pending.append((due, vc))
+        if self.ledger is not None:
+            self.ledger.register(due, self)
 
     def pending_credits(self, vc: int) -> int:
         """Credits in flight back to the sender on ``vc`` (not yet due)."""

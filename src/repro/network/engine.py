@@ -1,9 +1,13 @@
-"""The cycle engine: drives every network component in lockstep.
+"""The cycle loop both engines share: drives every component in lockstep.
 
-Each cycle walks one *phase table* -- an ordered tuple of
-``(profiler phase name, callable(now))`` built by
-:meth:`Engine._phase_table` -- over state as of the cycle start
-(arrivals and credits are staged with latency, so intra-cycle
+``Engine`` is the base of ``repro.network.fastengine.FastEngine`` (the
+product) and ``repro.verify.reference.ReferenceEngine`` (the spec): the
+construction-time state, message admission and the component hooks,
+the loops, the monitors, and the one *phase table* -- an ordered tuple
+of ``(profiler phase name, callable(now))`` built by
+:meth:`Engine._phase_table`, each name bound to a method the concrete
+engine defines.  A cycle walks the table over state as of the cycle
+start (arrivals and credits are staged with latency, so intra-cycle
 evaluation order cannot leak information).  The table's names, in the
 table's order (``repro.obs.profile.PHASES`` minus ``idle``):
 
@@ -37,7 +41,6 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 from ..core.guarantees import DeliveryLedger
 from ..core.kill import KillManager
 from ..core.node import Node
-from ..core.pcs import PCSManager
 from ..core.protocol import KillCause, MessagePhase, ProtocolConfig, ProtocolMode
 from ..stats.collector import StatsCollector
 
@@ -45,7 +48,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..faults.model import FaultModel
     from ..network.buffer import VCBuffer
     from ..network.message import Message
-    from ..routing.base import Candidate
     from ..workload.generator import WorkloadGenerator
     from .network import WormholeNetwork
 
@@ -101,7 +103,8 @@ class OrderedSet:
 
 
 class Engine:
-    """Owns all mutable simulation state and the main loop."""
+    """Owns all mutable simulation state and the main loop; a concrete
+    engine adds the seven phase bodies ``_phase_table`` names."""
 
     def __init__(
         self,
@@ -133,11 +136,8 @@ class Engine:
         self.now = 0
         self.last_progress = 0
         self.kills = KillManager(self)
-        self.pcs = (
-            PCSManager(self)
-            if self.protocol.mode is ProtocolMode.PCS
-            else None
-        )
+        #: the PCS probe manager: the reference engine's, under PCS.
+        self.pcs = None
         # Ordered sets (insertion-ordered dicts): iteration order must be
         # deterministic for reproducible runs, which id()-hashed sets are
         # not across processes.
@@ -336,24 +336,13 @@ class Engine:
         return 1
 
     def _skip(self, table: Tuple[Phase, ...], limit: int) -> int:
-        """Cycles elided ahead of the next stepped one: the reference
-        engine steps every cycle."""
+        """Cycles elided ahead of the next stepped one: none, unless
+        the concrete engine knows how (the reference steps them all)."""
         return 0
 
     # ------------------------------------------------------------------
-    # Phases that are plain sweeps over every component
+    # The two phases both engines run unchanged
     # ------------------------------------------------------------------
-
-    def _tick_credits(self, now: int) -> None:
-        for channel in self._all_channels:
-            channel.tick(now)
-
-    def _fault_sweep(self, now: int) -> None:
-        self.fault_model.on_cycle(now, self.network)
-
-    def _eject(self, now: int) -> None:
-        for node in self.nodes:
-            node.receiver.process(now)
 
     def _traffic(self, now: int) -> None:
         if self.generator is not None:
@@ -361,197 +350,10 @@ class Engine:
         if self.reliability is not None:
             self.reliability.tick(now)
 
-    def _inject(self, now: int) -> None:
-        for node in self.nodes:
-            for injector in node.injectors:
-                injector.step(now)
-        if self.pcs is not None:
-            self.pcs.step(now)
-
     def _monitors(self, now: int) -> None:
         self._path_wide_monitor(now)
         self._drop_at_block_monitor(now)
         self._watchdog_check(now)
-
-    # ------------------------------------------------------------------
-    # Arrivals
-    # ------------------------------------------------------------------
-
-    def _merge_arrivals(self, now: int) -> None:
-        if not self._arrival_buffers:
-            return
-        fcr = self.protocol.mode is ProtocolMode.FCR
-        done = []
-        for buffer in self._arrival_buffers:
-            arrived = buffer.merge_incoming(now)
-            if arrived:
-                self.mark_progress(now)
-                for flit in arrived:
-                    if not flit.is_head:
-                        continue
-                    message = flit.message
-                    if message.phase not in _LIVE_PHASES:
-                        continue
-                    if fcr and flit.corrupted:
-                        # Per-flit check code fails at the router: the
-                        # router initiates a backward kill to the source.
-                        self.kills.initiate(
-                            message,
-                            KillCause.HEADER_FAULT,
-                            backward=True,
-                            now=now,
-                        )
-                    else:
-                        self.route_pending.add(buffer)
-            if not buffer.incoming:
-                done.append(buffer)
-        for buffer in done:
-            self._arrival_buffers.discard(buffer)
-
-    # ------------------------------------------------------------------
-    # Routing (header output-VC allocation)
-    # ------------------------------------------------------------------
-
-    def _route_headers(self, now: int) -> None:
-        if not self.route_pending:
-            return
-        pending = list(self.route_pending)
-        if len(pending) > 1:
-            self.rng.shuffle(pending)
-        for buffer in pending:
-            head = buffer.head()
-            if head is None or not head.is_head:
-                self.route_pending.discard(buffer)
-                continue
-            if buffer.routed:
-                # Already holds an output (a PCS probe reserved it, or a
-                # stale queue entry): nothing to allocate.
-                self.route_pending.discard(buffer)
-                continue
-            message = head.message
-            if message.phase not in _LIVE_PHASES:
-                self.route_pending.discard(buffer)
-                continue
-            if self._grant(buffer, message):
-                buffer.route_stall_since = None
-                self.route_pending.discard(buffer)
-            elif buffer.route_stall_since is None:
-                buffer.route_stall_since = now
-
-    def _grant(self, buffer: "VCBuffer", message: "Message") -> bool:
-        from ..routing.base import Candidate
-
-        router = buffer.router
-        if router.node_id == message.dst:
-            tiers = [[Candidate(port, 0) for port in router.eject_ports]]
-        else:
-            tiers = self.routing.candidates(router, message)
-        for tier in tiers:
-            free = [
-                cand
-                for cand in tier
-                if router.output_free(cand.port, cand.vc)
-                and not router.out_channels[cand.port].dead
-            ]
-            if not free:
-                continue
-            choice = self.selection.pick(free, router, message, self.rng)
-            router.claim_output(choice.port, choice.vc, buffer, message)
-            if choice.is_escape:
-                message.escape_hops += 1
-                message.used_escape = True
-                self.stats.on_escape_grant(message)
-            if choice.is_misroute:
-                message.misroutes_used += 1
-                self.stats.counters["misroute_hops"] += 1
-            return True
-        return False
-
-    # ------------------------------------------------------------------
-    # Switch traversal (one flit per physical channel)
-    # ------------------------------------------------------------------
-
-    def _switch(self, now: int) -> None:
-        for router in self.routers:
-            claims = router.claims
-            if not claims:
-                continue
-            by_port: Dict[int, List] = {}
-            for (port, vc), buffer in claims.items():
-                if not buffer.fifo:
-                    continue
-                owner = buffer.owner
-                if owner is None or owner.phase not in _LIVE_PHASES:
-                    continue
-                if not router.out_channels[port].can_send(vc):
-                    continue
-                by_port.setdefault(port, []).append((vc, buffer))
-            if not by_port:
-                continue
-            used_inputs: Set[int] = set()
-            for port in sorted(by_port):
-                entries = [
-                    (vc, buffer)
-                    for vc, buffer in by_port[port]
-                    if buffer.port not in used_inputs
-                ]
-                if not entries:
-                    continue
-                # Full deterministic tie-break: out-VC, then input port
-                # and input VC, so equal-priority entries never fall
-                # back to dict insertion order (trace diffs between
-                # engine implementations must be order-stable).
-                entries.sort(key=lambda e: (e[0], e[1].port, e[1].vc))
-                vc, buffer = entries[router.rotate(port, len(entries))]
-                used_inputs.add(buffer.port)
-                self._transfer(router, port, vc, buffer, now)
-
-    def _transfer(self, router, port: int, vc: int, buffer, now: int) -> None:
-        flit = buffer.pop(now)
-        message = flit.message
-        channel = router.out_channels[port]
-        if (
-            self.fault_model is not None
-            and not channel.is_ejection
-            and not channel.is_injection
-            and self.fault_model.corrupt(flit, channel, self.rng)
-        ):
-            flit.corrupted = True
-            self.stats.on_fault_injected()
-            if self.bus is not None:
-                from ..obs.events import FaultActivated
-
-                self.bus.emit(FaultActivated(
-                    now, "transient", channel.src_node, channel.dst_node,
-                    uid=message.uid,
-                ))
-        channel.send(vc, flit, now)
-        if channel.is_ejection:
-            self.nodes[router.node_id].receiver.stage(
-                flit, now + channel.latency, channel
-            )
-        else:
-            self.note_arrival(channel.sinks[vc])
-        if flit.is_head and not channel.is_ejection and self.pcs is None:
-            # Under PCS the probe acquired the path (and advanced the
-            # header routing state) before any data flit moved.
-            self.routing.on_header_hop(message, channel)
-            sink = channel.sinks[vc]
-            sink.acquire(message, now)
-            message.segments.append(sink)
-        if flit.is_tail:
-            buffer.release()
-            feeder = buffer.feeder
-            if feeder is not None and not feeder.is_injection:
-                self.routers[feeder.src_node].release_output_if(
-                    feeder.src_port, buffer.vc, message
-                )
-            message.tail_seg += 1
-            if channel.is_ejection:
-                router.release_output(port, vc)
-            else:
-                router.retire_claim(port, vc)
-        self.mark_progress(now)
 
     # ------------------------------------------------------------------
     # Path-wide timeout (E10 ablation)

@@ -1,113 +1,34 @@
 """The fast engine: identical protocol behaviour, far fewer cycles.
 
 ``FastEngine`` is the product engine, what ``SimConfig.build()`` makes
-unless told ``engine="reference"``; :class:`Engine` is the spec it is
-checked against.  It produces *flit-for-flit identical* runs — same
-events, same reports, same RNG draw sequence — by walking the
-reference engine's phase table (``Engine._phase_table``) through
-the reference engine's loops (``Engine.run`` / ``run_until_drained`` /
-``step``), with its own callables swapped in for the phases it can
-narrow to where work can exist, and event skipping plugged into the
-loops' ``_skip`` hook:
+unless told ``engine="reference"``, and what a hand-built
+``WormholeNetwork`` runs on.  The contract: a run is *flit-for-flit
+identical* to the same run on the spec,
+``repro.verify.reference.ReferenceEngine`` -- same events, same
+reports, same channel state, same RNG draw sequence.  Both walk the one
+phase table through the one set of loops in ``repro.network.engine``;
+this class binds its own bodies to the table's names, each narrowed to
+where work can exist, and plugs event skipping into the loops' ``_skip``
+hook.  All protocol components (injectors, receivers, kill manager,
+routers, channels) are shared with the spec.
 
-* **Batched credit processing.**  Channels built as
-  :class:`LedgerChannel` register every scheduled credit return in a
-  shared :class:`CreditLedger` bucketed by due cycle, so each cycle
-  ticks only the channels with a credit maturing *now* instead of
-  sweeping every channel in the network.  It carries the receivers'
-  ejection credits, the kill wavefront's flushes and every return over
-  a channel of latency > 1; the switch stage's pops over unit-latency
-  channels never enter it (*direct credit return*, below).
-
-* **Activity sets.**  Receivers, injectors, and switch stages are only
-  visited for nodes that can actually do something (staged arrivals,
-  queued or streaming messages, live output claims).  Inactive
-  components are exactly the ones whose reference-phase calls are
-  no-ops that draw no randomness, so pruning them cannot change the
-  run.
-
-* **Precomputed routing relations.**  :class:`RoutingTable` memoises
-  ``routing.candidates`` under keys that capture every message-state
-  input of the relation (destination, DOR lane/dateline state,
-  exhausted misroute budgets), falling back to live calls for
-  relations that read live network state.  The cached tiers are the
-  real function's own output, so there is no re-implementation to
-  drift.
-
-* **Event skipping.**  When the network is quiescent — no arrivals
-  staged, no kill wavefronts, no worms in flight, every queued message
-  parked behind a retransmission gap — the clock jumps directly to the
-  next cycle where anything can happen: the earliest retransmission,
-  scheduled arrival, scheduled fault, sampler/checker boundary, or the
-  watchdog horizon.  The engine names no input class: the generator's
-  ``skip_state(now)`` and the fault model's ``next_event(now)`` say
-  when each next acts, and an input that cannot say (no ``skip_state``
-  method; ``next_event`` returning ``None``) turns skipping off.
-  While a per-cycle-draw source is active the engine instead runs a
-  *paced* loop that performs only the generator draws (exactly the
-  reference RNG sequence) until a message is admitted.
-
-* **Change stamps.**  A blocked header's wait can only end when a
-  specific resource changes hands, so the engine stops polling.  Every
-  :class:`Router` mutator that writes ``out_owner`` bumps the router's
-  ``stamp``; the engine bumps a *fault epoch* where it builds a phase
-  table (state planted between runs) and in the ``fault`` phase on
-  every cycle ``fault_model.next_event`` says the model may act (an
-  ``on_cycle`` override that does not say: every cycle).  Those are
-  the only inputs of
-  ``_grant`` that can change while a header is blocked -- the routing
-  relations read header state, which moves only with the header, and
-  channel death -- so a header whose last failure carries the current
-  stamp and epoch is skipped: the attempt would fail again, and a
-  failed attempt draws no randomness (``selection.pick`` runs only on
-  a non-empty free list).  The pending list is still built and
-  shuffled in full; the shuffle draw is part of the contract.  The
-  same mutators drop the router's cached claim order, so the switch
-  stage re-sorts a claim table only after it changed.  The injector's
-  stall threshold is fixed by ``begin_attempt``, so it is worked out
-  once per streak, and a stalled visit short of it takes a three-step
-  path -- ``injector.stall += 1``, one local tally, ``continue`` --
-  the only effects the reference's visit has.  ``stall`` itself is
-  never deferred (forensics reads it mid-run); the three injection
-  counters are added in bulk, flushed before every call that leaves
-  the inlined body, so hooks and sinks read the reference's values.
-
-* **Arbitrate, then move.**  The switch stage is the two pipeline
-  stages it is in hardware.  ``_arbitrate`` walks each active router's
-  cached claim records -- ``(port, vc, buffer, fifo, channel,
-  credits)``, built by ``Router.claim_order`` once per write to
-  ``claims`` -- and picks every output port's winner; ``_move`` then
-  pushes one flit through each, the reference's ``_transfer`` chain
-  flattened into one loop body.  Deferring the moves is exact:
-  arbitration reads only a router's own ``claims`` and ``_rr``, its
-  input buffers' ``fifo`` / ``owner`` (and ``owner.phase``) and its
-  own output channels' ``dead`` / ``credits``, and the reference's
-  move writes none of those for a router still to be arbitrated (it
-  stages flits and credits a channel latency away; ``sink.acquire``
-  binds a buffer that holds no claim until its header is granted; the
-  upstream ``release_output_if`` pops a claim retired when the tail
-  left that router).  The moves keep the reference's order, and with
-  it every fault draw and bus event.  Here all arbitration precedes
-  all moves, so a move may write what arbitration reads: a flit sent
-  over a unit-latency link lands in ``sink.fifo`` at once (*direct
-  landing*), only a header is kept for the next arrival phase, and
-  nothing in between tells ``fifo`` from ``incoming``; a pop from a
-  buffer fed over one adds its credit to ``feeder.credits`` at once
-  (*direct credit return*): injection and arbitration alone read a
-  spendable count, both are over for this cycle and follow the credit
-  phase that would have released it in the next, and the checker in
-  between reads ``credits + pending`` (SIMULATOR.md).
+The mechanisms -- the credit ledger, activity sets, the memoised
+routing relation, event skipping and the paced loop, change stamps, the
+two-stage hop (arbitrate, then move) with direct landing and direct
+credit return -- are described once, each with the invariant it relies
+on and the oracle that pins it, in docs/SIMULATOR.md, "The fast
+engine".  The comments below say only what a body mirrors.
 
 The engine has one mode.  What it does not run -- PCS probe circuits,
-an attached software-retry reliability layer, a network built without
-:class:`LedgerChannel` -- it refuses with :class:`FastEngineRefusal`,
-and ``SimConfig.build()`` hands those configurations to the reference
-engine.  Its hot paths are the reference's methods inlined, so a patch
-planted on an engine, injector, receiver or routing *instance* is not
-seen: build ``engine="reference"`` to patch anything (``repro.verify``'s
-mutations are planted there).  Hooks the inlined bodies look up on every
-call -- ``routing.on_header_hop``, an overridden ``fault_model.corrupt``
--- still are.
+an attached software-retry reliability layer -- it refuses with
+:class:`FastEngineRefusal`, and ``SimConfig.build()`` hands those
+configurations to the reference engine.  Its hot paths are the
+components' methods inlined, so a patch planted on an engine, injector,
+receiver or routing *instance* is not seen: build ``engine="reference"``
+to patch anything (``repro.verify``'s mutations are planted there).
+Hooks the inlined bodies look up on every call --
+``routing.on_header_hop``, an overridden ``fault_model.corrupt`` --
+still are.
 """
 
 from __future__ import annotations
@@ -160,30 +81,9 @@ class FastEngineRefusal(TypeError):
         )
 
 
-class LedgerChannel(Channel):
-    """A channel that reports scheduled credit returns to a ledger.
-
-    Behaviourally identical to :class:`Channel`; the only addition is
-    that ``return_credit`` registers the due cycle with the engine's
-    :class:`CreditLedger` so the fast path can tick exactly the
-    channels with credits maturing on a given cycle.
-    """
-
-    __slots__ = ("ledger",)
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.ledger: Optional["CreditLedger"] = None
-
-    def return_credit(self, vc: int, now: int) -> None:
-        due = now + self.latency
-        self._pending.append((due, vc))
-        if self.ledger is not None:
-            self.ledger.register(due, self)
-
-
 class CreditLedger:
-    """Credit returns bucketed by due cycle.
+    """Credit returns bucketed by due cycle, as ``Channel.return_credit``
+    registers them with the ledger a fast engine gave the channel.
 
     ``drain(now)`` ticks only the channels holding a credit due at
     ``now`` — the engine never sweeps the full channel list.
@@ -359,14 +259,9 @@ class _FastKillManager(KillManager):
 
 
 class FastEngine(Engine):
-    """Event-skipping engine, flit-for-flit identical to :class:`Engine`.
-
-    All protocol components (injectors, receivers, kill manager,
-    routers, channels) are the reference implementations, and so are
-    the loops; this class only swaps phase implementations into the
-    table and reorganises *when* their per-cycle hooks run.  See the
-    module docstring for the mechanisms and their exactness arguments.
-    """
+    """Event-skipping engine, flit-for-flit identical to
+    ``repro.verify.reference.ReferenceEngine``; see the module docstring
+    for the contract and docs/SIMULATOR.md for the mechanisms."""
 
     def __init__(self, network, **kwargs) -> None:
         super().__init__(network, **kwargs)
@@ -376,17 +271,14 @@ class FastEngine(Engine):
         self._table = RoutingTable(self.routing)
         self._eject_cache: Dict[int, List[List[Candidate]]] = {}
         self.credit_ledger = CreditLedger()
-        if self.pcs is not None:
+        if self.protocol.mode is ProtocolMode.PCS:
             # Probes create claims outside _grant, where no activity set
             # sees them.
             raise FastEngineRefusal("PCS probe circuits")
         for chan in self._all_channels:
-            if not isinstance(chan, LedgerChannel):
-                raise FastEngineRefusal(
-                    f"a network of {type(chan).__name__}s (it ticks "
-                    f"LedgerChannels, through their ledger)"
-                )
             chan.ledger = self.credit_ledger
+        #: the credit phase: only the channels with a credit due now.
+        self._tick_credits = self.credit_ledger.drain
         # Direct handles on the ledger buckets and the OrderedSet
         # backing dicts for the inlined transfer/injection pipelines.
         self._credit_buckets = self.credit_ledger._buckets
@@ -649,9 +541,10 @@ class FastEngine(Engine):
     def _move(self, moves: List["ClaimRecord"], now: int) -> None:
         """Switch traversal: one flit through each arbitrated output.
 
-        ``Engine._transfer`` + ``VCBuffer.pop`` + ``Channel.send`` +
-        ``Receiver.stage`` in one loop body, every branch mirroring the
-        reference methods.  Hoisted lookups are redone on every call.
+        ``ReferenceEngine._transfer`` + ``VCBuffer.pop`` +
+        ``Channel.send`` + ``Receiver.stage`` in one loop body, every
+        branch mirroring the reference methods.  Hoisted lookups are
+        redone on every call.
         """
         buckets = self._credit_buckets
         arrival_items = self._arrival_items
@@ -671,7 +564,7 @@ class FastEngine(Engine):
                     # Direct return: what the next credit phase would do.
                     feeder.credits[buffer.vc] += 1
                 else:
-                    # LedgerChannel.return_credit
+                    # Channel.return_credit
                     due = now + feeder.latency
                     feeder._pending.append((due, buffer.vc))
                     bucket = buckets.get(due)
@@ -742,7 +635,7 @@ class FastEngine(Engine):
             self.last_progress = now
 
     # ------------------------------------------------------------------
-    # The phase table: reference order, fast implementations
+    # The phase table: what is cached across cycles starts over
     # ------------------------------------------------------------------
 
     def _phase_table(self) -> Tuple[Phase, ...]:
@@ -755,15 +648,7 @@ class FastEngine(Engine):
         # must be seen by everything cached across cycles.
         self._fault_epoch += 1
         self._stall_limits.clear()
-        swap = {
-            "credit": self.credit_ledger.drain,
-            "ejection": self._process_receivers,
-            "injection": self._step_injectors,
-        }
-        return tuple(
-            (name, swap.get(name, phase))
-            for name, phase in Engine._phase_table(self)
-        )
+        return super()._phase_table()
 
     def _fault_sweep(self, now: int) -> None:
         # Channel death changes only inside on_cycle, and only on the
@@ -791,7 +676,7 @@ class FastEngine(Engine):
             return timeout.threshold(message, self.num_vcs)
         return 0
 
-    def _step_injectors(self, now: int) -> None:
+    def _inject(self, now: int) -> None:
         active = self._active_inj
         if not active:
             return
@@ -886,7 +771,7 @@ class FastEngine(Engine):
         flush(stalls, sent, pads)
 
     def _count_injection(self, stalls: int, sent: int, pads: int) -> int:
-        """Add ``_step_injectors``' tallies to the run's counters (only
+        """Add ``_inject``'s tallies to the run's counters (only
         the ones that moved: a Counter key exists once touched).
         Returns 0, what the caller resets its tallies to."""
         counters = self.stats.counters
@@ -898,7 +783,7 @@ class FastEngine(Engine):
             counters["pad_flits_injected"] += pads
         return 0
 
-    def _process_receivers(self, now: int) -> None:
+    def _eject(self, now: int) -> None:
         recv = self._active_recv
         if not recv:
             return
@@ -906,7 +791,7 @@ class FastEngine(Engine):
         checker = self.checker
         buckets = self._credit_buckets
         # flits_ejected: tallied here, added before every call out of
-        # this body and at its end (as _step_injectors' three counters).
+        # this body and at its end (as _inject's three counters).
         ejected = 0
         for node_id in sorted(recv):
             receiver = self.nodes[node_id].receiver
@@ -923,7 +808,7 @@ class FastEngine(Engine):
                     receiver.staging = [e for e in staging if e[0] > now]
                 ejected += len(ready)
                 for _, flit, channel in ready:
-                    # LedgerChannel.return_credit(0, now)
+                    # Channel.return_credit(0, now)
                     due = now + channel.latency
                     channel._pending.append((due, 0))
                     bucket = buckets.get(due)

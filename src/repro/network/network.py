@@ -35,7 +35,6 @@ class WormholeNetwork:
         num_inject: int = 1,
         num_sink: int = 1,
         eject_slots: int = 2,
-        channel_factory=None,
     ) -> None:
         if num_vcs < routing.min_vcs():
             raise ValueError(
@@ -55,10 +54,6 @@ class WormholeNetwork:
         self.num_inject = num_inject
         self.num_sink = num_sink
         self.eject_slots = eject_slots
-        # Channel subclass to instantiate everywhere (the fast engine
-        # swaps in its ledger-reporting channel); must be construction-
-        # compatible with Channel.
-        self._channel_factory = channel_factory or Channel
 
         n = topology.num_nodes
         self.routers: List[Router] = [Router(i, num_vcs) for i in range(n)]
@@ -78,9 +73,7 @@ class WormholeNetwork:
         for node in range(self.topology.num_nodes):
             router = self.routers[node]
             for spec in self.topology.links(node):
-                channel = self._channel_factory(
-                    node, spec.dst, self.num_vcs, latency
-                )
+                channel = Channel(node, spec.dst, self.num_vcs, latency)
                 channel.dim = spec.dim
                 channel.direction = spec.direction
                 channel.is_wrap = spec.is_wrap
@@ -109,16 +102,14 @@ class WormholeNetwork:
             router = self.routers[node]
             ejectors = []
             for _ in range(self.num_sink):
-                channel = self._channel_factory(
-                    node, node, 1, latency, is_ejection=True
-                )
+                channel = Channel(node, node, 1, latency, is_ejection=True)
                 router.add_output_channel(channel)
                 channel.set_eject_capacity(self.eject_slots)
                 ejectors.append(channel)
             self.ejection_channels[node] = ejectors
             injectors = []
             for _ in range(self.num_inject):
-                channel = self._channel_factory(
+                channel = Channel(
                     node, node, self.num_vcs, latency, is_injection=True
                 )
                 in_port = router.add_input_port(self.buffer_depth)

@@ -7,8 +7,8 @@ the same guard discipline as `repro.obs` and `repro.verify`: the
 engine holds ``self.profiler = None`` and the unprofiled hot path pays
 exactly one is-None check per step.  A cycle is a walk over the
 engine's *phase table* -- an ordered tuple of ``(phase name,
-callable(now))`` (``Engine._phase_table``; the fast engine swaps in
-its own credit/ejection/injection callables and adds event skipping).
+callable(now))`` (``Engine._phase_table``, shared; each engine binds
+its own bodies to the names, and the fast one adds event skipping).
 When armed (``SimConfig(profile=True)``), the engine hands the same
 tuple to :meth:`EngineProfiler.timed_cycle`, which walks it with a
 ``perf_counter_ns`` bracket per entry -- one loop, timed or not.

@@ -233,15 +233,15 @@ class SimConfig:
         # the software ack/retry layer (the foils of E20 and E18) and
         # instance-patched methods (a planted mutation) are the
         # reference engine's alone; everything else honours ``engine``.
-        engine_cls, channel_factory = Engine, None
+        # The spec is imported only by a configuration that runs on it.
         if self.engine == "fast" and not (
             mode is ProtocolMode.PCS
             or self.software_retry
             or getattr(verify_config, "mutation", None) is not None
         ):
-            from ..network.fastengine import FastEngine, LedgerChannel
-
-            engine_cls, channel_factory = FastEngine, LedgerChannel
+            from ..network.fastengine import FastEngine as engine_cls
+        else:
+            from ..verify.reference import ReferenceEngine as engine_cls
         num_vcs = self.resolved_num_vcs(routing)
         network = WormholeNetwork(
             topology,
@@ -253,7 +253,6 @@ class SimConfig:
             num_inject=self.num_inject,
             num_sink=self.num_sink,
             eject_slots=self.eject_slots,
-            channel_factory=channel_factory,
         )
         drop_cycles = self.drop_at_block_cycles
         if self.routing == "drop" and drop_cycles is None:

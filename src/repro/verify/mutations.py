@@ -9,12 +9,13 @@ unmutated simulator passes them all (``tests/verify/test_mutations.py``).
 
 Mutations are applied *per engine instance* at build time (enable one
 via ``SimConfig(verify=VerifyConfig(mutation="..."))``, which builds
-the reference engine whatever ``engine`` says: the fast engine inlines
-the methods patched here and is refused), by wrapping bound methods of
-the non-slotted protocol objects (engine, kill
-manager, injectors, receivers, routing) or by perturbing channel state
-directly -- ``Channel`` and ``VCBuffer`` use ``__slots__``, so faults
-against them are injected at the data level.
+the reference engine, ``repro.verify.reference``, whatever ``engine``
+says: the fast engine inlines the methods patched here, so anything
+but a ``ReferenceEngine`` is refused), by wrapping bound methods of the
+non-slotted protocol objects (engine, kill manager, injectors,
+receivers, routing) or by perturbing channel state directly --
+``Channel`` and ``VCBuffer`` use ``__slots__``, so faults against them
+are injected at the data level.
 
 To add a mutation: decorate an ``apply(engine)`` function with
 :func:`register`, stating which invariant is expected to catch it, then
@@ -27,10 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List
 
-from ..network.fastengine import FastEngine, FastEngineRefusal
+from ..network.fastengine import FastEngineRefusal
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..network.engine import Engine
+    from .reference import ReferenceEngine
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,7 @@ class Mutation:
     #: invariant expected to flag it (documentation; the conformance
     #: suite accepts any InvariantViolation).
     caught_by: str
-    apply: Callable[["Engine"], None]
+    apply: Callable[["ReferenceEngine"], None]
 
 
 MUTATIONS: Dict[str, Mutation] = {}
@@ -51,7 +52,7 @@ MUTATIONS: Dict[str, Mutation] = {}
 def register(name: str, description: str, caught_by: str):
     """Class the decorated ``apply(engine)`` function as a mutation."""
 
-    def wrap(func: Callable[["Engine"], None]):
+    def wrap(func: Callable[["ReferenceEngine"], None]):
         if name in MUTATIONS:
             raise ValueError(f"duplicate mutation {name!r}")
         MUTATIONS[name] = Mutation(name, description, caught_by, func)
@@ -65,9 +66,10 @@ def mutation_names() -> List[str]:
     return sorted(MUTATIONS)
 
 
-def apply_mutation(engine: "Engine", name: str) -> None:
+def apply_mutation(engine: "ReferenceEngine", name: str) -> None:
     """Plant the named bug into ``engine`` (raises on unknown names,
-    and on a fast engine, whose inlined paths would bypass the patch)."""
+    and on any engine but the reference, whose phases call the methods
+    patched; the fast engine's inlined paths would bypass the patch)."""
     try:
         mutation = MUTATIONS[name]
     except KeyError:
@@ -75,7 +77,11 @@ def apply_mutation(engine: "Engine", name: str) -> None:
         raise ValueError(
             f"unknown mutation {name!r}; choose from {known}"
         ) from None
-    if isinstance(engine, FastEngine):
+    # Here, not at the top: every checked run loads this package, only
+    # a run on the spec loads the spec.
+    from .reference import ReferenceEngine
+
+    if not isinstance(engine, ReferenceEngine):
         raise FastEngineRefusal("instance-patched methods (a mutation)")
     mutation.apply(engine)
 
@@ -90,7 +96,7 @@ def apply_mutation(engine: "Engine", name: str) -> None:
     "upstream (off-by-one in the credit-return pipeline)",
     "credits",
 )
-def _credit_loss(engine: "Engine") -> None:
+def _credit_loss(engine: "ReferenceEngine") -> None:
     orig = engine._transfer
     state = {"n": 0}
 
@@ -111,7 +117,7 @@ def _credit_loss(engine: "Engine") -> None:
     "(duplicated credit-return event)",
     "credits",
 )
-def _credit_double_return(engine: "Engine") -> None:
+def _credit_double_return(engine: "ReferenceEngine") -> None:
     orig = engine._transfer
     state = {"n": 0}
 
@@ -132,7 +138,7 @@ def _credit_double_return(engine: "Engine") -> None:
     "returning it after consuming a flit",
     "credits",
 )
-def _eject_credit_leak(engine: "Engine") -> None:
+def _eject_credit_leak(engine: "ReferenceEngine") -> None:
     state = {"n": 0}
     for node in engine.nodes:
         receiver = node.receiver
@@ -159,7 +165,7 @@ def _eject_credit_leak(engine: "Engine") -> None:
     "never reaches one hop of the worm",
     "kill-protocol",
 )
-def _kill_skip_hop(engine: "Engine") -> None:
+def _kill_skip_hop(engine: "ReferenceEngine") -> None:
     orig = engine.kills.initiate
 
     def mutated(message, cause, backward, now, allow_committed=False):
@@ -177,7 +183,7 @@ def _kill_skip_hop(engine: "Engine") -> None:
     "behind as an orphan after the kill completes",
     "kill-protocol",
 )
-def _kill_leaves_flit(engine: "Engine") -> None:
+def _kill_leaves_flit(engine: "ReferenceEngine") -> None:
     orig = engine.kills._flush_segment
 
     def mutated(message, buffer, now):
@@ -199,7 +205,7 @@ def _kill_leaves_flit(engine: "Engine") -> None:
     "length",
     "padding",
 )
-def _padding_shortfall(engine: "Engine") -> None:
+def _padding_shortfall(engine: "ReferenceEngine") -> None:
     for node in engine.nodes:
         for injector in node.injectors:
             orig = injector._start
@@ -217,7 +223,7 @@ def _padding_shortfall(engine: "Engine") -> None:
     "wormhole and can deadlock",
     "liveness",
 )
-def _timeout_disabled(engine: "Engine") -> None:
+def _timeout_disabled(engine: "ReferenceEngine") -> None:
     class _NeverFires:
         name = "mutated-never-fires"
 
@@ -240,7 +246,7 @@ def _timeout_disabled(engine: "Engine") -> None:
     "wraparound hops, re-opening the torus dependency cycle",
     "liveness",
 )
-def _dateline_skip(engine: "Engine") -> None:
+def _dateline_skip(engine: "ReferenceEngine") -> None:
     orig = engine.routing.on_header_hop
 
     def mutated(message, channel):
@@ -261,7 +267,7 @@ def _dateline_skip(engine: "Engine") -> None:
     "(duplicate hand-off to the assembly stage)",
     "conservation",
 )
-def _double_delivery(engine: "Engine") -> None:
+def _double_delivery(engine: "ReferenceEngine") -> None:
     state = {"n": 0}
     for node in engine.nodes:
         receiver = node.receiver

@@ -3,7 +3,6 @@
 import pytest
 
 from repro import (
-    Engine,
     FirstFree,
     Message,
     MinimalAdaptive,
@@ -15,6 +14,7 @@ from repro import (
 from repro.core.padding import cr_wire_length, fcr_wire_length
 from repro.core.protocol import MessagePhase
 from repro.network.flit import FlitKind
+from repro.verify.reference import ReferenceEngine
 
 
 def make_engine(mode=ProtocolMode.CR, num_inject=1, order=True, **proto):
@@ -27,7 +27,7 @@ def make_engine(mode=ProtocolMode.CR, num_inject=1, order=True, **proto):
         num_inject=num_inject,
     )
     protocol = ProtocolConfig(mode=mode, order_preserving=order, **proto)
-    return Engine(network, protocol=protocol, seed=5, watchdog=5000)
+    return ReferenceEngine(network, protocol=protocol, seed=5, watchdog=5000)
 
 
 class TestWireSizing:

@@ -1,7 +1,6 @@
 """KillManager mechanics: wavefronts, guards, resource returns."""
 
 from repro import (
-    Engine,
     FirstFree,
     FixedTimeout,
     Message,
@@ -13,6 +12,7 @@ from repro import (
     torus,
 )
 from repro.core.protocol import KillCause, MessagePhase
+from repro.verify.reference import ReferenceEngine
 
 
 def make_engine(**proto):
@@ -21,7 +21,7 @@ def make_engine(**proto):
         topology, MinimalAdaptive(topology), FirstFree(), num_vcs=1
     )
     protocol = ProtocolConfig(mode=ProtocolMode.CR, **proto)
-    return Engine(network, protocol=protocol, seed=2, watchdog=5000)
+    return ReferenceEngine(network, protocol=protocol, seed=2, watchdog=5000)
 
 
 def stretched_worm(engine, length=40):

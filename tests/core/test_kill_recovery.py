@@ -1,7 +1,6 @@
 """Kill, teardown, and retransmission behaviour."""
 
 from repro import (
-    Engine,
     Message,
     MinimalAdaptive,
     ProtocolConfig,
@@ -13,6 +12,7 @@ from repro import (
     torus,
 )
 from repro.core.protocol import MessagePhase
+from repro.verify.reference import ReferenceEngine
 
 
 def cr_engine(radix=4, dims=2, selection=None, **protocol_kwargs):
@@ -25,7 +25,7 @@ def cr_engine(radix=4, dims=2, selection=None, **protocol_kwargs):
         buffer_depth=2,
     )
     protocol = ProtocolConfig(mode=ProtocolMode.CR, **protocol_kwargs)
-    return Engine(network, protocol=protocol, seed=13, watchdog=5000)
+    return ReferenceEngine(network, protocol=protocol, seed=13, watchdog=5000)
 
 
 def network_is_clean(engine):

@@ -1,7 +1,6 @@
 """PCSManager internals: candidate filtering and backtrack bookkeeping."""
 
 from repro import (
-    Engine,
     FirstFree,
     Message,
     MinimalAdaptive,
@@ -11,6 +10,7 @@ from repro import (
     torus,
 )
 from repro.core.protocol import MessagePhase
+from repro.verify.reference import ReferenceEngine
 
 
 def pcs_engine(pcs_wait=2):
@@ -19,7 +19,7 @@ def pcs_engine(pcs_wait=2):
         topology, MinimalAdaptive(topology), FirstFree(), num_vcs=1
     )
     protocol = ProtocolConfig(mode=ProtocolMode.PCS, pcs_wait=pcs_wait)
-    return Engine(network, protocol=protocol, seed=1, watchdog=5000)
+    return ReferenceEngine(network, protocol=protocol, seed=1, watchdog=5000)
 
 
 def launch(engine, src, dst, length=4):

@@ -1,7 +1,6 @@
 """Receiver state machine details (driven through a live engine)."""
 
 from repro import (
-    Engine,
     FirstFree,
     Message,
     MinimalAdaptive,
@@ -11,6 +10,7 @@ from repro import (
     torus,
 )
 from repro.network.flit import FlitKind
+from repro.verify.reference import ReferenceEngine
 
 
 def make_engine(mode=ProtocolMode.CR, num_sink=1):
@@ -22,7 +22,7 @@ def make_engine(mode=ProtocolMode.CR, num_sink=1):
         num_vcs=1,
         num_sink=num_sink,
     )
-    return Engine(
+    return ReferenceEngine(
         network,
         protocol=ProtocolConfig(mode=mode),
         seed=8,

@@ -19,9 +19,9 @@ compared by nobody but the oracle file itself.
 
 from __future__ import annotations
 
-from repro.network.engine import Engine
 from repro.network.fastengine import FastEngine
 from repro.network.message import reset_uid_counter
+from repro.verify.reference import ReferenceEngine
 
 #: the small torus the oracles share, and the cascade that keeps a
 #: quarter of its links dead at any time.
@@ -60,7 +60,9 @@ class _Observed:
 #: two classes for the whole session: a class made per run would cost
 #: the interpreter its per-type attribute caches (+20 % wall, measured).
 _CLASSES = {
-    "reference": type("ObservedEngine", (_Observed, Engine), {}),
+    "reference": type(
+        "ObservedReferenceEngine", (_Observed, ReferenceEngine), {}
+    ),
     "fast": type("ObservedFastEngine", (_Observed, FastEngine), {}),
 }
 
@@ -69,7 +71,9 @@ def build(config, engine_name):
     """``config`` built alone on the named engine, uids restarting at 0."""
     reset_uid_counter()
     engine = config.with_(engine=engine_name).build()
-    assert type(engine) is (FastEngine if engine_name == "fast" else Engine)
+    assert type(engine) is (
+        FastEngine if engine_name == "fast" else ReferenceEngine
+    )
     return engine
 
 

@@ -11,9 +11,9 @@ phase table, bumps the epoch and so never gates).
 The same runs check the switch stage's seam: ``_switch`` picks every
 output port's winner first (``_arbitrate``) and moves the flits
 afterwards (``_move``), which is the reference's interleaved loop only
-if the winners are the ones ``Engine._switch`` would pick from the same
-state, in the same order, and every cached claim record holds the live
-objects it stands for.
+if the winners are the ones ``ReferenceEngine._switch`` would pick from
+the same state, in the same order, and every cached claim record holds
+the live objects it stands for.
 """
 
 from __future__ import annotations
@@ -60,8 +60,8 @@ def assert_order_is_current(router, order, where="") -> None:
 
 
 def reference_winners(engine):
-    """``Engine._switch``'s selection from the state as it stands:
-    eligibility, ``used_inputs``, the ``(vc, in-port, in-vc)``
+    """``ReferenceEngine._switch``'s selection from the state as it
+    stands: eligibility, ``used_inputs``, the ``(vc, in-port, in-vc)``
     tie-break and the round-robin pointer, read without advancing it.
     Returns the transfers it would make, in order, and the ``_rr`` each
     router would be left with."""

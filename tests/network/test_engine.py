@@ -3,7 +3,6 @@
 import pytest
 
 from repro import (
-    Engine,
     FirstFree,
     Message,
     MinimalAdaptive,
@@ -13,6 +12,7 @@ from repro import (
     WormholeNetwork,
     torus,
 )
+from repro.verify.reference import ReferenceEngine
 
 
 def build_engine(
@@ -32,7 +32,7 @@ def build_engine(
         buffer_depth=buffer_depth,
     )
     protocol = ProtocolConfig(mode=mode)
-    return Engine(network, protocol=protocol, seed=1, **engine_kwargs)
+    return ReferenceEngine(network, protocol=protocol, seed=1, **engine_kwargs)
 
 
 def send_one(engine, src, dst, length=4, max_cycles=500):

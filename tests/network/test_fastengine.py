@@ -20,12 +20,7 @@ from repro.core.swretry import SoftwareReliability
 from repro.faults.model import CompositeFaultModel, FaultModel
 from repro.faults.permanent import ChannelFault, PermanentFaultSchedule
 from repro.network.channel import Channel
-from repro.network.engine import Engine
-from repro.network.fastengine import (
-    FastEngine,
-    FastEngineRefusal,
-    LedgerChannel,
-)
+from repro.network.fastengine import FastEngine, FastEngineRefusal
 from repro.network.message import Message, reset_uid_counter
 from repro.obs.tracing import run_traced
 from repro.routing.dor import DimensionOrder
@@ -39,6 +34,7 @@ from repro.verify import (
     engine_equivalence_presets,
     iter_fuzz_equivalence_configs,
 )
+from repro.verify.reference import ReferenceEngine
 
 # Small-but-busy base for the targeted cases: large enough to exercise
 # kills/misrouting, small enough to keep the differential runs quick.
@@ -74,9 +70,9 @@ class TestFuzzCorpusEquivalence:
 class TestTargetedEquivalence:
     def test_pcs_falls_back_and_stays_identical(self):
         # build() falls back: PCS is the reference engine's, so asking
-        # for "fast" gets Engine, and trivially the same run.
+        # for "fast" gets ReferenceEngine, and trivially the same run.
         config = SimConfig(routing="pcs", num_vcs=2, **SMALL)
-        assert type(config.with_(engine="fast").build()) is Engine
+        assert type(config.with_(engine="fast").build()) is ReferenceEngine
         assert_engines_equivalent(config, label="pcs")
 
     def test_swretry_falls_back_and_stays_identical(self):
@@ -84,7 +80,7 @@ class TestTargetedEquivalence:
             routing="dor", software_retry=True, num_vcs=2,
             fault_rate=5e-4, **SMALL
         )
-        assert type(config.with_(engine="fast").build()) is Engine
+        assert type(config.with_(engine="fast").build()) is ReferenceEngine
         assert_engines_equivalent(config, label="swretry")
 
     def test_faulty_run_is_identical(self):
@@ -200,10 +196,7 @@ class TestEngineSelection:
     """``build()`` picks the class, from the config alone: what only
     the reference engine runs gets it whatever ``engine`` says."""
 
-    BUILT = {
-        "fast": (FastEngine, LedgerChannel),
-        "reference": (Engine, Channel),
-    }
+    BUILT = {"fast": FastEngine, "reference": ReferenceEngine}
 
     @pytest.mark.parametrize("engine,routing,software_retry,mutation,built", [
         ("fast", "cr", False, None, "fast"),
@@ -227,9 +220,8 @@ class TestEngineSelection:
             engine=engine, routing=routing, software_retry=software_retry,
             verify=VerifyConfig(mutation=mutation), num_vcs=2, **SMALL,
         ).build()
-        engine_cls, channel_cls = self.BUILT[built]
-        assert type(engine) is engine_cls
-        assert {type(ch) for ch in engine._all_channels} == {channel_cls}
+        assert type(engine) is self.BUILT[built]
+        assert {type(ch) for ch in engine._all_channels} == {Channel}
         assert engine.checker is not None
         assert (engine.reliability is not None) == software_retry
         assert (engine.pcs is not None) == (routing == "pcs")
@@ -252,11 +244,6 @@ class TestRefusals:
         network, _ = self._parts("fast")
         with pytest.raises(FastEngineRefusal, match='engine="reference"'):
             FastEngine(network, protocol=pcs)
-
-    def test_plain_channels_are_refused_at_construction(self):
-        network, protocol = self._parts("reference")
-        with pytest.raises(FastEngineRefusal, match='engine="reference"'):
-            FastEngine(network, protocol=protocol)
 
     def test_attached_reliability_layer_is_refused_before_a_cycle(self):
         engine = SimConfig(routing="dor", num_vcs=2, **SMALL).build()
@@ -605,3 +592,25 @@ def test_import_repro_does_not_import_numpy():
         capture_output=True, text=True,
     )
     assert done.returncode == 0, f"import repro loads {done.stderr.strip()}"
+
+
+def test_the_spec_engine_loads_only_for_a_run_on_it():
+    # The reference engine and the PCS manager only it constructs are
+    # the oracle's: a product run imports neither, a run on the spec
+    # both.  (ci.yml's tier1 job runs this test by id.)
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro; "
+         "spec = ('repro.verify.reference', 'repro.core.pcs'); "
+         "small = dict(radix=4, warmup=10, measure=40, drain=200); "
+         "repro.SimConfig(**small).build().run(50); "
+         "early = [m for m in spec if m in sys.modules]; "
+         "repro.SimConfig(engine='reference', **small).build(); "
+         "late = [m for m in spec if m not in sys.modules]; "
+         "sys.exit(f'a fast run loaded {early}; a reference build did "
+         "not load {late}' if early or late else 0)"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr.strip()

@@ -1,6 +1,6 @@
 """The injection seam: what the fast engine's stalled-visit path rests on.
 
-``FastEngine._step_injectors`` takes a three-step path through a
+``FastEngine._inject`` takes a three-step path through a
 stalled visit (``stall += 1``, one local tally, ``continue``) and adds
 ``injection_stall_cycles`` / ``flits_injected`` / ``pad_flits_injected``
 to the run's counters in bulk.  That is the reference only if, after

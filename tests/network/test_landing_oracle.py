@@ -11,7 +11,9 @@ for the next arrival phase to collect.  That is the reference only if
   watchdog and ``_skip``'s horizon read it);
 * after every **switch** phase every buffer's ``fifo`` followed by its
   ``incoming`` does -- everything that runs between a move and the next
-  arrival phase reads the two together, never the split.
+  arrival phase reads the two together, never the split -- and
+  ``last_progress`` does too: the reference sets it per transfer, the
+  monitor phase reads it next.
 
 The runs go through ``lockstep.py``'s driver, observed after the
 table's ``arrival`` and ``switch`` entries.
@@ -65,12 +67,15 @@ def arrival_state(engine):
 
 def switch_state(engine):
     """What the switch phase leaves: every buffer's flits, landed then
-    in flight, as one sequence."""
-    return {"fifo + incoming": {
-        _where(buffer): _flits(buffer.fifo)
-        + _flits(flit for _, flit in buffer.incoming)
-        for buffer in _buffers(engine) if buffer.fifo or buffer.incoming
-    }}
+    in flight, as one sequence; ``last_progress``."""
+    return {
+        "fifo + incoming": {
+            _where(buffer): _flits(buffer.fifo)
+            + _flits(flit for _, flit in buffer.incoming)
+            for buffer in _buffers(engine) if buffer.fifo or buffer.incoming
+        },
+        "last_progress": engine.last_progress,
+    }
 
 
 def link_sinks_in_flight(engine):
@@ -123,6 +128,18 @@ class TestLandingPhaseByPhase:
         reference, _ = assert_landing_identical(SimConfig(
             routing="fcr", misrouting=True, num_vcs=2, load=0.4,
             workload="mmpp", cascade_faults=CASCADE, **SMALL,
+        ), drain=1500)
+        assert reference.fault_model.applied
+
+    def test_a_worm_that_waited_out_a_dead_link_moves_alone(self):
+        # Plain wormhole has no timeout: a worm behind a dead link sits
+        # until the repair, and its first move is then the cycle's only
+        # progress -- nothing lands, ejects or injects beside it, so
+        # only the move itself can say so (the flit lands a cycle later
+        # and the arrival record would read the same either way).
+        reference, _ = assert_landing_identical(SimConfig(
+            routing="dor", num_vcs=2, load=0.1, cascade_faults=CASCADE,
+            **SMALL,
         ), drain=1500)
         assert reference.fault_model.applied
 

@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro import (
-    Engine,
     FirstFree,
     Message,
     MinimalAdaptive,
@@ -18,6 +17,7 @@ from repro import (
 )
 from repro.obs import DeadlockReport, RingBufferSink
 from repro.obs.forensics import find_cycle
+from repro.verify.reference import ReferenceEngine
 
 
 def deadlocking_engine(watchdog=300):
@@ -33,7 +33,7 @@ def deadlocking_engine(watchdog=300):
         topology, MinimalAdaptive(topology), FirstFree(),
         num_vcs=1, buffer_depth=2,
     )
-    engine = Engine(
+    engine = ReferenceEngine(
         network, protocol=ProtocolConfig(mode=ProtocolMode.PLAIN),
         seed=0, watchdog=watchdog,
     )

@@ -13,7 +13,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import (
-    Engine,
     GraphTopology,
     Message,
     MinimalAdaptive,
@@ -22,6 +21,7 @@ from repro import (
     RandomFree,
     WormholeNetwork,
 )
+from repro.verify.reference import ReferenceEngine
 
 
 @st.composite
@@ -59,7 +59,7 @@ def test_cr_guarantees_on_random_graphs(case):
     network = WormholeNetwork(
         topology, MinimalAdaptive(topology), RandomFree(), num_vcs=1
     )
-    engine = Engine(
+    engine = ReferenceEngine(
         network,
         protocol=ProtocolConfig(mode=ProtocolMode.CR),
         seed=seed,

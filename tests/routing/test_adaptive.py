@@ -6,7 +6,6 @@ import pytest
 
 from repro import (
     Duato,
-    Engine,
     FirstFree,
     Message,
     MinimalAdaptive,
@@ -19,6 +18,7 @@ from repro import (
     torus,
 )
 from repro.network.router import Router
+from repro.verify.reference import ReferenceEngine
 
 
 def candidates_at(routing, topology, num_vcs, node, dst):
@@ -87,7 +87,7 @@ class TestDuato:
         network = WormholeNetwork(
             topology, routing, RandomFree(), num_vcs=3
         )
-        engine = Engine(
+        engine = ReferenceEngine(
             network,
             protocol=ProtocolConfig(mode=ProtocolMode.PLAIN),
             seed=9,
@@ -109,7 +109,7 @@ class TestDuato:
         topology = torus(4, 2)
         routing = Duato(topology)
         network = WormholeNetwork(topology, routing, RandomFree(), num_vcs=3)
-        engine = Engine(
+        engine = ReferenceEngine(
             network,
             protocol=ProtocolConfig(mode=ProtocolMode.PLAIN),
             seed=2,
@@ -163,7 +163,7 @@ class TestNegativeFirst:
         topology = mesh(4, 2)
         routing = NegativeFirst(topology)
         network = WormholeNetwork(topology, routing, RandomFree(), num_vcs=1)
-        engine = Engine(
+        engine = ReferenceEngine(
             network,
             protocol=ProtocolConfig(mode=ProtocolMode.PLAIN),
             seed=4,

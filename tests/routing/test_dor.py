@@ -6,7 +6,6 @@ import pytest
 
 from repro import (
     DimensionOrder,
-    Engine,
     FirstFree,
     Message,
     ProtocolConfig,
@@ -16,6 +15,7 @@ from repro import (
     torus,
 )
 from repro.network.channel import Channel
+from repro.verify.reference import ReferenceEngine
 
 
 class TestVcRequirements:
@@ -82,7 +82,7 @@ class TestDeadlockFreedom:
         network = WormholeNetwork(
             topology, routing, FirstFree(), num_vcs=routing.min_vcs()
         )
-        engine = Engine(
+        engine = ReferenceEngine(
             network,
             protocol=ProtocolConfig(mode=ProtocolMode.PLAIN),
             seed=3,
@@ -106,7 +106,7 @@ class TestDeadlockFreedom:
         topology = torus(4, 2)
         routing = DimensionOrder(topology)
         network = WormholeNetwork(topology, routing, FirstFree(), num_vcs=2)
-        engine = Engine(
+        engine = ReferenceEngine(
             network,
             protocol=ProtocolConfig(mode=ProtocolMode.PLAIN),
             seed=0,

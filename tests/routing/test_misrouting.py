@@ -1,7 +1,6 @@
 """Bounded misrouting: the permanent-fault escape hatch."""
 
 from repro import (
-    Engine,
     Message,
     MisroutingAdaptive,
     ProtocolConfig,
@@ -12,6 +11,7 @@ from repro import (
     run_simulation,
     torus,
 )
+from repro.verify.reference import ReferenceEngine
 
 
 class TestBudget:
@@ -88,7 +88,7 @@ class TestEndToEnd:
         routing = MisroutingAdaptive(topology)
         network = WormholeNetwork(topology, routing, RandomFree(), num_vcs=1)
         network.find_link(0, 1).dead = True
-        engine = Engine(
+        engine = ReferenceEngine(
             network,
             protocol=ProtocolConfig(mode=ProtocolMode.CR),
             seed=7,
@@ -126,7 +126,7 @@ class TestEndToEnd:
         routing = MisroutingAdaptive(topology)
         network = WormholeNetwork(topology, routing, RandomFree(), num_vcs=1)
         network.find_link(0, 1).dead = True
-        engine = Engine(
+        engine = ReferenceEngine(
             network,
             protocol=ProtocolConfig(mode=ProtocolMode.CR),
             seed=3,

@@ -58,7 +58,6 @@ class TestOccupancy:
 
     def test_snapshot_shows_parked_worms(self):
         from repro import (
-            Engine,
             FirstFree,
             Message,
             MinimalAdaptive,
@@ -67,12 +66,13 @@ class TestOccupancy:
             WormholeNetwork,
             torus,
         )
+        from repro.verify.reference import ReferenceEngine
 
         topology = torus(4, 2)
         network = WormholeNetwork(
             topology, MinimalAdaptive(topology), FirstFree(), num_vcs=1
         )
-        engine = Engine(
+        engine = ReferenceEngine(
             network, protocol=ProtocolConfig(mode=ProtocolMode.PLAIN), seed=0
         )
         engine.admit(Message(0, 5, 30, seq=0))

@@ -1,7 +1,6 @@
 """Trace helpers on non-2D layouts (fallback paths)."""
 
 from repro import (
-    Engine,
     FirstFree,
     Message,
     MinimalAdaptive,
@@ -12,13 +11,14 @@ from repro import (
     torus,
 )
 from repro.topology.hypercube import Hypercube
+from repro.verify.reference import ReferenceEngine
 
 
 def engine_for(topology):
     network = WormholeNetwork(
         topology, MinimalAdaptive(topology), FirstFree(), num_vcs=1
     )
-    return Engine(
+    return ReferenceEngine(
         network, protocol=ProtocolConfig(mode=ProtocolMode.PLAIN), seed=0
     )
 

@@ -224,7 +224,8 @@ class TestEngineFlag:
     }
 
     @pytest.mark.parametrize("flag, expected", [
-        (None, "FastEngine"), ("fast", "FastEngine"), ("reference", "Engine"),
+        (None, "FastEngine"), ("fast", "FastEngine"),
+        ("reference", "ReferenceEngine"),
     ], ids=["absent", "fast", "reference"])
     @pytest.mark.parametrize("command", COMMANDS)
     def test_the_run_gets_the_engine_named(

@@ -8,7 +8,6 @@ unchanged on irregular topologies, and the CLI glues it all together.
 
 from repro import (
     ChannelFault,
-    Engine,
     GraphTopology,
     Message,
     MinimalAdaptive,
@@ -21,6 +20,7 @@ from repro import (
     run_simulation,
 )
 from repro.cli import main as cli_main
+from repro.verify.reference import ReferenceEngine
 
 
 class TestAdaptivityAdvantage:
@@ -90,7 +90,7 @@ class TestIrregularTopology:
         network = WormholeNetwork(
             topology, MinimalAdaptive(topology), RandomFree(), num_vcs=1
         )
-        engine = Engine(
+        engine = ReferenceEngine(
             network,
             protocol=ProtocolConfig(mode=ProtocolMode.CR),
             seed=31,

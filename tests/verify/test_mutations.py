@@ -14,8 +14,8 @@ import pytest
 
 from repro import InvariantViolation, SimConfig, VerifyConfig, run_simulation
 from repro.core.timeout import FixedTimeout
-from repro.network.engine import Engine
 from repro.verify.mutations import MUTATIONS, apply_mutation, mutation_names
+from repro.verify.reference import ReferenceEngine
 
 
 def _base(**overrides) -> dict:
@@ -103,9 +103,9 @@ class TestDifferentialOracle:
     @pytest.mark.parametrize("name", sorted(TUNED))
     def test_mutation_is_caught(self, name, engine):
         config = _config(name, mutated=True, engine=engine)
-        assert type(config.build()) is Engine
+        assert type(config.build()) is ReferenceEngine
         if engine == "fast":
-            return  # the same Engine the reference case runs
+            return  # the same engine the reference case runs
         with pytest.raises(InvariantViolation) as exc:
             run_simulation(config)
         assert exc.value.invariant == MUTATIONS[name].caught_by
