@@ -9,9 +9,10 @@ paper-scale reproduction.
 
 * ``fault-matrix`` — the FCR fault grid behind E07/E08: transient fault
   rate x permanent link faults x offered load.
-* ``paper-core`` — the headline figures: E01 (CR vs DOR, equal
-  resources), E03/Fig. 11 (static gaps vs exponential backoff), and
-  E04/Fig. 14(a,b) (CR shallow buffers vs DOR deep FIFOs).
+* ``paper-core`` — the headline figures, point for point the grids of
+  E01 (CR vs DOR, equal resources), E03/Fig. 11 (static gaps vs
+  exponential backoff), and E04/Fig. 14(a,b) (CR shallow buffers vs
+  DOR deep FIFOs; the ``e04-dor`` and ``e04-cr`` grids).
 """
 
 from __future__ import annotations
@@ -63,6 +64,10 @@ def _fault_matrix(scale: Scale) -> CampaignSpec:
 def _paper_core(scale: Scale) -> CampaignSpec:
     base = _scale_base(scale)
     loads = list(scale.loads)
+    # E04: a deep-saturation load past the ladder; part (b) at 4x length.
+    e04 = {"message_length": [scale.message_length,
+                              scale.message_length * 4],
+           "load": loads + [round(loads[-1] + 0.2, 3)]}
     return CampaignSpec.from_dict({
         "name": "paper-core",
         "description": (
@@ -78,17 +83,18 @@ def _paper_core(scale: Scale) -> CampaignSpec:
                 "base": {**base, "routing": "cr", "timeout": "fixed:32"},
                 "axes": {
                     "backoff": ["static:4", "static:16", "static:64",
-                                "exponential"],
+                                "static:256", "exponential"],
                     "load": loads,
                 },
             },
-            "e04": {
-                "base": {**base, "num_vcs": 2},
-                "axes": {
-                    "routing": ["cr", "dor"],
-                    "buffer_depth": [2, 16],
-                    "load": loads,
-                },
+            "e04-dor": {
+                "base": {**base, "num_vcs": 2, "routing": "dor"},
+                "axes": {"buffer_depth": [2, 4, 8, 16], **e04},
+            },
+            "e04-cr": {
+                "base": {**base, "num_vcs": 2, "routing": "cr",
+                         "buffer_depth": 2},
+                "axes": e04,
             },
         },
         "seed": scale.seed,

@@ -40,7 +40,7 @@ from typing import Callable, List, Optional, Tuple
 
 from ..obs import open_telemetry
 from ..obs.trace import Tracer
-from ..sim.parallel import PointFailure, config_cache_key, run_reports
+from ..sim.parallel import PointFailure, run_reports, unstable_fields
 from .monitor import CampaignMonitor, status_path
 from .spec import CampaignPoint, CampaignSpec
 from .store import CampaignStore, settled
@@ -94,14 +94,26 @@ def submit_campaign(
     rather than resume).  Fabric workers call this against the spec
     they load back from the store, so every executor sees the same
     point list in the same order.
+
+    A point whose config has no hash is refused, before anything is
+    written, with a ``ValueError`` naming it and the field: resume
+    compares hashes, so such a point could never be told apart from
+    the same point with that field changed.
     """
-    store.register(spec)
     points = list(spec.points())
     if verify:
         points = [
             replace(point, config=point.config.with_(verify=True))
             for point in points
         ]
+    for point in points:
+        if point.config_hash is None:
+            raise ValueError(
+                f"campaign {spec.name!r} point {point.point_id!r}: "
+                f"{', '.join(unstable_fields(point.config))} has no "
+                "stable repr, so the point has no config hash to resume on"
+            )
+    store.register(spec)
     return points
 
 
@@ -110,7 +122,7 @@ def point_candidates(
 ) -> List[Tuple[str, Optional[str]]]:
     """The ``(point_id, expected config hash)`` pairs the lease phase keys on."""
     return [
-        (point.point_id, config_cache_key(point.config))
+        (point.point_id, point.config_hash)
         for point in points
     ]
 
@@ -401,7 +413,7 @@ def run_campaign(
         for point in points:
             stored = states.get(point.point_id)
             if stored is not None and settled(
-                stored, config_cache_key(point.config), None
+                stored, point.config_hash, None
             ):
                 reporter.skip(point)
                 continue

@@ -27,11 +27,13 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from ..core.backoff import ExponentialBackoff, StaticGap
 from ..core.timeout import FixedTimeout, LengthScaledTimeout
 from ..sim.config import SimConfig
+from ..sim.parallel import config_cache_key
 
 #: SimConfig field names a grid may set (seed is derived, never set).
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(SimConfig)}
@@ -150,6 +152,11 @@ class CampaignPoint:
     scenario: Dict[str, Any]  #: the axis values (spec-level, undecoded)
     replication: int
     config: SimConfig  #: fully-resolved simulation config
+
+    @cached_property
+    def config_hash(self) -> Optional[str]:
+        """``config_cache_key(config)``, worked out once per point."""
+        return config_cache_key(self.config)
 
 
 @dataclass(frozen=True)

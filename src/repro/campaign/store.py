@@ -39,7 +39,6 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..sim.parallel import config_cache_key
 from .spec import CampaignPoint, CampaignSpec
 
 #: bump when the results table layout changes incompatibly.
@@ -381,7 +380,7 @@ class CampaignStore:
                     campaign, point.point_id, status, point.grid,
                     json.dumps(point.scenario, sort_keys=True),
                     point.replication, point.config.seed,
-                    config_cache_key(point.config), _library_version(),
+                    point.config_hash, _library_version(),
                     STORE_SCHEMA_VERSION,
                     json.dumps(report) if report is not None else None,
                     error, attempts, wall_time, time.time(),
@@ -865,7 +864,7 @@ class CampaignStore:
     def is_done(self, campaign: str, point: CampaignPoint) -> bool:
         """True when ``point`` is stored 'ok' with a matching config hash."""
         stored = self.result_states(campaign).get(point.point_id)
-        return settled(stored, config_cache_key(point.config), None) == "ok"
+        return settled(stored, point.config_hash, None) == "ok"
 
     def rows(self, campaign: str,
              status: Optional[str] = None) -> List[Dict[str, Any]]:

@@ -40,7 +40,7 @@ def points(scale: Scale):
     return [
         ({"load": load, "routing": routing},
          scale.base_config(
-             routing=routing, num_vcs=2, load=load, lengths=mix
+             routing=routing, num_vcs=2, load=load, message_length=mix
          ))
         for load in scale.loads
         for routing in ("cr", "dor")
@@ -49,7 +49,7 @@ def points(scale: Scale):
 
 def from_result(result, **coords) -> Row:
     """Latency of delivered messages split by payload class."""
-    short = result.config.lengths.short
+    short = result.config.message_length.short
     short_lat = [
         m.total_latency()
         for m in result.ledger.deliveries

@@ -4,7 +4,7 @@ E01 compares CR and DOR under open-loop generation with blocked-source
 semantics, so near saturation the two schemes are *offered* slightly
 different workloads (a backed-up scheme suppresses its own sources).
 This experiment removes that coupling: the workload is recorded once
-per load (`repro.traffic.trace.record_trace`) and replayed
+per load (`repro.workload.record_trace`) and replayed
 byte-identically into both schemes; every message is eventually
 admitted and delivered, so the delta is purely the routing scheme's.
 
@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import List
 
 from ..stats.report import format_table
-from ..traffic.trace import record_trace
+from ..workload.spec import record_trace
 from .common import Row, Scale, at_top
 
 COLUMNS = (
@@ -33,14 +33,14 @@ COLUMNS = (
 def points(scale: Scale):
     out = []
     for load in tuple(scale.loads) + (round(scale.loads[-1] + 0.2, 3),):
-        trace = record_trace(scale.base_config(load=load))
+        entries = record_trace(scale.base_config(load=load))
         out += [
-            ({"load": load, "scheme": scheme, "workload_msgs": len(trace)},
+            ({"load": load, "scheme": scheme, "workload_msgs": len(entries)},
              scale.base_config(
                  routing=scheme,
                  num_vcs=2,
                  load=load,
-                 trace=trace,
+                 workload={"kind": "trace", "entries": entries},
                  drain=scale.drain * 4,
              ))
             for scheme in ("cr", "dor")

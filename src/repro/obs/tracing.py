@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Union
 
+from ..core.backoff import ExponentialBackoff
+from ..core.timeout import FixedTimeout
 from ..sim.config import SimConfig
 from ..sim.simulator import SimResult, run_simulation
 from . import attach
@@ -25,13 +27,18 @@ from .perfetto import write_chrome_trace
 from .sinks import JsonlSink, ListSink, RingBufferSink
 
 #: experiment id -> SimConfig overrides (quick-scale, a few k cycles).
+#: e02 / e03 are points of their experiment's QUICK grid; the others
+#: stay as tests/golden/traffic.json recorded them.
 _EXPERIMENT_PRESETS: Dict[str, Dict[str, Any]] = {
     # Latency/throughput reference point: CR at moderate load.
     "e01": {"routing": "cr", "load": 0.3},
-    # Deterministic baseline: dateline DOR at the same load.
-    "e02": {"routing": "dor", "load": 0.3},
-    # CR near saturation: kill/backoff dynamics become visible.
-    "e03": {"routing": "cr", "load": 0.45},
+    # The timeout sweep at the paper's Fig. 11 timeout of 32 cycles.
+    "e02": {"routing": "cr", "load": 0.2, "timeout": FixedTimeout(32)},
+    # Fig. 11's dynamic backoff at the top load: kills and retries.
+    "e03": {
+        "routing": "cr", "load": 0.3, "timeout": FixedTimeout(32),
+        "backoff": ExponentialBackoff(),
+    },
     # FCR under transient flit corruption.
     "e07": {"routing": "fcr", "load": 0.2, "fault_rate": 1e-4},
     # FCR with dead channels and misrouting retries.

@@ -80,7 +80,8 @@ class LeastOccupied(SelectionPolicy):
 
 
 def make_selection(name: str) -> SelectionPolicy:
-    """Factory by name (used by the config layer)."""
+    """Factory by name (for a hand-built ``WormholeNetwork``; a
+    ``SimConfig`` always selects :class:`RandomFree`)."""
     policies = {
         FirstFree.name: FirstFree,
         RandomFree.name: RandomFree,

@@ -27,7 +27,7 @@ from ..routing.dor import DimensionOrder
 from ..routing.duato import Duato
 from ..routing.minimal_adaptive import MinimalAdaptive, NaiveAdaptive
 from ..routing.misrouting import MisroutingAdaptive
-from ..routing.selection import make_selection
+from ..routing.selection import RandomFree
 from ..routing.turnmodel import NegativeFirst
 from ..stats.collector import StatsCollector
 from ..topology.base import Topology
@@ -79,14 +79,12 @@ class SimConfig:
     num_inject: int = 1
     num_sink: int = 1
     eject_slots: int = 2
-    selection: str = "random"
     # --- protocol ------------------------------------------------------
     timeout: Optional[TimeoutPolicy] = None
     backoff: Optional[RetransmitPolicy] = None
     order_preserving: bool = True
     retry_limit: Optional[int] = None
     path_wide_cycles: Optional[int] = None
-    padding_slack: int = 4
     # Bounded non-minimal hops on retries (permanent-fault tolerance).
     misrouting: bool = False
     # Router-side drop threshold for the "drop" scheme (cycles a header
@@ -103,17 +101,15 @@ class SimConfig:
     # --- workload ------------------------------------------------------
     pattern: str = "uniform"
     pattern_kwargs: Dict[str, Any] = field(default_factory=dict)
-    message_length: int = 16
-    lengths: Optional[LengthDistribution] = None
+    # Payload flits: an int, or a LengthDistribution (e.g. BimodalLength).
+    message_length: Union[int, LengthDistribution] = 16
     load: float = 0.5  # fraction of theoretical capacity
-    # Trace-driven workload (overrides the stochastic generator): every
-    # scheme replaying the same trace sees byte-identical arrivals.
-    trace: Optional[Any] = None
     # Production workload spec (repro.workload): a kind string
     # ("mmpp", "pareto:alpha=1.4", "incast:period=64", "client-server",
-    # "phased", "trace:<path>"), a dict ({"kind": ...}), or a
-    # WorkloadSpec.  None is "bernoulli", the paper's open-loop source
-    # (the two spellings keep distinct config hashes).
+    # "phased", "trace:<path>"), a dict ({"kind": ...}; trace replay of
+    # recorded arrivals is {"kind": "trace", "entries": record_trace(c)}),
+    # or a WorkloadSpec.  None is "bernoulli", the paper's open-loop
+    # source (the two spellings keep distinct config hashes).
     workload: Optional[Any] = None
     # --- faults --------------------------------------------------------
     fault_rate: float = 0.0
@@ -207,7 +203,9 @@ class SimConfig:
         return self.num_vcs if self.num_vcs is not None else routing.min_vcs()
 
     def make_lengths(self) -> LengthDistribution:
-        return self.lengths or FixedLength(self.message_length)
+        if isinstance(self.message_length, LengthDistribution):
+            return self.message_length
+        return FixedLength(self.message_length)
 
     def build(self) -> Engine:
         """Construct the engine (network, protocol, traffic, faults)."""
@@ -246,7 +244,7 @@ class SimConfig:
         network = WormholeNetwork(
             topology,
             routing,
-            make_selection(self.selection),
+            RandomFree(),
             num_vcs=num_vcs,
             buffer_depth=self.buffer_depth,
             channel_latency=self.channel_latency,
@@ -267,7 +265,6 @@ class SimConfig:
                 buffer_depth=self.buffer_depth,
                 channel_latency=self.channel_latency,
                 eject_slots=self.eject_slots,
-                slack=self.padding_slack,
             ),
             order_preserving=self.order_preserving,
             retry_limit=self.retry_limit,

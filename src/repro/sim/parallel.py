@@ -125,6 +125,14 @@ def config_cache_key(config: SimConfig) -> Optional[str]:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def unstable_fields(config: SimConfig) -> List[str]:
+    """The fields that make :func:`config_cache_key` return None."""
+    return [
+        field.name for field in dataclasses.fields(config)
+        if _canonical(getattr(config, field.name)) is None
+    ]
+
+
 class SweepCache:
     """One-file-per-config JSON result cache.
 

@@ -33,6 +33,7 @@ from .spec import (
     build_workload,
     incast_bursts,
     load_workload_trace,
+    record_trace,
     save_workload_trace,
 )
 
@@ -53,5 +54,6 @@ __all__ = [
     "build_workload",
     "incast_bursts",
     "load_workload_trace",
+    "record_trace",
     "save_workload_trace",
 ]

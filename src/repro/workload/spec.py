@@ -13,8 +13,8 @@ grid axes) accept a compact spec in three equivalent forms:
 The spec's ``kind`` selects a builder; every builder receives the
 surrounding config's pattern, length distribution, derived per-node
 message rate, seed, and generation window, so workload specs compose
-with the existing ``pattern``/``load``/``lengths`` fields instead of
-replacing them.
+with the existing ``pattern``/``load``/``message_length`` fields instead
+of replacing them.
 
 Kinds
 -----
@@ -39,7 +39,14 @@ Kinds
 ``trace``
     Replays ``(cycle, src, dst, length)`` JSONL records (see
     :func:`load_workload_trace` / :func:`save_workload_trace`) — or
-    inline ``entries`` tuples — as scheduled arrivals.
+    inline ``entries`` — as scheduled arrivals.  :func:`record_trace`
+    captures the arrivals a config offers, so every scheme replaying
+    them sees byte-identical traffic::
+
+        entries = record_trace(config)
+        replay = {"kind": "trace", "entries": entries}
+        run_simulation(cfg_cr.with_(workload=replay))
+        run_simulation(cfg_dor.with_(workload=replay))
 """
 
 from __future__ import annotations
@@ -137,20 +144,10 @@ def build_workload(config: "SimConfig",
                    topology: "Topology") -> WorkloadGenerator:
     """Construct the generator ``config`` describes.
 
-    The only generator constructor: ``trace`` replays as scheduled
-    arrivals, ``workload=None`` is ``"bernoulli"``.  Every parameter is
-    validated here, before an engine exists.
+    The only generator constructor: ``workload=None`` is
+    ``"bernoulli"``.  Every parameter is validated here, before an
+    engine exists.
     """
-    if config.trace is not None:
-        if config.workload is not None:
-            raise ValueError(
-                "trace and workload are mutually exclusive; use "
-                "workload='trace:<path>' for trace-driven workloads"
-            )
-        return WorkloadGenerator(topology, scheduled=[
-            ScheduledArrival(e.cycle, e.src, e.dst, e.length)
-            for e in config.trace
-        ])
     spec = WorkloadSpec.parse(
         "bernoulli" if config.workload is None else config.workload
     )
@@ -362,7 +359,7 @@ def load_workload_trace(path: str) -> List[ScheduledArrival]:
 
 
 def save_workload_trace(entries, path: str) -> int:
-    """Write arrivals (ScheduledArrival / TraceEntry / tuples) as JSONL."""
+    """Write arrivals (ScheduledArrival / tuples) as JSONL."""
     import os
 
     directory = os.path.dirname(path)
@@ -371,14 +368,34 @@ def save_workload_trace(entries, path: str) -> int:
     count = 0
     with open(path, "w", encoding="utf-8") as handle:
         for entry in entries:
-            if isinstance(entry, tuple):
-                cycle, src, dst, length = entry
-            else:
-                cycle, src, dst, length = (
-                    entry.cycle, entry.src, entry.dst, entry.length
-                )
+            if not isinstance(entry, ScheduledArrival):
+                entry = ScheduledArrival(*entry)
             handle.write(json.dumps({
-                "cycle": cycle, "src": src, "dst": dst, "length": length,
+                "cycle": entry.cycle, "src": entry.src, "dst": entry.dst,
+                "length": entry.length,
             }) + "\n")
             count += 1
     return count
+
+
+def record_trace(config: "SimConfig") -> List[ScheduledArrival]:
+    """The arrivals ``config``'s default (Bernoulli) source offers.
+
+    Runs only the traffic source -- no network, no ``Message`` -- for
+    the config's generation window, capturing every arrival, including
+    those a live run might have dropped at a full queue, so the result
+    is the pure offered load.  Replay it with
+    ``workload={"kind": "trace", "entries": ...}``.
+    """
+    if config.workload not in (None, "bernoulli"):
+        raise ValueError(
+            f"record_trace: config.workload={config.workload!r} is not "
+            "recorded, only the default Bernoulli source is"
+        )
+    topology = config.make_topology()
+    (source,) = build_workload(config, topology).sources
+    return [
+        ScheduledArrival(cycle, src, dst, length)
+        for cycle in range(config.warmup + config.measure)
+        for src, dst, length in source.offers(topology, cycle)
+    ]

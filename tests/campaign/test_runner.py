@@ -67,6 +67,24 @@ class TestRunAndResume:
         assert (stats.ran, stats.skipped) == (4, 0)
         assert len(calls) == 4
 
+    def test_a_point_without_a_config_hash_is_refused(self, spec, store):
+        # A hand-built schedule has no stable repr, so its points hash
+        # to None: a resume could not tell it from a changed schedule.
+        # Refused by name before the spec is stored.
+        from repro.faults.permanent import (
+            ChannelFault,
+            PermanentFaultSchedule,
+        )
+
+        body = spec.to_dict()
+        body["base"]["fault_model"] = PermanentFaultSchedule(
+            [ChannelFault(100, 0, 1)]
+        )
+        with pytest.raises(ValueError,
+                           match="routing=cr/load=0.1/rep=0.*fault_model"):
+            run_campaign(CampaignSpec.from_dict(body), store)
+        assert store.spec("r") is None and store.rows("r") == []
+
     def test_interrupted_run_resumes_without_rerunning(
         self, spec, store, monkeypatch
     ):

@@ -1,11 +1,15 @@
 """CampaignSpec: dict round-trip, grid expansion, derived seeds."""
 
+from collections import Counter
+
 import pytest
 
 from repro.campaign import CampaignSpec, Grid, get_campaign
 from repro.campaign.spec import decode_field
 from repro.core.backoff import ExponentialBackoff, StaticGap
 from repro.core.timeout import FixedTimeout
+from repro.experiments import PAPER, QUICK, REGISTRY
+from repro.sim.parallel import config_cache_key
 
 
 def tiny_dict(**overrides):
@@ -172,6 +176,22 @@ class TestBuiltins:
             assert len(points) == spec.size > 0
             # every point's config must actually build an engine
             points[0].config.build()
+
+    @pytest.mark.parametrize("scale", [QUICK, PAPER], ids=["quick", "paper"])
+    def test_paper_core_is_the_experiments_grids(self, scale):
+        """``paper-core``'s grids (``e04-dor`` + ``e04-cr`` make E04)
+        expand to exactly the configs each experiment runs."""
+        spec = get_campaign("paper-core", scale)
+        for experiment in ("e01", "e03", "e04"):
+            campaign = Counter(
+                config_cache_key(point.config) for point in spec.points()
+                if point.grid.split("-")[0] == experiment
+            )
+            grid = Counter(
+                config_cache_key(config) for _, config
+                in REGISTRY[experiment].module.points(scale)
+            )
+            assert campaign == grid, experiment
 
     def test_unknown_builtin(self):
         with pytest.raises(KeyError, match="unknown campaign"):

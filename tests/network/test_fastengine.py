@@ -131,13 +131,14 @@ class TestE23TraceIdentity:
 
     @pytest.mark.parametrize("scheme", ("cr", "dor"))
     def test_replay_is_flit_identical(self, scheme):
-        from repro.traffic.trace import record_trace
+        from repro.workload import record_trace
 
         reset_uid_counter()
-        trace = record_trace(SimConfig(routing="cr", **SMALL))
+        entries = record_trace(SimConfig(routing="cr", **SMALL))
         assert_engines_equivalent(
             SimConfig(
-                routing=scheme, num_vcs=2, trace=trace, **SMALL
+                routing=scheme, num_vcs=2, **SMALL,
+                workload={"kind": "trace", "entries": entries},
             ),
             label=f"e23-{scheme}",
         )
@@ -164,16 +165,17 @@ class TestEngineBehaviour:
         # Profiled runs keep paced generator cycles timed, so idle-phase
         # accounting shows up on pure skips: replay a sparse trace,
         # where the gaps between entries have no actor at all.
-        from repro.traffic.trace import record_trace
+        from repro.workload import record_trace
 
         reset_uid_counter()
-        trace = record_trace(
+        entries = record_trace(
             SimConfig(routing="cr", num_vcs=2, **{
                 **SMALL, "load": 0.02,
             })
         )
         traced = self._run(
-            routing="cr", num_vcs=2, load=0.0, trace=trace, profile=True
+            routing="cr", num_vcs=2, load=0.0, profile=True,
+            workload={"kind": "trace", "entries": entries},
         )
         idle = traced.report["profile"]["phases"]["idle"]
         assert idle["calls"] > 0

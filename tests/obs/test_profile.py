@@ -11,7 +11,7 @@ from repro.obs.profile import (
     attach_profiler,
     detach_profiler,
 )
-from repro.traffic.trace import record_trace
+from repro.workload import record_trace
 
 
 ENGINES = ("reference", "fast")
@@ -43,13 +43,14 @@ def sparse_replay():
     """Runner replaying one load-0.02 trace: the gaps between entries
     have no actor at all, so the fast engine skips them outright."""
     reset_uid_counter()
-    trace = record_trace(quick_config(load=0.02, measure=1000))
+    entries = record_trace(quick_config(load=0.02, measure=1000))
 
     def replay(engine, **overrides):
         reset_uid_counter()
         return run_simulation(
             quick_config(engine=engine, load=0.0, measure=1000,
-                         trace=trace, **overrides),
+                         workload={"kind": "trace", "entries": entries},
+                         **overrides),
             keep_engine=True,
         )
 

@@ -37,6 +37,17 @@ class TestExperimentPresets:
         assert config.seed == 7 and config.measure == 100
         assert config.routing == "cr"
 
+    @pytest.mark.parametrize("experiment", ["e02", "e03"])
+    def test_preset_is_a_point_of_its_experiments_grid(self, experiment):
+        from repro.experiments import QUICK, REGISTRY
+        from repro.sim.parallel import config_cache_key
+
+        grid = {
+            config_cache_key(config)
+            for _, config in REGISTRY[experiment].module.points(QUICK)
+        }
+        assert config_cache_key(config_for_experiment(experiment)) in grid
+
     def test_fault_matrix_combines_fault_axes(self):
         config = config_for_experiment("fault-matrix")
         assert config.fault_rate > 0

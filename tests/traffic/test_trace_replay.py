@@ -3,7 +3,8 @@
 import pytest
 
 from repro import SimConfig, run_simulation
-from repro.traffic.trace import Trace, TraceEntry, record_trace
+from repro.sim.parallel import config_cache_key
+from repro.workload import ScheduledArrival, record_trace
 
 
 def base_config(**overrides):
@@ -15,23 +16,19 @@ def base_config(**overrides):
     return SimConfig(**defaults)
 
 
+def replay(entries):
+    """The ``workload`` value that replays ``entries``."""
+    return {"kind": "trace", "entries": entries}
+
+
 class TestTrace:
     def test_entries_sorted_by_cycle(self):
-        trace = Trace(
-            [TraceEntry(5, 0, 1, 4), TraceEntry(1, 2, 3, 4),
-             TraceEntry(3, 1, 0, 4)]
-        )
-        assert [e.cycle for e in trace] == [1, 3, 5]
-
-    def test_tuple_roundtrip(self):
-        trace = Trace([TraceEntry(1, 0, 1, 8), TraceEntry(2, 3, 0, 4)])
-        again = Trace.from_tuples(trace.as_tuples())
-        assert again.as_tuples() == trace.as_tuples()
-
-    def test_totals(self):
-        trace = Trace([TraceEntry(0, 0, 1, 8), TraceEntry(1, 1, 2, 4)])
-        assert len(trace) == 2
-        assert trace.total_payload_flits() == 12
+        result = run_simulation(base_config(load=0.0, workload=replay(
+            [(5, 0, 1, 4), (1, 2, 3, 4), (3, 1, 0, 4)]
+        )))
+        # Admission order (uid) follows the cycle, not the list order.
+        admitted = sorted(result.ledger.deliveries, key=lambda m: m.uid)
+        assert [m.created_at for m in admitted] == [1, 3, 5]
 
 
 class TestRecord:
@@ -39,6 +36,7 @@ class TestRecord:
         config = base_config()
         trace = record_trace(config)
         assert len(trace) > 0
+        assert all(isinstance(e, ScheduledArrival) for e in trace)
         horizon = config.warmup + config.measure
         assert all(0 <= e.cycle < horizon for e in trace)
         assert all(e.src != e.dst for e in trace)
@@ -46,17 +44,16 @@ class TestRecord:
 
     def test_recording_is_deterministic(self):
         config = base_config()
-        assert record_trace(config).as_tuples() == \
-            record_trace(config).as_tuples()
+        assert record_trace(config) == record_trace(config)
 
     def test_seed_changes_trace(self):
         a = record_trace(base_config(seed=1))
         b = record_trace(base_config(seed=2))
-        assert a.as_tuples() != b.as_tuples()
+        assert a != b
 
     def test_explicit_bernoulli_records_the_default_trace(self):
-        assert record_trace(base_config(workload="bernoulli")).as_tuples() \
-            == record_trace(base_config()).as_tuples()
+        assert record_trace(base_config(workload="bernoulli")) \
+            == record_trace(base_config())
 
     @pytest.mark.parametrize(
         "workload", ["mmpp", "incast:period=32,fanin=4"]
@@ -67,8 +64,16 @@ class TestRecord:
 
     def test_a_config_that_replays_a_trace_is_refused(self):
         trace = record_trace(base_config())
-        with pytest.raises(ValueError, match="config.trace"):
-            record_trace(base_config(trace=trace))
+        with pytest.raises(ValueError, match="config.workload"):
+            record_trace(base_config(workload=replay(trace)))
+
+    def test_a_replay_config_has_a_cache_key(self):
+        config = base_config()
+        key = config_cache_key(
+            config.with_(workload=replay(record_trace(config)))
+        )
+        assert key is not None
+        assert key != config_cache_key(config)
 
 
 class TestReplay:
@@ -77,7 +82,7 @@ class TestReplay:
         results = {}
         for scheme in ("cr", "dor"):
             result = run_simulation(
-                base_config(routing=scheme, trace=trace)
+                base_config(routing=scheme, workload=replay(trace))
             )
             results[scheme] = result
         # Both runs created exactly the trace's messages.
@@ -89,14 +94,13 @@ class TestReplay:
     def test_full_queue_slips_but_preserves_workload(self):
         trace = record_trace(base_config(load=0.5))
         result = run_simulation(
-            base_config(trace=trace, queue_cap=2, drain=10000)
+            base_config(workload=replay(trace), queue_cap=2, drain=10000)
         )
         assert result.report["messages_created"] == len(trace)
         assert result.report["undelivered"] == 0
 
     def test_exhausted_flag(self):
-        trace = Trace([TraceEntry(0, 0, 1, 4)])
-        engine = base_config(trace=trace).build()
+        engine = base_config(workload=replay([(0, 0, 1, 4)])).build()
         generator = engine.generator
         assert not generator.exhausted
         engine.run(5)
@@ -105,8 +109,8 @@ class TestReplay:
 
     def test_replay_determinism_end_to_end(self):
         trace = record_trace(base_config())
-        a = run_simulation(base_config(trace=trace))
-        b = run_simulation(base_config(trace=trace))
+        a = run_simulation(base_config(workload=replay(trace)))
+        b = run_simulation(base_config(workload=replay(trace)))
         assert a.latency == b.latency
         assert a.report["kills"] == b.report["kills"]
 
@@ -123,30 +127,19 @@ class TestWorkloadTraceRoundTrip:
         trace = record_trace(base_config())
         path = str(tmp_path / "workload.jsonl")
         assert save_workload_trace(trace, path) == len(trace)
-        loaded = load_workload_trace(path)
-        assert [
-            (e.cycle, e.src, e.dst, e.length) for e in loaded
-        ] == list(trace.as_tuples())
+        assert load_workload_trace(path) == trace
 
-    def test_workload_trace_mode_matches_legacy_replay(self, tmp_path):
+    def test_path_replay_matches_inline_entries(self, tmp_path):
         from repro.workload import save_workload_trace
 
         trace = record_trace(base_config())
         path = str(tmp_path / "workload.jsonl")
         save_workload_trace(trace, path)
-        legacy = run_simulation(base_config(trace=trace))
-        workload = run_simulation(
+        inline = run_simulation(base_config(workload=replay(trace)))
+        from_file = run_simulation(
             base_config(workload=f"trace:{path}")
         )
-        # Same scheduled arrivals through either replay path: the
-        # delivered workload is identical.
-        for key in ("messages_created", "messages_delivered",
-                    "undelivered"):
-            assert workload.report[key] == legacy.report[key]
-        assert workload.report["messages_created"] == len(trace)
-
-    def test_trace_and_workload_are_mutually_exclusive(self):
-        trace = record_trace(base_config())
-        config = base_config(trace=trace, workload="mmpp")
-        with pytest.raises(ValueError, match="workload"):
-            config.build()
+        # Same scheduled arrivals through either spelling: the run is
+        # identical.
+        assert from_file.report == inline.report
+        assert from_file.report["messages_created"] == len(trace)

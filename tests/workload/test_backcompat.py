@@ -1,7 +1,7 @@
 """The default traffic source against its frozen output.
 
 ``workload=None`` and ``workload="bernoulli"`` build the same
-generator, and ``trace=`` replays through it as scheduled arrivals;
+generator, and trace replay goes through it as scheduled arrivals;
 the reference for all three is ``tests/golden/traffic.json``, recorded
 (``tools/traffic_golden.py``) at the last commit that still had the
 separate legacy generators, so every published number that went

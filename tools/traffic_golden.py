@@ -4,10 +4,11 @@ Every entry of :func:`corpus` is run traced under an engine and reduced
 to a sha256 over the event-stream reprs, the report (``profile`` and
 every float dropped, recursively), the final ``channel_state``,
 ``cycles_run`` and ``cycles_skipped``; :func:`trace_corpus` adds
-``record_trace(...).as_tuples()`` digests.  Floats are left out because
-Python 3.12's compensated ``sum()`` moves ``latency_std`` by one ulp;
-everything else is integer arithmetic on seeded draws, so the file
-carries no interpreter tag and binds every Python CI runs.
+digests of ``record_trace(...)`` as ``(cycle, src, dst, length)``
+lists.  Floats are left out because Python 3.12's compensated ``sum()``
+moves ``latency_std`` by one ulp; everything else is integer arithmetic
+on seeded draws, so the file carries no interpreter tag and binds every
+Python CI runs.
 
     PYTHONPATH=src python tools/traffic_golden.py --commit SHA   # rewrite
     PYTHONPATH=src python tools/traffic_golden.py --check        # both engines
@@ -29,12 +30,12 @@ from repro.network.message import reset_uid_counter
 from repro.obs.tracing import config_for_experiment, run_traced
 from repro.sim.config import SimConfig
 from repro.traffic.lengths import BimodalLength
-from repro.traffic.trace import Trace, record_trace
 from repro.verify import (
     engine_equivalence_presets,
     iter_fuzz_equivalence_configs,
     workload_equivalence_configs,
 )
+from repro.workload import record_trace
 
 GOLDEN_PATH = os.path.join(
     os.path.dirname(os.path.abspath(__file__)),
@@ -59,20 +60,21 @@ def corpus():
     out = dict(engine_equivalence_presets())
     for index, config in iter_fuzz_equivalence_configs():
         out[f"fuzz-{index:02d}"] = config
-    trace = record_trace(SimConfig(routing="cr", **E23))
+    replay = {"kind": "trace",
+              "entries": record_trace(SimConfig(routing="cr", **E23))}
     for scheme in ("cr", "dor"):
         out[f"e23-{scheme}"] = SimConfig(
-            routing=scheme, num_vcs=2, trace=trace, **E23
+            routing=scheme, num_vcs=2, workload=replay, **E23
         )
     # Bursts of five from one source into a two-deep queue, long gaps
     # between them: pending entries re-offer, the gaps skip.
     out["sparse-trace"] = SimConfig(
         routing="cr", num_vcs=2, queue_cap=2,
-        trace=Trace.from_tuples(
+        workload={"kind": "trace", "entries": (
             [(0, 0, dst, 8) for dst in (5, 6, 7, 9, 10)]
             + [(400, 3, 12, 8), (400, 3, 13, 4), (401, 3, 14, 8),
                (402, 3, 15, 8), (1500, 8, 1, 8)]
-        ),
+        )},
         **{**SMALL, "warmup": 100, "measure": 1500, "drain": 2000},
     )
     sparse = {**SMALL, "measure": 1200, "drain": 2000}
@@ -98,8 +100,8 @@ def corpus():
     # nothing, so only these see the destination/length draw order),
     # on the shared-stream and the per-node-stream loop.
     out["bimodal"] = SimConfig(
-        routing="cr", num_vcs=2, lengths=BimodalLength(4, 24, 0.3),
-        pattern="transpose", **SMALL,
+        routing="cr", num_vcs=2, pattern="transpose",
+        **{**SMALL, "message_length": BimodalLength(4, 24, 0.3)},
     )
     out["bimodal-mmpp"] = out["bimodal"].with_(
         workload="mmpp", pattern="uniform"
@@ -130,8 +132,9 @@ def trace_corpus():
     return {
         "e23": SimConfig(routing="cr", **E23),
         "transpose-bimodal": SimConfig(
-            pattern="transpose", lengths=BimodalLength(4, 24, 0.3),
-            **{**SMALL, "load": 0.5},
+            pattern="transpose",
+            **{**SMALL, "load": 0.5,
+               "message_length": BimodalLength(4, 24, 0.3)},
         ),
         "hypercube-complement": SimConfig(
             topology="hypercube", dims=4, pattern="complement",
@@ -179,7 +182,8 @@ def run_digest(config, engine):
 
 
 def trace_digest(config):
-    blob = json.dumps(record_trace(config).as_tuples())
+    blob = json.dumps([(a.cycle, a.src, a.dst, a.length)
+                       for a in record_trace(config)])
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
