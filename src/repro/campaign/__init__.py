@@ -36,80 +36,24 @@ Quick start::
         print(stats.ran, "run,", stats.skipped, "resumed")
 """
 
-from .fabric import (
-    Coordinator,
-    FabricStats,
-    Worker,
-    WorkerStats,
-    run_fabric,
-    spawn_worker,
-)
-from .library import BUILTIN_CAMPAIGNS, campaign_names, get_campaign
-from .monitor import (
-    CampaignMonitor,
-    read_status,
-    render_status,
-    status_path,
-    write_status,
-)
-from .report import (
-    aggregate_scenarios,
-    campaign_markdown,
-    compare_campaigns,
-    comparison_to_csv,
-    render_markdown,
-)
-from .runner import (
-    CampaignPointStatus,
-    CampaignRunStats,
-    run_campaign,
-)
-from .spec import CampaignPoint, CampaignSpec, Grid
-from .store import (
-    DEFAULT_DB_PATH,
-    STORE_SCHEMA_VERSION,
-    CampaignStore,
-    Lease,
-)
-from .timeline import (
-    campaign_timeline,
-    default_timeline_path,
-    timeline_summary,
-    write_campaign_timeline,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CampaignSpec",
-    "Grid",
-    "CampaignPoint",
-    "CampaignStore",
-    "DEFAULT_DB_PATH",
-    "STORE_SCHEMA_VERSION",
-    "run_campaign",
-    "CampaignRunStats",
-    "CampaignPointStatus",
-    "run_fabric",
-    "spawn_worker",
-    "Coordinator",
-    "Worker",
-    "FabricStats",
-    "WorkerStats",
-    "Lease",
-    "compare_campaigns",
-    "render_markdown",
-    "comparison_to_csv",
-    "campaign_markdown",
-    "aggregate_scenarios",
-    "BUILTIN_CAMPAIGNS",
-    "campaign_names",
-    "get_campaign",
-    "CampaignMonitor",
-    "read_status",
-    "render_status",
-    "status_path",
-    "write_status",
-    "campaign_timeline",
-    "default_timeline_path",
-    "timeline_summary",
-    "write_campaign_timeline",
-]
+#: submodule -> the names it contributes, each loaded on first use (a
+#: fabric worker never reads the library, the report or the timeline).
+_EXPORTS = {
+    "spec": ("CampaignSpec", "Grid", "CampaignPoint"),
+    "store": ("CampaignStore", "DEFAULT_DB_PATH", "STORE_SCHEMA_VERSION",
+              "Lease"),
+    "runner": ("run_campaign", "CampaignRunStats", "CampaignPointStatus"),
+    "fabric": ("run_fabric", "spawn_worker", "Coordinator", "Worker",
+               "FabricStats", "WorkerStats"),
+    "report": ("compare_campaigns", "render_markdown", "comparison_to_csv",
+               "campaign_markdown", "aggregate_scenarios"),
+    "library": ("BUILTIN_CAMPAIGNS", "campaign_names", "get_campaign"),
+    "monitor": ("CampaignMonitor", "read_status", "render_status",
+                "status_path", "write_status"),
+    "timeline": ("campaign_timeline", "default_timeline_path",
+                 "timeline_summary", "write_campaign_timeline"),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -17,12 +17,14 @@ paper-scale reproduction.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
-from ..experiments.common import QUICK, Scale
 from .spec import CampaignSpec
 
-SpecFactory = Callable[[Scale], CampaignSpec]
+if TYPE_CHECKING:  # pragma: no cover - the experiments load on demand
+    from ..experiments.common import Scale
+
+SpecFactory = Callable[["Scale"], CampaignSpec]
 
 
 def _scale_base(scale: Scale) -> Dict[str, object]:
@@ -196,11 +198,16 @@ def campaign_names() -> List[str]:
 
 
 def get_campaign(name: str, scale: Optional[Scale] = None) -> CampaignSpec:
-    """Build the named built-in campaign at the given scale."""
+    """Build the named built-in campaign at the given scale (QUICK by
+    default)."""
     try:
         factory = BUILTIN_CAMPAIGNS[name]
     except KeyError:
         raise KeyError(
             f"unknown campaign {name!r}; built-ins: {campaign_names()}"
         ) from None
-    return factory(scale or QUICK)
+    if scale is None:
+        from ..experiments.common import QUICK
+
+        scale = QUICK
+    return factory(scale)

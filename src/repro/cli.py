@@ -218,7 +218,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.set_defaults(handler=_cmd_run)
 
     exp_p = sub.add_parser("experiment", help="reproduce a table/figure")
-    exp_p.add_argument("id", choices=sorted(experiments.REGISTRY))
+    exp_p.add_argument("id", choices=sorted(experiments.IDS))
     add_scale(exp_p)
     exp_p.add_argument(
         "--workers",

@@ -2,16 +2,17 @@
 
 See DESIGN.md for the per-experiment index mapping each id to its
 evidence in the paper.  Each module declares its grid, row, table and
-claim (see :mod:`.common`); :data:`REGISTRY` wraps it in an
-:class:`Experiment`, whose ``run(scale) -> rows``, ``table(rows) ->
-str`` and ``claim(rows, scale)`` are what the CLI, the benchmark suite,
-``examples/reproduce_paper.py`` and the tests call.
+claim (see :mod:`.common`); :data:`REGISTRY`, built on first use,
+wraps it in an :class:`Experiment`, whose ``run(scale) -> rows``,
+``table(rows) -> str`` and ``claim(rows, scale)`` are what the CLI, the
+benchmark suite, ``examples/reproduce_paper.py`` and the tests call.
+:data:`IDS` names the experiments without importing one.
 """
 
 from __future__ import annotations
 
 from importlib import import_module
-from typing import Dict
+from typing import Any, Dict
 
 from .common import PAPER, QUICK, Experiment, Scale
 
@@ -44,9 +45,21 @@ _MODULES = (
     "t03_buffer_cost",
 )
 
-REGISTRY: Dict[str, Experiment] = {
-    name[:3]: Experiment(import_module(f"{__name__}.{name}"))
-    for name in _MODULES
-}
+#: the experiment ids, known without importing a single experiment
+IDS = tuple(name[:3] for name in _MODULES)
 
-__all__ = ["REGISTRY", "Experiment", "Scale", "QUICK", "PAPER"]
+__all__ = ["REGISTRY", "IDS", "Experiment", "Scale", "QUICK", "PAPER"]
+
+
+def __getattr__(name: str) -> Any:
+    # ``REGISTRY`` imports all 26 modules, so it is built on first use:
+    # a run, a worker or ``--help`` never pays for it.
+    if name != "REGISTRY":
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}")
+    registry: Dict[str, Experiment] = {
+        name[:3]: Experiment(import_module(f"{__name__}.{name}"))
+        for name in _MODULES
+    }
+    globals()["REGISTRY"] = registry
+    return registry

@@ -19,86 +19,66 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Tuple
 
-from .alerts import (
-    BUILTIN_RULE_NAMES,
-    AlertEngine,
-    AlertRule,
-    builtin_rules,
-    load_rules,
-    make_alert_engine,
-    rules_to_json,
-)
-from .events import (
-    EVENT_TYPES,
-    AlertEvent,
-    Event,
-    EventBus,
-    FaultActivated,
-    InjectionStalled,
-    InjectionStarted,
-    KillCompleted,
-    KillStarted,
-    MessageCommitted,
-    MessageCreated,
-    MessageDelivered,
-    Retransmit,
-    event_to_dict,
-)
-from .forensics import DeadlockReport, build_deadlock_report
-from .log import (
-    LOG_LEVELS,
-    StructuredLogger,
-    campaign_log_dir,
-    campaign_log_path,
-    filter_log_records,
-    format_log_record,
-    read_campaign_logs,
-)
-from .health import (
-    dead_channel_fraction,
-    health_components,
-    health_report,
-    health_score,
-)
-from .metrics import (
-    MetricsRegistry,
-    engine_metrics,
-    parse_prometheus_text,
-)
-from .perfetto import chrome_trace, chrome_trace_events, write_chrome_trace
-from .profile import (
-    PHASES,
-    EngineProfiler,
-    attach_profiler,
-    detach_profiler,
-)
-from .sampler import IntervalSample, IntervalSampler
-from .sinks import (
-    DEFAULT_TRACE_DIR,
-    EventSink,
-    JsonlSink,
-    ListSink,
-    ReadResult,
-    RingBufferSink,
-    filter_events,
-    read_jsonl,
-)
-from .trace import (
-    TRACEPARENT_ENV,
-    Span,
-    SpanContext,
-    Tracer,
-    context_from_environ,
-    format_traceparent,
-    parse_traceparent,
-    traceparent_environ,
-)
+from .._lazy import lazy_exports
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..network.engine import Engine
+    from .events import EventBus
+
+#: submodule -> the names it contributes; each loads on first use, so a
+#: run imports only the layers it arms (``server`` brings in
+#: ``http.server``: only a run that serves telemetry pays for it).
+_EXPORTS = {
+    "alerts": (
+        "BUILTIN_RULE_NAMES", "AlertEngine", "AlertRule", "builtin_rules",
+        "load_rules", "make_alert_engine", "rules_to_json",
+    ),
+    "events": (
+        "EVENT_TYPES", "AlertEvent", "Event", "EventBus", "FaultActivated",
+        "InjectionStalled", "InjectionStarted", "KillCompleted",
+        "KillStarted", "MessageCommitted", "MessageCreated",
+        "MessageDelivered", "Retransmit", "event_to_dict",
+    ),
+    "forensics": ("DeadlockReport", "build_deadlock_report"),
+    "log": (
+        "LOG_LEVELS", "StructuredLogger", "campaign_log_dir",
+        "campaign_log_path", "filter_log_records", "format_log_record",
+        "read_campaign_logs",
+    ),
+    "health": (
+        "dead_channel_fraction", "health_components", "health_report",
+        "health_score",
+    ),
+    "metrics": ("MetricsRegistry", "engine_metrics", "parse_prometheus_text"),
+    "perfetto": ("chrome_trace", "chrome_trace_events", "write_chrome_trace"),
+    "profile": ("PHASES", "EngineProfiler", "attach_profiler",
+                "detach_profiler"),
+    "sampler": ("IntervalSample", "IntervalSampler"),
+    "server": (
+        "EngineTelemetry", "TelemetryServer", "make_telemetry_server",
+        "parse_serve",
+    ),
+    "sinks": (
+        "DEFAULT_TRACE_DIR", "EventSink", "JsonlSink", "ListSink",
+        "ReadResult", "RingBufferSink", "filter_events", "read_jsonl",
+    ),
+    "trace": (
+        "TRACEPARENT_ENV", "Span", "SpanContext", "Tracer",
+        "context_from_environ", "format_traceparent", "parse_traceparent",
+        "traceparent_environ",
+    ),
+    "tracing": (
+        "TracedRun", "config_for_experiment", "run_traced",
+        "trace_experiments",
+    ),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(), _EXPORTS, "attach", "detach", "open_telemetry"
+)
 
 
-def attach(engine: "Engine", *sinks: Any) -> EventBus:
+def attach(engine: "Engine", *sinks: Any) -> "EventBus":
     """Install an event bus on ``engine`` and subscribe ``sinks``.
 
     Reuses the engine's existing bus when one is already attached, so
@@ -107,6 +87,8 @@ def attach(engine: "Engine", *sinks: Any) -> EventBus:
     """
     bus = engine.bus
     if bus is None:
+        from .events import EventBus
+
         bus = EventBus()
         engine.bus = bus
     for sink in sinks:
@@ -130,100 +112,6 @@ def detach(engine: "Engine") -> None:
         engine.fault_model.bind_bus(None)
 
 
-# run_traced imports back into this package, so it comes last.
-from .tracing import (  # noqa: E402
-    TracedRun,
-    config_for_experiment,
-    run_traced,
-    trace_experiments,
-)
-
-__all__ = [
-    "BUILTIN_RULE_NAMES",
-    "DEFAULT_TRACE_DIR",
-    "EVENT_TYPES",
-    "LOG_LEVELS",
-    "PHASES",
-    "TRACEPARENT_ENV",
-    "AlertEngine",
-    "AlertEvent",
-    "AlertRule",
-    "DeadlockReport",
-    "EngineProfiler",
-    "EngineTelemetry",
-    "Event",
-    "EventBus",
-    "EventSink",
-    "FaultActivated",
-    "InjectionStalled",
-    "InjectionStarted",
-    "IntervalSample",
-    "IntervalSampler",
-    "JsonlSink",
-    "KillCompleted",
-    "KillStarted",
-    "ListSink",
-    "MessageCommitted",
-    "MessageCreated",
-    "MessageDelivered",
-    "MetricsRegistry",
-    "ReadResult",
-    "Retransmit",
-    "RingBufferSink",
-    "Span",
-    "SpanContext",
-    "StructuredLogger",
-    "TelemetryServer",
-    "TracedRun",
-    "Tracer",
-    "attach",
-    "attach_profiler",
-    "build_deadlock_report",
-    "builtin_rules",
-    "campaign_log_dir",
-    "campaign_log_path",
-    "chrome_trace",
-    "chrome_trace_events",
-    "config_for_experiment",
-    "context_from_environ",
-    "dead_channel_fraction",
-    "detach",
-    "detach_profiler",
-    "engine_metrics",
-    "event_to_dict",
-    "filter_events",
-    "filter_log_records",
-    "format_log_record",
-    "format_traceparent",
-    "health_components",
-    "health_report",
-    "health_score",
-    "load_rules",
-    "make_alert_engine",
-    "make_telemetry_server",
-    "open_telemetry",
-    "parse_prometheus_text",
-    "parse_serve",
-    "parse_traceparent",
-    "read_campaign_logs",
-    "read_jsonl",
-    "rules_to_json",
-    "run_traced",
-    "trace_experiments",
-    "traceparent_environ",
-    "write_chrome_trace",
-]
-
-#: ``repro.obs.server`` brings in ``http.server``; only a run that
-#: serves telemetry should pay for that, so its names resolve on demand.
-_SERVER_NAMES = (
-    "EngineTelemetry",
-    "TelemetryServer",
-    "make_telemetry_server",
-    "parse_serve",
-)
-
-
 def open_telemetry(serve: Any) -> Tuple[Any, bool]:
     """``(started server, owned)`` for a ``serve=`` argument.
 
@@ -239,11 +127,3 @@ def open_telemetry(serve: Any) -> Tuple[Any, bool]:
 
     server = make_telemetry_server(serve)
     return server, server is not serve
-
-
-def __getattr__(name: str) -> Any:
-    if name in _SERVER_NAMES:
-        from . import server
-
-        return getattr(server, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -54,25 +54,31 @@ def parse_serve(spec: ServeSpec) -> Tuple[str, int]:
 
     ``True`` binds loopback on an ephemeral port; a bare int or
     ``"PORT"`` binds loopback on that port; ``"HOST:PORT"`` binds
-    explicitly.
+    explicitly.  A port outside 0-65535 is a ``ValueError``.
     """
     if spec is True:
         return ("127.0.0.1", 0)
     if isinstance(spec, bool):  # False: callers guard, but be safe
         raise ValueError("serve spec is disabled (False)")
     if isinstance(spec, int):
-        return ("127.0.0.1", spec)
-    if isinstance(spec, tuple) and len(spec) == 2:
-        return (str(spec[0]), int(spec[1]))
-    if isinstance(spec, str):
-        host, sep, port = spec.rpartition(":")
+        host, port = "127.0.0.1", spec
+    elif isinstance(spec, tuple) and len(spec) == 2:
+        host, port = str(spec[0]), int(spec[1])
+    elif isinstance(spec, str):
+        host, _, text = spec.rpartition(":")
         try:
-            return (host or "127.0.0.1", int(port))
+            host, port = host or "127.0.0.1", int(text)
         except ValueError:
             raise ValueError(
                 f"serve spec {spec!r} is not [HOST:]PORT"
             ) from None
-    raise ValueError(f"cannot parse serve spec {spec!r}")
+    else:
+        raise ValueError(f"cannot parse serve spec {spec!r}")
+    if not 0 <= port <= 65535:
+        raise ValueError(
+            f"serve spec {spec!r}: port {port} is outside 0-65535"
+        )
+    return (host, port)
 
 
 class _Handler(BaseHTTPRequestHandler):

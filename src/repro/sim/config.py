@@ -21,6 +21,7 @@ from ..faults.model import CompositeFaultModel, FaultModel
 from ..faults.permanent import PermanentFaultSchedule, random_channel_faults
 from ..faults.transient import TransientFaults
 from ..network.engine import Engine
+from ..network.fastengine import FastEngine
 from ..network.network import WormholeNetwork
 from ..routing.base import RoutingFunction
 from ..routing.dor import DimensionOrder
@@ -237,7 +238,7 @@ class SimConfig:
             or self.software_retry
             or getattr(verify_config, "mutation", None) is not None
         ):
-            from ..network.fastengine import FastEngine as engine_cls
+            engine_cls = FastEngine
         else:
             from ..verify.reference import ReferenceEngine as engine_cls
         num_vcs = self.resolved_num_vcs(routing)

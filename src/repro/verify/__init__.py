@@ -7,46 +7,23 @@ Arm it per run with ``SimConfig(verify=True)`` (or a tuned
 oracle proving the checkers have teeth.
 """
 
-from .equivalence import (
-    ENGINE_EQUIVALENCE_PRESETS,
-    WORKLOAD_EQUIVALENCE_PRESETS,
-    assert_engines_equivalent,
-    engine_equivalence_presets,
-    iter_fuzz_equivalence_configs,
-    run_engine_snapshot,
-    workload_equivalence_configs,
-)
-from .fuzz import fuzz_config, repro_command, run_fuzz_case
-from .invariants import InvariantChecker, InvariantViolation, VerifyConfig
-from .mutations import (
-    MUTATIONS,
-    Mutation,
-    apply_mutation,
-    mutation_names,
-    register,
-)
-from .runner import VerifyOutcome, verify_preset, verify_presets
+from .._lazy import lazy_exports
 
-__all__ = [
-    "VerifyConfig",
-    "InvariantChecker",
-    "InvariantViolation",
-    "Mutation",
-    "MUTATIONS",
-    "register",
-    "apply_mutation",
-    "mutation_names",
-    "VerifyOutcome",
-    "verify_preset",
-    "verify_presets",
-    "fuzz_config",
-    "run_fuzz_case",
-    "repro_command",
-    "ENGINE_EQUIVALENCE_PRESETS",
-    "WORKLOAD_EQUIVALENCE_PRESETS",
-    "assert_engines_equivalent",
-    "engine_equivalence_presets",
-    "iter_fuzz_equivalence_configs",
-    "run_engine_snapshot",
-    "workload_equivalence_configs",
-]
+#: submodule -> the names it contributes, each loaded on first use: the
+#: spec engine (``repro.verify.reference``) lives in this package, and a
+#: run on it needs none of the checkers, the fuzzer or the diff.
+_EXPORTS = {
+    "invariants": ("VerifyConfig", "InvariantChecker", "InvariantViolation"),
+    "mutations": ("Mutation", "MUTATIONS", "register", "apply_mutation",
+                  "mutation_names"),
+    "runner": ("VerifyOutcome", "verify_preset", "verify_presets"),
+    "fuzz": ("fuzz_config", "run_fuzz_case", "repro_command"),
+    "equivalence": (
+        "ENGINE_EQUIVALENCE_PRESETS", "WORKLOAD_EQUIVALENCE_PRESETS",
+        "assert_engines_equivalent", "engine_equivalence_presets",
+        "iter_fuzz_equivalence_configs", "run_engine_snapshot",
+        "workload_equivalence_configs",
+    ),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -34,10 +34,22 @@ from __future__ import annotations
 import abc
 import inspect
 import math
+import numbers
 import random
 from typing import Dict, List
 
 _INF = float("inf")
+
+
+def _finite(name: str, value: object) -> None:
+    """``ValueError`` naming ``name`` unless ``value`` is a finite real
+    (``bool`` is not a number)."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not math.isfinite(value)
+    ):
+        raise ValueError(f"{name} must be a finite number (got {value!r})")
 
 
 def _geometric(rng: random.Random, mean: float) -> int:
@@ -70,6 +82,7 @@ class ArrivalProcess(abc.ABC):
     per_cycle_draws = True
 
     def __init__(self, rate: float) -> None:
+        _finite("arrival rate (set by load)", rate)
         if rate < 0:
             raise ValueError("arrival rate must be >= 0")
         if rate > 1:
@@ -185,6 +198,7 @@ class ParetoArrivals(_RenewalArrivals):
 
     def __init__(self, rate: float, alpha: float = 1.5) -> None:
         super().__init__(rate)
+        _finite("pareto alpha", alpha)
         if alpha <= 1.0:
             raise ValueError(
                 "pareto alpha must be > 1 (finite mean interarrival)"
@@ -221,6 +235,8 @@ class MMPPArrivals(ArrivalProcess):
         mean_off: float = 96.0,
     ) -> None:
         super().__init__(rate)
+        _finite("mmpp mean_on", mean_on)
+        _finite("mmpp mean_off", mean_off)
         if mean_on < 1.0 or mean_off < 1.0:
             raise ValueError("MMPP dwell means must be >= 1 cycle")
         self.mean_on = mean_on
@@ -270,8 +286,12 @@ ARRIVAL_KINDS: Dict[str, type] = {
 }
 
 
-def make_arrivals(kind: str, rate: float, **kwargs) -> ArrivalProcess:
-    """Factory by spec name (mirrors ``make_pattern``)."""
+def make_arrivals(kind: str, rate: float, /, **kwargs) -> ArrivalProcess:
+    """Factory by spec name (mirrors ``make_pattern``).
+
+    ``kwargs`` are the spec's parameters; ``rate`` is never one of them
+    (the per-node rate follows from the config's ``load``).
+    """
     try:
         cls = ARRIVAL_KINDS[kind]
     except KeyError:
@@ -279,6 +299,11 @@ def make_arrivals(kind: str, rate: float, **kwargs) -> ArrivalProcess:
             f"unknown arrival process {kind!r}; "
             f"choose from {sorted(ARRIVAL_KINDS)}"
         ) from None
+    if "rate" in kwargs:
+        raise ValueError(
+            f"{kind} takes no rate parameter: the per-node rate follows "
+            f"from load"
+        )
     if kwargs:
         # Everything the class takes after ``rate`` is a spec parameter.
         accepted = list(inspect.signature(cls).parameters)[1:]

@@ -581,19 +581,48 @@ class TestRoutingTableAgainstTheRelation:
 def test_import_repro_does_not_import_numpy():
     # Only the snapshot helpers use numpy, only a run that serves
     # telemetry uses http.server, only a parallel sweep uses a process
-    # pool; every run, worker process and CLI call would otherwise pay
-    # their imports.  (ci.yml's tier1 job runs the same check.)
+    # pool; only the commands that name them use an experiment, the
+    # verifier, the hardware models, the alert rules, the traced-run
+    # presets or the campaign library, report and timeline.  Every run,
+    # worker process and CLI call would otherwise pay their imports:
+    # neither the library's run path nor `cr-sim campaign worker --help`
+    # loads one.  (ci.yml's tier1 job runs this test by id.)
     src = os.path.dirname(os.path.dirname(repro.__file__))
-    done = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, repro, repro.campaign, repro.network.fastengine; "
-         "heavy = ('numpy', 'http.server', 'concurrent.futures', "
-         "'multiprocessing'); "
-         "sys.exit(', '.join(m for m in heavy if m in sys.modules) or 0)"],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True, text=True,
+    heavy = (
+        "numpy", "http.server", "concurrent.futures", "multiprocessing",
+        "repro.verify", "repro.hardware", "repro.obs.tracing",
+        "repro.obs.alerts", "repro.obs.server", "repro.campaign.library",
+        "repro.campaign.report", "repro.campaign.timeline",
     )
-    assert done.returncode == 0, f"import repro loads {done.stderr.strip()}"
+    check = (
+        "import re, sys\n"
+        f"heavy = {heavy!r}\n"
+        "loaded = [m for m in sorted(sys.modules) if m in heavy\n"
+        "          or re.match(r'repro[.]experiments[.][et][0-9]', m)]\n"
+        "sys.exit(', '.join(loaded) or 0)\n"
+    )
+    paths = {
+        "import repro": (
+            "import repro, repro.campaign, repro.network.fastengine\n"
+            "from repro import SimConfig, run_simulation\n"
+            "from repro.campaign import (\n"
+            "    CampaignStore, Coordinator, Worker, run_campaign)\n"
+        ),
+        "campaign worker --help": (
+            "from repro.cli import main\n"
+            "try:\n"
+            "    main(['campaign', 'worker', '--help'])\n"
+            "except SystemExit:\n"
+            "    pass\n"
+        ),
+    }
+    for path, code in paths.items():
+        done = subprocess.run(
+            [sys.executable, "-c", code + check],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True,
+        )
+        assert done.returncode == 0, f"{path} loads {done.stderr.strip()}"
 
 
 def test_the_spec_engine_loads_only_for_a_run_on_it():

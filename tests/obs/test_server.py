@@ -41,7 +41,13 @@ class TestParseServe:
     def test_accepted_forms(self, spec, expected):
         assert parse_serve(spec) == expected
 
-    @pytest.mark.parametrize("bad", [False, "nope", "host:", [], 1.5])
+    @pytest.mark.parametrize("bad", [
+        False, "nope", "host:", [], 1.5,
+        # ports outside 0-65535: these used to parse, and the run then
+        # died in socket.bind with an OverflowError traceback
+        "70000", "-1", ":65536", "0.0.0.0:99999", 65536, -5,
+        ("localhost", 65536),
+    ])
     def test_rejected_forms(self, bad):
         with pytest.raises(ValueError):
             parse_serve(bad)

@@ -482,6 +482,7 @@ MISUSE = [
     (["campaign", "status", "ghost", "--db", ":memory:"],
      "no stored campaign 'ghost'"),
     (["campaign", "logs", "x", "--db", ":memory:"], "in-memory"),
+    (["run", "--radix", "4", "--serve", "70000"], "port 70000"),
 ]
 
 #: spec files ``campaign run`` must refuse: (file text, what the one
@@ -592,6 +593,22 @@ class TestUsageExitCodes:
                                             usage_error):
         assert cli_main(argv + ["--workload", spec]) == 2
         usage_error(command_of(argv), named)
+
+    @pytest.mark.parametrize("spec, named", [
+        ("mmpp:mean_on=nan", "mean_on"),
+        ("mmpp:mean_off=inf", "mean_off"),
+        ("pareto:alpha=inf", "alpha"),
+        ("poisson:rate=2", "load"),
+        ("geometric:rate=0.1", "load"),
+    ])
+    def test_non_finite_or_reserved_workload_parameters_exit_2(
+            self, spec, named, usage_error):
+        # Each of these used to be a traceback mid-run, a silent row of
+        # zero throughput, or "got multiple values for argument 'rate'".
+        assert cli_main([
+            "run", "--radix", "4", "--measure", "100", "--workload", spec,
+        ]) == 2
+        usage_error("run", named)
 
     def test_malformed_cascade_spec_exits_2(self, usage_error):
         assert cli_main(

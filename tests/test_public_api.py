@@ -1,9 +1,52 @@
 """Public-API hygiene: exports exist, are documented, and round-trip."""
 
 import inspect
-
+import os
+import subprocess
+import sys
 
 import repro
+
+#: run in a fresh interpreter, where no test has imported a submodule
+#: yet: the package names resolve lazily, and must resolve to the very
+#: objects their submodules define.
+_FRESH_PROCESS_CHECK = """
+import importlib, sys
+
+packages = ("repro", "repro.obs", "repro.campaign")
+for package in packages:
+    importlib.import_module(package)
+eager = sorted(m for m in sys.modules if m.startswith("repro"))
+assert eager == ["repro", "repro._lazy", "repro.campaign", "repro.obs"], eager
+
+star = {}
+exec("from repro import *", star)
+import repro
+missing = sorted(set(repro.__all__) - set(star))
+assert len(repro.__all__) == 66 and not missing, missing
+
+for package in packages:
+    module = sys.modules[package]
+    for source, names in module._EXPORTS.items():
+        for name in names:
+            value = getattr(module, name)
+            owner = importlib.import_module(f"{package}.{source}")
+            assert value is getattr(owner, name), f"{package}.{name}"
+        assert getattr(module, source.split(".")[0]) is sys.modules[
+            f"{package}.{source.split('.')[0]}"], source
+    assert not hasattr(module, "no_such_name")
+"""
+
+
+class TestLazyExports:
+    def test_names_resolve_on_first_use_to_their_submodules_objects(self):
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", _FRESH_PROCESS_CHECK],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr.strip().splitlines()[-1]
 
 
 class TestAllList:
