@@ -17,31 +17,20 @@ lost messages, FIFO order intact.
 Run:  python examples/fault_tolerant_link.py
 """
 
-from repro import (
-    ChannelFault,
-    PermanentFaultSchedule,
-    SimConfig,
-    format_table,
-    run_simulation,
-)
+from repro import SimConfig, format_table, run_simulation
 
 
 def main() -> None:
-    dying_links = PermanentFaultSchedule(
-        [
-            ChannelFault(1000, 0, 1),
-            ChannelFault(1000, 1, 0),
-            ChannelFault(1000, 20, 28),
-            ChannelFault(1000, 28, 20),
-        ]
-    )
+    # (cycle, src, dst): both directions of links 0-1 and 20-28 die
+    # at cycle 1000.
+    dying_links = [(1000, 0, 1), (1000, 1, 0), (1000, 20, 28), (1000, 28, 20)]
     config = SimConfig(
         radix=8,
         dims=2,
         routing="fcr",
         misrouting=True,       # detour when a fault cuts all minimal paths
         fault_rate=5e-4,       # transient corruption per flit-hop
-        fault_model=dying_links,
+        permanent_faults=dying_links,
         load=0.1,
         message_length=16,
         warmup=300,

@@ -50,6 +50,7 @@ import numbers
 import random
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+from ..workload.spec import parse_params
 from .model import FaultModel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -332,54 +333,28 @@ class LoadDependentFaults(FaultModel):
         )
 
 
-def _from_parameters(kwargs: dict, seed) -> LoadDependentFaults:
-    for key in kwargs:
+def make_cascading(value, seed=0) -> LoadDependentFaults:
+    """A fresh LoadDependentFaults from ``SimConfig.cascade_faults``.
+
+    Accepts ``True`` (all defaults), a dict of constructor kwargs, or a
+    ``"k=v,k=v"`` string (the CLI form; bare ``"cascade"``,
+    ``"default"`` or ``""`` means defaults).
+    """
+    if value is True:
+        value = {}
+    elif isinstance(value, str):
+        bare = value.strip() in ("", "cascade", "default")
+        value = {} if bare else parse_params(value, "cascade")
+    elif not isinstance(value, dict):
+        raise TypeError(
+            f"cascade_faults must be True, a dict, or a 'k=v,...' string "
+            f"(got {type(value).__name__}; a hand-built fault model goes "
+            f"to the engine constructor)"
+        )
+    for key in value:
         if key not in PARAMETERS:
             raise ValueError(
                 f"unknown cascade parameter {key!r} "
                 f"(known: {', '.join(PARAMETERS)})"
             )
-    kwargs.setdefault("seed", seed)
-    return LoadDependentFaults(**kwargs)
-
-
-def make_cascading(value, seed=0) -> LoadDependentFaults:
-    """Coerce a config value into a LoadDependentFaults instance.
-
-    Accepts an instance (returned as-is), ``True`` (all defaults), a
-    dict of constructor kwargs, or a ``"k=v,k=v"`` string (the CLI
-    form; bare ``"cascade"`` or ``""`` means defaults).
-    """
-    if isinstance(value, LoadDependentFaults):
-        return value
-    if value is True:
-        return LoadDependentFaults(seed=seed)
-    if isinstance(value, dict):
-        return _from_parameters(dict(value), seed)
-    if isinstance(value, str):
-        text = value.strip()
-        if text in ("", "cascade", "default"):
-            return LoadDependentFaults(seed=seed)
-        kwargs = {}
-        for item in text.split(","):
-            if not item.strip():
-                continue
-            key, sep, raw = item.partition("=")
-            if not sep:
-                raise ValueError(
-                    f"cascade parameter {item!r} is not 'key=value'"
-                )
-            raw = raw.strip()
-            try:
-                parsed = int(raw)
-            except ValueError:
-                try:
-                    parsed = float(raw)
-                except ValueError:
-                    parsed = raw
-            kwargs[key.strip()] = parsed
-        return _from_parameters(kwargs, seed)
-    raise TypeError(
-        f"cascade_faults must be an instance, True, dict, or string "
-        f"(got {type(value).__name__})"
-    )
+    return LoadDependentFaults(**{"seed": seed, **value})

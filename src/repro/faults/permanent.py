@@ -65,49 +65,78 @@ def random_channel_faults(
     count: int,
     rng: random.Random,
     cycle: int = 0,
-    bidirectional: bool = True,
-    keep_connected: bool = True,
 ) -> List[ChannelFault]:
-    """Pick ``count`` random faulted links (pairs when bidirectional).
+    """``count`` random links killed in both directions at ``cycle``.
 
-    ``count`` is the number of selections: with ``bidirectional`` each
-    selection kills both directions of a link, so ``2 * count`` channel
-    faults are returned.  With ``keep_connected`` the selection avoids
-    isolating any node: every node keeps live outgoing and incoming
-    links, which in a torus of radix >= 3 keeps the network connected
-    for adaptive routing with retries.
+    Returns ``2 * count`` channel faults, or fewer when no more links
+    can die: every node keeps live outgoing and incoming links, which
+    in a torus of radix >= 3 keeps the network connected for adaptive
+    routing with retries.
     """
     links = list(network.link_channels)
     rng.shuffle(links)
     chosen: List[ChannelFault] = []
-    selections = 0
-    dead_out = {n: 0 for n in range(network.topology.num_nodes)}
-    dead_in = {n: 0 for n in range(network.topology.num_nodes)}
-    out_degree = {
-        n: len(network.topology.links(n))
-        for n in range(network.topology.num_nodes)
-    }
+    nodes = range(network.topology.num_nodes)
+    # Dead links touching each node: as many in as out, since they pair.
+    dead = {n: 0 for n in nodes}
+    degree = {n: len(network.topology.links(n)) for n in nodes}
     for link in links:
-        if selections >= count:
+        if len(chosen) >= 2 * count:
             break
-        if any(f.src == link.src_node and f.dst == link.dst_node
-               for f in chosen):
+        src, dst = link.src_node, link.dst_node
+        if (any(f.src == src and f.dst == dst for f in chosen)
+                or dead[src] + 2 > degree[src] - 1
+                or dead[dst] + 2 > degree[dst] - 1):
             continue
-        if keep_connected:
-            margin = 2 if bidirectional else 1
-            if dead_out[link.src_node] + margin > out_degree[link.src_node] - 1:
-                continue
-            if dead_in[link.dst_node] + margin > out_degree[link.dst_node] - 1:
-                continue
-        chosen.append(ChannelFault(cycle, link.src_node, link.dst_node))
-        dead_out[link.src_node] += 1
-        dead_in[link.dst_node] += 1
-        if bidirectional:
-            chosen.append(ChannelFault(cycle, link.dst_node, link.src_node))
-            dead_out[link.dst_node] += 1
-            dead_in[link.src_node] += 1
-        selections += 1
+        chosen += (ChannelFault(cycle, src, dst),
+                   ChannelFault(cycle, dst, src))
+        dead[src] += 1
+        dead[dst] += 1
     return chosen
+
+
+def channel_faults(
+    network: "WormholeNetwork", spec, seed: int
+) -> List[ChannelFault]:
+    """The dead links ``SimConfig.permanent_faults`` names.
+
+    A count is that many random links (:func:`random_channel_faults`
+    at cycle 0, drawn from ``random.Random(seed)``); a list holds
+    ``(cycle, src, dst)`` placements.  What the network cannot honour
+    is a ``ValueError`` naming the field.
+    """
+    if isinstance(spec, (list, tuple)):
+        return [_placement(network, entry) for entry in spec]
+    if type(spec) is not int or spec < 0:
+        raise ValueError(
+            f"permanent_faults must be a count >= 0 or a list of (cycle, "
+            f"src, dst) placements, got {spec!r}"
+        )
+    faults = (random_channel_faults(network, spec, random.Random(seed))
+              if spec else [])
+    if len(faults) < 2 * spec:
+        raise ValueError(
+            f"permanent_faults={spec}: only {len(faults) // 2} links can "
+            f"die without cutting a node off"
+        )
+    return faults
+
+
+def _placement(network: "WormholeNetwork", entry) -> ChannelFault:
+    if not (isinstance(entry, (list, tuple)) and len(entry) == 3
+            and all(type(value) is int for value in entry)
+            and entry[0] >= 0):
+        raise ValueError(
+            f"permanent_faults placement {entry!r} is not "
+            f"(cycle >= 0, src, dst)"
+        )
+    try:
+        network.find_link(entry[1], entry[2])
+    except KeyError as exc:
+        raise ValueError(
+            f"permanent_faults placement {entry!r}: {exc.args[0]}"
+        ) from None
+    return ChannelFault(*entry)
 
 
 def kill_router(network: "WormholeNetwork", node: int) -> int:

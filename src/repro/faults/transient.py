@@ -27,18 +27,22 @@ class TransientFaults(FaultModel):
     Parameters
     ----------
     flit_fault_rate:
-        Probability that a single flit-hop is corrupted.
-    target_kinds:
-        Restrict faults to header/payload flits (None = any flit).
-        Corrupted pad flits carry no data; they are injected by default
-        for realism but are ignored by the receiver.
+        Probability that a single flit-hop is corrupted
+        (``SimConfig.fault_rate``).
+    payload_only:
+        Corrupt header and payload flits only, never pads.  Off by
+        default: pads are corrupted like any flit, and the receiver
+        ignores a corrupted pad (it carries no data).
     """
 
     def __init__(
         self, flit_fault_rate: float, payload_only: bool = False
     ) -> None:
         if not 0.0 <= flit_fault_rate <= 1.0:
-            raise ValueError("fault rate must be a probability")
+            raise ValueError(
+                f"fault_rate must be a probability in [0, 1], "
+                f"got {flit_fault_rate!r}"
+            )
         self.flit_fault_rate = flit_fault_rate
         self.payload_only = payload_only
 

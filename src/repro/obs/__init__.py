@@ -31,7 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 _EXPORTS = {
     "alerts": (
         "BUILTIN_RULE_NAMES", "AlertEngine", "AlertRule", "builtin_rules",
-        "load_rules", "make_alert_engine", "rules_to_json",
+        "load_rules", "rules_to_json",
     ),
     "events": (
         "EVENT_TYPES", "AlertEvent", "Event", "EventBus", "FaultActivated",

@@ -388,10 +388,3 @@ class AlertEngine:
                         rule.describe(value),
                     ))
         self.evaluations += 1
-
-
-def make_alert_engine(spec: Any) -> AlertEngine:
-    """Coerce ``SimConfig.alerts`` into an armed :class:`AlertEngine`."""
-    if isinstance(spec, AlertEngine):
-        return spec
-    return AlertEngine(load_rules(spec))

@@ -6,19 +6,25 @@ interface protocol: ``cr``/``fcr`` run the CR state machines, the
 baselines run classic blocking wormhole), the resource provisioning
 (VCs, buffer depth, interface channels), the workload, and the run
 phases.  ``build()`` turns it into a live engine.
+
+A config is a value: every field is data (``serve`` alone may carry a
+live server), and ``build()`` makes every stateful model afresh, so
+one config runs the same wherever and however often it runs, and it
+hashes.  A hand-written model goes to the engine constructor instead
+(``ReferenceEngine(network, fault_model=...)``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Tuple, Union
 
 from ..core.backoff import RetransmitPolicy
 from ..core.padding import PaddingParams
 from ..core.protocol import ProtocolConfig, ProtocolMode
 from ..core.timeout import PathWideTimeout, TimeoutPolicy
 from ..faults.model import CompositeFaultModel, FaultModel
-from ..faults.permanent import PermanentFaultSchedule, random_channel_faults
+from ..faults.permanent import PermanentFaultSchedule, channel_faults
 from ..faults.transient import TransientFaults
 from ..network.engine import Engine
 from ..network.fastengine import FastEngine
@@ -112,14 +118,17 @@ class SimConfig:
     # or a WorkloadSpec.  None is "bernoulli", the paper's open-loop
     # source (the two spellings keep distinct config hashes).
     workload: Optional[Any] = None
-    # --- faults --------------------------------------------------------
+    # --- faults (each kind composes with the others) --------------------
+    # Probability that one flit crossing one link is corrupted.
     fault_rate: float = 0.0
-    permanent_faults: int = 0
-    fault_model: Optional[FaultModel] = None
+    # Dead links: a count of random bidirectional links killed at cycle
+    # 0, or a list of (cycle, src, dst) placements, each killing the
+    # src->dst channel at that cycle.
+    permanent_faults: Union[int, Sequence[Sequence[int]]] = 0
     # Load-dependent cascading faults (repro.faults.cascading): True for
-    # defaults, a dict/"k=v,..." string of LoadDependentFaults kwargs,
-    # or an instance.  Composes with the other fault fields.
-    cascade_faults: Optional[Any] = None
+    # defaults, or a dict / "k=v,..." string of LoadDependentFaults
+    # parameters.
+    cascade_faults: Union[None, bool, str, Dict[str, Any]] = None
     # --- run phases ----------------------------------------------------
     warmup: int = 1000
     measure: int = 4000
@@ -141,8 +150,8 @@ class SimConfig:
     # them under "timeseries".
     sample_interval: Optional[int] = None
     # Alert rules engine (repro.obs.alerts): True for the built-in
-    # rules, a path to a JSON rules file, a rules list/dict, or an
-    # AlertEngine.  Evaluated at sampler boundaries (a sampler is
+    # rules, a path to a JSON rules file, or a rules list/dict.
+    # Evaluated at sampler boundaries (a sampler is
     # auto-attached at DEFAULT_SAMPLE_INTERVAL when none is configured);
     # run_simulation() then reports firing episodes under "alerts".
     alerts: Optional[Any] = None
@@ -281,20 +290,21 @@ class SimConfig:
             warmup_end=self.warmup,
             measure_end=self.warmup + self.measure,
         )
+        faults = self._make_faults(network)
+        if faults is not None:
+            faults.bind_stats(stats)
         engine = engine_cls(
             network,
             protocol=protocol,
             seed=self.seed,
             stats=stats,
-            fault_model=self._make_fault_model(network),
+            fault_model=faults,
             generator=generator,
             watchdog=self.watchdog,
             queue_cap=self.queue_cap,
         )
         if generator.wants_delivery_hook:
             engine.delivery_listener = generator
-        if engine.fault_model is not None:
-            engine.fault_model.bind_stats(stats)
         if self.software_retry:
             from ..core.swretry import SoftwareReliability
 
@@ -320,9 +330,9 @@ class SimConfig:
                           else DEFAULT_SAMPLE_INTERVAL),
             )
         if self.alerts is not None and self.alerts is not False:
-            from ..obs.alerts import make_alert_engine
+            from ..obs.alerts import AlertEngine, load_rules
 
-            engine.alerts = make_alert_engine(self.alerts)
+            engine.alerts = AlertEngine(load_rules(self.alerts))
             engine.sampler.listeners.append(engine.alerts)
         if self.serve is not None and self.serve is not False:
             from ..obs import open_telemetry
@@ -347,30 +357,21 @@ class SimConfig:
             )
         return engine
 
-    def _make_fault_model(
-        self, network: WormholeNetwork
-    ) -> Optional[FaultModel]:
+    def _make_faults(self, network: WormholeNetwork) -> Optional[FaultModel]:
+        """The fault fields as one fresh model (a run uses it up), or
+        None when they name no fault."""
         models = []
-        if self.fault_model is not None:
-            models.append(self.fault_model)
-        if self.fault_rate > 0.0:
+        if self.fault_rate != 0.0:
             models.append(TransientFaults(self.fault_rate))
-        if self.permanent_faults > 0:
-            import random as _random
-
-            rng = _random.Random(self.seed + 2)
-            faults = random_channel_faults(
-                network, self.permanent_faults, rng, cycle=0
-            )
-            models.append(PermanentFaultSchedule(faults))
+        dead = channel_faults(network, self.permanent_faults, self.seed + 2)
+        if dead:
+            models.append(PermanentFaultSchedule(dead))
         if self.cascade_faults is not None:
             from ..faults.cascading import make_cascading
 
             models.append(
                 make_cascading(self.cascade_faults, seed=self.seed + 3)
             )
-        if not models:
-            return None
-        if len(models) == 1:
-            return models[0]
-        return CompositeFaultModel(models)
+        if len(models) > 1:
+            return CompositeFaultModel(models)
+        return models[0] if models else None

@@ -94,11 +94,12 @@ def _canonical(value: object) -> Optional[str]:
             parts.append(f"{key!r}: {text}")
         return "{" + ", ".join(parts) + "}"
     if isinstance(value, (list, tuple)):
+        # One spelling for both: a campaign spec's JSON round trip
+        # turns every tuple into a list.
         items = [_canonical(item) for item in value]
         if any(item is None for item in items):
             return None
-        body = ", ".join(items)  # type: ignore[arg-type]
-        return f"[{body}]" if isinstance(value, list) else f"({body})"
+        return "[" + ", ".join(items) + "]"  # type: ignore[arg-type]
     text = repr(value)
     if _MEMORY_ADDRESS.search(text):
         return None
@@ -111,9 +112,10 @@ def config_cache_key(config: SimConfig) -> Optional[str]:
     The key folds in every dataclass field (sorted by name), so any two
     configs that could produce different rows hash differently.  Fields
     whose values have no process-stable repr (default object reprs with
-    memory addresses — e.g. a hand-built fault model without
-    ``__repr__``) make the whole config uncacheable rather than risking
-    a wrong hit.
+    memory addresses — e.g. a hand-written ``LengthDistribution``
+    without ``__repr__``) make the whole config uncacheable rather than
+    risking a wrong hit.  A list and a tuple of the same items hash
+    alike.
     """
     parts: List[str] = []
     for field in sorted(dataclasses.fields(config), key=lambda f: f.name):

@@ -87,6 +87,21 @@ def _coerce(text: str) -> Any:
     return text
 
 
+def parse_params(text: str, what: str) -> Dict[str, Any]:
+    """A ``"k=v,k=v"`` spec as a dict, each value coerced to an int, a
+    float or the bare string.  An item without ``=`` is a
+    ``ValueError`` that calls it a ``what`` parameter."""
+    params: Dict[str, Any] = {}
+    for item in text.split(","):
+        if not item.strip():
+            continue
+        key, sep, value = item.partition("=")
+        if not sep:
+            raise ValueError(f"{what} parameter {item!r} is not 'key=value'")
+        params[key.strip()] = _coerce(value.strip())
+    return params
+
+
 @dataclass(frozen=True)
 class WorkloadSpec:
     """A parsed workload description: kind + keyword parameters."""
@@ -121,19 +136,7 @@ class WorkloadSpec:
                 # The argument is a path (may contain ':' on Windows
                 # or '=' in odd filenames; take it verbatim).
                 return cls(kind="trace", params={"path": args})
-            params: Dict[str, Any] = {}
-            if args:
-                for item in args.split(","):
-                    if not item.strip():
-                        continue
-                    key, sep, text = item.partition("=")
-                    if not sep:
-                        raise ValueError(
-                            f"workload parameter {item!r} is not "
-                            f"'key=value'"
-                        )
-                    params[key.strip()] = _coerce(text.strip())
-            return cls(kind=kind, params=params)
+            return cls(kind=kind, params=parse_params(args, "workload"))
         raise TypeError(
             f"workload must be a string, dict, or WorkloadSpec "
             f"(got {type(value).__name__})"

@@ -68,20 +68,18 @@ class TestRunAndResume:
         assert len(calls) == 4
 
     def test_a_point_without_a_config_hash_is_refused(self, spec, store):
-        # A hand-built schedule has no stable repr, so its points hash
-        # to None: a resume could not tell it from a changed schedule.
-        # Refused by name before the spec is stored.
-        from repro.faults.permanent import (
-            ChannelFault,
-            PermanentFaultSchedule,
-        )
+        # A hand-written length distribution without a repr hashes to
+        # None: a resume could not tell it from a changed one.  Refused
+        # by name before the spec is stored.
+        from repro.traffic.lengths import FixedLength
+
+        class NoRepr(FixedLength):
+            __repr__ = object.__repr__
 
         body = spec.to_dict()
-        body["base"]["fault_model"] = PermanentFaultSchedule(
-            [ChannelFault(100, 0, 1)]
-        )
+        body["base"]["message_length"] = NoRepr(8)
         with pytest.raises(ValueError,
-                           match="routing=cr/load=0.1/rep=0.*fault_model"):
+                           match="routing=cr/load=0.1/rep=0.*message_length"):
             run_campaign(CampaignSpec.from_dict(body), store)
         assert store.spec("r") is None and store.rows("r") == []
 

@@ -86,9 +86,7 @@ class TestPermanentFaults:
 
     def test_random_faults_bidirectional(self):
         network = make_network()
-        faults = random_channel_faults(
-            network, 3, random.Random(0), bidirectional=True
-        )
+        faults = random_channel_faults(network, 3, random.Random(0))
         assert len(faults) == 6
         pairs = {(f.src, f.dst) for f in faults}
         for fault in faults:
@@ -314,8 +312,8 @@ class TestCascadeSweep:
         engine = SimConfig(
             radix=4, dims=2, routing="fcr", misrouting=True, num_vcs=2,
             message_length=8, load=0.5, seed=11, engine=engine_name,
-            cascade_faults=Recorded(**self.PARAMETERS),
         ).build()
+        engine.fault_model = Recorded(**self.PARAMETERS)
         engine.run(self.PARAMETERS["check_interval"] * self.CHECKS)
         return seen
 

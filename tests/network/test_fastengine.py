@@ -315,10 +315,12 @@ class TestInputsThatDoNotSay:
                 if engine.admit(message):
                     self.generated += 1
 
-    def _run(self, engine_name, generator=None, **overrides):
+    def _run(self, engine_name, generator=None, fault_model=None):
         reset_uid_counter()
-        config = SimConfig(engine=engine_name, **{**self.IDLE, **overrides})
+        config = SimConfig(engine=engine_name, **self.IDLE)
         engine = config.build()
+        # A hand-written model is the engine's, never the config's.
+        engine.fault_model = fault_model
         sink = repro.ListSink()
         repro.attach(engine, sink)
         if generator is not None:

@@ -13,7 +13,6 @@ from repro.obs.alerts import (
     AlertRule,
     builtin_rules,
     load_rules,
-    make_alert_engine,
     rules_to_json,
 )
 from repro.obs.events import AlertEvent
@@ -128,13 +127,6 @@ class TestLoadRules:
             load_rules(3.14)
         with pytest.raises(ValueError, match="expected dict"):
             load_rules(["not a rule"])
-
-    def test_make_alert_engine_passthrough_and_coercion(self):
-        armed = AlertEngine()
-        assert make_alert_engine(armed) is armed
-        assert [r.name for r in make_alert_engine(True).rules] == list(
-            BUILTIN_RULE_NAMES
-        )
 
 
 class TestStateMachine:

@@ -10,8 +10,11 @@ from repro import (
     ProtocolMode,
     SimConfig,
 )
+from repro.faults.cascading import LoadDependentFaults
 from repro.faults.model import CompositeFaultModel
+from repro.faults.permanent import ChannelFault
 from repro.faults.transient import TransientFaults
+from repro.obs.alerts import AlertEngine
 
 
 class TestSchemes:
@@ -105,3 +108,39 @@ class TestBuild:
             SimConfig(radix=4, dims=2, **{phase: -1}).build()
         # Zero stays legal: `cr-sim trace` runs warmup=0, drain=0.
         SimConfig(radix=4, dims=2, **{phase: 0}).build()
+
+
+class TestFaultInputs:
+    def test_a_placement_is_built_afresh_each_time(self):
+        config = SimConfig(radix=4, dims=2, permanent_faults=[(30, 0, 1)])
+        first, second = config.build(), config.build()
+        assert first.fault_model.pending == [ChannelFault(30, 0, 1)]
+        assert first.fault_model is not second.fault_model
+
+    @pytest.mark.parametrize("fields, named", [
+        ({"fault_rate": -0.5}, "fault_rate"),
+        ({"fault_rate": 1.5}, "fault_rate"),
+        ({"permanent_faults": -3}, "permanent_faults must be a count >= 0"),
+        # A 4-ary 2-cube keeps every node connected with 16 dead links
+        # at most; the rest of the request used to be dropped silently.
+        ({"permanent_faults": 100}, "permanent_faults=100: only 16"),
+        ({"permanent_faults": [(10, 0, 5)]}, "no link 0->5"),
+        ({"permanent_faults": [(10, 0)]}, "placement"),
+        ({"permanent_faults": [(-1, 0, 1)]}, "placement"),
+        ({"permanent_faults": 2.5}, "permanent_faults"),
+    ], ids=[
+        "rate-below-0", "rate-above-1", "count-below-0", "count-too-many",
+        "placement-not-a-link", "placement-too-short",
+        "placement-before-cycle-0", "count-not-an-int",
+    ])
+    def test_out_of_range_is_refused_by_name(self, fields, named):
+        with pytest.raises(ValueError, match=named):
+            SimConfig(radix=4, dims=2, **fields).build()
+
+    def test_a_live_model_is_refused(self):
+        with pytest.raises(TypeError, match="engine constructor"):
+            SimConfig(
+                radix=4, dims=2, cascade_faults=LoadDependentFaults()
+            ).build()
+        with pytest.raises(ValueError, match="alert rules"):
+            SimConfig(radix=4, dims=2, alerts=AlertEngine()).build()

@@ -15,6 +15,7 @@ from repro.sim.parallel import (
     run_reports,
 )
 from repro.sim.sweep import load_sweep, matrix_sweep
+from repro.traffic.lengths import FixedLength
 
 
 def tiny(**overrides):
@@ -26,8 +27,11 @@ def tiny(**overrides):
     return SimConfig(**base)
 
 
-class _NoRepr:
-    """Default object repr: contains a memory address."""
+class _NoRepr(FixedLength):
+    """A working length distribution whose default object repr
+    contains a memory address."""
+
+    __repr__ = object.__repr__
 
 
 class TestCacheKey:
@@ -46,8 +50,14 @@ class TestCacheKey:
         assert config_cache_key(a) != config_cache_key(b)
 
     def test_unstable_repr_is_uncacheable(self):
-        config = tiny(fault_model=_NoRepr())
+        config = tiny(message_length=_NoRepr(8))
         assert config_cache_key(config) is None
+
+    def test_a_tuple_hashes_as_the_list_json_makes_of_it(self):
+        placed = tiny(permanent_faults=((300, 0, 1), (300, 1, 0)))
+        assert config_cache_key(placed) == config_cache_key(
+            tiny(permanent_faults=[[300, 0, 1], [300, 1, 0]])
+        )
 
 
 class TestRunReports:
@@ -224,9 +234,9 @@ class TestSweepCache:
         self, tmp_path, monkeypatch
     ):
         cache = SweepCache(str(tmp_path))
-        config = tiny(fault_model=_NoRepr())
-        # _NoRepr is not a working FaultModel; fake the run itself and
-        # check the cache layer neither stores nor serves the point.
+        config = tiny(message_length=_NoRepr(8))
+        # Fake the run itself: only the cache layer is under test, and
+        # it must neither store nor serve the point.
         monkeypatch.setattr(
             parallel, "_run_point", lambda c: ({"latency_mean": 1.0}, 0.01)
         )

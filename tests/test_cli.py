@@ -634,6 +634,18 @@ class TestUsageExitCodes:
         ]) == 2
         usage_error("run", named)
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--fault-rate", "-0.5", "--permanent-faults", "-3"], "fault_rate"),
+        (["--permanent-faults", "-3"], "permanent_faults"),
+        (["--permanent-faults", "100"], "permanent_faults=100"),
+    ], ids=["both", "negative-count", "more-than-fit"])
+    def test_out_of_range_fault_inputs_exit_2(self, flags, named,
+                                              usage_error):
+        # Each of these used to run (fault-free, or with 16 of the 100
+        # dead links asked for) and exit 0.
+        assert cli_main(["run", "--radix", "4"] + flags) == 2
+        usage_error("run", named)
+
     @pytest.mark.parametrize("argv, named", BAD_SHAPES,
                              ids=[" ".join(argv) for argv, _ in BAD_SHAPES])
     def test_out_of_range_shape_exits_2(self, argv, named, usage_error):

@@ -7,11 +7,9 @@ unchanged on irregular topologies, and the CLI glues it all together.
 """
 
 from repro import (
-    ChannelFault,
     GraphTopology,
     Message,
     MinimalAdaptive,
-    PermanentFaultSchedule,
     ProtocolConfig,
     ProtocolMode,
     RandomFree,
@@ -55,19 +53,13 @@ class TestMidFlightFaults:
     def test_links_dying_during_traffic(self):
         """Nonstop fault tolerance: faults appear while worms are in
         flight; nothing is lost or corrupted."""
-        schedule = PermanentFaultSchedule(
-            [
-                ChannelFault(300, 0, 1),
-                ChannelFault(300, 1, 0),
-                ChannelFault(500, 5, 6),
-                ChannelFault(500, 6, 5),
-            ]
-        )
         config = SimConfig(
             radix=4, dims=2, routing="fcr", load=0.1,
             message_length=8, fault_rate=1e-3, misrouting=True,
             warmup=100, measure=800, drain=8000, seed=23,
-            fault_model=schedule,
+            permanent_faults=[
+                (300, 0, 1), (300, 1, 0), (500, 5, 6), (500, 6, 5),
+            ],
         )
         result = run_simulation(config)
         assert result.drained

@@ -33,9 +33,10 @@ def stressed():
 
 
 class TestFactory:
-    def test_instance_passthrough(self):
-        model = LoadDependentFaults()
-        assert make_cascading(model) is model
+    def test_a_built_model_is_refused(self):
+        # A config holds data; a hand-built model goes to the engine.
+        with pytest.raises(TypeError, match="engine constructor"):
+            make_cascading(LoadDependentFaults())
 
     def test_true_means_defaults(self):
         model = make_cascading(True, seed=9)

@@ -24,7 +24,6 @@ import json
 import os
 import sys
 
-from repro.faults.permanent import ChannelFault, PermanentFaultSchedule
 from repro.network.fastengine import channel_state
 from repro.network.message import reset_uid_counter
 from repro.obs.tracing import config_for_experiment, run_traced
@@ -52,11 +51,7 @@ E23 = dict(radix=4, dims=2, message_length=8, load=0.35,
 
 
 def corpus():
-    """name -> SimConfig (``engine`` is set by the caller).
-
-    Built afresh for every pass: a run consumes the fault schedule its
-    config carries.
-    """
+    """name -> SimConfig (``engine`` is set by the caller)."""
     out = dict(engine_equivalence_presets())
     for index, config in iter_fuzz_equivalence_configs():
         out[f"fuzz-{index:02d}"] = config
@@ -89,12 +84,10 @@ def corpus():
     # in a pure jump between two trace entries.
     fcr = dict(routing="fcr", misrouting=True, num_vcs=2)
     out["scheduled-fault"] = SimConfig(
-        fault_model=PermanentFaultSchedule([ChannelFault(430, 0, 1)]),
-        **fcr, **{**sparse, "load": 0.01},
+        permanent_faults=[(430, 0, 1)], **fcr, **{**sparse, "load": 0.01},
     )
     out["sparse-trace-fault"] = out["sparse-trace"].with_(
-        fault_model=PermanentFaultSchedule([ChannelFault(900, 0, 1)]),
-        **fcr,
+        permanent_faults=[(900, 0, 1)], **fcr,
     )
     # Lengths that draw from the traffic stream (fixed lengths draw
     # nothing, so only these see the destination/length draw order),
