@@ -17,8 +17,10 @@ The layer between one-off sweeps and paper-scale evaluation:
   (``cr-sim campaign run --workers-fabric N`` / ``campaign worker``).
 * :mod:`~repro.campaign.report` — cross-campaign regression reports
   (markdown/CSV) using the replication significance machinery.
-* :mod:`~repro.campaign.monitor` — a live atomic ``status.json``
-  heartbeat written while a campaign runs, rendered by
+* :mod:`~repro.campaign.monitor` — :class:`CampaignMonitor`, the one
+  builder of the live atomic ``status.json`` heartbeat: both executors
+  fold what the journal holds for each settled point through it (the
+  ETA is remaining points ÷ the settle rate), rendered by
   ``cr-sim campaign watch``.
 * :mod:`~repro.campaign.library` — built-in campaigns
   (``fault-matrix``, ``paper-core``).
@@ -39,21 +41,20 @@ Quick start::
 from .._lazy import lazy_exports
 
 #: submodule -> the names it contributes, each loaded on first use (a
-#: fabric worker never reads the library, the report or the timeline).
+#: fabric worker never reads the library or the report).  Only names
+#: something imports from the package are here; the rest (the timeline,
+#: the stats records, ``Lease``, ``spawn_worker``) are imported from
+#: their submodules.
 _EXPORTS = {
-    "spec": ("CampaignSpec", "Grid", "CampaignPoint"),
-    "store": ("CampaignStore", "DEFAULT_DB_PATH", "STORE_SCHEMA_VERSION",
-              "Lease"),
-    "runner": ("run_campaign", "CampaignRunStats", "CampaignPointStatus"),
-    "fabric": ("run_fabric", "spawn_worker", "Coordinator", "Worker",
-               "FabricStats", "WorkerStats"),
+    "spec": ("CampaignSpec", "Grid"),
+    "store": ("CampaignStore", "DEFAULT_DB_PATH"),
+    "runner": ("run_campaign", "CampaignPointStatus"),
+    "fabric": ("run_fabric", "Coordinator", "Worker"),
     "report": ("compare_campaigns", "render_markdown", "comparison_to_csv",
-               "campaign_markdown", "aggregate_scenarios"),
+               "campaign_markdown"),
     "library": ("BUILTIN_CAMPAIGNS", "campaign_names", "get_campaign"),
     "monitor": ("CampaignMonitor", "read_status", "render_status",
                 "status_path", "write_status"),
-    "timeline": ("campaign_timeline", "default_timeline_path",
-                 "timeline_summary", "write_campaign_timeline"),
 }
 
 __all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -24,13 +24,16 @@ recovered, not prevented:
   discarded, so worker loss costs only in-flight points.
 
 The :class:`Coordinator` owns no scheduling: it registers the grid
-(submit phase), then aggregates — per-worker heartbeats, live and
-expired leases, reclaim totals — into the same atomic
-``<name>.status.json`` heartbeat ``cr-sim campaign watch`` renders
-(now with a per-worker liveness pane) and publishes ``cr_fabric_*``
-gauges through the :class:`~repro.obs.server.TelemetryServer`.  It is
-also restartable: if the coordinator dies, workers keep leasing and
-journaling; a new coordinator just resumes aggregating.
+(submit phase), then each poll folds the rows settled since the last
+one through the same :class:`~repro.campaign.monitor.CampaignMonitor`
+a local run uses — so the atomic ``<name>.status.json`` heartbeat
+``cr-sim campaign watch`` renders shows the same alerts, last point,
+sparklines and ETA — and adds a per-worker liveness pane (heartbeats,
+live and expired leases, reclaim totals) and ``cr_fabric_*`` gauges
+published through the :class:`~repro.obs.server.TelemetryServer`.  It
+is also restartable: if the coordinator dies, workers keep leasing and
+journaling; a new coordinator folds what already settled and carries
+on.
 
 Entry points: ``cr-sim campaign run <spec> --workers-fabric N``
 (coordinator + N local worker processes) and ``cr-sim campaign worker
@@ -46,7 +49,6 @@ import subprocess
 import sys
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
@@ -66,8 +68,8 @@ from ..obs.trace import (
 from ..sim.parallel import PointFailure, run_reports
 from .monitor import (
     STALE_AFTER,
+    CampaignMonitor,
     build_info_gauge,
-    publish_heartbeat,
     status_path,
 )
 from .runner import (
@@ -142,7 +144,6 @@ class Worker:
         ttl: float = DEFAULT_TTL,
         poll: float = DEFAULT_POLL,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-        verify: bool = False,
         progress: Optional[CampaignProgress] = None,
         trace: Optional[bool] = None,
         traceparent: Optional[str] = None,
@@ -155,7 +156,6 @@ class Worker:
         self.ttl = float(ttl)
         self.poll = float(poll)
         self.max_attempts = max(1, int(max_attempts))
-        self.verify = verify
         self.progress = progress
         #: trace=None auto-arms from the CR_TRACE environment variable
         #: the coordinator sets when it spawns traced workers.
@@ -306,9 +306,10 @@ class Worker:
 
     def _run(self, store: CampaignStore, spec: CampaignSpec) -> WorkerStats:
         # Re-run the submit phase against the stored spec: expansion is
-        # deterministic, so every worker sees the identical point list
-        # (the re-register is an idempotent refresh).
-        points = submit_campaign(spec, store, verify=self.verify)
+        # deterministic and ``verify`` is part of the stored spec, so
+        # every worker sees the identical point list (the re-register
+        # is an idempotent refresh).
+        points = submit_campaign(spec, store)
         by_id = {point.point_id: point for point in points}
         candidates = point_candidates(points)
         expected = dict(candidates)
@@ -501,11 +502,13 @@ class Coordinator:
 
     Owns no scheduling — workers lease autonomously — so a coordinator
     crash never stalls the campaign; restart it and aggregation
-    resumes.  Each :meth:`poll` reads the store once, derives the
-    campaign heartbeat (done/total/ETA plus the per-worker liveness
-    pane), writes it atomically for ``cr-sim campaign watch``, and
-    publishes the ``cr_fabric_*`` metrics to an attached
-    :class:`~repro.obs.server.TelemetryServer`.
+    resumes.  Each :meth:`poll` folds the rows settled since the last
+    poll into its :class:`~repro.campaign.monitor.CampaignMonitor` (a
+    fresh coordinator folds everything already settled), adds the
+    per-worker liveness pane and the ``fabric`` block, and publishes
+    the heartbeat — the status file ``cr-sim campaign watch`` renders
+    and, with a :class:`~repro.obs.server.TelemetryServer` attached,
+    ``/status`` plus the ``cr_campaign_*`` and ``cr_fabric_*`` metrics.
     """
 
     def __init__(
@@ -527,9 +530,7 @@ class Coordinator:
         self.interval = float(interval)
         self.ttl = float(ttl)
         self.max_attempts = max(1, int(max_attempts))
-        self.server = server
         self.on_poll = on_poll
-        self.path = heartbeat_path or status_path(store.path, spec.name)
 
         # -- tracing + structured logging (armed by trace=True) --------
         self.trace = bool(trace)
@@ -570,13 +571,19 @@ class Coordinator:
                                            submit.to_dict()])
         else:
             points = submit_campaign(spec, store, verify=verify)
+        #: the points no poll has folded into the heartbeat yet
+        self._unfolded = {point.point_id: point for point in points}
         self.expected = dict(point_candidates(points))
         self.total = len(points)
         if self.logger is not None:
             self.logger.info("campaign_submitted", points=self.total)
-        self._started = time.monotonic()
-        self._rate_window: deque = deque(maxlen=32)
+        self.monitor = CampaignMonitor(
+            spec.name, self.total,
+            heartbeat_path or status_path(store.path, spec.name),
+            server=server,
+        )
         self._last_reclaims = 0.0
+        self._failures: List[str] = []
 
         self.registry = MetricsRegistry(prefix="cr_fabric_")
         self._g_live = self.registry.gauge(
@@ -609,13 +616,21 @@ class Coordinator:
     # -- one aggregation step -------------------------------------------
 
     def poll(self, state: str = "running") -> Dict[str, Any]:
-        """Read the store once; write + publish the aggregated heartbeat."""
+        """Fold what settled since the last poll; publish the heartbeat."""
         now = time.time()
         outcomes = self.store.settlement(self.spec.name, self.expected,
                                          self.max_attempts)
-        failures = [point_id for point_id, outcome in outcomes.items()
-                    if outcome == "failed"]
-        done, failed = len(outcomes), len(failures)
+        self._failures = [point_id for point_id, outcome
+                          in outcomes.items() if outcome == "failed"]
+        fresh = [point_id for point_id in outcomes
+                 if point_id in self._unfolded]
+        for row in self.store.journal_rows(self.spec.name, fresh):
+            point = self._unfolded.pop(row["point_id"])
+            self.monitor.fold(point, outcomes[point.point_id],
+                              row["wall_time"], row["report"],
+                              row["alerts"], final=True)
+        self.monitor.mark()
+        done = self.monitor.done
 
         leases = self.store.leases(self.spec.name, now=now)
         held = sum(1 for lease in leases if lease["live"])
@@ -674,59 +689,36 @@ class Coordinator:
         self._g_held.set(held)
         self._g_expired.set(expired)
         self._g_done.set(done)
-        self._g_failed.set(failed)
+        self._g_failed.set(self.monitor.failed_settled)
         if reclaims > self._last_reclaims:
             self._c_reclaims.inc(reclaims - self._last_reclaims)
             self._last_reclaims = reclaims
 
-        self._rate_window.append((time.monotonic(), done))
-        status = {
-            "name": self.spec.name,
-            "state": state if done < self.total else "finished",
-            "kind": "fabric",
-            "updated_at": now,
-            "elapsed_seconds": time.monotonic() - self._started,
-            "done": done,
-            "failed": failed,
-            "total": self.total,
-            "eta_seconds": self._eta(done),
-            "last_point": None,
-            "workers": workers,
-            "fabric": {
-                "live_workers": live_workers,
-                "workers_seen": len(workers),
-                "leases_held": held,
-                "leases_expired": expired,
-                "reclaims": int(reclaims),
-            },
-            "metrics": self.registry.snapshot(),
-        }
-        # Two registries, one scrape: cr_fabric_* gauges plus the
+        # Three registries, one scrape: cr_campaign_* from the monitor,
+        # the cr_fabric_* gauges, and with tracing the
         # cr_trace_spans_total / cr_log_records_total counters.
         registries = [self.registry]
         if self.trace_registry is not None:
             registries.append(self.trace_registry)
-        publish_heartbeat(
-            status, self.path, self.server, registries,
+        status = self.monitor.publish(
+            state if done < self.total else "finished",
+            extra={
+                "kind": "fabric",
+                "workers": workers,
+                "fabric": {
+                    "live_workers": live_workers,
+                    "workers_seen": len(workers),
+                    "leases_held": held,
+                    "leases_expired": expired,
+                    "reclaims": int(reclaims),
+                },
+            },
+            registries=registries,
             health={"workers_live": live_workers},
         )
         if self.on_poll is not None:
             self.on_poll(status)
-        self._last_status = status
-        self._last_failures = failures
         return status
-
-    def _eta(self, done: int) -> Optional[float]:
-        remaining = self.total - done
-        if remaining <= 0:
-            return 0.0
-        if len(self._rate_window) < 2:
-            return None
-        t0, d0 = self._rate_window[0]
-        t1, d1 = self._rate_window[-1]
-        if d1 <= d0 or t1 <= t0:
-            return None
-        return remaining * (t1 - t0) / (d1 - d0)
 
     # -- the aggregation loop -------------------------------------------
 
@@ -761,7 +753,7 @@ class Coordinator:
             reclaims=status["fabric"]["reclaims"],
             workers_seen=status["fabric"]["workers_seen"],
             elapsed=status["elapsed_seconds"],
-            failures=list(self._last_failures),
+            failures=list(self._failures),
         )
         self.settle(stats)
         return stats
@@ -833,7 +825,6 @@ def spawn_worker(
     ttl: float = DEFAULT_TTL,
     poll: float = DEFAULT_POLL,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    verify: bool = False,
     quiet: bool = True,
     trace: bool = False,
     traceparent: Optional[str] = None,
@@ -854,8 +845,6 @@ def spawn_worker(
     ]
     if worker_id:
         cmd += ["--worker-id", worker_id]
-    if verify:
-        cmd += ["--verify"]
     return subprocess.Popen(
         cmd,
         env=_worker_env(trace=trace, traceparent=traceparent),
@@ -903,8 +892,7 @@ def run_fabric(
             spawn_worker(
                 spec.name, db_path, worker_id=f"worker-{index + 1}",
                 batch=batch, ttl=ttl, poll=poll,
-                max_attempts=max_attempts, verify=verify,
-                quiet=quiet_workers,
+                max_attempts=max_attempts, quiet=quiet_workers,
                 trace=trace, traceparent=coordinator.traceparent(),
             )
             for index in range(max(1, int(workers)))

@@ -1,12 +1,13 @@
 """Live campaign monitoring: an atomic ``status.json`` heartbeat.
 
-While :func:`repro.campaign.run_campaign` executes, a
-:class:`CampaignMonitor` periodically writes a small JSON heartbeat
-next to the campaign database (``<spec-name>.status.json`` beside
-``results/campaigns.sqlite``): points done/total, an ETA from the
-rolling window of recent point wall-times, the grid coordinates of the
-last settled point, and kill/retransmit rates published through a
-:class:`repro.obs.metrics.MetricsRegistry`.
+:class:`CampaignMonitor` is the one builder of the heartbeat
+(``<spec-name>.status.json`` beside ``results/campaigns.sqlite``), fed
+only what the journal holds for a settled point: the local runner
+hands it each point as it journals it, the fabric coordinator the rows
+settled since its last poll.  It holds points done/total, an ETA
+(remaining ÷ the settle rate), the last point, sparklines of wall time
+and stored ``kill_rate``, the alert episodes and a ``cr_campaign_``
+metrics registry.
 
 Writes are atomic (write temp + ``os.replace``), so a reader never
 sees a torn file and a killed campaign leaves the last consistent
@@ -32,7 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: unicode block ramp for terminal sparklines.
 _SPARK_BLOCKS = "▁▂▃▄▅▆▇█"
 
-#: how many recent point wall-times the ETA window and sparklines keep.
+#: how many settle-rate samples the ETA keeps, and points the sparklines.
 ROLLING_WINDOW = 32
 
 #: heartbeat age (seconds) past which ``watch`` marks the view stale.
@@ -69,40 +70,6 @@ def read_status(path: str) -> Dict[str, Any]:
         return json.load(handle)
 
 
-def publish_heartbeat(
-    status: Dict[str, Any],
-    path: Optional[str],
-    server: Optional[Any],
-    registries: Sequence[MetricsRegistry],
-    health: Dict[str, Any],
-) -> None:
-    """One heartbeat, everywhere it is read: the status file and, with
-    a :class:`~repro.obs.server.TelemetryServer` attached, ``/status``,
-    ``/metrics`` (the registries' Prometheus text, concatenated — valid
-    exposition text does) and ``/health`` (progress from ``status``
-    plus the runner's own ``health`` keys).  The local runner's monitor
-    and the fabric coordinator both publish through here."""
-    if path is not None:
-        write_status(path, status)
-    if server is not None:
-        from .. import __version__
-
-        state = status["state"]
-        server.publish(
-            metrics_text="".join(
-                registry.prometheus_text() for registry in registries),
-            health={
-                "status": "ok" if state == "running" else state,
-                "campaign": status["name"],
-                "done": status["done"],
-                "total": status["total"],
-                **health,
-                "version": __version__,
-            },
-            status=status,
-        )
-
-
 def build_info_gauge(registry: MetricsRegistry) -> None:
     """Stamp ``registry`` with the constant-1 ``build_info`` gauge."""
     from .. import __version__
@@ -118,12 +85,13 @@ def build_info_gauge(registry: MetricsRegistry) -> None:
 
 
 class CampaignMonitor:
-    """Accumulates campaign progress and writes the heartbeat file.
+    """Folds settled points into the campaign heartbeat and publishes it.
 
-    ``interval`` throttles writes (seconds of wall time between
-    heartbeats); the first and last updates always write.  The monitor
-    publishes its counters into a :class:`MetricsRegistry` whose JSON
-    snapshot is embedded in the heartbeat under ``"metrics"``.
+    ``interval`` throttles :meth:`on_point`'s writes (seconds of wall
+    time between heartbeats); the first and last updates always write.
+    The monitor publishes its counters into a :class:`MetricsRegistry`
+    whose JSON snapshot is embedded in the heartbeat under
+    ``"metrics"``.
     """
 
     def __init__(
@@ -159,43 +127,38 @@ class CampaignMonitor:
             "point_wall_seconds", "Wall time per simulated point.",
             buckets=WALL_TIME_BUCKETS,
         )
-        self._kills = self.registry.counter(
-            "kills_total", "Kill wavefronts across simulated points.")
-        self._retransmissions = self.registry.counter(
-            "retransmissions_total",
-            "Retransmission attempts across simulated points.")
-        self._delivered = self.registry.counter(
-            "messages_delivered_total",
-            "Messages delivered across simulated points.")
         self._alerts = self.registry.counter(
             "alerts_total",
             "Alert episodes journaled across simulated points.")
         build_info_gauge(self.registry)
         self.done = 0
         self.failed_settled = 0  #: terminal failures counted into done
+        #: (clock, done) samples the ETA's settle rate is read from
+        self._settles: deque = deque(maxlen=ROLLING_WINDOW)
         self._recent_wall: deque = deque(maxlen=ROLLING_WINDOW)
         self._recent_kill_rate: deque = deque(maxlen=ROLLING_WINDOW)
         self._recent_alerts: deque = deque(maxlen=ROLLING_WINDOW)
         self._alert_rule_counts: Dict[str, int] = {}
         self._last_point: Optional[Dict[str, Any]] = None
 
-    # -- updates (called from run_campaign's journal path) --------------
+    # -- updates ----------------------------------------------------------
 
-    def on_point(
+    def fold(
         self,
         point: "CampaignPoint",
         outcome: str,
         elapsed: float,
-        report: Optional[Dict[str, Any]] = None,
+        row: Optional[Dict[str, Any]] = None,
+        alerts: Sequence[Dict[str, Any]] = (),
         final: bool = False,
     ) -> None:
-        """Record one settled point and maybe write the heartbeat.
+        """Tally one point from what the journal holds: ``row`` is the
+        stored metric row, ``alerts`` its episodes.
 
-        Failed points that may still be retried don't advance ``done``;
-        a failure marked ``final`` (retries exhausted) *settles*: it
-        advances ``done`` and counts into the visible ``done (N
-        failed)`` state, so progress and the ETA reach ``total``
-        instead of sticking just below it forever.
+        A failure that may still be retried doesn't advance ``done``;
+        one marked ``final`` (retries exhausted) *settles* into the
+        visible ``done (N failed)`` state, so progress and the ETA
+        reach ``total`` instead of sticking just below it forever.
         """
         if outcome in ("ok", "skipped"):
             self.done += 1
@@ -208,27 +171,21 @@ class CampaignMonitor:
         if outcome == "ok":
             self._wall_hist.observe(elapsed)
             self._recent_wall.append(elapsed)
-        if report is not None:
-            self._kills.inc(float(report.get("kills", 0) or 0))
-            self._retransmissions.inc(
-                float(report.get("retransmissions", 0) or 0))
-            self._delivered.inc(
-                float(report.get("messages_delivered", 0) or 0))
-            self._recent_kill_rate.append(
-                float(report.get("kill_rate", 0.0) or 0.0))
-            for episode in report.get("alerts") or []:
-                self._alerts.inc()
-                rule = episode.get("rule", "?")
-                self._alert_rule_counts[rule] = (
-                    self._alert_rule_counts.get(rule, 0) + 1)
-                self.registry.counter(
-                    "alerts_by_rule_total",
-                    "Alert episodes journaled, by rule and severity.",
-                    labels={"rule": rule,
-                            "severity": episode.get("severity", "?")},
-                ).inc()
-                self._recent_alerts.append(
-                    dict(episode, point_id=point.point_id))
+            if row is not None and "kill_rate" in row:
+                self._recent_kill_rate.append(row["kill_rate"])
+        for episode in alerts:
+            self._alerts.inc()
+            rule = episode.get("rule", "?")
+            self._alert_rule_counts[rule] = (
+                self._alert_rule_counts.get(rule, 0) + 1)
+            self.registry.counter(
+                "alerts_by_rule_total",
+                "Alert episodes journaled, by rule and severity.",
+                labels={"rule": rule,
+                        "severity": episode.get("severity", "?")},
+            ).inc()
+            self._recent_alerts.append(
+                dict(episode, point_id=point.point_id))
         self._last_point = {
             "point_id": point.point_id,
             "grid": point.grid,
@@ -237,30 +194,53 @@ class CampaignMonitor:
             "outcome": outcome,
             "elapsed": elapsed,
         }
+
+    def mark(self, now: Optional[float] = None) -> None:
+        """Sample ``done`` for the settle rate."""
+        self._settles.append((self._clock() if now is None else now,
+                              self.done))
+
+    def on_point(
+        self,
+        point: "CampaignPoint",
+        outcome: str,
+        elapsed: float,
+        row: Optional[Dict[str, Any]] = None,
+        alerts: Sequence[Dict[str, Any]] = (),
+        final: bool = False,
+    ) -> None:
+        """:meth:`fold` one point as it is journaled, sample the settle
+        rate (a skip took no time, so it does not) and maybe write the
+        heartbeat."""
+        self.fold(point, outcome, elapsed, row, alerts, final)
         now = self._clock()
+        if outcome != "skipped":
+            self.mark(now)
         if (self._last_write is None
                 or (now - self._last_write) >= self.interval
                 or self.done >= self.total):
-            self._write("running", now)
+            self.publish("running")
+            self._last_write = now
 
     def finalize(self) -> None:
         """Write the terminal heartbeat (state "finished")."""
-        self._write("finished", self._clock())
+        self.publish("finished")
 
     # -- heartbeat assembly ---------------------------------------------
 
     def eta_seconds(self) -> Optional[float]:
-        """Remaining-time estimate from the rolling wall-time window."""
+        """Remaining points ÷ the settle rate over the sample window."""
         remaining = self.total - self.done
         if remaining <= 0:
             return 0.0
-        if not self._recent_wall:
+        if len(self._settles) < 2:
             return None
-        mean = sum(self._recent_wall) / len(self._recent_wall)
-        return mean * remaining
+        (t0, d0), (t1, d1) = self._settles[0], self._settles[-1]
+        if d1 <= d0 or t1 <= t0:
+            return None
+        return remaining * (t1 - t0) / (d1 - d0)
 
     def snapshot(self, state: str = "running") -> Dict[str, Any]:
-        delivered = self._delivered.value
         return {
             "name": self.name,
             "state": state,
@@ -271,13 +251,6 @@ class CampaignMonitor:
             "total": self.total,
             "eta_seconds": self.eta_seconds(),
             "last_point": self._last_point,
-            "rates": {
-                "kills_per_delivered": (
-                    self._kills.value / delivered if delivered else 0.0),
-                "retransmissions_per_delivered": (
-                    self._retransmissions.value / delivered
-                    if delivered else 0.0),
-            },
             "recent_wall_seconds": list(self._recent_wall),
             "recent_kill_rates": list(self._recent_kill_rate),
             "alerts": {
@@ -288,13 +261,44 @@ class CampaignMonitor:
             "metrics": self.registry.snapshot(),
         }
 
-    def _write(self, state: str, now: float) -> None:
+    def publish(
+        self,
+        state: str,
+        extra: Optional[Dict[str, Any]] = None,
+        registries: Sequence[MetricsRegistry] = (),
+        health: Optional[Dict[str, Any]] = None,
+    ) -> Dict[str, Any]:
+        """The :meth:`snapshot` plus ``extra`` blocks (the coordinator's
+        ``workers`` and ``fabric``) and the ``registries``' metrics,
+        everywhere it is read: the status file and, with a server
+        attached, ``/status``, ``/metrics`` (the registries' Prometheus
+        text, concatenated) and ``/health`` (progress, alert counts,
+        ``health``).  Returns the heartbeat."""
         status = self.snapshot(state)
-        publish_heartbeat(
-            status, self.path, self.server, [self.registry],
-            health={"alerts": status["alerts"]["by_rule"]},
-        )
-        self._last_write = now
+        status.update(extra or {})
+        for registry in registries:
+            status["metrics"].update(registry.snapshot())
+        if self.path is not None:
+            write_status(self.path, status)
+        if self.server is not None:
+            from .. import __version__
+
+            self.server.publish(
+                metrics_text="".join(
+                    registry.prometheus_text()
+                    for registry in (self.registry, *registries)),
+                health={
+                    "status": "ok" if state == "running" else state,
+                    "campaign": self.name,
+                    "done": self.done,
+                    "total": self.total,
+                    "alerts": status["alerts"]["by_rule"],
+                    **(health or {}),
+                    "version": __version__,
+                },
+                status=status,
+            )
+        return status
 
 
 # ----------------------------------------------------------------------
@@ -472,12 +476,6 @@ def _render_progress(status: Dict[str, Any],
             f" {last.get('elapsed', 0.0):.2f}s]"
             + (f" {coords}" if coords else "")
         )
-    rates = status.get("rates") or {}
-    lines.append(
-        f"  kills/delivered {rates.get('kills_per_delivered', 0.0):.4f}"
-        f"   retx/delivered "
-        f"{rates.get('retransmissions_per_delivered', 0.0):.4f}"
-    )
     walls = status.get("recent_wall_seconds") or []
     kills = status.get("recent_kill_rates") or []
     if walls:

@@ -5,7 +5,7 @@ fabric (:mod:`repro.campaign.fabric`) reuses verbatim:
 
 * **Submit** — :func:`submit_campaign` registers the spec in the
   :class:`~repro.campaign.store.CampaignStore` and expands it into
-  runnable points (applying the ``verify`` transform).
+  runnable points (``verify`` goes into the stored spec).
 * **Lease** — deciding which pending points this executor runs.  The
   local runner "leases" everything not already stored ``ok`` under a
   matching config hash; fabric workers lease bounded batches through
@@ -35,7 +35,7 @@ Campaign-level guarantees on top of :func:`repro.sim.parallel.run_reports`:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 from ..obs import open_telemetry
@@ -89,23 +89,21 @@ def submit_campaign(
 ) -> List[CampaignPoint]:
     """Register ``spec`` in the store and expand it into runnable points.
 
-    ``verify=True`` arms the repro.verify invariant checker on every
-    point's config (changing its hash, so unverified stored rows re-run
-    rather than resume).  Fabric workers call this against the spec
-    they load back from the store, so every executor sees the same
-    point list in the same order.
+    ``verify=True`` registers the spec with ``"verify": true`` in every
+    grid's ``base``, arming the repro.verify invariant checker on every
+    point (changing its hash, so unverified stored rows re-run rather
+    than resume).  Fabric workers call this against the spec they load
+    back from the store, so every executor sees the same point list in
+    the same order, verified or not.
 
     A point whose config has no hash is refused, before anything is
     written, with a ``ValueError`` naming it and the field: resume
     compares hashes, so such a point could never be told apart from
     the same point with that field changed.
     """
-    points = list(spec.points())
     if verify:
-        points = [
-            replace(point, config=point.config.with_(verify=True))
-            for point in points
-        ]
+        spec = spec.with_base(verify=True)
+    points = list(spec.points())
     for point in points:
         if point.config_hash is None:
             raise ValueError(
@@ -292,10 +290,10 @@ class PointReporter:
         if episodes:
             self.store.record_alerts(self.spec.name, point, episodes)
         if self.monitor is not None:
-            # The journal sees the full report (pre-_project), so the
-            # heartbeat's kill/retransmit rates come from counters the
-            # stored row may not keep.
-            self.monitor.on_point(point, "ok", elapsed, report)
+            # The heartbeat sees what the journal now holds, exactly as
+            # a fabric coordinator reading the store back would.
+            self.monitor.on_point(point, "ok", elapsed, projected,
+                                  episodes or ())
         self.settled += 1
         self.stats.ran += 1
         self.stats.wall_time += elapsed

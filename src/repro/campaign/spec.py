@@ -250,6 +250,13 @@ class CampaignSpec:
             }
         return out
 
+    def with_base(self, **fields: Any) -> "CampaignSpec":
+        """This spec with ``fields`` set in every grid's ``base``."""
+        return dataclasses.replace(self, grids=tuple(
+            dataclasses.replace(grid, base={**grid.base, **fields})
+            for grid in self.grids
+        ))
+
     # -- expansion ------------------------------------------------------
 
     @property
@@ -287,10 +294,3 @@ class CampaignSpec:
                         replication=rep,
                         config=config,
                     )
-
-    def point(self, point_id: str) -> Optional[CampaignPoint]:
-        """The point with the given id, or None if the spec lacks it."""
-        for candidate in self.points():
-            if candidate.point_id == point_id:
-                return candidate
-        return None

@@ -323,22 +323,6 @@ class CampaignStore:
             return None
         return CampaignSpec.from_dict(json.loads(row["spec"]))
 
-    def delete_campaign(self, campaign: str) -> int:
-        """Drop a campaign and its results; returns rows removed."""
-        with self._txn():
-            cursor = self._conn.execute(
-                "DELETE FROM results WHERE campaign = ?", (campaign,)
-            )
-            for table in ("leases", "workers", "timeseries", "alerts",
-                          "spans"):
-                self._conn.execute(
-                    f"DELETE FROM {table} WHERE campaign = ?", (campaign,)
-                )
-            self._conn.execute(
-                "DELETE FROM campaigns WHERE name = ?", (campaign,)
-            )
-        return cursor.rowcount
-
     # -- per-point writes ----------------------------------------------
 
     def _write(self, campaign: str, point: CampaignPoint, status: str,
@@ -861,10 +845,32 @@ class CampaignStore:
         ).fetchall()
         return {row["point_id"]: row["config_hash"] for row in rows}
 
-    def is_done(self, campaign: str, point: CampaignPoint) -> bool:
-        """True when ``point`` is stored 'ok' with a matching config hash."""
-        stored = self.result_states(campaign).get(point.point_id)
-        return settled(stored, point.config_hash, None) == "ok"
+    def journal_rows(self, campaign: str,
+                     point_ids: Sequence[str]) -> List[Dict[str, Any]]:
+        """What the journal holds for ``point_ids``, in the order the
+        rows landed: ``wall_time``, the stored metric row (``report``,
+        parsed; None for a failure) and the point's alert episodes
+        (``alerts``).  The fabric coordinator asks only for the points
+        settled since its last poll."""
+        out = []
+        for point_id in point_ids:
+            row = self._conn.execute(
+                "SELECT wall_time, report, created_at "
+                "FROM results WHERE campaign = ? AND point_id = ?",
+                (campaign, point_id),
+            ).fetchone()
+            if row is not None:
+                out.append({
+                    "point_id": point_id,
+                    "wall_time": row["wall_time"],
+                    "created_at": row["created_at"],
+                    "report": (json.loads(row["report"])
+                               if row["report"] else None),
+                    "alerts": self.alerts(campaign, point_id).get(
+                        point_id, []),
+                })
+        out.sort(key=lambda row: row["created_at"])
+        return out
 
     def rows(self, campaign: str,
              status: Optional[str] = None) -> List[Dict[str, Any]]:

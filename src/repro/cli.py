@@ -177,10 +177,22 @@ def _checked(config: SimConfig) -> SimConfig:
     return config
 
 
+def _at_least(floor: float, above: bool = False,
+              **flags: Optional[float]) -> None:
+    """Each given flag (``lease_ttl=-5`` is ``--lease-ttl -5``) is at
+    least ``floor`` -- or strictly ``above`` it."""
+    for name, value in flags.items():
+        if value is not None and (value < floor
+                                  or (above and value == floor)):
+            raise UsageError(
+                f"--{name.replace('_', '-')} must be "
+                f"{'>' if above else '>='} {floor}, got {value}"
+            )
+
+
 def _pool_width(workers: int) -> Optional[int]:
     """``--workers`` as an executor width: 0 is one per CPU (None)."""
-    if workers < 0:
-        raise UsageError(f"--workers must be >= 0, got {workers}")
+    _at_least(0, workers=workers)
     return workers or None
 
 
@@ -430,11 +442,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-attempts", type=int, default=None, metavar="N",
         help="attempts across all workers before a failing point is "
              "terminal (default: 3)",
-    )
-    cworker_p.add_argument(
-        "--verify", action="store_true",
-        help="arm the invariant checker on every point (must match "
-             "the coordinator's --verify)",
     )
     cworker_p.add_argument(
         "--trace", action="store_true",
@@ -937,15 +944,10 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         args.name, "quick" if args.quick else args.scale
     )
     if args.workload is not None:
-        spec = dataclasses.replace(spec, grids=tuple(
-            dataclasses.replace(
-                grid, base={**grid.base, "workload": args.workload}
-            )
-            for grid in spec.grids
-        ))
+        spec = spec.with_base(workload=args.workload)
         _checked(next(spec.points()).config)
-    if args.retries < 0:
-        raise UsageError(f"--retries must be >= 0, got {args.retries}")
+    _at_least(0, retries=args.retries, lease_ttl=args.lease_ttl,
+              lease_batch=args.lease_batch)
     workers = _pool_width(args.workers)
 
     if args.workers_fabric > 0:
@@ -1049,11 +1051,12 @@ def _cmd_campaign_worker(args: argparse.Namespace) -> int:
     from .campaign.fabric import Worker
 
     _require_shared_db(args.db)
+    _at_least(1, batch=args.batch, max_attempts=args.max_attempts)
+    _at_least(0, above=True, ttl=args.ttl, poll=args.poll)
     worker = Worker(
         args.name,
         args.db,
         worker_id=args.worker_id,
-        verify=args.verify,
         trace=True if args.trace else None,
         **_given(batch=args.batch, ttl=args.ttl, poll=args.poll,
                  max_attempts=args.max_attempts),
@@ -1160,6 +1163,7 @@ def _cmd_campaign_watch(args: argparse.Namespace) -> int:
     from .campaign import read_status, render_status, status_path
     from .campaign.monitor import status_svg
 
+    _at_least(0, above=True, interval=args.interval)
     path = args.status_file or status_path(args.db, args.name)
     if path is None:
         raise UsageError(

@@ -200,9 +200,8 @@ class TestMonitorAlerts:
 
     def test_episodes_land_in_heartbeat_and_registry(self, tmp_path):
         monitor, path = self.make_monitor(tmp_path)
-        report = {"alerts": [episode(), episode(rule="delivery-slo",
-                                                severity="warning")]}
-        monitor.on_point(make_point(), "ok", 0.5, report)
+        monitor.on_point(make_point(), "ok", 0.5, alerts=[
+            episode(), episode(rule="delivery-slo", severity="warning")])
         status = read_status(path)
         assert status["alerts"]["total"] == 2
         assert status["alerts"]["by_rule"] == {
@@ -235,7 +234,7 @@ class TestMonitorAlerts:
                 "m", 2, None, interval=0.0, server=server,
             )
             monitor.on_point(make_point(), "ok", 0.5,
-                             {"alerts": [episode()]})
+                             alerts=[episode()])
             monitor.finalize()
             assert server.publishes >= 2
             health = server.health()

@@ -104,6 +104,34 @@ class TestWatch:
         usage_error("campaign watch", "--status-file")
 
 
+class TestFlagBounds:
+    """Fabric and watch flags refuse a bad value by name, before a
+    store is read or a worker spawned (0 keeps meaning "default" for
+    ``--lease-ttl`` / ``--lease-batch``)."""
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("watch", "--interval", "0"),
+        ("watch", "--interval", "-1"),
+        ("worker", "--batch", "0"),
+        ("worker", "--max-attempts", "0"),
+        ("worker", "--ttl", "0"),
+        ("worker", "--ttl", "-1"),
+        ("worker", "--poll", "-1"),
+        ("run", "--lease-ttl", "-5"),
+        ("run", "--lease-batch", "-3"),
+    ])
+    def test_refused_by_name(self, command, flag, value, db, usage_error):
+        argv = {
+            "watch": ["watch", "x", "--once", "--db", db],
+            "worker": ["worker", "x", "--db", db],
+            # :memory: is refused next, so a missed check runs nothing.
+            "run": ["run", "fault-matrix", "--workers-fabric", "2",
+                    "--db", ":memory:"],
+        }[command]
+        assert cli_main(["campaign", *argv, flag, value]) == 2
+        usage_error(f"campaign {command}", flag)
+
+
 class TestList:
     def test_lists_builtins_with_sizes(self, capsys):
         assert cli_main(["campaign", "list"]) == 0

@@ -12,12 +12,14 @@ from repro.campaign import (
     CampaignStore,
     Coordinator,
     Worker,
+    read_status,
     run_campaign,
 )
 from repro.campaign.fabric import default_worker_id
 from repro.campaign.monitor import render_status, render_workers
 from repro.campaign.runner import point_candidates
 from repro.obs.metrics import parse_prometheus_text
+from repro.sim.parallel import config_cache_key
 
 
 SPEC_DICT = {
@@ -202,6 +204,120 @@ class TestCoordinator:
         status = second.poll()
         store.close()
         assert status["done"] == status["total"] == 4
+
+
+#: two points, each journaling one alert episode (the rule holds in
+#: every sampler window).
+ALERTING_DICT = {
+    "name": "fab-al",
+    "base": {"radix": 4, "warmup": 50, "measure": 200, "drain": 2000,
+             "message_length": 8, "sample_interval": 100,
+             "alerts": [{"name": "heartbeat", "metric": "delivery_ratio",
+                         "op": "<=", "value": 1.0, "severity": "info"}]},
+    "axes": {"routing": ["cr"], "load": [0.1, 0.2]},
+}
+
+
+class TestOneHeartbeat:
+    """The coordinator's heartbeat is the local runner's: the same
+    CampaignMonitor, folded from what the journal holds."""
+
+    def test_fabric_heartbeat_matches_a_local_run(self, db, tmp_path):
+        from repro.obs.server import TelemetryServer
+
+        spec = CampaignSpec.from_dict(ALERTING_DICT)
+        heartbeat = str(tmp_path / "fabric.status.json")
+        polled = []
+        server = TelemetryServer()
+        store = CampaignStore(db)
+        try:
+            coordinator = Coordinator(
+                spec, store, heartbeat_path=heartbeat, interval=0.05,
+                server=server, on_poll=polled.append)
+            run_worker(spec, db, worker_id="w1")
+            stats = coordinator.run(timeout=60)
+            served = server.status()
+            health = server.health()
+            scrape = parse_prometheus_text(server.metrics_text())
+        finally:
+            server.stop()
+            store.close()
+        assert stats.complete
+        status = read_status(heartbeat)
+        text = render_status(status)
+        assert "alerts: 2 episode(s)  heartbeatx2" in text
+        assert "last point: " in text
+        assert "point wall s" in text and "kill rate" in text
+        assert "kills/delivered" not in text
+        assert "workers: 1" in text
+        assert {"cr_campaign_alerts_total",
+                "cr_fabric_points_done"} <= set(status["metrics"])
+        # One heartbeat everywhere it is read.
+        assert polled[-1]["alerts"] == served["alerts"] == status["alerts"]
+        assert health["alerts"] == {"heartbeat": 2}
+        assert health["workers_live"] == 0  # w1 left, state finished
+        assert scrape["cr_campaign_alerts_total"]["samples"][
+            "cr_campaign_alerts_total"] == 2
+        assert scrape["cr_fabric_points_done"]["samples"][
+            "cr_fabric_points_done"] == 2
+
+        local_path = str(tmp_path / "local.status.json")
+        with CampaignStore(str(tmp_path / "local.sqlite")) as local_store:
+            run_campaign(spec, local_store, heartbeat=0.0,
+                         heartbeat_path=local_path)
+        local = read_status(local_path)
+        assert set(status) - set(local) == {"kind", "workers", "fabric"}
+        assert set(local) <= set(status)
+        for key in ("done", "total", "failed", "recent_kill_rates",
+                    "alerts", "eta_seconds"):
+            assert status[key] == local[key], key
+        assert {k: v for k, v in status["last_point"].items()
+                if k != "elapsed"} == {
+            k: v for k, v in local["last_point"].items() if k != "elapsed"}
+
+    def test_resumed_coordinator_folds_what_already_settled(self, db):
+        spec = CampaignSpec.from_dict(ALERTING_DICT)
+        store = CampaignStore(db)
+        first = Coordinator(spec, store, heartbeat_path=None)
+        assert first.poll()["done"] == 0
+        del first  # coordinator "crash"
+        run_worker(spec, db, worker_id="w1")
+        second = Coordinator(spec, store, heartbeat_path=None)
+        status = second.poll()
+        again = second.poll()  # nothing is folded twice
+        store.close()
+        assert status["done"] == status["total"] == 2
+        assert status["state"] == "finished"
+        assert status["eta_seconds"] == 0.0
+        assert status["last_point"]["outcome"] == "ok"
+        assert len(status["recent_wall_seconds"]) == 2
+        assert len(status["recent_kill_rates"]) == 2
+        assert status["alerts"]["total"] == 2
+        assert again["alerts"] == status["alerts"]
+        assert again["done"] == 2
+
+    def test_verify_is_stored_so_a_plain_worker_runs_it(self, db):
+        """The stored spec carries ``verify``: a worker joined without
+        being told still runs the verified points, and their hashes
+        are the ones ``config.with_(verify=True)`` gives."""
+        spec = CampaignSpec.from_dict(dict(
+            SPEC_DICT, axes={"routing": ["cr"], "load": [0.1, 0.15]}))
+        store = CampaignStore(db)
+        coordinator = Coordinator(spec, store, heartbeat_path=None,
+                                  interval=0.05, verify=True)
+        assert all(grid.base["verify"] is True
+                   for grid in store.spec(spec.name).grids)
+        worker = run_worker(spec, db, worker_id="w1")
+        stats = coordinator.run(timeout=30)
+        hashes = {row["point_id"]: row["config_hash"]
+                  for row in store.rows(spec.name)}
+        store.close()
+        assert worker.stats.complete and stats.complete
+        assert hashes == {
+            point.point_id: config_cache_key(
+                point.config.with_(verify=True))
+            for point in spec.points()
+        }
 
 
 class TestWorkersPane:

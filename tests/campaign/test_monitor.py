@@ -109,26 +109,46 @@ class TestMonitorAccounting:
         assert counters['{outcome="failed"}'] == 1.0
         assert counters['{outcome="skipped"}'] == 1.0
 
-    def test_rates_accumulate_from_reports(self, tmp_path):
+    def test_kill_rate_sparkline_reads_the_stored_row(self, tmp_path):
         monitor, path = self.make_monitor(tmp_path)
-        report = {"kills": 6, "retransmissions": 3,
-                  "messages_delivered": 60, "kill_rate": 0.1}
-        monitor.on_point(make_point(), "ok", 0.5, report)
-        monitor.on_point(make_point(), "ok", 0.7, report)
+        monitor.on_point(make_point(), "ok", 0.5, {"kill_rate": 0.1})
+        monitor.on_point(make_point(), "ok", 0.7, {"kill_rate": 0.3})
+        monitor.on_point(make_point(), "ok", 0.7, {"throughput": 0.2})
         status = read_status(path)
-        assert status["rates"]["kills_per_delivered"] == pytest.approx(
-            12 / 120)
-        assert (status["rates"]["retransmissions_per_delivered"]
-                == pytest.approx(6 / 120))
-        assert status["recent_kill_rates"] == [0.1, 0.1]
+        # A row that does not store kill_rate adds no made-up sample.
+        assert status["recent_kill_rates"] == [0.1, 0.3]
+        assert status["recent_wall_seconds"] == [0.5, 0.7, 0.7]
+        # Nothing the journal does not hold: no rates, no counters.
+        assert "rates" not in status
+        assert not any(name.startswith(("cr_campaign_kills",
+                                        "cr_campaign_retransmissions",
+                                        "cr_campaign_messages"))
+                       for name in status["metrics"])
 
-    def test_eta_from_rolling_wall_times(self, tmp_path):
-        monitor, _ = self.make_monitor(tmp_path, total=10)
+    def test_eta_is_remaining_over_the_settle_rate(self, tmp_path):
+        """Points that settle two at a time (two workers, one poll a
+        second) read remaining / rate -- not mean point wall x
+        remaining, which here reads twice too long."""
+        now = [0.0]
+        monitor = CampaignMonitor("m", 10, None, clock=lambda: now[0])
         assert monitor.eta_seconds() is None  # no samples yet
+        # A resumed run's skips take no time: they are not a rate.
+        monitor.on_point(make_point(), "skipped", 0.0)
+        monitor.on_point(make_point(), "skipped", 0.0)
+        for second in (1.0, 2.0):
+            now[0] = second
+            monitor.fold(make_point(), "ok", 2.0)
+            monitor.fold(make_point(), "ok", 2.0)
+            monitor.mark()
+            if second == 1.0:
+                assert monitor.eta_seconds() is None  # one sample
+        # 2 points a second, 4 to go.
+        assert monitor.snapshot()["eta_seconds"] == pytest.approx(2.0)
+        # The local runner samples on every journaled point.
+        now[0] = 3.0
         monitor.on_point(make_point(), "ok", 2.0)
-        monitor.on_point(make_point(), "ok", 4.0)
-        # mean 3.0s over 8 remaining points.
-        assert monitor.eta_seconds() == pytest.approx(24.0)
+        # 3 to go at (7 - 4) points per (3 - 1) seconds.
+        assert monitor.eta_seconds() == pytest.approx(2.0)
 
     def test_eta_zero_when_complete(self, tmp_path):
         monitor, _ = self.make_monitor(tmp_path, total=1)
@@ -232,8 +252,6 @@ class TestRendering:
                 "point_id": "load=0.2/rep=0", "outcome": "ok",
                 "elapsed": 1.5, "scenario": {"load": 0.2},
             },
-            "rates": {"kills_per_delivered": 0.25,
-                      "retransmissions_per_delivered": 0.125},
             "recent_wall_seconds": [1.0, 2.0],
             "recent_kill_rates": [0.1, 0.3],
         }
@@ -243,7 +261,7 @@ class TestRendering:
         assert "eta 48.0s" in text
         assert "load=0.2/rep=0" in text
         assert "load=0.2" in text
-        assert "0.2500" in text and "0.1250" in text
+        assert "kills/delivered" not in text
         assert "▁█" in text  # sparklines present
 
     def test_render_status_tolerates_sparse_dict(self):

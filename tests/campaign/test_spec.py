@@ -128,13 +128,6 @@ class TestExpansion:
         assert point.config.routing == "cr"
         assert point.config.load == 0.1
 
-    def test_point_lookup(self):
-        spec = CampaignSpec.from_dict(tiny_dict())
-        pid = "routing=dor/load=0.2/rep=1"
-        point = spec.point(pid)
-        assert point is not None and point.point_id == pid
-        assert spec.point("nope") is None
-
 
 class TestPolicyDecoding:
     def test_timeout_encodings(self):

@@ -6,7 +6,7 @@ import pytest
 
 from repro import __version__
 from repro.campaign import CampaignSpec, CampaignStore
-from repro.campaign.store import STORE_SCHEMA_VERSION
+from repro.campaign.store import STORE_SCHEMA_VERSION, settled
 
 
 @pytest.fixture
@@ -39,14 +39,6 @@ class TestSpecRegistry:
         store.record_failure("s", points[1], "boom", 0.1)
         (entry,) = store.campaigns()
         assert (entry["name"], entry["ok"], entry["failed"]) == ("s", 1, 1)
-
-    def test_delete_campaign(self, store, spec):
-        store.register(spec)
-        store.record_success(
-            "s", next(iter(spec.points())), {"latency_mean": 1.0}, 0.1
-        )
-        assert store.delete_campaign("s") == 1
-        assert store.campaigns() == []
 
 
 class TestProvenance:
@@ -83,14 +75,17 @@ class TestProvenance:
 
 
 class TestResumeQueries:
-    def test_completed_and_is_done(self, store, spec):
+    def test_completed_and_settled(self, store, spec):
         points = list(spec.points())
         store.record_success("s", points[0], {"latency_mean": 1.0}, 0.1)
         store.record_failure("s", points[1], "boom", 0.1)
         done = store.completed("s")
         assert list(done) == [points[0].point_id]
-        assert store.is_done("s", points[0])
-        assert not store.is_done("s", points[1])
+        states = store.result_states("s")
+        assert settled(states[points[0].point_id],
+                       points[0].config_hash, None) == "ok"
+        assert settled(states[points[1].point_id],
+                       points[1].config_hash, None) is None
 
     def test_changed_config_invalidates_done(self, store, spec):
         point = next(iter(spec.points()))
@@ -102,7 +97,8 @@ class TestResumeQueries:
             replication=point.replication,
             config=point.config.with_(buffer_depth=9),
         )
-        assert not store.is_done("s", changed)
+        stored = store.result_states("s")[point.point_id]
+        assert settled(stored, changed.config_hash, None) is None
 
     def test_rewrite_replaces_row(self, store, spec):
         point = next(iter(spec.points()))
@@ -259,12 +255,6 @@ class TestSpanJournal:
         assert root["span_id"] == "a" * 16
         store.close_open_spans("s")
         assert store.open_root_span("s") is None
-
-    def test_delete_campaign_covers_spans(self, store, spec):
-        store.register(spec)
-        store.record_spans("s", [span_row("a" * 16)])
-        store.delete_campaign("s")
-        assert store.spans("s") == []
 
     def test_heartbeat_carries_span_and_tallies(self, store, spec):
         store.register(spec)
