@@ -23,17 +23,21 @@ recovered, not prevented:
   table is keyed on ``(campaign, point_id)`` and fenced writes are
   discarded, so worker loss costs only in-flight points.
 
-The :class:`Coordinator` owns no scheduling: it registers the grid
-(submit phase), then each poll folds the rows settled since the last
-one through the same :class:`~repro.campaign.monitor.CampaignMonitor`
-a local run uses — so the atomic ``<name>.status.json`` heartbeat
-``cr-sim campaign watch`` renders shows the same alerts, last point,
-sparklines and ETA — and adds a per-worker liveness pane (heartbeats,
-live and expired leases, reclaim totals) and ``cr_fabric_*`` gauges
-published through the :class:`~repro.obs.server.TelemetryServer`.  It
-is also restartable: if the coordinator dies, workers keep leasing and
-journaling; a new coordinator folds what already settled and carries
-on.
+Whether a point is done is the store's to say: the one
+:func:`~repro.campaign.store.settled` rule, with the attempt budget
+the stored spec carries (``max_attempts``), so workers, the
+coordinator and any reader agree without being told.
+:class:`CampaignView` reads a campaign's heartbeat from the store: it
+folds the rows settled since its last read through the same
+:class:`~repro.campaign.monitor.CampaignMonitor` a local run uses
+(alerts, last point, sparklines, ETA) and adds a per-worker liveness
+pane (heartbeats, live and expired leases, reclaim totals).
+``cr-sim campaign watch`` is a view over a read-only connection.  The
+:class:`Coordinator` is a view that first registers the grid (submit
+phase); it owns no scheduling, publishes ``cr_fabric_*`` gauges
+through the :class:`~repro.obs.server.TelemetryServer`, and is
+restartable: if it dies, workers keep leasing and journaling; a new
+coordinator folds what already settled and carries on.
 
 Entry points: ``cr-sim campaign run <spec> --workers-fabric N``
 (coordinator + N local worker processes) and ``cr-sim campaign worker
@@ -50,7 +54,7 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..obs import open_telemetry
 from ..obs.log import StructuredLogger, campaign_log_path
@@ -92,9 +96,6 @@ DEFAULT_BATCH = 2
 
 #: default idle poll (seconds) while other workers hold all the work.
 DEFAULT_POLL = 0.25
-
-#: attempts (across all workers) before a failing point is terminal.
-DEFAULT_MAX_ATTEMPTS = 3
 
 
 def default_worker_id() -> str:
@@ -143,7 +144,6 @@ class Worker:
         batch: int = DEFAULT_BATCH,
         ttl: float = DEFAULT_TTL,
         poll: float = DEFAULT_POLL,
-        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         progress: Optional[CampaignProgress] = None,
         trace: Optional[bool] = None,
         traceparent: Optional[str] = None,
@@ -155,7 +155,6 @@ class Worker:
         self.batch = max(1, int(batch))
         self.ttl = float(ttl)
         self.poll = float(poll)
-        self.max_attempts = max(1, int(max_attempts))
         self.progress = progress
         #: trace=None auto-arms from the CR_TRACE environment variable
         #: the coordinator sets when it spawns traced workers.
@@ -306,10 +305,12 @@ class Worker:
 
     def _run(self, store: CampaignStore, spec: CampaignSpec) -> WorkerStats:
         # Re-run the submit phase against the stored spec: expansion is
-        # deterministic and ``verify`` is part of the stored spec, so
-        # every worker sees the identical point list (the re-register
-        # is an idempotent refresh).
+        # deterministic and ``verify`` and the attempt budget are part
+        # of the stored spec, so every worker sees the identical point
+        # list and settles it by the same rule (the re-register is an
+        # idempotent refresh).
         points = submit_campaign(spec, store)
+        budget = spec.max_attempts
         by_id = {point.point_id: point for point in points}
         candidates = point_candidates(points)
         expected = dict(candidates)
@@ -330,20 +331,19 @@ class Worker:
         thread.start()
         try:
             while True:
-                if self._settled(store, expected):
+                if self._settled(store, expected, budget):
                     self.stats.complete = True
                     break
                 leases = store.acquire_leases(
                     self.campaign, self.worker_id, candidates,
-                    limit=self.batch, ttl=self.ttl,
-                    max_attempts=self.max_attempts,
+                    limit=self.batch, ttl=self.ttl, max_attempts=budget,
                 )
                 if not leases:
                     # Everything pending is leased elsewhere: wait for
                     # completion, a failure, or an expiry to reclaim.
                     time.sleep(self.poll)
                     continue
-                self._run_batch(store, reporter, by_id, leases)
+                self._run_batch(store, reporter, by_id, leases, budget)
         finally:
             self._stop.set()
             thread.join(timeout=self.ttl)
@@ -358,6 +358,7 @@ class Worker:
         reporter: PointReporter,
         by_id: Dict[str, CampaignPoint],
         leases: Sequence[Lease],
+        budget: int,
     ) -> None:
         self.stats.batches += 1
         reclaimed = sum(1 for lease in leases if lease.reclaimed)
@@ -405,7 +406,7 @@ class Worker:
             lease = leases[index]
             point = batch_points[index]
             final = (isinstance(report, PointFailure)
-                     and lease.attempt >= self.max_attempts)
+                     and lease.attempt >= budget)
             parent = None
             extra = None
             lease_span = self._lease_spans.pop(point.point_id, None)
@@ -466,9 +467,8 @@ class Worker:
                 store.record_spans(self.campaign, abandoned)
 
     def _settled(self, store: CampaignStore,
-                 expected: Dict[str, Optional[str]]) -> bool:
-        outcomes = store.settlement(self.campaign, expected,
-                                    self.max_attempts)
+                 expected: Dict[str, Optional[str]], budget: int) -> bool:
+        outcomes = store.settlement(self.campaign, expected, budget)
         return len(outcomes) == len(expected)
 
 
@@ -497,19 +497,156 @@ class FabricStats:
         return self.ok == self.total
 
 
-class Coordinator:
+class CampaignView:
+    """A campaign's heartbeat as its store holds it.
+
+    Each :meth:`read` folds the rows settled since the last read —
+    settled by the one rule, :func:`~repro.campaign.store.settled` with
+    the spec's ``max_attempts`` — into a
+    :class:`~repro.campaign.monitor.CampaignMonitor`, sampling the
+    settle rate at the journal's own timestamps, and returns the
+    per-worker liveness pane and the ``fabric`` block.  It only reads,
+    so the :class:`Coordinator` and ``cr-sim campaign watch`` (over a
+    read-only connection, see :meth:`open`) build the same view.
+    """
+
+    #: carry the workers pane before any worker has joined
+    fabric = False
+
+    def __init__(
+        self,
+        spec: CampaignSpec,
+        points: Sequence[CampaignPoint],
+        store: CampaignStore,
+        ttl: float = DEFAULT_TTL,
+        started: Optional[float] = None,
+    ) -> None:
+        self.spec = spec
+        self.store = store
+        self.ttl = float(ttl)
+        self.total = len(points)
+        self.expected = dict(point_candidates(points))
+        #: the points no read has folded into the heartbeat yet
+        self._unfolded = {point.point_id: point for point in points}
+        self._failures: List[str] = []
+        self.monitor = CampaignMonitor(spec.name, self.total, None,
+                                       clock=time.time)
+        #: wall time the campaign (re)started; the newest journal row
+        self.started = time.time() if started is None else started
+        self._last_row = self.started
+
+    @classmethod
+    def open(cls, store: CampaignStore,
+             name: str) -> Optional["CampaignView"]:
+        """The view of a registered campaign, or None if ``store``
+        holds no campaign ``name``."""
+        spec = store.spec(name)
+        if spec is None:
+            return None
+        (entry,) = [c for c in store.campaigns() if c["name"] == name]
+        return cls(spec, list(spec.points()), store,
+                   started=entry["updated_at"])
+
+    def read(self, now: Optional[float] = None
+             ) -> Tuple[List[Dict[str, Any]], Dict[str, Any]]:
+        """Fold what settled since the last read; the workers pane and
+        the ``fabric`` block as of ``now``."""
+        if now is None:
+            now = time.time()
+        outcomes = self.store.settlement(self.spec.name, self.expected,
+                                         self.spec.max_attempts)
+        self._failures = [point_id for point_id, outcome
+                          in outcomes.items() if outcome == "failed"]
+        fresh = [point_id for point_id in outcomes
+                 if point_id in self._unfolded]
+        for row in self.store.journal_rows(self.spec.name, fresh):
+            point = self._unfolded.pop(row["point_id"])
+            self.monitor.fold(point, outcomes[point.point_id],
+                              row["wall_time"], row["report"],
+                              row["alerts"], final=True)
+            # A row an earlier run journaled is a resumed skip: no
+            # settle-rate sample.
+            if row["created_at"] >= self.started:
+                self.monitor.mark(row["created_at"])
+            self._last_row = max(self._last_row, row["created_at"])
+
+        leases = self.store.leases(self.spec.name, now=now)
+        held = sum(1 for lease in leases if lease["live"])
+        workers = []
+        live_workers = 0
+        reclaims = 0
+        for row in self.store.workers(self.spec.name):
+            age = max(0.0, now - row["last_seen"])
+            if row["state"] in ("finished", "stopped"):
+                liveness = row["state"]
+            elif age <= max(self.ttl, STALE_AFTER):
+                liveness = "live"
+                live_workers += 1
+            elif age <= 3.0 * max(self.ttl, STALE_AFTER):
+                liveness = "stale"
+            else:
+                liveness = "dead"
+            reclaims += row["reclaims"]
+            workers.append({
+                "worker_id": row["worker_id"],
+                "state": liveness,
+                "last_seen_age": age,
+                "pid": row["pid"],
+                "host": row["host"],
+                "done": row["done"],
+                "failed": row["failed"],
+                "leases": row["leases"],
+                "reclaims": row["reclaims"],
+                "span": row.get("span", ""),
+                "spans": row.get("spans", 0),
+                "logs": row.get("logs", 0),
+            })
+        return workers, {
+            "live_workers": live_workers,
+            "workers_seen": len(workers),
+            "leases_held": held,
+            "leases_expired": len(leases) - held,
+            "reclaims": int(reclaims),
+        }
+
+    def heartbeat(self, now: Optional[float] = None) -> Dict[str, Any]:
+        """The campaign's heartbeat, as ``cr-sim campaign watch``
+        renders it and the :class:`Coordinator` publishes it: the
+        monitor's snapshot, stamped with the store's last activity (a
+        journaled row or a worker beat) and, for a fabric run, the
+        workers pane and the ``fabric`` block."""
+        if now is None:
+            now = time.time()
+        workers, fabric = self.read(now)
+        finished = self.monitor.done >= self.total
+        active = max([self._last_row] + [
+            now - worker["last_seen_age"] for worker in workers])
+        status = self.monitor.snapshot(
+            "finished" if finished else "running")
+        status.update(
+            updated_at=active,
+            elapsed_seconds=max(
+                0.0, (active if finished else now) - self.started),
+        )
+        if workers or self.fabric:
+            status.update(kind="fabric", workers=workers, fabric=fabric)
+        return status
+
+
+class Coordinator(CampaignView):
     """Submits the grid, then aggregates fabric state until it settles.
 
     Owns no scheduling — workers lease autonomously — so a coordinator
     crash never stalls the campaign; restart it and aggregation
-    resumes.  Each :meth:`poll` folds the rows settled since the last
-    poll into its :class:`~repro.campaign.monitor.CampaignMonitor` (a
-    fresh coordinator folds everything already settled), adds the
-    per-worker liveness pane and the ``fabric`` block, and publishes
-    the heartbeat — the status file ``cr-sim campaign watch`` renders
-    and, with a :class:`~repro.obs.server.TelemetryServer` attached,
-    ``/status`` plus the ``cr_campaign_*`` and ``cr_fabric_*`` metrics.
+    resumes.  Each :meth:`poll` publishes the view's
+    :meth:`~CampaignView.heartbeat` (a fresh coordinator folds
+    everything already settled) — the ``status.json`` export and, with a
+    :class:`~repro.obs.server.TelemetryServer` attached, ``/status``
+    plus the ``cr_campaign_*`` and ``cr_fabric_*`` metrics.  The
+    attempt budget is the spec's ``max_attempts``.
     """
+
+    fabric = True
 
     def __init__(
         self,
@@ -518,18 +655,13 @@ class Coordinator:
         heartbeat_path: Optional[str] = None,
         interval: float = 1.0,
         ttl: float = DEFAULT_TTL,
-        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         verify: bool = False,
         server: Optional[Any] = None,
         on_poll: Optional[Callable[[Dict[str, Any]], None]] = None,
         trace: bool = False,
         log_level: str = "info",
     ) -> None:
-        self.spec = spec
-        self.store = store
         self.interval = float(interval)
-        self.ttl = float(ttl)
-        self.max_attempts = max(1, int(max_attempts))
         self.on_poll = on_poll
 
         # -- tracing + structured logging (armed by trace=True) --------
@@ -571,19 +703,13 @@ class Coordinator:
                                            submit.to_dict()])
         else:
             points = submit_campaign(spec, store, verify=verify)
-        #: the points no poll has folded into the heartbeat yet
-        self._unfolded = {point.point_id: point for point in points}
-        self.expected = dict(point_candidates(points))
-        self.total = len(points)
+        super().__init__(spec, points, store, ttl=ttl)
+        self.monitor.path = (heartbeat_path
+                             or status_path(store.path, spec.name))
+        self.monitor.server = server
         if self.logger is not None:
             self.logger.info("campaign_submitted", points=self.total)
-        self.monitor = CampaignMonitor(
-            spec.name, self.total,
-            heartbeat_path or status_path(store.path, spec.name),
-            server=server,
-        )
         self._last_reclaims = 0.0
-        self._failures: List[str] = []
 
         self.registry = MetricsRegistry(prefix="cr_fabric_")
         self._g_live = self.registry.gauge(
@@ -615,67 +741,24 @@ class Coordinator:
 
     # -- one aggregation step -------------------------------------------
 
-    def poll(self, state: str = "running") -> Dict[str, Any]:
-        """Fold what settled since the last poll; publish the heartbeat."""
-        now = time.time()
-        outcomes = self.store.settlement(self.spec.name, self.expected,
-                                         self.max_attempts)
-        self._failures = [point_id for point_id, outcome
-                          in outcomes.items() if outcome == "failed"]
-        fresh = [point_id for point_id in outcomes
-                 if point_id in self._unfolded]
-        for row in self.store.journal_rows(self.spec.name, fresh):
-            point = self._unfolded.pop(row["point_id"])
-            self.monitor.fold(point, outcomes[point.point_id],
-                              row["wall_time"], row["report"],
-                              row["alerts"], final=True)
-        self.monitor.mark()
-        done = self.monitor.done
-
-        leases = self.store.leases(self.spec.name, now=now)
-        held = sum(1 for lease in leases if lease["live"])
-        expired = len(leases) - held
-
-        workers = []
-        live_workers = 0
-        reclaims = 0
-        for row in self.store.workers(self.spec.name):
-            age = max(0.0, now - row["last_seen"])
-            if row["state"] in ("finished", "stopped"):
-                liveness = row["state"]
-            elif age <= max(self.ttl, STALE_AFTER):
-                liveness = "live"
-                live_workers += 1
-            elif age <= 3.0 * max(self.ttl, STALE_AFTER):
-                liveness = "stale"
-            else:
-                liveness = "dead"
-            reclaims += row["reclaims"]
-            workers.append({
-                "worker_id": row["worker_id"],
-                "state": liveness,
-                "last_seen_age": age,
-                "pid": row["pid"],
-                "host": row["host"],
-                "done": row["done"],
-                "failed": row["failed"],
-                "leases": row["leases"],
-                "reclaims": row["reclaims"],
-                "span": row["span"],
-                "spans": row["spans"],
-                "logs": row["logs"],
-            })
-            if self.logger is not None:
-                previous = self._worker_liveness.get(row["worker_id"])
+    def poll(self) -> Dict[str, Any]:
+        """Fold what settled since the last poll; publish the
+        :meth:`~CampaignView.heartbeat`."""
+        status = self.heartbeat()
+        workers, fabric = status["workers"], status["fabric"]
+        if self.logger is not None:
+            for worker in workers:
+                liveness = worker["state"]
+                previous = self._worker_liveness.get(worker["worker_id"])
                 if previous is not None and previous != liveness:
                     level = ("warning" if liveness in ("stale", "dead")
                              else "info")
                     self.logger.log(
                         level, f"worker_{liveness}",
-                        worker=row["worker_id"], was=previous,
-                        last_seen_age=round(age, 2),
+                        worker=worker["worker_id"], was=previous,
+                        last_seen_age=round(worker["last_seen_age"], 2),
                     )
-                self._worker_liveness[row["worker_id"]] = liveness
+                self._worker_liveness[worker["worker_id"]] = liveness
 
         if self._c_spans is not None:
             counts = self.store.span_counts(self.spec.name)
@@ -684,12 +767,13 @@ class Coordinator:
                 self._c_spans.inc(total_spans - self._span_rows_seen)
                 self._span_rows_seen = total_spans
 
-        self._g_live.set(live_workers)
-        self._g_workers.set(len(workers))
-        self._g_held.set(held)
-        self._g_expired.set(expired)
-        self._g_done.set(done)
-        self._g_failed.set(self.monitor.failed_settled)
+        self._g_live.set(fabric["live_workers"])
+        self._g_workers.set(fabric["workers_seen"])
+        self._g_held.set(fabric["leases_held"])
+        self._g_expired.set(fabric["leases_expired"])
+        self._g_done.set(status["done"])
+        self._g_failed.set(status["failed"])
+        reclaims = fabric["reclaims"]
         if reclaims > self._last_reclaims:
             self._c_reclaims.inc(reclaims - self._last_reclaims)
             self._last_reclaims = reclaims
@@ -701,20 +785,8 @@ class Coordinator:
         if self.trace_registry is not None:
             registries.append(self.trace_registry)
         status = self.monitor.publish(
-            state if done < self.total else "finished",
-            extra={
-                "kind": "fabric",
-                "workers": workers,
-                "fabric": {
-                    "live_workers": live_workers,
-                    "workers_seen": len(workers),
-                    "leases_held": held,
-                    "leases_expired": expired,
-                    "reclaims": int(reclaims),
-                },
-            },
-            registries=registries,
-            health={"workers_live": live_workers},
+            status, registries=registries,
+            health={"workers_live": fabric["live_workers"]},
         )
         if self.on_poll is not None:
             self.on_poll(status)
@@ -824,7 +896,6 @@ def spawn_worker(
     batch: int = DEFAULT_BATCH,
     ttl: float = DEFAULT_TTL,
     poll: float = DEFAULT_POLL,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     quiet: bool = True,
     trace: bool = False,
     traceparent: Optional[str] = None,
@@ -841,7 +912,6 @@ def spawn_worker(
         sys.executable, "-m", "repro.cli", "campaign", "worker",
         campaign, "--db", str(db_path),
         "--batch", str(batch), "--ttl", str(ttl), "--poll", str(poll),
-        "--max-attempts", str(max_attempts),
     ]
     if worker_id:
         cmd += ["--worker-id", worker_id]
@@ -860,7 +930,6 @@ def run_fabric(
     batch: int = DEFAULT_BATCH,
     ttl: float = DEFAULT_TTL,
     poll: float = DEFAULT_POLL,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     interval: float = 1.0,
     verify: bool = False,
     serve: Optional[object] = None,
@@ -884,15 +953,14 @@ def run_fabric(
     try:
         coordinator = Coordinator(
             spec, store, heartbeat_path=heartbeat_path,
-            interval=interval, ttl=ttl, max_attempts=max_attempts,
+            interval=interval, ttl=ttl,
             verify=verify, server=server, on_poll=on_poll,
             trace=trace,
         )
         procs = [
             spawn_worker(
                 spec.name, db_path, worker_id=f"worker-{index + 1}",
-                batch=batch, ttl=ttl, poll=poll,
-                max_attempts=max_attempts, quiet=quiet_workers,
+                batch=batch, ttl=ttl, poll=poll, quiet=quiet_workers,
                 trace=trace, traceparent=coordinator.traceparent(),
             )
             for index in range(max(1, int(workers)))

@@ -1,20 +1,19 @@
-"""Live campaign monitoring: an atomic ``status.json`` heartbeat.
+"""Live campaign monitoring: the heartbeat and its terminal view.
 
-:class:`CampaignMonitor` is the one builder of the heartbeat
-(``<spec-name>.status.json`` beside ``results/campaigns.sqlite``), fed
-only what the journal holds for a settled point: the local runner
-hands it each point as it journals it, the fabric coordinator the rows
-settled since its last poll.  It holds points done/total, an ETA
-(remaining ÷ the settle rate), the last point, sparklines of wall time
-and stored ``kill_rate``, the alert episodes and a ``cr_campaign_``
-metrics registry.
+:class:`CampaignMonitor` is the one builder of the heartbeat, fed only
+what the journal holds for a settled point: the local runner hands it
+each point as it journals it; a
+:class:`~repro.campaign.fabric.CampaignView` (the fabric coordinator,
+``cr-sim campaign watch``) the rows settled since its last read.  It
+holds points done/total, an ETA (remaining ÷ the settle rate), the
+last point, sparklines of wall time and stored ``kill_rate``, the
+alert episodes and a ``cr_campaign_`` metrics registry.
 
-Writes are atomic (write temp + ``os.replace``), so a reader never
-sees a torn file and a killed campaign leaves the last consistent
-heartbeat behind; resuming the campaign picks the heartbeat back up
-(skipped points count as done).  ``cr-sim campaign watch <name>``
-renders the file as a refreshing terminal view — it only ever *reads*
-``status.json`` and never touches the SQLite write paths.
+The executors export it as ``<spec-name>.status.json`` beside
+``results/campaigns.sqlite``.  Writes are atomic (write temp +
+``os.replace``), so a reader never sees a torn file and a killed
+campaign leaves the last consistent export behind.  The render
+functions at the bottom are pure over a heartbeat dict.
 """
 
 from __future__ import annotations
@@ -219,12 +218,12 @@ class CampaignMonitor:
         if (self._last_write is None
                 or (now - self._last_write) >= self.interval
                 or self.done >= self.total):
-            self.publish("running")
+            self.publish(self.snapshot("running"))
             self._last_write = now
 
     def finalize(self) -> None:
         """Write the terminal heartbeat (state "finished")."""
-        self.publish("finished")
+        self.publish(self.snapshot("finished"))
 
     # -- heartbeat assembly ---------------------------------------------
 
@@ -263,19 +262,17 @@ class CampaignMonitor:
 
     def publish(
         self,
-        state: str,
-        extra: Optional[Dict[str, Any]] = None,
+        status: Dict[str, Any],
         registries: Sequence[MetricsRegistry] = (),
         health: Optional[Dict[str, Any]] = None,
     ) -> Dict[str, Any]:
-        """The :meth:`snapshot` plus ``extra`` blocks (the coordinator's
-        ``workers`` and ``fabric``) and the ``registries``' metrics,
-        everywhere it is read: the status file and, with a server
-        attached, ``/status``, ``/metrics`` (the registries' Prometheus
-        text, concatenated) and ``/health`` (progress, alert counts,
-        ``health``).  Returns the heartbeat."""
-        status = self.snapshot(state)
-        status.update(extra or {})
+        """A heartbeat built on :meth:`snapshot` (the coordinator's adds
+        its ``workers`` and ``fabric`` blocks), plus the ``registries``'
+        metrics, everywhere it is read: the status file and, with a
+        server attached, ``/status``, ``/metrics`` (the registries'
+        Prometheus text, concatenated) and ``/health`` (progress, alert
+        counts, ``health``).  Returns the heartbeat."""
+        state = status["state"]
         for registry in registries:
             status["metrics"].update(registry.snapshot())
         if self.path is not None:

@@ -5,11 +5,12 @@ fabric (:mod:`repro.campaign.fabric`) reuses verbatim:
 
 * **Submit** — :func:`submit_campaign` registers the spec in the
   :class:`~repro.campaign.store.CampaignStore` and expands it into
-  runnable points (``verify`` goes into the stored spec).
+  runnable points (``verify`` and the ``max_attempts`` budget go into
+  the stored spec).
 * **Lease** — deciding which pending points this executor runs.  The
-  local runner "leases" everything not already stored ``ok`` under a
-  matching config hash; fabric workers lease bounded batches through
-  the store's atomic lease table instead.
+  local runner "leases" everything the store does not hold
+  :func:`~repro.campaign.store.settled`; fabric workers lease bounded
+  batches through the store's atomic lease table instead.
 * **Report** — :class:`PointReporter` journals every outcome through
   the store (``record_success``/``record_failure`` plus the
   timeseries/alerts side tables), feeds the heartbeat monitor and the
@@ -18,15 +19,16 @@ fabric (:mod:`repro.campaign.fabric`) reuses verbatim:
 
 Campaign-level guarantees on top of :func:`repro.sim.parallel.run_reports`:
 
-* **Resume** — points already stored ``ok`` with a matching config hash
-  are skipped, so a killed-and-restarted run picks up exactly where it
-  stopped (a changed spec or library version re-runs the stale points).
+* **Resume** — settled points are skipped, so a killed-and-restarted
+  run picks up exactly where it stopped (a changed spec or library
+  version re-runs the stale ``ok`` points; a failure keeps counting its
+  journaled attempts).
 * **Crash safety** — every point is journaled via the executor's
   ``on_result`` hook the moment it lands, in its own SQLite
   transaction; an interrupt between points loses only in-flight work.
 * **Failure tolerance** — a point whose simulation raises is retried
-  with bounded backoff (``retries`` attempts, sleeping
-  ``backoff * 2**attempt`` capped at ``backoff_cap``); a point that
+  with bounded backoff (up to the spec's ``max_attempts``, sleeping
+  ``backoff * 2**round`` capped at ``backoff_cap``); a point that
   keeps failing is recorded as ``failed``, *settles into the done
   count* (shown as ``done (N failed)``), and the campaign moves on
   instead of aborting.
@@ -36,14 +38,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..obs import open_telemetry
 from ..obs.trace import Tracer
 from ..sim.parallel import PointFailure, run_reports, unstable_fields
 from .monitor import CampaignMonitor, status_path
 from .spec import CampaignPoint, CampaignSpec
-from .store import CampaignStore, settled
+from .store import CampaignStore, attempts_used, settled
 
 
 @dataclass(frozen=True)
@@ -68,7 +70,7 @@ class CampaignRunStats:
     total: int = 0  #: points in the expanded spec
     skipped: int = 0  #: already stored ok with matching provenance
     ran: int = 0  #: simulated successfully this invocation
-    failed: int = 0  #: exhausted retries; recorded as failures
+    failed: int = 0  #: terminal failures (attempt budget used up)
     retried: int = 0  #: extra attempts spent on flaky points
     wall_time: float = 0.0  #: simulation seconds (not wall clock)
     failures: List[str] = field(default_factory=list)  #: failed point ids
@@ -156,12 +158,20 @@ class PointReporter:
         #: closed ``run`` span (riding the fenced result transaction)
         #: and a ``journal`` span timing the store write itself.
         self.tracer = tracer
-        self.settled = 0  #: ok + skipped + terminally failed
 
-    def skip(self, point: CampaignPoint) -> None:
-        """Settle a point already stored ok with matching provenance."""
+    def skip(self, point: CampaignPoint, failed_attempts: int = 0) -> None:
+        """Settle a point the journal already holds settled: stored ok
+        with matching provenance or, given ``failed_attempts``, failed
+        with the attempt budget used up."""
+        if failed_attempts:
+            self.stats.failed += 1
+            self.stats.failures.append(point.point_id)
+            if self.monitor is not None:
+                # Journaled earlier: no time spent now, no rate sample.
+                self.monitor.fold(point, "failed", 0.0, final=True)
+            self._progress(point, "failed", 0.0, failed_attempts)
+            return
         self.stats.skipped += 1
-        self.settled += 1
         if self.monitor is not None:
             self.monitor.on_point(point, "skipped", 0.0)
         self._progress(point, "skipped", 0.0, 0)
@@ -257,7 +267,6 @@ class PointReporter:
             if not wrote:
                 return "fenced"
             if final:
-                self.settled += 1
                 self.stats.failed += 1
                 self.stats.failures.append(point.point_id)
             if self.monitor is not None:
@@ -294,7 +303,6 @@ class PointReporter:
             # a fabric coordinator reading the store back would.
             self.monitor.on_point(point, "ok", elapsed, projected,
                                   episodes or ())
-        self.settled += 1
         self.stats.ran += 1
         self.stats.wall_time += elapsed
         self._progress(point, "ok", elapsed, attempt)
@@ -303,9 +311,11 @@ class PointReporter:
     def _progress(self, point: CampaignPoint, outcome: str,
                   elapsed: float, attempt: int) -> None:
         if self.progress is not None:
+            stats = self.stats
             self.progress(CampaignPointStatus(
-                point.point_id, outcome, elapsed, self.settled,
-                self.stats.total, attempt,
+                point.point_id, outcome, elapsed,
+                stats.ran + stats.skipped + stats.failed, stats.total,
+                attempt,
             ))
 
 
@@ -317,7 +327,6 @@ def run_campaign(
     spec: CampaignSpec,
     store: CampaignStore,
     workers: Optional[int] = 1,
-    retries: int = 2,
     backoff: float = 0.25,
     backoff_cap: float = 5.0,
     progress: Optional[CampaignProgress] = None,
@@ -330,8 +339,10 @@ def run_campaign(
     """Execute (or resume) a campaign; every outcome lands in ``store``.
 
     Returns run statistics; raises only on programmer error or
-    interrupt — simulation failures are journaled, retried up to
-    ``retries`` extra attempts, then recorded as ``failed`` rows.
+    interrupt — simulation failures are journaled and retried until
+    the spec's ``max_attempts`` are used up, counting the attempts the
+    journal already holds, then recorded as terminal ``failed`` rows
+    (which a resume leaves settled, as every executor does).
 
     ``verify=True`` arms the repro.verify invariant checker on every
     point.  The verify flag changes each point's config hash, so a
@@ -339,10 +350,10 @@ def run_campaign(
     points under checking.
 
     ``heartbeat`` (seconds between writes; None disables) keeps an
-    atomic ``<name>.status.json`` live next to the store for
-    ``cr-sim campaign watch``; ``heartbeat_path`` overrides its
-    location (required for in-memory stores, which otherwise skip the
-    heartbeat).
+    atomic ``<name>.status.json`` export next to the store
+    (``cr-sim campaign watch`` reads the store itself and needs none);
+    ``heartbeat_path`` overrides its location (required for in-memory
+    stores, which otherwise skip the heartbeat).
 
     ``serve`` starts a live telemetry HTTP server for the duration of
     the campaign: a ``[HOST:]PORT`` spec / port / ``True`` (loopback,
@@ -404,32 +415,38 @@ def run_campaign(
                                  progress=progress, tracer=tracer)
 
         # -- lease phase (local: claim everything not already settled) -
-        # max_attempts=None: the retry budget is per invocation, so a
-        # stored failure is pending again.  A point with no row is not
-        # hashed.
+        # The one settlement rule, with the spec's attempt budget; a
+        # pending failure resumes at the attempt after its journaled
+        # one, a row of another config at attempt 1.
+        budget = spec.max_attempts
         pending: List[CampaignPoint] = []
+        attempts: Dict[str, int] = {}
         for point in points:
             stored = states.get(point.point_id)
-            if stored is not None and settled(
-                stored, point.config_hash, None
-            ):
-                reporter.skip(point)
+            outcome = settled(stored, point.config_hash, budget)
+            if outcome is not None:
+                reporter.skip(point, stored["attempts"]
+                              if outcome == "failed" else 0)
                 continue
+            attempts[point.point_id] = attempts_used(
+                stored, point.config_hash) + 1
             pending.append(point)
 
         # -- run + report phases ----------------------------------------
-        attempt = 1
+        round_ = 0
         while pending:
             failed_now: List[CampaignPoint] = []
 
             def journal(index: int, report: object, elapsed: float,
                         cached: bool) -> None:
                 point = pending[index]
+                attempt = attempts[point.point_id]
                 final = (isinstance(report, PointFailure)
-                         and attempt > retries)
+                         and attempt >= budget)
                 outcome = reporter.report(point, report, elapsed, attempt,
                                           final=final)
                 if outcome == "failed" and not final:
+                    attempts[point.point_id] = attempt + 1
                     failed_now.append(point)
 
             run_reports(
@@ -442,9 +459,9 @@ def run_campaign(
             if not failed_now:
                 break
             stats.retried += len(failed_now)
-            time.sleep(min(backoff * (2 ** (attempt - 1)), backoff_cap))
+            time.sleep(min(backoff * (2 ** round_), backoff_cap))
             pending = failed_now
-            attempt += 1
+            round_ += 1
 
         if monitor is not None:
             monitor.finalize()

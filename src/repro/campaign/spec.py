@@ -16,6 +16,11 @@ derived seeds (``seed + replication``), so stored campaigns carry
 enough samples for the significance machinery in
 :mod:`repro.sim.replicate`.
 
+The spec also carries the campaign's attempt budget,
+``max_attempts``: a failing point is retried until it has used that
+many attempts, counted across every executor and invocation, and is
+then settled ``failed``.
+
 Policy-valued fields (``timeout``, ``backoff``) accept compact string
 encodings — ``"fixed:32"``, ``"static:16"``, ``"exponential"`` — so a
 spec stays a plain dict while still sweeping Fig. 11-style policy
@@ -37,6 +42,10 @@ from ..sim.parallel import config_cache_key
 
 #: SimConfig field names a grid may set (seed is derived, never set).
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(SimConfig)}
+
+#: attempts (across every executor and invocation) before a failing
+#: point is terminal, unless the spec says otherwise.
+DEFAULT_MAX_ATTEMPTS = 3
 
 
 def _decode_timeout(text: str) -> object:
@@ -183,6 +192,9 @@ class CampaignSpec:
         "latency_mean", "latency_p95", "latency_p99", "throughput",
         "kill_rate", "pad_overhead", "undelivered",
     )
+    #: the attempt budget: a point whose journaled failure has used
+    #: this many attempts is settled ``failed`` for every executor
+    max_attempts: int = DEFAULT_MAX_ATTEMPTS
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -191,6 +203,13 @@ class CampaignSpec:
             raise ValueError(f"campaign {self.name!r} has no grids")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if (not isinstance(self.max_attempts, int)
+                or isinstance(self.max_attempts, bool)
+                or self.max_attempts < 1):
+            raise ValueError(
+                f"campaign {self.name!r}: max_attempts must be an "
+                f"integer >= 1, got {self.max_attempts!r}"
+            )
         labels = [grid.label for grid in self.grids]
         if len(labels) != len(set(labels)):
             raise ValueError(f"duplicate grid labels in {self.name!r}")
@@ -226,6 +245,7 @@ class CampaignSpec:
             replications=int(data.get("replications", 1)),
             seed=int(data.get("seed", 42)),
             metrics=tuple(data.get("metrics", cls.metrics)),
+            max_attempts=data.get("max_attempts", DEFAULT_MAX_ATTEMPTS),
         )
 
     def to_dict(self) -> Dict[str, Any]:
@@ -236,6 +256,7 @@ class CampaignSpec:
             "replications": self.replications,
             "seed": self.seed,
             "metrics": list(self.metrics),
+            "max_attempts": self.max_attempts,
         }
         if len(self.grids) == 1 and self.grids[0].label == "":
             out["base"] = dict(self.grids[0].base)

@@ -9,11 +9,15 @@ the store schema version, wall time and a timestamp.  Failures are
 recorded too (status ``failed`` with the error text), so a campaign
 report can show holes instead of silently dropping scenarios.
 
-Resume semantics live in :func:`settled`: a point is *done* only if
-its stored status is ``ok`` **and** its stored config hash matches the
+Resume semantics live in :func:`settled`: a point is *done* if its
+stored status is ``ok`` **and** its stored config hash matches the
 hash of the config the current spec would run — edit the spec (or
 upgrade the simulator version embedded in the hash entry) and the
-stale points re-run instead of being trusted.
+stale points re-run instead of being trusted — or if its stored
+failure has used up the attempt budget the stored spec carries.  So
+the store alone answers "is this campaign finished, with how many
+failures?", for any reader (``readonly=True`` opens one that never
+writes).
 
 Since schema v4 the store is also the coordination surface for the
 distributed campaign fabric (:mod:`repro.campaign.fabric`): the file
@@ -38,8 +42,9 @@ import sqlite3
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from urllib.parse import quote
 
-from .spec import CampaignPoint, CampaignSpec
+from .spec import DEFAULT_MAX_ATTEMPTS, CampaignPoint, CampaignSpec
 
 #: bump when the results table layout changes incompatibly.
 #: v2: added the timeseries table (interval-sampler metrics per point).
@@ -163,10 +168,12 @@ _WORKER_MIGRATIONS = (
 class Lease:
     """One granted lease: a worker's exclusive claim on a point.
 
-    ``attempt`` is monotonic per point (it folds in every prior lease
-    and every journaled attempt), so it doubles as the fencing token:
-    a result write fenced on ``(worker_id, attempt)`` lands only while
-    this exact lease is still the current one.
+    ``attempt`` folds in every prior lease and every attempt journaled
+    under the point's current config (a row an older config journaled
+    used none of the budget), so it advances past any lease it takes
+    over and doubles as the fencing token: a result write fenced on
+    ``(worker_id, attempt)`` lands only while this exact lease is still
+    the current one.
     """
 
     point_id: str
@@ -177,28 +184,38 @@ class Lease:
 
 
 def settled(stored: Optional[Any], expected_hash: Optional[str],
-            max_attempts: Optional[int]) -> Optional[str]:
+            max_attempts: int) -> Optional[str]:
     """Is a point settled?  The campaign layer's *committed ⇒ delivered*.
 
     ``stored`` is the point's results row (``status`` / ``attempts`` /
     ``config_hash``; ``None`` when nothing was journaled yet).  Returns
     ``"ok"`` for a row stored ok under ``expected_hash``, ``"failed"``
-    for a failure that has used up ``max_attempts``, ``None`` for a
-    point that still has to run.  Every consumer asks here —
-    :meth:`CampaignStore.acquire_leases`, a fabric worker's exit test,
-    the coordinator's done count and the local runner's resume pass —
-    so they cannot drift apart.  ``max_attempts=None`` is the local
-    runner's deliberate difference: it keeps its retry budget per
-    invocation, so a ``failed`` row always re-runs on resume.
+    for a failure under ``expected_hash`` that has used up
+    ``max_attempts`` (the spec's attempt budget), ``None`` for a point
+    that still has to run — including any row journaled under another
+    config (an edited spec, another simulator), whose outcome says
+    nothing about this one.  Every consumer asks here, with the budget
+    the stored spec carries — :meth:`CampaignStore.acquire_leases`, a
+    fabric worker's exit test, the coordinator's done count, the local
+    runner's resume pass and ``cr-sim campaign watch`` — so they cannot
+    drift apart.
     """
-    if stored is None:
+    if stored is None or stored["config_hash"] != expected_hash:
         return None
-    if stored["status"] == "ok" and stored["config_hash"] == expected_hash:
+    if stored["status"] == "ok":
         return "ok"
-    if (stored["status"] == "failed" and max_attempts is not None
-            and stored["attempts"] >= max_attempts):
+    if stored["attempts"] >= max_attempts:
         return "failed"
     return None
+
+
+def attempts_used(stored: Optional[Any],
+                  expected_hash: Optional[str]) -> int:
+    """The attempts of the budget a point has used: its journaled
+    ``attempts`` under ``expected_hash``, none under another config."""
+    if stored is None or stored["config_hash"] != expected_hash:
+        return 0
+    return stored["attempts"]
 
 
 def _library_version() -> str:
@@ -211,23 +228,36 @@ class CampaignStore:
     """One SQLite file holding every campaign's results and specs.
 
     Usable as a context manager; writes are one transaction per point.
+    ``readonly=True`` opens an existing file for reading only (``cr-sim
+    campaign watch``): nothing is created, migrated or written, and
+    under WAL the reader never blocks a writer.  A missing file raises
+    :class:`FileNotFoundError`.
     """
 
-    def __init__(self, path: str = DEFAULT_DB_PATH) -> None:
+    def __init__(self, path: str = DEFAULT_DB_PATH,
+                 readonly: bool = False) -> None:
         self.path = str(path)
-        parent = os.path.dirname(self.path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
+        if readonly:
+            if not os.path.isfile(self.path):
+                raise FileNotFoundError(f"no campaign store at {self.path}")
+            target = f"file:{quote(os.path.abspath(self.path))}?mode=ro"
+        else:
+            target = self.path
+            parent = os.path.dirname(self.path)
+            if parent:
+                os.makedirs(parent, exist_ok=True)
         # isolation_level=None puts sqlite3 in autocommit: transactions
         # are opened explicitly (BEGIN IMMEDIATE in _txn) so multi-
         # process lease acquisition never deadlocks on a deferred
         # read-to-write upgrade, which busy_timeout cannot retry.
         self._conn = sqlite3.connect(
-            self.path, timeout=BUSY_TIMEOUT_MS / 1000.0,
-            isolation_level=None,
+            target, timeout=BUSY_TIMEOUT_MS / 1000.0,
+            isolation_level=None, uri=readonly,
         )
         self._conn.row_factory = sqlite3.Row
         self._conn.execute(f"PRAGMA busy_timeout = {BUSY_TIMEOUT_MS}")
+        if readonly:
+            return
         # WAL lets readers proceed under a writer and writers queue on
         # the busy handler instead of failing; in-memory stores report
         # journal_mode 'memory' and simply stay there.
@@ -614,7 +644,7 @@ class CampaignStore:
         candidates: Sequence[Tuple[str, Optional[str]]],
         limit: int,
         ttl: float,
-        max_attempts: int = 3,
+        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         now: Optional[float] = None,
     ) -> List[Lease]:
         """Atomically lease up to ``limit`` pending points to ``worker_id``.
@@ -623,8 +653,10 @@ class CampaignStore:
         sequence — normally every point of the expanded grid.  Inside
         one IMMEDIATE transaction a candidate is granted unless it is
         :func:`settled` (stored ``ok`` under the expected hash, or
-        ``failed`` with its attempts used up) or covered by a *live*
-        lease (another worker is running it).
+        ``failed`` under it with its attempts used up) or covered by a
+        *live* lease (another worker is running it).  A row journaled
+        under another hash counts no attempts: the point starts over at
+        attempt 1.
 
         A candidate whose lease has **expired** is taken over —
         ``Lease.reclaimed`` is True and the attempt advances past the
@@ -665,9 +697,8 @@ class CampaignStore:
                         continue  # live lease: someone else owns it
                     reclaimed = lease["worker_id"] != worker_id
                     prior = lease["attempt"]
-                if stored is not None:
-                    prior = max(prior, stored["attempts"])
-                attempt = prior + 1
+                attempt = max(prior,
+                              attempts_used(stored, expected_hash)) + 1
                 expiry = now + ttl
                 self._conn.execute(
                     "INSERT OR REPLACE INTO leases "
@@ -824,7 +855,7 @@ class CampaignStore:
 
     def settlement(self, campaign: str,
                    expected: Dict[str, Optional[str]],
-                   max_attempts: Optional[int]) -> Dict[str, str]:
+                   max_attempts: int) -> Dict[str, str]:
         """point_id -> ``"ok"`` | ``"failed"`` for the :func:`settled`
         points of ``expected`` (point_id -> expected config hash)."""
         states = self.result_states(campaign)

@@ -394,8 +394,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="points per fabric lease batch (default: 2)",
     )
     crun_p.add_argument(
-        "--retries", type=int, default=2,
-        help="extra attempts per failing point before recording failure",
+        "--retries", type=int, default=None,
+        help="extra attempts per failing point before it settles "
+             "failed; stored with the spec as max_attempts = retries + 1 "
+             "(default: the spec's, 3 attempts unless it says otherwise)",
     )
     crun_p.add_argument(
         "--verify", action="store_true",
@@ -439,11 +441,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "points (default: 0.25)",
     )
     cworker_p.add_argument(
-        "--max-attempts", type=int, default=None, metavar="N",
-        help="attempts across all workers before a failing point is "
-             "terminal (default: 3)",
-    )
-    cworker_p.add_argument(
         "--trace", action="store_true",
         help="arm tracing + structured logging (auto-armed when the "
              "coordinator spawned this worker with CR_TRACE=1; the "
@@ -461,8 +458,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cwatch_p = camp_sub.add_parser(
         "watch",
-        help="live view of a running campaign from its status.json "
-             "heartbeat (never touches the database)",
+        help="live view of a campaign, folded from what its store "
+             "journaled (read-only; never blocks the writers)",
     )
     cwatch_p.add_argument("name", help="campaign name")
     add_db(cwatch_p)
@@ -476,7 +473,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     cwatch_p.add_argument(
         "--status-file", default=None, metavar="PATH",
-        help="heartbeat file (default: <db dir>/<name>.status.json)",
+        help="render a status.json export instead of the store",
     )
     cwatch_p.add_argument(
         "--svg", default=None, metavar="PATH",
@@ -948,6 +945,8 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         _checked(next(spec.points()).config)
     _at_least(0, retries=args.retries, lease_ttl=args.lease_ttl,
               lease_batch=args.lease_batch)
+    if args.retries is not None:
+        spec = dataclasses.replace(spec, max_attempts=args.retries + 1)
     workers = _pool_width(args.workers)
 
     if args.workers_fabric > 0:
@@ -975,7 +974,6 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
             spec,
             store,
             workers=workers,
-            retries=args.retries,
             progress=report,
             verify=args.verify,
             serve=server,
@@ -1027,7 +1025,6 @@ def _campaign_run_fabric(args: argparse.Namespace, spec) -> int:
             spec,
             args.db,
             workers=args.workers_fabric,
-            max_attempts=args.retries + 1,
             verify=args.verify,
             serve=server,
             on_poll=narrate,
@@ -1051,15 +1048,14 @@ def _cmd_campaign_worker(args: argparse.Namespace) -> int:
     from .campaign.fabric import Worker
 
     _require_shared_db(args.db)
-    _at_least(1, batch=args.batch, max_attempts=args.max_attempts)
+    _at_least(1, batch=args.batch)
     _at_least(0, above=True, ttl=args.ttl, poll=args.poll)
     worker = Worker(
         args.name,
         args.db,
         worker_id=args.worker_id,
         trace=True if args.trace else None,
-        **_given(batch=args.batch, ttl=args.ttl, poll=args.poll,
-                 max_attempts=args.max_attempts),
+        **_given(batch=args.batch, ttl=args.ttl, poll=args.poll),
     )
     try:
         stats = worker.run()
@@ -1158,22 +1154,39 @@ def _cmd_campaign_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_watch(args: argparse.Namespace) -> int:
+    import sqlite3
     import time
 
-    from .campaign import read_status, render_status, status_path
+    from .campaign import CampaignStore, read_status, render_status
+    from .campaign.fabric import CampaignView
     from .campaign.monitor import status_svg
 
     _at_least(0, above=True, interval=args.interval)
-    path = args.status_file or status_path(args.db, args.name)
-    if path is None:
+    if args.status_file is None and args.db == ":memory:":
         raise UsageError(
-            "in-memory stores have no status file; pass --status-file"
+            "an in-memory store cannot be watched from another process; "
+            "pass --status-file"
         )
+    where = args.status_file or f"campaign {args.name!r} in {args.db}"
+    # The store opens read-only once it exists; the view, once it holds
+    # the campaign, then folds only what settled since the last frame.
+    store = view = None
+
+    def heartbeat() -> Optional[Dict[str, Any]]:
+        nonlocal store, view
+        if args.status_file is not None:
+            return (read_status(args.status_file)
+                    if os.path.exists(args.status_file) else None)
+        if store is None and os.path.isfile(args.db):
+            store = CampaignStore(args.db, readonly=True)
+        if view is None and store is not None:
+            view = CampaignView.open(store, args.name)
+        return None if view is None else view.heartbeat()
 
     def render_once() -> Optional[Dict[str, Any]]:
-        if not os.path.exists(path):
+        status = heartbeat()
+        if status is None:
             return None
-        status = read_status(path)
         print(render_status(status, alerts_only=args.alerts,
                             **_given(stale_after=args.stale_after)))
         if args.svg:
@@ -1181,33 +1194,35 @@ def _cmd_campaign_watch(args: argparse.Namespace) -> int:
                 handle.write(status_svg(status))
         return status
 
-    if args.once:
-        if render_once() is None:
-            raise UsageError(
-                f"no status file at {path} "
-                f"(is the campaign running with a heartbeat?)"
-            )
-        return 0
-
-    waited = 0.0
     try:
+        if args.once:
+            if render_once() is None:
+                raise UsageError(
+                    f"no status file at {where}" if args.status_file
+                    else f"no stored {where}, and no status file given "
+                         f"(--status-file)"
+                )
+            return 0
+        waited = 0.0
         while True:
             status = render_once()
             if status is None:
                 if waited == 0.0:
-                    print(f"waiting for {path} ...", file=sys.stderr)
+                    print(f"waiting for {where} ...", file=sys.stderr)
                 waited += args.interval
                 if waited > 60.0:
-                    raise UsageError(
-                        f"gave up after 60s without a status file at "
-                        f"{path}"
-                    )
+                    raise UsageError(f"gave up after 60s without {where}")
             elif status.get("state") == "finished":
                 return 0
             time.sleep(args.interval)
     except KeyboardInterrupt:
         print()
         return 0
+    except sqlite3.DatabaseError as exc:
+        raise UsageError(f"{args.db}: {exc}") from None
+    finally:
+        if store is not None:
+            store.close()
 
 
 def _cmd_campaign_timeline(args: argparse.Namespace) -> int:

@@ -66,6 +66,46 @@ class TestWatch:
         ) == 2
         usage_error("campaign watch", "no status file")
 
+    def test_once_folds_the_store_not_a_status_file(self, tmp_path, db,
+                                                     capsys):
+        """Without any status file the store alone says the campaign
+        is finished and how many points failed: the attempt budget is
+        stored with the spec."""
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({
+            "name": "budget",
+            "base": {"radix": 4, "warmup": 50, "measure": 150,
+                     "drain": 1000, "message_length": 8},
+            "axes": {"routing": ["cr", "nope"], "load": [0.1]},
+        }))
+        assert cli_main(["campaign", "run", str(path), "--db", db,
+                         "--retries", "0"]) == 1
+        (tmp_path / "budget.status.json").unlink()
+        capsys.readouterr()
+        assert cli_main(
+            ["campaign", "watch", "budget", "--db", db, "--once"]) == 0
+        out = capsys.readouterr().out
+        assert "campaign budget [finished]" in out
+        assert "2/2 (100%) (1 failed)" in out
+        assert "last point: " in out
+        assert not (tmp_path / "budget.status.json").exists()
+        with repro.campaign.CampaignStore(db) as store:
+            assert store.spec("budget").max_attempts == 1
+
+    def test_watch_creates_no_store(self, tmp_path, usage_error):
+        db = tmp_path / "absent.sqlite"
+        assert cli_main(["campaign", "watch", "x", "--db", str(db),
+                         "--once"]) == 2
+        usage_error("campaign watch", "no stored campaign 'x'")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_file_that_is_no_store_is_misuse(self, tmp_path,
+                                                usage_error):
+        path = spec_file(tmp_path)
+        assert cli_main(["campaign", "watch", "x", "--db", path,
+                         "--once"]) == 2
+        usage_error("campaign watch", path, "not a database")
+
     def test_loop_gives_up_without_a_heartbeat(self, db, capsys):
         # An interval past the 60 s patience gives up on the first miss,
         # after the one "waiting" note the loop prints.
@@ -113,12 +153,12 @@ class TestFlagBounds:
         ("watch", "--interval", "0"),
         ("watch", "--interval", "-1"),
         ("worker", "--batch", "0"),
-        ("worker", "--max-attempts", "0"),
         ("worker", "--ttl", "0"),
         ("worker", "--ttl", "-1"),
         ("worker", "--poll", "-1"),
         ("run", "--lease-ttl", "-5"),
         ("run", "--lease-batch", "-3"),
+        ("run", "--retries", "-1"),
     ])
     def test_refused_by_name(self, command, flag, value, db, usage_error):
         argv = {

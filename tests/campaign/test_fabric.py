@@ -15,7 +15,7 @@ from repro.campaign import (
     read_status,
     run_campaign,
 )
-from repro.campaign.fabric import default_worker_id
+from repro.campaign.fabric import CampaignView, default_worker_id
 from repro.campaign.monitor import render_status, render_workers
 from repro.campaign.runner import point_candidates
 from repro.obs.metrics import parse_prometheus_text
@@ -274,6 +274,52 @@ class TestOneHeartbeat:
         assert {k: v for k, v in status["last_point"].items()
                 if k != "elapsed"} == {
             k: v for k, v in local["last_point"].items() if k != "elapsed"}
+
+    def test_watch_view_from_the_store_matches_the_coordinator(self, db):
+        """``campaign watch`` folds the journal over a read-only
+        connection into the heartbeat the coordinator publishes."""
+        spec = CampaignSpec.from_dict(ALERTING_DICT)
+        with CampaignStore(db) as store:
+            coordinator = Coordinator(spec, store, heartbeat_path=None,
+                                      interval=0.05)
+            run_worker(spec, db, worker_id="w1")
+            assert coordinator.run(timeout=60).complete
+            published = coordinator.poll()
+        with CampaignStore(db, readonly=True) as reader:
+            watched = CampaignView.open(reader, spec.name).heartbeat()
+        # One assembly: every key but the ones that read the clock
+        # (worker ages, the running time since each view started) and
+        # the coordinator's extra metric registries.
+        assert set(watched) == set(published)
+        for key in set(published) - {"workers", "elapsed_seconds",
+                                     "metrics"}:
+            assert watched[key] == published[key], key
+        assert [w["worker_id"] for w in watched["workers"]] == ["w1"]
+        text = render_status(watched)
+        assert "alerts: 2 episode(s)  heartbeatx2" in text
+        assert "last point: " in text and "workers: 1" in text
+        assert "STALE" not in text
+
+    def test_view_eta_reads_the_journal_timestamps(self, spec, db):
+        """One read gives an ETA: the settle rate comes from the rows'
+        own journal times, and a row an earlier run journaled is no
+        sample (it took no time now)."""
+        points = list(spec.points())
+        with CampaignStore(db) as store:
+            store.register(spec)
+            for point, at in zip(points[:3], (50.0, 101.0, 102.0)):
+                store.record_success(spec.name, point, {}, 0.5)
+                store._conn.execute(
+                    "UPDATE results SET created_at = ? WHERE point_id = ?",
+                    (at, point.point_id))
+            status = CampaignView(spec, points, store,
+                                  started=100.0).heartbeat(now=103.0)
+        assert (status["done"], status["total"]) == (3, 4)
+        # One point a second since the view started; one to go.
+        assert status["eta_seconds"] == pytest.approx(1.0)
+        assert status["updated_at"] == 102.0
+        assert status["elapsed_seconds"] == pytest.approx(3.0)
+        assert status["state"] == "running" and "workers" not in status
 
     def test_resumed_coordinator_folds_what_already_settled(self, db):
         spec = CampaignSpec.from_dict(ALERTING_DICT)

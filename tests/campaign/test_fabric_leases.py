@@ -17,6 +17,7 @@ invariants the fabric's crash-safety argument rests on:
 """
 
 from dataclasses import replace
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,8 +29,8 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.campaign import CampaignSpec, CampaignStore
-from repro.campaign.fabric import Coordinator, Worker
+from repro.campaign import CampaignSpec, CampaignStore, run_campaign
+from repro.campaign.fabric import CampaignView, Coordinator, Worker
 from repro.campaign.runner import point_candidates
 from repro.campaign.store import settled
 
@@ -201,13 +202,13 @@ LEASE = st.sampled_from((None, "live", "expired"))
 @example(tables=[(("ok", 1), None), (("failed", MAX_ATTEMPTS - 1), None),
                  (("stale-ok", 1), None), (None, "live")])
 def test_every_consumer_of_settled_agrees(tables):
-    """``store.settled`` has four callers; over random result / lease
-    tables they give one answer."""
+    """``store.settled`` has five callers; over random result / lease
+    tables they give one answer, with the spec's attempt budget."""
     points = list(SPEC.points())
     expected = dict(point_candidates(points))
     clock = 1000.0
     with CampaignStore(":memory:") as store:
-        coordinator = Coordinator(SPEC, store, max_attempts=MAX_ATTEMPTS)
+        coordinator = Coordinator(SPEC, store)
         live = set()
         for point, (row, lease) in zip(points, tables):
             if lease is not None:
@@ -245,17 +246,26 @@ def test_every_consumer_of_settled_agrees(tables):
         assert granted == {point_id for point_id, verdict in verdicts.items()
                            if verdict is None and point_id not in live}
         # The worker's exit test and the coordinator's done count.
-        worker = Worker("leases", ":memory:", max_attempts=MAX_ATTEMPTS)
+        worker = Worker("leases", ":memory:")
         status = coordinator.poll()
         assert status["done"] == sum(v is not None for v in verdicts.values())
         assert status["failed"] == sum(v == "failed" for v in verdicts.values())
-        assert worker._settled(store, expected) == (
+        assert worker._settled(store, expected, SPEC.max_attempts) == (
             status["done"] == len(points))
-        # The local runner keeps its retry budget per invocation
-        # (max_attempts=None): ok rows skip, a failed row always re-runs.
-        for point_id, verdict in verdicts.items():
-            assert settled(states.get(point_id), expected[point_id], None) == (
-                "ok" if verdict == "ok" else None)
+        # The watch view, over what the same store journaled.
+        view = CampaignView.open(store, "leases").heartbeat(now=clock)
+        assert (view["done"], view["failed"]) == (status["done"],
+                                                 status["failed"])
+        # The local runner's resume pass settles by the same rule: it
+        # runs exactly the unsettled points.
+        ran = []
+        with patch("repro.campaign.runner.run_reports",
+                   lambda configs, **kw: ran.extend(configs)):
+            stats = run_campaign(SPEC, store, heartbeat=None)
+        assert len(ran) == sum(v is None for v in verdicts.values())
+        assert (stats.skipped, stats.failed) == (
+            sum(v == "ok" for v in verdicts.values()),
+            sum(v == "failed" for v in verdicts.values()))
 
 
 def test_completed_grid_stops_granting():

@@ -1,6 +1,7 @@
 """Campaign runner: resume, crash safety, failure retry."""
 
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -156,8 +157,9 @@ class TestFailures:
             # "nope" passes spec validation (field values are free-form)
             # but raises at engine build time — a permanent failure.
             "axes": {"routing": ["dor", "nope"], "load": [0.1]},
+            "max_attempts": 2,
         })
-        stats = run_campaign(spec, store, retries=1, backoff=0.0)
+        stats = run_campaign(spec, store, backoff=0.0)
         assert not stats.complete
         assert (stats.ran, stats.failed) == (1, 1)
         assert stats.retried == 1
@@ -183,7 +185,7 @@ class TestFailures:
             return real(config)
 
         monkeypatch.setattr(parallel, "_run_point", flaky)
-        stats = run_campaign(spec, store, retries=2, backoff=0.0)
+        stats = run_campaign(spec, store, backoff=0.0)
         assert stats.complete
         assert (stats.ran, stats.failed, stats.retried) == (2, 0, 1)
         # the retried point's stored row reflects the second attempt
@@ -203,9 +205,10 @@ class TestFailures:
             "base": {"radix": 4, "warmup": 50, "measure": 100,
                      "drain": 1000, "message_length": 8},
             "axes": {"routing": ["dor", "nope"], "load": [0.1]},
+            "max_attempts": 2,
         })
         seen = []
-        stats = run_campaign(spec, store, retries=1, backoff=0.0,
+        stats = run_campaign(spec, store, backoff=0.0,
                              progress=seen.append)
         assert (stats.ran, stats.failed) == (1, 1)
         # progress reaches total despite the permanent failure...
@@ -241,21 +244,57 @@ class TestFailures:
         assert "2/2 (100%) (1 failed)" in rendered
 
     def test_failed_points_resume_as_pending(self, store, monkeypatch):
+        """A failure with attempts left in the spec's budget resumes at
+        the next attempt; one that used the budget up stays settled,
+        as it does for a fabric worker."""
         spec = CampaignSpec.from_dict({
             "name": "f2",
             "base": {"radix": 4, "warmup": 50, "measure": 100,
                      "drain": 1000, "message_length": 8},
             "axes": {"routing": ["dor", "nope"], "load": [0.1]},
+            "max_attempts": 1,
         })
-        run_campaign(spec, store, retries=0, backoff=0.0)
+        run_campaign(spec, store, backoff=0.0)
         assert store.summary("f2") == {
             "campaign": "f2", "ok": 1, "failed": 1,
             "wall_time": store.summary("f2")["wall_time"], "versions": 1,
         }
-        # a later run re-attempts only the failed point
         calls = counting_run_point(monkeypatch)
-        run_campaign(spec, store, retries=0, backoff=0.0)
+        again = run_campaign(spec, store, backoff=0.0)
+        assert calls == []
+        assert (again.skipped, again.failed) == (1, 1)
+        assert again.failures == ["routing=nope/load=0.1/rep=0"]
+        # a larger budget re-attempts only the failed point, at attempt 2
+        run_campaign(replace(spec, max_attempts=2), store, backoff=0.0)
         assert len(calls) == 1 and calls[0].routing == "nope"
+        (row,) = store.rows("f2", status="failed")
+        assert row["attempts"] == 2
+
+    def test_edited_spec_reruns_a_spent_failure_from_attempt_one(
+        self, store, monkeypatch
+    ):
+        """A terminal failure journaled under an old config settles
+        nothing for the edited one: it re-runs with the full budget."""
+        spec = CampaignSpec.from_dict({
+            "name": "f3",
+            "base": {"radix": 4, "warmup": 50, "measure": 100,
+                     "drain": 1000, "message_length": 8},
+            "axes": {"routing": ["dor", "nope"], "load": [0.1]},
+            "max_attempts": 2,
+        })
+        run_campaign(spec, store, backoff=0.0)
+        (row,) = store.rows("f3", status="failed")
+        assert row["attempts"] == 2
+        body = spec.to_dict()
+        body["base"]["measure"] = 120
+        calls = counting_run_point(monkeypatch)
+        stats = run_campaign(CampaignSpec.from_dict(body), store,
+                             backoff=0.0)
+        assert stats.skipped == 0
+        assert (stats.ran, stats.failed, stats.retried) == (1, 1, 1)
+        assert sorted(c.routing for c in calls) == ["dor", "nope", "nope"]
+        (row,) = store.rows("f3", status="failed")
+        assert row["attempts"] == 2  # attempts 1 and 2 of the new config
 
 
 class TestParallelExecution:

@@ -91,6 +91,21 @@ class TestValidation:
         with pytest.raises(ValueError, match="replications"):
             CampaignSpec.from_dict(tiny_dict(replications=0))
 
+    @pytest.mark.parametrize("value", [0, -1, 2.5, "3", True, None])
+    def test_attempt_budget_refused_by_name(self, value):
+        with pytest.raises(ValueError, match="max_attempts"):
+            CampaignSpec.from_dict(tiny_dict(max_attempts=value))
+
+    def test_attempt_budget_round_trips_and_keeps_hashes(self):
+        """The budget is campaign data, not point data: it round-trips
+        through the dict form and leaves point ids and hashes alone."""
+        spec = CampaignSpec.from_dict(tiny_dict())
+        assert spec.max_attempts == 3
+        tight = CampaignSpec.from_dict(tiny_dict(max_attempts=1))
+        assert CampaignSpec.from_dict(tight.to_dict()).max_attempts == 1
+        assert ([(p.point_id, p.config_hash) for p in tight.points()]
+                == [(p.point_id, p.config_hash) for p in spec.points()])
+
     def test_duplicate_grid_labels(self):
         with pytest.raises(ValueError, match="duplicate"):
             CampaignSpec(

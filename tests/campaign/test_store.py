@@ -6,7 +6,8 @@ import pytest
 
 from repro import __version__
 from repro.campaign import CampaignSpec, CampaignStore
-from repro.campaign.store import STORE_SCHEMA_VERSION, settled
+from repro.campaign.store import (STORE_SCHEMA_VERSION, attempts_used,
+                                  settled)
 
 
 @pytest.fixture
@@ -74,6 +75,36 @@ class TestProvenance:
         assert entry["report"] == {"latency_mean": 2.5}
 
 
+class TestReadOnly:
+    """The watch's connection: it creates, migrates and writes nothing,
+    and reads while a writer holds its transaction open."""
+
+    def test_missing_file_is_not_created(self, tmp_path):
+        path = tmp_path / "none.sqlite"
+        with pytest.raises(FileNotFoundError, match="no campaign store"):
+            CampaignStore(str(path), readonly=True)
+        assert not path.exists()
+
+    def test_reads_under_an_open_write_and_never_writes(self, tmp_path,
+                                                        spec):
+        path = str(tmp_path / "c.sqlite")
+        point = next(iter(spec.points()))
+        with CampaignStore(path) as writer:
+            writer.register(spec)
+            writer._conn.execute("BEGIN IMMEDIATE")
+            writer._conn.execute("UPDATE campaigns SET description = 'x'")
+            with CampaignStore(path, readonly=True) as reader:
+                assert reader.spec("s") == spec  # the last committed state
+                writer._conn.execute("COMMIT")
+                writer.record_success("s", point, {"latency_mean": 1.0},
+                                      0.1)
+                assert list(reader.completed("s")) == [point.point_id]
+                with pytest.raises(sqlite3.OperationalError,
+                                   match="readonly"):
+                    reader.record_failure("s", point, "boom", 0.1)
+            assert writer.rows("s")[0]["status"] == "ok"
+
+
 class TestResumeQueries:
     def test_completed_and_settled(self, store, spec):
         points = list(spec.points())
@@ -83,9 +114,11 @@ class TestResumeQueries:
         assert list(done) == [points[0].point_id]
         states = store.result_states("s")
         assert settled(states[points[0].point_id],
-                       points[0].config_hash, None) == "ok"
+                       points[0].config_hash, spec.max_attempts) == "ok"
         assert settled(states[points[1].point_id],
-                       points[1].config_hash, None) is None
+                       points[1].config_hash, spec.max_attempts) is None
+        assert settled(states[points[1].point_id],
+                       points[1].config_hash, 1) == "failed"
 
     def test_changed_config_invalidates_done(self, store, spec):
         point = next(iter(spec.points()))
@@ -98,7 +131,33 @@ class TestResumeQueries:
             config=point.config.with_(buffer_depth=9),
         )
         stored = store.result_states("s")[point.point_id]
-        assert settled(stored, changed.config_hash, None) is None
+        assert settled(stored, changed.config_hash,
+                       spec.max_attempts) is None
+
+    def test_changed_config_restarts_a_spent_failure(self, store, spec):
+        """A failure journaled under an old config is no verdict on the
+        new one: it is pending, and its attempt count starts over."""
+        store.register(spec)
+        point = next(iter(spec.points()))
+        store.record_failure("s", point, "boom", 0.1,
+                             attempts=spec.max_attempts)
+        stored = store.result_states("s")[point.point_id]
+        assert settled(stored, point.config_hash,
+                       spec.max_attempts) == "failed"
+        new_hash = point.__class__(
+            point_id=point.point_id,
+            grid=point.grid,
+            scenario=point.scenario,
+            replication=point.replication,
+            config=point.config.with_(buffer_depth=9),
+        ).config_hash
+        assert settled(stored, new_hash, spec.max_attempts) is None
+        assert attempts_used(stored, point.config_hash) == spec.max_attempts
+        assert attempts_used(stored, new_hash) == 0
+        (lease,) = store.acquire_leases(
+            "s", "w1", [(point.point_id, new_hash)], limit=1, ttl=30.0,
+            max_attempts=spec.max_attempts)
+        assert lease.attempt == 1
 
     def test_rewrite_replaces_row(self, store, spec):
         point = next(iter(spec.points()))

@@ -499,6 +499,10 @@ BAD_SPECS = {
         '{"name": "x", "base": {"seed": 7}, "axes": {"load": [0.1]}}',
         "must not set 'seed'",
     ),
+    "attempt-budget": (
+        '{"name": "x", "axes": {"load": [0.1]}, "max_attempts": 0}',
+        "max_attempts must be an integer >= 1",
+    ),
 }
 
 
