@@ -543,9 +543,8 @@ class CampaignView:
         spec = store.spec(name)
         if spec is None:
             return None
-        (entry,) = [c for c in store.campaigns() if c["name"] == name]
         return cls(spec, list(spec.points()), store,
-                   started=entry["updated_at"])
+                   started=store.updated_at(name))
 
     def read(self, now: Optional[float] = None
              ) -> Tuple[List[Dict[str, Any]], Dict[str, Any]]:

@@ -296,15 +296,17 @@ class CampaignSpec:
         """
         for grid in self.grids:
             prefix = f"{grid.label}/" if grid.label else ""
+            base = {name: decode_field(name, value)
+                    for name, value in grid.base.items()}
             for scenario in grid.scenarios():
                 parts = "/".join(
                     f"{name}={value}" for name, value in scenario.items()
                 )
+                overrides = {**base, **{
+                    name: decode_field(name, value)
+                    for name, value in scenario.items()
+                }}
                 for rep in range(self.replications):
-                    overrides = {
-                        name: decode_field(name, value)
-                        for name, value in {**grid.base, **scenario}.items()
-                    }
                     config = SimConfig(
                         **overrides, seed=self.seed + rep
                     )

@@ -154,6 +154,21 @@ CREATE TABLE IF NOT EXISTS spans (
 );
 """
 
+#: the provenance columns of a :meth:`CampaignStore.rows` entry, in
+#: the order its keys come.
+_ROW_COLUMNS = ("campaign", "point_id", "status", "grid", "replication",
+                "seed", "config_hash", "repro_version", "schema_version",
+                "attempts", "wall_time", "created_at", "error")
+
+#: an alert episode as :meth:`CampaignStore.alerts` returns it (less
+#: ``point_id``, which keys it).
+_ALERT_COLUMNS = ("point_id, rule, severity, state, fired_at, "
+                  "resolved_at, value, message")
+
+#: point ids bound per ``IN (...)`` query, under SQLite's smallest
+#: variable limit (999 before 3.32).
+_IDS_PER_QUERY = 500
+
 #: columns added to the ``workers`` table after its v4 debut; opening a
 #: v4 store migrates in place (ALTER TABLE ADD COLUMN is cheap and
 #: backwards-compatible — old readers simply ignore the new columns).
@@ -352,6 +367,13 @@ class CampaignStore:
         if row is None:
             return None
         return CampaignSpec.from_dict(json.loads(row["spec"]))
+
+    def updated_at(self, campaign: str) -> Optional[float]:
+        """When ``campaign`` was last registered, or None if it is not."""
+        row = self._conn.execute(
+            "SELECT updated_at FROM campaigns WHERE name = ?", (campaign,)
+        ).fetchone()
+        return None if row is None else row["updated_at"]
 
     # -- per-point writes ----------------------------------------------
 
@@ -883,13 +905,28 @@ class CampaignStore:
         parsed; None for a failure) and the point's alert episodes
         (``alerts``).  The fabric coordinator asks only for the points
         settled since its last poll."""
+        found: Dict[str, Any] = {}
+        alerts: Dict[str, List[Dict[str, Any]]] = {}
+        ids = list(dict.fromkeys(point_ids))
+        for at in range(0, len(ids), _IDS_PER_QUERY):
+            chunk = ids[at:at + _IDS_PER_QUERY]
+            marks = ", ".join("?" * len(chunk))
+            for row in self._conn.execute(
+                "SELECT point_id, wall_time, report, created_at "
+                f"FROM results WHERE campaign = ? AND point_id IN ({marks})",
+                (campaign, *chunk),
+            ):
+                found[row["point_id"]] = row
+            for row in self._conn.execute(
+                f"SELECT {_ALERT_COLUMNS} FROM alerts WHERE campaign = ? "
+                f"AND point_id IN ({marks}) ORDER BY point_id, seq",
+                (campaign, *chunk),
+            ):
+                entry = dict(row)
+                alerts.setdefault(entry.pop("point_id"), []).append(entry)
         out = []
         for point_id in point_ids:
-            row = self._conn.execute(
-                "SELECT wall_time, report, created_at "
-                "FROM results WHERE campaign = ? AND point_id = ?",
-                (campaign, point_id),
-            ).fetchone()
+            row = found.get(point_id)
             if row is not None:
                 out.append({
                     "point_id": point_id,
@@ -897,8 +934,7 @@ class CampaignStore:
                     "created_at": row["created_at"],
                     "report": (json.loads(row["report"])
                                if row["report"] else None),
-                    "alerts": self.alerts(campaign, point_id).get(
-                        point_id, []),
+                    "alerts": alerts.get(point_id, []),
                 })
         out.sort(key=lambda row: row["created_at"])
         return out
@@ -911,32 +947,23 @@ class CampaignStore:
         under their report names; provenance fields keep their column
         names (``config_hash``, ``repro_version``, ...).
         """
-        query = "SELECT * FROM results WHERE campaign = ?"
+        query = (f"SELECT {', '.join(_ROW_COLUMNS)}, scenario, report "
+                 f"FROM results WHERE campaign = ?")
         params: Tuple[Any, ...] = (campaign,)
         if status is not None:
             query += " AND status = ?"
             params += (status,)
         query += " ORDER BY point_id"
+        # Plain tuples: a sqlite3.Row lookup by name per column is most
+        # of what reading a settled campaign costs.
+        cursor = self._conn.cursor()
+        cursor.row_factory = None
         out = []
-        for row in self._conn.execute(query, params).fetchall():
-            flat: Dict[str, Any] = {
-                "campaign": row["campaign"],
-                "point_id": row["point_id"],
-                "status": row["status"],
-                "grid": row["grid"],
-                "replication": row["replication"],
-                "seed": row["seed"],
-                "config_hash": row["config_hash"],
-                "repro_version": row["repro_version"],
-                "schema_version": row["schema_version"],
-                "attempts": row["attempts"],
-                "wall_time": row["wall_time"],
-                "created_at": row["created_at"],
-                "error": row["error"],
-            }
-            flat.update(json.loads(row["scenario"]))
-            if row["report"]:
-                flat.update(json.loads(row["report"]))
+        for row in cursor.execute(query, params).fetchall():
+            flat: Dict[str, Any] = dict(zip(_ROW_COLUMNS, row))
+            flat.update(json.loads(row[-2]))
+            if row[-1]:
+                flat.update(json.loads(row[-1]))
             out.append(flat)
         return out
 
@@ -984,9 +1011,7 @@ class CampaignStore:
                point_id: Optional[str] = None
                ) -> Dict[str, List[Dict[str, Any]]]:
         """point_id -> alert episodes (firing order) for a campaign."""
-        query = ("SELECT point_id, rule, severity, state, fired_at, "
-                 "resolved_at, value, message FROM alerts "
-                 "WHERE campaign = ?")
+        query = f"SELECT {_ALERT_COLUMNS} FROM alerts WHERE campaign = ?"
         params: Tuple[Any, ...] = (campaign,)
         if point_id is not None:
             query += " AND point_id = ?"

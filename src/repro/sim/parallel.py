@@ -32,6 +32,7 @@ and replication helpers go through:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -83,8 +84,14 @@ class PointFailure:
     elapsed: float  #: seconds spent before the failure
 
 
+#: exact types (no subclasses) whose repr is process-stable as it is
+_SCALARS = frozenset({int, float, bool, type(None)})
+
+
 def _canonical(value: object) -> Optional[str]:
     """A repr that is stable across processes, or None if none exists."""
+    if type(value) in _SCALARS:
+        return repr(value)
     if isinstance(value, dict):
         parts = []
         for key in sorted(value, key=repr):
@@ -101,9 +108,42 @@ def _canonical(value: object) -> Optional[str]:
             return None
         return "[" + ", ".join(items) + "]"  # type: ignore[arg-type]
     text = repr(value)
-    if _MEMORY_ADDRESS.search(text):
+    if " at 0x" in text and _MEMORY_ADDRESS.search(text):
         return None
     return text
+
+
+@functools.lru_cache(maxsize=None)
+def _plan(cls: type) -> Tuple[Tuple[str, object, str], ...]:
+    """``(name, default, "name=text")`` for every field of a dataclass,
+    in name order.  ``default`` is a fresh sentinel (no value is it)
+    unless the field's default is an immutable scalar, whose text is
+    worked out here once."""
+    entries = []
+    for field in sorted(dataclasses.fields(cls), key=lambda f: f.name):
+        default, preset = field.default, ""
+        if type(default) in _SCALARS or type(default) is str:
+            text = _canonical(default)
+            if text is not None:
+                preset = f"{field.name}={text}"
+        entries.append((field.name, default if preset else object(), preset))
+    return tuple(entries)
+
+
+def _field_texts(config: object) -> List[Optional[str]]:
+    """``"name=canonical"`` for every field of a dataclass instance, in
+    name order; None where the value has no process-stable repr.  A
+    value that *is* its field's immutable default reuses the text the
+    plan worked out once."""
+    texts: List[Optional[str]] = []
+    for name, default, preset in _plan(type(config)):
+        value = getattr(config, name)
+        if value is default:
+            texts.append(preset)
+            continue
+        text = _canonical(value)
+        texts.append(None if text is None else f"{name}={text}")
+    return texts
 
 
 def config_cache_key(config: SimConfig) -> Optional[str]:
@@ -115,24 +155,24 @@ def config_cache_key(config: SimConfig) -> Optional[str]:
     memory addresses — e.g. a hand-written ``LengthDistribution``
     without ``__repr__``) make the whole config uncacheable rather than
     risking a wrong hit.  A list and a tuple of the same items hash
-    alike.
+    alike.  The byte format is a contract (docs/SIMULATOR.md): stores
+    and sweep caches key on it.
     """
-    parts: List[str] = []
-    for field in sorted(dataclasses.fields(config), key=lambda f: f.name):
-        text = _canonical(getattr(config, field.name))
-        if text is None:
-            return None
-        parts.append(f"{field.name}={text}")
-    blob = ";".join(parts)
+    texts = _field_texts(config)
+    if None in texts:
+        return None
+    blob = ";".join(texts)  # type: ignore[arg-type]
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def unstable_fields(config: SimConfig) -> List[str]:
     """The fields that make :func:`config_cache_key` return None."""
-    return [
-        field.name for field in dataclasses.fields(config)
-        if _canonical(getattr(config, field.name)) is None
-    ]
+    unstable = {
+        name for (name, _, _), text
+        in zip(_plan(type(config)), _field_texts(config)) if text is None
+    }
+    return [field.name for field in dataclasses.fields(config)
+            if field.name in unstable]
 
 
 class SweepCache:

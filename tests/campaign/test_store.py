@@ -1,11 +1,13 @@
 """CampaignStore: provenance recording, resume queries, reopening."""
 
+import json
 import sqlite3
 
 import pytest
 
 from repro import __version__
 from repro.campaign import CampaignSpec, CampaignStore
+from repro.campaign import store as store_module
 from repro.campaign.store import (STORE_SCHEMA_VERSION, attempts_used,
                                   settled)
 
@@ -158,6 +160,42 @@ class TestResumeQueries:
             "s", "w1", [(point.point_id, new_hash)], limit=1, ttl=30.0,
             max_attempts=spec.max_attempts)
         assert lease.attempt == 1
+
+    @pytest.mark.parametrize("per_query", [500, 2])
+    def test_journal_rows_match_a_per_point_read(self, store, spec,
+                                                 monkeypatch, per_query):
+        """One query per chunk of ids reads what one query per point
+        read: the same dicts, keys in the same order, by ``created_at``."""
+        monkeypatch.setattr(store_module, "_IDS_PER_QUERY", per_query)
+        points = list(spec.points())
+        store.record_success("s", points[0], {"latency_mean": 1.0}, 0.1)
+        store.record_failure("s", points[1], "boom", 0.2)
+        store.record_success("s", points[2], {"latency_mean": 3.0}, 0.3)
+        episode = {"rule": "kill-storm", "severity": "critical",
+                   "state": "resolved", "fired_at": 200,
+                   "resolved_at": 400, "value": 2.0, "message": "m"}
+        store.record_alerts("s", points[2], [
+            episode, dict(episode, state="firing", resolved_at=None)])
+        store.record_alerts("s", points[1], [episode])
+        asked = [points[2].point_id, "no/such/point", points[3].point_id,
+                 points[1].point_id, points[0].point_id]
+
+        by_id = {entry["point_id"]: entry for entry in store.points("s")}
+        want = [
+            {"point_id": point_id,
+             "wall_time": by_id[point_id]["wall_time"],
+             "created_at": by_id[point_id]["created_at"],
+             "report": by_id[point_id]["report"],
+             "alerts": store.alerts("s", point_id).get(point_id, [])}
+            for point_id in asked if point_id in by_id
+        ]
+        want.sort(key=lambda row: row["created_at"])
+        got = store.journal_rows("s", asked)
+        assert json.dumps(got) == json.dumps(want)
+        assert [row["report"] for row in got] == [
+            {"latency_mean": 1.0}, None, {"latency_mean": 3.0}]
+        assert [len(row["alerts"]) for row in got] == [0, 1, 2]
+        assert store.journal_rows("s", []) == []
 
     def test_rewrite_replaces_row(self, store, spec):
         point = next(iter(spec.points()))

@@ -1,11 +1,19 @@
 """Parallel sweep executor and the deterministic result cache."""
 
+import dataclasses
+import enum
+import hashlib
 import json
 import os
+import re
 
 import pytest
 
 from repro import SimConfig
+from repro.campaign.library import get_campaign
+from repro.core.backoff import ExponentialBackoff
+from repro.core.timeout import FixedTimeout
+from repro.experiments.common import PAPER, QUICK
 from repro.sim import parallel
 from repro.sim.parallel import (
     PointStatus,
@@ -13,9 +21,11 @@ from repro.sim.parallel import (
     config_cache_key,
     resolve_cache,
     run_reports,
+    unstable_fields,
 )
 from repro.sim.sweep import load_sweep, matrix_sweep
-from repro.traffic.lengths import FixedLength
+from repro.traffic.lengths import BimodalLength, FixedLength
+from repro.verify.fuzz import DEFAULT_CASES, DEFAULT_SEED, fuzz_config
 
 
 def tiny(**overrides):
@@ -58,6 +68,180 @@ class TestCacheKey:
         assert config_cache_key(placed) == config_cache_key(
             tiny(permanent_faults=[[300, 0, 1], [300, 1, 0]])
         )
+
+
+# -- the key format, frozen ------------------------------------------------
+#
+# Stores and sweep caches written by any earlier version key on these
+# bytes, so the algorithm below is the reference the product's key must
+# reproduce exactly: sorted ``name=canonical`` pairs joined by ``;``,
+# SHA-256; lists and tuples alike; memory-address reprs uncacheable.
+
+_ORACLE_ADDRESS = re.compile(r" at 0x[0-9a-fA-F]+>")
+
+
+def _oracle_canonical(value):
+    if isinstance(value, dict):
+        parts = []
+        for key in sorted(value, key=repr):
+            text = _oracle_canonical(value[key])
+            if text is None:
+                return None
+            parts.append(f"{key!r}: {text}")
+        return "{" + ", ".join(parts) + "}"
+    if isinstance(value, (list, tuple)):
+        items = [_oracle_canonical(item) for item in value]
+        if any(item is None for item in items):
+            return None
+        return "[" + ", ".join(items) + "]"
+    text = repr(value)
+    if _ORACLE_ADDRESS.search(text):
+        return None
+    return text
+
+
+def _oracle_key(config):
+    parts = []
+    for field in sorted(dataclasses.fields(config), key=lambda f: f.name):
+        text = _oracle_canonical(getattr(config, field.name))
+        if text is None:
+            return None
+        parts.append(f"{field.name}={text}")
+    blob = ";".join(parts)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def _oracle_unstable(config):
+    return [
+        field.name for field in dataclasses.fields(config)
+        if _oracle_canonical(getattr(config, field.name)) is None
+    ]
+
+
+_CASCADE = dict(base_hazard=1e-6, load_gain=8.0, check_interval=16,
+                neighbor_boost=25.0, boost_cycles=192,
+                max_dead_fraction=0.06, repair_cycles=160)
+
+#: name -> (config, its key as released); a changed literal means every
+#: stored campaign and sweep cache silently re-runs.
+PINNED = {
+    "default": (
+        SimConfig(),
+        "a10210fe8c6a96f12290ed36c2fa7ed7ec359b7ab8474700d939b0b3b06445b4"),
+    "perf-grid-point": (
+        SimConfig(topology="hypercube", dims=3, message_length=4, warmup=0,
+                  measure=40, drain=3000, engine="fast", routing="fcr",
+                  load=0.2, seed=43),
+        "b67c7fd3db690fb1c742434e177e37d3129b867b95a9acef0df37bb21cfdc800"),
+    "cascade_fcr": (
+        SimConfig(radix=8, dims=2, message_length=16, warmup=100,
+                  measure=400, drain=6000, routing="fcr", misrouting=True,
+                  cascade_faults=_CASCADE, alerts=True, sample_interval=200,
+                  workload="mmpp", load=0.3, engine="fast", seed=4200),
+        "ccb4e78b5fcc9d631604a1077afebce371d4bbaed93c922091ed6a9633cfd96e"),
+    "pattern-kwargs": (
+        SimConfig(radix=4, pattern="hotspot",
+                  pattern_kwargs={"hotspot": 5, "fraction": 0.2}),
+        "8e096dcbb9ea04ac195a6eea6c5b80ffd05aa0df6890b60f0408b8c67e496bcf"),
+    "placed-faults-list": (
+        SimConfig(radix=4, permanent_faults=[[300, 0, 1], [300, 1, 0]]),
+        "ec36f1bb11dafbd78646e50e90d14fae645956800493dec69683345d37d49524"),
+    "placed-faults-tuple": (
+        SimConfig(radix=4, permanent_faults=((300, 0, 1), (300, 1, 0))),
+        "ec36f1bb11dafbd78646e50e90d14fae645956800493dec69683345d37d49524"),
+    "workload-dict": (
+        SimConfig(radix=4, workload={"kind": "mmpp", "mean_on": 16}),
+        "c335b4d6a354abc6f368e94b5d90e636fc83bebfad35702ae20a77e87b1ae3fc"),
+    "length-distribution": (
+        SimConfig(radix=4, message_length=BimodalLength(
+            short=4, long=32, long_fraction=0.25)),
+        "c8b4a07e9dbc0ddade87960654542c85da4001b9e9a4ba89f3ef73d0bab11ca2"),
+    "policies": (
+        SimConfig(radix=4, timeout=FixedTimeout(32),
+                  backoff=ExponentialBackoff(), load=0.25),
+        "8c3ebdf330d6f0b681186bd8bcb058f68adb8666c688c37a7fd114a2d0d26d7e"),
+}
+
+
+def _corpus():
+    """Every library point a stored campaign may hold, and the fuzz
+    corpus: the configs whose keys must not move."""
+    for name in ("paper-core", "fault-matrix", "cascade-stress"):
+        for scale in (QUICK, PAPER):
+            for point in get_campaign(name, scale).points():
+                yield point.config
+    for index in range(DEFAULT_CASES):
+        yield fuzz_config(DEFAULT_SEED, index)
+
+
+class TestKeyFormatIsFrozen:
+    @pytest.mark.parametrize("name", PINNED)
+    def test_pinned_literal(self, name):
+        config, key = PINNED[name]
+        assert config_cache_key(config) == key
+        assert _oracle_key(config) == key
+
+    def test_library_and_fuzz_corpus_match_the_oracle(self):
+        seen = 0
+        for config in _corpus():
+            assert config_cache_key(config) == _oracle_key(config)
+            assert unstable_fields(config) == _oracle_unstable(config)
+            seen += 1
+        assert seen > DEFAULT_CASES
+
+
+class _Cycles(int):
+    def __repr__(self):
+        return f"Cycles({int(self)})"
+
+
+class _Depth(enum.IntEnum):
+    TWO = 2
+
+
+class TestKeyEdgeCases:
+    """Values a fast path could get wrong: each keys as the oracle does."""
+
+    @pytest.mark.parametrize("overrides", [
+        {"pattern": "<object at 0x1f>"},
+        {"message_length": _NoRepr(8)},
+        {"pattern_kwargs": {"hotspot": _NoRepr(1)}},
+        {"permanent_faults": [(1, 0, _NoRepr(1))]},
+    ], ids=["str", "object", "in-dict", "in-list"])
+    def test_memory_address_stays_uncacheable(self, overrides):
+        config = tiny(**overrides)
+        assert config_cache_key(config) is None
+        assert unstable_fields(config) == _oracle_unstable(config) == \
+            list(overrides)
+
+    @pytest.mark.parametrize("value", [_Cycles(2), _Depth.TWO],
+                             ids=["int-subclass", "IntEnum"])
+    def test_int_subclasses_take_the_general_path(self, value):
+        config = tiny(buffer_depth=value)
+        assert config_cache_key(config) == _oracle_key(config)
+        assert config_cache_key(config) != config_cache_key(
+            tiny(buffer_depth=2))
+
+    def test_bool_and_int_hash_apart(self):
+        for name in ("order_preserving", "misrouting"):
+            keys = {config_cache_key(tiny(**{name: value}))
+                    for value in (True, 1, False, 0)}
+            assert len(keys) == 4
+        assert config_cache_key(tiny(order_preserving=1)) == \
+            _oracle_key(tiny(order_preserving=1))
+
+    def test_signed_zero_hashes_apart(self):
+        plus, minus = tiny(fault_rate=0.0), tiny(fault_rate=-0.0)
+        assert config_cache_key(plus) != config_cache_key(minus)
+        assert config_cache_key(minus) == _oracle_key(minus)
+
+    def test_a_value_equal_to_its_default_hashes_like_it(self):
+        fresh = float("0")
+        assert fresh is not SimConfig.fault_rate
+        assert config_cache_key(tiny(fault_rate=fresh)) == \
+            config_cache_key(tiny()) == _oracle_key(tiny())
+        assert config_cache_key(tiny(pattern="".join(["uni", "form"]))) \
+            == config_cache_key(tiny())
 
 
 class TestRunReports:
