@@ -14,16 +14,15 @@ The layer between one-off sweeps and paper-scale evaluation:
 * :mod:`~repro.campaign.fabric` — the distributed fabric:
   :class:`Coordinator` plus N lease-based :class:`Worker` processes
   sharding one campaign over a shared store, surviving worker loss
-  (``cr-sim campaign run --workers-fabric N`` / ``campaign worker``),
-  and ``CampaignView``, a campaign's heartbeat read from its store
-  (``cr-sim campaign watch``).
+  (``cr-sim campaign run --workers-fabric N`` / ``campaign worker``).
 * :mod:`~repro.campaign.report` — cross-campaign regression reports
   (markdown/CSV) using the replication significance machinery.
-* :mod:`~repro.campaign.monitor` — :class:`CampaignMonitor`, the one
-  builder of the heartbeat: every executor and reader folds what the
-  journal holds for each settled point through it (the ETA is
-  remaining points ÷ the settle rate); exported as an atomic
-  ``status.json``.
+* :mod:`~repro.campaign.monitor` — the heartbeat, read from the
+  store: ``CampaignView`` folds what the journal holds for each
+  settled point through :class:`CampaignMonitor` (the ETA is
+  remaining points ÷ the settle rate); every executor publishes it
+  (an atomic ``status.json``, ``/status``) and ``cr-sim campaign
+  watch`` renders it.
 * :mod:`~repro.campaign.library` — built-in campaigns
   (``fault-matrix``, ``paper-core``).
 * :mod:`~repro.campaign.timeline` — the merged campaign timeline:

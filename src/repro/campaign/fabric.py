@@ -26,18 +26,16 @@ recovered, not prevented:
 Whether a point is done is the store's to say: the one
 :func:`~repro.campaign.store.settled` rule, with the attempt budget
 the stored spec carries (``max_attempts``), so workers, the
-coordinator and any reader agree without being told.
-:class:`CampaignView` reads a campaign's heartbeat from the store: it
-folds the rows settled since its last read through the same
-:class:`~repro.campaign.monitor.CampaignMonitor` a local run uses
-(alerts, last point, sparklines, ETA) and adds a per-worker liveness
-pane (heartbeats, live and expired leases, reclaim totals).
-``cr-sim campaign watch`` is a view over a read-only connection.  The
-:class:`Coordinator` is a view that first registers the grid (submit
-phase); it owns no scheduling, publishes ``cr_fabric_*`` gauges
-through the :class:`~repro.obs.server.TelemetryServer`, and is
-restartable: if it dies, workers keep leasing and journaling; a new
-coordinator folds what already settled and carries on.
+coordinator and any reader agree without being told.  The
+:class:`Coordinator` is a :class:`~repro.campaign.monitor.CampaignView`
+(the heartbeat read from the store, as a local run and ``cr-sim
+campaign watch`` read it) that first registers the grid (submit
+phase); its heartbeat adds a per-worker liveness pane (heartbeats,
+live and expired leases, reclaim totals).  It owns no scheduling,
+publishes ``cr_fabric_*`` gauges through the
+:class:`~repro.obs.server.TelemetryServer`, and is restartable: if it
+dies, workers keep leasing and journaling; a new coordinator folds
+what already settled and carries on.
 
 Entry points: ``cr-sim campaign run <spec> --workers-fabric N``
 (coordinator + N local worker processes) and ``cr-sim campaign worker
@@ -54,7 +52,7 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..obs import open_telemetry
 from ..obs.log import StructuredLogger, campaign_log_path
@@ -70,12 +68,7 @@ from ..obs.trace import (
     tracing_armed,
 )
 from ..sim.parallel import PointFailure, run_reports
-from .monitor import (
-    STALE_AFTER,
-    CampaignMonitor,
-    build_info_gauge,
-    status_path,
-)
+from .monitor import DEFAULT_TTL, CampaignView, build_info_gauge, status_path
 from .runner import (
     CampaignProgress,
     CampaignRunStats,
@@ -85,10 +78,6 @@ from .runner import (
 )
 from .spec import CampaignPoint, CampaignSpec
 from .store import CampaignStore, Lease
-
-#: default lease time-to-live (seconds); a worker renews at ttl/3, so
-#: one missed beat survives and a dead worker is reclaimable within ttl.
-DEFAULT_TTL = 15.0
 
 #: default points leased per batch: small enough that worker loss costs
 #: little, large enough to amortise the lease transaction.
@@ -497,141 +486,6 @@ class FabricStats:
         return self.ok == self.total
 
 
-class CampaignView:
-    """A campaign's heartbeat as its store holds it.
-
-    Each :meth:`read` folds the rows settled since the last read —
-    settled by the one rule, :func:`~repro.campaign.store.settled` with
-    the spec's ``max_attempts`` — into a
-    :class:`~repro.campaign.monitor.CampaignMonitor`, sampling the
-    settle rate at the journal's own timestamps, and returns the
-    per-worker liveness pane and the ``fabric`` block.  It only reads,
-    so the :class:`Coordinator` and ``cr-sim campaign watch`` (over a
-    read-only connection, see :meth:`open`) build the same view.
-    """
-
-    #: carry the workers pane before any worker has joined
-    fabric = False
-
-    def __init__(
-        self,
-        spec: CampaignSpec,
-        points: Sequence[CampaignPoint],
-        store: CampaignStore,
-        ttl: float = DEFAULT_TTL,
-        started: Optional[float] = None,
-    ) -> None:
-        self.spec = spec
-        self.store = store
-        self.ttl = float(ttl)
-        self.total = len(points)
-        self.expected = dict(point_candidates(points))
-        #: the points no read has folded into the heartbeat yet
-        self._unfolded = {point.point_id: point for point in points}
-        self._failures: List[str] = []
-        self.monitor = CampaignMonitor(spec.name, self.total, None,
-                                       clock=time.time)
-        #: wall time the campaign (re)started; the newest journal row
-        self.started = time.time() if started is None else started
-        self._last_row = self.started
-
-    @classmethod
-    def open(cls, store: CampaignStore,
-             name: str) -> Optional["CampaignView"]:
-        """The view of a registered campaign, or None if ``store``
-        holds no campaign ``name``."""
-        spec = store.spec(name)
-        if spec is None:
-            return None
-        return cls(spec, list(spec.points()), store,
-                   started=store.updated_at(name))
-
-    def read(self, now: Optional[float] = None
-             ) -> Tuple[List[Dict[str, Any]], Dict[str, Any]]:
-        """Fold what settled since the last read; the workers pane and
-        the ``fabric`` block as of ``now``."""
-        if now is None:
-            now = time.time()
-        outcomes = self.store.settlement(self.spec.name, self.expected,
-                                         self.spec.max_attempts)
-        self._failures = [point_id for point_id, outcome
-                          in outcomes.items() if outcome == "failed"]
-        fresh = [point_id for point_id in outcomes
-                 if point_id in self._unfolded]
-        for row in self.store.journal_rows(self.spec.name, fresh):
-            point = self._unfolded.pop(row["point_id"])
-            self.monitor.fold(point, outcomes[point.point_id],
-                              row["wall_time"], row["report"],
-                              row["alerts"], final=True)
-            # A row an earlier run journaled is a resumed skip: no
-            # settle-rate sample.
-            if row["created_at"] >= self.started:
-                self.monitor.mark(row["created_at"])
-            self._last_row = max(self._last_row, row["created_at"])
-
-        leases = self.store.leases(self.spec.name, now=now)
-        held = sum(1 for lease in leases if lease["live"])
-        workers = []
-        live_workers = 0
-        reclaims = 0
-        for row in self.store.workers(self.spec.name):
-            age = max(0.0, now - row["last_seen"])
-            if row["state"] in ("finished", "stopped"):
-                liveness = row["state"]
-            elif age <= max(self.ttl, STALE_AFTER):
-                liveness = "live"
-                live_workers += 1
-            elif age <= 3.0 * max(self.ttl, STALE_AFTER):
-                liveness = "stale"
-            else:
-                liveness = "dead"
-            reclaims += row["reclaims"]
-            workers.append({
-                "worker_id": row["worker_id"],
-                "state": liveness,
-                "last_seen_age": age,
-                "pid": row["pid"],
-                "host": row["host"],
-                "done": row["done"],
-                "failed": row["failed"],
-                "leases": row["leases"],
-                "reclaims": row["reclaims"],
-                "span": row.get("span", ""),
-                "spans": row.get("spans", 0),
-                "logs": row.get("logs", 0),
-            })
-        return workers, {
-            "live_workers": live_workers,
-            "workers_seen": len(workers),
-            "leases_held": held,
-            "leases_expired": len(leases) - held,
-            "reclaims": int(reclaims),
-        }
-
-    def heartbeat(self, now: Optional[float] = None) -> Dict[str, Any]:
-        """The campaign's heartbeat, as ``cr-sim campaign watch``
-        renders it and the :class:`Coordinator` publishes it: the
-        monitor's snapshot, stamped with the store's last activity (a
-        journaled row or a worker beat) and, for a fabric run, the
-        workers pane and the ``fabric`` block."""
-        if now is None:
-            now = time.time()
-        workers, fabric = self.read(now)
-        finished = self.monitor.done >= self.total
-        active = max([self._last_row] + [
-            now - worker["last_seen_age"] for worker in workers])
-        status = self.monitor.snapshot(
-            "finished" if finished else "running")
-        status.update(
-            updated_at=active,
-            elapsed_seconds=max(
-                0.0, (active if finished else now) - self.started),
-        )
-        if workers or self.fabric:
-            status.update(kind="fabric", workers=workers, fabric=fabric)
-        return status
-
-
 class Coordinator(CampaignView):
     """Submits the grid, then aggregates fabric state until it settles.
 
@@ -740,10 +594,10 @@ class Coordinator(CampaignView):
 
     # -- one aggregation step -------------------------------------------
 
-    def poll(self) -> Dict[str, Any]:
-        """Fold what settled since the last poll; publish the
-        :meth:`~CampaignView.heartbeat`."""
-        status = self.heartbeat()
+    def heartbeat(self, now: Optional[float] = None) -> Dict[str, Any]:
+        """The view's heartbeat; logs worker liveness changes and sets
+        the ``cr_fabric_*`` gauges from it."""
+        status = super().heartbeat(now)
         workers, fabric = status["workers"], status["fabric"]
         if self.logger is not None:
             for worker in workers:
@@ -776,17 +630,18 @@ class Coordinator(CampaignView):
         if reclaims > self._last_reclaims:
             self._c_reclaims.inc(reclaims - self._last_reclaims)
             self._last_reclaims = reclaims
+        return status
 
+    def poll(self) -> Dict[str, Any]:
+        """Fold what settled since the last poll; publish the
+        :meth:`heartbeat`."""
         # Three registries, one scrape: cr_campaign_* from the monitor,
         # the cr_fabric_* gauges, and with tracing the
         # cr_trace_spans_total / cr_log_records_total counters.
         registries = [self.registry]
         if self.trace_registry is not None:
             registries.append(self.trace_registry)
-        status = self.monitor.publish(
-            status, registries=registries,
-            health={"workers_live": fabric["live_workers"]},
-        )
+        status = self.publish(registries)
         if self.on_poll is not None:
             self.on_poll(status)
         return status

@@ -1,13 +1,15 @@
-"""Live campaign monitoring: the heartbeat and its terminal view.
+"""Live campaign monitoring: the heartbeat, read from the store.
 
-:class:`CampaignMonitor` is the one builder of the heartbeat, fed only
-what the journal holds for a settled point: the local runner hands it
-each point as it journals it; a
-:class:`~repro.campaign.fabric.CampaignView` (the fabric coordinator,
-``cr-sim campaign watch``) the rows settled since its last read.  It
-holds points done/total, an ETA (remaining ÷ the settle rate), the
-last point, sparklines of wall time and stored ``kill_rate``, the
-alert episodes and a ``cr_campaign_`` metrics registry.
+:class:`CampaignView` is the one source of a campaign's heartbeat: it
+reads what the store holds -- the points settled by the one rule,
+their journaled rows and alert episodes, the fabric's worker beats --
+and folds the rows settled since its last read through a
+:class:`CampaignMonitor`.  The local runner, the fabric coordinator
+and ``cr-sim campaign watch`` each hold a view, so one store gives one
+heartbeat whoever reads it.  It holds points done/total, an ETA
+(remaining ÷ the settle rate), the last point, sparklines of wall time
+and stored ``kill_rate``, the alert episodes and a ``cr_campaign_``
+metrics registry.
 
 The executors export it as ``<spec-name>.status.json`` beside
 ``results/campaigns.sqlite``.  Writes are atomic (write temp +
@@ -22,12 +24,14 @@ import json
 import os
 import time
 from collections import deque
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
+from typing import (TYPE_CHECKING, Any, Dict, List, Optional, Sequence,
+                    Tuple)
 
 from ..obs.metrics import WALL_TIME_BUCKETS, MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .spec import CampaignPoint
+    from .spec import CampaignPoint, CampaignSpec
+    from .store import CampaignStore
 
 #: unicode block ramp for terminal sparklines.
 _SPARK_BLOCKS = "▁▂▃▄▅▆▇█"
@@ -37,6 +41,10 @@ ROLLING_WINDOW = 32
 
 #: heartbeat age (seconds) past which ``watch`` marks the view stale.
 STALE_AFTER = 15.0
+
+#: default lease time-to-live (seconds); a worker renews at ttl/3, so
+#: one missed beat survives and a dead worker is reclaimable within ttl.
+DEFAULT_TTL = 15.0
 
 
 def status_path(store_path: str, name: str) -> Optional[str]:
@@ -64,9 +72,13 @@ def write_status(path: str, status: Dict[str, Any]) -> None:
 
 
 def read_status(path: str) -> Dict[str, Any]:
-    """Read a heartbeat; raises FileNotFoundError if none exists yet."""
+    """Read a heartbeat; raises FileNotFoundError if none exists yet
+    and ValueError for a file that holds no JSON object."""
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        status = json.load(handle)
+    if not isinstance(status, dict):
+        raise ValueError(f"not a heartbeat: a JSON {type(status).__name__}")
+    return status
 
 
 def build_info_gauge(registry: MetricsRegistry) -> None:
@@ -86,11 +98,10 @@ def build_info_gauge(registry: MetricsRegistry) -> None:
 class CampaignMonitor:
     """Folds settled points into the campaign heartbeat and publishes it.
 
-    ``interval`` throttles :meth:`on_point`'s writes (seconds of wall
-    time between heartbeats); the first and last updates always write.
-    The monitor publishes its counters into a :class:`MetricsRegistry`
-    whose JSON snapshot is embedded in the heartbeat under
-    ``"metrics"``.
+    Fed by a :class:`CampaignView`, which folds each point once, when
+    the store first holds it settled.  The monitor publishes its
+    counters into a :class:`MetricsRegistry` whose JSON snapshot is
+    embedded in the heartbeat under ``"metrics"``.
     """
 
     def __init__(
@@ -98,29 +109,26 @@ class CampaignMonitor:
         name: str,
         total: int,
         path: Optional[str],
-        interval: float = 1.0,
         clock=time.monotonic,
         server: Optional[Any] = None,
     ) -> None:
         self.name = name
         self.total = total
+        #: where :meth:`publish` exports the heartbeat (None: no file)
         self.path = path
-        self.interval = interval
         #: a repro.obs.server.TelemetryServer to republish every
-        #: heartbeat to (run_campaign(serve=...) wires one); with a
-        #: server attached, ``path=None`` is allowed -- heartbeats then
-        #: go over HTTP only.
+        #: heartbeat to; with a server attached, ``path=None`` is
+        #: allowed -- heartbeats then go over HTTP only.
         self.server = server
         self._clock = clock
         self._started = clock()
-        self._last_write: Optional[float] = None
         self.registry = MetricsRegistry(prefix="cr_campaign_")
         self._outcomes = {
             outcome: self.registry.counter(
                 "points_total", "Campaign points settled, by outcome.",
                 labels={"outcome": outcome},
             )
-            for outcome in ("ok", "failed", "skipped")
+            for outcome in ("ok", "failed")
         }
         self._wall_hist = self.registry.histogram(
             "point_wall_seconds", "Wall time per simulated point.",
@@ -149,24 +157,16 @@ class CampaignMonitor:
         elapsed: float,
         row: Optional[Dict[str, Any]] = None,
         alerts: Sequence[Dict[str, Any]] = (),
-        final: bool = False,
     ) -> None:
-        """Tally one point from what the journal holds: ``row`` is the
-        stored metric row, ``alerts`` its episodes.
-
-        A failure that may still be retried doesn't advance ``done``;
-        one marked ``final`` (retries exhausted) *settles* into the
-        visible ``done (N failed)`` state, so progress and the ETA
-        reach ``total`` instead of sticking just below it forever.
-        """
-        if outcome in ("ok", "skipped"):
-            self.done += 1
-        elif outcome == "failed" and final:
-            self.done += 1
+        """Tally one settled point from what the journal holds:
+        ``outcome`` is ``"ok"`` or a terminal ``"failed"``, ``row`` the
+        stored metric row, ``alerts`` its episodes.  Either settles
+        into ``done`` (a failure shows as ``done (N failed)``), so
+        progress and the ETA reach ``total``."""
+        self.done += 1
+        if outcome == "failed":
             self.failed_settled += 1
-        counter = self._outcomes.get(outcome)
-        if counter is not None:
-            counter.inc()
+        self._outcomes[outcome].inc()
         if outcome == "ok":
             self._wall_hist.observe(elapsed)
             self._recent_wall.append(elapsed)
@@ -206,24 +206,11 @@ class CampaignMonitor:
         elapsed: float,
         row: Optional[Dict[str, Any]] = None,
         alerts: Sequence[Dict[str, Any]] = (),
-        final: bool = False,
     ) -> None:
-        """:meth:`fold` one point as it is journaled, sample the settle
-        rate (a skip took no time, so it does not) and maybe write the
-        heartbeat."""
-        self.fold(point, outcome, elapsed, row, alerts, final)
-        now = self._clock()
-        if outcome != "skipped":
-            self.mark(now)
-        if (self._last_write is None
-                or (now - self._last_write) >= self.interval
-                or self.done >= self.total):
-            self.publish(self.snapshot("running"))
-            self._last_write = now
-
-    def finalize(self) -> None:
-        """Write the terminal heartbeat (state "finished")."""
-        self.publish(self.snapshot("finished"))
+        """:meth:`fold` one point settled now and sample the settle
+        rate."""
+        self.fold(point, outcome, elapsed, row, alerts)
+        self.mark()
 
     # -- heartbeat assembly ---------------------------------------------
 
@@ -264,15 +251,15 @@ class CampaignMonitor:
         self,
         status: Dict[str, Any],
         registries: Sequence[MetricsRegistry] = (),
-        health: Optional[Dict[str, Any]] = None,
     ) -> Dict[str, Any]:
-        """A heartbeat built on :meth:`snapshot` (the coordinator's adds
+        """A heartbeat built on :meth:`snapshot` (a fabric run's adds
         its ``workers`` and ``fabric`` blocks), plus the ``registries``'
         metrics, everywhere it is read: the status file and, with a
         server attached, ``/status``, ``/metrics`` (the registries'
         Prometheus text, concatenated) and ``/health`` (progress, alert
-        counts, ``health``).  Returns the heartbeat."""
+        counts, live workers).  Returns the heartbeat."""
         state = status["state"]
+        fabric = status.get("fabric")
         for registry in registries:
             status["metrics"].update(registry.snapshot())
         if self.path is not None:
@@ -290,12 +277,156 @@ class CampaignMonitor:
                     "done": self.done,
                     "total": self.total,
                     "alerts": status["alerts"]["by_rule"],
-                    **(health or {}),
+                    **({} if fabric is None else
+                       {"workers_live": fabric["live_workers"]}),
                     "version": __version__,
                 },
                 status=status,
             )
         return status
+
+
+class CampaignView:
+    """A campaign's heartbeat as its store holds it.
+
+    Each :meth:`read` folds the rows settled since the last read —
+    settled by the one rule, :func:`~repro.campaign.store.settled` with
+    the spec's ``max_attempts`` — into a :class:`CampaignMonitor`,
+    sampling the settle rate at the journal's own timestamps, and
+    returns the per-worker liveness pane and the ``fabric`` block.  It
+    only reads, so the local runner, the fabric
+    :class:`~repro.campaign.fabric.Coordinator` and ``cr-sim campaign
+    watch`` (over a read-only connection, see :meth:`open`) build the
+    same view; the executors :meth:`publish` it.
+    """
+
+    #: carry the workers pane before any worker has joined
+    fabric = False
+
+    def __init__(
+        self,
+        spec: "CampaignSpec",
+        points: Sequence["CampaignPoint"],
+        store: "CampaignStore",
+        ttl: float = DEFAULT_TTL,
+        started: Optional[float] = None,
+    ) -> None:
+        self.spec = spec
+        self.store = store
+        self.ttl = float(ttl)
+        self.total = len(points)
+        self.expected = {point.point_id: point.config_hash
+                         for point in points}
+        #: the points no read has folded into the heartbeat yet
+        self._unfolded = {point.point_id: point for point in points}
+        self._failures: List[str] = []
+        self.monitor = CampaignMonitor(spec.name, self.total, None,
+                                       clock=time.time)
+        #: wall time the campaign (re)started; the newest journal row
+        self.started = time.time() if started is None else started
+        self._last_row = self.started
+
+    @classmethod
+    def open(cls, store: "CampaignStore",
+             name: str) -> Optional["CampaignView"]:
+        """The view of a registered campaign, or None if ``store``
+        holds no campaign ``name``."""
+        spec = store.spec(name)
+        if spec is None:
+            return None
+        return cls(spec, list(spec.points()), store,
+                   started=store.updated_at(name))
+
+    def read(self, now: Optional[float] = None
+             ) -> Tuple[List[Dict[str, Any]], Dict[str, Any]]:
+        """Fold what settled since the last read; the workers pane and
+        the ``fabric`` block as of ``now``."""
+        if now is None:
+            now = time.time()
+        outcomes = self.store.settlement(self.spec.name, self.expected,
+                                         self.spec.max_attempts)
+        self._failures = [point_id for point_id, outcome
+                          in outcomes.items() if outcome == "failed"]
+        fresh = [point_id for point_id in outcomes
+                 if point_id in self._unfolded]
+        for row in self.store.journal_rows(self.spec.name, fresh):
+            point = self._unfolded.pop(row["point_id"])
+            self.monitor.fold(point, outcomes[point.point_id],
+                              row["wall_time"], row["report"],
+                              row["alerts"])
+            # A row an earlier run journaled is a resumed skip: no
+            # settle-rate sample.
+            if row["created_at"] >= self.started:
+                self.monitor.mark(row["created_at"])
+            self._last_row = max(self._last_row, row["created_at"])
+
+        leases = self.store.leases(self.spec.name, now=now)
+        held = sum(1 for lease in leases if lease["live"])
+        workers = []
+        live_workers = 0
+        reclaims = 0
+        for row in self.store.workers(self.spec.name):
+            age = max(0.0, now - row["last_seen"])
+            if row["state"] in ("finished", "stopped"):
+                liveness = row["state"]
+            elif age <= max(self.ttl, STALE_AFTER):
+                liveness = "live"
+                live_workers += 1
+            elif age <= 3.0 * max(self.ttl, STALE_AFTER):
+                liveness = "stale"
+            else:
+                liveness = "dead"
+            reclaims += row["reclaims"]
+            workers.append({
+                "worker_id": row["worker_id"],
+                "state": liveness,
+                "last_seen_age": age,
+                "pid": row["pid"],
+                "host": row["host"],
+                "done": row["done"],
+                "failed": row["failed"],
+                "leases": row["leases"],
+                "reclaims": row["reclaims"],
+                "span": row.get("span", ""),
+                "spans": row.get("spans", 0),
+                "logs": row.get("logs", 0),
+            })
+        return workers, {
+            "live_workers": live_workers,
+            "workers_seen": len(workers),
+            "leases_held": held,
+            "leases_expired": len(leases) - held,
+            "reclaims": int(reclaims),
+        }
+
+    def heartbeat(self, now: Optional[float] = None) -> Dict[str, Any]:
+        """The campaign's heartbeat, as ``cr-sim campaign watch``
+        renders it and the executors publish it: the
+        monitor's snapshot, stamped with the store's last activity (a
+        journaled row or a worker beat) and, for a fabric run, the
+        workers pane and the ``fabric`` block."""
+        if now is None:
+            now = time.time()
+        workers, fabric = self.read(now)
+        finished = self.monitor.done >= self.total
+        active = max([self._last_row] + [
+            now - worker["last_seen_age"] for worker in workers])
+        status = self.monitor.snapshot(
+            "finished" if finished else "running")
+        status.update(
+            updated_at=active,
+            elapsed_seconds=max(
+                0.0, (active if finished else now) - self.started),
+        )
+        if workers or self.fabric:
+            status.update(kind="fabric", workers=workers, fabric=fabric)
+        return status
+
+    def publish(self, registries: Sequence[MetricsRegistry] = ()
+                ) -> Dict[str, Any]:
+        """Read the :meth:`heartbeat` and :meth:`CampaignMonitor.publish`
+        it, with the ``registries``' metrics; returns it."""
+        return self.monitor.publish(self.heartbeat(), registries)
 
 
 # ----------------------------------------------------------------------

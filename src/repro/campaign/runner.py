@@ -13,9 +13,15 @@ fabric (:mod:`repro.campaign.fabric`) reuses verbatim:
   batches through the store's atomic lease table instead.
 * **Report** — :class:`PointReporter` journals every outcome through
   the store (``record_success``/``record_failure`` plus the
-  timeseries/alerts side tables), feeds the heartbeat monitor and the
-  caller's progress callback, and settles terminal failures so
-  progress always reaches ``total``.
+  timeseries/alerts side tables), feeds the caller's progress
+  callback, and settles terminal failures so progress always reaches
+  ``total``.
+
+The heartbeat is read back from the store, never fed: the local runner
+publishes a :class:`~repro.campaign.monitor.CampaignView` over its own
+store exactly as the fabric coordinator does, so a local run, a fabric
+run and ``cr-sim campaign watch`` show the same heartbeat for the same
+journal.
 
 Campaign-level guarantees on top of :func:`repro.sim.parallel.run_reports`:
 
@@ -43,7 +49,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..obs import open_telemetry
 from ..obs.trace import Tracer
 from ..sim.parallel import PointFailure, run_reports, unstable_fields
-from .monitor import CampaignMonitor, status_path
+from .monitor import CampaignView, status_path
 from .spec import CampaignPoint, CampaignSpec
 from .store import CampaignStore, attempts_used, settled
 
@@ -132,7 +138,7 @@ def point_candidates(
 # ----------------------------------------------------------------------
 
 class PointReporter:
-    """Journals settled points: store + heartbeat monitor + progress.
+    """Journals settled points: store + progress.
 
     One reporter serves both the local runner and a fabric worker; the
     only difference is that workers pass a lease ``fence`` so a write
@@ -145,14 +151,12 @@ class PointReporter:
         spec: CampaignSpec,
         store: CampaignStore,
         stats: CampaignRunStats,
-        monitor: Optional[CampaignMonitor] = None,
         progress: Optional[CampaignProgress] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.spec = spec
         self.store = store
         self.stats = stats
-        self.monitor = monitor
         self.progress = progress
         #: with a tracer attached, every journaled point also lands a
         #: closed ``run`` span (riding the fenced result transaction)
@@ -166,14 +170,9 @@ class PointReporter:
         if failed_attempts:
             self.stats.failed += 1
             self.stats.failures.append(point.point_id)
-            if self.monitor is not None:
-                # Journaled earlier: no time spent now, no rate sample.
-                self.monitor.fold(point, "failed", 0.0, final=True)
             self._progress(point, "failed", 0.0, failed_attempts)
             return
         self.stats.skipped += 1
-        if self.monitor is not None:
-            self.monitor.on_point(point, "skipped", 0.0)
         self._progress(point, "skipped", 0.0, 0)
 
     def _trace_payload(
@@ -269,9 +268,6 @@ class PointReporter:
             if final:
                 self.stats.failed += 1
                 self.stats.failures.append(point.point_id)
-            if self.monitor is not None:
-                self.monitor.on_point(point, "failed", elapsed,
-                                      final=final)
             self._progress(point, "failed", elapsed, attempt)
             return "failed"
 
@@ -298,11 +294,6 @@ class PointReporter:
         episodes = report.get("alerts") if report else None
         if episodes:
             self.store.record_alerts(self.spec.name, point, episodes)
-        if self.monitor is not None:
-            # The heartbeat sees what the journal now holds, exactly as
-            # a fabric coordinator reading the store back would.
-            self.monitor.on_point(point, "ok", elapsed, projected,
-                                  episodes or ())
         self.stats.ran += 1
         self.stats.wall_time += elapsed
         self._progress(point, "ok", elapsed, attempt)
@@ -349,19 +340,22 @@ def run_campaign(
     campaign first run unverified re-runs (rather than resumes) its
     points under checking.
 
-    ``heartbeat`` (seconds between writes; None disables) keeps an
-    atomic ``<name>.status.json`` export next to the store
-    (``cr-sim campaign watch`` reads the store itself and needs none);
-    ``heartbeat_path`` overrides its location (required for in-memory
-    stores, which otherwise skip the heartbeat).
+    ``heartbeat`` (seconds; None disables) publishes the campaign's
+    :class:`~repro.campaign.monitor.CampaignView` of ``store`` once
+    after the resume pass, then at most once every ``heartbeat``
+    seconds as points are journaled, and once at the end: an atomic
+    ``<name>.status.json`` export next to the store (``cr-sim campaign
+    watch`` reads the store itself and needs none); ``heartbeat_path``
+    overrides its location (required for in-memory stores, which
+    otherwise skip the heartbeat).
 
     ``serve`` starts a live telemetry HTTP server for the duration of
     the campaign: a ``[HOST:]PORT`` spec / port / ``True`` (loopback,
     ephemeral port), or an already-started
     :class:`repro.obs.server.TelemetryServer` (which the caller then
-    owns and stops).  The campaign monitor republishes every heartbeat
-    to it, so ``/metrics``, ``/health``, and ``/status`` stay live
-    while points execute.
+    owns and stops).  Every heartbeat is published to it too, so
+    ``/metrics``, ``/health``, and ``/status`` stay live while points
+    execute.
 
     ``trace=True`` arms distributed tracing: a root span for the run,
     a closed ``run`` + ``journal`` span pair per executed point, all
@@ -402,17 +396,17 @@ def run_campaign(
             logger.info("campaign_started", campaign=spec.name,
                         points=len(points), executor="local")
 
-        monitor: Optional[CampaignMonitor] = None
+        view: Optional[CampaignView] = None
         if heartbeat is not None:
             target = heartbeat_path or status_path(store.path, spec.name)
             if target is not None or server is not None:
-                monitor = CampaignMonitor(
-                    spec.name, len(points), target, interval=heartbeat,
-                    server=server,
-                )
+                view = CampaignView(spec, points, store,
+                                    started=store.updated_at(spec.name))
+                view.monitor.path = target
+                view.monitor.server = server
 
-        reporter = PointReporter(spec, store, stats, monitor=monitor,
-                                 progress=progress, tracer=tracer)
+        reporter = PointReporter(spec, store, stats, progress=progress,
+                                 tracer=tracer)
 
         # -- lease phase (local: claim everything not already settled) -
         # The one settlement rule, with the spec's attempt budget; a
@@ -431,6 +425,9 @@ def run_campaign(
             attempts[point.point_id] = attempts_used(
                 stored, point.config_hash) + 1
             pending.append(point)
+        if view is not None:
+            view.publish()
+        published = time.monotonic()
 
         # -- run + report phases ----------------------------------------
         round_ = 0
@@ -439,6 +436,7 @@ def run_campaign(
 
             def journal(index: int, report: object, elapsed: float,
                         cached: bool) -> None:
+                nonlocal published
                 point = pending[index]
                 attempt = attempts[point.point_id]
                 final = (isinstance(report, PointFailure)
@@ -448,6 +446,10 @@ def run_campaign(
                 if outcome == "failed" and not final:
                     attempts[point.point_id] = attempt + 1
                     failed_now.append(point)
+                if (view is not None
+                        and time.monotonic() - published >= heartbeat):
+                    view.publish()
+                    published = time.monotonic()
 
             run_reports(
                 [point.config for point in pending],
@@ -463,8 +465,8 @@ def run_campaign(
             pending = failed_now
             round_ += 1
 
-        if monitor is not None:
-            monitor.finalize()
+        if view is not None:
+            view.publish()
     finally:
         # Teardown runs on an interrupt between points too: the trace
         # keeps its "no span left open" guarantee, the log is closed and

@@ -246,7 +246,9 @@ class CampaignStore:
     ``readonly=True`` opens an existing file for reading only (``cr-sim
     campaign watch``): nothing is created, migrated or written, and
     under WAL the reader never blocks a writer.  A missing file raises
-    :class:`FileNotFoundError`.
+    :class:`FileNotFoundError`; in either mode, a file that is no
+    campaign store raises :class:`sqlite3.DatabaseError` here, not at
+    the first read or write.
     """
 
     def __init__(self, path: str = DEFAULT_DB_PATH,
@@ -272,6 +274,7 @@ class CampaignStore:
         self._conn.row_factory = sqlite3.Row
         self._conn.execute(f"PRAGMA busy_timeout = {BUSY_TIMEOUT_MS}")
         if readonly:
+            self._conn.execute("SELECT 1 FROM campaigns LIMIT 1")
             return
         # WAL lets readers proceed under a writer and writers queue on
         # the busy handler instead of failing; in-memory stores report

@@ -935,7 +935,7 @@ def _resolve_campaign_spec(name: str, scale_name: str):
 
 
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
-    from .campaign import CampaignPointStatus, CampaignStore, run_campaign
+    from .campaign import CampaignPointStatus, run_campaign
 
     spec = _resolve_campaign_spec(
         args.name, "quick" if args.quick else args.scale
@@ -969,7 +969,7 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
 
-    with _serving(args.serve) as server, CampaignStore(args.db) as store:
+    with _open_store(args.db) as store, _serving(args.serve) as server:
         stats = run_campaign(
             spec,
             store,
@@ -990,12 +990,25 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     return 0 if stats.complete else 1
 
 
+def _open_store(db: str, readonly: bool = False) -> Any:
+    """The campaign store at ``db``; a file that is no store is misuse."""
+    import sqlite3
+
+    from .campaign import CampaignStore
+
+    try:
+        return CampaignStore(db, readonly=readonly)
+    except sqlite3.DatabaseError as exc:
+        raise UsageError(f"{db}: {exc}") from None
+
+
 def _require_shared_db(db: str) -> None:
     if db == ":memory:":
         raise UsageError(
             "the fabric shards across worker processes, which need a "
             "shared on-disk --db (not :memory:)"
         )
+    _open_store(db).close()
 
 
 def _campaign_run_fabric(args: argparse.Namespace, spec) -> int:
@@ -1047,9 +1060,9 @@ def _campaign_run_fabric(args: argparse.Namespace, spec) -> int:
 def _cmd_campaign_worker(args: argparse.Namespace) -> int:
     from .campaign.fabric import Worker
 
-    _require_shared_db(args.db)
     _at_least(1, batch=args.batch)
     _at_least(0, above=True, ttl=args.ttl, poll=args.poll)
+    _require_shared_db(args.db)
     worker = Worker(
         args.name,
         args.db,
@@ -1083,9 +1096,9 @@ def _require_stored(store: Any, *names: str) -> None:
 
 
 def _cmd_campaign_status(args: argparse.Namespace) -> int:
-    from .campaign import CampaignStore, campaign_markdown
+    from .campaign import campaign_markdown
 
-    with CampaignStore(args.db) as store:
+    with _open_store(args.db) as store:
         if args.name is None:
             rows = [
                 {
@@ -1108,14 +1121,13 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
 
 def _cmd_campaign_report(args: argparse.Namespace) -> int:
     from .campaign import (
-        CampaignStore,
         compare_campaigns,
         comparison_to_csv,
         render_markdown,
     )
 
     metrics = [m for m in args.metrics.split(",") if m.strip()]
-    with CampaignStore(args.db) as store:
+    with _open_store(args.db) as store:
         _require_stored(store, args.baseline, args.candidate)
         rows = compare_campaigns(
             store, args.baseline, args.candidate, metrics
@@ -1154,12 +1166,14 @@ def _cmd_campaign_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_watch(args: argparse.Namespace) -> int:
-    import sqlite3
     import time
 
-    from .campaign import CampaignStore, read_status, render_status
-    from .campaign.fabric import CampaignView
-    from .campaign.monitor import status_svg
+    from .campaign.monitor import (
+        CampaignView,
+        read_status,
+        render_status,
+        status_svg,
+    )
 
     _at_least(0, above=True, interval=args.interval)
     if args.status_file is None and args.db == ":memory:":
@@ -1175,10 +1189,14 @@ def _cmd_campaign_watch(args: argparse.Namespace) -> int:
     def heartbeat() -> Optional[Dict[str, Any]]:
         nonlocal store, view
         if args.status_file is not None:
-            return (read_status(args.status_file)
-                    if os.path.exists(args.status_file) else None)
+            if not os.path.exists(args.status_file):
+                return None
+            try:
+                return read_status(args.status_file)
+            except (OSError, ValueError) as exc:
+                raise UsageError(f"{args.status_file}: {exc}") from None
         if store is None and os.path.isfile(args.db):
-            store = CampaignStore(args.db, readonly=True)
+            store = _open_store(args.db, readonly=True)
         if view is None and store is not None:
             view = CampaignView.open(store, args.name)
         return None if view is None else view.heartbeat()
@@ -1218,21 +1236,18 @@ def _cmd_campaign_watch(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         print()
         return 0
-    except sqlite3.DatabaseError as exc:
-        raise UsageError(f"{args.db}: {exc}") from None
     finally:
         if store is not None:
             store.close()
 
 
 def _cmd_campaign_timeline(args: argparse.Namespace) -> int:
-    from .campaign import CampaignStore
     from .campaign.timeline import (
         timeline_summary,
         write_campaign_timeline,
     )
 
-    with CampaignStore(args.db) as store:
+    with _open_store(args.db) as store:
         summary = timeline_summary(store, args.name)
         if summary["spans"] == 0:
             raise UsageError(

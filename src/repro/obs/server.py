@@ -22,9 +22,10 @@ Endpoints:
 
 Attach points: ``SimConfig(serve=...)`` for single runs (the
 :class:`EngineTelemetry` sampler listener republishes at every sampler
-boundary), ``run_campaign(serve=...)`` (the campaign monitor
-republishes per heartbeat), and ``cr-sim run|trace|campaign run
---serve [HOST:]PORT``.
+boundary), ``run_campaign(serve=...)`` and the fabric coordinator
+(each publishes the campaign's heartbeat as read from its store, see
+:class:`~repro.campaign.monitor.CampaignView`), and ``cr-sim
+run|trace|campaign run --serve [HOST:]PORT``.
 
 A serve spec is a port (``9100``), a ``"[HOST:]PORT"`` string
 (``"0.0.0.0:9100"``), ``True`` (loopback, ephemeral port -- the form

@@ -7,7 +7,6 @@ from repro.campaign.monitor import (
     STALE_AFTER,
     CampaignMonitor,
     heartbeat_age,
-    read_status,
     render_alerts,
     render_status,
 )
@@ -150,24 +149,27 @@ class TestLiveServing:
                     parse_prometheus_text(
                         response.read().decode("utf-8")))
 
-        spec = alerting_spec(loads=(0.1,))
+        spec = alerting_spec()
         try:
             stats = run_campaign(
                 spec, store, workers=1,
                 heartbeat=0.0, serve=server, progress=scrape,
             )
+            final = parse_prometheus_text(server.metrics_text())
         finally:
             server.stop()
         assert stats.complete
-        assert scrapes, "progress callback never scraped"
+        assert len(scrapes) == spec.size == 2
+        # The second point's scrape reads the heartbeat published once
+        # the first point was journaled: live while the run is not done.
         parsed = scrapes[-1]
         counters = parsed["cr_campaign_points_total"]["samples"]
-        assert counters[
-            'cr_campaign_points_total{outcome="ok"}'
-        ] == spec.size
+        assert counters['cr_campaign_points_total{outcome="ok"}'] == 1
         assert parsed["cr_campaign_alerts_total"]["samples"][
             "cr_campaign_alerts_total"
         ] >= 1.0
+        assert final["cr_campaign_points_total"]["samples"][
+            'cr_campaign_points_total{outcome="ok"}'] == spec.size
 
     def test_runner_stops_an_owned_server(self, store):
         from repro.obs.server import TelemetryServer
@@ -190,19 +192,16 @@ class TestLiveServing:
 
 
 class TestMonitorAlerts:
-    def make_monitor(self, tmp_path, total=4):
+    def make_monitor(self, total=4):
         ticks = iter(range(1000))
-        path = str(tmp_path / "m.status.json")
-        return CampaignMonitor(
-            "m", total, path, interval=0.0,
-            clock=lambda: float(next(ticks)),
-        ), path
+        return CampaignMonitor("m", total, None,
+                               clock=lambda: float(next(ticks)))
 
-    def test_episodes_land_in_heartbeat_and_registry(self, tmp_path):
-        monitor, path = self.make_monitor(tmp_path)
+    def test_episodes_land_in_heartbeat_and_registry(self):
+        monitor = self.make_monitor()
         monitor.on_point(make_point(), "ok", 0.5, alerts=[
             episode(), episode(rule="delivery-slo", severity="warning")])
-        status = read_status(path)
+        status = monitor.snapshot()
         assert status["alerts"]["total"] == 2
         assert status["alerts"]["by_rule"] == {
             "kill-storm": 1, "delivery-slo": 1,
@@ -214,12 +213,12 @@ class TestMonitorAlerts:
             "cr_campaign_alerts_by_rule_total"]["values"]
         assert by_rule['{rule="kill-storm",severity="critical"}'] == 1.0
 
-    def test_build_info_gauge_in_heartbeat_metrics(self, tmp_path):
+    def test_build_info_gauge_in_heartbeat_metrics(self):
         from repro import __version__
 
-        monitor, path = self.make_monitor(tmp_path)
+        monitor = self.make_monitor()
         monitor.on_point(make_point(), "ok", 0.5, {})
-        values = read_status(path)["metrics"][
+        values = monitor.snapshot()["metrics"][
             "cr_campaign_build_info"]["values"]
         (key,) = values
         assert f'version="{__version__}"' in key
@@ -230,13 +229,11 @@ class TestMonitorAlerts:
 
         server = TelemetryServer()
         try:
-            monitor = CampaignMonitor(
-                "m", 2, None, interval=0.0, server=server,
-            )
+            monitor = CampaignMonitor("m", 2, None, server=server)
             monitor.on_point(make_point(), "ok", 0.5,
                              alerts=[episode()])
-            monitor.finalize()
-            assert server.publishes >= 2
+            monitor.publish(monitor.snapshot("finished"))
+            assert server.publishes == 1
             health = server.health()
             assert health["campaign"] == "m"
             assert health["status"] == "finished"

@@ -99,12 +99,32 @@ class TestWatch:
         usage_error("campaign watch", "no stored campaign 'x'")
         assert list(tmp_path.iterdir()) == []
 
-    def test_a_file_that_is_no_store_is_misuse(self, tmp_path,
+    @pytest.mark.parametrize("argv", [
+        ["watch", "x", "--once"],
+        ["run", "fault-matrix", "--quick"],
+        ["status", "x"],
+        ["report", "a", "b"],
+        ["timeline", "x"],
+        ["worker", "x"],
+    ], ids=lambda argv: argv[0])
+    def test_a_file_that_is_no_store_is_misuse(self, argv, tmp_path,
                                                 usage_error):
         path = spec_file(tmp_path)
-        assert cli_main(["campaign", "watch", "x", "--db", path,
-                         "--once"]) == 2
-        usage_error("campaign watch", path, "not a database")
+        assert cli_main(["campaign", *argv, "--db", path]) == 2
+        usage_error(f"campaign {argv[0]}", path, "not a database")
+
+    @pytest.mark.parametrize("content", ['{"done": 1', "[1, 2]", None],
+                             ids=["truncated", "list", "directory"])
+    def test_a_bad_status_file_is_misuse(self, content, tmp_path,
+                                         usage_error):
+        path = tmp_path / "x.status.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_text(content)
+        assert cli_main(["campaign", "watch", "x", "--db", ":memory:",
+                         "--once", "--status-file", str(path)]) == 2
+        usage_error("campaign watch", str(path))
 
     def test_loop_gives_up_without_a_heartbeat(self, db, capsys):
         # An interval past the 60 s patience gives up on the first miss,

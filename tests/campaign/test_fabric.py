@@ -15,8 +15,8 @@ from repro.campaign import (
     read_status,
     run_campaign,
 )
-from repro.campaign.fabric import CampaignView, default_worker_id
-from repro.campaign.monitor import render_status, render_workers
+from repro.campaign.fabric import default_worker_id
+from repro.campaign.monitor import CampaignView, render_status, render_workers
 from repro.campaign.runner import point_candidates
 from repro.obs.metrics import parse_prometheus_text
 from repro.sim.parallel import config_cache_key

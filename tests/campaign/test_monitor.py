@@ -16,6 +16,7 @@ from repro.campaign import (
 from repro.campaign.monitor import (
     ROLLING_WINDOW,
     CampaignMonitor,
+    CampaignView,
     status_path,
     status_svg,
     text_sparkline,
@@ -36,6 +37,29 @@ def tiny_spec(name="hb-test", loads=(0.1, 0.2)):
         "axes": {"load": list(loads)},
         "replications": 1,
     })
+
+
+def mixed_spec(name="hb-mixed"):
+    """One point that journals an alert episode, one that fails both
+    of its two attempts."""
+    return CampaignSpec.from_dict({
+        "name": name,
+        "base": {
+            "radix": 4, "dims": 2, "message_length": 8, "warmup": 50,
+            "measure": 150, "drain": 1000, "sample_interval": 50,
+            "alerts": [{"name": "always", "metric": "delivery_ratio",
+                        "op": "<=", "value": 1.0, "severity": "info"}],
+        },
+        "axes": {"routing": ["cr", "nope"], "load": [0.1]},
+        "max_attempts": 2,
+    })
+
+
+def without_elapsed(status):
+    """A heartbeat as JSON holds it, minus its running time."""
+    status = json.loads(json.dumps(status))
+    del status["elapsed_seconds"]
+    return status
 
 
 def make_point(point_id="p/rep=0", scenario=None, replication=0):
@@ -84,37 +108,33 @@ class TestAtomicWrites:
 
 
 class TestMonitorAccounting:
-    def make_monitor(self, tmp_path, total=4, interval=0.0):
+    def make_monitor(self, total=4):
         ticks = iter(range(1000))
 
         def clock():
             return float(next(ticks))
 
-        path = str(tmp_path / "m.status.json")
-        return CampaignMonitor(
-            "m", total, path, interval=interval, clock=clock
-        ), path
+        return CampaignMonitor("m", total, None, clock=clock)
 
-    def test_ok_and_skipped_advance_done_failed_does_not(self, tmp_path):
-        monitor, path = self.make_monitor(tmp_path)
+    def test_ok_and_failed_rows_both_settle_into_done(self):
+        """A view folds a point once, when it settles: stored ok or
+        failed with its attempt budget used up."""
+        monitor = self.make_monitor()
         monitor.on_point(make_point(), "ok", 0.5)
-        monitor.on_point(make_point(), "skipped", 0.0)
         monitor.on_point(make_point(), "failed", 0.2)
-        assert monitor.done == 2
-        status = read_status(path)
-        assert status["done"] == 2
+        status = monitor.snapshot()
+        assert (status["done"], status["failed"]) == (2, 1)
         assert status["last_point"]["outcome"] == "failed"
         counters = status["metrics"]["cr_campaign_points_total"]["values"]
-        assert counters['{outcome="ok"}'] == 1.0
-        assert counters['{outcome="failed"}'] == 1.0
-        assert counters['{outcome="skipped"}'] == 1.0
+        assert counters == {'{outcome="ok"}': 1.0,
+                            '{outcome="failed"}': 1.0}
 
-    def test_kill_rate_sparkline_reads_the_stored_row(self, tmp_path):
-        monitor, path = self.make_monitor(tmp_path)
+    def test_kill_rate_sparkline_reads_the_stored_row(self):
+        monitor = self.make_monitor()
         monitor.on_point(make_point(), "ok", 0.5, {"kill_rate": 0.1})
         monitor.on_point(make_point(), "ok", 0.7, {"kill_rate": 0.3})
         monitor.on_point(make_point(), "ok", 0.7, {"throughput": 0.2})
-        status = read_status(path)
+        status = monitor.snapshot()
         # A row that does not store kill_rate adds no made-up sample.
         assert status["recent_kill_rates"] == [0.1, 0.3]
         assert status["recent_wall_seconds"] == [0.5, 0.7, 0.7]
@@ -125,16 +145,16 @@ class TestMonitorAccounting:
                                         "cr_campaign_messages"))
                        for name in status["metrics"])
 
-    def test_eta_is_remaining_over_the_settle_rate(self, tmp_path):
+    def test_eta_is_remaining_over_the_settle_rate(self):
         """Points that settle two at a time (two workers, one poll a
         second) read remaining / rate -- not mean point wall x
         remaining, which here reads twice too long."""
         now = [0.0]
         monitor = CampaignMonitor("m", 10, None, clock=lambda: now[0])
         assert monitor.eta_seconds() is None  # no samples yet
-        # A resumed run's skips take no time: they are not a rate.
-        monitor.on_point(make_point(), "skipped", 0.0)
-        monitor.on_point(make_point(), "skipped", 0.0)
+        # Resumed rows took no time now: folded, but not a rate.
+        monitor.fold(make_point(), "ok", 2.0)
+        monitor.fold(make_point(), "ok", 2.0)
         for second in (1.0, 2.0):
             now[0] = second
             monitor.fold(make_point(), "ok", 2.0)
@@ -144,43 +164,55 @@ class TestMonitorAccounting:
                 assert monitor.eta_seconds() is None  # one sample
         # 2 points a second, 4 to go.
         assert monitor.snapshot()["eta_seconds"] == pytest.approx(2.0)
-        # The local runner samples on every journaled point.
+        # on_point samples as it folds.
         now[0] = 3.0
         monitor.on_point(make_point(), "ok", 2.0)
         # 3 to go at (7 - 4) points per (3 - 1) seconds.
         assert monitor.eta_seconds() == pytest.approx(2.0)
 
-    def test_eta_zero_when_complete(self, tmp_path):
-        monitor, _ = self.make_monitor(tmp_path, total=1)
+    def test_eta_zero_when_complete(self):
+        monitor = self.make_monitor(total=1)
         monitor.on_point(make_point(), "ok", 2.0)
         assert monitor.eta_seconds() == 0.0
 
-    def test_rolling_window_is_bounded(self, tmp_path):
-        monitor, _ = self.make_monitor(
-            tmp_path, total=ROLLING_WINDOW * 2
-        )
+    def test_rolling_window_is_bounded(self):
+        monitor = self.make_monitor(total=ROLLING_WINDOW * 2)
         for index in range(ROLLING_WINDOW + 10):
             monitor.on_point(make_point(), "ok", float(index))
         assert len(monitor._recent_wall) == ROLLING_WINDOW
 
     def test_interval_throttles_intermediate_writes(self, tmp_path):
-        monitor, path = self.make_monitor(
-            tmp_path, total=4, interval=100.0
-        )
-        monitor.on_point(make_point(), "ok", 0.1)  # first write
-        first = read_status(path)
-        monitor.on_point(make_point(), "ok", 0.1)  # throttled
-        assert read_status(path) == first
-        monitor.finalize()  # terminal write always lands
+        """run_campaign publishes once after the resume pass, not
+        between two points inside the interval, and once at the end."""
+        from repro.obs.server import TelemetryServer
+
+        db = str(tmp_path / "camp.sqlite")
+        spec = tiny_spec()
+        path = status_path(db, spec.name)
+        seen = []
+        server = TelemetryServer()
+        try:
+            with CampaignStore(db) as store:
+                run_campaign(spec, store, heartbeat=100.0, serve=server,
+                             progress=lambda _: seen.append(
+                                 (server.publishes, read_status(path))))
+            publishes = server.publishes
+        finally:
+            server.stop()
+        assert [count for count, _ in seen] == [1] * spec.size
+        assert all((status["state"], status["done"]) == ("running", 0)
+                   for _, status in seen)
+        assert publishes == 2
         assert read_status(path)["state"] == "finished"
 
     def test_completion_writes_even_when_throttled(self, tmp_path):
-        monitor, path = self.make_monitor(
-            tmp_path, total=2, interval=1000.0
-        )
-        monitor.on_point(make_point(), "ok", 0.1)
-        monitor.on_point(make_point(), "ok", 0.1)
-        assert read_status(path)["done"] == 2
+        db = str(tmp_path / "camp.sqlite")
+        spec = tiny_spec()
+        with CampaignStore(db) as store:
+            run_campaign(spec, store, heartbeat=1000.0)
+        status = read_status(status_path(db, spec.name))
+        assert status["done"] == status["total"] == spec.size
+        assert status["state"] == "finished"
 
 
 class TestRunCampaignHeartbeat:
@@ -210,6 +242,50 @@ class TestRunCampaignHeartbeat:
         status = read_status(status_path(db, spec.name))
         assert status["state"] == "finished"
         assert status["done"] == status["total"] == spec.size
+
+    def test_export_and_status_are_the_stores_view(self, tmp_path):
+        """One heartbeat: the status file, ``/status`` and a read-only
+        view of the same store agree on every key but the running
+        time."""
+        from repro.obs.server import TelemetryServer
+
+        db = str(tmp_path / "camp.sqlite")
+        spec = mixed_spec()
+        server = TelemetryServer()
+        try:
+            with CampaignStore(db) as store:
+                run_campaign(spec, store, backoff=0.0, heartbeat=0.0,
+                             serve=server)
+            served = server.status()
+        finally:
+            server.stop()
+        exported = read_status(status_path(db, spec.name))
+        with CampaignStore(db, readonly=True) as reader:
+            viewed = CampaignView.open(reader, spec.name).heartbeat()
+        assert without_elapsed(served) == without_elapsed(exported)
+        assert without_elapsed(viewed) == without_elapsed(exported)
+        assert (exported["done"], exported["failed"]) == (2, 1)
+        assert exported["alerts"]["total"] >= 1
+        # Two failed attempts are one settled point; no skip label.
+        counters = exported["metrics"]["cr_campaign_points_total"]["values"]
+        assert counters == {'{outcome="ok"}': 1.0,
+                            '{outcome="failed"}': 1.0}
+
+    def test_resumed_run_publishes_the_first_runs_heartbeat(self,
+                                                             tmp_path):
+        db = str(tmp_path / "camp.sqlite")
+        spec = mixed_spec()
+        path = status_path(db, spec.name)
+        with CampaignStore(db) as store:
+            run_campaign(spec, store, backoff=0.0, heartbeat=0.0)
+        first = read_status(path)
+        with CampaignStore(db) as store:
+            stats = run_campaign(spec, store, backoff=0.0, heartbeat=0.0)
+        assert stats.ran == 0
+        again = read_status(path)
+        for key in ("state", "done", "total", "failed", "alerts",
+                    "last_point"):
+            assert again[key] == first[key], key
 
     def test_heartbeat_none_disables_monitoring(self, tmp_path):
         db = str(tmp_path / "camp.sqlite")

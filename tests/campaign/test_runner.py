@@ -220,26 +220,26 @@ class TestFailures:
         assert len(failed_events) == 2  # attempt 1 + final attempt 2
         assert failed_events[0].done < failed_events[1].done
 
-    def test_terminal_failures_render_in_done_count(self, store):
-        """The heartbeat shows ``done (N failed)`` once retries exhaust."""
-        from repro.campaign.monitor import CampaignMonitor, render_status
+    def test_terminal_failures_render_in_done_count(self, tmp_path):
+        """The heartbeat shows ``done (N failed)`` once retries exhaust;
+        a retried attempt is no settled point."""
+        from repro.campaign.monitor import read_status, render_status
 
         spec = CampaignSpec.from_dict({
             "name": "stallm",
             "base": {"radix": 4, "warmup": 50, "measure": 100,
                      "drain": 1000, "message_length": 8},
             "axes": {"routing": ["dor", "nope"], "load": [0.1]},
+            "max_attempts": 2,
         })
-        monitor = CampaignMonitor("stallm", 2, path=None)
-        points = {p.scenario["routing"]: p for p in spec.points()}
-        monitor.on_point(points["dor"], "ok", 0.1, {})
-        monitor.on_point(points["nope"], "failed", 0.1)  # retryable
-        assert monitor.done == 1 and monitor.failed_settled == 0
-        monitor.on_point(points["nope"], "failed", 0.1, final=True)
-        assert monitor.done == 2 and monitor.failed_settled == 1
-        status = monitor.snapshot()
+        db = str(tmp_path / "c.sqlite")
+        with CampaignStore(db) as store:
+            run_campaign(spec, store, backoff=0.0, heartbeat=0.0)
+        status = read_status(str(tmp_path / "stallm.status.json"))
         assert (status["done"], status["failed"]) == (2, 1)
-        assert monitor.eta_seconds() == 0.0  # no stall below total
+        assert status["eta_seconds"] == 0.0  # no stall below total
+        counters = status["metrics"]["cr_campaign_points_total"]["values"]
+        assert counters['{outcome="failed"}'] == 1.0
         rendered = render_status(status)
         assert "2/2 (100%) (1 failed)" in rendered
 
