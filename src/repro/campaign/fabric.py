@@ -55,7 +55,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..obs import open_telemetry
-from ..obs.log import StructuredLogger, campaign_log_path
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import (
     TRACE_ARM_ENV,
@@ -136,7 +135,6 @@ class Worker:
         progress: Optional[CampaignProgress] = None,
         trace: Optional[bool] = None,
         traceparent: Optional[str] = None,
-        log_level: str = "info",
     ) -> None:
         self.campaign = campaign
         self.db_path = str(db_path)
@@ -149,13 +147,11 @@ class Worker:
         #: the coordinator sets when it spawns traced workers.
         self.trace = tracing_armed() if trace is None else bool(trace)
         self.traceparent = traceparent
-        self.log_level = log_level
         self.stats = WorkerStats()
         self._held: Dict[str, Lease] = {}
         self._lock = threading.Lock()
         self._stop = threading.Event()
         self._tracer: Optional[Tracer] = None
-        self._logger: Optional[StructuredLogger] = None
         self._session: Optional[Span] = None
         self._lease_spans: Dict[str, Span] = {}
 
@@ -177,9 +173,6 @@ class Worker:
                 done = self._tracer.end_span(
                     renew, "ok", attrs={"renewed": renewed})
                 store.record_spans(self.campaign, [done.to_dict()])
-            if self._logger is not None:
-                self._logger.debug("lease_renewed", held=len(held_ids),
-                                   renewed=renewed)
         current = (self._tracer.current()
                    if self._tracer is not None else None)
         store.worker_heartbeat(
@@ -191,8 +184,6 @@ class Worker:
                   if current is not None else ""),
             spans=(self._tracer.finished
                    if self._tracer is not None else 0),
-            logs=(self._logger.written
-                  if self._logger is not None else 0),
         )
 
     def _heartbeat_loop(self) -> None:
@@ -250,17 +241,11 @@ class Worker:
         return None
 
     def _arm(self, store: CampaignStore) -> None:
-        """Bring up this worker's tracer + structured logger."""
+        """Bring up this worker's tracer and open its session span."""
         if not self.trace:
             return
         self._tracer = Tracer(worker_id=self.worker_id,
                               root=self._trace_root(store))
-        self._logger = StructuredLogger(
-            campaign_log_path(self.db_path, self.campaign,
-                              self.worker_id),
-            worker_id=self.worker_id, level=self.log_level,
-            tracer=self._tracer,
-        )
         self._session = self._tracer.start_span(
             f"worker {self.worker_id}", kind="worker",
             attrs={"pid": os.getpid(), "host": socket.gethostname()},
@@ -268,18 +253,9 @@ class Worker:
         # Journal the session span open: a SIGKILLed worker leaves it
         # behind for the coordinator's settle-time sweep to close.
         store.record_spans(self.campaign, [self._session.to_dict()])
-        self._logger.info("worker_started", pid=os.getpid(),
-                          batch=self.batch, ttl=self.ttl)
 
     def _disarm(self, store: CampaignStore) -> None:
-        """Close the session span + logger on an orderly exit."""
-        if self._logger is not None:
-            self._logger.info(
-                "worker_finished", ran=self.stats.ran,
-                failed=self.stats.failed, fenced=self.stats.fenced,
-                reclaims=self.stats.reclaims,
-                complete=self.stats.complete,
-            )
+        """Close the session span on an orderly exit."""
         if self._tracer is not None and self._session is not None:
             done = self._tracer.end_span(
                 self._session,
@@ -289,8 +265,6 @@ class Worker:
                        "fenced": self.stats.fenced},
             )
             store.record_spans(self.campaign, [done.to_dict()])
-        if self._logger is not None:
-            self._logger.close()
 
     def _run(self, store: CampaignStore, spec: CampaignSpec) -> WorkerStats:
         # Re-run the submit phase against the stored spec: expansion is
@@ -378,17 +352,6 @@ class Worker:
                 self._lease_spans[lease.point_id] = span
                 opened.append(span.to_dict())
             store.record_spans(self.campaign, opened)
-        if self._logger is not None:
-            self._logger.info(
-                "batch_leased", points=len(leases), reclaimed=reclaimed,
-                point_ids=[lease.point_id for lease in leases],
-            )
-            if reclaimed:
-                self._logger.warning(
-                    "leases_reclaimed", count=reclaimed,
-                    point_ids=[lease.point_id for lease in leases
-                               if lease.reclaimed],
-                )
 
         def journal(index: int, report: object, elapsed: float,
                     cached: bool) -> None:
@@ -422,13 +385,6 @@ class Worker:
                 self.stats.failed += 1
             elif outcome == "ok":
                 self.stats.ran += 1
-            if self._logger is not None:
-                level = "info" if outcome == "ok" else "warning"
-                self._logger.log(
-                    level, f"point_{outcome}", point_id=point.point_id,
-                    attempt=lease.attempt, elapsed=round(elapsed, 4),
-                    final=final,
-                )
 
         try:
             run_reports(
@@ -512,19 +468,16 @@ class Coordinator(CampaignView):
         server: Optional[Any] = None,
         on_poll: Optional[Callable[[Dict[str, Any]], None]] = None,
         trace: bool = False,
-        log_level: str = "info",
     ) -> None:
         self.interval = float(interval)
         self.on_poll = on_poll
 
-        # -- tracing + structured logging (armed by trace=True) --------
+        # -- tracing (armed by trace=True) -----------------------------
         self.trace = bool(trace)
         self.tracer: Optional[Tracer] = None
         self.root: Optional[Span] = None
-        self.logger: Optional[StructuredLogger] = None
         self.trace_registry: Optional[MetricsRegistry] = None
         self._span_rows_seen = 0
-        self._worker_liveness: Dict[str, str] = {}
         self._c_spans = None
         if self.trace:
             # Its own cr_-prefixed registry so the scrape names match
@@ -535,11 +488,6 @@ class Coordinator(CampaignView):
                 "trace_spans_total",
                 "Trace spans journaled into the campaign store.")
             self.tracer = Tracer(worker_id="coordinator")
-            self.logger = StructuredLogger(
-                campaign_log_path(store.path, spec.name, "coordinator"),
-                worker_id="coordinator", level=log_level,
-                tracer=self.tracer, registry=self.trace_registry,
-            )
             self.root = self.tracer.start_span(
                 f"campaign {spec.name}", kind="root",
                 attrs={"executor": "fabric"},
@@ -560,8 +508,6 @@ class Coordinator(CampaignView):
         self.monitor.path = (heartbeat_path
                              or status_path(store.path, spec.name))
         self.monitor.server = server
-        if self.logger is not None:
-            self.logger.info("campaign_submitted", points=self.total)
         self._last_reclaims = 0.0
 
         self.registry = MetricsRegistry(prefix="cr_fabric_")
@@ -595,24 +541,10 @@ class Coordinator(CampaignView):
     # -- one aggregation step -------------------------------------------
 
     def heartbeat(self, now: Optional[float] = None) -> Dict[str, Any]:
-        """The view's heartbeat; logs worker liveness changes and sets
-        the ``cr_fabric_*`` gauges from it."""
+        """The view's heartbeat; sets the ``cr_fabric_*`` gauges from
+        it."""
         status = super().heartbeat(now)
-        workers, fabric = status["workers"], status["fabric"]
-        if self.logger is not None:
-            for worker in workers:
-                liveness = worker["state"]
-                previous = self._worker_liveness.get(worker["worker_id"])
-                if previous is not None and previous != liveness:
-                    level = ("warning" if liveness in ("stale", "dead")
-                             else "info")
-                    self.logger.log(
-                        level, f"worker_{liveness}",
-                        worker=worker["worker_id"], was=previous,
-                        last_seen_age=round(worker["last_seen_age"], 2),
-                    )
-                self._worker_liveness[worker["worker_id"]] = liveness
-
+        fabric = status["fabric"]
         if self._c_spans is not None:
             counts = self.store.span_counts(self.spec.name)
             total_spans = sum(counts.values())
@@ -637,7 +569,7 @@ class Coordinator(CampaignView):
         :meth:`heartbeat`."""
         # Three registries, one scrape: cr_campaign_* from the monitor,
         # the cr_fabric_* gauges, and with tracing the
-        # cr_trace_spans_total / cr_log_records_total counters.
+        # cr_trace_spans_total counter.
         registries = [self.registry]
         if self.trace_registry is not None:
             registries.append(self.trace_registry)
@@ -693,12 +625,6 @@ class Coordinator(CampaignView):
         """
         if self.tracer is None or self.root is None:
             return
-        if self.logger is not None:
-            self.logger.info(
-                "campaign_settled", ok=stats.ok, failed=stats.failed,
-                reclaims=stats.reclaims,
-                workers_seen=stats.workers_seen,
-            )
         closed = self.tracer.end_span(
             self.root, "ok" if stats.complete else "error",
             attrs={"ok": stats.ok, "failed": stats.failed,
@@ -708,12 +634,7 @@ class Coordinator(CampaignView):
         # abort whatever is still open (a SIGKILLed worker's session
         # span, an orphan lease no survivor happened to reclaim).
         self.store.record_spans(self.spec.name, [closed.to_dict()])
-        swept = self.store.close_open_spans(self.spec.name)
-        if swept and self.logger is not None:
-            self.logger.warning("orphan_spans_closed", count=swept)
-        if self.logger is not None:
-            self.logger.close()
-            self.logger = None
+        self.store.close_open_spans(self.spec.name)
         self.root = None  # settle is idempotent across run() calls
 
 
@@ -725,7 +646,7 @@ def _worker_env(trace: bool = False,
                 traceparent: Optional[str] = None) -> Dict[str, str]:
     """The spawned worker's environment, with this repro importable.
 
-    ``trace`` arms the child's tracing+logging via ``CR_TRACE``;
+    ``trace`` arms the child's tracing via ``CR_TRACE``;
     ``traceparent`` propagates the coordinator's root span context via
     ``CR_TRACEPARENT`` (the W3C-style subprocess boundary), so every
     worker's spans join the coordinator's trace.

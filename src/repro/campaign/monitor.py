@@ -389,7 +389,6 @@ class CampaignView:
                 "reclaims": row["reclaims"],
                 "span": row.get("span", ""),
                 "spans": row.get("spans", 0),
-                "logs": row.get("logs", 0),
             })
         return workers, {
             "live_workers": live_workers,
@@ -539,7 +538,7 @@ def render_workers(status: Dict[str, Any]) -> List[str]:
     (``live``/``stale``/``dead``/``finished``), points done (failed),
     leases currently held, and reclaims performed.  Traced fabrics add
     a second line per worker with its *current* span (what it is doing
-    right now) and its finished-span/log-record tallies.  Pure — reads
+    right now) and its finished-span tally.  Pure — reads
     only the heartbeat dict ``cr-sim campaign watch`` already consumes.
     """
     workers = status.get("workers") or []
@@ -567,11 +566,9 @@ def render_workers(status: Dict[str, Any]) -> List[str]:
         )
         span = worker.get("span")
         spans = worker.get("spans") or 0
-        logs = worker.get("logs") or 0
-        if span or spans or logs:
+        if span or spans:
             lines.append(
-                f"       in span: {span or '(idle)'}"
-                f"   spans {spans}  logs {logs}"
+                f"       in span: {span or '(idle)'}   spans {spans}"
             )
     return lines
 

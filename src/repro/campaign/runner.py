@@ -371,30 +371,21 @@ def run_campaign(
     stats = CampaignRunStats()
     tracer: Optional[Tracer] = None
     root = None
-    logger = None
     try:
         # -- submit phase -----------------------------------------------
         if trace:
-            from ..obs.log import StructuredLogger, campaign_log_path
-
             tracer = Tracer(worker_id="local")
             root = tracer.start_span(
                 f"campaign {spec.name}", kind="root",
                 attrs={"executor": "local"},
             )
-            logger = StructuredLogger(
-                campaign_log_path(store.path, spec.name, "local"),
-                worker_id="local", tracer=tracer,
-            )
         points = submit_campaign(spec, store, verify=verify)
         stats.total = len(points)
         states = store.result_states(spec.name)
-        if logger is not None:
+        if tracer is not None:
             # Journal the root open so `campaign timeline` on a live
             # run shows the in-flight trace; teardown closes it.
             store.record_spans(spec.name, [root.to_dict()])
-            logger.info("campaign_started", campaign=spec.name,
-                        points=len(points), executor="local")
 
         view: Optional[CampaignView] = None
         if heartbeat is not None:
@@ -469,13 +460,9 @@ def run_campaign(
             view.publish()
     finally:
         # Teardown runs on an interrupt between points too: the trace
-        # keeps its "no span left open" guarantee, the log is closed and
-        # a server this call started is stopped.
-        if logger is not None:
-            logger.log("info" if stats.complete else "warning",
-                       "campaign_settled", campaign=spec.name,
-                       ran=stats.ran, skipped=stats.skipped,
-                       failed=stats.failed)
+        # keeps its "no span left open" guarantee and a server this call
+        # started is stopped.
+        if tracer is not None:
             closed = tracer.end_span(
                 root, "ok" if stats.complete else "error",
                 attrs={"ran": stats.ran, "skipped": stats.skipped,
@@ -485,7 +472,6 @@ def run_campaign(
             # Force-close stragglers (an interrupt between a point's
             # open journal span and its close).
             store.close_open_spans(spec.name)
-            logger.close()
         if owns_server:
             server.stop()
     return stats

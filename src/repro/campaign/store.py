@@ -815,14 +815,14 @@ class CampaignStore:
         reclaims: int = 0,
         span: str = "",
         spans: int = 0,
-        logs: int = 0,
         now: Optional[float] = None,
     ) -> None:
         """Upsert one worker's liveness row (the fabric heartbeat).
 
         ``span`` is the worker's *current* span (``"name span_id"``,
-        shown in the watch pane); ``spans``/``logs`` are its finished-
-        span and emitted-log-record tallies.
+        shown in the watch pane); ``spans`` is its finished-span tally.
+        The v5 ``logs`` column is left at 0: it stays in the schema so
+        stores of every version open unchanged.
         """
         if now is None:
             now = time.time()
@@ -832,18 +832,17 @@ class CampaignStore:
                 INSERT INTO workers (campaign, worker_id, pid, host,
                                      state, started_at, last_seen,
                                      done, failed, leases, reclaims,
-                                     span, spans, logs)
-                VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)
+                                     span, spans)
+                VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)
                 ON CONFLICT(campaign, worker_id) DO UPDATE SET
                     pid = excluded.pid, host = excluded.host,
                     state = excluded.state, last_seen = excluded.last_seen,
                     done = excluded.done, failed = excluded.failed,
                     leases = excluded.leases, reclaims = excluded.reclaims,
-                    span = excluded.span, spans = excluded.spans,
-                    logs = excluded.logs
+                    span = excluded.span, spans = excluded.spans
                 """,
                 (campaign, worker_id, pid, host, state, now, now,
-                 done, failed, leases, reclaims, span, spans, logs),
+                 done, failed, leases, reclaims, span, spans),
             )
 
     def workers(self, campaign: str) -> List[Dict[str, Any]]:

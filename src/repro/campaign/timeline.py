@@ -19,14 +19,17 @@ common wall-clock timebase:
   run span's end.
 
 ``cr-sim campaign timeline <name> --perfetto`` writes the file; load
-it at https://ui.perfetto.dev or ``chrome://tracing``.
+it at https://ui.perfetto.dev or ``chrome://tracing``.  The same spans,
+one line each and filtered, are the campaign's log (``cr-sim campaign
+logs <name>``): :func:`filter_spans` and :func:`format_span`.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, List, Optional, Tuple
+import time
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from .store import CampaignStore
 
@@ -285,3 +288,65 @@ def timeline_summary(store: CampaignStore,
         "workers": sorted(workers),
         "traces": sorted(traces),
     }
+
+
+# ----------------------------------------------------------------------
+# The spans as log lines (``cr-sim campaign logs``)
+# ----------------------------------------------------------------------
+
+#: span log levels, least to most severe.
+LOG_LEVELS = ("debug", "info", "warning", "error")
+
+
+def span_level(span: Dict[str, Any]) -> str:
+    """A span's log level: ``error`` spans are errors, ``aborted`` ones
+    (a worker death, a released lease) warnings, lease renewals debug,
+    everything else info."""
+    if span["status"] == "error":
+        return "error"
+    if span["status"] == "aborted":
+        return "warning"
+    return "debug" if span["kind"] == "renew" else "info"
+
+
+def filter_spans(
+    spans: Iterable[Dict[str, Any]],
+    worker: Optional[str] = None,
+    level: str = "info",
+    trace: Optional[str] = None,
+) -> List[Dict[str, Any]]:
+    """The spans matching every filter, in their given order.
+
+    ``level`` is a minimum severity (``warning`` keeps warnings and
+    errors); ``trace`` matches ``trace_id`` exactly or, from 4
+    characters on, as a hex prefix.
+    """
+    floor = LOG_LEVELS.index(level)
+    out = []
+    for span in spans:
+        if worker is not None and span["worker_id"] != worker:
+            continue
+        if LOG_LEVELS.index(span_level(span)) < floor:
+            continue
+        if trace is not None and not (
+                span["trace_id"].startswith(trace) if len(trace) >= 4
+                else span["trace_id"] == trace):
+            continue
+        out.append(span)
+    return out
+
+
+def format_span(span: Dict[str, Any]) -> str:
+    """One span as a log line: start time, level, worker, kind/name,
+    status, duration, attrs and the span id."""
+    ts = span["start_ts"]
+    stamp = (time.strftime("%H:%M:%S", time.localtime(ts))
+             + f".{int((ts % 1) * 1000):03d}")
+    end = span["end_ts"]
+    duration = "-" if end is None else f"{end - ts:.3f}s"
+    attrs = "".join(f" {key}={value}"
+                    for key, value in span["attrs"].items())
+    return (f"{stamp} {span_level(span).upper():7s} "
+            f"{span['worker_id'] or '-':14s} "
+            f"{span['kind']}/{span['name']} {span['status']} {duration}"
+            f"{attrs} [span {span['span_id'][:8]}]")

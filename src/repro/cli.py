@@ -406,9 +406,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     crun_p.add_argument(
         "--trace", action="store_true",
-        help="arm distributed tracing + structured logging: spans "
-             "journal into the store for `campaign timeline`, logs "
-             "for `campaign logs` (see docs/OBSERVABILITY.md)",
+        help="arm distributed tracing: spans journal into the store "
+             "for `campaign timeline` and `campaign logs` (see "
+             "docs/OBSERVABILITY.md)",
     )
     add_serve(crun_p)
     crun_p.set_defaults(handler=_cmd_campaign_run)
@@ -442,7 +442,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     cworker_p.add_argument(
         "--trace", action="store_true",
-        help="arm tracing + structured logging (auto-armed when the "
+        help="arm tracing (auto-armed when the "
              "coordinator spawned this worker with CR_TRACE=1; the "
              "worker joins the coordinator's trace via CR_TRACEPARENT "
              "or the store's open root span)",
@@ -510,33 +510,36 @@ def _build_parser() -> argparse.ArgumentParser:
 
     clog_p = camp_sub.add_parser(
         "logs",
-        help="merged structured logs of a traced campaign "
-             "(coordinator + every worker, by timestamp)",
+        help="a traced campaign's spans (coordinator + every worker) "
+             "as log lines, by start time",
     )
     clog_p.add_argument("name", help="campaign name in the store")
     add_db(clog_p)
     clog_p.add_argument(
         "--worker", default=None, metavar="ID",
-        help="only records from this worker (e.g. worker-1, "
+        help="only spans from this worker (e.g. worker-1, "
              "coordinator)",
     )
     clog_p.add_argument(
-        "--level", default=None, choices=["debug", "info", "warning",
-                                          "error"],
-        help="minimum severity to show",
+        "--level", default="info", choices=["debug", "info", "warning",
+                                            "error"],
+        help="minimum severity to show: error spans are errors, "
+             "aborted ones warnings, lease renewals debug, the rest "
+             "info (default: info)",
     )
     clog_p.add_argument(
         "--trace", default=None, metavar="TRACE_ID",
-        help="only records from this trace (full id or >=4-char "
+        help="only spans from this trace (full id or >=4-char "
              "hex prefix)",
     )
     clog_p.add_argument(
         "--tail", type=int, default=None, metavar="N",
-        help="only the last N matching records",
+        help="only the last N matching spans",
     )
     clog_p.add_argument(
         "--json", action="store_true",
-        help="print raw JSONL records instead of formatted lines",
+        help="print the stored span dicts as JSON lines instead of "
+             "formatted lines",
     )
     clog_p.set_defaults(handler=_cmd_campaign_logs)
 
@@ -991,13 +994,18 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
 
 
 def _open_store(db: str, readonly: bool = False) -> Any:
-    """The campaign store at ``db``; a file that is no store is misuse."""
+    """The campaign store at ``db``; a file that is no store is misuse,
+    and so is a missing one a reader (``readonly``) would open."""
     import sqlite3
 
     from .campaign import CampaignStore
 
     try:
-        return CampaignStore(db, readonly=readonly)
+        # An in-memory store has no file to create: a reader opens it
+        # read-write and finds it empty.
+        return CampaignStore(db, readonly=readonly and db != ":memory:")
+    except FileNotFoundError:
+        raise UsageError(f"{db}: no such campaign store") from None
     except sqlite3.DatabaseError as exc:
         raise UsageError(f"{db}: {exc}") from None
 
@@ -1098,7 +1106,7 @@ def _require_stored(store: Any, *names: str) -> None:
 def _cmd_campaign_status(args: argparse.Namespace) -> int:
     from .campaign import campaign_markdown
 
-    with _open_store(args.db) as store:
+    with _open_store(args.db, readonly=True) as store:
         if args.name is None:
             rows = [
                 {
@@ -1127,7 +1135,7 @@ def _cmd_campaign_report(args: argparse.Namespace) -> int:
     )
 
     metrics = [m for m in args.metrics.split(",") if m.strip()]
-    with _open_store(args.db) as store:
+    with _open_store(args.db, readonly=True) as store:
         _require_stored(store, args.baseline, args.candidate)
         rows = compare_campaigns(
             store, args.baseline, args.candidate, metrics
@@ -1241,19 +1249,24 @@ def _cmd_campaign_watch(args: argparse.Namespace) -> int:
             store.close()
 
 
+def _require_spans(store: Any, name: str) -> None:
+    """The store holds spans of campaign ``name`` (it ran traced)."""
+    if not store.span_counts(name):
+        raise UsageError(
+            f"campaign {name!r} in {store.path} has no journaled "
+            f"spans; run it with --trace"
+        )
+
+
 def _cmd_campaign_timeline(args: argparse.Namespace) -> int:
     from .campaign.timeline import (
         timeline_summary,
         write_campaign_timeline,
     )
 
-    with _open_store(args.db) as store:
+    with _open_store(args.db, readonly=True) as store:
+        _require_spans(store, args.name)
         summary = timeline_summary(store, args.name)
-        if summary["spans"] == 0:
-            raise UsageError(
-                f"campaign {args.name!r} in {args.db} has no journaled "
-                f"spans; run it with --trace"
-            )
         kinds = ", ".join(
             f"{kind} {count}"
             for kind, count in sorted(summary["by_kind"].items())
@@ -1277,33 +1290,22 @@ def _cmd_campaign_timeline(args: argparse.Namespace) -> int:
 def _cmd_campaign_logs(args: argparse.Namespace) -> int:
     import json as json_mod
 
-    from .obs.log import (
-        campaign_log_dir,
-        filter_log_records,
-        format_log_record,
-        read_campaign_logs,
-    )
+    from .campaign.timeline import filter_spans, format_span
 
-    log_dir = campaign_log_dir(args.db, args.name)
-    if log_dir is None:
-        raise UsageError("in-memory stores have no log directory")
-    if not os.path.isdir(log_dir):
-        raise UsageError(
-            f"no log directory at {log_dir} "
-            f"(run the campaign with --trace)"
-        )
-    records = read_campaign_logs(log_dir)
-    records = filter_log_records(
-        records, worker=args.worker, level=args.level, trace=args.trace
-    )
-    if args.tail is not None and args.tail >= 0:
-        records = records[-args.tail:] if args.tail else []
-    for record in records:
+    _at_least(0, tail=args.tail)
+    with _open_store(args.db, readonly=True) as store:
+        _require_spans(store, args.name)
+        spans = filter_spans(store.spans(args.name), worker=args.worker,
+                             level=args.level, trace=args.trace)
+    if args.tail is not None:
+        spans = spans[-args.tail:] if args.tail else []
+    for span in spans:
         if args.json:
-            print(json_mod.dumps(record, sort_keys=True))
+            print(json_mod.dumps(span, sort_keys=True))
         else:
-            print(format_log_record(record))
-    print(f"{len(records)} record(s) from {log_dir}", file=sys.stderr)
+            print(format_span(span))
+    print(f"{len(spans)} span(s) of campaign {args.name!r} in {args.db}",
+          file=sys.stderr)
     return 0
 
 

@@ -40,11 +40,6 @@ _EXPORTS = {
         "MessageDelivered", "Retransmit", "event_to_dict",
     ),
     "forensics": ("DeadlockReport", "build_deadlock_report"),
-    "log": (
-        "LOG_LEVELS", "StructuredLogger", "campaign_log_dir",
-        "campaign_log_path", "filter_log_records", "format_log_record",
-        "read_campaign_logs",
-    ),
     "health": (
         "dead_channel_fraction", "health_components", "health_report",
         "health_score",

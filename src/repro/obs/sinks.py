@@ -82,19 +82,10 @@ class JsonlSink(EventSink):
 
     Usable as a context manager; parent directories are created.  The
     companion :func:`read_jsonl` parses a trace back into dicts.
-
-    ``fsync_every=N`` makes every Nth record durable (flush +
-    ``os.fsync``) before the write returns, so a SIGKILLed writer — a
-    fabric worker dying mid-campaign — loses at most the last N-1
-    records instead of everything since the interpreter last drained
-    its buffers.  ``fsync_every=1`` is the write-ahead-log setting the
-    fabric's structured logs use; 0 (the default) keeps the old
-    buffered behaviour for hot traced runs.
     """
 
-    def __init__(self, path: str, fsync_every: int = 0) -> None:
+    def __init__(self, path: str) -> None:
         self.path = str(path)
-        self.fsync_every = max(0, int(fsync_every))
         parent = os.path.dirname(self.path)
         if parent:
             os.makedirs(parent, exist_ok=True)
@@ -106,9 +97,6 @@ class JsonlSink(EventSink):
         self._handle.write(json.dumps(record))
         self._handle.write("\n")
         self.written += 1
-        if self.fsync_every and self.written % self.fsync_every == 0:
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
 
     def on_event(self, event: Event) -> None:
         self.write(event_to_dict(event))

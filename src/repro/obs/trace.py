@@ -49,7 +49,7 @@ from typing import Any, Callable, Dict, List, Optional, Union
 #: spawned fabric worker processes.
 TRACEPARENT_ENV = "CR_TRACEPARENT"
 
-#: environment variable arming tracing+logging in spawned workers.
+#: environment variable arming tracing in spawned workers.
 TRACE_ARM_ENV = "CR_TRACE"
 
 #: the statuses a finished span may carry (``open`` means unfinished).
@@ -392,6 +392,6 @@ def context_from_environ(
 
 
 def tracing_armed(env: Optional[Dict[str, str]] = None) -> bool:
-    """True when ``CR_TRACE`` arms tracing+logging in this process."""
+    """True when ``CR_TRACE`` arms tracing in this process."""
     source = os.environ if env is None else env
     return source.get(TRACE_ARM_ENV, "") not in ("", "0")

@@ -92,11 +92,19 @@ class TestWatch:
         with repro.campaign.CampaignStore(db) as store:
             assert store.spec("budget").max_attempts == 1
 
-    def test_watch_creates_no_store(self, tmp_path, usage_error):
-        db = tmp_path / "absent.sqlite"
-        assert cli_main(["campaign", "watch", "x", "--db", str(db),
-                         "--once"]) == 2
-        usage_error("campaign watch", "no stored campaign 'x'")
+    @pytest.mark.parametrize("argv", [
+        ["watch", "x", "--once"],
+        ["status"],
+        ["report", "a", "b"],
+        ["timeline", "x"],
+        ["logs", "x"],
+    ], ids=lambda argv: argv[0])
+    def test_watch_creates_no_store(self, argv, tmp_path, usage_error):
+        # Every reader opens the store read-only: a mistyped path is
+        # misuse that names it, and no file or directory appears.
+        db = str(tmp_path / "typo" / "absent.sqlite")
+        assert cli_main(["campaign", *argv, "--db", db]) == 2
+        usage_error(f"campaign {argv[0]}", db)
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [
@@ -372,24 +380,28 @@ class TestTimelineAndLogs:
         ) == 2
         usage_error("campaign timeline", "--trace")
 
-    def test_logs_filtering_and_json(self, traced_db, capsys):
+    def test_logs_filtering_and_json(self, traced_db, tmp_path, capsys):
         assert cli_main(
             ["campaign", "logs", "from-file", "--db", traced_db]
         ) == 0
         captured = capsys.readouterr()
-        assert "campaign_started" in captured.out
-        assert "campaign_settled" in captured.out
-        assert "record(s)" in captured.err
-        # --tail keeps only the newest records
+        assert "root/campaign from-file" in captured.out
+        assert "run/run " in captured.out
+        assert "span(s)" in captured.err
+        # the spans as lines: nothing is written beside the store
+        assert not (tmp_path / "from-file.logs").exists()
+        # --tail keeps only the newest spans; --json prints them as
+        # the store holds them
         assert cli_main(
             ["campaign", "logs", "from-file", "--db", traced_db,
              "--tail", "1", "--json"]
         ) == 0
         lines = [l for l in capsys.readouterr().out.splitlines() if l]
         assert len(lines) == 1
-        record = json.loads(lines[0])
-        assert record["event"] == "campaign_settled"
-        assert record["trace_id"]
+        with repro.campaign.CampaignStore(traced_db) as store:
+            newest = store.spans("from-file")[-1]
+        assert json.loads(lines[0]) == newest
+        assert newest["kind"] == "journal" and newest["trace_id"]
         # a worker filter that matches nothing still succeeds
         assert cli_main(
             ["campaign", "logs", "from-file", "--db", traced_db,
@@ -399,6 +411,7 @@ class TestTimelineAndLogs:
 
     def test_logs_without_log_dir_errors(self, tmp_path, db, capsys,
                                          usage_error):
+        # An untraced run journals no spans: nothing to show.
         path = spec_file(tmp_path)
         assert cli_main(["campaign", "run", path, "--db", db]) == 0
         capsys.readouterr()

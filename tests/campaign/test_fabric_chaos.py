@@ -189,8 +189,6 @@ def test_sigkilled_workers_orphan_spans_are_closed_aborted(
     reclaim closes its point-scoped orphans ``aborted``, the settle
     sweep closes its session span, and the final store carries one
     trace with no span left open."""
-    from repro.obs.log import campaign_log_path, read_campaign_logs
-
     db = str(tmp_path / "chaos.sqlite")
     watcher = CampaignStore(db)
     coordinator = Coordinator(
@@ -280,12 +278,3 @@ def test_sigkilled_workers_orphan_spans_are_closed_aborted(
                 assert by_id[span["parent_id"]]["kind"] == "worker"
             elif span["kind"] in ("worker", "submit"):
                 assert span["parent_id"] == root["span_id"]
-
-        # The victim's fsynced last words survived the SIGKILL.
-        log_path = campaign_log_path(db, spec.name, "victim")
-        assert os.path.exists(log_path)
-        merged = read_campaign_logs(os.path.dirname(log_path))
-        victim_events = [r["event"] for r in merged
-                        if r["worker_id"] == "victim"]
-        assert "worker_started" in victim_events
-        assert "worker_finished" not in victim_events  # it never settled

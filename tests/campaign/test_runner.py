@@ -106,7 +106,6 @@ class TestRunAndResume:
         assert len(calls) == 2  # completed points never re-simulated
 
     def test_interrupt_between_points_still_tears_down(self, spec, store):
-        from repro.obs.log import campaign_log_dir, read_campaign_logs
         from repro.obs.server import TelemetryServer
 
         def interrupt_after_two(status):
@@ -121,11 +120,13 @@ class TestRunAndResume:
         with pytest.raises(KeyboardInterrupt):
             run_campaign(spec, store, progress=interrupt_after_two,
                          trace=True, serve=0)
-        # No span left open (`campaign timeline` relies on it), the log
-        # closed on its settle record, the server this call started gone.
+        # No span left open (`campaign timeline` relies on it), the root
+        # closed on what ran, the server this call started gone.
         assert "open" not in store.span_counts("r")
-        records = read_campaign_logs(campaign_log_dir(store.path, "r"))
-        assert records[-1]["event"] == "campaign_settled"
+        (root,) = [s for s in store.spans("r") if s["kind"] == "root"]
+        assert root["status"] == "error"
+        assert root["attrs"] == {"executor": "local", "ran": 2,
+                                 "skipped": 0, "failed": 0}
         assert serving() == before
         # A caller's server is the caller's to stop.
         server = TelemetryServer()

@@ -356,10 +356,11 @@ class TestSpanJournal:
     def test_heartbeat_carries_span_and_tallies(self, store, spec):
         store.register(spec)
         store.worker_heartbeat("s", "w1", span="run p1 aaaaaaaa",
-                               spans=7, logs=12)
+                               spans=7)
         (row,) = store.workers("s")
         assert row["span"] == "run p1 aaaaaaaa"
-        assert row["spans"] == 7 and row["logs"] == 12
+        # the v5 logs column stays in the table, no longer written
+        assert row["spans"] == 7 and row["logs"] == 0
 
 
 class TestSchemaMigration:
@@ -395,7 +396,6 @@ class TestSchemaMigration:
             (row,) = store.workers("s")
             assert row["span"] == "" and row["spans"] == 0
             assert row["logs"] == 0
-            store.worker_heartbeat("s", "w1", span="x y", spans=1,
-                                   logs=2)
+            store.worker_heartbeat("s", "w1", span="x y", spans=1)
             (row,) = store.workers("s")
             assert row["spans"] == 1

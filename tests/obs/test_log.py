@@ -1,177 +1,172 @@
-"""Structured logging: levels, trace correlation, merge, filtering."""
+"""The campaign log: a traced campaign's stored spans as filtered lines
+(``cr-sim campaign logs``)."""
 
-import os
+import json
 
 import pytest
 
-from repro.obs.log import (
+from repro.campaign import CampaignStore
+from repro.campaign.timeline import (
     LOG_LEVELS,
-    StructuredLogger,
-    campaign_log_dir,
-    campaign_log_path,
-    filter_log_records,
-    format_log_record,
-    level_rank,
-    read_campaign_logs,
+    filter_spans,
+    format_span,
+    span_level,
 )
-from repro.obs.metrics import MetricsRegistry, parse_prometheus_text
-from repro.obs.sinks import read_jsonl
-from repro.obs.trace import Tracer
+from repro.cli import main as cli_main
 
 
-class TestStructuredLogger:
-    def test_record_shape(self):
-        logger = StructuredLogger(worker_id="w1", clock=lambda: 42.5)
-        logger.info("batch_leased", points=3, reclaimed=1)
-        record = logger.records[0]
-        assert record == {
-            "ts": 42.5, "level": "info", "worker_id": "w1",
-            "trace_id": None, "span_id": None,
-            "event": "batch_leased", "points": 3, "reclaimed": 1,
-        }
-
-    def test_level_threshold_drops_below(self):
-        logger = StructuredLogger(level="warning")
-        logger.debug("a")
-        logger.info("b")
-        logger.warning("c")
-        logger.error("d")
-        assert [r["event"] for r in logger.records] == ["c", "d"]
-        assert logger.written == 2
-
-    def test_unknown_threshold_rejected(self):
-        with pytest.raises(ValueError, match="unknown log level"):
-            StructuredLogger(level="loud")
-
-    def test_trace_correlation(self):
-        tracer = Tracer(worker_id="w1")
-        logger = StructuredLogger(worker_id="w1", tracer=tracer)
-        span = tracer.start_span("lease p1", kind="lease")
-        logger.info("in_span")
-        tracer.end_span(span, "ok")
-        logger.info("after_span")
-        inside, after = logger.records
-        assert inside["trace_id"] == span.trace_id
-        assert inside["span_id"] == span.span_id
-        # rootless tracer with nothing open: no ids to stamp
-        assert after["trace_id"] is None
-        assert after["span_id"] is None
-
-    def test_trace_id_survives_between_spans_with_root(self):
-        root_tracer = Tracer(worker_id="coord")
-        root = root_tracer.start_span("campaign", kind="root")
-        tracer = Tracer(worker_id="w1", root=root.context())
-        logger = StructuredLogger(worker_id="w1", tracer=tracer)
-        logger.info("between_spans")
-        assert logger.records[0]["trace_id"] == root.trace_id
-        assert logger.records[0]["span_id"] is None
-
-    def test_registry_counts_by_level(self):
-        registry = MetricsRegistry(prefix="cr_")
-        logger = StructuredLogger(registry=registry, level="debug")
-        logger.info("a")
-        logger.info("b")
-        logger.error("c")
-        families = parse_prometheus_text(registry.prometheus_text())
-        samples = families["cr_log_records_total"]["samples"]
-        assert samples['cr_log_records_total{level="info"}'] == 2
-        assert samples['cr_log_records_total{level="error"}'] == 1
-
-    def test_durable_file_round_trip(self, tmp_path):
-        path = str(tmp_path / "w1.jsonl")
-        with StructuredLogger(path, worker_id="w1") as logger:
-            logger.info("worker_started")
-            logger.warning("lease_lost", point="p3")
-        records = read_jsonl(path)
-        assert [r["event"] for r in records] == [
-            "worker_started", "lease_lost",
-        ]
-        assert records[1]["point"] == "p3"
-
-    def test_level_rank_order(self):
-        ranks = [level_rank(level) for level in LOG_LEVELS]
-        assert ranks == sorted(ranks)
-        assert level_rank("unheard-of") == level_rank("debug")
+def span(span_id, start_ts, kind="run", status="ok", worker_id="w1",
+         trace_id="abcd" * 8, end_ts=None, **attrs):
+    return {
+        "span_id": span_id, "trace_id": trace_id, "parent_id": None,
+        "name": f"{kind} {span_id}", "kind": kind,
+        "worker_id": worker_id, "point_id": None,
+        "start_ts": start_ts,
+        "end_ts": (None if status == "open"
+                   else start_ts + 0.5 if end_ts is None else end_ts),
+        "status": status, "attrs": attrs,
+    }
 
 
-class TestCampaignLogFiles:
-    def test_dir_and_path_layout(self, tmp_path):
-        db = str(tmp_path / "camp.sqlite")
-        assert campaign_log_dir(db, "c1") == str(tmp_path / "c1.logs")
-        assert campaign_log_path(db, "c1", "worker-1") == str(
-            tmp_path / "c1.logs" / "worker-1.jsonl"
-        )
-        # hostile worker ids cannot escape the directory
-        weird = campaign_log_path(db, "c1", "../../etc/passwd")
-        assert os.path.dirname(weird) == str(tmp_path / "c1.logs")
-        assert campaign_log_path(db, "c1", "") .endswith("unnamed.jsonl")
+class TestSpanLevels:
+    @pytest.mark.parametrize("kind, status, level", [
+        ("run", "error", "error"),
+        ("renew", "error", "error"),
+        ("lease", "aborted", "warning"),
+        ("worker", "aborted", "warning"),
+        ("renew", "ok", "debug"),
+        ("lease", "ok", "info"),
+        ("root", "open", "info"),
+    ])
+    def test_status_then_kind_sets_the_level(self, kind, status, level):
+        assert span_level(span("a", 1.0, kind=kind,
+                               status=status)) == level
 
-    def test_memory_store_has_no_dir(self):
-        assert campaign_log_dir(":memory:", "c1") is None
-        assert campaign_log_path(":memory:", "c1", "w") is None
-
-    def test_merge_sorts_across_files(self, tmp_path):
-        db = str(tmp_path / "camp.sqlite")
-        clock_a = iter([3.0, 5.0])
-        clock_b = iter([4.0])
-        with StructuredLogger(campaign_log_path(db, "c1", "a"),
-                              worker_id="a",
-                              clock=lambda: next(clock_a)) as logger:
-            logger.info("first")
-            logger.info("third")
-        with StructuredLogger(campaign_log_path(db, "c1", "b"),
-                              worker_id="b",
-                              clock=lambda: next(clock_b)) as logger:
-            logger.info("second")
-        merged = read_campaign_logs(campaign_log_dir(db, "c1"))
-        assert [r["event"] for r in merged] == [
-            "first", "second", "third",
-        ]
-        assert [r["worker_id"] for r in merged] == ["a", "b", "a"]
+    def test_levels_rank_least_to_most_severe(self):
+        assert LOG_LEVELS == ("debug", "info", "warning", "error")
 
 
 class TestFilterAndFormat:
-    RECORDS = [
-        {"ts": 1.0, "level": "debug", "worker_id": "w1",
-         "trace_id": "abcd" * 8, "span_id": None, "event": "a"},
-        {"ts": 2.0, "level": "warning", "worker_id": "w2",
-         "trace_id": "ffff" * 8, "span_id": None, "event": "b"},
-        {"ts": 3.0, "level": "error", "worker_id": "w1",
-         "trace_id": None, "span_id": None, "event": "c"},
+    SPANS = [
+        span("a" * 16, 1.0, kind="renew", worker_id="w1"),
+        span("b" * 16, 2.0, kind="lease", status="aborted",
+             worker_id="w2", trace_id="ffff" * 8),
+        span("c" * 16, 3.0, kind="run", status="error", worker_id="w1"),
+        span("d" * 16, 4.0, kind="journal", worker_id="w2"),
     ]
 
+    def ids(self, spans):
+        return [s["span_id"][0] for s in spans]
+
     def test_by_worker(self):
-        out = filter_log_records(self.RECORDS, worker="w1")
-        assert [r["event"] for r in out] == ["a", "c"]
+        out = filter_spans(self.SPANS, worker="w1", level="debug")
+        assert self.ids(out) == ["a", "c"]
 
     def test_level_is_a_floor(self):
-        out = filter_log_records(self.RECORDS, level="warning")
-        assert [r["event"] for r in out] == ["b", "c"]
+        # info, the default, hides lease renewals
+        assert self.ids(filter_spans(self.SPANS)) == ["b", "c", "d"]
+        assert self.ids(filter_spans(self.SPANS, level="debug")) == [
+            "a", "b", "c", "d"]
+        assert self.ids(filter_spans(self.SPANS, level="warning")) == [
+            "b", "c"]
+        assert self.ids(filter_spans(self.SPANS, level="error")) == ["c"]
 
     def test_by_trace_prefix(self):
-        out = filter_log_records(self.RECORDS, trace="abcd")
-        assert [r["event"] for r in out] == ["a"]
-        assert filter_log_records(self.RECORDS,
-                                  trace="abcd" * 8) == [self.RECORDS[0]]
+        assert self.ids(filter_spans(self.SPANS, trace="ffff")) == ["b"]
+        assert self.ids(filter_spans(self.SPANS, level="debug",
+                                     trace="abcd" * 8)) == ["a", "c", "d"]
         # a sub-4-char prefix is too ambiguous: exact match only
-        assert filter_log_records(self.RECORDS, trace="abc") == []
+        assert filter_spans(self.SPANS, trace="abc") == []
 
     def test_filters_compose(self):
-        out = filter_log_records(self.RECORDS, worker="w1",
-                                 level="error")
-        assert [r["event"] for r in out] == ["c"]
+        out = filter_spans(self.SPANS, worker="w2", level="warning",
+                           trace="ffff")
+        assert self.ids(out) == ["b"]
+        assert filter_spans(self.SPANS, worker="w1",
+                            trace="ffff") == []
 
     def test_format_line(self):
-        line = format_log_record({
-            "ts": 30.25, "level": "info", "worker_id": "w1",
-            "trace_id": "ab" * 16, "span_id": "cd" * 8,
-            "event": "batch_leased", "points": 2,
-        })
+        line = format_span(span("cd" * 8, 30.25, kind="lease",
+                                worker_id="w1", attempt=2))
         assert "INFO" in line
         assert "w1" in line
-        assert "batch_leased points=2" in line
-        assert f"[span {'cd' * 4}]" in line
+        assert f"lease/lease {'cd' * 8} ok 0.500s attempt=2" in line
+        assert line.endswith(f"[span {'cd' * 4}]")
 
     def test_format_tolerates_missing_fields(self):
-        line = format_log_record({})
-        assert line.startswith("?")
+        # an open span has no end; a lifecycle span may carry no attrs
+        # and an unnamed worker
+        line = format_span(span("e" * 16, 1.0, kind="worker",
+                                status="open", worker_id=""))
+        assert f"worker/worker {'e' * 16} open - [span eeeeeeee]" in line
+        assert " -  " in line  # the unnamed worker's column
+
+
+class TestCampaignLogs:
+    @pytest.fixture
+    def db(self, tmp_path):
+        path = str(tmp_path / "c.sqlite")
+        with CampaignStore(path) as store:
+            # journaled out of start order, across two workers
+            store.record_spans("c", [
+                span("c" * 16, 3.0, kind="journal", worker_id="w2"),
+                span("a" * 16, 1.0, kind="root", worker_id="coordinator"),
+                span("d" * 16, 4.0, kind="renew", worker_id="w1"),
+                span("b" * 16, 2.0, kind="lease", status="aborted",
+                     worker_id="w1"),
+            ])
+        return path
+
+    def logs(self, capsys, db, *flags):
+        assert cli_main(["campaign", "logs", "c", "--db", db,
+                         *flags]) == 0
+        captured = capsys.readouterr()
+        assert "span(s) of campaign 'c'" in captured.err
+        return captured.out.splitlines()
+
+    def test_lines_follow_start_ts_across_workers(self, db, capsys):
+        lines = self.logs(capsys, db, "--level", "debug")
+        assert [line.split()[2] for line in lines] == [
+            "coordinator", "w1", "w2", "w1"]
+        assert [line[-9:-1] for line in lines] == [
+            "aaaaaaaa", "bbbbbbbb", "cccccccc", "dddddddd"]
+
+    def test_json_is_the_stored_spans(self, db, capsys):
+        lines = self.logs(capsys, db, "--json", "--level", "debug")
+        with CampaignStore(db, readonly=True) as store:
+            stored = sorted(store.spans("c"),
+                            key=lambda s: s["start_ts"])
+        assert [json.loads(line) for line in lines] == stored
+
+    def test_flags_filter_and_tail(self, db, capsys):
+        assert len(self.logs(capsys, db)) == 3  # renew hidden at info
+        (line,) = self.logs(capsys, db, "--worker", "w1")
+        assert "WARNING" in line and "lease/" in line
+        (line,) = self.logs(capsys, db, "--tail", "1", "--level",
+                            "debug")
+        assert "renew/" in line
+        assert self.logs(capsys, db, "--tail", "0") == []
+        assert self.logs(capsys, db, "--trace", "abc") == []
+        assert len(self.logs(capsys, db, "--trace", "abcd")) == 3
+
+
+class TestStructuredLogger:
+    """A campaign's structured log is its stored spans; the level
+    threshold is applied when the log is read."""
+
+    def test_level_threshold_drops_below(self, tmp_path, capsys):
+        db = str(tmp_path / "c.sqlite")
+        with CampaignStore(db) as store:
+            store.record_spans("c", [
+                span("a" * 16, 1.0, kind="renew"),                   # debug
+                span("b" * 16, 2.0, kind="lease"),                   # info
+                span("c" * 16, 3.0, kind="lease", status="aborted"),  # warning
+                span("d" * 16, 4.0, kind="run", status="error"),      # error
+            ])
+        assert cli_main(["campaign", "logs", "c", "--db", db,
+                         "--level", "warning"]) == 0
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert [line[-9:-1] for line in lines] == ["cccccccc", "dddddddd"]
+        assert "WARNING" in lines[0] and "ERROR" in lines[1]
+        assert captured.err.startswith("2 span(s) of campaign 'c'")

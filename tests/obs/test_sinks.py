@@ -181,36 +181,20 @@ class TestReadResultTruncation:
 
 
 class TestFsyncDurability:
-    def test_fsync_every_n_schedule(self, tmp_path):
-        # With fsync_every=2 the sink syncs after records 2 and 4; the
-        # schedule is observable via monkeypatched os.fsync below.
-        synced = []
-        real_fsync = os.fsync
-        try:
-            import repro.obs.sinks as sinks_mod
-
-            sinks_mod.os.fsync = lambda fd: synced.append(fd)
-            with JsonlSink(str(tmp_path / "t.jsonl"),
-                           fsync_every=2) as sink:
-                for cycle in range(5):
-                    sink.write({"cycle": cycle})
-            assert len(synced) == 2
-        finally:
-            sinks_mod.os.fsync = real_fsync
-
     def test_sigkilled_writer_loses_at_most_the_open_record(self, tmp_path):
         # Reuses the chaos harness's kill shape: a subprocess writes
-        # durably (fsync_every=1), leaves a partial line in the OS
-        # file buffer, and SIGKILLs itself — no atexit, no flush.  The
-        # reader must recover every fsynced record and drop only the
+        # and flushes five records, leaves a partial line in the OS
+        # file buffer, and SIGKILLs itself — no atexit, no close.  The
+        # reader must recover every flushed record and drop only the
         # torn tail.
         path = tmp_path / "killed.jsonl"
         script = f"""
 import json, os, signal
 import repro.obs.sinks as sinks
-sink = sinks.JsonlSink({str(path)!r}, fsync_every=1)
+sink = sinks.JsonlSink({str(path)!r})
 for cycle in range(5):
     sink.write({{"event": "beat", "cycle": cycle}})
+sink.flush()
 # a record the writer never finishes: no newline, no fsync
 sink._handle.write('{{"event": "beat", "cy')
 sink._handle.flush()

@@ -9,6 +9,7 @@ import shlex
 import pytest
 
 from repro import SimConfig, cli
+from repro.campaign import CampaignStore
 from repro.cli import main as cli_main
 from repro.experiments import REGISTRY
 
@@ -481,7 +482,9 @@ MISUSE = [
       "--retries", "-1"], "--retries"),
     (["campaign", "status", "ghost", "--db", ":memory:"],
      "no stored campaign 'ghost'"),
-    (["campaign", "logs", "x", "--db", ":memory:"], "in-memory"),
+    (["campaign", "logs", "x", "--db", ":memory:"], "no journaled spans"),
+    (["campaign", "logs", "x", "--db", ":memory:", "--tail", "-1"],
+     "--tail"),
     (["run", "--radix", "4", "--serve", "70000"], "port 70000"),
 ]
 
@@ -538,6 +541,8 @@ class TestUsageExitCodes:
 
     def test_unknown_report_campaign_exits_2(self, tmp_path, usage_error):
         db = str(tmp_path / "empty.db")
+        # an existing, empty store: a missing one is its own misuse
+        CampaignStore(db).close()
         assert cli_main(
             ["campaign", "report", "missing-a", "missing-b", "--db", db]
         ) == 2
