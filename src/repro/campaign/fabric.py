@@ -72,6 +72,7 @@ from .runner import (
     CampaignProgress,
     CampaignRunStats,
     PointReporter,
+    campaign_points,
     point_candidates,
     submit_campaign,
 )
@@ -267,12 +268,12 @@ class Worker:
             store.record_spans(self.campaign, [done.to_dict()])
 
     def _run(self, store: CampaignStore, spec: CampaignSpec) -> WorkerStats:
-        # Re-run the submit phase against the stored spec: expansion is
-        # deterministic and ``verify`` and the attempt budget are part
-        # of the stored spec, so every worker sees the identical point
-        # list and settles it by the same rule (the re-register is an
-        # idempotent refresh).
-        points = submit_campaign(spec, store)
+        # Expand the stored spec: expansion is deterministic and
+        # ``verify`` and the attempt budget are part of the stored spec,
+        # so every worker sees the identical point list and settles it
+        # by the same rule.  A worker never registers: the campaign's
+        # ``updated_at`` is the run's start, which the submitter stamped.
+        points = campaign_points(spec)
         budget = spec.max_attempts
         by_id = {point.point_id: point for point in points}
         candidates = point_candidates(points)

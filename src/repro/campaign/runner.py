@@ -3,10 +3,15 @@
 The runner is structured as three explicit phases that the distributed
 fabric (:mod:`repro.campaign.fabric`) reuses verbatim:
 
-* **Submit** — :func:`submit_campaign` registers the spec in the
-  :class:`~repro.campaign.store.CampaignStore` and expands it into
-  runnable points (``verify`` and the ``max_attempts`` budget go into
-  the stored spec).
+* **Submit** — :func:`submit_campaign` expands the spec into runnable
+  points and registers it in the
+  :class:`~repro.campaign.store.CampaignStore` (``verify`` and the
+  ``max_attempts`` budget go into the stored spec) only when there is
+  something to record: a new campaign, a changed spec, or a point not
+  yet settled.  A settled re-run writes nothing, so the campaign's
+  ``updated_at`` stays the start of the last run that had work to do.
+  Fabric workers expand the stored spec (:func:`campaign_points`) and
+  never register.
 * **Lease** — deciding which pending points this executor runs.  The
   local runner "leases" everything the store does not hold
   :func:`~repro.campaign.store.settled`; fabric workers lease bounded
@@ -42,6 +47,7 @@ Campaign-level guarantees on top of :func:`repro.sim.parallel.run_reports`:
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -90,27 +96,15 @@ class CampaignRunStats:
 # Submit phase
 # ----------------------------------------------------------------------
 
-def submit_campaign(
-    spec: CampaignSpec,
-    store: CampaignStore,
-    verify: bool = False,
-) -> List[CampaignPoint]:
-    """Register ``spec`` in the store and expand it into runnable points.
+def campaign_points(spec: CampaignSpec) -> List[CampaignPoint]:
+    """``spec`` expanded into runnable points, in a fixed order.
 
-    ``verify=True`` registers the spec with ``"verify": true`` in every
-    grid's ``base``, arming the repro.verify invariant checker on every
-    point (changing its hash, so unverified stored rows re-run rather
-    than resume).  Fabric workers call this against the spec they load
-    back from the store, so every executor sees the same point list in
-    the same order, verified or not.
-
-    A point whose config has no hash is refused, before anything is
-    written, with a ``ValueError`` naming it and the field: resume
-    compares hashes, so such a point could never be told apart from
-    the same point with that field changed.
+    A point whose config has no hash is refused with a ``ValueError``
+    naming it and the field: resume compares hashes, so such a point
+    could never be told apart from the same point with that field
+    changed.  Fabric workers expand the spec they load back from the
+    store here, so every executor sees the same point list.
     """
-    if verify:
-        spec = spec.with_base(verify=True)
     points = list(spec.points())
     for point in points:
         if point.config_hash is None:
@@ -119,8 +113,49 @@ def submit_campaign(
                 f"{', '.join(unstable_fields(point.config))} has no "
                 "stable repr, so the point has no config hash to resume on"
             )
-    store.register(spec)
     return points
+
+
+def submit_campaign(
+    spec: CampaignSpec,
+    store: CampaignStore,
+    verify: bool = False,
+) -> List[CampaignPoint]:
+    """Expand ``spec`` into runnable points, registering it in the store
+    unless the store already holds it settled.
+
+    ``verify=True`` registers the spec with ``"verify": true`` in every
+    grid's ``base``, arming the repro.verify invariant checker on every
+    point (changing its hash, so unverified stored rows re-run rather
+    than resume).  A point with no config hash is refused (see
+    :func:`campaign_points`) before anything is written.
+    """
+    return _submit(spec, store, verify)[0]
+
+
+def _submit(
+    spec: CampaignSpec,
+    store: CampaignStore,
+    verify: bool,
+) -> Tuple[List[CampaignPoint], Dict[str, Dict]]:
+    """:func:`submit_campaign`, plus the result states it read.
+
+    ``register`` runs only for a campaign the store lacks, a stored
+    spec whose JSON differs, or a point that is not settled: its
+    ``updated_at`` write is the start stamp ``campaign watch`` reads,
+    and a settled re-run has nothing to start.
+    """
+    if verify:
+        spec = spec.with_base(verify=True)
+    points = campaign_points(spec)
+    states = store.result_states(spec.name)
+    budget = spec.max_attempts
+    if (store.spec_text(spec.name) != json.dumps(spec.to_dict())
+            or any(settled(states.get(point.point_id), point.config_hash,
+                           budget) is None
+                   for point in points)):
+        store.register(spec)
+    return points, states
 
 
 def point_candidates(
@@ -379,9 +414,8 @@ def run_campaign(
                 f"campaign {spec.name}", kind="root",
                 attrs={"executor": "local"},
             )
-        points = submit_campaign(spec, store, verify=verify)
+        points, states = _submit(spec, store, verify)
         stats.total = len(points)
-        states = store.result_states(spec.name)
         if tracer is not None:
             # Journal the root open so `campaign timeline` on a live
             # run shows the in-flight trace; teardown closes it.

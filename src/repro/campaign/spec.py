@@ -38,10 +38,19 @@ from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 from ..core.backoff import ExponentialBackoff, StaticGap
 from ..core.timeout import FixedTimeout, LengthScaledTimeout
 from ..sim.config import SimConfig
-from ..sim.parallel import config_cache_key
+from ..sim.parallel import (
+    _digest,
+    _field_text,
+    _field_texts,
+    _plan,
+    config_cache_key,
+)
 
 #: SimConfig field names a grid may set (seed is derived, never set).
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(SimConfig)}
+
+#: field name -> its slot in a config's key texts
+_KEY_SLOT = {name: slot for slot, (name, _, _) in enumerate(_plan(SimConfig))}
 
 #: attempts (across every executor and invocation) before a failing
 #: point is terminal, unless the spec says otherwise.
@@ -164,7 +173,8 @@ class CampaignPoint:
 
     @cached_property
     def config_hash(self) -> Optional[str]:
-        """``config_cache_key(config)``, worked out once per point."""
+        """``config_cache_key(config)``, worked out once per point
+        (:meth:`CampaignSpec.points` fills it in as it expands)."""
         return config_cache_key(self.config)
 
 
@@ -293,27 +303,38 @@ class CampaignSpec:
         state on them; seeds derive as ``spec.seed + replication`` —
         replication r of every scenario shares a seed, which pairs
         samples across scenarios for lower-variance comparisons.
+
+        Each point comes with its ``config_hash``.  A grid's points
+        differ only in their axis values and seed, so the grid's field
+        texts are worked out once and a point substitutes just those
+        entries.  That is exact because a ``SimConfig`` stores the
+        values it is given (it has no ``__post_init__``).
         """
+        seed_slot = _KEY_SLOT["seed"]
         for grid in self.grids:
             prefix = f"{grid.label}/" if grid.label else ""
             base = {name: decode_field(name, value)
                     for name, value in grid.base.items()}
+            grid_texts = _field_texts(SimConfig(**base))
             for scenario in grid.scenarios():
                 parts = "/".join(
                     f"{name}={value}" for name, value in scenario.items()
                 )
-                overrides = {**base, **{
-                    name: decode_field(name, value)
-                    for name, value in scenario.items()
-                }}
+                values = {name: decode_field(name, value)
+                          for name, value in scenario.items()}
+                overrides = {**base, **values}
+                texts = list(grid_texts)
+                for name, value in values.items():
+                    texts[_KEY_SLOT[name]] = _field_text(name, value)
                 for rep in range(self.replications):
-                    config = SimConfig(
-                        **overrides, seed=self.seed + rep
-                    )
-                    yield CampaignPoint(
+                    seed = self.seed + rep
+                    texts[seed_slot] = _field_text("seed", seed)
+                    point = CampaignPoint(
                         point_id=f"{prefix}{parts}/rep={rep}",
                         grid=grid.label,
                         scenario=dict(scenario),
                         replication=rep,
-                        config=config,
+                        config=SimConfig(**overrides, seed=seed),
                     )
+                    point.__dict__["config_hash"] = _digest(texts)
+                    yield point

@@ -326,7 +326,8 @@ class CampaignStore:
     # -- campaigns ------------------------------------------------------
 
     def register(self, spec: CampaignSpec) -> None:
-        """Record (or refresh) a campaign's spec for provenance."""
+        """Record (or refresh) a campaign's spec for provenance, and
+        stamp ``updated_at`` as the start of the run that submits it."""
         now = time.time()
         with self._txn():
             self._conn.execute(
@@ -362,17 +363,25 @@ class CampaignStore:
         return [dict(row, ok=row["ok"] or 0, failed=row["failed"] or 0)
                 for row in rows]
 
-    def spec(self, campaign: str) -> Optional[CampaignSpec]:
-        """The stored spec for a campaign, parsed back, or None."""
+    def spec_text(self, campaign: str) -> Optional[str]:
+        """The stored spec for a campaign, as :meth:`register` wrote
+        its JSON, or None."""
         row = self._conn.execute(
             "SELECT spec FROM campaigns WHERE name = ?", (campaign,)
         ).fetchone()
-        if row is None:
+        return None if row is None else row[0]
+
+    def spec(self, campaign: str) -> Optional[CampaignSpec]:
+        """The stored spec for a campaign, parsed back, or None."""
+        text = self.spec_text(campaign)
+        if text is None:
             return None
-        return CampaignSpec.from_dict(json.loads(row["spec"]))
+        return CampaignSpec.from_dict(json.loads(text))
 
     def updated_at(self, campaign: str) -> Optional[float]:
-        """When ``campaign`` was last registered, or None if it is not."""
+        """When ``campaign`` was last registered, or None if it is not:
+        the start of the last run that had points to settle or a new
+        spec to record (a settled re-run registers nothing)."""
         row = self._conn.execute(
             "SELECT updated_at FROM campaigns WHERE name = ?", (campaign,)
         ).fetchone()

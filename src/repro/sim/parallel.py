@@ -113,37 +113,47 @@ def _canonical(value: object) -> Optional[str]:
     return text
 
 
+def _field_text(name: str, value: object) -> Optional[str]:
+    """One field's part of the key, ``"name=canonical"``; None when the
+    value has no process-stable repr."""
+    text = _canonical(value)
+    return None if text is None else f"{name}={text}"
+
+
 @functools.lru_cache(maxsize=None)
-def _plan(cls: type) -> Tuple[Tuple[str, object, str], ...]:
+def _plan(cls: type) -> Tuple[Tuple[str, object, Optional[str]], ...]:
     """``(name, default, "name=text")`` for every field of a dataclass,
     in name order.  ``default`` is a fresh sentinel (no value is it)
     unless the field's default is an immutable scalar, whose text is
     worked out here once."""
     entries = []
     for field in sorted(dataclasses.fields(cls), key=lambda f: f.name):
-        default, preset = field.default, ""
+        default, preset = field.default, None
         if type(default) in _SCALARS or type(default) is str:
-            text = _canonical(default)
-            if text is not None:
-                preset = f"{field.name}={text}"
+            preset = _field_text(field.name, default)
         entries.append((field.name, default if preset else object(), preset))
     return tuple(entries)
 
 
 def _field_texts(config: object) -> List[Optional[str]]:
-    """``"name=canonical"`` for every field of a dataclass instance, in
-    name order; None where the value has no process-stable repr.  A
-    value that *is* its field's immutable default reuses the text the
-    plan worked out once."""
+    """:func:`_field_text` for every field of a dataclass instance, in
+    name order.  A value that *is* its field's immutable default reuses
+    the text the plan worked out once."""
     texts: List[Optional[str]] = []
     for name, default, preset in _plan(type(config)):
         value = getattr(config, name)
-        if value is default:
-            texts.append(preset)
-            continue
-        text = _canonical(value)
-        texts.append(None if text is None else f"{name}={text}")
+        texts.append(preset if value is default
+                     else _field_text(name, value))
     return texts
+
+
+def _digest(texts: List[Optional[str]]) -> Optional[str]:
+    """The key of a config whose field texts are ``texts``; None when a
+    field has no text."""
+    if None in texts:
+        return None
+    blob = ";".join(texts)  # type: ignore[arg-type]
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def config_cache_key(config: SimConfig) -> Optional[str]:
@@ -158,11 +168,7 @@ def config_cache_key(config: SimConfig) -> Optional[str]:
     alike.  The byte format is a contract (docs/SIMULATOR.md): stores
     and sweep caches key on it.
     """
-    texts = _field_texts(config)
-    if None in texts:
-        return None
-    blob = ";".join(texts)  # type: ignore[arg-type]
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return _digest(_field_texts(config))
 
 
 def unstable_fields(config: SimConfig) -> List[str]:

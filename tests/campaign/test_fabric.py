@@ -128,6 +128,21 @@ class TestWorker:
         assert worker.stats.complete
         assert worker.stats.ran == 0  # everything already settled
 
+    def test_a_worker_leaves_the_run_start_alone(self, spec, db):
+        """The campaign's ``updated_at`` is the run's start, stamped by
+        the submitter: ``CampaignView.open`` reads elapsed time and the
+        ETA's rate samples from it, so a worker joining later must not
+        move it."""
+        with CampaignStore(db) as store:
+            store.register(spec)
+            store._conn.execute(
+                "UPDATE campaigns SET updated_at = 100.0 WHERE name = ?",
+                (spec.name,))
+        worker = run_worker(spec, db, worker_id="w1", batch=4)
+        assert worker.stats.ran == 4
+        with CampaignStore(db) as store:
+            assert store.updated_at(spec.name) == 100.0
+
     def test_reclaim_is_published_before_the_batch_runs(self, spec, db):
         """A takeover is on the worker's row by the time its first
         point settles, not a heartbeat interval (here 20 s) later: the

@@ -1,11 +1,18 @@
 """Campaign runner: resume, crash safety, failure retry."""
 
+import json
+import sqlite3
 import threading
 from dataclasses import replace
 
 import pytest
 
-from repro.campaign import CampaignSpec, CampaignStore, run_campaign
+from repro.campaign import (
+    CampaignSpec,
+    CampaignStore,
+    Coordinator,
+    run_campaign,
+)
 from repro.sim import parallel
 
 
@@ -145,6 +152,63 @@ class TestRunAndResume:
         assert [s.outcome for s in seen] == ["skipped"] * 4
         assert [s.done for s in seen] == [1, 2, 3, 4]
         assert all(s.total == 4 for s in seen)
+
+
+def _submit_locally(spec, store):
+    run_campaign(spec, store)
+
+
+def _submit_to_the_fabric(spec, store):
+    Coordinator(spec, store)
+
+
+class TestSettledResumeWritesNothing:
+    """A submit registers the spec only when there is something to
+    record, so ``updated_at`` stays the start of the last run that had
+    work to do."""
+
+    @pytest.mark.parametrize("submit", [_submit_locally,
+                                        _submit_to_the_fabric],
+                             ids=["run_campaign", "Coordinator"])
+    def test_only_work_or_a_new_spec_writes(self, spec, tmp_path, submit):
+        path = str(tmp_path / "c.sqlite")
+        with CampaignStore(path) as store:
+            assert run_campaign(spec, store).complete
+            started = store.updated_at("r")
+        with open(path, "rb") as handle:
+            before = handle.read()
+
+        # A settled re-run: no commit another connection can see, and
+        # not a byte of the file moves once that connection checkpoints.
+        probe = sqlite3.connect(path)
+        try:
+            version = probe.execute("PRAGMA data_version").fetchone()
+            with CampaignStore(path) as store:
+                submit(spec, store)
+                assert store.updated_at("r") == started
+            assert probe.execute("PRAGMA data_version").fetchone() == \
+                version
+        finally:
+            probe.close()
+        with open(path, "rb") as handle:
+            assert handle.read() == before
+
+        # A description-only edit with nothing pending is stored.
+        edited = replace(spec, description="an edited description")
+        with CampaignStore(path) as store:
+            submit(edited, store)
+            assert store.spec_text("r") == json.dumps(edited.to_dict())
+            assert store.summary("r")["ok"] == 4
+
+        # A store missing one row restamps the run start.
+        with CampaignStore(path) as store:
+            store._conn.execute(
+                "UPDATE campaigns SET updated_at = 100.0 WHERE name = 'r'")
+            store._conn.execute(
+                "DELETE FROM results WHERE point_id = 'routing=cr/"
+                "load=0.1/rep=0'")
+            submit(edited, store)
+            assert store.updated_at("r") > 100.0
 
 
 class TestFailures:

@@ -10,7 +10,8 @@ import re
 import pytest
 
 from repro import SimConfig
-from repro.campaign.library import get_campaign
+from repro.campaign import CampaignSpec
+from repro.campaign.library import campaign_names, get_campaign
 from repro.core.backoff import ExponentialBackoff
 from repro.core.timeout import FixedTimeout
 from repro.experiments.common import PAPER, QUICK
@@ -163,13 +164,35 @@ PINNED = {
 }
 
 
+#: the benchmark's campaign grid (routing x load x 4 replications on
+#: a 3-cube), at one of its seeds
+PERF_GRID = CampaignSpec.from_dict({
+    "name": "perf-grid",
+    "base": {"topology": "hypercube", "dims": 3, "message_length": 4,
+             "warmup": 0, "measure": 40, "drain": 3000, "engine": "fast"},
+    "axes": {"routing": ["cr", "fcr", "dor"], "load": [0.1, 0.2, 0.3, 0.4]},
+    "replications": 4,
+    "seed": 7,
+})
+
+
+def _library_points():
+    """Every library campaign at both scales, once as shipped and once
+    with three replications (so seeds above the spec's own are
+    expanded), and the benchmark's grid."""
+    for name in campaign_names():
+        for scale in (QUICK, PAPER):
+            spec = get_campaign(name, scale)
+            yield from spec.points()
+            yield from dataclasses.replace(spec, replications=3).points()
+    yield from PERF_GRID.points()
+
+
 def _corpus():
     """Every library point a stored campaign may hold, and the fuzz
     corpus: the configs whose keys must not move."""
-    for name in ("paper-core", "fault-matrix", "cascade-stress"):
-        for scale in (QUICK, PAPER):
-            for point in get_campaign(name, scale).points():
-                yield point.config
+    for point in _library_points():
+        yield point.config
     for index in range(DEFAULT_CASES):
         yield fuzz_config(DEFAULT_SEED, index)
 
@@ -188,6 +211,23 @@ class TestKeyFormatIsFrozen:
             assert unstable_fields(config) == _oracle_unstable(config)
             seen += 1
         assert seen > DEFAULT_CASES
+
+    def test_expansion_keys_match_the_oracle(self):
+        """``points()`` keys a grid once and substitutes each point's
+        axis and seed texts: every point's key is its config's."""
+        seen = 0
+        for point in _library_points():
+            assert point.config_hash == _oracle_key(point.config), \
+                point.point_id
+            seen += 1
+        assert seen > 1000
+
+    def test_a_config_stores_the_values_it_is_given(self):
+        """What makes that substitution exact: ``SimConfig`` has no
+        ``__post_init__`` and every field is an ``__init__`` argument,
+        so a config's field is the value the spec passed."""
+        assert not hasattr(SimConfig, "__post_init__")
+        assert all(field.init for field in dataclasses.fields(SimConfig))
 
 
 class _Cycles(int):
