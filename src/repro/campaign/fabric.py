@@ -717,11 +717,12 @@ def run_fabric(
 ) -> FabricStats:
     """Run a campaign sharded across ``workers`` local worker processes.
 
-    The coordinator registers the grid, spawns the workers, aggregates
-    until every point settles (or all workers die / ``timeout``
-    expires), then reaps the children.  Raising inside aggregation
-    still terminates the children.  ``serve`` attaches a telemetry
-    server exactly like :func:`~repro.campaign.runner.run_campaign`.
+    The coordinator registers the grid, spawns the workers (none when
+    every point is already settled), aggregates until every point
+    settles (or all workers die / ``timeout`` expires), then reaps the
+    children.  Raising inside aggregation still terminates the
+    children.  ``serve`` attaches a telemetry server exactly like
+    :func:`~repro.campaign.runner.run_campaign`.
     """
     server, owns_server = open_telemetry(serve)
     store = CampaignStore(db_path)
@@ -733,14 +734,17 @@ def run_fabric(
             verify=verify, server=server, on_poll=on_poll,
             trace=trace,
         )
-        procs = [
-            spawn_worker(
-                spec.name, db_path, worker_id=f"worker-{index + 1}",
-                batch=batch, ttl=ttl, poll=poll, quiet=quiet_workers,
-                trace=trace, traceparent=coordinator.traceparent(),
-            )
-            for index in range(max(1, int(workers)))
-        ]
+        # A campaign the store already holds settled spawns no worker.
+        coordinator.read()
+        if coordinator.monitor.done < coordinator.total:
+            procs = [
+                spawn_worker(
+                    spec.name, db_path, worker_id=f"worker-{index + 1}",
+                    batch=batch, ttl=ttl, poll=poll, quiet=quiet_workers,
+                    trace=trace, traceparent=coordinator.traceparent(),
+                )
+                for index in range(max(1, int(workers)))
+            ]
         stats = coordinator.run(
             timeout=timeout,
             stop=lambda: all(proc.poll() is not None for proc in procs),

@@ -52,6 +52,9 @@ _CONFIG_FIELDS = {f.name for f in dataclasses.fields(SimConfig)}
 #: field name -> its slot in a config's key texts
 _KEY_SLOT = {name: slot for slot, (name, _, _) in enumerate(_plan(SimConfig))}
 
+#: the key texts of a config that sets no field
+_DEFAULT_TEXTS = _field_texts(SimConfig())
+
 #: attempts (across every executor and invocation) before a failing
 #: point is terminal, unless the spec says otherwise.
 DEFAULT_MAX_ATTEMPTS = 3
@@ -163,7 +166,14 @@ def _grid_from_dict(label: str, body: Any) -> Grid:
 
 @dataclass(frozen=True)
 class CampaignPoint:
-    """One runnable point: a scenario at one replication."""
+    """One runnable point: a scenario at one replication.
+
+    A point built by hand is given its ``config``.  A point
+    :meth:`CampaignSpec.points` expands carries its id and
+    ``config_hash`` and builds ``config`` on first access (then keeps
+    it), so a settled point, which is only compared by hash, never
+    builds one.
+    """
 
     point_id: str  #: stable id, e.g. ``"e01/routing=cr/load=0.1/rep=0"``
     grid: str  #: label of the grid the scenario came from
@@ -176,6 +186,17 @@ class CampaignPoint:
         """``config_cache_key(config)``, worked out once per point
         (:meth:`CampaignSpec.points` fills it in as it expands)."""
         return config_cache_key(self.config)
+
+    def __getattr__(self, name: str) -> Any:
+        # Reached only for an attribute the instance lacks: an expanded
+        # point's ``config`` before its first use.
+        build = self.__dict__.get("_build")
+        if name != "config" or build is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        overrides, seed = build
+        config = self.__dict__["config"] = SimConfig(**overrides, seed=seed)
+        return config
 
 
 @dataclass(frozen=True)
@@ -304,18 +325,21 @@ class CampaignSpec:
         replication r of every scenario shares a seed, which pairs
         samples across scenarios for lower-variance comparisons.
 
-        Each point comes with its ``config_hash``.  A grid's points
-        differ only in their axis values and seed, so the grid's field
-        texts are worked out once and a point substitutes just those
-        entries.  That is exact because a ``SimConfig`` stores the
-        values it is given (it has no ``__post_init__``).
+        Each point comes with its ``config_hash`` and builds its
+        ``config`` only when that is first read.  The key texts start
+        from a default config's, the grid's base fields are substituted
+        once and a point substitutes its axis values and seed.  That
+        is exact because a ``SimConfig`` stores the values it is given
+        (it has no ``__post_init__``).
         """
         seed_slot = _KEY_SLOT["seed"]
         for grid in self.grids:
             prefix = f"{grid.label}/" if grid.label else ""
             base = {name: decode_field(name, value)
                     for name, value in grid.base.items()}
-            grid_texts = _field_texts(SimConfig(**base))
+            grid_texts = list(_DEFAULT_TEXTS)
+            for name, value in base.items():
+                grid_texts[_KEY_SLOT[name]] = _field_text(name, value)
             for scenario in grid.scenarios():
                 parts = "/".join(
                     f"{name}={value}" for name, value in scenario.items()
@@ -329,12 +353,15 @@ class CampaignSpec:
                 for rep in range(self.replications):
                     seed = self.seed + rep
                     texts[seed_slot] = _field_text("seed", seed)
-                    point = CampaignPoint(
+                    # Filled in directly, not through __init__: the
+                    # point has no config until it is first asked for.
+                    point = object.__new__(CampaignPoint)
+                    point.__dict__.update(
                         point_id=f"{prefix}{parts}/rep={rep}",
                         grid=grid.label,
                         scenario=dict(scenario),
                         replication=rep,
-                        config=SimConfig(**overrides, seed=seed),
+                        config_hash=_digest(texts),
+                        _build=(overrides, seed),
                     )
-                    point.__dict__["config_hash"] = _digest(texts)
                     yield point

@@ -61,6 +61,8 @@ BUSY_TIMEOUT_MS = 30_000
 #: default database location, next to the exported figure CSVs.
 DEFAULT_DB_PATH = os.path.join("results", "campaigns.sqlite")
 
+#: the schema, run statement by statement (split on ``;``, so no
+#: statement may contain one) when a store's stamp is below ours.
 _TABLES = """
 CREATE TABLE IF NOT EXISTS campaigns (
     name        TEXT PRIMARY KEY,
@@ -243,12 +245,17 @@ class CampaignStore:
     """One SQLite file holding every campaign's results and specs.
 
     Usable as a context manager; writes are one transaction per point.
-    ``readonly=True`` opens an existing file for reading only (``cr-sim
-    campaign watch``): nothing is created, migrated or written, and
-    under WAL the reader never blocks a writer.  A missing file raises
-    :class:`FileNotFoundError`; in either mode, a file that is no
-    campaign store raises :class:`sqlite3.DatabaseError` here, not at
-    the first read or write.
+    The file carries its schema version in ``PRAGMA user_version``: a
+    read-write open creates or migrates the tables only when that stamp
+    is below :data:`STORE_SCHEMA_VERSION` (a new file, or one an older
+    release wrote) and then stamps it, so reopening a current store
+    runs no DDL.  ``readonly=True`` opens an existing file for reading
+    only (``cr-sim campaign watch``): nothing is created, migrated,
+    stamped or written, and under WAL the reader never blocks a
+    writer.  A missing file raises :class:`FileNotFoundError`; in
+    either mode, a file that is no campaign store raises
+    :class:`sqlite3.DatabaseError` here, not at the first read or
+    write.
     """
 
     def __init__(self, path: str = DEFAULT_DB_PATH,
@@ -276,13 +283,34 @@ class CampaignStore:
         if readonly:
             self._conn.execute("SELECT 1 FROM campaigns LIMIT 1")
             return
+        self._conn.execute("PRAGMA synchronous = NORMAL")
+        if self._stamp() < STORE_SCHEMA_VERSION:
+            self._create()
+
+    def _stamp(self) -> int:
+        """The schema version the file is stamped with (0: never)."""
+        return self._conn.execute("PRAGMA user_version").fetchone()[0]
+
+    def _create(self) -> None:
+        """Bring a new or older store up to this schema and stamp it.
+
+        Runs only below :data:`STORE_SCHEMA_VERSION`, so opening a
+        stamped store costs no DDL.  A newer stamp is never lowered.
+        """
         # WAL lets readers proceed under a writer and writers queue on
         # the busy handler instead of failing; in-memory stores report
         # journal_mode 'memory' and simply stay there.
         self._conn.execute("PRAGMA journal_mode = WAL")
-        self._conn.execute("PRAGMA synchronous = NORMAL")
-        self._conn.executescript(_TABLES)
-        self._migrate_workers()
+        # One write transaction for the tables, the migration and the
+        # stamp: two processes opening one old store cannot both add a
+        # column, and a store is stamped only once it is complete.
+        with self._txn():
+            for statement in _TABLES.split(";"):
+                self._conn.execute(statement)
+            self._migrate_workers()
+            if self._stamp() < STORE_SCHEMA_VERSION:
+                self._conn.execute(
+                    f"PRAGMA user_version = {STORE_SCHEMA_VERSION}")
 
     def _migrate_workers(self) -> None:
         """Add the v5 worker columns to a pre-v5 ``workers`` table.
@@ -302,6 +330,14 @@ class CampaignStore:
                 self._conn.execute(
                     f"ALTER TABLE workers ADD COLUMN {column} {decl}"
                 )
+
+    def _tuples(self, query: str,
+                params: Tuple[Any, ...]) -> List[Tuple[Any, ...]]:
+        """``query``'s rows as plain tuples: a ``sqlite3.Row`` lookup by
+        name per column is most of what a settled read costs."""
+        cursor = self._conn.cursor()
+        cursor.row_factory = None
+        return cursor.execute(query, params).fetchall()
 
     @contextlib.contextmanager
     def _txn(self) -> Iterator[sqlite3.Connection]:
@@ -701,21 +737,14 @@ class CampaignStore:
             now = time.time()
         granted: List[Lease] = []
         with self._txn():
-            results = {
-                row["point_id"]: row
-                for row in self._conn.execute(
-                    "SELECT point_id, status, attempts, config_hash "
-                    "FROM results WHERE campaign = ?",
-                    (campaign,),
-                ).fetchall()
-            }
+            results = self.result_states(campaign)
             leases = {
-                row["point_id"]: row
-                for row in self._conn.execute(
+                point_id: (owner, expiry, attempt)
+                for point_id, owner, expiry, attempt in self._tuples(
                     "SELECT point_id, worker_id, lease_expiry, attempt "
                     "FROM leases WHERE campaign = ?",
                     (campaign,),
-                ).fetchall()
+                )
             }
             for point_id, expected_hash in candidates:
                 if len(granted) >= limit:
@@ -727,10 +756,10 @@ class CampaignStore:
                 reclaimed = False
                 prior = 0
                 if lease is not None:
-                    if lease["lease_expiry"] > now:
+                    owner, lease_expiry, prior = lease
+                    if lease_expiry > now:
                         continue  # live lease: someone else owns it
-                    reclaimed = lease["worker_id"] != worker_id
-                    prior = lease["attempt"]
+                    reclaimed = owner != worker_id
                 attempt = max(prior,
                               attempts_used(stored, expected_hash)) + 1
                 expiry = now + ttl
@@ -752,7 +781,7 @@ class CampaignStore:
                         "UPDATE spans SET status = 'aborted', "
                         "end_ts = ? WHERE campaign = ? AND point_id = ?"
                         " AND worker_id = ? AND status = 'open'",
-                        (now, campaign, point_id, lease["worker_id"]),
+                        (now, campaign, point_id, owner),
                     )
                 granted.append(Lease(point_id, worker_id, attempt,
                                      expiry, reclaimed))
@@ -872,18 +901,14 @@ class CampaignStore:
         JSON parsing) and it includes failed points, unlike
         :meth:`completed`.
         """
-        rows = self._conn.execute(
-            "SELECT point_id, status, attempts, config_hash "
-            "FROM results WHERE campaign = ?",
-            (campaign,),
-        ).fetchall()
         return {
-            row["point_id"]: {
-                "status": row["status"],
-                "attempts": row["attempts"],
-                "config_hash": row["config_hash"],
-            }
-            for row in rows
+            point_id: {"status": status, "attempts": attempts,
+                       "config_hash": config_hash}
+            for point_id, status, attempts, config_hash in self._tuples(
+                "SELECT point_id, status, attempts, config_hash "
+                "FROM results WHERE campaign = ?",
+                (campaign,),
+            )
         }
 
     def settlement(self, campaign: str,
@@ -965,12 +990,8 @@ class CampaignStore:
             query += " AND status = ?"
             params += (status,)
         query += " ORDER BY point_id"
-        # Plain tuples: a sqlite3.Row lookup by name per column is most
-        # of what reading a settled campaign costs.
-        cursor = self._conn.cursor()
-        cursor.row_factory = None
         out = []
-        for row in cursor.execute(query, params).fetchall():
+        for row in self._tuples(query, params):
             flat: Dict[str, Any] = dict(zip(_ROW_COLUMNS, row))
             flat.update(json.loads(row[-2]))
             if row[-1]:

@@ -10,8 +10,9 @@ The 3% bound :mod:`benchmarks.bench_obs_overhead` asserts is the
 *no-sink* cost -- constructing every event and emitting it into a bus
 nobody listens to, against a reference-engine run.  It is not what a
 traced run pays: the benchmark's ``obs.events_overhead`` attaches a
-``ListSink`` to the fast engine and reads 0.10-0.13 on
-``saturated_fast`` (see docs/OBSERVABILITY.md, "Overhead").
+``ListSink`` to the fast engine on ``saturated_fast``; its readings are
+the ledger's, in the newest ``BENCH_<n>.json`` at the repository root
+(see docs/OBSERVABILITY.md, "Overhead").
 
 Events are frozen dataclasses with a ``cycle`` timestamp; they carry
 plain ints/strings only, so every event serialises to JSON via

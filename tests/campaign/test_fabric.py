@@ -1,6 +1,8 @@
 """Distributed campaign fabric: workers, coordinator, CLI wiring."""
 
+import hashlib
 import json
+import sqlite3
 import subprocess
 import sys
 import threading
@@ -15,7 +17,8 @@ from repro.campaign import (
     read_status,
     run_campaign,
 )
-from repro.campaign.fabric import default_worker_id
+from repro.campaign import fabric as fabric_module
+from repro.campaign.fabric import default_worker_id, run_fabric
 from repro.campaign.monitor import CampaignView, render_status, render_workers
 from repro.campaign.runner import point_candidates
 from repro.obs.metrics import parse_prometheus_text
@@ -206,6 +209,32 @@ class TestCoordinator:
         assert "cr_fabric_leases_held" in families
         (info,) = [k for k in families["cr_fabric_build_info"]["samples"]]
         assert 'schema="5"' in info
+
+    def test_a_settled_campaign_spawns_no_worker(self, spec, db, tmp_path,
+                                                 monkeypatch):
+        """``run_fabric`` over a store that already holds every point
+        settled starts no process, so nothing races to write to it."""
+        with CampaignStore(db) as store:
+            assert run_campaign(spec, store).complete
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("spawned a worker for a settled campaign")
+
+        monkeypatch.setattr(fabric_module, "spawn_worker", refuse)
+        with open(db, "rb") as handle:
+            before = hashlib.sha256(handle.read()).hexdigest()
+        probe = sqlite3.connect(db)
+        try:
+            version = probe.execute("PRAGMA data_version").fetchone()
+            stats = run_fabric(spec, db, workers=2, interval=0.05,
+                               heartbeat_path=str(tmp_path / "f.json"))
+            assert probe.execute("PRAGMA data_version").fetchone() == \
+                version
+        finally:
+            probe.close()
+        assert stats.complete and stats.workers_seen == 0
+        with open(db, "rb") as handle:
+            assert hashlib.sha256(handle.read()).hexdigest() == before
 
     def test_survives_restart_mid_campaign(self, spec, db):
         """Coordinator loss never stalls the fabric: a fresh coordinator

@@ -14,6 +14,7 @@ from repro.campaign import (
     run_campaign,
 )
 from repro.sim import parallel
+from repro.sim.config import SimConfig
 
 
 @pytest.fixture
@@ -209,6 +210,28 @@ class TestSettledResumeWritesNothing:
                 "load=0.1/rep=0'")
             submit(edited, store)
             assert store.updated_at("r") > 100.0
+
+
+    def test_a_settled_resume_builds_no_config(self, spec, store,
+                                               monkeypatch):
+        """A settled point is compared by its key alone: resuming a
+        settled campaign constructs no ``SimConfig``."""
+        assert run_campaign(spec, store).complete
+        built = []
+        real = SimConfig.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(SimConfig, "__init__", counting_init)
+        stats = run_campaign(spec, store)
+        assert (stats.ran, stats.skipped) == (0, 4)
+        assert built == []
+        # The counter counts: a point that runs builds its config.
+        edited = spec.with_base(measure=150)
+        assert run_campaign(edited, store).ran == 4
+        assert len(built) == 4
 
 
 class TestFailures:

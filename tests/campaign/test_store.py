@@ -363,35 +363,78 @@ class TestSpanJournal:
         assert row["spans"] == 7 and row["logs"] == 0
 
 
+def v4_store(path):
+    """A store as schema v4 left it: today's tables but ``spans``, a
+    ``workers`` table without the span/spans/logs columns, and no
+    ``user_version`` stamp."""
+    conn = sqlite3.connect(path)
+    for statement in store_module._TABLES.split(";"):
+        if statement.strip() and not any(
+                f"EXISTS {table} " in statement
+                for table in ("workers", "spans")):
+            conn.execute(statement)
+    conn.execute("""
+        CREATE TABLE workers (
+            campaign   TEXT NOT NULL,
+            worker_id  TEXT NOT NULL,
+            pid        INTEGER,
+            host       TEXT NOT NULL DEFAULT '',
+            state      TEXT NOT NULL DEFAULT 'running',
+            started_at REAL NOT NULL,
+            last_seen  REAL NOT NULL,
+            done       INTEGER NOT NULL DEFAULT 0,
+            failed     INTEGER NOT NULL DEFAULT 0,
+            leases     INTEGER NOT NULL DEFAULT 0,
+            reclaims   INTEGER NOT NULL DEFAULT 0,
+            PRIMARY KEY (campaign, worker_id)
+        )
+    """)
+    conn.execute(
+        "INSERT INTO workers (campaign, worker_id, started_at, "
+        "last_seen) VALUES ('s', 'w1', 1.0, 2.0)"
+    )
+    conn.commit()
+    conn.close()
+    return path
+
+
+def user_version(path):
+    conn = sqlite3.connect(path)
+    try:
+        return conn.execute("PRAGMA user_version").fetchone()[0]
+    finally:
+        conn.close()
+
+
+def traced_open(monkeypatch, path):
+    """Open a store read-write; returns it with the SQL it ran."""
+    statements = []
+    real = sqlite3.connect
+
+    def connect(*args, **kwargs):
+        conn = real(*args, **kwargs)
+        conn.set_trace_callback(statements.append)
+        return conn
+
+    monkeypatch.setattr(store_module.sqlite3, "connect", connect)
+    store = CampaignStore(path)
+    monkeypatch.setattr(store_module.sqlite3, "connect", real)
+    return store, statements
+
+
+def schema_statements(statements):
+    return [sql for sql in statements
+            if any(word in sql.upper()
+                   for word in ("CREATE", "ALTER", "JOURNAL_MODE"))]
+
+
 class TestSchemaMigration:
     def test_v4_workers_table_gains_span_columns(self, tmp_path):
         # A store created before schema v5 has a workers table without
         # span/spans/logs; CREATE TABLE IF NOT EXISTS will not add
         # them, so opening must migrate via ALTER TABLE.
-        path = str(tmp_path / "old.sqlite")
-        conn = sqlite3.connect(path)
-        conn.execute("""
-            CREATE TABLE workers (
-                campaign   TEXT NOT NULL,
-                worker_id  TEXT NOT NULL,
-                pid        INTEGER,
-                host       TEXT NOT NULL DEFAULT '',
-                state      TEXT NOT NULL DEFAULT 'running',
-                started_at REAL NOT NULL,
-                last_seen  REAL NOT NULL,
-                done       INTEGER NOT NULL DEFAULT 0,
-                failed     INTEGER NOT NULL DEFAULT 0,
-                leases     INTEGER NOT NULL DEFAULT 0,
-                reclaims   INTEGER NOT NULL DEFAULT 0,
-                PRIMARY KEY (campaign, worker_id)
-            )
-        """)
-        conn.execute(
-            "INSERT INTO workers (campaign, worker_id, started_at, "
-            "last_seen) VALUES ('s', 'w1', 1.0, 2.0)"
-        )
-        conn.commit()
-        conn.close()
+        path = v4_store(str(tmp_path / "old.sqlite"))
+        assert user_version(path) == 0
         with CampaignStore(path) as store:
             (row,) = store.workers("s")
             assert row["span"] == "" and row["spans"] == 0
@@ -399,3 +442,64 @@ class TestSchemaMigration:
             store.worker_heartbeat("s", "w1", span="x y", spans=1)
             (row,) = store.workers("s")
             assert row["spans"] == 1
+        assert user_version(path) == STORE_SCHEMA_VERSION
+
+
+class TestSchemaStamp:
+    """``PRAGMA user_version`` holds the schema version: an open runs
+    DDL only below :data:`STORE_SCHEMA_VERSION`."""
+
+    def test_a_stamped_store_opens_without_ddl(self, tmp_path,
+                                               monkeypatch):
+        path = v4_store(str(tmp_path / "old.sqlite"))
+        store, statements = traced_open(monkeypatch, path)
+        store.close()
+        assert any("ALTER TABLE workers" in sql for sql in statements)
+        assert user_version(path) == STORE_SCHEMA_VERSION
+
+        store, statements = traced_open(monkeypatch, path)
+        with store:
+            assert schema_statements(statements) == []
+            assert store.workers("s")[0]["spans"] == 0
+
+    def test_a_fresh_store_is_created_and_stamped(self, tmp_path):
+        path = str(tmp_path / "new.sqlite")
+        with CampaignStore(path) as store:
+            assert store._conn.execute(
+                "PRAGMA journal_mode").fetchone()[0] == "wal"
+        assert user_version(path) == STORE_SCHEMA_VERSION
+
+    def test_a_newer_stamp_is_kept(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "new.sqlite")
+        CampaignStore(path).close()
+        conn = sqlite3.connect(path)
+        conn.execute(f"PRAGMA user_version = {STORE_SCHEMA_VERSION + 1}")
+        conn.close()
+        store, statements = traced_open(monkeypatch, path)
+        store.close()
+        assert schema_statements(statements) == []
+        assert user_version(path) == STORE_SCHEMA_VERSION + 1
+
+    def test_readonly_leaves_an_unstamped_store_alone(self, tmp_path):
+        path = v4_store(str(tmp_path / "old.sqlite"))
+        with open(path, "rb") as handle:
+            before = handle.read()
+        with CampaignStore(path, readonly=True) as store:
+            assert store.spec("s") is None
+        with open(path, "rb") as handle:
+            assert handle.read() == before
+        assert user_version(path) == 0
+
+    @pytest.mark.parametrize("readonly", [False, True])
+    def test_a_file_that_is_no_database_is_refused(self, tmp_path,
+                                                   readonly):
+        path = tmp_path / "junk.sqlite"
+        path.write_bytes(b"no sqlite here, " * 64)
+        with pytest.raises(sqlite3.DatabaseError):
+            CampaignStore(str(path), readonly=readonly)
+
+    def test_an_in_memory_store_is_created_every_time(self, spec):
+        for _ in range(2):
+            with CampaignStore(":memory:") as store:
+                store.register(spec)
+                assert store.spec("s") == spec

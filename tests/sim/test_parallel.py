@@ -12,6 +12,7 @@ import pytest
 from repro import SimConfig
 from repro.campaign import CampaignSpec
 from repro.campaign.library import campaign_names, get_campaign
+from repro.campaign.spec import CampaignPoint, decode_field
 from repro.core.backoff import ExponentialBackoff
 from repro.core.timeout import FixedTimeout
 from repro.experiments.common import PAPER, QUICK
@@ -176,16 +177,21 @@ PERF_GRID = CampaignSpec.from_dict({
 })
 
 
-def _library_points():
+def _library_specs():
     """Every library campaign at both scales, once as shipped and once
     with three replications (so seeds above the spec's own are
     expanded), and the benchmark's grid."""
     for name in campaign_names():
         for scale in (QUICK, PAPER):
             spec = get_campaign(name, scale)
-            yield from spec.points()
-            yield from dataclasses.replace(spec, replications=3).points()
-    yield from PERF_GRID.points()
+            yield spec
+            yield dataclasses.replace(spec, replications=3)
+    yield PERF_GRID
+
+
+def _library_points():
+    for spec in _library_specs():
+        yield from spec.points()
 
 
 def _corpus():
@@ -228,6 +234,41 @@ class TestKeyFormatIsFrozen:
         so a config's field is the value the spec passed."""
         assert not hasattr(SimConfig, "__post_init__")
         assert all(field.init for field in dataclasses.fields(SimConfig))
+
+
+class TestExpandedConfigs:
+    """An expanded point builds its config on first use: the config it
+    builds is the one its grid names, and its key is that config's."""
+
+    def test_each_library_point_builds_the_config_its_grid_names(self):
+        seen = 0
+        for spec in _library_specs():
+            grids = {grid.label: grid for grid in spec.grids}
+            for point in spec.points():
+                assert "config" not in vars(point), point.point_id
+                # An axis may also be set in the base; the axis wins.
+                fields = {**grids[point.grid].base, **point.scenario}
+                expected = SimConfig(
+                    **{name: decode_field(name, value)
+                       for name, value in fields.items()},
+                    seed=spec.seed + point.replication,
+                )
+                # By repr: the policy objects (timeout, backoff) have
+                # no __eq__, and their reprs are what the key reads.
+                assert repr(point.config) == repr(expected), point.point_id
+                assert point.config is point.config  # built once
+                assert point.config_hash == config_cache_key(point.config)
+                seen += 1
+        assert seen > 1000
+
+    def test_a_point_built_by_hand_keeps_its_config(self):
+        config = tiny()
+        point = CampaignPoint(point_id="p/rep=0", grid="",
+                              scenario={}, replication=0, config=config)
+        assert point.config is config
+        assert point.config_hash == config_cache_key(config)
+        with pytest.raises(AttributeError, match="no attribute 'nope'"):
+            point.nope
 
 
 class _Cycles(int):
