@@ -672,7 +672,6 @@ def spawn_worker(
     batch: int = DEFAULT_BATCH,
     ttl: float = DEFAULT_TTL,
     poll: float = DEFAULT_POLL,
-    quiet: bool = True,
     trace: bool = False,
     traceparent: Optional[str] = None,
 ) -> "subprocess.Popen[bytes]":
@@ -694,8 +693,8 @@ def spawn_worker(
     return subprocess.Popen(
         cmd,
         env=_worker_env(trace=trace, traceparent=traceparent),
-        stdout=subprocess.DEVNULL if quiet else None,
-        stderr=subprocess.DEVNULL if quiet else None,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
     )
 
 
@@ -710,18 +709,16 @@ def run_fabric(
     verify: bool = False,
     serve: Optional[object] = None,
     heartbeat_path: Optional[str] = None,
-    timeout: Optional[float] = None,
     on_poll: Optional[Callable[[Dict[str, Any]], None]] = None,
-    quiet_workers: bool = True,
     trace: bool = False,
 ) -> FabricStats:
     """Run a campaign sharded across ``workers`` local worker processes.
 
     The coordinator registers the grid, spawns the workers (none when
     every point is already settled), aggregates until every point
-    settles (or all workers die / ``timeout`` expires), then reaps the
-    children.  Raising inside aggregation still terminates the
-    children.  ``serve`` attaches a telemetry server exactly like
+    settles (or all workers die), then reaps the children.  Raising
+    inside aggregation still terminates the children.  ``serve``
+    attaches a telemetry server exactly like
     :func:`~repro.campaign.runner.run_campaign`.
     """
     server, owns_server = open_telemetry(serve)
@@ -740,13 +737,11 @@ def run_fabric(
             procs = [
                 spawn_worker(
                     spec.name, db_path, worker_id=f"worker-{index + 1}",
-                    batch=batch, ttl=ttl, poll=poll, quiet=quiet_workers,
-                    trace=trace, traceparent=coordinator.traceparent(),
+                    batch=batch, ttl=ttl, poll=poll, trace=trace, traceparent=coordinator.traceparent(),
                 )
                 for index in range(max(1, int(workers)))
             ]
         stats = coordinator.run(
-            timeout=timeout,
             stop=lambda: all(proc.poll() is not None for proc in procs),
         )
     finally:

@@ -1,12 +1,10 @@
 """Cross-campaign comparison and regression reports.
 
 Two stored campaigns are compared scenario-by-scenario: replications of
-each scenario are aggregated with the same
-:func:`~repro.sim.replicate.summarize_samples` machinery the live
-``replicate`` helper uses, and a baseline/candidate gap counts as
-*significant* only when the mean +/- half-width intervals separate
-(:func:`~repro.sim.replicate.intervals_separated`) — the conservative
-rule behind ``significantly_better``.
+each scenario are aggregated by :func:`summarize_samples`, and a
+baseline/candidate gap counts as *significant* only when the mean +/-
+half-width intervals separate (:func:`intervals_separated`) — a
+conservative rule.
 
 Every report row carries provenance: the config hashes and library
 versions of both sides, so a "regression" caused by comparing rows from
@@ -17,10 +15,10 @@ Reports render to markdown (:func:`render_markdown`) and flat CSV rows
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..sim.export import rows_to_csv
-from ..sim.replicate import intervals_separated, summarize_samples
 from .store import CampaignStore
 
 #: metrics where a larger value is an improvement (others: smaller).
@@ -30,6 +28,53 @@ DEFAULT_REPORT_METRICS = ("latency_mean", "throughput")
 
 #: a scenario key: grid label + sorted axis (name, value) pairs.
 ScenarioKey = Tuple[str, Tuple[Tuple[str, Any], ...]]
+
+
+def summarize_samples(values: Sequence[float]) -> Dict[str, float]:
+    """Summary statistics over independent samples of one metric.
+
+    Returns ``{mean, std, min, max, rel_halfwidth, n}`` where ``std``
+    is the sample standard deviation (``n - 1`` denominator; 0.0 when
+    ``n == 1``) and ``rel_halfwidth`` approximates a 95% confidence
+    half-width relative to the mean (1.96 * std / sqrt(n) / mean).
+    """
+    count = len(values)
+    if count == 0:
+        raise ValueError("need at least one sample")
+    mean = sum(values) / count
+    # Sample (n-1) variance: the population (n) denominator made the
+    # normal half-width below systematically overconfident at small n.
+    if count > 1:
+        var = sum((v - mean) ** 2 for v in values) / (count - 1)
+    else:
+        var = 0.0
+    std = math.sqrt(var)
+    halfwidth = 1.96 * std / math.sqrt(count) if count > 1 else 0.0
+    return {
+        "mean": mean,
+        "std": std,
+        "min": min(values),
+        "max": max(values),
+        "rel_halfwidth": halfwidth / mean if mean else 0.0,
+        "n": count,
+    }
+
+
+def intervals_separated(
+    summary_a: Dict[str, float],
+    summary_b: Dict[str, float],
+    higher_is_better: bool = True,
+) -> bool:
+    """True when A beats B with non-overlapping mean +/- halfwidth.
+
+    Conservative by construction -- overlapping intervals return False
+    even when a formal test might find a difference.
+    """
+    half_a = summary_a["rel_halfwidth"] * summary_a["mean"]
+    half_b = summary_b["rel_halfwidth"] * summary_b["mean"]
+    if higher_is_better:
+        return summary_a["mean"] - half_a > summary_b["mean"] + half_b
+    return summary_a["mean"] + half_a < summary_b["mean"] - half_b
 
 
 def _scenario_key(point: Dict[str, Any]) -> ScenarioKey:

@@ -39,7 +39,7 @@ Campaign-level guarantees on top of :func:`repro.sim.parallel.run_reports`:
   transaction; an interrupt between points loses only in-flight work.
 * **Failure tolerance** — a point whose simulation raises is retried
   with bounded backoff (up to the spec's ``max_attempts``, sleeping
-  ``backoff * 2**round`` capped at ``backoff_cap``); a point that
+  ``backoff * 2**round`` capped at 5 s); a point that
   keeps failing is recorded as ``failed``, *settles into the done
   count* (shown as ``done (N failed)``), and the campaign moves on
   instead of aborting.
@@ -354,7 +354,6 @@ def run_campaign(
     store: CampaignStore,
     workers: Optional[int] = 1,
     backoff: float = 0.25,
-    backoff_cap: float = 5.0,
     progress: Optional[CampaignProgress] = None,
     verify: bool = False,
     heartbeat: Optional[float] = 1.0,
@@ -486,7 +485,7 @@ def run_campaign(
             if not failed_now:
                 break
             stats.retried += len(failed_now)
-            time.sleep(min(backoff * (2 ** round_), backoff_cap))
+            time.sleep(min(backoff * (2 ** round_), 5.0))
             pending = failed_now
             round_ += 1
 

@@ -13,8 +13,8 @@ A spec holds one or more *grids*.  Each grid has ``base`` (fixed
 (field name -> list of values); the grid's scenarios are the cartesian
 product of its axes.  Every scenario runs ``replications`` times with
 derived seeds (``seed + replication``), so stored campaigns carry
-enough samples for the significance machinery in
-:mod:`repro.sim.replicate`.
+enough samples for the significance rule in
+:mod:`repro.campaign.report`.
 
 The spec also carries the campaign's attempt budget,
 ``max_attempts``: a failing point is retried until it has used that

@@ -715,7 +715,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not loads:
         raise UsageError("--loads names no load point")
     base = _config_from_args(args)
-    _checked(base.with_(load=loads[0]))
+    for load in loads:  # every point is misuse-checked before one runs
+        _checked(base.with_(load=load))
     cache = None if args.no_cache else SweepCache(args.cache_dir)
     rows = load_sweep(
         base,
@@ -777,6 +778,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         occupancy_snapshot,
     )
 
+    _at_least(1, profile=args.profile)
     if args.hotspot is not None and args.profile is None:
         raise UsageError("--hotspot needs --profile")
     if args.experiment is not None:
@@ -1321,6 +1323,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from .verify import mutation_names, verify_presets
     from .verify.mutations import MUTATIONS
 
+    _at_least(1, check_interval=args.check_interval,
+              progress_limit=args.progress_limit)
     if args.list:
         print("experiment presets: " + ", ".join(trace_experiments()))
         print("seeded mutations:")

@@ -48,7 +48,3 @@ class Node:
             return False
         self.queue.append(message)
         return True
-
-    @property
-    def backlog(self) -> int:
-        return len(self.queue)

@@ -47,16 +47,6 @@ class KillCause(enum.Enum):
     DROP_AT_BLOCK = "drop_at_block"
 
 
-class RoutingMode(enum.Enum):
-    """Top-level router configuration."""
-
-    DOR = "dor"
-    CR = "cr"
-    FCR = "fcr"
-    DUATO = "duato"
-    TURN = "turn"
-    NAIVE_ADAPTIVE = "naive_adaptive"
-
 
 class ProtocolMode(enum.Enum):
     """Network-interface protocol the sources and sinks run.

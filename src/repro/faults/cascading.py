@@ -323,15 +323,6 @@ class LoadDependentFaults(FaultModel):
         if self.stats is not None:
             self.stats.counters[name] += 1
 
-    # -- reporting ---------------------------------------------------------
-
-    def cluster_sizes(self) -> List[int]:
-        """Member counts of every failure cluster, largest first."""
-        return sorted(
-            (members for _, members in self._clusters.values()),
-            reverse=True,
-        )
-
 
 def make_cascading(value, seed=0) -> LoadDependentFaults:
     """A fresh LoadDependentFaults from ``SimConfig.cascade_faults``.

@@ -4,10 +4,9 @@ The buffer-organisation experiments (E04/E05) compare schemes at very
 different storage budgets; this module makes the budgets explicit so the
 comparison can be cost-normalised.  Storage is counted in flit-slots per
 router (input VC buffers; CR's ejection staging and the interface
-counters are counted by :mod:`repro.hardware.costmodel`), and converted
-to bits via a parameterised flit width.
+counters are counted by :mod:`repro.hardware.costmodel`).
 
-The punchline the table supports: CR's performance point is reached at a
+The punchline T03's table supports: CR's performance point is reached at a
 *fraction* of the deep-FIFO DOR budget -- buffer storage dominated early
 routers' silicon, so flits-of-buffer per unit throughput was a real
 design currency.
@@ -16,9 +15,7 @@ design currency.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
-
-FLIT_BITS_DEFAULT = 16  # 16-bit phits/flits, typical of the era
+from typing import List
 
 
 @dataclass(frozen=True)
@@ -33,9 +30,6 @@ class BufferOrganisation:
     @property
     def flits_per_router(self) -> int:
         return self.ports * self.num_vcs * self.buffer_depth
-
-    def bits_per_router(self, flit_bits: int = FLIT_BITS_DEFAULT) -> int:
-        return self.flits_per_router * flit_bits
 
 
 def standard_organisations(dims: int = 2) -> List[BufferOrganisation]:
@@ -52,33 +46,3 @@ def standard_organisations(dims: int = 2) -> List[BufferOrganisation]:
         BufferOrganisation("cr_2vc_d2", 2, 2, ports),
         BufferOrganisation("cr_4vc_d2", 4, 2, ports),
     ]
-
-
-def storage_table(
-    dims: int = 2, flit_bits: int = FLIT_BITS_DEFAULT
-) -> List[Dict[str, object]]:
-    """Rows of per-router storage for the standard organisations."""
-    orgs = standard_organisations(dims)
-    baseline = next(o for o in orgs if o.name == "cr_2vc_d2")
-    rows: List[Dict[str, object]] = []
-    for org in orgs:
-        rows.append(
-            {
-                "organisation": org.name,
-                "vcs": org.num_vcs,
-                "depth": org.buffer_depth,
-                "flits_per_router": org.flits_per_router,
-                "bits_per_router": org.bits_per_router(flit_bits),
-                "vs_cr_2vc": round(
-                    org.flits_per_router / baseline.flits_per_router, 2
-                ),
-            }
-        )
-    return rows
-
-
-def throughput_per_flit(
-    throughput: float, organisation: BufferOrganisation
-) -> float:
-    """Cost-normalised performance: throughput per buffer flit."""
-    return throughput / organisation.flits_per_router

@@ -112,7 +112,6 @@ class Engine:
         protocol: Optional[ProtocolConfig] = None,
         seed: int = 0,
         stats: Optional[StatsCollector] = None,
-        ledger: Optional[DeliveryLedger] = None,
         fault_model: Optional["FaultModel"] = None,
         generator: Optional["WorkloadGenerator"] = None,
         watchdog: int = 20000,
@@ -127,7 +126,7 @@ class Engine:
         self.protocol = protocol or ProtocolConfig()
         self.rng = random.Random(seed)
         self.stats = stats or StatsCollector(self.topology.num_nodes)
-        self.ledger = ledger or DeliveryLedger(
+        self.ledger = DeliveryLedger(
             expect_integrity=self.protocol.mode is ProtocolMode.FCR
         )
         self.fault_model = fault_model

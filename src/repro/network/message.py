@@ -177,11 +177,6 @@ class Message:
         self.inject_start_at = now
 
     @property
-    def pad_length(self) -> int:
-        """Number of pad flits in the current attempt."""
-        return self.wire_length - self.payload_length
-
-    @property
     def committed(self) -> bool:
         """True once the tail has left the source (no longer killable)."""
         return self.phase in (MessagePhase.COMMITTED, MessagePhase.DELIVERED)

@@ -137,11 +137,3 @@ class WormholeNetwork:
                 return channel
         raise KeyError(f"no link {src}->{dst} in {self.topology.name}")
 
-    def total_buffer_flits(self) -> int:
-        """Total input buffering in the network (cost accounting)."""
-        return sum(
-            buf.depth
-            for router in self.routers
-            for port in router.in_buffers
-            for buf in port
-        )

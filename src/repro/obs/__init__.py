@@ -25,47 +25,19 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..network.engine import Engine
     from .events import EventBus
 
-#: submodule -> the names it contributes; each loads on first use, so a
-#: run imports only the layers it arms (``server`` brings in
-#: ``http.server``: only a run that serves telemetry pays for it).
+#: submodule -> the names imported through ``repro.obs`` (everything
+#: else is imported from its submodule); each loads on first use, so a
+#: run imports only the layers it arms.
 _EXPORTS = {
-    "alerts": (
-        "BUILTIN_RULE_NAMES", "AlertEngine", "AlertRule", "builtin_rules",
-        "load_rules", "rules_to_json",
-    ),
-    "events": (
-        "EVENT_TYPES", "AlertEvent", "Event", "EventBus", "FaultActivated",
-        "InjectionStalled", "InjectionStarted", "KillCompleted",
-        "KillStarted", "MessageCommitted", "MessageCreated",
-        "MessageDelivered", "Retransmit", "event_to_dict",
-    ),
-    "forensics": ("DeadlockReport", "build_deadlock_report"),
-    "health": (
-        "dead_channel_fraction", "health_components", "health_report",
-        "health_score",
-    ),
-    "metrics": ("MetricsRegistry", "engine_metrics", "parse_prometheus_text"),
-    "perfetto": ("chrome_trace", "chrome_trace_events", "write_chrome_trace"),
-    "profile": ("PHASES", "EngineProfiler", "attach_profiler",
-                "detach_profiler"),
-    "sampler": ("IntervalSample", "IntervalSampler"),
-    "server": (
-        "EngineTelemetry", "TelemetryServer", "make_telemetry_server",
-        "parse_serve",
-    ),
+    "events": ("event_to_dict",),
+    "forensics": ("DeadlockReport",),
+    "metrics": ("engine_metrics", "parse_prometheus_text"),
+    "profile": ("PHASES",),
     "sinks": (
-        "DEFAULT_TRACE_DIR", "EventSink", "JsonlSink", "ListSink",
-        "ReadResult", "RingBufferSink", "filter_events", "read_jsonl",
+        "DEFAULT_TRACE_DIR", "JsonlSink", "ListSink", "RingBufferSink",
+        "filter_events", "read_jsonl",
     ),
-    "trace": (
-        "TRACEPARENT_ENV", "Span", "SpanContext", "Tracer",
-        "context_from_environ", "format_traceparent", "parse_traceparent",
-        "traceparent_environ",
-    ),
-    "tracing": (
-        "TracedRun", "config_for_experiment", "run_traced",
-        "trace_experiments",
-    ),
+    "tracing": ("config_for_experiment", "run_traced", "trace_experiments"),
 }
 
 __all__, __getattr__, __dir__ = lazy_exports(

@@ -194,10 +194,6 @@ class EventBus:
         if sink not in self.sinks:
             self.sinks.append(sink)
 
-    def unsubscribe(self, sink: Any) -> None:
-        if sink in self.sinks:
-            self.sinks.remove(sink)
-
     def emit(self, event: Event) -> None:
         for sink in self.sinks:
             sink.on_event(event)

@@ -32,7 +32,6 @@ and unescape losslessly (backslash, double-quote, newline).
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import re
@@ -159,7 +158,7 @@ class Counter:
 
 
 class Gauge:
-    """A value that can go up and down."""
+    """A value that is set, not accumulated."""
 
     kind = "gauge"
     __slots__ = ("value", "_lock")
@@ -171,14 +170,6 @@ class Gauge:
     def set(self, value: float) -> None:
         with self._lock:
             self.value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self.value -= amount
 
     def sample_lines(self, name: str, labels: LabelKey) -> List[str]:
         return [f"{name}{_render_labels(labels)} {_fmt_value(self.value)}"]
@@ -312,14 +303,12 @@ class MetricsRegistry:
             return instance
 
     def histogram(self, name: str, help: str = "",
-                  buckets: Sequence[float] = LATENCY_BUCKETS,
-                  labels: Optional[Dict[str, str]] = None) -> Histogram:
+                  buckets: Sequence[float] = LATENCY_BUCKETS) -> Histogram:
         with self._lock:
             family = self._family(name, "histogram", help)
-            key = _label_key(labels or {})
-            instance = family.instances.get(key)
+            instance = family.instances.get(())
             if instance is None:
-                instance = family.instances[key] = Histogram(
+                instance = family.instances[()] = Histogram(
                     buckets, self._lock
                 )
             return instance
@@ -387,16 +376,6 @@ class MetricsRegistry:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
         return text
-
-    def write_json(self, path: str) -> Dict[str, Any]:
-        """Write the JSON snapshot to ``path``; returns the dict."""
-        snap = self.snapshot()
-        parent = os.path.dirname(str(path))
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(snap, handle, indent=2, sort_keys=True)
-        return snap
 
 
 def parse_prometheus_text(text: str) -> Dict[str, Dict[str, Any]]:
@@ -517,10 +496,8 @@ COUNTER_HELP: Dict[str, str] = {
 }
 
 
-def engine_metrics(engine: "Engine",
-                   registry: Optional[MetricsRegistry] = None
-                   ) -> MetricsRegistry:
-    """Publish an engine's state into a registry (default: a new one).
+def engine_metrics(engine: "Engine") -> MetricsRegistry:
+    """Publish an engine's state into a new registry.
 
     Every ``StatsCollector`` counter becomes a typed counter (the
     per-cause ``kills_<cause>`` counters fold into one labelled
@@ -528,7 +505,7 @@ def engine_metrics(engine: "Engine",
     latency histograms are published alongside.  Safe to call mid-run
     or after a run; the snapshot reflects the moment of the call.
     """
-    registry = registry or MetricsRegistry(prefix="cr_")
+    registry = MetricsRegistry(prefix="cr_")
     counters = engine.stats.counters
     for name in sorted(counters):
         if name.startswith("kills_"):

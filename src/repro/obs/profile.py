@@ -44,7 +44,7 @@ into the span view.
 from __future__ import annotations
 
 from time import perf_counter_ns
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 #: phase names in engine execution order.
 PHASES: Tuple[str, ...] = (
@@ -233,7 +233,7 @@ class EngineProfiler:
             )
         return "\n".join(lines) + "\n"
 
-    def counter_track_events(self, pid: int = 0) -> List[Dict[str, Any]]:
+    def counter_track_events(self) -> List[Dict[str, Any]]:
         """Chrome-trace counter entries ("ph": "C") from the snapshots.
 
         One counter sample per snapshot at its closing cycle (trace ts
@@ -254,7 +254,7 @@ class EngineProfiler:
             events.append({
                 "name": "engine phase wall µs",
                 "ph": "C",
-                "pid": pid,
+                "pid": 0,
                 "tid": 0,
                 "ts": cycle,
                 "args": args,
@@ -262,22 +262,4 @@ class EngineProfiler:
         return events
 
 
-def attach_profiler(engine: Any,
-                    snapshot_interval: int = 0) -> EngineProfiler:
-    """Arm an engine with a fresh profiler and return it."""
-    profiler = EngineProfiler(snapshot_interval=snapshot_interval)
-    engine.profiler = profiler
-    return profiler
-
-
-def detach_profiler(engine: Any) -> Optional[EngineProfiler]:
-    """Disarm; returns the detached profiler (or None)."""
-    profiler = engine.profiler
-    engine.profiler = None
-    return profiler
-
-
-__all__ = [
-    "PHASES", "PhaseStats", "EngineProfiler",
-    "attach_profiler", "detach_profiler",
-]
+__all__ = ["PHASES", "PhaseStats", "EngineProfiler"]

@@ -19,7 +19,7 @@ campaign SQLite store unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from ..stats.latency import percentile
 
@@ -184,16 +184,8 @@ class IntervalSampler:
 
         return rows_to_csv(self.rows(), path)
 
-    def to_svg(
-        self,
-        path: str,
-        metrics: Sequence[str] = (
-            "accepted_load", "throughput", "latency_mean", "kills",
-            "occupancy",
-        ),
-        title: str = "",
-    ) -> str:
-        """Write stacked sparklines of the chosen metrics; returns SVG."""
+    def to_svg(self, path: str, title: str = "") -> str:
+        """Write stacked sparklines of the headline metrics; returns SVG."""
         from ..stats.svg import render_sparkline_rows
 
         # Undefined values (empty-window latencies) plot as 0.
@@ -202,7 +194,8 @@ class IntervalSampler:
                 (metric,
                  [value if value is not None else 0.0
                   for value in self.series(metric)])
-                for metric in metrics
+                for metric in ("accepted_load", "throughput", "latency_mean",
+                               "kills", "occupancy")
             ],
             title=title,
         )

@@ -201,14 +201,10 @@ class Tracer:
         root: ParentLike = None,
         sinks: Optional[List[SpanSink]] = None,
         registry: Optional[Any] = None,
-        clock: Callable[[], float] = time.time,
-        id_source: Optional[Callable[[], str]] = None,
     ) -> None:
         self.worker_id = worker_id
         self.root = _context_of(root)
         self.sinks: List[SpanSink] = list(sinks or [])
-        self._clock = clock
-        self._ids = id_source or new_span_id
         self._lock = threading.Lock()
         self._stack: List[Span] = []
         self.started = 0
@@ -250,13 +246,13 @@ class Tracer:
             trace_id, parent_id = context.trace_id, context.span_id
         span = Span(
             trace_id=trace_id,
-            span_id=self._ids(),
+            span_id=new_span_id(),
             parent_id=parent_id,
             name=name,
             kind=kind,
             worker_id=self.worker_id,
             point_id=point_id,
-            start_ts=self._clock() if start_ts is None else start_ts,
+            start_ts=time.time() if start_ts is None else start_ts,
             attrs=dict(attrs or {}),
         )
         with self._lock:
@@ -280,7 +276,7 @@ class Tracer:
             merged.update(attrs)
         done = replace(
             span,
-            end_ts=self._clock() if end_ts is None else end_ts,
+            end_ts=time.time() if end_ts is None else end_ts,
             status=status,
             attrs=merged,
         )
@@ -304,9 +300,6 @@ class Tracer:
             return self._stack[-1] if self._stack else None
 
     # -- plumbing -------------------------------------------------------
-
-    def add_sink(self, sink: SpanSink) -> None:
-        self.sinks.append(sink)
 
     def trace_id(self) -> Optional[str]:
         """The trace this tracer joins (root's, else first span's)."""
@@ -356,21 +349,6 @@ def _context_of(parent: ParentLike) -> Optional[SpanContext]:
 # ----------------------------------------------------------------------
 # Environment propagation (fabric subprocess boundary)
 # ----------------------------------------------------------------------
-
-def traceparent_environ(
-    context: Optional[SpanContext],
-    armed: bool = True,
-    env: Optional[Dict[str, str]] = None,
-) -> Dict[str, str]:
-    """Extend ``env`` (default: a copy of ``os.environ``) with the
-    tracing variables a spawned fabric worker reads on startup."""
-    out = dict(os.environ) if env is None else env
-    if context is not None:
-        out[TRACEPARENT_ENV] = format_traceparent(context)
-    if armed:
-        out[TRACE_ARM_ENV] = "1"
-    return out
-
 
 def context_from_environ(
     env: Optional[Dict[str, str]] = None,

@@ -15,7 +15,7 @@ quick-scale configs, so ``cr-sim trace e08`` needs no flag soup.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 from ..core.backoff import ExponentialBackoff
 from ..core.timeout import FixedTimeout
@@ -112,8 +112,6 @@ def run_traced(
     config: SimConfig,
     jsonl_path: Optional[str] = None,
     perfetto_path: Optional[str] = None,
-    ring_capacity: int = 4096,
-    sample_interval: Optional[int] = None,
     keep_engine: bool = False,
     extra_sinks: Optional[List[Any]] = None,
     profile: Union[bool, int] = False,
@@ -123,18 +121,15 @@ def run_traced(
     The in-memory :class:`ListSink` and :class:`RingBufferSink` are
     always installed (the former feeds the Perfetto exporter, the
     latter feeds deadlock forensics); the JSONL sink only when a path
-    is given.  ``sample_interval`` overrides ``config.sample_interval``
-    when set.
+    is given.
 
     ``profile`` arms the engine self-profiler; ``True`` defaults the
     snapshot interval to 100 cycles (an int sets it directly) so the
     Perfetto export gains a per-phase wall-time counter track.
     """
     collector = ListSink()
-    ring = RingBufferSink(capacity=ring_capacity)
+    ring = RingBufferSink()
     jsonl = JsonlSink(jsonl_path) if jsonl_path else None
-    if sample_interval is not None:
-        config = config.with_(sample_interval=sample_interval)
     if profile:
         config = config.with_(profile=100 if profile is True else profile)
 

@@ -1,2 +1,2 @@
-"""Simulation driver: configuration, runs, sweeps (serial or
-process-pool parallel with on-disk result caching), replication."""
+"""Simulation driver: configuration, runs, and sweeps (serial or
+process-pool parallel with on-disk result caching)."""

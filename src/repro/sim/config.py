@@ -145,9 +145,9 @@ class SimConfig:
     # whatever this says.
     engine: str = "fast"
     # --- observability -------------------------------------------------
-    # When set, build() attaches a repro.obs.IntervalSampler collecting
-    # time-series metrics every N cycles; run_simulation() then reports
-    # them under "timeseries".
+    # When set, build() attaches a repro.obs.sampler.IntervalSampler
+    # collecting time-series metrics every N cycles; run_simulation()
+    # then reports them under "timeseries".
     sample_interval: Optional[int] = None
     # Alert rules engine (repro.obs.alerts): True for the built-in
     # rules, a path to a JSON rules file, or a rules list/dict.

@@ -4,8 +4,8 @@ Every figure reproduction funnels through sweeps whose points are
 embarrassingly parallel: each ``run_simulation`` call is bit-for-bit
 seeded-deterministic and shares no state with its neighbours, so fanning
 points out across a process pool changes nothing about the rows — only
-the wall clock.  :func:`run_reports` is the single chokepoint the sweep
-and replication helpers go through:
+the wall clock.  :func:`run_reports` is the single chokepoint sweeps
+(:func:`repro.sim.sweep.point_rows`) and the campaign runner go through:
 
 * ``workers=1`` (the default) runs points serially in-process, exactly
   like the historical code path — tests and small sweeps pay no pool
@@ -262,23 +262,19 @@ class SweepCache:
         return removed
 
 
-CacheSpec = Union[None, bool, str, SweepCache]
+CacheSpec = Union[None, bool, SweepCache]
 
 
 def resolve_cache(cache: CacheSpec) -> Optional[SweepCache]:
     """Normalise the ``cache=`` argument the sweep helpers accept.
 
     ``None``/``False`` disable caching, ``True`` uses the default
-    directory, a string is a directory path, and a :class:`SweepCache`
-    passes through (letting callers share hit/miss counters).
+    directory, and a :class:`SweepCache` passes through (letting callers
+    share hit/miss counters).
     """
-    if cache is None or cache is False:
-        return None
     if cache is True:
         return SweepCache()
-    if isinstance(cache, SweepCache):
-        return cache
-    return SweepCache(str(cache))
+    return cache or None
 
 
 def _run_point(config: SimConfig) -> Tuple[Report, float]:

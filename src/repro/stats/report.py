@@ -52,10 +52,9 @@ def format_series(
     rows: Sequence[Dict[str, object]],
     x: str,
     y: str,
-    series: str = "config",
     title: Optional[str] = None,
 ) -> str:
-    """Pivot sweep rows into one column per labelled series.
+    """Pivot sweep rows into one column per ``config`` label.
 
     The shape of a paper figure: x-axis values down the side, one column
     per curve.
@@ -64,7 +63,7 @@ def format_series(
     xs: List[object] = []
     table: Dict[object, Dict[str, object]] = {}
     for row in rows:
-        label = str(row.get(series, y))
+        label = str(row.get("config", y))
         if label not in labels:
             labels.append(label)
         xv = row[x]

@@ -163,19 +163,15 @@ def _polyline_points(
     return " ".join(points)
 
 
-def render_sparkline(
-    values: Sequence[float],
-    width: int = SPARK_WIDTH,
-    height: int = SPARK_HEIGHT,
-    colour: str = "#2266aa",
-) -> str:
+def render_sparkline(values: Sequence[float]) -> str:
     """One series as a bare ``<polyline>`` fragment (no document)."""
     if not values:
         return ""
-    cleaned = _spark_values(values)
+    points = _polyline_points(_spark_values(values), SPARK_WIDTH,
+                              SPARK_HEIGHT)
     return (
-        f'<polyline fill="none" stroke="{colour}" stroke-width="1.5" '
-        f'points="{_polyline_points(cleaned, width, height)}"/>'
+        '<polyline fill="none" stroke="#2266aa" stroke-width="1.5" '
+        f'points="{points}"/>'
     )
 
 
@@ -186,9 +182,9 @@ def render_sparkline_rows(
     """Stacked labelled sparklines as one SVG document.
 
     ``rows`` is ``[(label, values), ...]`` -- typically the output of
-    :meth:`repro.obs.IntervalSampler.series` per metric.  Each row is
-    scaled independently (the point is shape over time, not cross-metric
-    comparison); min/max annotations carry the magnitudes.
+    :meth:`repro.obs.sampler.IntervalSampler.series` per metric.  Each
+    row is scaled independently (the point is shape over time, not
+    cross-metric comparison); min/max annotations carry the magnitudes.
     """
     top = 28 if title else 8
     row_height = SPARK_HEIGHT + SPARK_GAP

@@ -9,20 +9,18 @@ oracle proving the checkers have teeth.
 
 from .._lazy import lazy_exports
 
-#: submodule -> the names it contributes, each loaded on first use: the
+#: submodule -> the names imported through ``repro.verify`` (everything
+#: else is imported from its submodule), each loaded on first use: the
 #: spec engine (``repro.verify.reference``) lives in this package, and a
 #: run on it needs none of the checkers, the fuzzer or the diff.
 _EXPORTS = {
     "invariants": ("VerifyConfig", "InvariantChecker", "InvariantViolation"),
-    "mutations": ("Mutation", "MUTATIONS", "register", "apply_mutation",
-                  "mutation_names"),
-    "runner": ("VerifyOutcome", "verify_preset", "verify_presets"),
-    "fuzz": ("fuzz_config", "run_fuzz_case", "repro_command"),
+    "mutations": ("apply_mutation", "mutation_names"),
+    "runner": ("verify_preset", "verify_presets"),
     "equivalence": (
         "ENGINE_EQUIVALENCE_PRESETS", "WORKLOAD_EQUIVALENCE_PRESETS",
         "assert_engines_equivalent", "engine_equivalence_presets",
-        "iter_fuzz_equivalence_configs", "run_engine_snapshot",
-        "workload_equivalence_configs",
+        "iter_fuzz_equivalence_configs", "workload_equivalence_configs",
     ),
 }
 

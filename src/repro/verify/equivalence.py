@@ -157,13 +157,11 @@ WORKLOAD_EQUIVALENCE_PRESETS = (
 )
 
 
-def iter_fuzz_equivalence_configs(
-    seed: int = DEFAULT_SEED, cases: int = DEFAULT_CASES
-) -> Iterator[Tuple[int, SimConfig]]:
+def iter_fuzz_equivalence_configs() -> Iterator[Tuple[int, SimConfig]]:
     """The fuzz corpus as (index, config) pairs for equivalence runs.
 
     The verify checker stays armed (every fuzz config arms it), so each
     dual run checks both invariants *and* engine identity.
     """
-    for index in range(cases):
-        yield index, fuzz_config(seed, index)
+    for index in range(DEFAULT_CASES):
+        yield index, fuzz_config(DEFAULT_SEED, index)

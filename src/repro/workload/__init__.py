@@ -12,15 +12,7 @@ See ``docs/WORKLOADS.md`` for the model semantics and hazard math of
 the companion :class:`repro.faults.cascading.LoadDependentFaults`.
 """
 
-from .arrivals import (
-    ARRIVAL_KINDS,
-    ArrivalProcess,
-    BernoulliArrivals,
-    GeometricArrivals,
-    MMPPArrivals,
-    ParetoArrivals,
-    make_arrivals,
-)
+from .arrivals import BernoulliArrivals, make_arrivals
 from .generator import (
     OpenLoopSource,
     RequestReply,
@@ -38,12 +30,7 @@ from .spec import (
 )
 
 __all__ = [
-    "ARRIVAL_KINDS",
-    "ArrivalProcess",
     "BernoulliArrivals",
-    "GeometricArrivals",
-    "MMPPArrivals",
-    "ParetoArrivals",
     "make_arrivals",
     "OpenLoopSource",
     "RequestReply",

@@ -11,6 +11,7 @@ from repro.campaign import (
     comparison_to_csv,
     render_markdown,
 )
+from repro.campaign.report import intervals_separated, summarize_samples
 from repro.sim.export import read_csv
 
 
@@ -42,6 +43,77 @@ def seed_campaign(store, name, latency, throughput):
 def store(tmp_path):
     with CampaignStore(str(tmp_path / "c.sqlite")) as s:
         yield s
+
+
+class TestSummarizeSamples:
+    """The per-scenario aggregation behind every comparison."""
+
+    def test_mean_std_and_extremes(self):
+        summary = summarize_samples([1.0, 2.0, 3.0])
+        assert summary["mean"] == 2.0
+        assert summary["std"] == pytest.approx(1.0)  # n-1 denominator
+        assert summary["n"] == 3
+        assert (summary["min"], summary["max"]) == (1.0, 3.0)
+
+    def test_sample_variance_denominator(self):
+        # Sample variance of 1, 2, 3 is 1.0 (n-1 = 2 denominator), not
+        # 2/3 (population): the population estimate made the confidence
+        # half-width systematically overconfident at small n.
+        import math
+
+        summary = summarize_samples([1.0, 2.0, 3.0])
+        expected_half = 1.96 * 1.0 / math.sqrt(3)
+        assert summary["rel_halfwidth"] == \
+            pytest.approx(expected_half / 2.0)
+
+    def test_single_sample(self):
+        summary = summarize_samples([5.0])
+        assert summary["std"] == 0.0
+        assert summary["rel_halfwidth"] == 0.0
+
+    def test_single_seed_halfwidth_zero(self):
+        # One replication per scenario: the interval collapses onto the
+        # sample itself instead of dividing by n-1 = 0.
+        summary = summarize_samples([42.5])
+        assert summary["n"] == 1
+        assert summary["mean"] == summary["min"] == summary["max"] == 42.5
+        assert summary["rel_halfwidth"] == 0.0
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            summarize_samples([])
+
+
+class TestIntervalsSeparated:
+    """The conservative significance rule, on canned samples."""
+
+    def test_separated_means_win(self):
+        a = summarize_samples([10.0, 10.1, 9.9])
+        b = summarize_samples([5.0, 5.1, 4.9])
+        assert intervals_separated(a, b, higher_is_better=True)
+        assert not intervals_separated(b, a, higher_is_better=True)
+        assert intervals_separated(b, a, higher_is_better=False)
+        assert not intervals_separated(a, b, higher_is_better=False)
+
+    def test_clear_gap_detected(self):
+        # Latency at a light load against latency near saturation: lower
+        # is better, so the light load wins and the reverse never does.
+        light = summarize_samples([21.0, 21.4, 20.8])
+        heavy = summarize_samples([63.0, 71.5, 58.2])
+        assert intervals_separated(light, heavy, higher_is_better=False)
+        assert not intervals_separated(heavy, light, higher_is_better=False)
+
+    def test_overlap_is_no_difference_either_way(self):
+        a = summarize_samples([10.0, 20.0, 30.0])
+        b = summarize_samples([12.0, 22.0, 32.0])
+        for higher in (True, False):
+            assert not intervals_separated(a, b, higher_is_better=higher)
+            assert not intervals_separated(b, a, higher_is_better=higher)
+
+    def test_identical_samples_are_no_difference(self):
+        a = summarize_samples([4.0, 5.0, 6.0])
+        for higher in (True, False):
+            assert not intervals_separated(a, a, higher_is_better=higher)
 
 
 class TestCompare:

@@ -27,7 +27,7 @@ class TestNode:
         assert node.enqueue(Message(0, 1, 4))
         assert node.enqueue(Message(0, 2, 4))
         assert not node.enqueue(Message(0, 3, 4))
-        assert node.backlog == 2
+        assert len(node.queue) == 2
 
     def test_requeue_bypasses_cap(self):
         """Killed messages re-enter at the front even when full --
@@ -36,7 +36,7 @@ class TestNode:
         assert node.enqueue(Message(0, 1, 4))
         retry = Message(0, 2, 4)
         node.queue.appendleft(retry)  # what KillManager._complete does
-        assert node.backlog == 2
+        assert len(node.queue) == 2
         assert node.queue[0] is retry
 
     def test_gate_mode_follows_config(self):

@@ -1,26 +1,12 @@
 """Buffer-storage accounting."""
 
-from repro.hardware.buffercost import (
-    BufferOrganisation,
-    standard_organisations,
-    storage_table,
-    throughput_per_flit,
-)
+from repro.hardware.buffercost import BufferOrganisation, standard_organisations
 
 
 class TestOrganisation:
     def test_flit_count(self):
         org = BufferOrganisation("x", num_vcs=2, buffer_depth=4, ports=5)
         assert org.flits_per_router == 40
-
-    def test_bits(self):
-        org = BufferOrganisation("x", 2, 4, 5)
-        assert org.bits_per_router(16) == 640
-        assert org.bits_per_router(32) == 1280
-
-    def test_throughput_per_flit(self):
-        org = BufferOrganisation("x", 1, 2, 5)
-        assert throughput_per_flit(0.2, org) == 0.02
 
 
 class TestStandardSet:
@@ -36,10 +22,3 @@ class TestStandardSet:
             orgs["cr_2vc_d2"].flits_per_router * 8
             == orgs["dor_2vc_d16"].flits_per_router
         )
-
-    def test_table_normalised_to_cr(self):
-        rows = storage_table()
-        cr = next(r for r in rows if r["organisation"] == "cr_2vc_d2")
-        assert cr["vs_cr_2vc"] == 1.0
-        deep = next(r for r in rows if r["organisation"] == "dor_2vc_d16")
-        assert deep["vs_cr_2vc"] == 8.0

@@ -54,7 +54,7 @@ class TestMessage:
         msg.begin_attempt(12, now=20)
         assert msg.attempts == 1
         assert msg.wire_length == 12
-        assert msg.pad_length == 8
+        assert msg.wire_length - msg.payload_length == 8  # pad flits
         assert msg.first_inject_at == 20
         assert msg.phase is MessagePhase.INJECTING
         msg.segments.append(object())

@@ -91,7 +91,9 @@ class TestInterfaceWiring:
     def test_total_buffer_flits(self):
         network = build(num_vcs=2, buffer_depth=3)
         # per node: (4 link in-ports + 1 injection) x 2 VCs x depth 3
-        assert network.total_buffer_flits() == 16 * 5 * 2 * 3
+        total = sum(buf.depth for router in network.routers
+                    for port in router.in_buffers for buf in port)
+        assert total == 16 * 5 * 2 * 3
 
 
 class TestValidation:

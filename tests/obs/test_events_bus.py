@@ -80,14 +80,6 @@ class TestEventBus:
         bus.emit(MessageCreated(0, uid=1, src=0, dst=1, payload_length=4))
         assert len(sink.events) == 1
 
-    def test_unsubscribe_removes_sink(self):
-        bus = EventBus()
-        sink = ListSink()
-        bus.subscribe(sink)
-        bus.unsubscribe(sink)
-        assert len(bus) == 0
-        bus.unsubscribe(sink)  # removing twice is harmless
-
 
 class TestAttachDetach:
     def test_untraced_engine_has_no_bus(self):

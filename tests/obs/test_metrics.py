@@ -40,9 +40,9 @@ class TestPrimitives:
     def test_gauge_moves_both_ways(self):
         gauge = Gauge()
         gauge.set(10)
-        gauge.inc(5)
-        gauge.dec(3)
-        assert gauge.value == 12.0
+        assert gauge.value == 10.0
+        gauge.set(3)
+        assert gauge.value == 3.0
 
     def test_histogram_buckets_are_cumulative(self):
         hist = Histogram(buckets=(1.0, 10.0, 100.0))
@@ -115,14 +115,13 @@ class TestRegistry:
             ("b", "histogram", "Help B."),
         ]
 
-    def test_write_prometheus_and_json(self, tmp_path):
+    def test_write_prometheus(self, tmp_path):
         registry = MetricsRegistry()
         registry.counter("writes", "Writes.").inc(7)
         prom = tmp_path / "deep" / "m.prom.txt"
         text = registry.write_prometheus(str(prom))
         assert prom.read_text() == text
-        snap = registry.write_json(str(tmp_path / "m.json"))
-        assert snap["writes"]["values"][""] == 7.0
+        assert "writes 7" in text
 
 
 class TestHistogramEdges:
@@ -170,21 +169,18 @@ class TestHistogramEdges:
 
 class TestThreadSafety:
     def test_hammer_leaves_exact_totals(self):
-        # Four writer threads hammer one counter, one gauge, and one
-        # histogram through the registry while a reader thread snapshots
+        # Four writer threads hammer one counter and one histogram
+        # through the registry while a reader thread snapshots
         # concurrently; with the registry lock shared into every
         # instance the final totals are exact, not approximately right.
         registry = MetricsRegistry()
         counter = registry.counter("hits", "Hits.")
-        gauge = registry.gauge("level", "Level.")
         hist = registry.histogram("obs", "Obs.", buckets=(0.5,))
         per_thread, threads = 2_000, 4
 
         def writer():
             for _ in range(per_thread):
                 counter.inc()
-                gauge.inc(2)
-                gauge.dec(1)
                 hist.observe(1.0)
 
         stop = threading.Event()
@@ -207,7 +203,6 @@ class TestThreadSafety:
         observer.join()
         total = per_thread * threads
         assert counter.value == total
-        assert gauge.value == total
         assert hist.count == total
         assert hist.inf_count == total
         assert seen and seen[-1] <= total

@@ -4,13 +4,7 @@ import pytest
 
 from repro import SimConfig, run_simulation
 from repro.network.message import reset_uid_counter
-from repro.obs.profile import (
-    _PHASE_HELP,
-    PHASES,
-    EngineProfiler,
-    attach_profiler,
-    detach_profiler,
-)
+from repro.obs.profile import _PHASE_HELP, PHASES, EngineProfiler
 from repro.workload import record_trace
 
 
@@ -70,13 +64,6 @@ class TestGuardDiscipline:
     def test_config_profile_int_sets_snapshot_interval(self):
         engine = quick_config(profile=50).build()
         assert engine.profiler.snapshot_interval == 50
-
-    def test_attach_detach_round_trip(self):
-        engine = quick_config().build()
-        profiler = attach_profiler(engine, snapshot_interval=10)
-        assert engine.profiler is profiler
-        assert detach_profiler(engine) is profiler
-        assert engine.profiler is None
 
     def test_negative_snapshot_interval_rejected(self):
         with pytest.raises(ValueError):

@@ -142,10 +142,10 @@ class TestExports:
     def test_to_svg_renders_one_row_per_metric(self, tmp_path):
         result = sampled_result()
         path = str(tmp_path / "series.svg")
-        svg = result.engine.sampler.to_svg(
-            path, metrics=("throughput", "occupancy"), title="t"
-        )
+        svg = result.engine.sampler.to_svg(path, title="t")
         assert svg.startswith("<svg")
-        assert "throughput" in svg and "occupancy" in svg
+        for metric in ("accepted_load", "throughput", "latency_mean",
+                       "kills", "occupancy"):
+            assert f">{metric}</text>" in svg
         with open(path) as handle:
             assert handle.read() == svg

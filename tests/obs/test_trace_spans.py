@@ -4,6 +4,7 @@ import threading
 
 import pytest
 
+from repro.campaign.fabric import _worker_env
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import (
     SPAN_STATUSES,
@@ -17,7 +18,6 @@ from repro.obs.trace import (
     new_span_id,
     new_trace_id,
     parse_traceparent,
-    traceparent_environ,
     tracing_armed,
 )
 
@@ -55,7 +55,9 @@ class TestTraceparent:
 class TestEnvironPropagation:
     def test_environ_round_trip(self):
         context = SpanContext(new_trace_id(), new_span_id())
-        env = traceparent_environ(context, env={})
+        # the environment the fabric hands a spawned worker
+        env = _worker_env(trace=True,
+                          traceparent=format_traceparent(context))
         assert env[TRACE_ARM_ENV] == "1"
         assert tracing_armed(env)
         assert context_from_environ(env) == context
@@ -142,7 +144,7 @@ class TestTracerParenting:
             with tracer.span("broken"):
                 raise RuntimeError("boom")
         emitted = []
-        tracer.add_sink(emitted.append)
+        tracer.sinks.append(emitted.append)
         with pytest.raises(RuntimeError):
             with tracer.span("broken2"):
                 raise RuntimeError("boom")

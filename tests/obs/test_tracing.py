@@ -97,7 +97,7 @@ class TestRunTraced:
 
     def test_sample_interval_override_collects_series(self):
         traced = run_traced(
-            near_saturation_config(), sample_interval=100
+            near_saturation_config().with_(sample_interval=100)
         )
         assert traced.samples
         assert traced.samples == traced.report["timeseries"]

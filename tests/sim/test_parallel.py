@@ -25,7 +25,7 @@ from repro.sim.parallel import (
     run_reports,
     unstable_fields,
 )
-from repro.sim.sweep import load_sweep, matrix_sweep
+from repro.sim.sweep import load_sweep, matrix_points, point_rows
 from repro.traffic.lengths import BimodalLength, FixedLength
 from repro.verify.fuzz import DEFAULT_CASES, DEFAULT_SEED, fuzz_config
 
@@ -429,11 +429,21 @@ class TestSweepDeterminism:
         fanned = load_sweep(base, loads, label="cr", workers=4)
         assert fanned == serial
 
-    def test_matrix_sweep_workers_equal(self):
-        configs = {"cr": tiny(routing="cr"), "dor": tiny(routing="dor")}
-        serial = matrix_sweep(configs, [0.1, 0.2], workers=1)
-        fanned = matrix_sweep(configs, [0.1, 0.2], workers=3)
+    def test_matrix_points_workers_equal(self):
+        # the experiments' path: labelled curves over one load axis
+        points = matrix_points(
+            {"cr": tiny(routing="cr"), "dor": tiny(routing="dor")},
+            [0.1, 0.2],
+        )
+
+        def fill(coords, report):
+            return {**coords, "latency_mean": report["latency_mean"]}
+
+        serial = point_rows(points, fill, workers=1)
+        fanned = point_rows(points, fill, workers=3)
         assert fanned == serial
+        assert [(row["config"], row["load"]) for row in serial] == [
+            ("cr", 0.1), ("cr", 0.2), ("dor", 0.1), ("dor", 0.2)]
 
 
 class TestSweepCache:
@@ -526,7 +536,6 @@ class TestResolveCache:
         assert isinstance(cache, SweepCache)
         assert cache.path == parallel.DEFAULT_CACHE_DIR
 
-    def test_path_and_passthrough(self, tmp_path):
-        cache = resolve_cache(str(tmp_path))
-        assert cache.path == str(tmp_path)
+    def test_passthrough(self, tmp_path):
+        cache = SweepCache(str(tmp_path))
         assert resolve_cache(cache) is cache

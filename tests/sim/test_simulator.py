@@ -3,14 +3,7 @@
 import pytest
 
 from repro import SimConfig, run_simulation
-from repro.sim.sweep import (
-    load_sweep,
-    matrix_sweep,
-    param_sweep,
-    report_row,
-    result_row,
-    saturation_load,
-)
+from repro.sim.sweep import load_sweep, matrix_points, point_rows, report_row
 
 
 def tiny(**overrides):
@@ -73,88 +66,32 @@ class TestSweeps:
         assert all(row["config"] == "cr" for row in rows)
         assert all("latency_mean" in row for row in rows)
 
-    def test_param_sweep(self):
-        rows = param_sweep(tiny(), "buffer_depth", [1, 2])
+    def test_point_rows_lead_with_the_coordinates(self):
+        # any axis, not just load: the coordinates open each row
+        points = [({"buffer_depth": depth}, tiny(buffer_depth=depth))
+                  for depth in (1, 2)]
+        rows = point_rows(
+            points, lambda coords, report: {**coords, **report_row(report)}
+        )
         assert [row["buffer_depth"] for row in rows] == [1, 2]
+        assert all("latency_mean" in row for row in rows)
 
-    def test_matrix_sweep(self):
-        rows = matrix_sweep(
-            {"cr": tiny(routing="cr"), "dor": tiny(routing="dor")},
-            [0.1],
+    def test_matrix_points_one_curve_per_label(self):
+        points = matrix_points(
+            {"cr": tiny(routing="cr"), "dor": tiny(routing="dor")}, [0.1]
         )
-        assert len(rows) == 2
-        assert {row["config"] for row in rows} == {"cr", "dor"}
+        assert [coords for coords, _ in points] == [
+            {"load": 0.1, "config": "cr"}, {"load": 0.1, "config": "dor"}]
+        assert [config.routing for _, config in points] == ["cr", "dor"]
+        assert all(config.load == 0.1 for _, config in points)
 
-    def test_saturation_load_monotone_latency(self):
-        knee = saturation_load(
-            tiny(routing="dor"), [0.1, 0.3, 0.6, 0.9],
-            latency_limit_factor=4.0,
-        )
-        assert 0.1 <= knee < 0.9
-
-    def test_result_row_unknown_field_raises(self):
+    def test_report_row_unknown_field_raises(self):
         result = run_simulation(tiny())
         with pytest.raises(KeyError, match="throughputt"):
-            result_row(result, fields=["latency_mean", "throughputt"])
+            report_row(result.report, fields=["latency_mean", "throughputt"])
 
     def test_report_row_known_fields(self):
         result = run_simulation(tiny())
         row = report_row(result.report, fields=["latency_mean"])
         assert row == {"latency_mean": result.report["latency_mean"]}
 
-
-def _fake_reports(latencies):
-    """Stand-in for run_reports: one canned report per load point."""
-    queue = list(latencies)
-
-    def fake(configs, workers=1, cache=None, progress=None):
-        return [{"latency_mean": queue.pop(0)} for _ in list(configs)]
-
-    return fake
-
-
-class TestSaturationKnee:
-    """Knee logic against canned latency ladders (no simulation)."""
-
-    def _knee(self, monkeypatch, latencies, loads=None, **kwargs):
-        import repro.sim.sweep as sweep_mod
-
-        loads = loads or [0.1 * (i + 1) for i in range(len(latencies))]
-        monkeypatch.setattr(sweep_mod, "run_reports",
-                            _fake_reports(latencies))
-        return saturation_load(tiny(), loads, **kwargs)
-
-    def test_genuine_knee(self, monkeypatch):
-        knee = self._knee(monkeypatch, [10.0, 12.0, 200.0],
-                          latency_limit_factor=5.0)
-        assert knee == 0.2
-
-    def test_no_knee_returns_top_load(self, monkeypatch):
-        knee = self._knee(monkeypatch, [10.0, 11.0, 12.0])
-        assert knee == pytest.approx(0.3)
-
-    def test_zero_delivery_floor_returns_zero(self, monkeypatch):
-        # Saturated below the sweep floor: nothing delivered at the
-        # lowest load.  The old code returned the lowest load, which is
-        # indistinguishable from "fine up to the floor".
-        assert self._knee(monkeypatch, [0.0, 0.0, 0.0]) == 0.0
-
-    def test_floor_past_external_baseline_returns_zero(self, monkeypatch):
-        knee = self._knee(monkeypatch, [100.0, 120.0],
-                          latency_limit_factor=5.0, baseline=10.0)
-        assert knee == 0.0
-
-    def test_zero_delivery_mid_sweep_is_the_knee(self, monkeypatch):
-        knee = self._knee(monkeypatch, [10.0, 11.0, 0.0, 0.0])
-        assert knee == pytest.approx(0.2)
-
-    def test_speculative_parallel_same_answer(self, monkeypatch):
-        serial = self._knee(monkeypatch, [10.0, 12.0, 200.0],
-                            latency_limit_factor=5.0, workers=1)
-        fanned = self._knee(monkeypatch, [10.0, 12.0, 200.0],
-                            latency_limit_factor=5.0, workers=4)
-        assert serial == fanned == 0.2
-
-    def test_empty_loads_rejected(self, monkeypatch):
-        with pytest.raises(ValueError):
-            self._knee(monkeypatch, [], loads=[])

@@ -514,6 +514,43 @@ def command_of(argv):
     return " ".join(argv[:2] if argv[0] == "campaign" else argv[:1])
 
 
+class TestFlagBounds:
+    """Simulation flags refuse a bad value by name, before anything
+    runs: each of these used to be a traceback (exit 1) after work had
+    started, or a silent success that armed nothing."""
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("verify", "--check-interval", "0"),
+        ("verify", "--check-interval", "-3"),
+        ("verify", "--progress-limit", "-1"),
+        ("trace", "--profile", "0"),
+        ("trace", "--profile", "-3"),
+    ])
+    def test_refused_by_name(self, command, flag, value, tmp_path,
+                             usage_error):
+        argv = {
+            "verify": ["verify", "e01", "--quick"],
+            # --hotspot with --profile 0 used to exit 0 writing nothing
+            "trace": ["trace", "--radix", "4", "--cycles", "50",
+                      "--hotspot", str(tmp_path / "h.md")],
+        }[command]
+        assert cli_main([*argv, flag, value]) == 2
+        usage_error(command, flag)
+        assert not (tmp_path / "h.md").exists()
+
+    @pytest.mark.parametrize("loads, named", [
+        ("0.1,-5", "load"),
+        ("0.1,nan", "nan"),
+    ])
+    def test_sweep_checks_every_load_first(self, loads, named,
+                                           usage_error):
+        # a bad later load used to run point 0 first, then die
+        argv = ["sweep", "--radix", "4", "--loads", loads,
+                "--warmup", "20", "--measure", "50", "--drain", "500"]
+        assert cli_main(argv) == 2
+        usage_error("sweep", named)  # one line: no progress line
+
+
 class TestUsageExitCodes:
     """Consistency pin: misuse exits 2 with a message on stderr.
 

@@ -1,7 +1,10 @@
 """Public-API hygiene: exports exist, are documented, and round-trip."""
 
+import ast
+import importlib
 import inspect
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -47,6 +50,43 @@ class TestLazyExports:
             capture_output=True, text=True,
         )
         assert done.returncode == 0, done.stderr.strip().splitlines()[-1]
+
+
+class TestBenchmarkImports:
+    """Every ``repro`` name the benchmarks import still exists: the perf
+    harness (``benchmarks/perf/``) is frozen, so a deletion it would
+    trip on has to fail here, in tier-1, and not only in the job that
+    runs it."""
+
+    def test_every_imported_repro_name_resolves(self):
+        root = pathlib.Path(__file__).parent.parent / "benchmarks"
+        paths = sorted(root.glob("*.py")) + sorted(root.glob("perf/*.py"))
+        assert any(p.parent.name == "perf" for p in paths)
+        missing = []
+        for path in paths:
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    targets = [(alias.name, None) for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    targets = [(node.module, alias.name)
+                               for alias in node.names]
+                else:
+                    continue
+                for module, name in targets:
+                    if module != "repro" and not module.startswith("repro."):
+                        continue
+                    where = f"{path.name}:{node.lineno} {module}"
+                    try:
+                        owner = importlib.import_module(module)
+                    except ImportError:
+                        missing.append(where)
+                        continue
+                    if name is not None and not hasattr(owner, name):
+                        try:
+                            importlib.import_module(f"{module}.{name}")
+                        except ImportError:
+                            missing.append(f"{where}.{name}")
+        assert not missing, missing
 
 
 class TestAllList:

@@ -117,7 +117,7 @@ class TestStressRun:
 
     def test_clusters_account_for_every_fault(self, stressed):
         _, model = stressed
-        sizes = model.cluster_sizes()
+        sizes = [members for _, members in model._clusters.values()]
         assert sum(sizes) == model.channel_faults
         assert model.cascade_events == sum(1 for s in sizes if s >= 2)
 
