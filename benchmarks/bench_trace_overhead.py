@@ -11,9 +11,14 @@ Two bounds, both recorded into the shared ``results/overhead.json``
 ledger:
 
 1. **End-to-end**: the same campaign run armed vs unarmed (fresh
-   on-disk store each round, min-of-N), asserting the armed run stays
-   under ``OVERHEAD_BUDGET`` of the plain run.  Simulation work
-   dominates, so this is the acceptance figure.
+   on-disk store each run), asserting the armed run stays under
+   ``OVERHEAD_BUDGET`` of the plain run.  Simulation work dominates,
+   so this is the acceptance figure.  The span work is well under a
+   millisecond against runs of a few hundred, so a difference of two
+   per-side minima is mostly host noise; the runs go in ``PAIRS``
+   interleaved plain/armed pairs (the order flipped every pair, so a
+   drifting host loads both sides alike) and the estimate is the
+   median of the paired differences over the median plain run.
 2. **Isolated** (reported in ``detail``, not asserted): the raw cost
    of the per-point span work — start/end/to_dict plus
    ``record_spans`` — for the campaign's span volume, measured without
@@ -23,6 +28,7 @@ ledger:
 import json
 import os
 import shutil
+import statistics
 import tempfile
 import time
 
@@ -31,7 +37,9 @@ from overhead_log import record_overhead
 from repro.campaign import CampaignSpec, CampaignStore, run_campaign
 from repro.obs.trace import Tracer
 
-ROUNDS = 3
+#: interleaved plain/armed pairs; even, so each side runs first in
+#: half of them and an order effect cancels in the median.
+PAIRS = 10
 #: maximum tolerated armed-run cost relative to the plain run.
 OVERHEAD_BUDGET = 0.03
 
@@ -101,16 +109,24 @@ def _isolated_span_cost(points):
 
 def test_trace_overhead_under_budget(benchmark):
     plain_times = []
-    armed_times = []
-    for _ in range(ROUNDS):
-        plain_times.append(_timed_run(trace=False)[0])
-        armed_times.append(_timed_run(trace=True)[0])
+    differences = []
+    for index in range(PAIRS):
+        if index % 2:
+            armed = _timed_run(trace=True)[0]
+            plain = _timed_run(trace=False)[0]
+        else:
+            plain = _timed_run(trace=False)[0]
+            armed = _timed_run(trace=True)[0]
+        plain_times.append(plain)
+        differences.append(armed - plain)
 
     benchmark.pedantic(lambda: _timed_run(trace=True), rounds=1,
                        iterations=1)
 
-    plain, armed = min(plain_times), min(armed_times)
-    overhead = max(armed - plain, 0.0) / plain
+    plain = statistics.median(plain_times)
+    difference = statistics.median(differences)
+    armed = plain + difference
+    overhead = max(difference, 0.0) / plain
     points = len(list(CampaignSpec.from_dict(SPEC).points()))
     isolated = _isolated_span_cost(points)
     print(f"\ntrace overhead: plain {plain * 1000:.1f}ms, "
@@ -124,6 +140,7 @@ def test_trace_overhead_under_budget(benchmark):
             "armed_ms": round(armed * 1000, 3),
             "isolated_span_ms": round(isolated * 1000, 3),
             "points": points,
+            "pairs": PAIRS,
         },
     )
     assert overhead < OVERHEAD_BUDGET, (

@@ -110,16 +110,15 @@ class CampaignMonitor:
         total: int,
         path: Optional[str],
         clock=time.monotonic,
-        server: Optional[Any] = None,
     ) -> None:
         self.name = name
         self.total = total
         #: where :meth:`publish` exports the heartbeat (None: no file)
         self.path = path
         #: a repro.obs.server.TelemetryServer to republish every
-        #: heartbeat to; with a server attached, ``path=None`` is
-        #: allowed -- heartbeats then go over HTTP only.
-        self.server = server
+        #: heartbeat to (the executor attaches it); with a server,
+        #: ``path=None`` is allowed -- heartbeats then go over HTTP only.
+        self.server: Optional[Any] = None
         self._clock = clock
         self._started = clock()
         self.registry = MetricsRegistry(prefix="cr_campaign_")
@@ -205,11 +204,10 @@ class CampaignMonitor:
         outcome: str,
         elapsed: float,
         row: Optional[Dict[str, Any]] = None,
-        alerts: Sequence[Dict[str, Any]] = (),
     ) -> None:
         """:meth:`fold` one point settled now and sample the settle
         rate."""
-        self.fold(point, outcome, elapsed, row, alerts)
+        self.fold(point, outcome, elapsed, row)
         self.mark()
 
     # -- heartbeat assembly ---------------------------------------------
@@ -432,9 +430,10 @@ class CampaignView:
 # Rendering (pure functions over a heartbeat dict — no SQLite access)
 # ----------------------------------------------------------------------
 
-def text_sparkline(values: List[float], width: int = 32) -> str:
-    """A unicode block sparkline of ``values`` (most recent last)."""
-    cleaned = [float(v) for v in values if v is not None][-width:]
+def text_sparkline(values: List[float]) -> str:
+    """A unicode block sparkline of the last 32 ``values`` (most recent
+    last)."""
+    cleaned = [float(v) for v in values if v is not None][-32:]
     if not cleaned:
         return ""
     lo, hi = min(cleaned), max(cleaned)
@@ -459,8 +458,8 @@ def _fmt_duration(seconds: Optional[float]) -> str:
     return f"{hours}h{minutes:02d}m"
 
 
-def render_alerts(status: Dict[str, Any], limit: int = 10) -> List[str]:
-    """The heartbeat's recent alert episodes as terminal lines."""
+def render_alerts(status: Dict[str, Any]) -> List[str]:
+    """The heartbeat's last ten alert episodes as terminal lines."""
     alerts = status.get("alerts") or {}
     recent = alerts.get("recent") or []
     total = int(alerts.get("total", len(recent)) or 0)
@@ -472,7 +471,7 @@ def render_alerts(status: Dict[str, Any], limit: int = 10) -> List[str]:
     )
     lines = [f"  alerts: {total} episode(s)" + (f"  {summary}"
                                                 if summary else "")]
-    for episode in recent[-limit:]:
+    for episode in recent[-10:]:
         marker = "!" if episode.get("state") == "firing" else " "
         lines.append(
             f"   {marker} [{episode.get('severity', '?'):8s}] "

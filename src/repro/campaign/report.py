@@ -193,7 +193,6 @@ def render_markdown(
     rows: List[Dict[str, Any]],
     baseline: str,
     candidate: str,
-    title: Optional[str] = None,
 ) -> str:
     """A markdown regression report over :func:`compare_campaigns` rows.
 
@@ -202,7 +201,7 @@ def render_markdown(
     abbreviated, plus library versions) of every aggregate.
     """
     lines = [
-        f"# {title or f'Campaign comparison: {baseline} vs {candidate}'}",
+        f"# Campaign comparison: {baseline} vs {candidate}",
         "",
         f"Baseline: `{baseline}` — Candidate: `{candidate}`. "
         "A delta is *significant* when the mean ± 95% half-width "
@@ -257,25 +256,19 @@ def comparison_to_csv(rows: List[Dict[str, Any]], path: str) -> int:
     return rows_to_csv([row for row in rows if row.get("metric")], path)
 
 
-def saturation_onset(
-    series: List[Dict[str, Any]],
-    metric: str = "latency_mean",
-    factor: float = 2.0,
-) -> Optional[int]:
-    """The cycle at which a run's ``metric`` left its baseline regime.
+def saturation_onset(series: List[Dict[str, Any]]) -> Optional[int]:
+    """The cycle at which a run's mean latency left its baseline regime.
 
-    The baseline is the smallest positive interval value (the unloaded
-    steady state); saturation onset is the end cycle of the first
-    interval at or above ``factor`` times it.  Returns None when the
+    The baseline is the smallest positive interval ``latency_mean`` (the
+    unloaded steady state); saturation onset is the end cycle of the
+    first interval at or above twice it.  Returns None when the
     run never saturated or the metric never went positive (e.g. every
     latency sample landed outside the measurement window).
     """
     values = [
         # Undefined interval values (e.g. latency of an empty window)
         # count as "no signal", the same as 0.
-        (sample["end"],
-         float(sample.get(metric) if sample.get(metric) is not None
-               else 0.0))
+        (sample["end"], float(sample.get("latency_mean") or 0.0))
         for sample in series
     ]
     positive = [value for _, value in values if value > 0]
@@ -283,15 +276,14 @@ def saturation_onset(
         return None
     baseline = min(positive)
     for end, value in values:
-        if value >= factor * baseline and value > 0:
+        if value >= 2.0 * baseline and value > 0:
             return end
     return None
 
 
-def campaign_markdown(store: CampaignStore, campaign: str,
-                      metrics: Sequence[str] = DEFAULT_REPORT_METRICS,
-                      ) -> str:
+def campaign_markdown(store: CampaignStore, campaign: str) -> str:
     """A single-campaign markdown summary (per-scenario aggregates)."""
+    metrics = DEFAULT_REPORT_METRICS
     aggregated = aggregate_scenarios(store, campaign, metrics)
     summary = store.summary(campaign)
     alert_counts = store.alert_counts(campaign)

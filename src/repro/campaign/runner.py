@@ -357,7 +357,6 @@ def run_campaign(
     progress: Optional[CampaignProgress] = None,
     verify: bool = False,
     heartbeat: Optional[float] = 1.0,
-    heartbeat_path: Optional[str] = None,
     serve: Optional[object] = None,
     trace: bool = False,
 ) -> CampaignRunStats:
@@ -379,9 +378,8 @@ def run_campaign(
     after the resume pass, then at most once every ``heartbeat``
     seconds as points are journaled, and once at the end: an atomic
     ``<name>.status.json`` export next to the store (``cr-sim campaign
-    watch`` reads the store itself and needs none); ``heartbeat_path``
-    overrides its location (required for in-memory stores, which
-    otherwise skip the heartbeat).
+    watch`` reads the store itself and needs none; an in-memory store
+    has no file, and publishes only to ``serve``).
 
     ``serve`` starts a live telemetry HTTP server for the duration of
     the campaign: a ``[HOST:]PORT`` spec / port / ``True`` (loopback,
@@ -422,7 +420,7 @@ def run_campaign(
 
         view: Optional[CampaignView] = None
         if heartbeat is not None:
-            target = heartbeat_path or status_path(store.path, spec.name)
+            target = status_path(store.path, spec.name)
             if target is not None or server is not None:
                 view = CampaignView(spec, points, store,
                                     started=store.updated_at(spec.name))

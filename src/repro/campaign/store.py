@@ -636,20 +636,13 @@ class CampaignStore:
         with self._txn():
             return self._upsert_spans(campaign, rows)
 
-    def spans(self, campaign: str, point_id: Optional[str] = None,
-              status: Optional[str] = None) -> List[Dict[str, Any]]:
+    def spans(self, campaign: str) -> List[Dict[str, Any]]:
         """Stored spans (attrs parsed), trace order (start_ts, span_id)."""
-        query = "SELECT * FROM spans WHERE campaign = ?"
-        params: Tuple[Any, ...] = (campaign,)
-        if point_id is not None:
-            query += " AND point_id = ?"
-            params += (point_id,)
-        if status is not None:
-            query += " AND status = ?"
-            params += (status,)
-        query += " ORDER BY start_ts, span_id"
         out = []
-        for row in self._conn.execute(query, params).fetchall():
+        for row in self._conn.execute(
+            "SELECT * FROM spans WHERE campaign = ? "
+            "ORDER BY start_ts, span_id", (campaign,),
+        ).fetchall():
             entry = dict(row)
             entry["attrs"] = json.loads(row["attrs"])
             out.append(entry)
@@ -680,29 +673,17 @@ class CampaignStore:
         entry["attrs"] = json.loads(row["attrs"])
         return entry
 
-    def close_open_spans(self, campaign: str, status: str = "aborted",
-                         worker_id: Optional[str] = None,
-                         point_id: Optional[str] = None,
+    def close_open_spans(self, campaign: str,
                          now: Optional[float] = None) -> int:
-        """Force-close open spans (the coordinator's settle-time sweep).
-
-        Scoped by ``worker_id``/``point_id`` when given; returns rows
-        closed.  Used for orphans a reclaim superseded and for the
-        final "no span left open" guarantee at campaign settle.
-        """
+        """Close a campaign's open spans as ``aborted`` (the settle-time
+        sweep behind "no span left open"); returns rows closed."""
         if now is None:
             now = time.time()
-        query = ("UPDATE spans SET status = ?, end_ts = ? "
-                 "WHERE campaign = ? AND status = 'open'")
-        params: Tuple[Any, ...] = (status, now, campaign)
-        if worker_id is not None:
-            query += " AND worker_id = ?"
-            params += (worker_id,)
-        if point_id is not None:
-            query += " AND point_id = ?"
-            params += (point_id,)
         with self._txn():
-            cursor = self._conn.execute(query, params)
+            cursor = self._conn.execute(
+                "UPDATE spans SET status = 'aborted', end_ts = ? "
+                "WHERE campaign = ? AND status = 'open'", (now, campaign),
+            )
         return cursor.rowcount
 
     # -- leases (distributed campaign fabric) --------------------------
@@ -853,7 +834,6 @@ class CampaignStore:
         reclaims: int = 0,
         span: str = "",
         spans: int = 0,
-        now: Optional[float] = None,
     ) -> None:
         """Upsert one worker's liveness row (the fabric heartbeat).
 
@@ -862,8 +842,7 @@ class CampaignStore:
         The v5 ``logs`` column is left at 0: it stays in the schema so
         stores of every version open unchanged.
         """
-        if now is None:
-            now = time.time()
+        now = time.time()
         with self._txn():
             self._conn.execute(
                 """
@@ -1021,36 +1000,25 @@ class CampaignStore:
             out.append(entry)
         return out
 
-    def timeseries(self, campaign: str,
-                   point_id: Optional[str] = None
-                   ) -> Dict[str, List[Dict[str, Any]]]:
+    def timeseries(self, campaign: str) -> Dict[str, List[Dict[str, Any]]]:
         """point_id -> interval samples (time order) for a campaign."""
-        query = ("SELECT point_id, metrics FROM timeseries "
-                 "WHERE campaign = ?")
-        params: Tuple[Any, ...] = (campaign,)
-        if point_id is not None:
-            query += " AND point_id = ?"
-            params += (point_id,)
-        query += " ORDER BY point_id, seq"
         out: Dict[str, List[Dict[str, Any]]] = {}
-        for row in self._conn.execute(query, params).fetchall():
+        for row in self._conn.execute(
+            "SELECT point_id, metrics FROM timeseries WHERE campaign = ? "
+            "ORDER BY point_id, seq", (campaign,),
+        ).fetchall():
             out.setdefault(row["point_id"], []).append(
                 json.loads(row["metrics"])
             )
         return out
 
-    def alerts(self, campaign: str,
-               point_id: Optional[str] = None
-               ) -> Dict[str, List[Dict[str, Any]]]:
+    def alerts(self, campaign: str) -> Dict[str, List[Dict[str, Any]]]:
         """point_id -> alert episodes (firing order) for a campaign."""
-        query = f"SELECT {_ALERT_COLUMNS} FROM alerts WHERE campaign = ?"
-        params: Tuple[Any, ...] = (campaign,)
-        if point_id is not None:
-            query += " AND point_id = ?"
-            params += (point_id,)
-        query += " ORDER BY point_id, seq"
         out: Dict[str, List[Dict[str, Any]]] = {}
-        for row in self._conn.execute(query, params).fetchall():
+        for row in self._conn.execute(
+            f"SELECT {_ALERT_COLUMNS} FROM alerts WHERE campaign = ? "
+            "ORDER BY point_id, seq", (campaign,),
+        ).fetchall():
             entry = dict(row)
             entry.pop("point_id")
             out.setdefault(row["point_id"], []).append(entry)

@@ -48,16 +48,6 @@ from .engine import Engine, Phase, _LIVE_PHASES
 from .flit import Flit, FlitKind
 
 
-def _numpy():
-    """numpy or None, imported on first use: only the snapshot helpers
-    want it, and ``import repro`` should not pay for it."""
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - numpy-less fallback
-        return None
-    return numpy
-
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.injector import Injector
     from ..core.node import Node
@@ -87,7 +77,11 @@ class CreditLedger:
 
     ``drain(now)`` ticks only the channels holding a credit due at
     ``now`` — the engine never sweeps the full channel list.
-    ``drain_range(upto)`` settles a skipped span in one call.
+    ``drain_range(upto)`` settles a skipped span in one call.  Both
+    release through ``Channel.tick`` itself: the ledger decides only
+    *which* channels tick, never how a credit is released.  A channel
+    is listed once per credit it has due, so it may tick twice; the
+    second tick finds nothing due.
     """
 
     def __init__(self) -> None:
@@ -102,52 +96,30 @@ class CreditLedger:
 
     def drain(self, now: int) -> None:
         """Release the credits due exactly at ``now``."""
-        bucket = self._buckets.pop(now, None)
-        if not bucket:
-            return
-        if len(bucket) > 1:
-            bucket = dict.fromkeys(bucket)
-        for channel in bucket:
-            pending = channel._pending
-            if pending and pending[-1][0] <= now:
-                # Due cycles are appended in nondecreasing order, so a
-                # due last entry means the whole list is due: bulk-
-                # release without rebuilding (what tick() would leave).
-                credits = channel.credits
-                for _, vc in pending:
-                    credits[vc] += 1
-                pending.clear()
-            else:
-                channel.tick(now)
+        for channel in self._buckets.pop(now, ()):
+            channel.tick(now)
 
     def drain_range(self, upto: int) -> None:
         """Release every credit due at or before ``upto`` (skip close)."""
-        due_cycles = [due for due in self._buckets if due <= upto]
-        if not due_cycles:
-            return
-        touched: Dict[int, Channel] = {}
-        for due in due_cycles:
+        for due in [due for due in self._buckets if due <= upto]:
             for channel in self._buckets.pop(due):
-                touched[id(channel)] = channel
-        for channel in touched.values():
-            channel.tick(upto)
+                channel.tick(upto)
 
 
-def channel_state(engine: Engine):
+def channel_state(engine: Engine) -> Dict[str, list]:
     """A struct-of-arrays snapshot of all channel state for an engine.
 
-    Returns ``{"credits", "flits_carried", "pending"}``; each value is
-    a numpy array when numpy is available (credits as an
-    ``(n_channels, max_vcs)`` matrix padded with -1), otherwise nested
-    lists.  Two runs are channel-state identical iff the snapshots
-    compare equal — the flat form the differential tests diff without
-    walking object graphs.  The arrays are the reference engine's at
+    Returns ``{"credits", "flits_carried", "pending"}`` as plain lists,
+    one entry per channel (``credits`` a row per channel, padded with
+    -1 to the widest channel's VC count).  Two runs are channel-state
+    identical iff the snapshots compare ``==`` — the flat form the
+    differential tests diff without walking object graphs, and what the
+    traffic digests serialise.  The lists are the reference engine's at
     every cycle boundary: credits the fast engine's last cycle returned
     directly, which the reference holds until the coming credit phase,
     are put back in flight in the copy returned.
     """
     channels = engine._all_channels
-    n = len(channels)
     max_vcs = max(ch.num_vcs for ch in channels) if channels else 0
     credits_rows = [
         list(ch.credits) + [-1] * (max_vcs - ch.num_vcs) for ch in channels
@@ -163,15 +135,6 @@ def channel_state(engine: Engine):
                 row = row_of[feeder]
                 credits_rows[row][buffer.vc] -= 1
                 pending[row] += 1
-    np = _numpy()
-    if np is not None:
-        return {
-            "credits": np.array(credits_rows, dtype=np.int64).reshape(
-                n, max_vcs
-            ),
-            "flits_carried": np.array(carried, dtype=np.int64),
-            "pending": np.array(pending, dtype=np.int64),
-        }
     return {
         "credits": credits_rows,
         "flits_carried": carried,
@@ -269,7 +232,6 @@ class FastEngine(Engine):
         # the source node when a killed message is requeued.
         self.kills = _FastKillManager(self)
         self._table = RoutingTable(self.routing)
-        self._eject_cache: Dict[int, List[List[Candidate]]] = {}
         self.credit_ledger = CreditLedger()
         if self.protocol.mode is ProtocolMode.PCS:
             # Probes create claims outside _grant, where no activity set
@@ -279,9 +241,8 @@ class FastEngine(Engine):
             chan.ledger = self.credit_ledger
         #: the credit phase: only the channels with a credit due now.
         self._tick_credits = self.credit_ledger.drain
-        # Direct handles on the ledger buckets and the OrderedSet
-        # backing dicts for the inlined transfer/injection pipelines.
-        self._credit_buckets = self.credit_ledger._buckets
+        # Direct handles on the OrderedSet backing dicts for the
+        # inlined transfer/injection pipelines.
         self._arrival_items = self._arrival_buffers._items
         self._route_items = self.route_pending._items
         self._active_recv: Set[int] = set()
@@ -439,10 +400,7 @@ class FastEngine(Engine):
     def _grant(self, buffer: "VCBuffer", message: "Message") -> bool:
         router = buffer.router
         if router.node_id == message.dst:
-            tiers = self._eject_cache.get(router.node_id)
-            if tiers is None:
-                tiers = [[Candidate(port, 0) for port in router.eject_ports]]
-                self._eject_cache[router.node_id] = tiers
+            tiers = [[Candidate(port, 0) for port in router.eject_ports]]
         else:
             tiers = self._table.candidates(router, message)
         out_owner = router.out_owner
@@ -546,7 +504,6 @@ class FastEngine(Engine):
         branch mirroring the reference methods.  Hoisted lookups are
         redone on every call.
         """
-        buckets = self._credit_buckets
         arrival_items = self._arrival_items
         fault_model = self.fault_model
         # A model that says it never corrupts is not asked per flit.
@@ -564,14 +521,7 @@ class FastEngine(Engine):
                     # Direct return: what the next credit phase would do.
                     feeder.credits[buffer.vc] += 1
                 else:
-                    # Channel.return_credit
-                    due = now + feeder.latency
-                    feeder._pending.append((due, buffer.vc))
-                    bucket = buckets.get(due)
-                    if bucket is None:
-                        buckets[due] = [feeder]
-                    else:
-                        bucket.append(feeder)
+                    feeder.return_credit(buffer.vc, now)
             is_ejection = channel.is_ejection
             if (
                 corrupt is not None
@@ -789,7 +739,6 @@ class FastEngine(Engine):
             return
         stats = self.stats
         checker = self.checker
-        buckets = self._credit_buckets
         # flits_ejected: tallied here, added before every call out of
         # this body and at its end (as _inject's three counters).
         ejected = 0
@@ -808,14 +757,7 @@ class FastEngine(Engine):
                     receiver.staging = [e for e in staging if e[0] > now]
                 ejected += len(ready)
                 for _, flit, channel in ready:
-                    # Channel.return_credit(0, now)
-                    due = now + channel.latency
-                    channel._pending.append((due, 0))
-                    bucket = buckets.get(due)
-                    if bucket is None:
-                        buckets[due] = [channel]
-                    else:
-                        bucket.append(channel)
+                    channel.return_credit(0, now)
                     # _consume is a no-op for an uncorrupted non-head
                     # non-tail flit of a live message (the bulk of a
                     # worm) — skip the call for exactly that case.

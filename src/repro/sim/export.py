@@ -4,33 +4,27 @@ from __future__ import annotations
 
 import csv
 import os
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 
-def rows_to_csv(
-    rows: Sequence[Dict[str, object]],
-    path: str,
-    columns: Optional[Sequence[str]] = None,
-) -> int:
+def rows_to_csv(rows: Sequence[Dict[str, object]], path: str) -> int:
     """Write sweep rows to ``path``; returns the number of data rows.
 
     Parent directories are created as needed, so sweeps can target
     fresh result trees (``results/<campaign>/rows.csv``) directly.
-    Columns default to the union of keys across rows, in first-seen
+    The columns are the union of keys across rows, in first-seen
     order, so heterogeneous sweeps stay loadable.
     """
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    if columns is None:
-        seen: Dict[str, None] = {}
-        for row in rows:
-            for key in row:
-                seen.setdefault(key)
-        columns = list(seen)
+    columns: Dict[str, None] = {}
+    for row in rows:
+        for key in row:
+            columns.setdefault(key)
     with open(path, "w", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=list(columns),
-                                extrasaction="ignore", restval="")
+                                restval="")
         writer.writeheader()
         for row in rows:
             writer.writerow(row)

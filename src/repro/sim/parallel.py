@@ -245,22 +245,6 @@ class SweepCache:
         os.replace(tmp, target)
         return True
 
-    def clear(self) -> int:
-        """Delete every cache entry; returns how many were removed."""
-        removed = 0
-        try:
-            names = os.listdir(self.path)
-        except OSError:
-            return 0
-        for name in names:
-            if name.endswith(".json"):
-                try:
-                    os.remove(os.path.join(self.path, name))
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
-
 
 CacheSpec = Union[None, bool, SweepCache]
 

@@ -67,21 +67,11 @@ def run_engine_snapshot(config: SimConfig, engine: str) -> Tuple:
     return traced.events, report, channel_state(traced.result.engine)
 
 
-def _states_equal(a, b) -> bool:
-    try:  # numpy arrays (channel_state's preferred form)
-        import numpy as np
-    except ImportError:
-        return a == b
-    return all(np.array_equal(a[key], b[key]) for key in a) and set(
-        a
-    ) == set(b)
-
-
 def assert_engines_equivalent(config: SimConfig, label: str = "") -> None:
     """Run ``config`` under both engines and assert identical output.
 
     Raises ``AssertionError`` naming the first divergence (event index,
-    report key, or channel-state array) — the format the equivalence
+    report key, or final channel state) — the format the equivalence
     tests and the CI job surface on failure.
     """
     ref_events, ref_report, ref_state = run_engine_snapshot(
@@ -104,7 +94,7 @@ def assert_engines_equivalent(config: SimConfig, label: str = "") -> None:
         assert ref_report.get(key) == fast_report.get(key), (
             f"{prefix}report[{key!r}] diverges"
         )
-    assert _states_equal(ref_state, fast_state), (
+    assert ref_state == fast_state, (
         f"{prefix}final channel state diverges"
     )
 

@@ -199,7 +199,7 @@ class TestMonitorAlerts:
 
     def test_episodes_land_in_heartbeat_and_registry(self):
         monitor = self.make_monitor()
-        monitor.on_point(make_point(), "ok", 0.5, alerts=[
+        monitor.fold(make_point(), "ok", 0.5, None, [
             episode(), episode(rule="delivery-slo", severity="warning")])
         status = monitor.snapshot()
         assert status["alerts"]["total"] == 2
@@ -229,9 +229,9 @@ class TestMonitorAlerts:
 
         server = TelemetryServer()
         try:
-            monitor = CampaignMonitor("m", 2, None, server=server)
-            monitor.on_point(make_point(), "ok", 0.5,
-                             alerts=[episode()])
+            monitor = CampaignMonitor("m", 2, None)
+            monitor.server = server
+            monitor.fold(make_point(), "ok", 0.5, None, [episode()])
             monitor.publish(monitor.snapshot("finished"))
             assert server.publishes == 1
             health = server.health()

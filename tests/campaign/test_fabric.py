@@ -19,7 +19,8 @@ from repro.campaign import (
 )
 from repro.campaign import fabric as fabric_module
 from repro.campaign.fabric import default_worker_id, run_fabric
-from repro.campaign.monitor import CampaignView, render_status, render_workers
+from repro.campaign.monitor import (
+    CampaignView, render_status, render_workers, status_path)
 from repro.campaign.runner import point_candidates
 from repro.obs.metrics import parse_prometheus_text
 from repro.sim.parallel import config_cache_key
@@ -305,11 +306,10 @@ class TestOneHeartbeat:
         assert scrape["cr_fabric_points_done"]["samples"][
             "cr_fabric_points_done"] == 2
 
-        local_path = str(tmp_path / "local.status.json")
-        with CampaignStore(str(tmp_path / "local.sqlite")) as local_store:
-            run_campaign(spec, local_store, heartbeat=0.0,
-                         heartbeat_path=local_path)
-        local = read_status(local_path)
+        local_db = str(tmp_path / "local.sqlite")
+        with CampaignStore(local_db) as local_store:
+            run_campaign(spec, local_store, heartbeat=0.0)
+        local = read_status(status_path(local_db, spec.name))
         assert set(status) - set(local) == {"kind", "workers", "fabric"}
         assert set(local) <= set(status)
         for key in ("done", "total", "failed", "recent_kill_rates",

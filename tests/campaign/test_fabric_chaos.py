@@ -209,8 +209,8 @@ def test_sigkilled_workers_orphan_spans_are_closed_aborted(
             held = [row for row in watcher.leases(spec.name)
                     if row["worker_id"] == "victim" and row["live"]]
             open_leases = [
-                span for span in watcher.spans(spec.name, status="open")
-                if span["worker_id"] == "victim"
+                span for span in watcher.spans(spec.name)
+                if span["status"] == "open" and span["worker_id"] == "victim"
                 and span["kind"] == "lease"
             ]
             return len(held) >= 2 and len(open_leases) >= 2
@@ -221,8 +221,8 @@ def test_sigkilled_workers_orphan_spans_are_closed_aborted(
         victim.wait(timeout=30)
 
         orphans = [
-            span for span in watcher.spans(spec.name, status="open")
-            if span["worker_id"] == "victim"
+            span for span in watcher.spans(spec.name)
+            if span["status"] == "open" and span["worker_id"] == "victim"
         ]
         assert any(span["kind"] == "lease" for span in orphans)
 

@@ -294,14 +294,6 @@ class TestRunCampaignHeartbeat:
             run_campaign(spec, store, heartbeat=None)
         assert not os.path.exists(status_path(db, spec.name))
 
-    def test_explicit_heartbeat_path_wins(self, tmp_path):
-        db = str(tmp_path / "camp.sqlite")
-        explicit = str(tmp_path / "elsewhere" / "hb.json")
-        with CampaignStore(db) as store:
-            run_campaign(tiny_spec(), store, heartbeat=0.0,
-                         heartbeat_path=explicit)
-        assert read_status(explicit)["state"] == "finished"
-
     def test_in_memory_store_skips_heartbeat(self):
         with CampaignStore(":memory:") as store:
             stats = run_campaign(tiny_spec(), store, heartbeat=0.0)
@@ -317,7 +309,7 @@ class TestRendering:
         assert set(text_sparkline([2.0, 2.0])) == {"▅"}
 
     def test_text_sparkline_clamps_to_width(self):
-        assert len(text_sparkline(list(range(100)), width=16)) == 16
+        assert len(text_sparkline(list(range(100)))) == 32
 
     def test_render_status_is_pure_and_complete(self):
         status = {

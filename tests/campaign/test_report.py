@@ -214,16 +214,14 @@ class TestRendering:
             ),
             "RuntimeError('x')", 0.1, attempts=3,
         )
-        text = campaign_markdown(store, "solo",
-                                 metrics=["latency_mean"])
+        text = campaign_markdown(store, "solo")
         assert "# Campaign `solo`" in text
         assert "## Failed points" in text
         assert "attempts=3" in text
 
     def test_markdown_reports_wall_time_per_point(self, store):
         seed_campaign(store, "timed", {"cr": 10.0, "dor": 5.0}, 0.2)
-        text = campaign_markdown(store, "timed",
-                                 metrics=["latency_mean"])
+        text = campaign_markdown(store, "timed")
         assert "wall s/point" in text
         # Every point was stored with wall_time=0.1.
         assert "| 0.1 |" in text

@@ -186,7 +186,7 @@ class TestResumeQueries:
              "wall_time": by_id[point_id]["wall_time"],
              "created_at": by_id[point_id]["created_at"],
              "report": by_id[point_id]["report"],
-             "alerts": store.alerts("s", point_id).get(point_id, [])}
+             "alerts": store.alerts("s").get(point_id, [])}
             for point_id in asked if point_id in by_id
         ]
         want.sort(key=lambda row: row["created_at"])
@@ -258,8 +258,6 @@ class TestSpanJournal:
         assert spans[0]["attrs"] == {"executor": "fabric"}
         assert spans[1]["parent_id"] == "a" * 16
         assert store.span_counts("s") == {"open": 1, "ok": 1}
-        assert store.spans("s", point_id="p1")[0]["span_id"] == "b" * 16
-        assert store.spans("s", status="open")[0]["kind"] == "root"
 
     def test_open_spans_update_closed_spans_are_immutable(self, store, spec):
         store.register(spec)

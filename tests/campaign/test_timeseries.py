@@ -51,14 +51,6 @@ class TestStoreRoundTrip:
         store.record_timeseries("ts", point, fresh)
         assert store.timeseries("ts")[point.point_id] == fresh
 
-    def test_point_filter(self, store, spec):
-        point = next(iter(spec.points()))
-        store.record_timeseries("ts", point, [sample(0, 0, 100)])
-        assert store.timeseries("ts", point_id="missing") == {}
-        assert point.point_id in store.timeseries(
-            "ts", point_id=point.point_id
-        )
-
     def test_survives_reopen(self, tmp_path, spec):
         path = str(tmp_path / "c.sqlite")
         point = next(iter(spec.points()))
@@ -118,15 +110,6 @@ class TestSaturationOnset:
             sample(2, 200, 300, latency=30.0),
         ]
         assert saturation_onset(series) == 300
-
-    def test_custom_metric_and_factor(self):
-        series = [
-            sample(0, 0, 100, occupancy=4),
-            sample(1, 100, 200, occupancy=13),
-        ]
-        assert saturation_onset(
-            series, metric="occupancy", factor=3.0
-        ) == 200
 
 
 class TestCampaignMarkdownTimeSeries:

@@ -581,7 +581,7 @@ class TestRoutingTableAgainstTheRelation:
 
 
 def test_import_repro_does_not_import_numpy():
-    # Only the snapshot helpers use numpy, only a run that serves
+    # Nothing in the package uses numpy, only a run that serves
     # telemetry uses http.server, only a parallel sweep uses a process
     # pool; only the commands that name them use an experiment, the
     # verifier, the hardware models, the alert rules, the traced-run
@@ -643,6 +643,32 @@ def test_the_spec_engine_loads_only_for_a_run_on_it():
          "late = [m for m in spec if m not in sys.modules]; "
          "sys.exit(f'a fast run loaded {early}; a reference build did "
          "not load {late}' if early or late else 0)"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr.strip()
+
+
+def test_channel_state_is_plain_lists_without_numpy():
+    # One format whether or not numpy is installed: a fast run's
+    # snapshot holds plain lists, and taking it imports nothing.
+    # (ci.yml's tier1 job runs this test by id.)
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro\n"
+         "from repro.network.fastengine import channel_state\n"
+         "engine = repro.SimConfig(radix=4, warmup=10, measure=40, "
+         "drain=200, load=0.3).build()\n"
+         "engine.run(50)\n"
+         "state = channel_state(engine)\n"
+         "kinds = {k: type(v).__name__ for k, v in state.items()\n"
+         "         if type(v) is not list}\n"
+         "rows = {type(r).__name__ for r in state['credits']} - {'list'}\n"
+         "bad = [f'not lists: {kinds} {sorted(rows)}'] if kinds or rows else []\n"
+         "if 'numpy' in sys.modules:\n"
+         "    bad.append('numpy imported')\n"
+         "sys.exit('; '.join(bad) or 0)\n"],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True,
     )

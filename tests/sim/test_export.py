@@ -24,13 +24,6 @@ class TestCsv:
         assert set(back[0]) == {"a", "b"}
         assert back[0]["b"] == ""
 
-    def test_explicit_columns_filter(self, tmp_path):
-        rows = [{"a": 1, "b": 2}]
-        path = tmp_path / "cols.csv"
-        rows_to_csv(rows, str(path), columns=["a"])
-        back = read_csv(str(path))
-        assert set(back[0]) == {"a"}
-
     def test_creates_parent_directories(self, tmp_path):
         path = tmp_path / "new" / "nested" / "out.csv"
         assert rows_to_csv([{"a": 1}], str(path)) == 1
@@ -61,13 +54,6 @@ class TestCsv:
         back = read_csv(str(path))
         # absent cells are written as the empty-string restval
         assert back[0]["b"] == "" and back[1]["a"] == ""
-
-    def test_explicit_columns_missing_everywhere(self, tmp_path):
-        rows = [{"a": 1}]
-        path = tmp_path / "missing.csv"
-        rows_to_csv(rows, str(path), columns=["a", "ghost"])
-        back = read_csv(str(path))
-        assert back[0]["ghost"] == ""
 
 
 class TestCliSweep:

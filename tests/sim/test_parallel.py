@@ -519,12 +519,6 @@ class TestSweepCache:
         assert reports == [{"latency_mean": 1.0}]
         assert list(tmp_path.glob("*.json")) == []
 
-    def test_clear(self, tmp_path):
-        cache = SweepCache(str(tmp_path))
-        load_sweep(tiny(), [0.1, 0.2], cache=cache)
-        assert cache.clear() == 2
-        assert list(tmp_path.glob("*.json")) == []
-
 
 class TestResolveCache:
     def test_disabled(self):

@@ -153,10 +153,7 @@ def run_digest(config, engine):
     built = traced.result.engine
     report = dict(traced.report)
     report.pop("profile", None)
-    state = {
-        key: value.tolist() if hasattr(value, "tolist") else value
-        for key, value in channel_state(built).items()
-    }
+    state = channel_state(built)
     skipped = getattr(built, "cycles_skipped", 0)
     sha = hashlib.sha256()
     for event in traced.events:
