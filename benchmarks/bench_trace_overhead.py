@@ -25,21 +25,16 @@ ledger:
    the simulation around it.
 """
 
-import json
 import os
 import shutil
-import statistics
 import tempfile
 import time
 
-from overhead_log import record_overhead
+from overhead_log import PAIRS, paired_difference, record_overhead
 
 from repro.campaign import CampaignSpec, CampaignStore, run_campaign
 from repro.obs.trace import Tracer
 
-#: interleaved plain/armed pairs; even, so each side runs first in
-#: half of them and an order effect cancels in the median.
-PAIRS = 10
 #: maximum tolerated armed-run cost relative to the plain run.
 OVERHEAD_BUDGET = 0.03
 
@@ -108,23 +103,14 @@ def _isolated_span_cost(points):
 
 
 def test_trace_overhead_under_budget(benchmark):
-    plain_times = []
-    differences = []
-    for index in range(PAIRS):
-        if index % 2:
-            armed = _timed_run(trace=True)[0]
-            plain = _timed_run(trace=False)[0]
-        else:
-            plain = _timed_run(trace=False)[0]
-            armed = _timed_run(trace=True)[0]
-        plain_times.append(plain)
-        differences.append(armed - plain)
+    plain, difference = paired_difference(
+        lambda: _timed_run(trace=False)[0],
+        lambda: _timed_run(trace=True)[0],
+    )
 
     benchmark.pedantic(lambda: _timed_run(trace=True), rounds=1,
                        iterations=1)
 
-    plain = statistics.median(plain_times)
-    difference = statistics.median(differences)
     armed = plain + difference
     overhead = max(difference, 0.0) / plain
     points = len(list(CampaignSpec.from_dict(SPEC).points()))

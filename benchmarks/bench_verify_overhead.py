@@ -11,8 +11,11 @@ e01-style run (CR, 8-ary 2-torus, moderate load):
   (guard checks only, the same a-fortiori argument as
   ``bench_obs_overhead``);
 * **enabled**: the fully armed run (default ``check_interval``) is
-  timed end-to-end min-of-N against the plain run; the slowdown must
-  stay under ``OVERHEAD_BUDGET``.
+  timed end to end against the plain run; the slowdown must stay under
+  ``OVERHEAD_BUDGET``.  The estimate is the median of ``PAIRS``
+  interleaved plain/verified differences (the order flipped every
+  pair) over the median plain run, as ``bench_trace_overhead``
+  measures.
 
 A budget is a share of the plain run, and the checker does the same
 absolute work on either engine, so each engine is gated against its
@@ -23,12 +26,11 @@ run (2.5-3x shorter; measured ~5-6 %).
 import time
 
 import pytest
-from overhead_log import record_overhead
+from overhead_log import PAIRS, paired_difference, record_overhead
 
 from repro import SimConfig, VerifyConfig
 
 CYCLES = 800
-ROUNDS = 3
 #: maximum tolerated end-to-end slowdown with every invariant armed,
 #: as a share of that engine's plain run.
 OVERHEAD_BUDGET = {"reference": 0.10, "fast": 0.15}
@@ -57,14 +59,17 @@ def test_verify_overhead_under_budget(benchmark, engine_name):
     verify = VerifyConfig()
     budget = OVERHEAD_BUDGET[engine_name]
 
-    plain_times, verified_times = [], []
-    for _ in range(ROUNDS):
-        elapsed, engine = _timed_run(None, engine_name)
-        plain_times.append(elapsed)
-        delivered = engine.stats.counters["messages_delivered"]
-        elapsed, engine = _timed_run(verify, engine_name)
-        verified_times.append(elapsed)
-        checks = engine.checker.checks_run
+    last = {}
+
+    def timed(side, config):
+        elapsed, last[side] = _timed_run(config, engine_name)
+        return elapsed
+
+    plain, difference = paired_difference(lambda: timed("plain", None),
+                                          lambda: timed("verified", verify))
+    delivered = last["plain"].stats.counters["messages_delivered"]
+    engine = last["verified"]
+    checks = engine.checker.checks_run
     assert delivered > 100  # the run actually simulated traffic
     assert checks >= CYCLES // verify.check_interval  # checking happened
     assert engine.checker.flits_consumed > 0
@@ -74,8 +79,8 @@ def test_verify_overhead_under_budget(benchmark, engine_name):
     benchmark.pedantic(_timed_run, args=(verify, engine_name),
                        rounds=1, iterations=1)
 
-    plain, checked = min(plain_times), min(verified_times)
-    overhead = max(0.0, checked / plain - 1.0)
+    checked = plain + difference
+    overhead = max(difference, 0.0) / plain
     print(f"\nverify overhead ({engine_name}): "
           f"plain run {plain * 1000:.1f}ms, "
           f"verified run {checked * 1000:.1f}ms "
@@ -86,6 +91,7 @@ def test_verify_overhead_under_budget(benchmark, engine_name):
             "plain_ms": round(plain * 1000, 3),
             "verified_ms": round(checked * 1000, 3),
             "checks": checks,
+            "pairs": PAIRS,
         },
     )
     assert overhead < budget, (

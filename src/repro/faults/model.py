@@ -46,11 +46,6 @@ class FaultModel(abc.ABC):
         """Point fault counters at a StatsCollector (None to detach)."""
         self.stats = stats
 
-    def emit(self, event) -> None:
-        """Send ``event`` to the bound bus, if any."""
-        if self.bus is not None:
-            self.bus.emit(event)
-
     def on_cycle(self, now: int, network: "WormholeNetwork") -> None:
         """Hook run at the start of every cycle."""
 

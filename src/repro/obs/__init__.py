@@ -4,10 +4,10 @@ The package is strictly opt-in: an engine is born with ``bus = None``
 and every instrumented code path guards with a single ``is None``
 check, so untraced runs pay (measurably) nothing.  To trace::
 
-    from repro.obs import JsonlSink, RingBufferSink, attach
+    from repro.obs import JsonlSink, ListSink, attach
 
     engine = config.build()
-    attach(engine, RingBufferSink(), JsonlSink("results/traces/run.jsonl"))
+    attach(engine, ListSink(), JsonlSink("results/traces/run.jsonl"))
     engine.run(5000)
 
 or use :func:`run_traced` / ``cr-sim trace`` for the batteries-included
@@ -34,8 +34,8 @@ _EXPORTS = {
     "metrics": ("engine_metrics", "parse_prometheus_text"),
     "profile": ("PHASES",),
     "sinks": (
-        "DEFAULT_TRACE_DIR", "JsonlSink", "ListSink", "RingBufferSink",
-        "filter_events", "read_jsonl",
+        "DEFAULT_TRACE_DIR", "JsonlSink", "ListSink", "filter_events",
+        "read_jsonl",
     ),
     "tracing": ("config_for_experiment", "run_traced", "trace_experiments"),
 }

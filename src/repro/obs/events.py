@@ -197,6 +197,3 @@ class EventBus:
     def emit(self, event: Event) -> None:
         for sink in self.sinks:
             sink.on_event(event)
-
-    def __len__(self) -> int:
-        return len(self.sinks)

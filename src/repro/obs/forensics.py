@@ -14,7 +14,8 @@ it to the raised :class:`~repro.network.engine.NetworkDeadlockError`
   witness; empty when the wedge is a livelock or resource exhaustion),
 * the **stalled injector** list (sources stuck mid-injection),
 * an ASCII **occupancy snapshot** of where flits are parked, and
-* the **last events** from any attached ring-buffer sink.
+* the **last events** from an attached sink that keeps ``events``
+  (a :class:`~repro.obs.sinks.ListSink`).
 
 Everything is computed from state the simulator already keeps, so the
 bundle costs nothing until the watchdog actually fires.
@@ -23,12 +24,12 @@ bundle costs nothing until the watchdog actually fires.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..network.engine import Engine
 
-#: how many ring-buffer events the report keeps.
+#: how many of an attached sink's newest events the report keeps.
 RECENT_EVENT_LIMIT = 64
 
 
@@ -47,21 +48,6 @@ class DeadlockReport:
     stalled_injectors: List[Dict[str, Any]] = field(default_factory=list)
     occupancy: str = ""
     recent_events: List[Dict[str, Any]] = field(default_factory=list)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "cycle": self.cycle,
-            "watchdog": self.watchdog,
-            "routing": self.routing,
-            "protocol": self.protocol,
-            "live_messages": self.live_messages,
-            "injecting": self.injecting,
-            "wait_for": list(self.wait_for),
-            "cycle_uids": list(self.cycle_uids),
-            "stalled_injectors": list(self.stalled_injectors),
-            "occupancy": self.occupancy,
-            "recent_events": list(self.recent_events),
-        }
 
     def format(self) -> str:
         """Multi-line human-readable rendering of the bundle."""
@@ -228,14 +214,13 @@ def stalled_injector_list(engine: "Engine") -> List[Dict[str, Any]]:
 
 def _recent_events(engine: "Engine") -> List[Dict[str, Any]]:
     from .events import event_to_dict
-    from .sinks import RingBufferSink
 
     if engine.bus is None:
         return []
     for sink in engine.bus.sinks:
-        if isinstance(sink, RingBufferSink):
-            return [event_to_dict(e)
-                    for e in sink.last(RECENT_EVENT_LIMIT)]
+        events = getattr(sink, "events", None)
+        if events is not None:
+            return [event_to_dict(e) for e in events[-RECENT_EVENT_LIMIT:]]
     return []
 
 

@@ -47,13 +47,11 @@ def dead_channel_fraction(engine: "Engine") -> float:
 
 def buffer_fill_fraction(engine: "Engine") -> float:
     """Occupied fraction of total router input-buffer capacity."""
-    capacity = 0
-    occupied = 0
-    for router in engine.routers:
-        for port in router.in_buffers:
-            for buf in port:
-                capacity += buf.depth
-                occupied += buf.occupancy
+    from ..stats.trace import buffer_fill
+
+    fill = buffer_fill(engine).values()
+    occupied = sum(held for held, _ in fill)
+    capacity = sum(depth for _, depth in fill)
     if capacity == 0:
         return 0.0
     return occupied / capacity

@@ -505,6 +505,8 @@ def engine_metrics(engine: "Engine") -> MetricsRegistry:
     latency histograms are published alongside.  Safe to call mid-run
     or after a run; the snapshot reflects the moment of the call.
     """
+    from ..stats.trace import buffer_occupancy
+
     registry = MetricsRegistry(prefix="cr_")
     counters = engine.stats.counters
     for name in sorted(counters):
@@ -547,12 +549,7 @@ def engine_metrics(engine: "Engine") -> MetricsRegistry:
     registry.gauge(
         "buffer_occupancy_flits", "Flits currently held in router "
         "input buffers."
-    ).set(sum(
-        buf.occupancy
-        for router in engine.routers
-        for port in router.in_buffers
-        for buf in port
-    ))
+    ).set(sum(buffer_occupancy(engine).values()))
 
     latency = registry.histogram(
         "message_latency_cycles",

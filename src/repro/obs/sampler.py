@@ -133,12 +133,9 @@ class IntervalSampler:
             mean = None
             p99 = None
 
-        occupancy = sum(
-            buf.occupancy
-            for router in engine.routers
-            for port in router.in_buffers
-            for buf in port
-        )
+        from ..stats.trace import buffer_occupancy
+
+        occupancy = sum(buffer_occupancy(engine).values())
 
         span = end - self._start
         node_cycles = engine.topology.num_nodes * span

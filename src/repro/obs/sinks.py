@@ -1,14 +1,11 @@
-"""Event sinks: in-memory rings, unbounded lists, and JSONL files.
+"""Event sinks: an unbounded list and a JSONL file.
 
-Sinks implement a single method, ``on_event(event)``; anything with
-that method can subscribe to the :class:`~repro.obs.events.EventBus`.
-The three provided here cover the common shapes:
+A sink is anything with ``on_event(event)``; subscribe it to the
+:class:`~repro.obs.events.EventBus` with :func:`repro.obs.attach`.
 
-* :class:`RingBufferSink` -- bounded memory, keeps the *last* N events;
-  this is what deadlock forensics reads for "what happened just before
-  the network wedged".
-* :class:`ListSink` -- unbounded, keeps everything; feeds the Perfetto
-  exporter, which needs span open/close pairs from the whole run.
+* :class:`ListSink` -- keeps every event; feeds the Perfetto exporter,
+  which needs span open/close pairs from the whole run, and deadlock
+  forensics, which reads its last events.
 * :class:`JsonlSink` -- streams one JSON object per event to a file
   under ``results/traces/`` (or wherever pointed); survives crashes up
   to the last flushed line.
@@ -19,8 +16,7 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from collections import deque
-from typing import Any, Deque, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from .events import Event, event_to_dict
 
@@ -28,46 +24,7 @@ from .events import Event, event_to_dict
 DEFAULT_TRACE_DIR = os.path.join("results", "traces")
 
 
-class EventSink:
-    """Base sink: subclasses override :meth:`on_event`."""
-
-    def on_event(self, event: Event) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release any resources; safe to call more than once."""
-
-
-class RingBufferSink(EventSink):
-    """Keeps the most recent ``capacity`` events in memory."""
-
-    def __init__(self, capacity: int = 4096) -> None:
-        if capacity < 1:
-            raise ValueError("ring capacity must be >= 1")
-        self.capacity = capacity
-        self._ring: Deque[Event] = deque(maxlen=capacity)
-        self.seen = 0  #: total events observed (including evicted ones)
-
-    def on_event(self, event: Event) -> None:
-        self._ring.append(event)
-        self.seen += 1
-
-    @property
-    def events(self) -> List[Event]:
-        """The retained events, oldest first."""
-        return list(self._ring)
-
-    def last(self, n: int) -> List[Event]:
-        """The newest ``n`` retained events, oldest first."""
-        if n <= 0:
-            return []
-        return list(self._ring)[-n:]
-
-    def clear(self) -> None:
-        self._ring.clear()
-
-
-class ListSink(EventSink):
+class ListSink:
     """Keeps every event (unbounded; use for short traced runs)."""
 
     def __init__(self) -> None:
@@ -77,11 +34,11 @@ class ListSink(EventSink):
         self.events.append(event)
 
 
-class JsonlSink(EventSink):
+class JsonlSink:
     """Writes one JSON object per event, newline-delimited.
 
-    Usable as a context manager; parent directories are created.  The
-    companion :func:`read_jsonl` parses a trace back into dicts.
+    Parent directories are created; :func:`read_jsonl` parses a trace
+    back into dicts.
     """
 
     def __init__(self, path: str) -> None:
@@ -90,30 +47,19 @@ class JsonlSink(EventSink):
         if parent:
             os.makedirs(parent, exist_ok=True)
         self._handle = open(self.path, "w", encoding="utf-8")
-        self.written = 0
 
     def write(self, record: Dict[str, Any]) -> None:
         """Append one already-flat JSON-safe dict as a line."""
         self._handle.write(json.dumps(record))
         self._handle.write("\n")
-        self.written += 1
 
     def on_event(self, event: Event) -> None:
         self.write(event_to_dict(event))
 
-    def flush(self) -> None:
-        if not self._handle.closed:
-            self._handle.flush()
-
     def close(self) -> None:
+        """Release the file; safe to call more than once."""
         if not self._handle.closed:
             self._handle.close()
-
-    def __enter__(self) -> "JsonlSink":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
 
 class ReadResult(List[dict]):

@@ -10,7 +10,7 @@ spans process boundaries, and no single process observes all of it.
 This module provides the classic remedy: a frozen-dataclass
 :class:`Span` carrying ``trace_id``/``span_id``/``parent_id``, a
 :class:`Tracer` that opens and closes spans against a wall-clock
-timebase and fans them out to sinks, and W3C-``traceparent``-style
+timebase, and W3C-``traceparent``-style
 context propagation (:func:`format_traceparent` /
 :func:`parse_traceparent`, carried into worker subprocesses via the
 ``CR_TRACEPARENT`` environment variable).  The fabric journals spans
@@ -43,7 +43,7 @@ import secrets
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 #: environment variable carrying the W3C-style traceparent into
 #: spawned fabric worker processes.
@@ -127,17 +127,6 @@ class Span:
     status: str = "open"
     attrs: Dict[str, Any] = field(default_factory=dict)
 
-    @property
-    def open(self) -> bool:
-        return self.end_ts is None
-
-    @property
-    def duration(self) -> Optional[float]:
-        """Wall seconds from start to end, or None while open."""
-        if self.end_ts is None:
-            return None
-        return max(0.0, self.end_ts - self.start_ts)
-
     def context(self) -> SpanContext:
         return SpanContext(self.trace_id, self.span_id)
 
@@ -157,64 +146,27 @@ class Span:
             "attrs": dict(self.attrs),
         }
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Span":
-        return cls(
-            trace_id=data["trace_id"],
-            span_id=data["span_id"],
-            parent_id=data.get("parent_id"),
-            name=data["name"],
-            kind=data.get("kind", "span"),
-            worker_id=data.get("worker_id", ""),
-            point_id=data.get("point_id"),
-            start_ts=float(data.get("start_ts", 0.0)),
-            end_ts=data.get("end_ts"),
-            status=data.get("status", "open"),
-            attrs=dict(data.get("attrs") or {}),
-        )
 
-
-SpanSink = Callable[[Span], None]
 ParentLike = Union[Span, SpanContext, None]
 
 
 class Tracer:
-    """Opens and closes spans against wall-clock time; fans out to sinks.
+    """Opens and closes spans against wall-clock time.
 
     One tracer per process.  ``root`` ties the tracer into an existing
     trace (the coordinator's, propagated via ``CR_TRACEPARENT``);
     without one, :meth:`start_span` on the first span starts a fresh
-    trace.  Sinks are callables receiving every span twice — once open
-    (so an observer can see in-flight work, and the store can journal
-    reclaimable lease spans) and once closed.  Sinks that only care
-    about finished spans skip ``span.open`` records.
-
-    ``registry`` (a :class:`repro.obs.metrics.MetricsRegistry`) gets a
-    ``cr_trace_spans_total`` counter incremented per span *finished*.
-    Thread-safe: the heartbeat thread closes renew spans while the
-    main loop runs points.
+    trace.  The caller journals the records :meth:`start_span` and
+    :meth:`end_span` return.  Thread-safe: the heartbeat thread closes
+    renew spans while the main loop runs points.
     """
 
-    def __init__(
-        self,
-        worker_id: str = "",
-        root: ParentLike = None,
-        sinks: Optional[List[SpanSink]] = None,
-        registry: Optional[Any] = None,
-    ) -> None:
+    def __init__(self, worker_id: str = "", root: ParentLike = None) -> None:
         self.worker_id = worker_id
         self.root = _context_of(root)
-        self.sinks: List[SpanSink] = list(sinks or [])
         self._lock = threading.Lock()
         self._stack: List[Span] = []
-        self.started = 0
         self.finished = 0
-        self._counter = None
-        if registry is not None:
-            self._counter = registry.counter(
-                "trace_spans_total",
-                "Trace spans finished by this process.",
-            )
 
     # -- span lifecycle -------------------------------------------------
 
@@ -227,7 +179,7 @@ class Tracer:
         attrs: Optional[Dict[str, Any]] = None,
         start_ts: Optional[float] = None,
     ) -> Span:
-        """Open a span and emit it to the sinks; returns the open span.
+        """Open a span; returns the open record.
 
         ``parent`` defaults to the innermost span this tracer currently
         has open, else the tracer's root context, else None — in which
@@ -257,8 +209,6 @@ class Tracer:
         )
         with self._lock:
             self._stack.append(span)
-            self.started += 1
-        self._emit(span)
         return span
 
     def end_span(
@@ -268,7 +218,7 @@ class Tracer:
         attrs: Optional[Dict[str, Any]] = None,
         end_ts: Optional[float] = None,
     ) -> Span:
-        """Close ``span``; emits and returns the finished record."""
+        """Close ``span``; returns the finished record."""
         if status not in SPAN_STATUSES or status == "open":
             raise ValueError(f"invalid finished-span status {status!r}")
         merged = dict(span.attrs)
@@ -284,58 +234,12 @@ class Tracer:
             self._stack = [s for s in self._stack
                            if s.span_id != span.span_id]
             self.finished += 1
-        if self._counter is not None:
-            self._counter.inc()
-        self._emit(done)
         return done
-
-    def span(self, name: str, **kwargs: Any) -> "_SpanScope":
-        """``with tracer.span("submit") as s:`` — closes ok, or error
-        (with the exception repr attached) when the body raises."""
-        return _SpanScope(self, name, kwargs)
 
     def current(self) -> Optional[Span]:
         """The innermost span still open on this tracer, if any."""
         with self._lock:
             return self._stack[-1] if self._stack else None
-
-    # -- plumbing -------------------------------------------------------
-
-    def trace_id(self) -> Optional[str]:
-        """The trace this tracer joins (root's, else first span's)."""
-        if self.root is not None:
-            return self.root.trace_id
-        with self._lock:
-            return self._stack[0].trace_id if self._stack else None
-
-    def _emit(self, span: Span) -> None:
-        for sink in self.sinks:
-            sink(span)
-
-
-class _SpanScope:
-    """Context manager produced by :meth:`Tracer.span`."""
-
-    def __init__(self, tracer: Tracer, name: str,
-                 kwargs: Dict[str, Any]) -> None:
-        self._tracer = tracer
-        self._name = name
-        self._kwargs = kwargs
-        self.span: Optional[Span] = None
-        self.finished: Optional[Span] = None
-
-    def __enter__(self) -> Span:
-        self.span = self._tracer.start_span(self._name, **self._kwargs)
-        return self.span
-
-    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
-        assert self.span is not None
-        if exc_type is None:
-            self.finished = self._tracer.end_span(self.span, "ok")
-        else:
-            self.finished = self._tracer.end_span(
-                self.span, "error", attrs={"error": repr(exc)}
-            )
 
 
 def _context_of(parent: ParentLike) -> Optional[SpanContext]:

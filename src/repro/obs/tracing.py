@@ -2,9 +2,9 @@
 
 :func:`run_traced` wraps :func:`repro.sim.simulator.run_simulation` with
 the full observability stack -- an unbounded in-memory sink (for the
-Perfetto exporter), an optional JSONL file sink, a ring buffer (so a
-deadlock still yields forensics), and the interval sampler -- and
-writes whichever artifacts were requested.  ``cr-sim trace`` is a thin
+Perfetto exporter and, on a deadlock, forensics' recent events), an
+optional JSONL file sink, and the interval sampler -- and writes
+whichever artifacts were requested.  ``cr-sim trace`` is a thin
 CLI shell over this function.
 
 :func:`config_for_experiment` maps the experiment ids used throughout
@@ -24,7 +24,7 @@ from ..sim.simulator import SimResult, run_simulation
 from . import attach
 from .events import Event
 from .perfetto import write_chrome_trace
-from .sinks import JsonlSink, ListSink, RingBufferSink
+from .sinks import JsonlSink, ListSink
 
 #: experiment id -> SimConfig overrides (quick-scale, a few k cycles).
 #: e02 / e03 are points of their experiment's QUICK grid; the others
@@ -118,17 +118,15 @@ def run_traced(
 ) -> TracedRun:
     """Run one simulation with the observability stack attached.
 
-    The in-memory :class:`ListSink` and :class:`RingBufferSink` are
-    always installed (the former feeds the Perfetto exporter, the
-    latter feeds deadlock forensics); the JSONL sink only when a path
-    is given.
+    The in-memory :class:`ListSink` is always installed (it feeds the
+    Perfetto exporter and deadlock forensics); the JSONL sink only when
+    a path is given.
 
     ``profile`` arms the engine self-profiler; ``True`` defaults the
     snapshot interval to 100 cycles (an int sets it directly) so the
     Perfetto export gains a per-phase wall-time counter track.
     """
     collector = ListSink()
-    ring = RingBufferSink()
     jsonl = JsonlSink(jsonl_path) if jsonl_path else None
     if profile:
         config = config.with_(profile=100 if profile is True else profile)
@@ -136,7 +134,7 @@ def run_traced(
     captured: Dict[str, Any] = {}
 
     def setup(engine: Any) -> None:
-        sinks = [collector, ring]
+        sinks = [collector]
         if jsonl is not None:
             sinks.append(jsonl)
         sinks.extend(extra_sinks or [])

@@ -39,9 +39,6 @@ class SimResult:
         """Accepted payload flits per node per cycle in the window."""
         return float(self.report["throughput"])
 
-    def __getitem__(self, key: str) -> object:
-        return self.report[key]
-
 
 def run_simulation(
     config: SimConfig,

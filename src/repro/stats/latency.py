@@ -26,18 +26,6 @@ class LatencySummary:
     p99: float
     maximum: int
 
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "std": self.std,
-            "min": self.minimum,
-            "p50": self.p50,
-            "p95": self.p95,
-            "p99": self.p99,
-            "max": self.maximum,
-        }
-
 
 def percentile(sorted_values: Sequence[int], q: float) -> float:
     """Linear-interpolation percentile of a pre-sorted sample."""

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
+from .trace import buffer_fill
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..network.engine import Engine
 
@@ -103,16 +105,10 @@ def render_network_svg(engine: "Engine", title: str = "") -> str:
             )
 
     # Routers: radius fixed, fill darkens with buffered flits.
-    for router in engine.routers:
-        occupancy = sum(
-            buf.occupancy for port in router.in_buffers for buf in port
-        )
-        capacity = sum(
-            buf.depth for port in router.in_buffers for buf in port
-        )
+    for node, (occupancy, capacity) in buffer_fill(engine).items():
         fill_frac = occupancy / capacity if capacity else 0.0
         shade = int(235 - fill_frac * 180)
-        cx, cy = centre(router.node_id)
+        cx, cy = centre(node)
         parts.append(
             f'<circle cx="{cx}" cy="{cy}" r="{RADIUS}" '
             f'fill="rgb({shade},{shade},240)" stroke="#445"/>'
@@ -120,7 +116,7 @@ def render_network_svg(engine: "Engine", title: str = "") -> str:
         parts.append(
             f'<text x="{cx}" y="{cy + 4}" text-anchor="middle" '
             f'font-family="monospace" font-size="10">'
-            f"{router.node_id}</text>"
+            f"{node}</text>"
         )
     parts.append("</svg>")
     return "\n".join(parts)

@@ -53,15 +53,23 @@ def format_timeline(message: "Message") -> str:
     return "\n".join(lines)
 
 
+def buffer_fill(engine: "Engine") -> Dict[int, Tuple[int, int]]:
+    """``node -> (flits buffered, flit capacity)`` over each router's
+    input buffers; the one walk every buffer-occupancy reading uses."""
+    out: Dict[int, Tuple[int, int]] = {}
+    for router in engine.routers:
+        held = depth = 0
+        for port in router.in_buffers:
+            for buf in port:
+                held += buf.occupancy
+                depth += buf.depth
+        out[router.node_id] = (held, depth)
+    return out
+
+
 def buffer_occupancy(engine: "Engine") -> Dict[int, int]:
     """Total flits buffered at each router (including staged arrivals)."""
-    out: Dict[int, int] = {}
-    for router in engine.routers:
-        total = sum(
-            buf.occupancy for port in router.in_buffers for buf in port
-        )
-        out[router.node_id] = total
-    return out
+    return {node: held for node, (held, _) in buffer_fill(engine).items()}
 
 
 def occupancy_snapshot(engine: "Engine") -> str:

@@ -1,5 +1,6 @@
 """Deadlock forensics: the bundle attached to NetworkDeadlockError."""
 
+import dataclasses
 import json
 
 import pytest
@@ -15,18 +16,19 @@ from repro import (
     attach,
     torus,
 )
-from repro.obs import DeadlockReport, RingBufferSink
-from repro.obs.forensics import find_cycle
+from repro.obs import DeadlockReport, ListSink, event_to_dict
+from repro.obs.forensics import RECENT_EVENT_LIMIT, find_cycle
 from repro.verify.reference import ReferenceEngine
 
 
-def deadlocking_engine(watchdog=300):
+def deadlocking_engine(watchdog=300, warmup_messages=0):
     """A 4-node PLAIN ring whose worms provably wedge in a cycle.
 
     Each node sends a 40-flit worm two hops round the ring with a
     single VC and shallow buffers: every head ends up waiting on the
     channel its neighbour's worm holds, and PLAIN mode has no kill
-    mechanism to break the cycle.
+    mechanism to break the cycle.  ``warmup_messages`` short one-hop
+    messages per node go first and are delivered before the wedge.
     """
     topology = torus(4, 1)
     network = WormholeNetwork(
@@ -37,8 +39,12 @@ def deadlocking_engine(watchdog=300):
         network, protocol=ProtocolConfig(mode=ProtocolMode.PLAIN),
         seed=0, watchdog=watchdog,
     )
+    for seq in range(warmup_messages):
+        for src in range(4):
+            engine.admit(Message(src, (src + 1) % 4, 4, seq=seq))
     for src in range(4):
-        engine.admit(Message(src, (src + 2) % 4, 40, seq=src))
+        engine.admit(Message(src, (src + 2) % 4, 40,
+                             seq=warmup_messages + src))
     return engine
 
 
@@ -90,21 +96,25 @@ class TestDeadlockReport:
         # traceback is already diagnosable.
         assert "wait-for graph" in str(err)
 
-    def test_to_dict_is_json_serialisable(self):
+    def test_report_is_json_serialisable(self):
         report = wedge(deadlocking_engine()).report
-        payload = json.loads(json.dumps(report.to_dict()))
+        payload = json.loads(json.dumps(dataclasses.asdict(report)))
         assert payload["cycle"] == report.cycle
         assert len(payload["wait_for"]) == len(report.wait_for)
 
-    def test_recent_events_come_from_an_attached_ring(self):
-        engine = deadlocking_engine()
-        attach(engine, RingBufferSink(capacity=32))
+    def test_recent_events_come_from_an_attached_sink(self):
+        # No ring buffer: the one ListSink a traced run attaches is
+        # where forensics reads "what happened just before the wedge".
+        engine = deadlocking_engine(warmup_messages=8)
+        sink = ListSink()
+        attach(engine, sink)
         report = wedge(engine).report
-        assert report.recent_events
-        assert all("event" in e and "cycle" in e
-                   for e in report.recent_events)
+        assert len(sink.events) > RECENT_EVENT_LIMIT
+        assert report.recent_events == [
+            event_to_dict(e) for e in sink.events[-RECENT_EVENT_LIMIT:]
+        ]
 
-    def test_no_ring_means_no_recent_events(self):
+    def test_no_sink_means_no_recent_events(self):
         report = wedge(deadlocking_engine()).report
         assert report.recent_events == []
 

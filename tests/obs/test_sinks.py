@@ -1,4 +1,4 @@
-"""Sinks: ring buffer semantics, JSONL round-trips, artifact parsing."""
+"""Sinks: list semantics, JSONL round-trips, artifact parsing."""
 
 import json
 import os
@@ -14,7 +14,6 @@ from repro.obs.events import MessageCreated, Retransmit
 from repro.obs.sinks import (
     JsonlSink,
     ListSink,
-    RingBufferSink,
     filter_events,
     read_jsonl,
 )
@@ -25,35 +24,6 @@ def make_events(n):
         MessageCreated(cycle, uid=cycle, src=0, dst=1, payload_length=4)
         for cycle in range(n)
     ]
-
-
-class TestRingBufferSink:
-    def test_rejects_nonpositive_capacity(self):
-        with pytest.raises(ValueError):
-            RingBufferSink(capacity=0)
-
-    def test_keeps_only_the_newest_events(self):
-        ring = RingBufferSink(capacity=3)
-        events = make_events(5)
-        for event in events:
-            ring.on_event(event)
-        assert ring.events == events[-3:]
-        assert ring.seen == 5
-
-    def test_last_n(self):
-        ring = RingBufferSink(capacity=4)
-        events = make_events(4)
-        for event in events:
-            ring.on_event(event)
-        assert ring.last(2) == events[-2:]
-        assert ring.last(10) == events  # clamped to what is retained
-        assert ring.last(0) == []
-
-    def test_clear(self):
-        ring = RingBufferSink(capacity=4)
-        ring.on_event(make_events(1)[0])
-        ring.clear()
-        assert ring.events == []
 
 
 class TestListSink:
@@ -68,12 +38,12 @@ class TestListSink:
 class TestJsonlSink:
     def test_round_trip(self, tmp_path):
         path = str(tmp_path / "trace.jsonl")
-        with JsonlSink(path) as sink:
-            sink.on_event(MessageCreated(3, uid=9, src=1, dst=2,
-                                         payload_length=8))
-            sink.on_event(Retransmit(10, uid=9, attempt=1, gap=4,
-                                     retransmit_at=14))
-        assert sink.written == 2
+        sink = JsonlSink(path)
+        sink.on_event(MessageCreated(3, uid=9, src=1, dst=2,
+                                     payload_length=8))
+        sink.on_event(Retransmit(10, uid=9, attempt=1, gap=4,
+                                 retransmit_at=14))
+        sink.close()
         parsed = read_jsonl(path)
         assert parsed == [
             {"event": "MessageCreated", "cycle": 3, "uid": 9, "src": 1,
@@ -84,8 +54,7 @@ class TestJsonlSink:
 
     def test_creates_parent_directories(self, tmp_path):
         path = str(tmp_path / "deep" / "nested" / "t.jsonl")
-        with JsonlSink(path):
-            pass
+        JsonlSink(path).close()
         assert read_jsonl(path) == []
 
     def test_close_twice_is_safe(self, tmp_path):
@@ -194,7 +163,7 @@ import repro.obs.sinks as sinks
 sink = sinks.JsonlSink({str(path)!r})
 for cycle in range(5):
     sink.write({{"event": "beat", "cycle": cycle}})
-sink.flush()
+sink._handle.flush()
 # a record the writer never finishes: no newline, no fsync
 sink._handle.write('{{"event": "beat", "cy')
 sink._handle.flush()
@@ -221,9 +190,10 @@ os.kill(os.getpid(), signal.SIGKILL)
 
             real_fsync = sinks_mod.os.fsync
             sinks_mod.os.fsync = lambda fd: synced.append(fd)
-            with JsonlSink(str(tmp_path / "t.jsonl")) as sink:
-                for cycle in range(10):
-                    sink.write({"cycle": cycle})
+            sink = JsonlSink(str(tmp_path / "t.jsonl"))
+            for cycle in range(10):
+                sink.write({"cycle": cycle})
+            sink.close()
         finally:
             sinks_mod.os.fsync = real_fsync
         assert synced == []

@@ -5,7 +5,6 @@ import threading
 import pytest
 
 from repro.campaign.fabric import _worker_env
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import (
     SPAN_STATUSES,
     TRACE_ARM_ENV,
@@ -76,14 +75,13 @@ class TestSpan:
         tracer = Tracer(worker_id="w")
         span = tracer.start_span("lease p1", kind="lease",
                                  point_id="p1")
-        assert span.open and span.status == "open"
-        assert span.duration is None
+        assert span.end_ts is None and span.status == "open"
         done = tracer.end_span(span, "ok", attrs={"batch": 3})
-        assert not done.open and done.status == "ok"
-        assert done.duration >= 0.0
+        assert done.status == "ok"
+        assert done.end_ts >= done.start_ts
         assert done.attrs["batch"] == 3
         # the original frozen record is untouched
-        assert span.open
+        assert span.end_ts is None
 
     def test_dict_round_trip(self):
         tracer = Tracer(worker_id="w")
@@ -91,7 +89,7 @@ class TestSpan:
             tracer.start_span("run", kind="run", point_id="p"), "error",
             attrs={"error": "boom"},
         )
-        assert Span.from_dict(done.to_dict()) == done
+        assert Span(**done.to_dict()) == done
 
     def test_invalid_finish_status_rejected(self):
         tracer = Tracer()
@@ -119,7 +117,6 @@ class TestTracerParenting:
         span = tracer.start_span("session", kind="worker")
         assert span.trace_id == root.trace_id
         assert span.parent_id == root.span_id
-        assert tracer.trace_id() == root.trace_id
 
     def test_explicit_parent_wins_over_stack(self):
         tracer = Tracer()
@@ -133,45 +130,9 @@ class TestTracerParenting:
         span = tracer.start_span("first")
         assert span.parent_id is None
         assert len(span.trace_id) == 32
-        assert tracer.trace_id() == span.trace_id
-
-    def test_context_manager_closes_ok_and_error(self):
-        tracer = Tracer()
-        with tracer.span("fine") as span:
-            pass
-        assert tracer.current() is None
-        with pytest.raises(RuntimeError):
-            with tracer.span("broken"):
-                raise RuntimeError("boom")
-        emitted = []
-        tracer.sinks.append(emitted.append)
-        with pytest.raises(RuntimeError):
-            with tracer.span("broken2"):
-                raise RuntimeError("boom")
-        closed = [s for s in emitted if not s.open]
-        assert closed[-1].status == "error"
-        assert "boom" in closed[-1].attrs["error"]
-        assert span.open  # the as-target is the open record
 
 
 class TestTracerPlumbing:
-    def test_sinks_see_open_and_closed(self):
-        seen = []
-        tracer = Tracer(sinks=[seen.append])
-        span = tracer.start_span("x")
-        tracer.end_span(span, "ok")
-        assert [s.open for s in seen] == [True, False]
-        assert seen[0].span_id == seen[1].span_id
-
-    def test_registry_counts_finished_spans(self):
-        registry = MetricsRegistry(prefix="cr_")
-        tracer = Tracer(registry=registry)
-        tracer.end_span(tracer.start_span("a"))
-        tracer.end_span(tracer.start_span("b"))
-        text = registry.prometheus_text()
-        assert "cr_trace_spans_total 2" in text
-        assert tracer.started == tracer.finished == 2
-
     def test_thread_safety_under_concurrent_spans(self):
         # the fabric's heartbeat thread closes renew spans while the
         # main loop runs points against the same tracer.

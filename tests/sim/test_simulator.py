@@ -54,8 +54,6 @@ class TestRunSimulation:
 
     def test_result_accessors(self):
         result = run_simulation(tiny())
-        assert result["messages_delivered"] == \
-            result.report["messages_delivered"]
         assert result.throughput == result.report["throughput"]
 
 

@@ -46,11 +46,6 @@ class TestSummarize:
         assert summary.count == 0
         assert summary.mean == 0.0
 
-    def test_as_dict(self):
-        d = summarize([1, 2, 3]).as_dict()
-        assert d["count"] == 3
-        assert "p95" in d
-
 
 class TestHistogram:
     def test_binning(self):
