@@ -462,7 +462,6 @@ class Coordinator(CampaignView):
         self,
         spec: CampaignSpec,
         store: CampaignStore,
-        heartbeat_path: Optional[str] = None,
         interval: float = 1.0,
         ttl: float = DEFAULT_TTL,
         verify: bool = False,
@@ -506,8 +505,7 @@ class Coordinator(CampaignView):
         else:
             points = submit_campaign(spec, store, verify=verify)
         super().__init__(spec, points, store, ttl=ttl)
-        self.monitor.path = (heartbeat_path
-                             or status_path(store.path, spec.name))
+        self.monitor.path = status_path(store.path, spec.name)
         self.monitor.server = server
         self._last_reclaims = 0.0
 
@@ -704,11 +702,9 @@ def run_fabric(
     workers: int = 2,
     batch: int = DEFAULT_BATCH,
     ttl: float = DEFAULT_TTL,
-    poll: float = DEFAULT_POLL,
     interval: float = 1.0,
     verify: bool = False,
     serve: Optional[object] = None,
-    heartbeat_path: Optional[str] = None,
     on_poll: Optional[Callable[[Dict[str, Any]], None]] = None,
     trace: bool = False,
 ) -> FabricStats:
@@ -726,10 +722,8 @@ def run_fabric(
     procs: List["subprocess.Popen[bytes]"] = []
     try:
         coordinator = Coordinator(
-            spec, store, heartbeat_path=heartbeat_path,
-            interval=interval, ttl=ttl,
-            verify=verify, server=server, on_poll=on_poll,
-            trace=trace,
+            spec, store, interval=interval, ttl=ttl, verify=verify,
+            server=server, on_poll=on_poll, trace=trace,
         )
         # A campaign the store already holds settled spawns no worker.
         coordinator.read()
@@ -737,7 +731,8 @@ def run_fabric(
             procs = [
                 spawn_worker(
                     spec.name, db_path, worker_id=f"worker-{index + 1}",
-                    batch=batch, ttl=ttl, poll=poll, trace=trace, traceparent=coordinator.traceparent(),
+                    batch=batch, ttl=ttl, trace=trace,
+                    traceparent=coordinator.traceparent(),
                 )
                 for index in range(max(1, int(workers)))
             ]

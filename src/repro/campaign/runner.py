@@ -392,8 +392,8 @@ def run_campaign(
     ``trace=True`` arms distributed tracing: a root span for the run,
     a closed ``run`` + ``journal`` span pair per executed point, all
     journaled into the store's ``spans`` table for ``cr-sim campaign
-    timeline``.  Overhead is budgeted (<3%) and measured by
-    ``benchmarks/bench_trace_overhead.py``.
+    timeline``.  Overhead is budgeted (<3%) and asserted by
+    ``benchmarks/bench_overhead.py``.
 
     To shard a campaign across many worker processes or hosts instead,
     see :func:`repro.campaign.fabric.run_fabric` and

@@ -949,7 +949,8 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         spec = spec.with_base(workload=args.workload)
         _checked(next(spec.points()).config)
     _at_least(0, retries=args.retries, lease_ttl=args.lease_ttl,
-              lease_batch=args.lease_batch)
+              lease_batch=args.lease_batch,
+              workers_fabric=args.workers_fabric)
     if args.retries is not None:
         spec = dataclasses.replace(spec, max_attempts=args.retries + 1)
     workers = _pool_width(args.workers)
@@ -1186,6 +1187,7 @@ def _cmd_campaign_watch(args: argparse.Namespace) -> int:
     )
 
     _at_least(0, above=True, interval=args.interval)
+    _at_least(0, stale_after=args.stale_after)
     if args.status_file is None and args.db == ":memory:":
         raise UsageError(
             "an in-memory store cannot be watched from another process; "

@@ -13,7 +13,7 @@ payload delivered under FCR.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import TYPE_CHECKING, Dict, List, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..network.message import Message
@@ -92,31 +92,36 @@ class DeliveryLedger:
                     f"corrupt payload delivered: message {message.uid}"
                 )
 
+    def _fifo_walk(self) -> Iterator[Tuple["Message", Optional[int]]]:
+        """Walk each ``(src, dst)`` pair's deliveries in source-sequence
+        order, yielding ``(message, previous)``: ``previous`` is the
+        header time of the pair's latest earlier message that has one
+        (None before the first)."""
+        pairs: Dict[Tuple[int, int], List["Message"]] = defaultdict(list)
+        for msg in self.deliveries:
+            pairs[(msg.src, msg.dst)].append(msg)
+        for msgs in pairs.values():
+            msgs.sort(key=lambda m: m.seq)
+            previous = None
+            for msg in msgs:
+                yield msg, previous
+                if msg.header_consumed_at is not None:
+                    previous = msg.header_consumed_at
+
     def count_fifo_violations(self) -> int:
         """Count per-pair order inversions without raising.
 
         Used to *measure* ordering for schemes that do not promise it
         (plain adaptive routing, drop-at-block); CR tests use
-        :meth:`validate_fifo`, which raises.
+        :meth:`validate_fifo`, which raises.  A message with no header
+        time is skipped.
         """
-        pairs: Dict[Tuple[int, int], List["Message"]] = defaultdict(list)
-        for msg in self.deliveries:
-            pairs[(msg.src, msg.dst)].append(msg)
-        violations = 0
-        for msgs in pairs.values():
-            msgs.sort(key=lambda m: m.seq)
-            previous = None
-            for msg in msgs:
-                arrived = msg.header_consumed_at
-                if (
-                    previous is not None
-                    and arrived is not None
-                    and arrived <= previous
-                ):
-                    violations += 1
-                if arrived is not None:
-                    previous = arrived
-        return violations
+        return sum(
+            1 for msg, previous in self._fifo_walk()
+            if previous is not None
+            and msg.header_consumed_at is not None
+            and msg.header_consumed_at <= previous
+        )
 
     def validate_fifo(self) -> int:
         """Check per-(src, dst) FIFO order of delivered messages.
@@ -126,22 +131,16 @@ class DeliveryLedger:
         attempt's).  Raises on the first violation; returns the number of
         pairs checked.
         """
-        pairs: Dict[Tuple[int, int], List["Message"]] = defaultdict(list)
-        for msg in self.deliveries:
-            pairs[(msg.src, msg.dst)].append(msg)
-        for pair, msgs in pairs.items():
-            msgs.sort(key=lambda m: m.seq)
-            previous = None
-            for msg in msgs:
-                arrived = msg.header_consumed_at
-                if arrived is None:
-                    raise GuaranteeViolation(
-                        f"delivered message {msg.uid} has no header time"
-                    )
-                if previous is not None and arrived <= previous:
-                    raise GuaranteeViolation(
-                        f"out-of-order delivery on {pair}: seq {msg.seq} "
-                        f"header at {arrived} <= predecessor {previous}"
-                    )
-                previous = arrived
-        return len(pairs)
+        for msg, previous in self._fifo_walk():
+            arrived = msg.header_consumed_at
+            if arrived is None:
+                raise GuaranteeViolation(
+                    f"delivered message {msg.uid} has no header time"
+                )
+            if previous is not None and arrived <= previous:
+                raise GuaranteeViolation(
+                    f"out-of-order delivery on {(msg.src, msg.dst)}: "
+                    f"seq {msg.seq} header at {arrived} <= predecessor "
+                    f"{previous}"
+                )
+        return len({(msg.src, msg.dst) for msg in self.deliveries})

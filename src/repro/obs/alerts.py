@@ -10,7 +10,7 @@ predicate stops holding.  Evaluation happens only inside
 ``IntervalSampler._close`` — the per-cycle hot path never sees the
 alert engine, so an untraced run pays nothing and an armed run pays a
 few dict lookups per sampling boundary
-(:mod:`benchmarks.bench_alerts_overhead` bounds this under 3%).
+(:mod:`benchmarks.bench_overhead` bounds this under 3%).
 
 Predicate kinds:
 

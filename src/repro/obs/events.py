@@ -6,7 +6,7 @@ fault activations, and deliveries.  Producers (engine, injector, kill
 manager, receiver, fault models) construct an event only after checking
 that a bus is attached, so an untraced run never pays more than one
 attribute load and an ``is None`` test per potential emission site.
-The 3% bound :mod:`benchmarks.bench_obs_overhead` asserts is the
+The 3% bound :mod:`benchmarks.bench_overhead` asserts is the
 *no-sink* cost -- constructing every event and emitting it into a bus
 nobody listens to, against a reference-engine run.  It is not what a
 traced run pays: the benchmark's ``obs.events_overhead`` attaches a

@@ -10,7 +10,7 @@ delivery.  :class:`InvariantChecker` makes those laws executable.
 The layer is opt-in and threaded through the engine exactly like
 ``repro.obs``: ``engine.checker`` stays ``None`` unless
 ``SimConfig(verify=...)`` arms it, so unverified runs pay one
-``is None`` test per hook site (see ``benchmarks/bench_verify_overhead``
+``is None`` test per hook site (see ``benchmarks/bench_overhead.py``
 for the asserted budget).  The hook sites are:
 
 * ``Engine.step``            -- interval checks (conservation, credits,
@@ -205,7 +205,7 @@ class InvariantChecker:
         the worm's own segments and their routers: flits only ever flow
         into buffers the head acquired, so that is the whole reachable
         set -- and it keeps the postcondition O(path), not O(network),
-        per kill (see ``benchmarks/bench_verify_overhead``).
+        per kill (see ``benchmarks/bench_overhead.py``).
         """
         if not self.config.kill_protocol:
             return

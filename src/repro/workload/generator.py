@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING, Iterable, List, Optional, Sequence, Set, Tuple,
 )

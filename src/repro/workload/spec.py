@@ -58,7 +58,7 @@ from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Tuple
 
 from ..traffic.lengths import LengthDistribution
 from ..traffic.loads import injection_rate
-from ..traffic.patterns import Incast, TrafficPattern, make_pattern
+from ..traffic.patterns import Incast, make_pattern
 from .arrivals import ARRIVAL_KINDS, MMPPArrivals, make_arrivals
 from .generator import (
     OpenLoopSource,

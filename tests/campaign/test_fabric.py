@@ -169,11 +169,9 @@ class TestWorker:
 
 
 class TestCoordinator:
-    def test_aggregates_to_completion(self, spec, db, tmp_path):
-        heartbeat = str(tmp_path / "fab.status.json")
+    def test_aggregates_to_completion(self, spec, db):
         store = CampaignStore(db)
-        coordinator = Coordinator(spec, store, heartbeat_path=heartbeat,
-                                  interval=0.05)
+        coordinator = Coordinator(spec, store, interval=0.05)
         worker = Worker(spec.name, db, worker_id="w1", batch=2, poll=0.05)
         thread = threading.Thread(target=worker.run)
         thread.start()
@@ -183,7 +181,7 @@ class TestCoordinator:
         assert stats.complete
         assert (stats.ok, stats.failed, stats.total) == (4, 0, 4)
         assert stats.workers_seen == 1
-        with open(heartbeat) as handle:
+        with open(status_path(db, spec.name)) as handle:
             status = json.load(handle)
         assert status["state"] == "finished"
         assert status["done"] == status["total"] == 4
@@ -194,7 +192,7 @@ class TestCoordinator:
 
     def test_publishes_fabric_gauges(self, spec, db):
         store = CampaignStore(db)
-        coordinator = Coordinator(spec, store, heartbeat_path=None)
+        coordinator = Coordinator(spec, store)
         run_worker(spec, db, worker_id="w1", batch=4)
         coordinator.poll()
         families = parse_prometheus_text(
@@ -211,7 +209,7 @@ class TestCoordinator:
         (info,) = [k for k in families["cr_fabric_build_info"]["samples"]]
         assert 'schema="5"' in info
 
-    def test_a_settled_campaign_spawns_no_worker(self, spec, db, tmp_path,
+    def test_a_settled_campaign_spawns_no_worker(self, spec, db,
                                                  monkeypatch):
         """``run_fabric`` over a store that already holds every point
         settled starts no process, so nothing races to write to it."""
@@ -227,8 +225,7 @@ class TestCoordinator:
         probe = sqlite3.connect(db)
         try:
             version = probe.execute("PRAGMA data_version").fetchone()
-            stats = run_fabric(spec, db, workers=2, interval=0.05,
-                               heartbeat_path=str(tmp_path / "f.json"))
+            stats = run_fabric(spec, db, workers=2, interval=0.05)
             assert probe.execute("PRAGMA data_version").fetchone() == \
                 version
         finally:
@@ -241,11 +238,11 @@ class TestCoordinator:
         """Coordinator loss never stalls the fabric: a fresh coordinator
         resumes aggregating the same store."""
         store = CampaignStore(db)
-        first = Coordinator(spec, store, heartbeat_path=None)
+        first = Coordinator(spec, store)
         first.poll()
         del first  # coordinator "crash"
         run_worker(spec, db, worker_id="w1", batch=4)
-        second = Coordinator(spec, store, heartbeat_path=None)
+        second = Coordinator(spec, store)
         status = second.poll()
         store.close()
         assert status["done"] == status["total"] == 4
@@ -271,14 +268,13 @@ class TestOneHeartbeat:
         from repro.obs.server import TelemetryServer
 
         spec = CampaignSpec.from_dict(ALERTING_DICT)
-        heartbeat = str(tmp_path / "fabric.status.json")
         polled = []
         server = TelemetryServer()
         store = CampaignStore(db)
         try:
             coordinator = Coordinator(
-                spec, store, heartbeat_path=heartbeat, interval=0.05,
-                server=server, on_poll=polled.append)
+                spec, store, interval=0.05, server=server,
+                on_poll=polled.append)
             run_worker(spec, db, worker_id="w1")
             stats = coordinator.run(timeout=60)
             served = server.status()
@@ -288,7 +284,7 @@ class TestOneHeartbeat:
             server.stop()
             store.close()
         assert stats.complete
-        status = read_status(heartbeat)
+        status = read_status(status_path(db, spec.name))
         text = render_status(status)
         assert "alerts: 2 episode(s)  heartbeatx2" in text
         assert "last point: " in text
@@ -306,7 +302,9 @@ class TestOneHeartbeat:
         assert scrape["cr_fabric_points_done"]["samples"][
             "cr_fabric_points_done"] == 2
 
-        local_db = str(tmp_path / "local.sqlite")
+        # a directory of its own: the export sits next to the store
+        (tmp_path / "local").mkdir()
+        local_db = str(tmp_path / "local" / "c.sqlite")
         with CampaignStore(local_db) as local_store:
             run_campaign(spec, local_store, heartbeat=0.0)
         local = read_status(status_path(local_db, spec.name))
@@ -324,8 +322,7 @@ class TestOneHeartbeat:
         connection into the heartbeat the coordinator publishes."""
         spec = CampaignSpec.from_dict(ALERTING_DICT)
         with CampaignStore(db) as store:
-            coordinator = Coordinator(spec, store, heartbeat_path=None,
-                                      interval=0.05)
+            coordinator = Coordinator(spec, store, interval=0.05)
             run_worker(spec, db, worker_id="w1")
             assert coordinator.run(timeout=60).complete
             published = coordinator.poll()
@@ -368,11 +365,11 @@ class TestOneHeartbeat:
     def test_resumed_coordinator_folds_what_already_settled(self, db):
         spec = CampaignSpec.from_dict(ALERTING_DICT)
         store = CampaignStore(db)
-        first = Coordinator(spec, store, heartbeat_path=None)
+        first = Coordinator(spec, store)
         assert first.poll()["done"] == 0
         del first  # coordinator "crash"
         run_worker(spec, db, worker_id="w1")
-        second = Coordinator(spec, store, heartbeat_path=None)
+        second = Coordinator(spec, store)
         status = second.poll()
         again = second.poll()  # nothing is folded twice
         store.close()
@@ -393,8 +390,7 @@ class TestOneHeartbeat:
         spec = CampaignSpec.from_dict(dict(
             SPEC_DICT, axes={"routing": ["cr"], "load": [0.1, 0.15]}))
         store = CampaignStore(db)
-        coordinator = Coordinator(spec, store, heartbeat_path=None,
-                                  interval=0.05, verify=True)
+        coordinator = Coordinator(spec, store, interval=0.05, verify=True)
         assert all(grid.base["verify"] is True
                    for grid in store.spec(spec.name).grids)
         worker = run_worker(spec, db, worker_id="w1")

@@ -18,7 +18,7 @@ import pytest
 
 from repro.campaign import CampaignSpec, CampaignStore, Coordinator
 from repro.campaign.fabric import spawn_worker
-from repro.campaign.monitor import read_status, render_status
+from repro.campaign.monitor import read_status, render_status, status_path
 from repro.obs.metrics import parse_prometheus_text
 from repro.obs.server import TelemetryServer
 
@@ -113,7 +113,7 @@ def test_sigkilled_worker_points_are_reclaimed_and_completed(
     # Kill once the victim has journaled this many points (and still
     # holds live leases) — a seeded-random moment mid-campaign.
     stats, orphaned = kill_victim_then_heal(
-        spec, db, kill_after=rng.randrange(0, 3), heartbeat_path=None,
+        spec, db, kill_after=rng.randrange(0, 3),
     )
     assert stats.complete, (
         f"campaign did not heal after SIGKILL: {stats}"
@@ -159,11 +159,10 @@ def test_the_healing_shows_on_a_live_scrape_and_the_watch_pane(
         ) as response:
             scrapes.append(response.read().decode("utf-8"))
 
-    heartbeat = str(tmp_path / "chaos.status.json")
+    db = str(tmp_path / "chaos.sqlite")
     try:
         stats, _ = kill_victim_then_heal(
-            spec, str(tmp_path / "chaos.sqlite"), server=server,
-            on_poll=scrape, heartbeat_path=heartbeat,
+            spec, db, server=server, on_poll=scrape,
         )
     finally:
         server.stop()
@@ -177,7 +176,7 @@ def test_the_healing_shows_on_a_live_scrape_and_the_watch_pane(
     ):
         assert parsed[name]["samples"][name] == expected, name
     assert stats.reclaims >= 1
-    rendered = render_status(read_status(heartbeat))
+    rendered = render_status(read_status(status_path(db, spec.name)))
     assert "workers: 3" in rendered, rendered
     assert f"lease reclaims: {stats.reclaims}" in rendered, rendered
 
@@ -192,7 +191,7 @@ def test_sigkilled_workers_orphan_spans_are_closed_aborted(
     db = str(tmp_path / "chaos.sqlite")
     watcher = CampaignStore(db)
     coordinator = Coordinator(
-        spec, watcher, heartbeat_path=None, interval=0.1, ttl=TTL,
+        spec, watcher, interval=0.1, ttl=TTL,
         trace=True,
     )
     traceparent = coordinator.traceparent()

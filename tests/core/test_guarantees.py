@@ -95,3 +95,11 @@ class TestDeliveryLedger:
         ledger.on_delivery(msg, corrupt=False)
         with pytest.raises(GuaranteeViolation, match="header"):
             ledger.validate_fifo()
+
+    def test_fifo_violations_counted_not_raised(self):
+        ledger = DeliveryLedger()
+        for seq, t in ((0, 30), (1, None), (2, 20), (3, 40)):
+            ledger.on_delivery(delivered(0, 1, seq, t), corrupt=False)
+        ledger.on_delivery(delivered(2, 3, 0, 10), corrupt=False)
+        # seq 2 arrives before seq 0; seq 1 has no header time: skipped
+        assert ledger.count_fifo_violations() == 1

@@ -525,6 +525,10 @@ class TestFlagBounds:
         ("verify", "--progress-limit", "-1"),
         ("trace", "--profile", "0"),
         ("trace", "--profile", "-3"),
+        # a plain local campaign used to run and exit 0
+        ("campaign run", "--workers-fabric", "-1"),
+        # every running heartbeat used to render STALE
+        ("campaign watch", "--stale-after", "-5"),
     ])
     def test_refused_by_name(self, command, flag, value, tmp_path,
                              usage_error):
@@ -533,10 +537,15 @@ class TestFlagBounds:
             # --hotspot with --profile 0 used to exit 0 writing nothing
             "trace": ["trace", "--radix", "4", "--cycles", "50",
                       "--hotspot", str(tmp_path / "h.md")],
+            "campaign run": ["campaign", "run", "fault-matrix", "--quick",
+                             "--db", str(tmp_path / "c.sqlite")],
+            "campaign watch": ["campaign", "watch", "fault-matrix",
+                               "--status-file", str(tmp_path / "s.json"),
+                               "--once"],
         }[command]
         assert cli_main([*argv, flag, value]) == 2
         usage_error(command, flag)
-        assert not (tmp_path / "h.md").exists()
+        assert not any(tmp_path.iterdir())  # no report, store or file
 
     @pytest.mark.parametrize("loads, named", [
         ("0.1,-5", "load"),

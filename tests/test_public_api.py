@@ -89,6 +89,42 @@ class TestBenchmarkImports:
         assert not missing, missing
 
 
+def test_no_module_imports_a_name_it_never_uses():
+    """Every name a ``src/`` module imports is read in that module (no
+    linter runs here).  A quoted annotation counts as a read; the
+    packages' ``__init__.py`` export tables are the exception, since
+    importing a name for callers is what they are for."""
+    root = pathlib.Path(__file__).parent.parent / "src" / "repro"
+    unused = []
+    for path in sorted(root.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {}
+        used = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if getattr(node, "module", None) == "__future__":
+                    continue
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    imported[name] = node.lineno
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif (isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)):
+                try:
+                    quoted = ast.parse(node.value, mode="eval")
+                except SyntaxError:
+                    continue
+                used.update(sub.id for sub in ast.walk(quoted)
+                            if isinstance(sub, ast.Name))
+        relative = path.relative_to(root)
+        unused += [f"{relative}:{line} {name}"
+                   for name, line in imported.items() if name not in used]
+    assert not unused, unused
+
+
 class TestAllList:
     def test_every_name_in_all_exists(self):
         for name in repro.__all__:
