@@ -18,11 +18,11 @@ The layer between one-off sweeps and paper-scale evaluation:
 * :mod:`~repro.campaign.report` — cross-campaign regression reports
   (markdown/CSV) using the replication significance machinery.
 * :mod:`~repro.campaign.monitor` — the heartbeat, read from the
-  store: ``CampaignView`` folds what the journal holds for each
-  settled point through :class:`CampaignMonitor` (the ETA is
-  remaining points ÷ the settle rate); every executor publishes it
-  (an atomic ``status.json``, ``/status``) and ``cr-sim campaign
-  watch`` renders it.
+  store, the campaign's only record: ``CampaignView`` folds what the
+  journal holds for each settled point through
+  :class:`CampaignMonitor` (the ETA is remaining points ÷ the settle
+  rate); ``cr-sim campaign watch`` renders it and an executor given a
+  telemetry server publishes it on ``/status``.
 * :mod:`~repro.campaign.library` — built-in campaigns
   (``fault-matrix``, ``paper-core``).
 * :mod:`~repro.campaign.timeline` — the merged campaign timeline:
@@ -54,8 +54,7 @@ _EXPORTS = {
     "report": ("compare_campaigns", "render_markdown", "comparison_to_csv",
                "campaign_markdown"),
     "library": ("BUILTIN_CAMPAIGNS", "campaign_names", "get_campaign"),
-    "monitor": ("CampaignMonitor", "read_status", "render_status",
-                "status_path", "write_status"),
+    "monitor": ("CampaignMonitor", "render_status", "write_status"),
 }
 
 __all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -67,7 +67,7 @@ from ..obs.trace import (
     tracing_armed,
 )
 from ..sim.parallel import PointFailure, run_reports
-from .monitor import DEFAULT_TTL, CampaignView, build_info_gauge, status_path
+from .monitor import DEFAULT_TTL, CampaignView, build_info_gauge
 from .runner import (
     CampaignProgress,
     CampaignRunStats,
@@ -448,12 +448,13 @@ class Coordinator(CampaignView):
 
     Owns no scheduling — workers lease autonomously — so a coordinator
     crash never stalls the campaign; restart it and aggregation
-    resumes.  Each :meth:`poll` publishes the view's
+    resumes.  Each :meth:`poll` reads the view's
     :meth:`~CampaignView.heartbeat` (a fresh coordinator folds
-    everything already settled) — the ``status.json`` export and, with a
-    :class:`~repro.obs.server.TelemetryServer` attached, ``/status``
-    plus the ``cr_campaign_*`` and ``cr_fabric_*`` metrics.  The
-    attempt budget is the spec's ``max_attempts``.
+    everything already settled) to know when the campaign has settled
+    and, with a :class:`~repro.obs.server.TelemetryServer` attached,
+    publishes it on ``/status`` with the ``cr_campaign_*`` and
+    ``cr_fabric_*`` metrics on ``/metrics``.  The attempt budget is
+    the spec's ``max_attempts``.
     """
 
     fabric = True
@@ -505,7 +506,6 @@ class Coordinator(CampaignView):
         else:
             points = submit_campaign(spec, store, verify=verify)
         super().__init__(spec, points, store, ttl=ttl)
-        self.monitor.path = status_path(store.path, spec.name)
         self.monitor.server = server
         self._last_reclaims = 0.0
 
@@ -588,8 +588,8 @@ class Coordinator(CampaignView):
 
         ``stop`` is an optional predicate polled each interval (e.g.
         "all my local worker processes exited"); ``timeout`` bounds the
-        wall clock.  Either way the final heartbeat is written before
-        returning, so ``campaign watch`` never sees a vanishing run.
+        wall clock.  Either way the final heartbeat is published before
+        returning, so a ``/status`` scrape never sees a vanishing run.
         """
         deadline = (time.monotonic() + timeout
                     if timeout is not None else None)

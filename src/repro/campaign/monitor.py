@@ -8,14 +8,14 @@ and folds the rows settled since its last read through a
 and ``cr-sim campaign watch`` each hold a view, so one store gives one
 heartbeat whoever reads it.  It holds points done/total, an ETA
 (remaining ÷ the settle rate), the last point, sparklines of wall time
-and stored ``kill_rate``, the alert episodes and a ``cr_campaign_``
-metrics registry.
+and stored ``kill_rate``, the alert episodes, and feeds a
+``cr_campaign_`` metrics registry.
 
-The executors export it as ``<spec-name>.status.json`` beside
-``results/campaigns.sqlite``.  Writes are atomic (write temp +
-``os.replace``), so a reader never sees a torn file and a killed
-campaign leaves the last consistent export behind.  The render
-functions at the bottom are pure over a heartbeat dict.
+The store is the campaign's only record: the heartbeat is shown by
+``watch`` and, with a telemetry server attached, on ``/status``; the
+registries are shown on ``/metrics``.  Nothing is written beside the
+store.  The render functions at the bottom are pure over a heartbeat
+dict.
 """
 
 from __future__ import annotations
@@ -47,21 +47,12 @@ STALE_AFTER = 15.0
 DEFAULT_TTL = 15.0
 
 
-def status_path(store_path: str, name: str) -> Optional[str]:
-    """Where the heartbeat for campaign ``name`` lives, given the DB path.
-
-    Returns None for in-memory stores (``:memory:``): there is no
-    directory to anchor the heartbeat to, so monitoring is off unless
-    an explicit path is supplied.
-    """
-    if store_path == ":memory:":
-        return None
-    parent = os.path.dirname(str(store_path)) or "."
-    return os.path.join(parent, f"{name}.status.json")
-
-
 def write_status(path: str, status: Dict[str, Any]) -> None:
-    """Atomically write ``status`` as JSON to ``path`` (temp + rename)."""
+    """Atomically write ``status`` as JSON to ``path`` (temp + rename).
+
+    No executor calls this: the store is the campaign's only record.
+    It is kept for the benchmark harness, which times it
+    (``monitor.write_status_us``)."""
     parent = os.path.dirname(str(path))
     if parent:
         os.makedirs(parent, exist_ok=True)
@@ -69,16 +60,6 @@ def write_status(path: str, status: Dict[str, Any]) -> None:
     with open(tmp, "w", encoding="utf-8") as handle:
         json.dump(status, handle, indent=2, sort_keys=True)
     os.replace(tmp, path)
-
-
-def read_status(path: str) -> Dict[str, Any]:
-    """Read a heartbeat; raises FileNotFoundError if none exists yet
-    and ValueError for a file that holds no JSON object."""
-    with open(path, "r", encoding="utf-8") as handle:
-        status = json.load(handle)
-    if not isinstance(status, dict):
-        raise ValueError(f"not a heartbeat: a JSON {type(status).__name__}")
-    return status
 
 
 def build_info_gauge(registry: MetricsRegistry) -> None:
@@ -100,25 +81,22 @@ class CampaignMonitor:
 
     Fed by a :class:`CampaignView`, which folds each point once, when
     the store first holds it settled.  The monitor publishes its
-    counters into a :class:`MetricsRegistry` whose JSON snapshot is
-    embedded in the heartbeat under ``"metrics"``.
+    counters into a :class:`MetricsRegistry`, which ``/metrics``
+    shows.
     """
 
     def __init__(
         self,
         name: str,
         total: int,
-        path: Optional[str],
+        server: Optional[Any],
         clock=time.monotonic,
     ) -> None:
         self.name = name
         self.total = total
-        #: where :meth:`publish` exports the heartbeat (None: no file)
-        self.path = path
         #: a repro.obs.server.TelemetryServer to republish every
-        #: heartbeat to (the executor attaches it); with a server,
-        #: ``path=None`` is allowed -- heartbeats then go over HTTP only.
-        self.server: Optional[Any] = None
+        #: heartbeat to (the executor attaches it); None: nowhere.
+        self.server = server
         self._clock = clock
         self._started = clock()
         self.registry = MetricsRegistry(prefix="cr_campaign_")
@@ -242,7 +220,6 @@ class CampaignMonitor:
                 "by_rule": dict(self._alert_rule_counts),
                 "recent": list(self._recent_alerts),
             },
-            "metrics": self.registry.snapshot(),
         }
 
     def publish(
@@ -250,37 +227,34 @@ class CampaignMonitor:
         status: Dict[str, Any],
         registries: Sequence[MetricsRegistry] = (),
     ) -> Dict[str, Any]:
-        """A heartbeat built on :meth:`snapshot` (a fabric run's adds
-        its ``workers`` and ``fabric`` blocks), plus the ``registries``'
-        metrics, everywhere it is read: the status file and, with a
-        server attached, ``/status``, ``/metrics`` (the registries'
-        Prometheus text, concatenated) and ``/health`` (progress, alert
-        counts, live workers).  Returns the heartbeat."""
+        """Push a heartbeat built on :meth:`snapshot` (a fabric run's
+        adds its ``workers`` and ``fabric`` blocks) to the attached
+        server, if any: ``/status``, ``/metrics`` (this monitor's and
+        the ``registries``' Prometheus text, concatenated) and
+        ``/health`` (progress, alert counts, live workers).  Returns
+        the heartbeat."""
+        if self.server is None:
+            return status
+        from .. import __version__
+
         state = status["state"]
         fabric = status.get("fabric")
-        for registry in registries:
-            status["metrics"].update(registry.snapshot())
-        if self.path is not None:
-            write_status(self.path, status)
-        if self.server is not None:
-            from .. import __version__
-
-            self.server.publish(
-                metrics_text="".join(
-                    registry.prometheus_text()
-                    for registry in (self.registry, *registries)),
-                health={
-                    "status": "ok" if state == "running" else state,
-                    "campaign": self.name,
-                    "done": self.done,
-                    "total": self.total,
-                    "alerts": status["alerts"]["by_rule"],
-                    **({} if fabric is None else
-                       {"workers_live": fabric["live_workers"]}),
-                    "version": __version__,
-                },
-                status=status,
-            )
+        self.server.publish(
+            metrics_text="".join(
+                registry.prometheus_text()
+                for registry in (self.registry, *registries)),
+            health={
+                "status": "ok" if state == "running" else state,
+                "campaign": self.name,
+                "done": self.done,
+                "total": self.total,
+                "alerts": status["alerts"]["by_rule"],
+                **({} if fabric is None else
+                   {"workers_live": fabric["live_workers"]}),
+                "version": __version__,
+            },
+            status=status,
+        )
         return status
 
 
@@ -484,7 +458,8 @@ def render_alerts(status: Dict[str, Any]) -> List[str]:
 
 def heartbeat_age(status: Dict[str, Any],
                   now: Optional[float] = None) -> Optional[float]:
-    """Seconds since the heartbeat was written, or None if unstamped."""
+    """Seconds since the store last showed activity (the heartbeat's
+    ``updated_at``), or None if unstamped."""
     written = status.get("updated_at")
     if written is None:
         return None
@@ -619,9 +594,9 @@ def status_svg(status: Dict[str, Any]) -> str:
     """The heartbeat's rolling series as SVG sparklines."""
     from ..stats.svg import render_sparkline_rows
 
-    # Heartbeat files written mid-campaign may hold null samples (a
-    # point that produced no measurable rate yet); plot them as 0.0
-    # rather than crashing the monitor on float(None).
+    # A heartbeat may hold null samples (a point that produced no
+    # measurable rate); plot them as 0.0 rather than crashing the
+    # monitor on float(None).
     rows = [
         ("point wall s",
          [0.0 if v is None else float(v)

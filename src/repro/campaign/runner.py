@@ -17,12 +17,13 @@ fabric (:mod:`repro.campaign.fabric`) reuses verbatim:
   :func:`~repro.campaign.store.settled`; fabric workers lease bounded
   batches through the store's atomic lease table instead.
 * **Report** — :class:`PointReporter` journals every outcome through
-  the store (``record_success``/``record_failure`` plus the
-  timeseries/alerts side tables), feeds the caller's progress
-  callback, and settles terminal failures so progress always reaches
-  ``total``.
+  the store (``record_success``/``record_failure``; a success's
+  timeseries and alert episodes ride the same transaction), feeds the
+  caller's progress callback, and settles terminal failures so
+  progress always reaches ``total``.
 
-The heartbeat is read back from the store, never fed: the local runner
+The store is the campaign's only record.  The heartbeat is read back
+from it, never fed: given a telemetry server, the local runner
 publishes a :class:`~repro.campaign.monitor.CampaignView` over its own
 store exactly as the fabric coordinator does, so a local run, a fabric
 run and ``cr-sim campaign watch`` show the same heartbeat for the same
@@ -55,7 +56,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..obs import open_telemetry
 from ..obs.trace import Tracer
 from ..sim.parallel import PointFailure, run_reports, unstable_fields
-from .monitor import CampaignView, status_path
+from .monitor import CampaignView
 from .spec import CampaignPoint, CampaignSpec
 from .store import CampaignStore, attempts_used, settled
 
@@ -306,29 +307,23 @@ class PointReporter:
             self._progress(point, "failed", elapsed, attempt)
             return "failed"
 
-        report = result if isinstance(result, dict) else None
         projected = _project(result, self.spec.metrics)
         spans, journal = self._trace_payload(
             point, elapsed, attempt, "ok", None, parent, extra_spans,
         )
+        # Interval samples (configs with sample_interval set) and alert
+        # episodes land in their own tables; _project keeps them out of
+        # the flat metrics row.  They ride the result's fenced
+        # transaction, so a point is never settled without them and a
+        # stale worker never rewrites the current owner's side tables.
         wrote = self.store.record_success(
             self.spec.name, point, projected, elapsed,
             attempts=attempt, fence=fence, spans=spans,
+            series=result.get("timeseries"), alerts=result.get("alerts"),
         )
         self._close_journal(journal, wrote)
         if not wrote:
             return "fenced"
-        # Interval samples (configs with sample_interval set) land in
-        # their own table; _project keeps them out of the flat metrics
-        # row.  Alert episodes journal the same way (schema-v3 table).
-        # Both only after the fenced write landed, so a stale worker
-        # never rewrites the current owner's side tables either.
-        series = report.get("timeseries") if report else None
-        if series:
-            self.store.record_timeseries(self.spec.name, point, series)
-        episodes = report.get("alerts") if report else None
-        if episodes:
-            self.store.record_alerts(self.spec.name, point, episodes)
         self.stats.ran += 1
         self.stats.wall_time += elapsed
         self._progress(point, "ok", elapsed, attempt)
@@ -374,12 +369,11 @@ def run_campaign(
     points under checking.
 
     ``heartbeat`` (seconds; None disables) publishes the campaign's
-    :class:`~repro.campaign.monitor.CampaignView` of ``store`` once
-    after the resume pass, then at most once every ``heartbeat``
-    seconds as points are journaled, and once at the end: an atomic
-    ``<name>.status.json`` export next to the store (``cr-sim campaign
-    watch`` reads the store itself and needs none; an in-memory store
-    has no file, and publishes only to ``serve``).
+    :class:`~repro.campaign.monitor.CampaignView` of ``store`` to the
+    ``serve`` server once after the resume pass, then at most once
+    every ``heartbeat`` seconds as points are journaled, and once at
+    the end.  Without a server nothing is published (``cr-sim campaign
+    watch`` reads the store itself).
 
     ``serve`` starts a live telemetry HTTP server for the duration of
     the campaign: a ``[HOST:]PORT`` spec / port / ``True`` (loopback,
@@ -419,13 +413,10 @@ def run_campaign(
             store.record_spans(spec.name, [root.to_dict()])
 
         view: Optional[CampaignView] = None
-        if heartbeat is not None:
-            target = status_path(store.path, spec.name)
-            if target is not None or server is not None:
-                view = CampaignView(spec, points, store,
-                                    started=store.updated_at(spec.name))
-                view.monitor.path = target
-                view.monitor.server = server
+        if heartbeat is not None and server is not None:
+            view = CampaignView(spec, points, store,
+                                started=store.updated_at(spec.name))
+            view.monitor.server = server
 
         reporter = PointReporter(spec, store, stats, progress=progress,
                                  tracer=tracer)

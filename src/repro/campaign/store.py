@@ -429,7 +429,9 @@ class CampaignStore:
                report: Optional[Dict[str, object]], error: Optional[str],
                wall_time: float, attempts: int,
                fence: Optional[Tuple[str, int]] = None,
-               spans: Optional[List[Dict[str, Any]]] = None) -> bool:
+               spans: Optional[List[Dict[str, Any]]] = None,
+               series: Optional[List[Dict[str, Any]]] = None,
+               alerts: Optional[List[Dict[str, Any]]] = None) -> bool:
         with self._txn():
             if fence is not None:
                 worker_id, attempt = fence
@@ -470,30 +472,41 @@ class CampaignStore:
                     error, attempts, wall_time, time.time(),
                 ),
             )
-            # Trace spans ride in the same transaction as the result
-            # row: a fenced-out write above discards them with it, so
-            # a zombie worker's run span can never land while its
-            # result is rejected (or vice versa).
+            # Trace spans, interval samples and alert episodes ride in
+            # the same transaction as the result row: a fenced-out write
+            # above discards them with it, so a zombie worker's run span
+            # can never land while its result is rejected (or vice
+            # versa), and a settled row never lacks its side tables.
             if spans:
                 self._upsert_spans(campaign, spans)
+            if series:
+                self._replace_timeseries(campaign, point, series)
+            if alerts:
+                self._replace_alerts(campaign, point, alerts)
         return True
 
     def record_success(self, campaign: str, point: CampaignPoint,
                        report: Dict[str, object], wall_time: float,
                        attempts: int = 1,
                        fence: Optional[Tuple[str, int]] = None,
-                       spans: Optional[List[Dict[str, Any]]] = None
+                       spans: Optional[List[Dict[str, Any]]] = None,
+                       series: Optional[List[Dict[str, Any]]] = None,
+                       alerts: Optional[List[Dict[str, Any]]] = None
                        ) -> bool:
         """Journal one completed point (durable before the call returns).
 
         ``fence=(worker_id, attempt)`` makes the write conditional on
         that lease still being current (the fabric workers' path): a
         fenced-out write is discarded and the method returns False.
-        ``spans`` (span dicts, see :meth:`record_spans`) land in the
-        same transaction, so they share the fence's fate.
+        ``spans`` (span dicts, see :meth:`record_spans`), ``series``
+        (interval samples, see :meth:`record_timeseries`) and
+        ``alerts`` (alert episodes, replacing the point's earlier ones)
+        land in the same transaction, so they share the fence's fate
+        and the row is never settled without them.
         """
         return self._write(campaign, point, "ok", report, None,
-                           wall_time, attempts, fence=fence, spans=spans)
+                           wall_time, attempts, fence=fence, spans=spans,
+                           series=series, alerts=alerts)
 
     def record_failure(self, campaign: str, point: CampaignPoint,
                        error: str, wall_time: float,
@@ -517,62 +530,60 @@ class CampaignStore:
         never mixes old and new series; returns the rows written.
         """
         with self._txn():
-            self._conn.execute(
-                "DELETE FROM timeseries WHERE campaign = ? "
-                "AND point_id = ?",
-                (campaign, point.point_id),
-            )
-            self._conn.executemany(
-                """
-                INSERT INTO timeseries
-                    (campaign, point_id, seq, cycle_start, cycle_end,
-                     metrics, schema_version)
-                VALUES (?, ?, ?, ?, ?, ?, ?)
-                """,
-                [
-                    (
-                        campaign, point.point_id, sample["index"],
-                        sample["start"], sample["end"],
-                        json.dumps(sample), STORE_SCHEMA_VERSION,
-                    )
-                    for sample in rows
-                ],
-            )
+            self._replace_timeseries(campaign, point, rows)
         return len(rows)
 
-    def record_alerts(self, campaign: str, point: CampaignPoint,
-                      rows: List[Dict[str, Any]]) -> int:
-        """Journal a point's alert episodes (one transaction).
+    def _replace_timeseries(self, campaign: str, point: CampaignPoint,
+                            rows: List[Dict[str, Any]]) -> None:
+        """Replace a point's samples inside the caller's transaction."""
+        self._conn.execute(
+            "DELETE FROM timeseries WHERE campaign = ? AND point_id = ?",
+            (campaign, point.point_id),
+        )
+        self._conn.executemany(
+            """
+            INSERT INTO timeseries
+                (campaign, point_id, seq, cycle_start, cycle_end,
+                 metrics, schema_version)
+            VALUES (?, ?, ?, ?, ?, ?, ?)
+            """,
+            [
+                (
+                    campaign, point.point_id, sample["index"],
+                    sample["start"], sample["end"],
+                    json.dumps(sample), STORE_SCHEMA_VERSION,
+                )
+                for sample in rows
+            ],
+        )
 
-        Replaces any previous episodes for the point (same semantics as
-        :meth:`record_timeseries`); returns the rows written.
-        """
-        with self._txn():
-            self._conn.execute(
-                "DELETE FROM alerts WHERE campaign = ? "
-                "AND point_id = ?",
-                (campaign, point.point_id),
-            )
-            self._conn.executemany(
-                """
-                INSERT INTO alerts
-                    (campaign, point_id, seq, rule, severity, state,
-                     fired_at, resolved_at, value, message,
-                     schema_version)
-                VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)
-                """,
-                [
-                    (
-                        campaign, point.point_id, seq,
-                        episode["rule"], episode["severity"],
-                        episode["state"], episode["fired_at"],
-                        episode["resolved_at"], episode["value"],
-                        episode["message"], STORE_SCHEMA_VERSION,
-                    )
-                    for seq, episode in enumerate(rows)
-                ],
-            )
-        return len(rows)
+    def _replace_alerts(self, campaign: str, point: CampaignPoint,
+                        rows: List[Dict[str, Any]]) -> None:
+        """Replace a point's alert episodes inside the caller's
+        transaction."""
+        self._conn.execute(
+            "DELETE FROM alerts WHERE campaign = ? AND point_id = ?",
+            (campaign, point.point_id),
+        )
+        self._conn.executemany(
+            """
+            INSERT INTO alerts
+                (campaign, point_id, seq, rule, severity, state,
+                 fired_at, resolved_at, value, message,
+                 schema_version)
+            VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)
+            """,
+            [
+                (
+                    campaign, point.point_id, seq,
+                    episode["rule"], episode["severity"],
+                    episode["state"], episode["fired_at"],
+                    episode["resolved_at"], episode["value"],
+                    episode["message"], STORE_SCHEMA_VERSION,
+                )
+                for seq, episode in enumerate(rows)
+            ],
+        )
 
     # -- spans (distributed tracing) -----------------------------------
 

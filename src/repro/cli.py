@@ -472,10 +472,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="print the current status once and exit",
     )
     cwatch_p.add_argument(
-        "--status-file", default=None, metavar="PATH",
-        help="render a status.json export instead of the store",
-    )
-    cwatch_p.add_argument(
         "--svg", default=None, metavar="PATH",
         help="also write the heartbeat's rolling series as SVG "
              "sparklines",
@@ -1179,34 +1175,21 @@ def _cmd_campaign_list(args: argparse.Namespace) -> int:
 def _cmd_campaign_watch(args: argparse.Namespace) -> int:
     import time
 
-    from .campaign.monitor import (
-        CampaignView,
-        read_status,
-        render_status,
-        status_svg,
-    )
+    from .campaign.monitor import CampaignView, render_status, status_svg
 
     _at_least(0, above=True, interval=args.interval)
     _at_least(0, stale_after=args.stale_after)
-    if args.status_file is None and args.db == ":memory:":
+    if args.db == ":memory:":
         raise UsageError(
-            "an in-memory store cannot be watched from another process; "
-            "pass --status-file"
+            "an in-memory store cannot be watched from another process"
         )
-    where = args.status_file or f"campaign {args.name!r} in {args.db}"
+    where = f"campaign {args.name!r} in {args.db}"
     # The store opens read-only once it exists; the view, once it holds
     # the campaign, then folds only what settled since the last frame.
     store = view = None
 
     def heartbeat() -> Optional[Dict[str, Any]]:
         nonlocal store, view
-        if args.status_file is not None:
-            if not os.path.exists(args.status_file):
-                return None
-            try:
-                return read_status(args.status_file)
-            except (OSError, ValueError) as exc:
-                raise UsageError(f"{args.status_file}: {exc}") from None
         if store is None and os.path.isfile(args.db):
             store = _open_store(args.db, readonly=True)
         if view is None and store is not None:
@@ -1227,11 +1210,7 @@ def _cmd_campaign_watch(args: argparse.Namespace) -> int:
     try:
         if args.once:
             if render_once() is None:
-                raise UsageError(
-                    f"no status file at {where}" if args.status_file
-                    else f"no stored {where}, and no status file given "
-                         f"(--status-file)"
-                )
+                raise UsageError(f"no stored {where}")
             return 0
         waited = 0.0
         while True:

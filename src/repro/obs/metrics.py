@@ -11,9 +11,9 @@ snapshot is self-describing whether it is scraped as Prometheus text
   declared help text, instantaneous gauges (live messages, occupancy,
   active kill wavefronts, busy injectors), and the measured latency
   distribution as a fixed-bucket histogram;
-* the campaign runner publishes progress counters and point wall-time
-  histograms into the ``status.json`` heartbeat
-  (see :mod:`repro.campaign.monitor`).
+* the campaign monitor keeps progress counters and point wall-time
+  histograms, which ``/metrics`` shows next to the heartbeat on
+  ``/status`` (see :mod:`repro.campaign.monitor`).
 
 The registry is snapshot-oriented, not hot-path-resident: the engine
 keeps feeding its plain ``Counter`` dict (one dict op per event), and a

@@ -1,5 +1,7 @@
 """Alert episodes through the campaign layer: store, runner, watch."""
 
+import sqlite3
+
 import pytest
 
 from repro.campaign import CampaignSpec, CampaignStore, run_campaign
@@ -54,6 +56,11 @@ def store(tmp_path):
         yield s
 
 
+def journal(store, point, episodes, campaign="al"):
+    """Settle ``point`` ok with ``episodes`` in the same transaction."""
+    assert store.record_success(campaign, point, {}, 0.1, alerts=episodes)
+
+
 class TestStoreRoundTrip:
     def test_record_and_read_back_in_order(self, store):
         spec = alerting_spec()
@@ -62,21 +69,21 @@ class TestStoreRoundTrip:
         rows = [episode(), episode(rule="delivery-slo",
                                    severity="warning", state="firing",
                                    resolved_at=None)]
-        assert store.record_alerts("al", point, rows) == 2
+        journal(store, point, rows)
         assert store.alerts("al") == {point.point_id: rows}
 
     def test_rerecord_replaces(self, store):
         spec = alerting_spec()
         point = next(iter(spec.points()))
-        store.record_alerts("al", point, [episode(), episode()])
-        store.record_alerts("al", point, [episode(fired_at=999)])
+        journal(store, point, [episode(), episode()])
+        journal(store, point, [episode(fired_at=999)])
         (rows,) = store.alerts("al").values()
         assert [row["fired_at"] for row in rows] == [999]
 
     def test_alert_counts_roll_up_by_rule(self, store):
         spec = alerting_spec()
         point = next(iter(spec.points()))
-        store.record_alerts("al", point, [
+        journal(store, point, [
             episode(), episode(), episode(rule="delivery-slo"),
         ])
         assert store.alert_counts("al") == {
@@ -91,7 +98,7 @@ class TestStoreRoundTrip:
         path = str(tmp_path / "c.sqlite")
         point = make_point()
         with CampaignStore(path) as store:
-            store.record_alerts("al", point, [episode()])
+            journal(store, point, [episode()])
         with CampaignStore(path) as store:
             assert len(store.alerts("al")[point.point_id]) == 1
 
@@ -107,6 +114,26 @@ class TestRunnerJournaling:
         for rows in journaled.values():
             assert [row["rule"] for row in rows] == ["heartbeat"]
             assert rows[0]["state"] == "firing"
+
+    def test_a_point_never_settles_without_its_episodes(self, store):
+        """A write that fails while a point's episodes go in (a killed
+        process, a full disk) leaves the point unsettled, so a resume
+        re-runs it and its episodes land; it never leaves an ``ok`` row
+        that resume skips for good without them."""
+        spec = alerting_spec()
+        store._conn.execute(
+            "CREATE TRIGGER full_disk BEFORE INSERT ON alerts "
+            "BEGIN SELECT RAISE(ABORT, 'disk full'); END")
+        with pytest.raises(sqlite3.DatabaseError, match="disk full"):
+            run_campaign(spec, store, workers=1, heartbeat=None)
+        assert store.completed("al") == {}
+        store._conn.execute("DROP TRIGGER full_disk")
+        stats = run_campaign(spec, store, workers=1, heartbeat=None)
+        assert (stats.ran, stats.skipped) == (spec.size, 0)
+        settled = sorted(store.completed("al"))
+        assert len(settled) == spec.size
+        assert sorted(store.alerts("al")) == settled
+        assert sorted(store.timeseries("al")) == settled
 
     def test_unarmed_campaign_stores_no_alerts(self, store):
         spec = CampaignSpec.from_dict({
@@ -209,7 +236,7 @@ class TestMonitorAlerts:
         assert [a["point_id"] for a in status["alerts"]["recent"]] == [
             "load=0.1/rep=0", "load=0.1/rep=0",
         ]
-        by_rule = status["metrics"][
+        by_rule = monitor.registry.snapshot()[
             "cr_campaign_alerts_by_rule_total"]["values"]
         assert by_rule['{rule="kill-storm",severity="critical"}'] == 1.0
 
@@ -218,7 +245,7 @@ class TestMonitorAlerts:
 
         monitor = self.make_monitor()
         monitor.on_point(make_point(), "ok", 0.5, {})
-        values = monitor.snapshot()["metrics"][
+        values = monitor.registry.snapshot()[
             "cr_campaign_build_info"]["values"]
         (key,) = values
         assert f'version="{__version__}"' in key

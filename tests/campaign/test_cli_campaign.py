@@ -1,6 +1,7 @@
 """The ``cr-sim campaign`` CLI: run/resume/status/report/list."""
 
 import json
+import time
 
 import pytest
 
@@ -64,13 +65,13 @@ class TestWatch:
         assert cli_main(
             ["campaign", "watch", "nothing-here", "--db", db, "--once"]
         ) == 2
-        usage_error("campaign watch", "no status file")
+        usage_error("campaign watch", "no stored campaign 'nothing-here'")
 
     def test_once_folds_the_store_not_a_status_file(self, tmp_path, db,
                                                      capsys):
-        """Without any status file the store alone says the campaign
-        is finished and how many points failed: the attempt budget is
-        stored with the spec."""
+        """The store alone says the campaign is finished and how many
+        points failed: the attempt budget is stored with the spec, and
+        nothing is written beside the store."""
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({
             "name": "budget",
@@ -80,7 +81,6 @@ class TestWatch:
         }))
         assert cli_main(["campaign", "run", str(path), "--db", db,
                          "--retries", "0"]) == 1
-        (tmp_path / "budget.status.json").unlink()
         capsys.readouterr()
         assert cli_main(
             ["campaign", "watch", "budget", "--db", db, "--once"]) == 0
@@ -88,7 +88,9 @@ class TestWatch:
         assert "campaign budget [finished]" in out
         assert "2/2 (100%) (1 failed)" in out
         assert "last point: " in out
-        assert not (tmp_path / "budget.status.json").exists()
+        assert {p.name for p in tmp_path.iterdir()} <= {
+            "spec.json", "campaigns.sqlite", "campaigns.sqlite-wal",
+            "campaigns.sqlite-shm"}
         with repro.campaign.CampaignStore(db) as store:
             assert store.spec("budget").max_attempts == 1
 
@@ -121,19 +123,6 @@ class TestWatch:
         assert cli_main(["campaign", *argv, "--db", path]) == 2
         usage_error(f"campaign {argv[0]}", path, "not a database")
 
-    @pytest.mark.parametrize("content", ['{"done": 1', "[1, 2]", None],
-                             ids=["truncated", "list", "directory"])
-    def test_a_bad_status_file_is_misuse(self, content, tmp_path,
-                                         usage_error):
-        path = tmp_path / "x.status.json"
-        if content is None:
-            path.mkdir()
-        else:
-            path.write_text(content)
-        assert cli_main(["campaign", "watch", "x", "--db", ":memory:",
-                         "--once", "--status-file", str(path)]) == 2
-        usage_error("campaign watch", str(path))
-
     def test_loop_gives_up_without_a_heartbeat(self, db, capsys):
         # An interval past the 60 s patience gives up on the first miss,
         # after the one "waiting" note the loop prints.
@@ -155,21 +144,32 @@ class TestWatch:
         ) == 0
         assert svg_path.read_text().startswith("<svg")
 
-    def test_explicit_status_file(self, tmp_path, db, capsys):
-        path = spec_file(tmp_path)
-        assert cli_main(["campaign", "run", path, "--db", db]) == 0
-        from repro.campaign import status_path
-
-        assert cli_main(
-            ["campaign", "watch", "whatever", "--db", ":memory:",
-             "--once", "--status-file", status_path(db, "from-file")]
-        ) == 0
-
     def test_in_memory_db_without_status_file_rejected(self, usage_error):
         assert cli_main(
             ["campaign", "watch", "x", "--db", ":memory:", "--once"]
         ) == 2
-        usage_error("campaign watch", "--status-file")
+        usage_error("campaign watch", "in-memory store cannot be watched")
+
+    def test_a_quiet_running_store_renders_stale(self, tmp_path, db,
+                                                 capsys):
+        """A running campaign whose store shows no activity for longer
+        than ``--stale-after`` watches as STALE."""
+        spec_file(tmp_path)
+        spec = repro.campaign.CampaignSpec.from_dict(
+            json.loads((tmp_path / "spec.json").read_text()))
+        with repro.campaign.CampaignStore(db) as store:
+            store.register(spec)
+            first = next(iter(spec.points()))
+            store.record_success(spec.name, first, {}, 0.1)
+        argv = ["campaign", "watch", spec.name, "--db", db, "--once"]
+        assert cli_main(argv) == 0
+        assert "STALE" not in capsys.readouterr().out
+        time.sleep(0.01)
+        assert cli_main(argv + ["--stale-after", "0.001"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("!! STALE heartbeat")
+        assert "campaign from-file [running]" in out
+        assert "1/2 (50%)" in out
 
 
 class TestFlagBounds:

@@ -1,7 +1,6 @@
 """Distributed campaign fabric: workers, coordinator, CLI wiring."""
 
 import hashlib
-import json
 import sqlite3
 import subprocess
 import sys
@@ -14,13 +13,12 @@ from repro.campaign import (
     CampaignStore,
     Coordinator,
     Worker,
-    read_status,
     run_campaign,
 )
 from repro.campaign import fabric as fabric_module
 from repro.campaign.fabric import default_worker_id, run_fabric
 from repro.campaign.monitor import (
-    CampaignView, render_status, render_workers, status_path)
+    CampaignView, render_status, render_workers)
 from repro.campaign.runner import point_candidates
 from repro.obs.metrics import parse_prometheus_text
 from repro.sim.parallel import config_cache_key
@@ -181,8 +179,8 @@ class TestCoordinator:
         assert stats.complete
         assert (stats.ok, stats.failed, stats.total) == (4, 0, 4)
         assert stats.workers_seen == 1
-        with open(status_path(db, spec.name)) as handle:
-            status = json.load(handle)
+        with CampaignStore(db, readonly=True) as reader:
+            status = CampaignView.open(reader, spec.name).heartbeat()
         assert status["state"] == "finished"
         assert status["done"] == status["total"] == 4
         assert status["kind"] == "fabric"
@@ -284,15 +282,16 @@ class TestOneHeartbeat:
             server.stop()
             store.close()
         assert stats.complete
-        status = read_status(status_path(db, spec.name))
+        with CampaignStore(db, readonly=True) as reader:
+            status = CampaignView.open(reader, spec.name).heartbeat()
         text = render_status(status)
         assert "alerts: 2 episode(s)  heartbeatx2" in text
         assert "last point: " in text
         assert "point wall s" in text and "kill rate" in text
         assert "kills/delivered" not in text
         assert "workers: 1" in text
-        assert {"cr_campaign_alerts_total",
-                "cr_fabric_points_done"} <= set(status["metrics"])
+        # The registries are shown on /metrics only.
+        assert "metrics" not in status and "metrics" not in served
         # One heartbeat everywhere it is read.
         assert polled[-1]["alerts"] == served["alerts"] == status["alerts"]
         assert health["alerts"] == {"heartbeat": 2}
@@ -302,12 +301,10 @@ class TestOneHeartbeat:
         assert scrape["cr_fabric_points_done"]["samples"][
             "cr_fabric_points_done"] == 2
 
-        # a directory of its own: the export sits next to the store
-        (tmp_path / "local").mkdir()
-        local_db = str(tmp_path / "local" / "c.sqlite")
+        local_db = str(tmp_path / "local.sqlite")
         with CampaignStore(local_db) as local_store:
             run_campaign(spec, local_store, heartbeat=0.0)
-        local = read_status(status_path(local_db, spec.name))
+            local = CampaignView.open(local_store, spec.name).heartbeat()
         assert set(status) - set(local) == {"kind", "workers", "fabric"}
         assert set(local) <= set(status)
         for key in ("done", "total", "failed", "recent_kill_rates",
@@ -329,11 +326,9 @@ class TestOneHeartbeat:
         with CampaignStore(db, readonly=True) as reader:
             watched = CampaignView.open(reader, spec.name).heartbeat()
         # One assembly: every key but the ones that read the clock
-        # (worker ages, the running time since each view started) and
-        # the coordinator's extra metric registries.
+        # (worker ages, the running time since each view started).
         assert set(watched) == set(published)
-        for key in set(published) - {"workers", "elapsed_seconds",
-                                     "metrics"}:
+        for key in set(published) - {"workers", "elapsed_seconds"}:
             assert watched[key] == published[key], key
         assert [w["worker_id"] for w in watched["workers"]] == ["w1"]
         text = render_status(watched)

@@ -18,7 +18,7 @@ import pytest
 
 from repro.campaign import CampaignSpec, CampaignStore, Coordinator
 from repro.campaign.fabric import spawn_worker
-from repro.campaign.monitor import read_status, render_status, status_path
+from repro.campaign.monitor import CampaignView, render_status
 from repro.obs.metrics import parse_prometheus_text
 from repro.obs.server import TelemetryServer
 
@@ -176,7 +176,9 @@ def test_the_healing_shows_on_a_live_scrape_and_the_watch_pane(
     ):
         assert parsed[name]["samples"][name] == expected, name
     assert stats.reclaims >= 1
-    rendered = render_status(read_status(status_path(db, spec.name)))
+    with CampaignStore(db, readonly=True) as reader:
+        rendered = render_status(
+            CampaignView.open(reader, spec.name).heartbeat())
     assert "workers: 3" in rendered, rendered
     assert f"lease reclaims: {stats.reclaims}" in rendered, rendered
 

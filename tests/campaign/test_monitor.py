@@ -1,4 +1,4 @@
-"""Campaign heartbeat: atomic writes, monitor accounting, rendering."""
+"""Campaign heartbeat: monitor accounting, publishing, rendering."""
 
 import json
 import os
@@ -9,7 +9,6 @@ from repro import SimConfig
 from repro.campaign import (
     CampaignSpec,
     CampaignStore,
-    read_status,
     render_status,
     run_campaign,
 )
@@ -17,12 +16,13 @@ from repro.campaign.monitor import (
     ROLLING_WINDOW,
     CampaignMonitor,
     CampaignView,
-    status_path,
     status_svg,
     text_sparkline,
     write_status,
 )
 from repro.campaign.spec import CampaignPoint
+from repro.obs.metrics import parse_prometheus_text
+from repro.obs.server import TelemetryServer
 
 
 def tiny_spec(name="hb-test", loads=(0.1, 0.2)):
@@ -62,6 +62,31 @@ def without_elapsed(status):
     return status
 
 
+def read_json(path):
+    with open(path, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def served_run(spec, db, **kwargs):
+    """Run ``spec`` into the store at ``db`` with a telemetry server
+    attached; returns (stats, the last ``/status``, ``/metrics``
+    parsed, the server's publish count)."""
+    server = TelemetryServer()
+    try:
+        with CampaignStore(db) as store:
+            stats = run_campaign(spec, store, serve=server, **kwargs)
+        return (stats, server.status(),
+                parse_prometheus_text(server.metrics_text()),
+                server.publishes)
+    finally:
+        server.stop()
+
+
+def stored_heartbeat(db, name):
+    with CampaignStore(db, readonly=True) as reader:
+        return CampaignView.open(reader, name).heartbeat()
+
+
 def make_point(point_id="p/rep=0", scenario=None, replication=0):
     return CampaignPoint(
         point_id=point_id,
@@ -72,25 +97,11 @@ def make_point(point_id="p/rep=0", scenario=None, replication=0):
     )
 
 
-class TestStatusPath:
-    def test_anchored_next_to_the_database(self):
-        assert (status_path("results/campaigns.sqlite", "fm")
-                == os.path.join("results", "fm.status.json"))
-
-    def test_bare_filename_lands_in_cwd(self):
-        assert status_path("camp.sqlite", "fm") == os.path.join(
-            ".", "fm.status.json"
-        )
-
-    def test_in_memory_store_has_no_heartbeat(self):
-        assert status_path(":memory:", "fm") is None
-
-
 class TestAtomicWrites:
     def test_write_then_read_round_trip(self, tmp_path):
         path = str(tmp_path / "deep" / "s.status.json")
         write_status(path, {"done": 3, "total": 9})
-        assert read_status(path) == {"done": 3, "total": 9}
+        assert read_json(path) == {"done": 3, "total": 9}
 
     def test_no_temp_file_left_behind(self, tmp_path):
         path = str(tmp_path / "s.status.json")
@@ -104,7 +115,7 @@ class TestAtomicWrites:
         path = str(tmp_path / "s.status.json")
         for index in range(20):
             write_status(path, {"index": index, "pad": "x" * 4096})
-            assert read_status(path)["index"] == index
+            assert read_json(path)["index"] == index
 
 
 class TestMonitorAccounting:
@@ -125,7 +136,8 @@ class TestMonitorAccounting:
         status = monitor.snapshot()
         assert (status["done"], status["failed"]) == (2, 1)
         assert status["last_point"]["outcome"] == "failed"
-        counters = status["metrics"]["cr_campaign_points_total"]["values"]
+        counters = monitor.registry.snapshot()[
+            "cr_campaign_points_total"]["values"]
         assert counters == {'{outcome="ok"}': 1.0,
                             '{outcome="failed"}': 1.0}
 
@@ -138,12 +150,13 @@ class TestMonitorAccounting:
         # A row that does not store kill_rate adds no made-up sample.
         assert status["recent_kill_rates"] == [0.1, 0.3]
         assert status["recent_wall_seconds"] == [0.5, 0.7, 0.7]
-        # Nothing the journal does not hold: no rates, no counters.
-        assert "rates" not in status
+        # Nothing the journal does not hold: no rates, no counters;
+        # the registry is shown on /metrics, not copied in here.
+        assert "rates" not in status and "metrics" not in status
         assert not any(name.startswith(("cr_campaign_kills",
                                         "cr_campaign_retransmissions",
                                         "cr_campaign_messages"))
-                       for name in status["metrics"])
+                       for name in monitor.registry.names())
 
     def test_eta_is_remaining_over_the_settle_rate(self):
         """Points that settle two at a time (two workers, one poll a
@@ -184,46 +197,39 @@ class TestMonitorAccounting:
     def test_interval_throttles_intermediate_writes(self, tmp_path):
         """run_campaign publishes once after the resume pass, not
         between two points inside the interval, and once at the end."""
-        from repro.obs.server import TelemetryServer
-
         db = str(tmp_path / "camp.sqlite")
         spec = tiny_spec()
-        path = status_path(db, spec.name)
         seen = []
         server = TelemetryServer()
         try:
             with CampaignStore(db) as store:
                 run_campaign(spec, store, heartbeat=100.0, serve=server,
                              progress=lambda _: seen.append(
-                                 (server.publishes, read_status(path))))
+                                 (server.publishes, server.status())))
             publishes = server.publishes
+            final = server.status()
         finally:
             server.stop()
         assert [count for count, _ in seen] == [1] * spec.size
         assert all((status["state"], status["done"]) == ("running", 0)
                    for _, status in seen)
         assert publishes == 2
-        assert read_status(path)["state"] == "finished"
+        assert final["state"] == "finished"
 
     def test_completion_writes_even_when_throttled(self, tmp_path):
-        db = str(tmp_path / "camp.sqlite")
         spec = tiny_spec()
-        with CampaignStore(db) as store:
-            run_campaign(spec, store, heartbeat=1000.0)
-        status = read_status(status_path(db, spec.name))
+        _, status, _, _ = served_run(spec, str(tmp_path / "camp.sqlite"),
+                                     heartbeat=1000.0)
         assert status["done"] == status["total"] == spec.size
         assert status["state"] == "finished"
 
 
 class TestRunCampaignHeartbeat:
     def test_run_writes_and_finalizes_heartbeat(self, tmp_path):
-        db = str(tmp_path / "camp.sqlite")
         spec = tiny_spec()
-        with CampaignStore(db) as store:
-            stats = run_campaign(spec, store, heartbeat=0.0)
+        stats, status, _, _ = served_run(
+            spec, str(tmp_path / "camp.sqlite"), heartbeat=0.0)
         assert stats.complete
-        path = status_path(db, spec.name)
-        status = read_status(path)
         assert status["state"] == "finished"
         assert status["done"] == status["total"] == spec.size
         assert status["last_point"]["outcome"] == "ok"
@@ -232,72 +238,68 @@ class TestRunCampaignHeartbeat:
     def test_resume_counts_skipped_points_as_done(self, tmp_path):
         db = str(tmp_path / "camp.sqlite")
         spec = tiny_spec()
-        with CampaignStore(db) as store:
-            run_campaign(spec, store, heartbeat=0.0)
+        served_run(spec, db, heartbeat=0.0)
         # Second run resumes: every point skips, heartbeat stays
         # consistent at done == total.
-        with CampaignStore(db) as store:
-            stats = run_campaign(spec, store, heartbeat=0.0)
+        stats, status, _, _ = served_run(spec, db, heartbeat=0.0)
         assert stats.skipped == spec.size
-        status = read_status(status_path(db, spec.name))
         assert status["state"] == "finished"
         assert status["done"] == status["total"] == spec.size
 
-    def test_export_and_status_are_the_stores_view(self, tmp_path):
-        """One heartbeat: the status file, ``/status`` and a read-only
-        view of the same store agree on every key but the running
-        time."""
-        from repro.obs.server import TelemetryServer
-
+    def test_status_is_the_stores_view(self, tmp_path):
+        """One heartbeat: ``/status`` and a read-only view of the same
+        store agree on every key but the running time, and the
+        registries are shown on ``/metrics`` only."""
         db = str(tmp_path / "camp.sqlite")
         spec = mixed_spec()
-        server = TelemetryServer()
-        try:
-            with CampaignStore(db) as store:
-                run_campaign(spec, store, backoff=0.0, heartbeat=0.0,
-                             serve=server)
-            served = server.status()
-        finally:
-            server.stop()
-        exported = read_status(status_path(db, spec.name))
-        with CampaignStore(db, readonly=True) as reader:
-            viewed = CampaignView.open(reader, spec.name).heartbeat()
-        assert without_elapsed(served) == without_elapsed(exported)
-        assert without_elapsed(viewed) == without_elapsed(exported)
-        assert (exported["done"], exported["failed"]) == (2, 1)
-        assert exported["alerts"]["total"] >= 1
+        _, served, scrape, _ = served_run(spec, db, backoff=0.0,
+                                          heartbeat=0.0)
+        viewed = stored_heartbeat(db, spec.name)
+        assert without_elapsed(served) == without_elapsed(viewed)
+        assert (served["done"], served["failed"]) == (2, 1)
+        assert served["alerts"]["total"] >= 1
+        assert "metrics" not in served
         # Two failed attempts are one settled point; no skip label.
-        counters = exported["metrics"]["cr_campaign_points_total"]["values"]
-        assert counters == {'{outcome="ok"}': 1.0,
-                            '{outcome="failed"}': 1.0}
+        counters = scrape["cr_campaign_points_total"]["samples"]
+        assert counters == {'cr_campaign_points_total{outcome="ok"}': 1,
+                            'cr_campaign_points_total{outcome="failed"}': 1}
 
     def test_resumed_run_publishes_the_first_runs_heartbeat(self,
                                                              tmp_path):
         db = str(tmp_path / "camp.sqlite")
         spec = mixed_spec()
-        path = status_path(db, spec.name)
-        with CampaignStore(db) as store:
-            run_campaign(spec, store, backoff=0.0, heartbeat=0.0)
-        first = read_status(path)
-        with CampaignStore(db) as store:
-            stats = run_campaign(spec, store, backoff=0.0, heartbeat=0.0)
+        _, first, _, _ = served_run(spec, db, backoff=0.0, heartbeat=0.0)
+        stats, again, _, _ = served_run(spec, db, backoff=0.0,
+                                        heartbeat=0.0)
         assert stats.ran == 0
-        again = read_status(path)
         for key in ("state", "done", "total", "failed", "alerts",
                     "last_point"):
             assert again[key] == first[key], key
 
     def test_heartbeat_none_disables_monitoring(self, tmp_path):
-        db = str(tmp_path / "camp.sqlite")
         spec = tiny_spec()
-        with CampaignStore(db) as store:
-            run_campaign(spec, store, heartbeat=None)
-        assert not os.path.exists(status_path(db, spec.name))
+        stats, _, _, publishes = served_run(
+            spec, str(tmp_path / "camp.sqlite"), heartbeat=None)
+        assert stats.complete and publishes == 0
 
     def test_in_memory_store_skips_heartbeat(self):
         with CampaignStore(":memory:") as store:
             stats = run_campaign(tiny_spec(), store, heartbeat=0.0)
         assert stats.complete  # no crash, no file anywhere to check
+
+    def test_the_store_is_the_only_record(self, tmp_path):
+        """A run, served or not, writes nothing beside its store, and
+        a settled re-run leaves every file byte-identical."""
+        db = str(tmp_path / "camp.sqlite")
+        spec = mixed_spec()
+        served_run(spec, db, backoff=0.0, heartbeat=0.0)
+        with CampaignStore(db) as store:
+            run_campaign(spec, store, backoff=0.0, heartbeat=0.0)
+        assert sorted(os.listdir(tmp_path)) == ["camp.sqlite"]
+        before = (tmp_path / "camp.sqlite").read_bytes()
+        served_run(spec, db, backoff=0.0, heartbeat=0.0)
+        assert sorted(os.listdir(tmp_path)) == ["camp.sqlite"]
+        assert (tmp_path / "camp.sqlite").read_bytes() == before
 
 
 class TestRendering:
@@ -369,7 +371,7 @@ class TestRendering:
         spec = tiny_spec()
         with CampaignStore(db) as store:
             run_campaign(spec, store, heartbeat=0.0)
-        status = read_status(status_path(db, spec.name))
+        status = stored_heartbeat(db, spec.name)
         text = render_status(status)
         assert f"{spec.size}/{spec.size} (100%)" in text
         assert json.dumps(status)  # heartbeat is pure JSON

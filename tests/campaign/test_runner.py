@@ -311,7 +311,7 @@ class TestFailures:
     def test_terminal_failures_render_in_done_count(self, tmp_path):
         """The heartbeat shows ``done (N failed)`` once retries exhaust;
         a retried attempt is no settled point."""
-        from repro.campaign.monitor import read_status, render_status
+        from repro.campaign.monitor import CampaignView, render_status
 
         spec = CampaignSpec.from_dict({
             "name": "stallm",
@@ -323,10 +323,12 @@ class TestFailures:
         db = str(tmp_path / "c.sqlite")
         with CampaignStore(db) as store:
             run_campaign(spec, store, backoff=0.0, heartbeat=0.0)
-        status = read_status(str(tmp_path / "stallm.status.json"))
+            view = CampaignView.open(store, spec.name)
+            status = view.heartbeat()
         assert (status["done"], status["failed"]) == (2, 1)
         assert status["eta_seconds"] == 0.0  # no stall below total
-        counters = status["metrics"]["cr_campaign_points_total"]["values"]
+        counters = view.monitor.registry.snapshot()[
+            "cr_campaign_points_total"]["values"]
         assert counters['{outcome="failed"}'] == 1.0
         rendered = render_status(status)
         assert "2/2 (100%) (1 failed)" in rendered

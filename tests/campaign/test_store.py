@@ -168,15 +168,15 @@ class TestResumeQueries:
         read: the same dicts, keys in the same order, by ``created_at``."""
         monkeypatch.setattr(store_module, "_IDS_PER_QUERY", per_query)
         points = list(spec.points())
-        store.record_success("s", points[0], {"latency_mean": 1.0}, 0.1)
-        store.record_failure("s", points[1], "boom", 0.2)
-        store.record_success("s", points[2], {"latency_mean": 3.0}, 0.3)
         episode = {"rule": "kill-storm", "severity": "critical",
                    "state": "resolved", "fired_at": 200,
                    "resolved_at": 400, "value": 2.0, "message": "m"}
-        store.record_alerts("s", points[2], [
-            episode, dict(episode, state="firing", resolved_at=None)])
-        store.record_alerts("s", points[1], [episode])
+        store.record_success("s", points[0], {"latency_mean": 1.0}, 0.1,
+                             alerts=[episode])
+        store.record_failure("s", points[1], "boom", 0.2)
+        store.record_success("s", points[2], {"latency_mean": 3.0}, 0.3,
+                             alerts=[episode, dict(episode, state="firing",
+                                                   resolved_at=None)])
         asked = [points[2].point_id, "no/such/point", points[3].point_id,
                  points[1].point_id, points[0].point_id]
 
@@ -194,7 +194,7 @@ class TestResumeQueries:
         assert json.dumps(got) == json.dumps(want)
         assert [row["report"] for row in got] == [
             {"latency_mean": 1.0}, None, {"latency_mean": 3.0}]
-        assert [len(row["alerts"]) for row in got] == [0, 1, 2]
+        assert [len(row["alerts"]) for row in got] == [1, 0, 2]
         assert store.journal_rows("s", []) == []
 
     def test_rewrite_replaces_row(self, store, spec):

@@ -140,7 +140,8 @@ class TestCounterAndAlertMapping:
         store.record_timeseries("s", point, [
             {"index": 0, "start": 0, "end": 200, "latency_mean": 5.0},
         ])
-        store.record_alerts("s", point, [{
+        store.record_success("s", point, {"latency_mean": 1.0}, 0.1,
+                             alerts=[{
             "rule": "hot", "severity": "warning", "state": "firing",
             "fired_at": 100, "resolved_at": None, "value": 9.0,
             "message": "latency high",

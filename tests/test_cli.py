@@ -540,7 +540,7 @@ class TestFlagBounds:
             "campaign run": ["campaign", "run", "fault-matrix", "--quick",
                              "--db", str(tmp_path / "c.sqlite")],
             "campaign watch": ["campaign", "watch", "fault-matrix",
-                               "--status-file", str(tmp_path / "s.json"),
+                               "--db", str(tmp_path / "c.sqlite"),
                                "--once"],
         }[command]
         assert cli_main([*argv, flag, value]) == 2

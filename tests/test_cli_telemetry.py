@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.campaign.monitor import write_status
+from repro.campaign import CampaignSpec, CampaignStore
 from repro.cli import main as cli_main
 from repro.obs.alerts import builtin_rules, rules_to_json
 
@@ -92,26 +92,30 @@ class TestRunServe:
 
 
 class TestWatchAlerts:
-    def status(self, state="finished"):
-        return {
-            "name": "al", "state": state, "done": 2, "total": 2,
-            "alerts": {
-                "total": 1,
-                "by_rule": {"cascade-outage": 1},
-                "recent": [{
-                    "rule": "cascade-outage", "severity": "critical",
-                    "state": "firing", "fired_at": 400,
-                    "resolved_at": None, "value": 2.0,
-                    "message": "outage", "point_id": "p0",
-                }],
-            },
-        }
+    def store(self, tmp_path):
+        """A finished two-point campaign whose first point journaled a
+        firing episode."""
+        spec = CampaignSpec.from_dict({
+            "name": "al",
+            "base": {"radix": 4, "warmup": 50, "measure": 150,
+                     "drain": 1000, "message_length": 8},
+            "axes": {"load": [0.1, 0.2]},
+        })
+        db = str(tmp_path / "al.sqlite")
+        with CampaignStore(db) as store:
+            store.register(spec)
+            first, second = spec.points()
+            store.record_success("al", first, {}, 0.1, alerts=[{
+                "rule": "cascade-outage", "severity": "critical",
+                "state": "firing", "fired_at": 400, "resolved_at": None,
+                "value": 2.0, "message": "outage",
+            }])
+            store.record_success("al", second, {}, 0.1)
+        return db
 
     def test_watch_alerts_filter(self, capsys, tmp_path):
-        path = str(tmp_path / "al.status.json")
-        write_status(path, self.status())
         assert cli_main([
-            "campaign", "watch", "al", "--status-file", path,
+            "campaign", "watch", "al", "--db", self.store(tmp_path),
             "--once", "--alerts",
         ]) == 0
         out = capsys.readouterr().out
@@ -121,11 +125,11 @@ class TestWatchAlerts:
 
     def test_watch_shows_alerts_in_the_full_view(
             self, capsys, tmp_path):
-        path = str(tmp_path / "al.status.json")
-        write_status(path, self.status())
         assert cli_main([
-            "campaign", "watch", "al", "--status-file", path, "--once",
+            "campaign", "watch", "al", "--db", self.store(tmp_path),
+            "--once",
         ]) == 0
         out = capsys.readouterr().out
         assert "alerts: 1 episode(s)" in out
         assert "cascade-outage" in out
+        assert "2/2 (100%)" in out
