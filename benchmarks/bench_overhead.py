@@ -15,19 +15,21 @@ every arm once, the order rotating by one every round, so each arm goes
 first equally often and a drifting host loads all arms alike.  On each
 engine one loop (:func:`e01_rounds`) serves the events, alerts,
 profile and verify gates, so they share one set of plain e01 runs;
-tracing has its own loop of campaign runs (:func:`campaign_rounds`).
-Two estimators read the loops:
+tracing has its own loop of plain campaign runs and its replay
+(:func:`campaign_rounds`).  Two estimators read the loops:
 
-* **paired** (profile, verify, trace): the armed run is timed end to
+* **paired** (profile, verify): the armed run is timed end to
   end.  The overhead is the median of the per-round armed-minus-plain
   differences over the median plain run; a difference of two per-side
   minima would be mostly host noise when the layer costs a few
   percent of a run.
-* **replayed** (events, alerts): the layer's whole extra work is timed
-  in isolation -- every event the run emits, constructed and fanned
-  out through a zero-sink :class:`~repro.obs.events.EventBus`; every
-  sampler window the run produced, evaluated by a fresh
-  :class:`~repro.obs.alerts.AlertEngine` with the built-in rules --
+* **replayed** (events, alerts, trace): the layer's whole extra work
+  is timed in isolation -- every event the run emits, constructed and
+  fanned out through a zero-sink :class:`~repro.obs.events.EventBus`;
+  every sampler window the run produced, evaluated by a fresh
+  :class:`~repro.obs.alerts.AlertEngine` with the built-in rules; every
+  span a traced campaign journals, built, closed and journaled on a
+  fresh :class:`~repro.obs.trace.Tracer` (:func:`trace_replay`) --
   and its min-of-N is taken over the plain run's min-of-N.  An armed
   run does exactly this much on top of the plain run, and a disarmed
   one strictly less (one ``is None`` guard per site), so the bound
@@ -39,6 +41,7 @@ Run: ``PYTHONPATH=src python -m pytest benchmarks/bench_overhead.py -q``
 (``-k verify``, ``-k "events or alerts"``, ... for some layers).
 """
 
+import collections
 import dataclasses
 import functools
 import os
@@ -54,6 +57,7 @@ from repro.obs import attach
 from repro.obs.alerts import AlertEngine
 from repro.obs.events import EventBus
 from repro.obs.sinks import ListSink
+from repro.obs.trace import Tracer
 
 #: the largest tolerated cost of each layer, as a share of that
 #: engine's plain run.
@@ -219,28 +223,93 @@ def e01_rounds(engine_name):
     return times
 
 
-def campaign_run(spec, trace):
-    """Wall seconds of one campaign into a fresh on-disk store."""
+def in_fresh_store(action):
+    """``action(store)`` on a fresh on-disk store; returns its result."""
     with tempfile.TemporaryDirectory(prefix="cr-trace-bench-") as tmp:
         with CampaignStore(os.path.join(tmp, "camp.sqlite")) as store:
-            start = time.perf_counter()
-            stats = run_campaign(spec, store, workers=1, heartbeat=None,
-                                 trace=trace)
-            elapsed = time.perf_counter() - start
-            spans = store.span_counts(spec.name)
-    assert stats.complete, "overhead probe campaign failed"
-    if trace:
-        assert spans.get("open", 0) == 0, "armed run left spans open"
-        assert sum(spans.values()) > 0, "armed run journaled no spans"
-    return elapsed
+            return action(store)
+
+
+def span_tally(store, name):
+    """``(spans by status, spans by kind)`` journaled for ``name``."""
+    kinds = collections.Counter(s["kind"] for s in store.spans(name))
+    return store.span_counts(name), dict(kinds)
+
+
+def campaign_run(spec):
+    """Wall seconds of one plain campaign into a fresh on-disk store."""
+    def run(store):
+        start = time.perf_counter()
+        stats = run_campaign(spec, store, workers=1, heartbeat=None)
+        elapsed = time.perf_counter() - start
+        assert stats.complete, "overhead probe campaign failed"
+        assert store.span_counts(spec.name) == {}, "a plain run traced"
+        return elapsed
+
+    return in_fresh_store(run)
+
+
+def trace_replay(spec):
+    """The tracing layer's work on top of a plain campaign.
+
+    One traced campaign records its spans.  The replay then does
+    everything ``trace=True`` adds to ``run_campaign``, span by span in
+    trace order: build it on a fresh :class:`Tracer` (its parent, point
+    and attributes as recorded), close it (the root last), journal it
+    through ``record_spans`` (the root twice, open and closed, as the
+    runner does), then run the settle sweep (``close_open_spans``).
+    The armed run journals each ``run`` span inside its point's result
+    transaction; the replay gives every journal call a transaction of
+    its own, which costs no less.  So the replay does at least the
+    armed run's extra work, and a plain run does none of it: its
+    time bounds the layer's cost, without the host noise of two
+    end-to-end campaigns.  Returns an arm: wall seconds of one replay
+    into a fresh store, whose spans must tally as the armed run's.
+    """
+    def record(store):
+        stats = run_campaign(spec, store, workers=1, heartbeat=None,
+                             trace=True)
+        assert stats.complete, "overhead probe campaign failed"
+        return store.spans(spec.name), span_tally(store, spec.name)
+
+    recorded, armed = in_fresh_store(record)
+    assert armed[0].get("open", 0) == 0, "armed run left spans open"
+    assert armed[1].get("root") == 1 and armed[1].get("run"), armed
+
+    def replay(store):
+        tracer = Tracer(worker_id="local")
+        made = {}
+        for row in recorded:
+            span = made[row["span_id"]] = tracer.start_span(
+                row["name"], kind=row["kind"],
+                parent=made.get(row["parent_id"]), point_id=row["point_id"],
+                attrs=row["attrs"], start_ts=row["start_ts"],
+            )
+            if row["kind"] == "root":
+                root, root_row = span, row
+                store.record_spans(spec.name, [span.to_dict()])
+                continue
+            done = tracer.end_span(span, row["status"], end_ts=row["end_ts"])
+            store.record_spans(spec.name, [done.to_dict()])
+        done = tracer.end_span(root, root_row["status"],
+                               end_ts=root_row["end_ts"])
+        store.record_spans(spec.name, [done.to_dict()])
+        store.close_open_spans(spec.name)
+
+    def arm(store):
+        elapsed = timed(lambda: replay(store))
+        assert span_tally(store, spec.name) == armed, "replay drifted"
+        return elapsed
+
+    return functools.partial(in_fresh_store, arm)
 
 
 def campaign_rounds(engine_name):
-    """The tracing loop: the same campaign run plain and traced."""
+    """The tracing loop: plain campaign runs and the trace replay."""
     spec = CampaignSpec.from_dict(CAMPAIGN).with_base(engine=engine_name)
     return interleaved({
-        "plain": lambda: campaign_run(spec, trace=False),
-        "trace": lambda: campaign_run(spec, trace=True),
+        "plain": functools.partial(campaign_run, spec),
+        "trace": trace_replay(spec),
     }, CAMPAIGN_ROUNDS)
 
 
@@ -249,7 +318,7 @@ ESTIMATORS = {
     "alerts": replayed,
     "profile": paired,
     "verify": paired,
-    "trace": paired,
+    "trace": replayed,
 }
 
 

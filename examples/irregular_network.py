@@ -15,6 +15,8 @@ CR, and verifies delivery and ordering.
 Run:  python examples/irregular_network.py
 """
 
+from typing import List
+
 from repro import (
     FastEngine,
     GraphTopology,
@@ -55,7 +57,7 @@ def main() -> None:
         watchdog=10000,
     )
 
-    messages = []
+    messages: List[Message] = []
     for src in range(topology.num_nodes):
         for dst in range(topology.num_nodes):
             if src == dst:

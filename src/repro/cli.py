@@ -31,13 +31,17 @@ import contextlib
 import dataclasses
 import os
 import sys
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
 
 from . import experiments
 from .sim.config import SCHEMES, SimConfig
 from .sim.parallel import DEFAULT_CACHE_DIR, PointStatus, SweepCache
 from .sim.simulator import run_simulation
 from .stats.report import format_table
+
+if TYPE_CHECKING:  # pragma: no cover - loaded on first use
+    from .campaign.store import CampaignStore
+    from .obs.profile import EngineProfiler
 
 
 class UsageError(Exception):
@@ -637,7 +641,7 @@ def _print_alerts(report: Dict[str, Any]) -> None:
               f"{ep['message']}")
 
 
-def _print_hotspots(profiler: Any) -> None:
+def _print_hotspots(profiler: "EngineProfiler") -> None:
     print()
     print(format_table(
         profiler.hotspot_rows(),
@@ -992,7 +996,7 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     return 0 if stats.complete else 1
 
 
-def _open_store(db: str, readonly: bool = False) -> Any:
+def _open_store(db: str, readonly: bool = False) -> "CampaignStore":
     """The campaign store at ``db``; a file that is no store is misuse,
     and so is a missing one a reader (``readonly``) would open."""
     import sqlite3

@@ -61,14 +61,13 @@ class ExponentialBackoff(RetransmitPolicy):
     """
 
     name = "exponential"
+    #: the largest exponent: at most ``2**cap`` slots
+    cap = 6
 
-    def __init__(self, slot_cycles: int = 16, cap: int = 6) -> None:
+    def __init__(self, slot_cycles: int = 16) -> None:
         if slot_cycles < 1:
             raise ValueError("slot_cycles must be >= 1")
-        if cap < 1:
-            raise ValueError("cap must be >= 1")
         self.slot_cycles = slot_cycles
-        self.cap = cap
 
     def gap(self, message: "Message", rng: random.Random) -> int:
         exponent = min(max(message.kills, 1), self.cap)

@@ -63,14 +63,13 @@ class LengthScaledTimeout(TimeoutPolicy):
     """The paper's Fig. 14 rule: wire length x virtual channels x factor."""
 
     name = "length_scaled"
+    #: the shortest threshold, in cycles
+    minimum = 8
 
-    def __init__(self, factor: float = 1.0, minimum: int = 8) -> None:
+    def __init__(self, factor: float = 1.0) -> None:
         if factor <= 0:
             raise ValueError("factor must be positive")
-        if minimum < 1:
-            raise ValueError("minimum must be >= 1 cycle")
         self.factor = factor
-        self.minimum = minimum
 
     def threshold(self, message: "Message", num_vcs: int) -> int:
         scaled = int(message.wire_length * num_vcs * self.factor)

@@ -50,6 +50,9 @@ IDS = tuple(name[:3] for name in _MODULES)
 
 __all__ = ["REGISTRY", "IDS", "Experiment", "Scale", "QUICK", "PAPER"]
 
+#: experiment id -> its :class:`Experiment`; bound by ``__getattr__``
+REGISTRY: Dict[str, Experiment]
+
 
 def __getattr__(name: str) -> Any:
     # ``REGISTRY`` imports all 26 modules, so it is built on first use:

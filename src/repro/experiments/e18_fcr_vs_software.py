@@ -25,10 +25,13 @@ do not apply).
 
 from __future__ import annotations
 
-from typing import List
+from typing import TYPE_CHECKING, List
 
 from ..stats.report import format_table
 from .common import Row, Scale
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from ..sim.simulator import SimResult
 
 FAULT_RATES = (0.0, 1e-3, 5e-3)
 
@@ -54,7 +57,7 @@ def points(scale: Scale):
     ]
 
 
-def from_result(result, scheme, **coords) -> Row:
+def from_result(result: SimResult, scheme, **coords) -> Row:
     report = result.report
     injected = report.get("flits_injected", 0)
     if scheme == "fcr":

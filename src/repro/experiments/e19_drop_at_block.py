@@ -29,10 +29,13 @@ delivery ledger, which only the live ``SimResult`` carries
 
 from __future__ import annotations
 
-from typing import List
+from typing import TYPE_CHECKING, List
 
 from ..stats.report import format_table
 from .common import Row, Scale, at_top
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from ..sim.simulator import SimResult
 
 COLUMNS = (
     "load", "scheme", "latency_mean", "throughput", "kills", "kill_rate",
@@ -57,7 +60,7 @@ def points(scale: Scale):
     ]
 
 
-def from_result(result, scheme, **coords) -> Row:
+def from_result(result: SimResult, scheme, **coords) -> Row:
     # Cycles the source must buffer a message: until commit under CR,
     # until delivery under drop-at-block.
     release_attr = "committed_at" if scheme == "cr" else "delivered_at"

@@ -17,14 +17,14 @@ CRC16_CCITT_POLY = 0x1021
 CRC16_INIT = 0xFFFF
 
 
-def crc16(data: bytes, poly: int = CRC16_CCITT_POLY, init: int = CRC16_INIT) -> int:
-    """CRC-16 of ``data`` (bit-by-bit reference implementation)."""
-    crc = init
+def crc16(data: bytes) -> int:
+    """CRC-16/CCITT of ``data`` (bit-by-bit reference implementation)."""
+    crc = CRC16_INIT
     for byte in data:
         crc ^= byte << 8
         for _ in range(8):
             if crc & 0x8000:
-                crc = ((crc << 1) ^ poly) & 0xFFFF
+                crc = ((crc << 1) ^ CRC16_CCITT_POLY) & 0xFFFF
             else:
                 crc = (crc << 1) & 0xFFFF
     return crc

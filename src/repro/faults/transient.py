@@ -28,30 +28,22 @@ class TransientFaults(FaultModel):
     ----------
     flit_fault_rate:
         Probability that a single flit-hop is corrupted
-        (``SimConfig.fault_rate``).
-    payload_only:
-        Corrupt header and payload flits only, never pads.  Off by
-        default: pads are corrupted like any flit, and the receiver
-        ignores a corrupted pad (it carries no data).
+        (``SimConfig.fault_rate``).  Pads are corrupted like any flit;
+        the receiver ignores a corrupted pad (it carries no data).
     """
 
-    def __init__(
-        self, flit_fault_rate: float, payload_only: bool = False
-    ) -> None:
+    def __init__(self, flit_fault_rate: float) -> None:
         if not 0.0 <= flit_fault_rate <= 1.0:
             raise ValueError(
                 f"fault_rate must be a probability in [0, 1], "
                 f"got {flit_fault_rate!r}"
             )
         self.flit_fault_rate = flit_fault_rate
-        self.payload_only = payload_only
 
     def corrupt(
         self, flit: "Flit", channel: "Channel", rng: random.Random
     ) -> bool:
         if self.flit_fault_rate == 0.0:
-            return False
-        if self.payload_only and not flit.is_payload:
             return False
         return rng.random() < self.flit_fault_rate
 

@@ -243,7 +243,8 @@ class FastEngine(Engine):
         self._tick_credits = self.credit_ledger.drain
         # Direct handles on the OrderedSet backing dicts for the
         # inlined transfer/injection pipelines.
-        self._arrival_items = self._arrival_buffers._items
+        self._arrival_items: Dict["VCBuffer", None] = \
+            self._arrival_buffers._items
         self._route_items = self.route_pending._items
         self._active_recv: Set[int] = set()
         self._active_inj: Set[int] = set()

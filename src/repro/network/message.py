@@ -143,7 +143,7 @@ class Message:
         self.measured = True
         # Kill bookkeeping.  ``kill_history`` records every kill across
         # attempts as (cycle, cause) and survives begin_attempt resets.
-        self.kill_wavefront: Optional[int] = None
+        self.kill_wavefront: Optional[list] = None
         self.kill_reason: Optional[str] = None
         self.kill_history: List[tuple] = []
         self.retransmit_at: Optional[int] = None

@@ -4,7 +4,8 @@ The package is strictly opt-in: an engine is born with ``bus = None``
 and every instrumented code path guards with a single ``is None``
 check, so untraced runs pay (measurably) nothing.  To trace::
 
-    from repro.obs import JsonlSink, ListSink, attach
+    from repro.obs import ListSink, attach
+    from repro.obs.sinks import JsonlSink
 
     engine = config.build()
     attach(engine, ListSink(), JsonlSink("results/traces/run.jsonl"))
@@ -34,8 +35,7 @@ _EXPORTS = {
     "metrics": ("engine_metrics", "parse_prometheus_text"),
     "profile": ("PHASES",),
     "sinks": (
-        "DEFAULT_TRACE_DIR", "JsonlSink", "ListSink", "filter_events",
-        "read_jsonl",
+        "DEFAULT_TRACE_DIR", "ListSink", "filter_events", "read_jsonl",
     ),
     "tracing": ("config_for_experiment", "run_traced", "trace_experiments"),
 }

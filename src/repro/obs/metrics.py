@@ -1,10 +1,10 @@
 """Typed operational metrics: counters, gauges, histograms.
 
 The registry replaces ad-hoc dict plumbing with *declared* metrics:
-every metric has a stable name, a type, and a help string, so a
-snapshot is self-describing whether it is scraped as Prometheus text
-(:meth:`MetricsRegistry.prometheus_text`) or journaled as JSON
-(:meth:`MetricsRegistry.snapshot`).  Publishers:
+every metric has a stable name, a type, and a help string, so the
+Prometheus text export (:meth:`MetricsRegistry.prometheus_text`, what
+``/metrics`` serves) is self-describing, and
+:func:`parse_prometheus_text` reads it back.  Publishers:
 
 * :func:`engine_metrics` snapshots a live (or finished) engine -- every
   :class:`~repro.stats.collector.StatsCollector` counter under its
@@ -36,7 +36,9 @@ import math
 import os
 import re
 import threading
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..network.engine import Engine
@@ -153,9 +155,6 @@ class Counter:
     def sample_lines(self, name: str, labels: LabelKey) -> List[str]:
         return [f"{name}{_render_labels(labels)} {_fmt_value(self.value)}"]
 
-    def as_json(self) -> Any:
-        return self.value
-
 
 class Gauge:
     """A value that is set, not accumulated."""
@@ -173,9 +172,6 @@ class Gauge:
 
     def sample_lines(self, name: str, labels: LabelKey) -> List[str]:
         return [f"{name}{_render_labels(labels)} {_fmt_value(self.value)}"]
-
-    def as_json(self) -> Any:
-        return self.value
 
 
 class Histogram:
@@ -231,14 +227,6 @@ class Histogram:
         lines.append(f"{name}_count{_render_labels(labels)} {self.count}")
         return lines
 
-    def as_json(self) -> Any:
-        return {
-            "buckets": list(self.buckets),
-            "counts": list(self.counts) + [self.inf_count],
-            "sum": self.sum,
-            "count": self.count,
-        }
-
 
 class _Family:
     """One metric name: its type, help text, and labelled instances."""
@@ -249,7 +237,7 @@ class _Family:
         self.name = name
         self.kind = kind
         self.help = help
-        self.instances: Dict[LabelKey, Any] = {}
+        self.instances: Dict[LabelKey, Union[Counter, Gauge, Histogram]] = {}
 
 
 class MetricsRegistry:
@@ -261,7 +249,7 @@ class MetricsRegistry:
         self.prefix = prefix
         self._families: Dict[str, _Family] = {}
         # One reentrant lock covers registration, every instance's
-        # mutation, and export: snapshot()/prometheus_text() observe a
+        # mutation, and export: prometheus_text() observes a
         # point-in-time state even while other threads increment.
         self._lock = threading.RLock()
 
@@ -345,27 +333,6 @@ class MetricsRegistry:
                         family.instances[key].sample_lines(name, key)
                     )
             return "\n".join(lines) + "\n"
-
-    def snapshot(self) -> Dict[str, Any]:
-        """A JSON-ready dict: name -> {type, help, values}.
-
-        Atomic: taken under the registry lock, so a reader thread never
-        sees a half-updated histogram or a family mid-registration.
-        """
-        with self._lock:
-            out: Dict[str, Any] = {}
-            for name in self.names():
-                family = self._families[name]
-                values = {}
-                for key in sorted(family.instances):
-                    label = _render_labels(key) or ""
-                    values[label] = family.instances[key].as_json()
-                out[name] = {
-                    "type": family.kind,
-                    "help": family.help,
-                    "values": values,
-                }
-            return out
 
     def write_prometheus(self, path: str) -> str:
         """Write the text exposition to ``path``; returns the text."""

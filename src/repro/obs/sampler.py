@@ -19,12 +19,14 @@ campaign SQLite store unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
 from ..stats.latency import percentile
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..network.engine import Engine
+    from .alerts import AlertEngine
+    from .server import EngineTelemetry
 
 #: counters whose per-interval deltas the sampler records.
 _DELTA_COUNTERS = (
@@ -91,7 +93,7 @@ class IntervalSampler:
         #: and telemetry publisher hook in here, so their cost lands
         #: only on sampling boundaries (which the fast engine already
         #: wakes for), never in the per-cycle hot path.
-        self.listeners: List[Any] = []
+        self.listeners: List[Union["AlertEngine", "EngineTelemetry"]] = []
         self._start = 0
         self._base = {name: 0 for name in _DELTA_COUNTERS}
         self._latency_base = 0

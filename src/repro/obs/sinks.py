@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from .events import Event, event_to_dict
 
@@ -109,10 +109,6 @@ def read_jsonl(path: str) -> ReadResult:
     return out
 
 
-def filter_events(
-    events: List[dict], name: Optional[str] = None
-) -> List[dict]:
+def filter_events(events: List[dict], name: str) -> List[dict]:
     """Event dicts of one type from a parsed JSONL trace."""
-    if name is None:
-        return list(events)
     return [e for e in events if e.get("event") == name]

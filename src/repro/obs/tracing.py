@@ -24,6 +24,7 @@ from ..sim.simulator import SimResult, run_simulation
 from . import attach
 from .events import Event
 from .perfetto import write_chrome_trace
+from .profile import EngineProfiler
 from .sinks import JsonlSink, ListSink
 
 #: experiment id -> SimConfig overrides (quick-scale, a few k cycles).
@@ -93,7 +94,7 @@ class TracedRun:
     perfetto_entries: int = 0
     #: the armed EngineProfiler (None unless ``profile`` was requested);
     #: its summary is also in ``report["profile"]``.
-    profiler: Optional[Any] = None
+    profiler: Optional[EngineProfiler] = None
 
     @property
     def report(self) -> Dict[str, object]:
@@ -113,7 +114,6 @@ def run_traced(
     jsonl_path: Optional[str] = None,
     perfetto_path: Optional[str] = None,
     keep_engine: bool = False,
-    extra_sinks: Optional[List[Any]] = None,
     profile: Union[bool, int] = False,
 ) -> TracedRun:
     """Run one simulation with the observability stack attached.
@@ -131,13 +131,12 @@ def run_traced(
     if profile:
         config = config.with_(profile=100 if profile is True else profile)
 
-    captured: Dict[str, Any] = {}
+    captured: Dict[str, EngineProfiler] = {}
 
     def setup(engine: Any) -> None:
         sinks = [collector]
         if jsonl is not None:
             sinks.append(jsonl)
-        sinks.extend(extra_sinks or [])
         attach(engine, *sinks)
         captured["profiler"] = engine.profiler
 

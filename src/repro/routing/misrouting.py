@@ -38,10 +38,8 @@ class MisroutingAdaptive(MinimalAdaptive):
     """
 
     name = "misrouting_adaptive"
-
-    def __init__(self, topology, budget_cap: int = 8) -> None:
-        super().__init__(topology)
-        self.budget_cap = budget_cap
+    #: the most non-minimal hops one attempt may take
+    budget_cap = 8
 
     def misroute_budget(self, message: "Message") -> int:
         """Non-minimal hops allowed for this attempt.

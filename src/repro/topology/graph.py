@@ -3,8 +3,8 @@
 CR's deadlock recovery makes no assumption about the channel-dependency
 structure, so it applies to irregular networks where no cycle-free
 virtual-channel assignment is known.  This adapter turns any connected
-(di)graph -- given as an adjacency mapping, an edge list, or a networkx
-graph -- into a routable topology using all-pairs BFS.
+(di)graph -- given as an adjacency mapping or an edge list -- into a
+routable topology using all-pairs BFS.
 """
 
 from __future__ import annotations
@@ -69,19 +69,6 @@ class GraphTopology(Topology):
         for a, b in edges:
             adjacency[a].append(b)
             if bidirectional:
-                adjacency[b].append(a)
-        return cls(adjacency)
-
-    @classmethod
-    def from_networkx(cls, graph) -> "GraphTopology":
-        """Build from a networkx graph with integer nodes 0..n-1."""
-        directed = graph.is_directed()
-        adjacency: Dict[int, List[int]] = {
-            n: [] for n in range(graph.number_of_nodes())
-        }
-        for a, b in graph.edges():
-            adjacency[a].append(b)
-            if not directed:
                 adjacency[b].append(a)
         return cls(adjacency)
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List
 
+from ..core.timeout import TimeoutPolicy
 from ..network.fastengine import FastEngineRefusal
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -224,7 +225,7 @@ def _padding_shortfall(engine: "ReferenceEngine") -> None:
     "liveness",
 )
 def _timeout_disabled(engine: "ReferenceEngine") -> None:
-    class _NeverFires:
+    class _NeverFires(TimeoutPolicy):
         name = "mutated-never-fires"
 
         def threshold(self, message, num_vcs):

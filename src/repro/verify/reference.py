@@ -29,6 +29,7 @@ from ..network.engine import _LIVE_PHASES, Engine
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..network.buffer import VCBuffer
     from ..network.message import Message
+    from ..network.router import Router
 
 
 class ReferenceEngine(Engine):
@@ -104,7 +105,7 @@ class ReferenceEngine(Engine):
     def _route_headers(self, now: int) -> None:
         if not self.route_pending:
             return
-        pending = list(self.route_pending)
+        pending: List["VCBuffer"] = list(self.route_pending)
         if len(pending) > 1:
             self.rng.shuffle(pending)
         for buffer in pending:
@@ -195,7 +196,8 @@ class ReferenceEngine(Engine):
                 used_inputs.add(buffer.port)
                 self._transfer(router, port, vc, buffer, now)
 
-    def _transfer(self, router, port: int, vc: int, buffer, now: int) -> None:
+    def _transfer(self, router: "Router", port: int, vc: int,
+                  buffer: "VCBuffer", now: int) -> None:
         flit = buffer.pop(now)
         message = flit.message
         channel = router.out_channels[port]

@@ -36,7 +36,7 @@ import inspect
 import math
 import numbers
 import random
-from typing import Dict, List
+from typing import Dict, List, Type
 
 _INF = float("inf")
 
@@ -277,7 +277,7 @@ class MMPPArrivals(ArrivalProcess):
 
 
 #: spec-name -> class, for make_arrivals and the CLI/campaign layer.
-ARRIVAL_KINDS: Dict[str, type] = {
+ARRIVAL_KINDS: Dict[str, Type[ArrivalProcess]] = {
     BernoulliArrivals.name: BernoulliArrivals,
     GeometricArrivals.name: GeometricArrivals,
     "poisson": GeometricArrivals,  # the discrete-time Poisson analogue

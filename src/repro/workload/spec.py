@@ -214,7 +214,6 @@ def incast_bursts(
     period: int,
     fanin: int,
     sinks: Iterable[int],
-    request: bool = False,
 ) -> List[ScheduledArrival]:
     """Precompute periodic N-to-1 bursts as scheduled arrivals.
 
@@ -232,8 +231,7 @@ def incast_bursts(
         sink = sinks[index % len(sinks)]
         for src in rng.sample(clients, fanin):
             entries.append(ScheduledArrival(
-                cycle, src, sink, lengths.sample(rng), request=request,
-            ))
+                cycle, src, sink, lengths.sample(rng)))
     return entries
 
 

@@ -14,6 +14,7 @@ from repro.campaign.monitor import (
 )
 from repro.campaign.report import campaign_markdown
 from repro.campaign.spec import CampaignPoint
+from repro.obs.metrics import parse_prometheus_text
 from repro.sim.config import SimConfig
 
 
@@ -162,7 +163,6 @@ class TestLiveServing:
         # endpoints are live during execution, not just at the end.
         import urllib.request
 
-        from repro.obs.metrics import parse_prometheus_text
         from repro.obs.server import TelemetryServer
 
         server = TelemetryServer()
@@ -236,17 +236,18 @@ class TestMonitorAlerts:
         assert [a["point_id"] for a in status["alerts"]["recent"]] == [
             "load=0.1/rep=0", "load=0.1/rep=0",
         ]
-        by_rule = monitor.registry.snapshot()[
-            "cr_campaign_alerts_by_rule_total"]["values"]
-        assert by_rule['{rule="kill-storm",severity="critical"}'] == 1.0
+        by_rule = parse_prometheus_text(monitor.registry.prometheus_text())[
+            "cr_campaign_alerts_by_rule_total"]["samples"]
+        assert by_rule['cr_campaign_alerts_by_rule_total'
+                       '{rule="kill-storm",severity="critical"}'] == 1.0
 
     def test_build_info_gauge_in_heartbeat_metrics(self):
         from repro import __version__
 
         monitor = self.make_monitor()
         monitor.on_point(make_point(), "ok", 0.5, {})
-        values = monitor.registry.snapshot()[
-            "cr_campaign_build_info"]["values"]
+        values = parse_prometheus_text(monitor.registry.prometheus_text())[
+            "cr_campaign_build_info"]["samples"]
         (key,) = values
         assert f'version="{__version__}"' in key
         assert values[key] == 1.0

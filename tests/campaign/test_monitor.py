@@ -136,10 +136,12 @@ class TestMonitorAccounting:
         status = monitor.snapshot()
         assert (status["done"], status["failed"]) == (2, 1)
         assert status["last_point"]["outcome"] == "failed"
-        counters = monitor.registry.snapshot()[
-            "cr_campaign_points_total"]["values"]
-        assert counters == {'{outcome="ok"}': 1.0,
-                            '{outcome="failed"}': 1.0}
+        counters = parse_prometheus_text(monitor.registry.prometheus_text())[
+            "cr_campaign_points_total"]["samples"]
+        assert counters == {
+            'cr_campaign_points_total{outcome="ok"}': 1.0,
+            'cr_campaign_points_total{outcome="failed"}': 1.0,
+        }
 
     def test_kill_rate_sparkline_reads_the_stored_row(self):
         monitor = self.make_monitor()

@@ -13,6 +13,7 @@ from repro.campaign import (
     Coordinator,
     run_campaign,
 )
+from repro.obs.metrics import parse_prometheus_text
 from repro.sim import parallel
 from repro.sim.config import SimConfig
 
@@ -327,9 +328,10 @@ class TestFailures:
             status = view.heartbeat()
         assert (status["done"], status["failed"]) == (2, 1)
         assert status["eta_seconds"] == 0.0  # no stall below total
-        counters = view.monitor.registry.snapshot()[
-            "cr_campaign_points_total"]["values"]
-        assert counters['{outcome="failed"}'] == 1.0
+        counters = parse_prometheus_text(
+            view.monitor.registry.prometheus_text())[
+            "cr_campaign_points_total"]["samples"]
+        assert counters['cr_campaign_points_total{outcome="failed"}'] == 1.0
         rendered = render_status(status)
         assert "2/2 (100%) (1 failed)" in rendered
 

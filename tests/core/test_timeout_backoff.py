@@ -48,14 +48,13 @@ class TestLengthScaledTimeout:
         assert policy.threshold(msg_with_wire(20), num_vcs=2) == 20
 
     def test_minimum_floor(self):
-        policy = LengthScaledTimeout(minimum=50)
-        assert policy.threshold(msg_with_wire(4), num_vcs=1) == 50
+        policy = LengthScaledTimeout()
+        assert policy.threshold(msg_with_wire(4), num_vcs=1) == \
+            LengthScaledTimeout.minimum
 
     def test_invalid(self):
         with pytest.raises(ValueError):
             LengthScaledTimeout(factor=0)
-        with pytest.raises(ValueError):
-            LengthScaledTimeout(minimum=0)
 
 
 class TestPathWideTimeout:
@@ -87,7 +86,7 @@ class TestStaticGap:
 
 class TestExponentialBackoff:
     def test_range_grows_with_kills(self):
-        policy = ExponentialBackoff(slot_cycles=8, cap=6)
+        policy = ExponentialBackoff(slot_cycles=8)
         rng = random.Random(0)
         few = max(policy.gap(msg_with_wire(8, kills=1), rng)
                   for _ in range(200))
@@ -97,14 +96,14 @@ class TestExponentialBackoff:
         assert many > few
 
     def test_cap_bounds_gap(self):
-        policy = ExponentialBackoff(slot_cycles=4, cap=3)
+        policy = ExponentialBackoff(slot_cycles=4)
         rng = random.Random(1)
-        for _ in range(500):
-            gap = policy.gap(msg_with_wire(8, kills=50), rng)
-            assert 0 <= gap <= 4 * (2**3 - 1)
+        gaps = [policy.gap(msg_with_wire(8, kills=50), rng)
+                for _ in range(500)]
+        assert 0 <= min(gaps) and max(gaps) <= 4 * (2**policy.cap - 1)
 
     def test_slot_quantisation(self):
-        policy = ExponentialBackoff(slot_cycles=16, cap=6)
+        policy = ExponentialBackoff(slot_cycles=16)
         rng = random.Random(2)
         for _ in range(100):
             assert policy.gap(msg_with_wire(8, kills=3), rng) % 16 == 0
@@ -112,5 +111,3 @@ class TestExponentialBackoff:
     def test_invalid(self):
         with pytest.raises(ValueError):
             ExponentialBackoff(slot_cycles=0)
-        with pytest.raises(ValueError):
-            ExponentialBackoff(cap=0)

@@ -59,13 +59,6 @@ class TestTransientFaults:
         )
         assert 0.08 < hits / 20000 < 0.12
 
-    def test_payload_only_mode(self):
-        model = TransientFaults(1.0, payload_only=True)
-        rng = random.Random(0)
-        channel = make_network().link_channels[0]
-        assert model.corrupt(a_flit(FlitKind.HEAD), channel, rng)
-        assert not model.corrupt(a_flit(FlitKind.PAD), channel, rng)
-
     def test_invalid_rate(self):
         with pytest.raises(ValueError):
             TransientFaults(1.5)

@@ -147,16 +147,14 @@ class TestHistogramEdges:
         assert hist.sum == -5.0
         assert hist.count == 1
 
-    def test_json_and_prometheus_agree(self):
+    def test_prometheus_text_is_cumulative(self):
         registry = MetricsRegistry()
         hist = registry.histogram("lat", "Latency.",
                                   buckets=(1.0, 10.0, 100.0))
         for value in (-1.0, 1.0, 10.0, 99.0, 1e9):
             hist.observe(value)
-        snap = registry.snapshot()["lat"]["values"][""]
-        # JSON keeps per-bucket counts (+Inf last); text is cumulative.
-        assert snap["counts"] == [2, 1, 1, 1]
-        assert snap["count"] == 5
+        # The instance keeps per-bucket counts; the text is cumulative.
+        assert (hist.counts, hist.inf_count) == ([2, 1, 1], 1)
         parsed = parse_prometheus_text(registry.prometheus_text())
         samples = parsed["lat"]["samples"]
         assert samples['lat_bucket{le="1"}'] == 2
@@ -170,8 +168,8 @@ class TestHistogramEdges:
 class TestThreadSafety:
     def test_hammer_leaves_exact_totals(self):
         # Four writer threads hammer one counter and one histogram
-        # through the registry while a reader thread snapshots
-        # concurrently; with the registry lock shared into every
+        # through the registry while a reader thread renders the text
+        # export concurrently; with the registry lock shared into every
         # instance the final totals are exact, not approximately right.
         registry = MetricsRegistry()
         counter = registry.counter("hits", "Hits.")
@@ -188,8 +186,9 @@ class TestThreadSafety:
 
         def reader():
             while not stop.is_set():
-                snap = registry.snapshot()
-                seen.append(snap["obs"]["values"][""]["count"])
+                text = registry.prometheus_text()
+                seen.append(parse_prometheus_text(text)["obs"]["samples"][
+                    "obs_count"])
 
         workers = [threading.Thread(target=writer)
                    for _ in range(threads)]

@@ -203,5 +203,4 @@ class TestFilterEvents:
     def test_by_name_and_passthrough(self):
         events = [{"event": "A"}, {"event": "B"}, {"event": "A"}]
         assert filter_events(events, "A") == [{"event": "A"}] * 2
-        assert filter_events(events) == events
         assert filter_events(events, "C") == []

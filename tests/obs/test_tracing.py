@@ -108,14 +108,3 @@ class TestRunTraced:
         # The trace run leaves the bus attached for post-hoc queries.
         assert traced.result.engine.bus is not None
 
-    def test_extra_sinks_receive_events(self):
-        seen = []
-
-        class Probe:
-            def on_event(self, event):
-                seen.append(event)
-
-        traced = run_traced(
-            near_saturation_config(), extra_sinks=[Probe()]
-        )
-        assert seen == traced.events

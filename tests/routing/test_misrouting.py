@@ -29,10 +29,10 @@ class TestBudget:
         assert routing.misroute_budget(msg) == 6
 
     def test_budget_capped(self):
-        routing = MisroutingAdaptive(torus(4, 2), budget_cap=8)
+        routing = MisroutingAdaptive(torus(4, 2))
         msg = Message(0, 1, 4)
         msg.kills = 50
-        assert routing.misroute_budget(msg) == 8
+        assert routing.misroute_budget(msg) == MisroutingAdaptive.budget_cap
 
 
 class TestCandidateTiers:

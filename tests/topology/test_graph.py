@@ -39,13 +39,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             GraphTopology({0: [5], 1: [0]})
 
-    def test_from_networkx(self):
-        networkx = pytest.importorskip("networkx")
-        graph = networkx.petersen_graph()
-        topo = GraphTopology.from_networkx(graph)
-        assert topo.num_nodes == 10
-        assert topo.average_min_distance() > 1
-
 
 class TestRoutingQueries:
     def test_bfs_distances_on_ring(self):
