@@ -28,16 +28,14 @@ _EXPORTS = {
     "sim.config": ("SimConfig",),
     "sim.simulator": ("run_simulation",),
     "campaign": ("run_campaign",),
-    "sim.export": ("read_csv",),
     # core protocol
     "core.protocol": ("ProtocolConfig", "ProtocolMode"),
-    "core.padding": ("PaddingParams",),
     "core.timeout": ("FixedTimeout",),
     "core.backoff": ("StaticGap", "ExponentialBackoff"),
     "core.swretry": ("SoftwareReliability",),
-    # network substrate: the shared base, the product engine (the spec
-    # is repro.verify.reference.ReferenceEngine, loaded on demand)
-    "network.engine": ("Engine", "NetworkDeadlockError"),
+    # network substrate: the product engine (the spec is
+    # repro.verify.reference.ReferenceEngine, loaded on demand)
+    "network.engine": ("NetworkDeadlockError",),
     "network.fastengine": ("FastEngine",),
     "network.network": ("WormholeNetwork",),
     "network.message": ("Message",),
@@ -48,18 +46,15 @@ _EXPORTS = {
     "routing.misrouting": ("MisroutingAdaptive",),
     "routing.duato": ("Duato",),
     "routing.turnmodel": ("NegativeFirst",),
-    "routing.selection": (
-        "FirstFree", "RandomFree", "LeastOccupied", "make_selection",
-    ),
+    "routing.selection": ("FirstFree", "RandomFree"),
     # topology
-    "topology.torus": ("torus", "mesh"),
+    "topology.torus": ("torus",),
     "topology.graph": ("GraphTopology",),
     # faults
-    "faults.model": ("NoFaults", "CompositeFaultModel"),
+    "faults.model": ("CompositeFaultModel",),
     "faults.transient": ("TransientFaults",),
     "faults.permanent": (
         "ChannelFault", "PermanentFaultSchedule", "random_channel_faults",
-        "kill_router",
     ),
     # traffic
     "traffic.patterns": (
@@ -78,7 +73,7 @@ _EXPORTS = {
     "stats.svg": ("render_network_svg",),
     # observability
     "obs": (
-        "ListSink", "attach", "detach", "run_traced", "read_jsonl",
+        "ListSink", "attach", "run_traced", "read_jsonl",
         "engine_metrics", "parse_prometheus_text",
     ),
     # verification

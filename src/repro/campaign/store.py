@@ -251,11 +251,11 @@ class CampaignStore:
     release wrote) and then stamps it, so reopening a current store
     runs no DDL.  ``readonly=True`` opens an existing file for reading
     only (``cr-sim campaign watch``): nothing is created, migrated,
-    stamped or written, and under WAL the reader never blocks a
-    writer.  A missing file raises :class:`FileNotFoundError`; in
-    either mode, a file that is no campaign store raises
-    :class:`sqlite3.DatabaseError` here, not at the first read or
-    write.
+    stamped or written, nothing is left beside the file, and under
+    WAL the reader never blocks a writer.  A missing file raises
+    :class:`FileNotFoundError`; in either mode, a file that is no
+    campaign store raises :class:`sqlite3.DatabaseError` here, not at
+    the first read or write.
     """
 
     def __init__(self, path: str = DEFAULT_DB_PATH,
@@ -264,7 +264,10 @@ class CampaignStore:
         if readonly:
             if not os.path.isfile(self.path):
                 raise FileNotFoundError(f"no campaign store at {self.path}")
-            target = f"file:{quote(os.path.abspath(self.path))}?mode=ro"
+            # ``mode=rw`` with ``query_only``, not ``mode=ro``: a
+            # read-only connection cannot remove the ``-wal`` / ``-shm``
+            # files its open creates, and this one, closing last, does.
+            target = f"file:{quote(os.path.abspath(self.path))}?mode=rw"
         else:
             target = self.path
             parent = os.path.dirname(self.path)
@@ -281,6 +284,7 @@ class CampaignStore:
         self._conn.row_factory = sqlite3.Row
         self._conn.execute(f"PRAGMA busy_timeout = {BUSY_TIMEOUT_MS}")
         if readonly:
+            self._conn.execute("PRAGMA query_only = ON")
             self._conn.execute("SELECT 1 FROM campaigns LIMIT 1")
             return
         self._conn.execute("PRAGMA synchronous = NORMAL")

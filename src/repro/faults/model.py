@@ -61,7 +61,7 @@ class FaultModel(abc.ABC):
         right and never fast.
         """
         if type(self).on_cycle is FaultModel.on_cycle:
-            # No cycle hook (NoFaults, TransientFaults): the model acts
+            # No cycle hook (the base, TransientFaults): the model acts
             # only per transfer, and nothing transfers during a skip.
             return _INF
         return None
@@ -82,10 +82,6 @@ class FaultModel(abc.ABC):
         you are asked; nothing to declare.
         """
         return type(self).corrupt is not FaultModel.corrupt
-
-
-class NoFaults(FaultModel):
-    """Explicit fault-free model (identical to passing None)."""
 
 
 class CompositeFaultModel(FaultModel):

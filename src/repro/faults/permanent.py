@@ -137,14 +137,3 @@ def _placement(network: "WormholeNetwork", entry) -> ChannelFault:
             f"permanent_faults placement {entry!r}: {exc.args[0]}"
         ) from None
     return ChannelFault(*entry)
-
-
-def kill_router(network: "WormholeNetwork", node: int) -> int:
-    """Mark every link touching ``node`` dead; returns links killed."""
-    killed = 0
-    for channel in network.link_channels:
-        if channel.src_node == node or channel.dst_node == node:
-            if not channel.dead:
-                channel.dead = True
-                killed += 1
-    return killed

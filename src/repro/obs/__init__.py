@@ -41,7 +41,7 @@ _EXPORTS = {
 }
 
 __all__, __getattr__, __dir__ = lazy_exports(
-    globals(), _EXPORTS, "attach", "detach", "open_telemetry"
+    globals(), _EXPORTS, "attach", "open_telemetry"
 )
 
 
@@ -63,20 +63,6 @@ def attach(engine: "Engine", *sinks: Any) -> "EventBus":
     if engine.fault_model is not None:
         engine.fault_model.bind_bus(bus)
     return bus
-
-
-def detach(engine: "Engine") -> None:
-    """Remove the bus (closing sinks), restoring the untraced fast path."""
-    bus = engine.bus
-    if bus is None:
-        return
-    for sink in bus.sinks:
-        close = getattr(sink, "close", None)
-        if close is not None:
-            close()
-    engine.bus = None
-    if engine.fault_model is not None:
-        engine.fault_model.bind_bus(None)
 
 
 def open_telemetry(serve: Any) -> Tuple[Any, bool]:

@@ -54,43 +54,3 @@ class RandomFree(SelectionPolicy):
         if len(free) == 1:
             return free[0]
         return rng.choice(free)
-
-
-class LeastOccupied(SelectionPolicy):
-    """Prefer the candidate whose downstream buffer is emptiest.
-
-    Ties are broken randomly so repeated retries still diversify.
-    """
-
-    name = "least_occupied"
-
-    def pick(self, free, router, message, rng):
-        def occupancy(cand: Candidate) -> int:
-            channel = router.out_channels[cand.port]
-            if channel.is_ejection:
-                return 0
-            sink = channel.sinks[cand.vc]
-            return sink.occupancy if sink is not None else 0
-
-        best = min(occupancy(c) for c in free)
-        pool = [c for c in free if occupancy(c) == best]
-        if len(pool) == 1:
-            return pool[0]
-        return rng.choice(pool)
-
-
-def make_selection(name: str) -> SelectionPolicy:
-    """Factory by name (for a hand-built ``WormholeNetwork``; a
-    ``SimConfig`` always selects :class:`RandomFree`)."""
-    policies = {
-        FirstFree.name: FirstFree,
-        RandomFree.name: RandomFree,
-        LeastOccupied.name: LeastOccupied,
-    }
-    try:
-        return policies[name]()
-    except KeyError:
-        raise ValueError(
-            f"unknown selection policy {name!r}; "
-            f"choose from {sorted(policies)}"
-        ) from None

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import os
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 
 def rows_to_csv(rows: Sequence[Dict[str, object]], path: str) -> int:
@@ -29,9 +29,3 @@ def rows_to_csv(rows: Sequence[Dict[str, object]], path: str) -> int:
         for row in rows:
             writer.writerow(row)
     return len(rows)
-
-
-def read_csv(path: str) -> List[Dict[str, str]]:
-    """Read back a CSV written by :func:`rows_to_csv` (strings only)."""
-    with open(path, newline="") as handle:
-        return list(csv.DictReader(handle))

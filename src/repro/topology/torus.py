@@ -203,8 +203,3 @@ class KAryNCube(Topology):
 def torus(radix: int, dims: int = 2) -> KAryNCube:
     """A k-ary n-cube with wraparound links."""
     return KAryNCube(radix, dims, wrap=True)
-
-
-def mesh(radix: int, dims: int = 2) -> KAryNCube:
-    """A k-ary n-cube without wraparound links."""
-    return KAryNCube(radix, dims, wrap=False)

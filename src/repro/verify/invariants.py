@@ -19,7 +19,8 @@ for the asserted budget).  The hook sites are:
 * ``KillManager._flush_segment`` -- counts flits reclaimed by kills,
 * ``KillManager._complete``  -- kill-protocol postcondition,
 * ``Injector._commit``       -- padding-theorem postcondition,
-* ``run_simulation``         -- final sweep + post-drain quiescence.
+* ``run_simulation``         -- final sweep, the latency floor of every
+                                delivery, post-drain quiescence.
 
 A violated invariant raises :class:`InvariantViolation` carrying the
 same :class:`~repro.obs.forensics.DeadlockReport` bundle the watchdog
@@ -94,11 +95,30 @@ class VerifyConfig:
         )
 
 
+def latency_floor(
+    hops: int, wire_length: int, channel_latency: int, pcs: bool
+) -> int:
+    """Fewest cycles from an attempt's first injected flit to delivery.
+
+    The wormhole pipeline: the header crosses ``hops + 2`` channel
+    stages (injection, each link, ejection) and the worm trails it by
+    ``wire_length - 1`` flits, one per cycle.  PCS first sends a probe
+    out and an acknowledgement back, ``2 * hops`` more stages.  A
+    zero-load message meets the floor exactly; CR's commit rule (Imin
+    padding outlasts the header's trip) rests on this timing.
+    """
+    floor = (hops + 2) * channel_latency + wire_length - 1
+    if pcs:
+        floor += 2 * hops * channel_latency
+    return floor
+
+
 class InvariantViolation(AssertionError):
     """A protocol invariant failed, with forensics attached.
 
     ``invariant`` names the violated law (``conservation``, ``credits``,
-    ``kill-protocol``, ``padding``, ``liveness``, ``quiescence``);
+    ``kill-protocol``, ``padding``, ``liveness``, ``latency-floor``,
+    ``quiescence``);
     ``report`` carries the :class:`~repro.obs.forensics.DeadlockReport`
     snapshot built at the moment of the failure.
     """
@@ -253,6 +273,7 @@ class InvariantChecker:
 
     def on_run_end(self, drained: bool, now: int) -> None:
         self.check_all(now)
+        self._check_latency_floor(now)
         if drained and self.config.quiescence:
             self._check_quiescence(now)
 
@@ -352,6 +373,24 @@ class InvariantChecker:
                 f"recovery guarantee is not advancing the network",
                 now,
             )
+
+    def _check_latency_floor(self, now: int) -> None:
+        """No delivery beats the pipeline: a faster one skipped a stage."""
+        engine = self.engine
+        latency = engine.network.channel_latency
+        pcs = engine.protocol.mode is ProtocolMode.PCS
+        for message in engine.ledger.deliveries:
+            hops = engine.topology.min_distance(message.src, message.dst)
+            floor = latency_floor(hops, message.wire_length, latency, pcs)
+            taken = message.delivered_at - message.inject_start_at
+            if taken < floor:
+                self._fail(
+                    "latency-floor",
+                    f"message {message.uid} delivered {taken} cycle(s) "
+                    f"after its attempt began, under the pipeline floor "
+                    f"{floor} ({hops} hops, wire {message.wire_length})",
+                    now,
+                )
 
     def _check_quiescence(self, now: int) -> None:
         """Post-drain: a drained network holds no residual state."""

@@ -259,6 +259,30 @@ def _dateline_skip(engine: "ReferenceEngine") -> None:
 
 
 # ----------------------------------------------------------------------
+# Timing bugs
+# ----------------------------------------------------------------------
+
+@register(
+    "eject-same-cycle",
+    "the receiver consumes a flit in the cycle it lands on the ejection "
+    "channel, skipping the ejection stage",
+    "latency-floor",
+)
+def _eject_same_cycle(engine: "ReferenceEngine") -> None:
+    orig = engine._transfer
+
+    def mutated(router, port, vc, buffer, now):
+        orig(router, port, vc, buffer, now)
+        if router.out_channels[port].is_ejection:
+            receiver = engine.nodes[router.node_id].receiver
+            _arrival, flit, channel = receiver.staging[-1]
+            receiver.staging[-1] = (now, flit, channel)
+            receiver.process(now)
+
+    engine._transfer = mutated
+
+
+# ----------------------------------------------------------------------
 # Delivery bugs
 # ----------------------------------------------------------------------
 

@@ -2,6 +2,7 @@
 
 import json
 import time
+from csv import DictReader
 
 import pytest
 
@@ -50,6 +51,24 @@ class TestWatch:
         assert "campaign from-file [finished]" in out
         assert "2/2 (100%)" in out
 
+    def test_once_leaves_a_settled_store_as_it_was(self, tmp_path, db,
+                                                   capsys):
+        """A watch only reads: the store's directory holds the same
+        files, byte for byte and untouched, afterwards (no ``-wal`` /
+        ``-shm``)."""
+        path = spec_file(tmp_path)
+        assert cli_main(["campaign", "run", path, "--db", db]) == 0
+
+        def listing():
+            return {p.name: (p.read_bytes(), p.stat().st_mtime_ns)
+                    for p in tmp_path.iterdir()}
+
+        before = listing()
+        assert cli_main(
+            ["campaign", "watch", "from-file", "--db", db, "--once"]
+        ) == 0
+        assert listing() == before
+
     def test_watch_loop_exits_when_finished(self, tmp_path, db, capsys):
         path = spec_file(tmp_path)
         assert cli_main(["campaign", "run", path, "--db", db]) == 0
@@ -88,9 +107,8 @@ class TestWatch:
         assert "campaign budget [finished]" in out
         assert "2/2 (100%) (1 failed)" in out
         assert "last point: " in out
-        assert {p.name for p in tmp_path.iterdir()} <= {
-            "spec.json", "campaigns.sqlite", "campaigns.sqlite-wal",
-            "campaigns.sqlite-shm"}
+        assert {p.name for p in tmp_path.iterdir()} == {
+            "spec.json", "campaigns.sqlite"}
         with repro.campaign.CampaignStore(db) as store:
             assert store.spec("budget").max_attempts == 1
 
@@ -309,9 +327,8 @@ class TestStatusAndReport:
         assert "Campaign comparison: from-file vs from-file-2" in out
         assert "provenance" in out
         assert md.exists() and csv.exists()
-        from repro.sim.export import read_csv
-
-        rows = read_csv(str(csv))
+        with open(csv, newline="") as handle:
+            rows = list(DictReader(handle))
         assert rows and "baseline_hashes" in rows[0]
 
     def test_report_unknown_campaign_rejected(self, db, usage_error):

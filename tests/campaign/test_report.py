@@ -1,5 +1,7 @@
 """Regression reports: aggregation, significance, provenance, rendering."""
 
+import csv
+
 import pytest
 
 from repro import __version__
@@ -12,7 +14,6 @@ from repro.campaign import (
     render_markdown,
 )
 from repro.campaign.report import intervals_separated, summarize_samples
-from repro.sim.export import read_csv
 
 
 def make_spec(name):
@@ -196,7 +197,8 @@ class TestRendering:
                                  metrics=["latency_mean"])
         path = str(tmp_path / "sub" / "cmp.csv")  # parent auto-created
         count = comparison_to_csv(rows, path)
-        back = read_csv(path)
+        with open(path, newline="") as handle:
+            back = list(csv.DictReader(handle))
         assert len(back) == count == 2
         assert {"scenario", "metric", "baseline_mean", "candidate_mean",
                 "baseline_hashes", "candidate_version"} <= set(back[0])

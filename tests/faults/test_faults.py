@@ -10,15 +10,14 @@ from repro import (
     CompositeFaultModel,
     FirstFree,
     MinimalAdaptive,
-    NoFaults,
     PermanentFaultSchedule,
     TransientFaults,
     WormholeNetwork,
-    kill_router,
     random_channel_faults,
     torus,
 )
 from repro.faults.cascading import LoadDependentFaults
+from repro.faults.model import FaultModel
 from repro.network.flit import Flit, FlitKind
 from repro.network.message import Message, reset_uid_counter
 from repro.sim.config import SimConfig
@@ -94,14 +93,6 @@ class TestPermanentFaults:
         for node, count in dead_out.items():
             assert count < len(network.topology.links(node))
 
-    def test_kill_router_darkens_all_its_links(self):
-        network = make_network()
-        killed = kill_router(network, 5)
-        assert killed == 8  # 4 out + 4 in on a 2D torus
-        for channel in network.link_channels:
-            if channel.src_node == 5 or channel.dst_node == 5:
-                assert channel.dead
-
     def test_find_link_missing(self):
         network = make_network()
         with pytest.raises(KeyError):
@@ -115,14 +106,14 @@ class TestComposite:
         schedule = PermanentFaultSchedule(
             [ChannelFault(0, link.src_node, link.dst_node)]
         )
-        model = CompositeFaultModel([NoFaults(), schedule,
+        model = CompositeFaultModel([FaultModel(), schedule,
                                      TransientFaults(1.0)])
         model.on_cycle(0, network)
         assert link.dead
         assert model.corrupt(a_flit(), link, random.Random(0))
 
     def test_no_faults_is_inert(self):
-        model = NoFaults()
+        model = FaultModel()
         network = make_network()
         model.on_cycle(0, network)
         assert not model.corrupt(a_flit(), network.link_channels[0],
@@ -132,7 +123,7 @@ class TestComposite:
 class TestNextEvent:
     """The wake protocol: when does ``on_cycle`` next act?"""
 
-    class Unannounced(NoFaults):
+    class Unannounced(FaultModel):
         """Overrides the hook, not ``next_event``."""
 
         def on_cycle(self, now, network):
@@ -140,7 +131,7 @@ class TestNextEvent:
 
     def test_models_without_a_cycle_hook_never_act(self):
         inf = float("inf")
-        assert NoFaults().next_event(0) == inf
+        assert FaultModel().next_event(0) == inf
         assert TransientFaults(1e-3).next_event(17) == inf
 
     def test_a_hook_that_does_not_say_is_unknown(self):
@@ -173,18 +164,18 @@ class TestNextEvent:
 class TestCorrupts:
     """The per-traversal question: can ``corrupt`` answer True?"""
 
-    class Silent(NoFaults):
+    class Silent(FaultModel):
         """Overrides nothing ``corrupts`` looks at."""
 
         def on_cycle(self, now, network):
             pass
 
-    class OnlyCorrupt(NoFaults):
+    class OnlyCorrupt(FaultModel):
         def corrupt(self, flit, channel, rng):
             return rng.random() < 0.5
 
     def test_models_with_the_base_no_op_are_not_asked(self):
-        assert not NoFaults().corrupts()
+        assert not FaultModel().corrupts()
         assert not PermanentFaultSchedule([ChannelFault(3, 0, 1)]).corrupts()
         assert not LoadDependentFaults().corrupts()
         assert not self.Silent().corrupts()
@@ -195,7 +186,7 @@ class TestCorrupts:
         assert self.OnlyCorrupt().corrupts()
 
     def test_composite_is_asked_when_any_child_is(self):
-        silent = [NoFaults(), LoadDependentFaults()]
+        silent = [FaultModel(), LoadDependentFaults()]
         assert not CompositeFaultModel(silent).corrupts()
         assert CompositeFaultModel(
             silent + [TransientFaults(1e-3)]

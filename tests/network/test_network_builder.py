@@ -7,9 +7,9 @@ from repro import (
     MinimalAdaptive,
     DimensionOrder,
     WormholeNetwork,
-    mesh,
     torus,
 )
+from repro.topology.torus import KAryNCube
 
 
 def build(topology=None, **kwargs):
@@ -49,7 +49,7 @@ class TestLinkWiring:
         assert len(network.link_channels) == 16 * 4
 
     def test_channel_count_mesh_edges(self):
-        network = build(topology=mesh(3, 2))
+        network = build(topology=KAryNCube(3, 2, wrap=False))
         # 3x3 mesh: 12 bidirectional edges = 24 unidirectional channels.
         assert len(network.link_channels) == 24
 

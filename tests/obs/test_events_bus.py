@@ -1,10 +1,10 @@
-"""Event taxonomy, the subscriber bus, and attach/detach lifecycle."""
+"""Event taxonomy, the subscriber bus, and the attach lifecycle."""
 
 import dataclasses
 
 import pytest
 
-from repro import SimConfig, attach, detach
+from repro import SimConfig, attach
 from repro.obs import ListSink
 from repro.obs.events import (
     EVENT_TYPES,
@@ -87,14 +87,12 @@ class TestAttachDetach:
         assert engine.bus is None
         assert engine.sampler is None
 
-    def test_attach_installs_bus_and_detach_removes_it(self):
+    def test_attach_installs_bus(self):
         engine = small_config().build()
         sink = ListSink()
         bus = attach(engine, sink)
         assert engine.bus is bus
         assert sink in bus.sinks
-        detach(engine)
-        assert engine.bus is None
 
     def test_attach_twice_reuses_the_bus(self):
         engine = small_config().build()

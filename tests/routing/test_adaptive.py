@@ -14,10 +14,10 @@ from repro import (
     ProtocolMode,
     RandomFree,
     WormholeNetwork,
-    mesh,
     torus,
 )
 from repro.network.router import Router
+from repro.topology.torus import KAryNCube
 from repro.verify.reference import ReferenceEngine
 
 
@@ -52,7 +52,7 @@ class TestMinimalAdaptive:
 class TestDuato:
     def test_min_vcs(self):
         assert Duato(torus(4, 2)).min_vcs() == 3
-        assert Duato(mesh(4, 2)).min_vcs() == 2
+        assert Duato(KAryNCube(4, 2, wrap=False)).min_vcs() == 2
 
     def test_tiers_split_adaptive_and_escape(self):
         topology = torus(4, 2)
@@ -134,7 +134,7 @@ class TestNegativeFirst:
             NegativeFirst(torus(4, 2))
 
     def test_negative_hops_offered_first(self):
-        topology = mesh(4, 2)
+        topology = KAryNCube(4, 2, wrap=False)
         routing = NegativeFirst(topology)
         src = topology.node_at((2, 1))
         dst = topology.node_at((1, 3))  # needs -1 in dim0, +2 in dim1
@@ -147,7 +147,7 @@ class TestNegativeFirst:
         assert directions == {-1}
 
     def test_positive_phase_fully_adaptive(self):
-        topology = mesh(4, 2)
+        topology = KAryNCube(4, 2, wrap=False)
         routing = NegativeFirst(topology)
         src = topology.node_at((0, 0))
         dst = topology.node_at((2, 2))
@@ -160,7 +160,7 @@ class TestNegativeFirst:
         assert dims == {0, 1}
 
     def test_saturated_mesh_drains(self):
-        topology = mesh(4, 2)
+        topology = KAryNCube(4, 2, wrap=False)
         routing = NegativeFirst(topology)
         network = WormholeNetwork(topology, routing, RandomFree(), num_vcs=1)
         engine = ReferenceEngine(

@@ -11,10 +11,10 @@ from repro import (
     ProtocolConfig,
     ProtocolMode,
     WormholeNetwork,
-    mesh,
     torus,
 )
 from repro.network.channel import Channel
+from repro.topology.torus import KAryNCube
 from repro.verify.reference import ReferenceEngine
 
 
@@ -23,7 +23,7 @@ class TestVcRequirements:
         assert DimensionOrder(torus(4, 2)).min_vcs() == 2
 
     def test_mesh_needs_one(self):
-        assert DimensionOrder(mesh(4, 2)).min_vcs() == 1
+        assert DimensionOrder(KAryNCube(4, 2, wrap=False)).min_vcs() == 1
 
     def test_network_rejects_too_few_vcs(self):
         topo = torus(4, 2)
@@ -73,8 +73,9 @@ class TestDatelineState:
 
 
 class TestDeadlockFreedom:
-    @pytest.mark.parametrize("topo_factory", [lambda: torus(4, 2),
-                                              lambda: mesh(4, 2)])
+    @pytest.mark.parametrize("topo_factory", [
+        lambda: torus(4, 2), lambda: KAryNCube(4, 2, wrap=False),
+    ])
     def test_saturating_plain_wormhole_drains(self, topo_factory):
         """DOR with dateline VCs never deadlocks, even saturated."""
         topology = topo_factory()

@@ -2,20 +2,7 @@
 
 import random
 
-import pytest
-
-from repro import (
-    Candidate,
-    FirstFree,
-    LeastOccupied,
-    MinimalAdaptive,
-    Message,
-    RandomFree,
-    WormholeNetwork,
-    make_selection,
-    torus,
-)
-from repro.network.flit import Flit, FlitKind
+from repro import Candidate, FirstFree, RandomFree
 
 
 class TestFirstFree:
@@ -37,45 +24,3 @@ class TestRandomFree:
         policy = RandomFree()
         only = [Candidate(2, 1)]
         assert policy.pick(only, None, None, random.Random(0)) == only[0]
-
-
-class TestLeastOccupied:
-    def _network(self):
-        topology = torus(4, 2)
-        return WormholeNetwork(
-            topology, MinimalAdaptive(topology), FirstFree(), num_vcs=1
-        )
-
-    def test_prefers_empty_downstream(self):
-        network = self._network()
-        router = network.routers[0]
-        msg = Message(5, 0, 4)
-        # Occupy the downstream buffer of port 0.
-        busy = router.out_channels[0].sinks[0]
-        busy.stage(Flit(msg, FlitKind.HEAD, 0), arrival=0)
-        policy = LeastOccupied()
-        free = [Candidate(0, 0), Candidate(2, 0)]
-        pick = policy.pick(free, router, msg, random.Random(0))
-        assert pick.port == 2
-
-    def test_ejection_counts_as_empty(self):
-        network = self._network()
-        router = network.routers[0]
-        policy = LeastOccupied()
-        free = [Candidate(router.eject_ports[0], 0)]
-        pick = policy.pick(free, router, Message(1, 0, 4), random.Random(0))
-        assert pick.port == router.eject_ports[0]
-
-
-class TestFactory:
-    @pytest.mark.parametrize(
-        "name,cls",
-        [("first_free", FirstFree), ("random", RandomFree),
-         ("least_occupied", LeastOccupied)],
-    )
-    def test_known_names(self, name, cls):
-        assert isinstance(make_selection(name), cls)
-
-    def test_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown selection"):
-            make_selection("nope")

@@ -1,7 +1,14 @@
 """CSV export round-trips and the CLI sweep command."""
 
+import csv
+
 from repro.cli import main as cli_main
-from repro.sim.export import read_csv, rows_to_csv
+from repro.sim.export import rows_to_csv
+
+
+def read_csv(path):
+    with open(path, newline="") as handle:
+        return list(csv.DictReader(handle))
 
 
 class TestCsv:

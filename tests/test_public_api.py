@@ -26,7 +26,7 @@ star = {}
 exec("from repro import *", star)
 import repro
 missing = sorted(set(repro.__all__) - set(star))
-assert len(repro.__all__) == 66 and not missing, missing
+assert len(repro.__all__) == 57 and not missing, missing
 
 for package in packages:
     module = sys.modules[package]
@@ -144,7 +144,7 @@ class TestAllList:
 
     def test_key_entry_points_present(self):
         for name in (
-            "SimConfig", "run_simulation", "Engine", "Message",
+            "SimConfig", "run_simulation", "FastEngine", "Message",
             "WormholeNetwork", "ProtocolConfig", "torus",
         ):
             assert name in repro.__all__

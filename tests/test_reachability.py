@@ -149,6 +149,42 @@ class TestPlantedTrees:
         assert any(line.startswith("dead: repro.extra.Leaf.value ")
                    for line in found)
 
+    def test_a_duck_typed_store_reaches_its_class(self, tmp_path):
+        """A value stored into an annotated name or attribute adds its
+        class to the target's types, though the annotation names
+        another: ``x: Base = Duck(); x.quack()`` reaches ``Duck.quack``."""
+        root = plant(tmp_path, {**LIBRARY, "src/repro/extra.py": """\
+            class Base:
+                def swim(self):
+                    return "swim"
+
+            class Duck:
+                def quack(self):
+                    return "quack"
+
+            class Goose:
+                def honk(self):
+                    return "honk"
+
+            class Pond:
+                def __init__(self):
+                    self.bird: Base = Goose()
+
+                def stir(self):
+                    return self.bird.honk()
+            """, "tools/pond.py": """\
+            from repro.extra import Base, Duck, Pond
+
+            x: Base = Duck()
+            x.quack()
+            x.swim()
+            Pond().stir()
+            """})
+        found = findings(root)
+        assert not any(line.startswith(("dead: repro.extra.Duck.quack ",
+                                         "dead: repro.extra.Goose.honk "))
+                       for line in found), found
+
     def test_an_unresolved_receiver_needs_an_entry(self, tmp_path):
         files = {**LIBRARY, "src/repro/extra.py": """\
             class Sink:

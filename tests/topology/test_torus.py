@@ -2,18 +2,18 @@
 
 import pytest
 
-from repro.topology.torus import KAryNCube, mesh, torus
+from repro.topology.torus import KAryNCube, torus
 
 
 class TestConstruction:
     def test_node_count(self):
         assert torus(4, 2).num_nodes == 16
         assert torus(8, 2).num_nodes == 64
-        assert mesh(3, 3).num_nodes == 27
+        assert KAryNCube(3, 3, wrap=False).num_nodes == 27
 
     def test_names(self):
         assert torus(8, 2).name == "8-ary 2-torus"
-        assert mesh(4, 3).name == "4-ary 3-mesh"
+        assert KAryNCube(4, 3, wrap=False).name == "4-ary 3-mesh"
 
     def test_invalid_radix(self):
         with pytest.raises(ValueError):
@@ -28,7 +28,7 @@ class TestConstruction:
             KAryNCube(2, 3, wrap=True)
 
     def test_2ary_mesh_allowed(self):
-        topo = mesh(2, 3)
+        topo = KAryNCube(2, 3, wrap=False)
         assert topo.num_nodes == 8
 
 
@@ -64,17 +64,17 @@ class TestLinks:
             assert len(topo.links(node)) == 4
 
     def test_mesh_corner_degree(self):
-        topo = mesh(4, 2)
+        topo = KAryNCube(4, 2, wrap=False)
         corner = topo.node_at((0, 0))
         assert len(topo.links(corner)) == 2
 
     def test_mesh_interior_degree(self):
-        topo = mesh(4, 2)
+        topo = KAryNCube(4, 2, wrap=False)
         interior = topo.node_at((1, 1))
         assert len(topo.links(interior)) == 4
 
     def test_ports_densely_numbered(self):
-        topo = mesh(4, 2)
+        topo = KAryNCube(4, 2, wrap=False)
         for node in range(topo.num_nodes):
             ports = [link.port for link in topo.links(node)]
             assert ports == list(range(len(ports)))
@@ -87,7 +87,7 @@ class TestLinks:
         assert all(link.direction == 1 for link in wraps)
 
     def test_mesh_has_no_wrap_links(self):
-        topo = mesh(4, 2)
+        topo = KAryNCube(4, 2, wrap=False)
         for node in range(topo.num_nodes):
             assert not any(link.is_wrap for link in topo.links(node))
 
@@ -107,7 +107,7 @@ class TestDistance:
         assert topo.min_distance(a, b) == 1
 
     def test_mesh_no_shortcut(self):
-        topo = mesh(8, 2)
+        topo = KAryNCube(8, 2, wrap=False)
         a = topo.node_at((0, 0))
         b = topo.node_at((0, 7))
         assert topo.min_distance(a, b) == 7
@@ -146,7 +146,7 @@ class TestProductiveLinks:
         assert directions == [-1, 1]
 
     def test_mesh_single_direction(self):
-        topo = mesh(4, 2)
+        topo = KAryNCube(4, 2, wrap=False)
         a = topo.node_at((0, 0))
         b = topo.node_at((0, 3))
         links = topo.productive_links(a, b)
@@ -307,8 +307,9 @@ class TestOutOfRangeNodes:
     """Every public lookup rejects a node that does not exist -- also
     ``-1``, which a bare list lookup would answer from the far end."""
 
-    @pytest.mark.parametrize("topo", [torus(4, 2), mesh(3, 2), mesh(2, 3)],
-                             ids=lambda topo: topo.name)
+    @pytest.mark.parametrize("topo", [
+        torus(4, 2), KAryNCube(3, 2, wrap=False), KAryNCube(2, 3, wrap=False),
+    ], ids=lambda topo: topo.name)
     @pytest.mark.parametrize("offset", [-1, 0, 7], ids=["-1", "n", "n+7"])
     def test_value_error_everywhere(self, topo, offset):
         bad = offset if offset < 0 else topo.num_nodes + offset

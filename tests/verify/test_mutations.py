@@ -35,6 +35,7 @@ TUNED = {
     "eject-credit-leak": (_base(), {}),
     "double-delivery": (_base(), {}),
     "padding-shortfall": (_base(), {}),
+    "eject-same-cycle": (_base(), {}),
     # Kill-path bugs need kill traffic: high load, short timeout.
     "kill-skip-hop": (_base(timeout=FixedTimeout(8)), {}),
     "kill-leaves-flit": (_base(load=0.45, timeout=FixedTimeout(8)), {}),
@@ -94,7 +95,7 @@ class TestRegistry:
             assert mutation.description
             assert mutation.caught_by in (
                 "conservation", "credits", "kill-protocol", "padding",
-                "liveness", "quiescence",
+                "liveness", "latency-floor", "quiescence",
             )
 
 

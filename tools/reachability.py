@@ -42,17 +42,6 @@ from typing import (
 
 #: symbol -> why it stays although no resolved production site reaches it
 KEEP: Dict[str, str] = {
-    # the closed-form model: ROADMAP 3 makes it an invariant or deletes it
-    "repro.analysis.latency_model.cr_latency": "ROADMAP 3",
-    "repro.analysis.latency_model.fcr_latency": "ROADMAP 3",
-    "repro.analysis.latency_model.mean_uniform_latency": "ROADMAP 3",
-    "repro.analysis.latency_model.mean_uniform_latency(params=)": "ROADMAP 3",
-    "repro.analysis.latency_model.mean_uniform_latency(scheme=)": "ROADMAP 3",
-    "repro.analysis.latency_model.pcs_latency": "ROADMAP 3",
-    "repro.analysis.latency_model.pcs_latency(channel_latency=)": "ROADMAP 3",
-    "repro.analysis.latency_model.plain_latency": "ROADMAP 3",
-    "repro.analysis.latency_model.plain_latency(channel_latency=)":
-        "ROADMAP 3",
     # item 2's unidirectional ring is built through GraphTopology
     "repro.topology.graph.GraphTopology.from_edges(bidirectional=)":
         "ROADMAP 2",
@@ -94,18 +83,9 @@ KEEP: Dict[str, str] = {
     "repro.obs.alerts.rules_to_json": "oracle",
     "repro.workload.spec.save_workload_trace": "oracle",
     # the public API a script reaches for first
-    "repro:Engine": "top-level repro export",
     "repro:engine_metrics": "top-level repro export",
     "repro:parse_prometheus_text": "top-level repro export",
     "repro:run_campaign": "top-level repro export",
-    "repro.faults.model.NoFaults": "top-level repro export",
-    "repro.faults.permanent.kill_router": "top-level repro export",
-    "repro.obs.detach": "top-level repro export",
-    "repro.routing.selection.LeastOccupied": "top-level repro export",
-    "repro.routing.selection.make_selection": "top-level repro export",
-    "repro.sim.export.read_csv": "top-level repro export",
-    "repro.topology.torus.mesh": "top-level repro export",
-    "repro.topology.torus.mesh(dims=)": "top-level repro export",
     # a sink is anything with ``on_event``; the bus cannot name a class
     "repro.obs.sinks.JsonlSink.on_event":
         "unresolved: src/repro/obs/events.py:199",
@@ -496,12 +476,27 @@ class Scanner:
                 return frozenset({"B:" + name})
             return None
         bindings = found.bindings[name]
-        # a declared type holds for every assignment
         declared = [b for b in bindings if b[0] in ("ann", "param")]
+        stored = [b for b in bindings if b[0] not in ("ann", "param")]
         return self.memoized(
             (id(found), name),
-            lambda: union(self.binding_type(b, found)
-                          for b in declared or bindings))
+            lambda: self.target_types(
+                [self.binding_type(b, found) for b in declared],
+                [self.binding_type(b, found) for b in stored]))
+
+    @staticmethod
+    def target_types(declared: List[Types], stored: List[Types]) -> Types:
+        """An undeclared target holds what is stored in it.  A declared
+        type holds for every assignment, and an instance stored there
+        adds its class even when the annotation names another
+        (``x: Base = Duck()``)."""
+        if not declared:
+            return union(stored)
+        types = union(declared)
+        if types is None:
+            return None
+        return types | {t for part in stored if part is not None
+                        for t in part if t.startswith("C:")}
 
     def binding_type(self, binding, scope: Scope) -> Types:
         kind, value, *rest = binding
@@ -896,11 +891,13 @@ class Scanner:
                         t.startswith("C:") and t[2:] in self.classes
                         and id(self.classes[t[2:]]) in family for t in types):
                     stores.append((scope, value, annotated))
-            # a declared type holds for every assignment
-            declared = [store for store in stores if store[2]]
-            for scope, value, annotated in declared or stores:
-                found.append(self.annotation(value, scope.module)
-                             if annotated else self.expr(value, scope))
+            if stores:
+                found.append(self.target_types(
+                    [self.annotation(value, scope.module)
+                     for scope, value, annotated in stores if annotated],
+                    [self.expr(value, scope)
+                     for scope, value, annotated in stores
+                     if not annotated]))
         if not found and any(b not in self.classes and b.rpartition(".")[2]
                              not in ("object", "ABC", "Generic", "Protocol")
                              for k in mro for b in k.bases):
@@ -1219,6 +1216,8 @@ class Indexer(ast.NodeVisitor):
                 and self.module.kind != "test":
             self.s.attr_stores[node.target.attr].append(
                 (self.scope, node.target.value, node.annotation, True))
+        if node.value is not None:
+            self.bind(node.target, "expr", node.value)
         self.visit(node.target)
         if node.value is not None:
             self.visit(node.value)
