@@ -252,7 +252,10 @@ class CampaignStore:
     runs no DDL.  ``readonly=True`` opens an existing file for reading
     only (``cr-sim campaign watch``): nothing is created, migrated,
     stamped or written, nothing is left beside the file, and under
-    WAL the reader never blocks a writer.  A missing file raises
+    WAL the reader never blocks a writer.  One caveat: a store whose
+    ``-wal`` still holds frames (its writer was killed) has them
+    checkpointed into the file when the reader, closing last, removes
+    the ``-wal``; the rows are unchanged, the bytes are not.  A missing file raises
     :class:`FileNotFoundError`; in either mode, a file that is no
     campaign store raises :class:`sqlite3.DatabaseError` here, not at
     the first read or write.

@@ -102,14 +102,19 @@ def latency_floor(
 
     The wormhole pipeline: the header crosses ``hops + 2`` channel
     stages (injection, each link, ejection) and the worm trails it by
-    ``wire_length - 1`` flits, one per cycle.  PCS first sends a probe
-    out and an acknowledgement back, ``2 * hops`` more stages.  A
-    zero-load message meets the floor exactly; CR's commit rule (Imin
-    padding outlasts the header's trip) rests on this timing.
+    ``wire_length - 1`` flits, one per cycle.  PCS first sets up the
+    circuit at one cycle per hop whatever the channel latency
+    (:class:`~repro.core.pcs.PCSManager`): the probe reserves a hop a
+    cycle from its launch cycle on, the destination reserves an
+    ejection port the next cycle, and the acknowledgement takes
+    ``len(circuit) = hops + 1`` cycles back, so the payload leaves
+    ``2 * hops + 1`` cycles late.  A zero-load message meets the floor
+    exactly; CR's commit rule (Imin padding outlasts the header's trip)
+    rests on this timing.
     """
     floor = (hops + 2) * channel_latency + wire_length - 1
     if pcs:
-        floor += 2 * hops * channel_latency
+        floor += 2 * hops + 1
     return floor
 
 
