@@ -118,11 +118,6 @@ class Channel:
         """True if a flit may be launched on ``vc`` this cycle."""
         return not self.dead and self.credits[vc] > 0
 
-    def consume_credit(self, vc: int) -> None:
-        if self.credits[vc] <= 0:
-            raise RuntimeError(f"credit underflow on channel {self.uid} vc {vc}")
-        self.credits[vc] -= 1
-
     def return_credit(self, vc: int, now: int) -> None:
         """Schedule a credit to become available after reverse latency."""
         due = now + self.latency
@@ -151,12 +146,18 @@ class Channel:
     # ------------------------------------------------------------------
 
     def send(self, vc: int, flit: "Flit", now: int) -> None:
-        """Launch ``flit`` on ``vc``; it arrives after ``latency`` cycles.
+        """Launch ``flit`` on ``vc``, spending one of its credits; it
+        arrives after ``latency`` cycles.
 
         Ejection channels do not stage into a VCBuffer; the engine routes
         their flits to the node's receiver instead.
         """
-        self.consume_credit(vc)
+        credits = self.credits
+        if credits[vc] <= 0:
+            raise RuntimeError(
+                f"credit underflow on channel {self.uid} vc {vc}"
+            )
+        credits[vc] -= 1
         self.flits_carried += 1
         if not self.is_ejection:
             sink = self.sinks[vc]

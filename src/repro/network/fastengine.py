@@ -354,8 +354,8 @@ class FastEngine(Engine):
     # ------------------------------------------------------------------
 
     def _route_headers(self, now: int) -> None:
-        # Reference body with the head()/is_head calls and OrderedSet
-        # discards inlined; the shuffle draw is unchanged.
+        # Reference body with the head() calls and OrderedSet discards
+        # inlined; the shuffle draw is unchanged.
         route_items = self._route_items
         if not route_items:
             return
@@ -453,13 +453,12 @@ class FastEngine(Engine):
                 continue
             rr = router._rr
             # Claims are keyed (port, vc), so the records come in the
-            # reference's arbitration order: ports ascending, and
-            # within a port its (vc, in_port, in_vc) tie-break (vc
-            # alone is unique per port).  A port's requesters are
-            # adjacent: the lone one -- the usual case -- stays in
-            # ``first``, ``rest`` exists once a second appears, and the
-            # winner's input port has its bit in used_inputs before
-            # the next port's requesters are filtered.
+            # reference's arbitration order: ports ascending, VCs
+            # within.  A port's requesters are adjacent: the lone one
+            # -- the usual case -- stays in ``first``, ``rest`` exists
+            # once a second appears, and the winner's input port has
+            # its bit in used_inputs before the next port's requesters
+            # are filtered.
             used_inputs = 0
             cur_port = -1
             first = rest = None

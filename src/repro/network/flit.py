@@ -38,6 +38,9 @@ class Flit:
     index:
         Position within the wire sequence of the current transmission
         attempt (0 for the header).
+    is_head:
+        True for the message header (``kind`` is HEAD); fixed at
+        construction, like ``kind``.
     is_tail:
         True for the last flit of the transmission attempt.
     corrupted:
@@ -46,7 +49,7 @@ class Flit:
         or at the receiving network interface (body/pad flits).
     """
 
-    __slots__ = ("message", "kind", "index", "is_tail", "corrupted")
+    __slots__ = ("message", "kind", "index", "is_head", "is_tail", "corrupted")
 
     def __init__(
         self,
@@ -58,13 +61,9 @@ class Flit:
         self.message = message
         self.kind = kind
         self.index = index
+        self.is_head = kind is FlitKind.HEAD
         self.is_tail = is_tail
         self.corrupted = False
-
-    @property
-    def is_head(self) -> bool:
-        """True if this flit is the message header."""
-        return self.kind is FlitKind.HEAD
 
     @property
     def is_payload(self) -> bool:

@@ -5,7 +5,7 @@
 through the components' own methods -- one body per phase, written to
 be read.  It is what ``SimConfig(engine="reference")`` builds, the only
 engine that runs PCS probe circuits and the software-retry layer, and
-the engine ``repro.verify.mutations`` plants its bugs on (two of them
+the engine ``repro.verify.mutations`` plants its bugs on (three of them
 patch ``_transfer``, below).
 
 The product, ``repro.network.fastengine.FastEngine``, is checked
@@ -20,11 +20,12 @@ base, so a harness that enumerates them replaces them here.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Set
+from typing import TYPE_CHECKING, List, Set
 
 from ..core.pcs import PCSManager
 from ..core.protocol import KillCause, ProtocolMode
 from ..network.engine import _LIVE_PHASES, Engine
+from ..routing.base import Candidate
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..network.buffer import VCBuffer
@@ -47,7 +48,8 @@ class ReferenceEngine(Engine):
 
     def _tick_credits(self, now: int) -> None:
         for channel in self._all_channels:
-            channel.tick(now)
+            if channel._pending:
+                channel.tick(now)
 
     def _fault_sweep(self, now: int) -> None:
         self.fault_model.on_cycle(now, self.network)
@@ -75,7 +77,7 @@ class ReferenceEngine(Engine):
         for buffer in self._arrival_buffers:
             arrived = buffer.merge_incoming(now)
             if arrived:
-                self.mark_progress(now)
+                self.last_progress = now
                 for flit in arrived:
                     if not flit.is_head:
                         continue
@@ -129,8 +131,6 @@ class ReferenceEngine(Engine):
                 buffer.route_stall_since = now
 
     def _grant(self, buffer: "VCBuffer", message: "Message") -> bool:
-        from ..routing.base import Candidate
-
         router = buffer.router
         if router.node_id == message.dst:
             tiers = [[Candidate(port, 0) for port in router.eject_ports]]
@@ -166,34 +166,35 @@ class ReferenceEngine(Engine):
             claims = router.claims
             if not claims:
                 continue
-            by_port: Dict[int, List] = {}
-            for (port, vc), buffer in claims.items():
-                if not buffer.fifo:
-                    continue
-                owner = buffer.owner
-                if owner is None or owner.phase not in _LIVE_PHASES:
-                    continue
-                if not router.out_channels[port].can_send(vc):
-                    continue
-                by_port.setdefault(port, []).append((vc, buffer))
-            if not by_port:
-                continue
+            out_channels = router.out_channels
+            winners = []
             used_inputs: Set[int] = set()
-            for port in sorted(by_port):
-                entries = [
-                    (vc, buffer)
-                    for vc, buffer in by_port[port]
-                    if buffer.port not in used_inputs
-                ]
-                if not entries:
-                    continue
-                # Full deterministic tie-break: out-VC, then input port
-                # and input VC, so equal-priority entries never fall
-                # back to dict insertion order (trace diffs between
-                # engine implementations must be order-stable).
-                entries.sort(key=lambda e: (e[0], e[1].port, e[1].vc))
-                vc, buffer = entries[router.rotate(port, len(entries))]
-                used_inputs.add(buffer.port)
+            requests: List = []
+            # Claims in key order: ports ascending, VCs within.  An
+            # output (port, VC) holds at most one claim, so that is the
+            # full deterministic tie-break, never dict insertion order
+            # (trace diffs between engine implementations must be
+            # order-stable).  A port's requests are adjacent, and its
+            # round-robin winner takes its input port before the next
+            # port's requests are filtered.
+            for (port, vc), buffer in sorted(claims.items()):
+                if requests and port != requests[0][0]:
+                    pick = router.rotate(requests[0][0], len(requests))
+                    used_inputs.add(requests[pick][2].port)
+                    winners.append(requests[pick])
+                    requests = []
+                if (
+                    buffer.fifo
+                    and buffer.port not in used_inputs
+                    and buffer.owner is not None
+                    and buffer.owner.phase in _LIVE_PHASES
+                    and out_channels[port].can_send(vc)
+                ):
+                    requests.append((port, vc, buffer))
+            if requests:
+                pick = router.rotate(requests[0][0], len(requests))
+                winners.append(requests[pick])
+            for port, vc, buffer in winners:
                 self._transfer(router, port, vc, buffer, now)
 
     def _transfer(self, router: "Router", port: int, vc: int,
@@ -222,7 +223,7 @@ class ReferenceEngine(Engine):
                 flit, now + channel.latency, channel
             )
         else:
-            self.note_arrival(channel.sinks[vc])
+            self._arrival_buffers.add(channel.sinks[vc])
         if flit.is_head and not channel.is_ejection and self.pcs is None:
             # Under PCS the probe acquired the path (and advanced the
             # header routing state) before any data flit moved.
@@ -242,4 +243,4 @@ class ReferenceEngine(Engine):
                 router.release_output(port, vc)
             else:
                 router.retire_claim(port, vc)
-        self.mark_progress(now)
+        self.last_progress = now

@@ -9,7 +9,7 @@ from repro import (
     WormholeNetwork,
     torus,
 )
-from repro.network.flit import FlitKind
+from repro.network.flit import Flit, FlitKind
 from repro.verify.reference import ReferenceEngine
 
 
@@ -148,3 +148,26 @@ class TestSinkContention:
         engine.run_until_drained(2000)
         gap = abs(a.delivered_at - b.delivered_at)
         assert gap <= 3  # delivered nearly simultaneously
+
+
+class TestStagingOrder:
+    def test_process_takes_exactly_the_due_entries(self):
+        """Staging need not be in stamp order (the double-delivery and
+        eject-same-cycle mutations plant entries out of order):
+        ``process(t)`` consumes every entry stamped ``<= t`` wherever it
+        sits, and keeps the rest, in order."""
+        engine = make_engine()
+        receiver = engine.nodes[5].receiver
+        channel = engine.network.ejection_channels[5][0]
+        msg = Message(0, 5, 3, seq=0)
+        late, due_a, due_b = (Flit(msg, FlitKind.BODY, i) for i in (1, 2, 3))
+        t = 10
+        for flit, stamp in ((late, t + 1), (due_a, t), (due_b, t)):
+            receiver.stage(flit, stamp, channel)
+        receiver.process(t)
+        assert receiver.staging == [(t + 1, late, channel)]
+        assert engine.stats.counters["flits_ejected"] == 2
+        assert channel._pending == [(t + channel.latency, 0)] * 2
+        receiver.process(t + 1)
+        assert receiver.staging == []
+        assert engine.stats.counters["flits_ejected"] == 3

@@ -30,6 +30,23 @@ class TestVCBuffer:
         assert len(arrived) == 1
         assert buf.head() is arrived[0]
 
+    def test_merge_takes_exactly_the_due_entries(self):
+        """``incoming`` need not be in stamp order: ``merge_incoming(t)``
+        moves every flit stamped ``<= t``, in staging order, and keeps
+        the rest."""
+        buf = make_buffer(depth=3)
+        msg = Message(0, 1, 4)
+        late, due_a, due_b = (
+            flit_of(msg, i, FlitKind.BODY) for i in (1, 2, 3)
+        )
+        for flit, stamp in ((late, 6), (due_a, 5), (due_b, 5)):
+            buf.stage(flit, arrival=stamp)
+        assert buf.merge_incoming(5) == [due_a, due_b]
+        assert list(buf.fifo) == [due_a, due_b]
+        assert buf.incoming == [(6, late)]
+        assert buf.merge_incoming(6) == [late]
+        assert buf.incoming == []
+
     def test_pop_credits_feeder(self):
         channel = Channel(0, 1, num_vcs=1)
         buf = make_buffer()
@@ -99,18 +116,20 @@ class TestChannel:
         channel.attach_sink(0, buf)
         assert channel.credits[0] == 3
         assert channel.can_send(0)
-        channel.consume_credit(0)
-        channel.consume_credit(0)
-        channel.consume_credit(0)
+        msg = Message(0, 1, 2)
+        for _ in range(3):
+            channel.send(0, flit_of(msg), now=0)
         assert not channel.can_send(0)
-        with pytest.raises(RuntimeError):
-            channel.consume_credit(0)
+        with pytest.raises(RuntimeError, match="credit underflow"):
+            channel.send(0, flit_of(msg), now=0)
+        assert channel.credits[0] == 0
+        assert len(buf.incoming) == 3
 
     def test_credit_return_latency(self):
         channel = Channel(0, 1, num_vcs=1, latency=3)
         buf = make_buffer(depth=1)
         channel.attach_sink(0, buf)
-        channel.consume_credit(0)
+        channel.send(0, flit_of(Message(0, 1, 2)), now=10)
         channel.return_credit(0, now=10)
         channel.tick(12)
         assert channel.credits[0] == 0

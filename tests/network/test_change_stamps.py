@@ -10,10 +10,10 @@ phase table, bumps the epoch and so never gates).
 
 The same runs check the switch stage's seam: ``_switch`` picks every
 output port's winner first (``_arbitrate``) and moves the flits
-afterwards (``_move``), which is the reference's interleaved loop only
-if the winners are the ones ``ReferenceEngine._switch`` would pick from
-the same state, in the same order, and every cached claim record holds
-the live objects it stands for.
+afterwards (``_move``), as ``ReferenceEngine._switch`` does, which is
+the reference's stage only if the winners are the ones it would pick
+from the same state, in the same order, and every cached claim record
+holds the live objects it stands for.
 """
 
 from __future__ import annotations
@@ -61,37 +61,39 @@ def assert_order_is_current(router, order, where="") -> None:
 
 def reference_winners(engine):
     """``ReferenceEngine._switch``'s selection from the state as it
-    stands: eligibility, ``used_inputs``, the ``(vc, in-port, in-vc)``
-    tie-break and the round-robin pointer, read without advancing it.
-    Returns the transfers it would make, in order, and the ``_rr`` each
-    router would be left with."""
+    stands: one walk of the claims in key order, ``used_inputs`` and the
+    round-robin pointer, read without advancing it.  Returns the
+    transfers it would make, in order, and the ``_rr`` each router would
+    be left with."""
     winners, pointers = [], {}
     for router in engine.routers:
-        by_port = {}
-        for (port, vc), buffer in router.claims.items():
-            if not buffer.fifo:
-                continue
-            owner = buffer.owner
-            if owner is None or owner.phase not in _LIVE_PHASES:
-                continue
-            if not router.out_channels[port].can_send(vc):
-                continue
-            by_port.setdefault(port, []).append((vc, buffer))
+        out_channels = router.out_channels
         rr = dict(router._rr)
-        used_inputs = set()
-        for port in sorted(by_port):
-            entries = [
-                (vc, buffer) for vc, buffer in by_port[port]
-                if buffer.port not in used_inputs
-            ]
-            if not entries:
-                continue
-            entries.sort(key=lambda e: (e[0], e[1].port, e[1].vc))
-            idx = rr.get(port, 0) % len(entries)
+
+        def rotate(port, count):
+            idx = rr.get(port, 0) % count
             rr[port] = idx + 1
-            vc, buffer = entries[idx]
-            used_inputs.add(buffer.port)
-            winners.append((router.node_id, port, vc, buffer))
+            return idx
+
+        used_inputs = set()
+        requests = []
+        for (port, vc), buffer in sorted(router.claims.items()):
+            if requests and port != requests[0][0]:
+                pick = rotate(requests[0][0], len(requests))
+                used_inputs.add(requests[pick][2].port)
+                winners.append((router.node_id, *requests[pick]))
+                requests = []
+            if (
+                buffer.fifo
+                and buffer.port not in used_inputs
+                and buffer.owner is not None
+                and buffer.owner.phase in _LIVE_PHASES
+                and out_channels[port].can_send(vc)
+            ):
+                requests.append((port, vc, buffer))
+        if requests:
+            pick = rotate(requests[0][0], len(requests))
+            winners.append((router.node_id, *requests[pick]))
         pointers[router.node_id] = rr
     return winners, pointers
 
