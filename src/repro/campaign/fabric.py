@@ -56,16 +56,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..obs import open_telemetry
 from ..obs.metrics import MetricsRegistry
-from ..obs.trace import (
-    TRACE_ARM_ENV,
-    TRACEPARENT_ENV,
-    Span,
-    SpanContext,
-    Tracer,
-    context_from_environ,
-    parse_traceparent,
-    tracing_armed,
-)
+from ..obs.trace import Span, SpanContext, Tracer
 from ..sim.parallel import PointFailure, run_reports
 from .monitor import DEFAULT_TTL, CampaignView, build_info_gauge
 from .runner import (
@@ -123,6 +114,10 @@ class Worker:
     worker's liveness row the coordinator aggregates.  Kill the
     process at any moment: the thread dies with it, the leases expire,
     and survivors reclaim the in-flight points.
+
+    ``trace=True`` journals the worker's spans into the store, under
+    the campaign's newest open root span (the coordinator's) when there
+    is one, else in a trace of the worker's own.
     """
 
     def __init__(
@@ -134,8 +129,7 @@ class Worker:
         ttl: float = DEFAULT_TTL,
         poll: float = DEFAULT_POLL,
         progress: Optional[CampaignProgress] = None,
-        trace: Optional[bool] = None,
-        traceparent: Optional[str] = None,
+        trace: bool = False,
     ) -> None:
         self.campaign = campaign
         self.db_path = str(db_path)
@@ -144,10 +138,7 @@ class Worker:
         self.ttl = float(ttl)
         self.poll = float(poll)
         self.progress = progress
-        #: trace=None auto-arms from the CR_TRACE environment variable
-        #: the coordinator sets when it spawns traced workers.
-        self.trace = tracing_armed() if trace is None else bool(trace)
-        self.traceparent = traceparent
+        self.trace = bool(trace)
         self.stats = WorkerStats()
         self._held: Dict[str, Lease] = {}
         self._lock = threading.Lock()
@@ -219,34 +210,17 @@ class Worker:
             self._stop.set()
             store.close()
 
-    def _trace_root(self, store: CampaignStore) -> Optional[SpanContext]:
-        """The coordinator's trace context this worker joins.
-
-        Priority: an explicit ``traceparent`` argument, then the
-        ``CR_TRACEPARENT`` environment (spawned workers), then the
-        campaign's open root span in the store (hand-started workers
-        on other hosts).  None starts a worker-local trace — the
-        worker still runs; the timeline just shows the discontinuity.
-        """
-        if self.traceparent:
-            try:
-                return parse_traceparent(self.traceparent)
-            except ValueError:
-                pass
-        context = context_from_environ()
-        if context is not None:
-            return context
-        row = store.open_root_span(self.campaign)
-        if row is not None:
-            return SpanContext(row["trace_id"], row["span_id"])
-        return None
-
     def _arm(self, store: CampaignStore) -> None:
         """Bring up this worker's tracer and open its session span."""
         if not self.trace:
             return
-        self._tracer = Tracer(worker_id=self.worker_id,
-                              root=self._trace_root(store))
+        # Join the campaign's newest open root span (the coordinator's).
+        # With none, the worker starts a trace of its own: it still
+        # runs; the timeline just shows the discontinuity.
+        row = store.open_root_span(self.campaign)
+        root = (SpanContext(row["trace_id"], row["span_id"])
+                if row is not None else None)
+        self._tracer = Tracer(worker_id=self.worker_id, root=root)
         self._session = self._tracer.start_span(
             f"worker {self.worker_id}", kind="worker",
             attrs={"pid": os.getpid(), "host": socket.gethostname()},
@@ -499,8 +473,9 @@ class Coordinator(CampaignView):
             points = submit_campaign(spec, store, verify=verify)
             submit = self.tracer.end_span(
                 submit, "ok", attrs={"points": len(points)})
-            # Root journals open (it is the trace-context fallback
-            # hand-started workers look up); submit journals closed.
+            # Root journals open before any worker starts: it is the
+            # trace context every worker looks up; submit journals
+            # closed.
             store.record_spans(spec.name, [self.root.to_dict(),
                                            submit.to_dict()])
         else:
@@ -530,12 +505,6 @@ class Coordinator(CampaignView):
             "lease_reclaims_total",
             "Expired leases taken over from dead workers.")
         build_info_gauge(self.registry)
-
-    def traceparent(self) -> Optional[str]:
-        """The root span's W3C traceparent (spawned workers join it)."""
-        if self.root is None:
-            return None
-        return self.root.context().traceparent()
 
     # -- one aggregation step -------------------------------------------
 
@@ -641,25 +610,15 @@ class Coordinator(CampaignView):
 # Local fan-out: coordinator + N worker subprocesses
 # ----------------------------------------------------------------------
 
-def _worker_env(trace: bool = False,
-                traceparent: Optional[str] = None) -> Dict[str, str]:
-    """The spawned worker's environment, with this repro importable.
-
-    ``trace`` arms the child's tracing via ``CR_TRACE``;
-    ``traceparent`` propagates the coordinator's root span context via
-    ``CR_TRACEPARENT`` (the W3C-style subprocess boundary), so every
-    worker's spans join the coordinator's trace.
-    """
+def _worker_env() -> Dict[str, str]:
+    """The spawned worker's environment: this one, with this repro's
+    ``src/`` first on ``PYTHONPATH``."""
     env = dict(os.environ)
     src_dir = os.path.dirname(os.path.dirname(
         os.path.dirname(os.path.abspath(__file__))))
     env["PYTHONPATH"] = os.pathsep.join(
         part for part in (src_dir, env.get("PYTHONPATH")) if part
     )
-    if trace:
-        env[TRACE_ARM_ENV] = "1"
-    if traceparent:
-        env[TRACEPARENT_ENV] = traceparent
     return env
 
 
@@ -671,15 +630,14 @@ def spawn_worker(
     ttl: float = DEFAULT_TTL,
     poll: float = DEFAULT_POLL,
     trace: bool = False,
-    traceparent: Optional[str] = None,
 ) -> "subprocess.Popen[bytes]":
     """Launch one ``cr-sim campaign worker`` subprocess against a store.
 
     The campaign must already be registered (the coordinator's submit
     phase does this).  The child is a real OS process — SIGKILL it and
     the fabric's recovery path, not Python cleanup, puts its points
-    back into play.  ``trace``/``traceparent`` arm the child's tracing
-    through the environment (see :func:`_worker_env`).
+    back into play.  ``trace`` passes ``--trace``: the child joins the
+    campaign's newest open root span in the store.
     """
     cmd = [
         sys.executable, "-m", "repro.cli", "campaign", "worker",
@@ -688,9 +646,11 @@ def spawn_worker(
     ]
     if worker_id:
         cmd += ["--worker-id", worker_id]
+    if trace:
+        cmd.append("--trace")
     return subprocess.Popen(
         cmd,
-        env=_worker_env(trace=trace, traceparent=traceparent),
+        env=_worker_env(),
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
     )
@@ -732,7 +692,6 @@ def run_fabric(
                 spawn_worker(
                     spec.name, db_path, worker_id=f"worker-{index + 1}",
                     batch=batch, ttl=ttl, trace=trace,
-                    traceparent=coordinator.traceparent(),
                 )
                 for index in range(max(1, int(workers)))
             ]

@@ -677,12 +677,14 @@ class CampaignStore:
         return {row["status"]: row["n"] for row in rows}
 
     def open_root_span(self, campaign: str) -> Optional[Dict[str, Any]]:
-        """The campaign's open root span, if the coordinator journaled
-        one — the trace-context fallback for hand-started workers whose
-        environment carries no traceparent."""
+        """The campaign's newest open root span, if a traced coordinator
+        journaled one — the trace a fabric worker joins.  A coordinator
+        that died left its root open; the one started after it is the
+        live one.  Ties on ``start_ts`` go to the larger ``span_id``."""
         row = self._conn.execute(
             "SELECT * FROM spans WHERE campaign = ? AND kind = 'root' "
-            "AND status = 'open' ORDER BY start_ts LIMIT 1",
+            "AND status = 'open' ORDER BY start_ts DESC, span_id DESC "
+            "LIMIT 1",
             (campaign,),
         ).fetchone()
         if row is None:

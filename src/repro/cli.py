@@ -446,10 +446,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     cworker_p.add_argument(
         "--trace", action="store_true",
-        help="arm tracing (auto-armed when the "
-             "coordinator spawned this worker with CR_TRACE=1; the "
-             "worker joins the coordinator's trace via CR_TRACEPARENT "
-             "or the store's open root span)",
+        help="journal this worker's spans into the store, in the "
+             "trace of the campaign's newest open root span (a traced "
+             "coordinator's); `campaign run --workers-fabric N --trace` "
+             "passes it to the workers it spawns",
     )
     cworker_p.set_defaults(handler=_cmd_campaign_worker)
 
@@ -1078,7 +1078,7 @@ def _cmd_campaign_worker(args: argparse.Namespace) -> int:
         args.name,
         args.db,
         worker_id=args.worker_id,
-        trace=True if args.trace else None,
+        trace=args.trace,
         **_given(batch=args.batch, ttl=args.ttl, poll=args.poll),
     )
     try:
@@ -1305,7 +1305,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     presets or mutations exit 2 with a usage message.
     """
     from .obs.tracing import trace_experiments
-    from .verify import mutation_names, verify_presets
+    from .verify import mutation_names, verify_preset
     from .verify.mutations import MUTATIONS
 
     _at_least(1, check_interval=args.check_interval,
@@ -1333,14 +1333,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if args.quick
         else None
     )
-    outcomes = verify_presets(
-        presets,
-        seed=args.seed,
-        mutation=args.mutation,
-        check_interval=args.check_interval,
-        progress_limit=args.progress_limit,
-        overrides=overrides,
-    )
+    outcomes = [
+        verify_preset(
+            name,
+            seed=args.seed,
+            mutation=args.mutation,
+            check_interval=args.check_interval,
+            progress_limit=args.progress_limit,
+            overrides=overrides,
+        )
+        for name in presets
+    ]
     for outcome in outcomes:
         if outcome.ok:
             detail = (

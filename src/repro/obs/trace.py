@@ -10,12 +10,11 @@ spans process boundaries, and no single process observes all of it.
 This module provides the classic remedy: a frozen-dataclass
 :class:`Span` carrying ``trace_id``/``span_id``/``parent_id``, a
 :class:`Tracer` that opens and closes spans against a wall-clock
-timebase, and W3C-``traceparent``-style
-context propagation (:func:`format_traceparent` /
-:func:`parse_traceparent`, carried into worker subprocesses via the
-``CR_TRACEPARENT`` environment variable).  The fabric journals spans
-into the campaign store's ``spans`` table, and ``cr-sim campaign
-timeline`` merges every process's spans into one Perfetto file.
+timebase.  The fabric journals spans into the campaign store's
+``spans`` table, which is also how context crosses processes: a
+worker joins the trace of the campaign's newest open root span there.
+``cr-sim campaign timeline`` merges every process's spans into one
+Perfetto file.
 
 Span taxonomy (see docs/OBSERVABILITY.md):
 
@@ -37,28 +36,14 @@ Statuses: ``open`` (still running), ``ok``, ``error``, and ``aborted``
 
 from __future__ import annotations
 
-import os
-import re
 import secrets
 import threading
 import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Union
 
-#: environment variable carrying the W3C-style traceparent into
-#: spawned fabric worker processes.
-TRACEPARENT_ENV = "CR_TRACEPARENT"
-
-#: environment variable arming tracing in spawned workers.
-TRACE_ARM_ENV = "CR_TRACE"
-
 #: the statuses a finished span may carry (``open`` means unfinished).
 SPAN_STATUSES = ("open", "ok", "error", "aborted")
-
-_TRACEPARENT_RE = re.compile(
-    r"^(?P<version>[0-9a-f]{2})-(?P<trace_id>[0-9a-f]{32})"
-    r"-(?P<span_id>[0-9a-f]{16})-(?P<flags>[0-9a-f]{2})$"
-)
 
 
 def new_trace_id() -> str:
@@ -77,31 +62,6 @@ class SpanContext:
 
     trace_id: str
     span_id: str
-
-    def traceparent(self) -> str:
-        """This context in W3C ``traceparent`` header syntax."""
-        return format_traceparent(self)
-
-
-def format_traceparent(context: "SpanContext") -> str:
-    """``00-<trace_id>-<span_id>-01`` — the W3C traceparent encoding."""
-    return f"00-{context.trace_id}-{context.span_id}-01"
-
-
-def parse_traceparent(value: str) -> SpanContext:
-    """Parse a W3C-style traceparent back into a :class:`SpanContext`.
-
-    Raises ``ValueError`` on malformed input (wrong field widths,
-    non-hex digits, or the all-zero invalid ids the spec forbids).
-    """
-    match = _TRACEPARENT_RE.match(value.strip().lower())
-    if match is None:
-        raise ValueError(f"malformed traceparent {value!r}")
-    trace_id = match.group("trace_id")
-    span_id = match.group("span_id")
-    if set(trace_id) == {"0"} or set(span_id) == {"0"}:
-        raise ValueError(f"all-zero ids in traceparent {value!r}")
-    return SpanContext(trace_id=trace_id, span_id=span_id)
 
 
 @dataclass(frozen=True)
@@ -154,9 +114,9 @@ class Tracer:
     """Opens and closes spans against wall-clock time.
 
     One tracer per process.  ``root`` ties the tracer into an existing
-    trace (the coordinator's, propagated via ``CR_TRACEPARENT``);
-    without one, :meth:`start_span` on the first span starts a fresh
-    trace.  The caller journals the records :meth:`start_span` and
+    trace (a fabric worker passes the campaign's newest open root
+    span); without one, :meth:`start_span` on the first span starts a
+    fresh trace.  The caller journals the records :meth:`start_span` and
     :meth:`end_span` return.  Thread-safe: the heartbeat thread closes
     renew spans while the main loop runs points.
     """
@@ -248,32 +208,3 @@ def _context_of(parent: ParentLike) -> Optional[SpanContext]:
     if isinstance(parent, Span):
         return parent.context()
     return parent
-
-
-# ----------------------------------------------------------------------
-# Environment propagation (fabric subprocess boundary)
-# ----------------------------------------------------------------------
-
-def context_from_environ(
-    env: Optional[Dict[str, str]] = None,
-) -> Optional[SpanContext]:
-    """The propagated parent context, or None when unset/malformed.
-
-    Malformed values are ignored rather than fatal: a worker with a
-    garbled traceparent still runs its points — it just starts its own
-    trace, and the timeline shows the discontinuity.
-    """
-    source = os.environ if env is None else env
-    raw = source.get(TRACEPARENT_ENV)
-    if not raw:
-        return None
-    try:
-        return parse_traceparent(raw)
-    except ValueError:
-        return None
-
-
-def tracing_armed(env: Optional[Dict[str, str]] = None) -> bool:
-    """True when ``CR_TRACE`` arms tracing in this process."""
-    source = os.environ if env is None else env
-    return source.get(TRACE_ARM_ENV, "") not in ("", "0")

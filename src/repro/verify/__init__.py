@@ -16,7 +16,7 @@ from .._lazy import lazy_exports
 _EXPORTS = {
     "invariants": ("VerifyConfig", "InvariantChecker", "InvariantViolation"),
     "mutations": ("apply_mutation", "mutation_names"),
-    "runner": ("verify_preset", "verify_presets"),
+    "runner": ("verify_preset",),
     "equivalence": (
         "ENGINE_EQUIVALENCE_PRESETS", "WORKLOAD_EQUIVALENCE_PRESETS",
         "assert_engines_equivalent", "engine_equivalence_presets",

@@ -10,7 +10,7 @@ oracle), and a mutated run that sails through cleanly is the failure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from ..network.engine import NetworkDeadlockError
 from .invariants import InvariantViolation, VerifyConfig
@@ -78,25 +78,3 @@ def verify_preset(
         delivered=int(result.report.get("messages_delivered", 0)),
         drained=result.drained,
     )
-
-
-def verify_presets(
-    experiments: List[str],
-    seed: int = 42,
-    mutation: Optional[str] = None,
-    check_interval: int = 16,
-    progress_limit: Optional[int] = None,
-    overrides: Optional[Dict[str, Any]] = None,
-) -> List[VerifyOutcome]:
-    """Replay several presets; never raises on violations."""
-    return [
-        verify_preset(
-            name,
-            seed=seed,
-            mutation=mutation,
-            check_interval=check_interval,
-            progress_limit=progress_limit,
-            overrides=overrides,
-        )
-        for name in experiments
-    ]

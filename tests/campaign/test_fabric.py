@@ -20,6 +20,7 @@ from repro.campaign.fabric import default_worker_id, run_fabric
 from repro.campaign.monitor import (
     CampaignView, render_status, render_workers)
 from repro.campaign.runner import point_candidates
+from repro.cli import main as cli_main
 from repro.obs.metrics import parse_prometheus_text
 from repro.sim.parallel import config_cache_key
 
@@ -430,6 +431,45 @@ class TestWorkersPane:
              "failed": 0, "leases": 0, "reclaims": 0,
              "last_seen_age": 0.1}])
         assert "workers: 1" in render_status(fabric)
+
+
+class TestTraceJoin:
+    """A traced worker learns which trace to join from the store alone:
+    the campaign's newest open root span."""
+
+    @staticmethod
+    def worker_spans(store, spec):
+        return [span for span in store.spans(spec.name)
+                if span["worker_id"] != "coordinator"]
+
+    def test_worker_joins_the_live_coordinator_not_a_dead_one(
+        self, spec, db
+    ):
+        with CampaignStore(db) as store:
+            # A traced coordinator that died before settling leaves its
+            # root open; a traced coordinator restarts on the same store.
+            dead = Coordinator(spec, store, trace=True)
+            live = Coordinator(spec, store, trace=True)
+            assert dead.root.trace_id != live.root.trace_id
+            worker = run_worker(spec, db, worker_id="w1", poll=0.05,
+                                trace=True)
+            assert worker.stats.complete
+            spans = self.worker_spans(store, spec)
+        assert {"worker", "lease", "run"} <= {s["kind"] for s in spans}
+        assert {s["trace_id"] for s in spans} == {live.root.trace_id}
+        (session,) = [s for s in spans if s["kind"] == "worker"]
+        assert session["parent_id"] == live.root.span_id
+
+    def test_cli_trace_flag_joins_the_coordinator(self, spec, db, capsys):
+        with CampaignStore(db) as store:
+            coordinator = Coordinator(spec, store, trace=True)
+            assert cli_main(["campaign", "worker", spec.name, "--db", db,
+                             "--trace"]) == 0
+            spans = self.worker_spans(store, spec)
+        assert "campaign complete" in capsys.readouterr().err
+        assert {"worker", "lease", "run"} <= {s["kind"] for s in spans}
+        assert {s["trace_id"] for s in spans} == {
+            coordinator.root.trace_id}
 
 
 class TestCli:

@@ -196,13 +196,12 @@ def test_sigkilled_workers_orphan_spans_are_closed_aborted(
         spec, watcher, interval=0.1, ttl=TTL,
         trace=True,
     )
-    traceparent = coordinator.traceparent()
-    assert traceparent is not None
+    trace_id = coordinator.root.trace_id
 
     victim = spawn_worker(
         spec.name, db, worker_id="victim",
         batch=4, ttl=TTL, poll=0.05,
-        trace=True, traceparent=traceparent,
+        trace=True,
     )
     survivors = []
     try:
@@ -230,7 +229,7 @@ def test_sigkilled_workers_orphan_spans_are_closed_aborted(
         survivors = [
             spawn_worker(spec.name, db, worker_id=f"survivor-{i}",
                          batch=2, ttl=TTL, poll=0.05,
-                         trace=True, traceparent=traceparent)
+                         trace=True)
             for i in (1, 2)
         ]
         stats = coordinator.run(
@@ -265,9 +264,7 @@ def test_sigkilled_workers_orphan_spans_are_closed_aborted(
 
         # Every span -- victim's, survivors', coordinator's -- shares
         # the coordinator's trace.
-        assert {span["trace_id"] for span in spans} == {
-            traceparent.split("-")[1]
-        }
+        assert {span["trace_id"] for span in spans} == {trace_id}
 
         # Parenting survived the kill: run -> lease -> worker -> root.
         (root,) = [s for s in spans if s["kind"] == "root"]

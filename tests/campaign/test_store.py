@@ -348,6 +348,21 @@ class TestSpanJournal:
         ])
         root = store.open_root_span("s")
         assert root["span_id"] == "a" * 16
+        # A restarted coordinator journals a second open root: the
+        # newer one is the live trace, whatever order the rows landed.
+        store.record_spans("s", [
+            span_row("b" * 16, kind="root", status="open", end_ts=None,
+                     worker_id="coordinator", start_ts=3.0),
+            span_row("c" * 16, kind="root", status="open", end_ts=None,
+                     worker_id="coordinator", start_ts=0.5),
+        ])
+        assert store.open_root_span("s")["span_id"] == "b" * 16
+        # equal start times: the larger span id wins
+        store.record_spans("s", [
+            span_row("0" * 16, kind="root", status="open", end_ts=None,
+                     worker_id="coordinator", start_ts=3.0),
+        ])
+        assert store.open_root_span("s")["span_id"] == "b" * 16
         store.close_open_spans("s")
         assert store.open_root_span("s") is None
 

@@ -1,73 +1,17 @@
-"""Distributed tracing: spans, parenting, propagation, thread safety."""
+"""Distributed tracing: spans, parenting, thread safety."""
 
 import threading
 
 import pytest
 
-from repro.campaign.fabric import _worker_env
 from repro.obs.trace import (
     SPAN_STATUSES,
-    TRACE_ARM_ENV,
-    TRACEPARENT_ENV,
     Span,
     SpanContext,
     Tracer,
-    context_from_environ,
-    format_traceparent,
     new_span_id,
     new_trace_id,
-    parse_traceparent,
-    tracing_armed,
 )
-
-
-class TestTraceparent:
-    def test_round_trip(self):
-        context = SpanContext(new_trace_id(), new_span_id())
-        encoded = format_traceparent(context)
-        assert encoded == f"00-{context.trace_id}-{context.span_id}-01"
-        assert parse_traceparent(encoded) == context
-
-    def test_whitespace_and_case_tolerated(self):
-        context = SpanContext("ab" * 16, "cd" * 8)
-        raw = "  " + format_traceparent(context).upper() + "\n"
-        assert parse_traceparent(raw) == context
-
-    @pytest.mark.parametrize("bad", [
-        "",
-        "garbage",
-        "00-short-deadbeefdeadbeef-01",
-        "00-" + "g" * 32 + "-" + "a" * 16 + "-01",  # non-hex
-        "00-" + "a" * 32 + "-" + "b" * 16,  # missing flags
-    ])
-    def test_malformed_raises(self, bad):
-        with pytest.raises(ValueError):
-            parse_traceparent(bad)
-
-    def test_all_zero_ids_rejected(self):
-        with pytest.raises(ValueError, match="all-zero"):
-            parse_traceparent("00-" + "0" * 32 + "-" + "a" * 16 + "-01")
-        with pytest.raises(ValueError, match="all-zero"):
-            parse_traceparent("00-" + "a" * 32 + "-" + "0" * 16 + "-01")
-
-
-class TestEnvironPropagation:
-    def test_environ_round_trip(self):
-        context = SpanContext(new_trace_id(), new_span_id())
-        # the environment the fabric hands a spawned worker
-        env = _worker_env(trace=True,
-                          traceparent=format_traceparent(context))
-        assert env[TRACE_ARM_ENV] == "1"
-        assert tracing_armed(env)
-        assert context_from_environ(env) == context
-
-    def test_unset_and_malformed_yield_none(self):
-        assert context_from_environ({}) is None
-        assert context_from_environ({TRACEPARENT_ENV: "nope"}) is None
-
-    def test_unarmed(self):
-        assert not tracing_armed({})
-        assert not tracing_armed({TRACE_ARM_ENV: "0"})
 
 
 class TestSpan:

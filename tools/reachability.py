@@ -56,8 +56,8 @@ KEEP: Dict[str, str] = {
     "repro.campaign.store.CampaignStore.record_timeseries":
         "harness import (ROADMAP 9)",
     # test seams: a hung aggregation's bound, no real sleeps, a fast
-    # poll, a fixed clock, an in-process CLI, an environment, a fault
-    # that fires mid-run, a phase and a lifecycle to observe
+    # poll, a fixed clock, an in-process CLI, a fault that fires
+    # mid-run, a phase and a lifecycle to observe
     "repro.campaign.fabric.Coordinator.run(timeout=)": "seam",
     "repro.campaign.fabric.spawn_worker(poll=)": "seam",
     "repro.campaign.runner.run_campaign(backoff=)": "seam",
@@ -65,8 +65,6 @@ KEEP: Dict[str, str] = {
     "repro.campaign.store.CampaignStore.close_open_spans(now=)": "seam",
     "repro.campaign.store.CampaignStore.renew_leases(now=)": "seam",
     "repro.cli.main(argv=)": "seam",
-    "repro.obs.trace.context_from_environ(env=)": "seam",
-    "repro.obs.trace.tracing_armed(env=)": "seam",
     "repro.faults.permanent.random_channel_faults(cycle=)": "seam",
     "repro.network.message.Message.committed": "seam",
     "repro.obs.server.TelemetryServer.running": "seam",
