@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Watch CR break a real deadlock that wedges plain wormhole routing.
 
-Four long worms on a 4-node ring, each sending two hops clockwise,
-form a textbook channel-dependency cycle: worm i holds channel
+Four long worms on a 4-node unidirectional ring, each sending two hops
+clockwise (the only way round), form a textbook channel-dependency cycle: worm i holds channel
 i -> i+1 and waits for channel i+1 -> i+2 forever.  With classic
 blocking wormhole injection the network wedges (the simulator's
 watchdog proves it).  With CR interfaces -- same routing relation, same
@@ -14,23 +14,25 @@ Run:  python examples/deadlock_recovery.py
 
 from repro import (
     FastEngine,
-    FirstFree,
+    GraphTopology,
     Message,
     MinimalAdaptive,
     NetworkDeadlockError,
     ProtocolConfig,
     ProtocolMode,
     WormholeNetwork,
-    torus,
 )
 
 
 def build_engine(mode: ProtocolMode) -> FastEngine:
-    topology = torus(4, 1)  # a 4-node ring
+    # A 4-node ring with clockwise links only: every hop has one
+    # candidate, so everyone goes clockwise.
+    topology = GraphTopology.from_edges(
+        4, [(0, 1), (1, 2), (2, 3), (3, 0)], bidirectional=False
+    )
     network = WormholeNetwork(
         topology,
         MinimalAdaptive(topology),
-        FirstFree(),  # deterministic tie-break: everyone goes clockwise
         num_vcs=1,
         buffer_depth=2,
     )

@@ -24,7 +24,6 @@ from repro import (
     MinimalAdaptive,
     ProtocolConfig,
     ProtocolMode,
-    RandomFree,
     WormholeNetwork,
     format_table,
 )
@@ -46,7 +45,6 @@ def main() -> None:
     network = WormholeNetwork(
         topology,
         MinimalAdaptive(topology),
-        RandomFree(),
         num_vcs=1,
         buffer_depth=2,
     )

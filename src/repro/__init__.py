@@ -46,7 +46,6 @@ _EXPORTS = {
     "routing.misrouting": ("MisroutingAdaptive",),
     "routing.duato": ("Duato",),
     "routing.turnmodel": ("NegativeFirst",),
-    "routing.selection": ("FirstFree", "RandomFree"),
     # topology
     "topology.torus": ("torus",),
     "topology.graph": ("GraphTopology",),

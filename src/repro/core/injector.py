@@ -27,6 +27,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..network.message import Message
     from .node import Node
 
+#: queued messages a free injector looks at for one it may start (the
+#: order gate and retransmission gaps can hold back the queue's head).
+INJECTION_SCAN_WINDOW = 8
+
 
 class Injector:
     """State machine feeding one injection channel."""
@@ -68,12 +72,10 @@ class Injector:
         queue = self.node.queue
         if not queue:
             return
-        protocol = self.engine.protocol
         gate = self.node.gate
         seen_dsts = set()
-        window = protocol.injection_scan_window
         for index, message in enumerate(queue):
-            if index >= window:
+            if index >= INJECTION_SCAN_WINDOW:
                 return
             if gate.enabled:
                 # Order preservation: never overtake an earlier queued

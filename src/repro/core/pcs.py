@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List
 
+from ..routing.base import pick
 from .protocol import MessagePhase
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -83,9 +84,7 @@ class PCSManager:
         tried = message.probe_tried.setdefault(router.node_id, set())
         candidates = self._free_candidates(router, message, tried)
         if candidates:
-            choice = engine.selection.pick(
-                candidates, router, message, engine.rng
-            )
+            choice = pick(candidates, engine.rng)
             self._reserve_hop(message, head, choice, now)
             return True
         if self._blocked_forever(router, message, tried):

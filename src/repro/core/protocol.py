@@ -95,7 +95,6 @@ class ProtocolConfig:
     drop_at_block: Optional[int] = None
     # PCS: cycles a probe waits on busy channels before backtracking.
     pcs_wait: int = 4
-    injection_scan_window: int = 8
 
     def __post_init__(self) -> None:
         from .backoff import ExponentialBackoff
@@ -108,5 +107,3 @@ class ProtocolConfig:
             self.backoff = ExponentialBackoff()
         if self.padding is None:
             self.padding = PaddingParams()
-        if self.injection_scan_window < 1:
-            raise ValueError("injection_scan_window must be >= 1")

@@ -120,10 +120,11 @@ class Engine:
         self.network = network
         self.topology = network.topology
         self.routing = network.routing
-        self.selection = network.selection
         self.routers = network.routers
         self.num_vcs = network.num_vcs
         self.protocol = protocol or ProtocolConfig()
+        #: every draw the network and the interfaces make (a workload
+        #: generator and cascading faults seed their own).
         self.rng = random.Random(seed)
         self.stats = stats or StatsCollector(self.topology.num_nodes)
         self.ledger = DeliveryLedger(

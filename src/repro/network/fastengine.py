@@ -36,10 +36,11 @@ from __future__ import annotations
 from time import perf_counter_ns
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
+from ..core.injector import INJECTION_SCAN_WINDOW
 from ..core.kill import KillManager
 from ..core.protocol import KillCause, ProtocolMode
 from ..core.timeout import FixedTimeout, LengthScaledTimeout
-from ..routing.base import Candidate
+from ..routing.base import Candidate, pick
 from ..routing.dor import DimensionOrder
 from ..routing.minimal_adaptive import MinimalAdaptive
 from ..routing.misrouting import MisroutingAdaptive
@@ -384,8 +385,8 @@ class FastEngine(Engine):
             # out_owner (stamp) and channel death (fault epoch).  Both
             # counters only grow, so their sum repeats only when
             # neither moved -- then the attempt is a repeat failure,
-            # and a failure draws no randomness (selection.pick needs
-            # a non-empty free list).
+            # and a failure draws no randomness (``pick`` draws only
+            # from a non-empty free list).
             key = buffer.router.stamp + epoch
             if buffer.route_fail_key == key:
                 continue
@@ -415,7 +416,7 @@ class FastEngine(Engine):
             ]
             if not free:
                 continue
-            choice = self.selection.pick(free, router, message, self.rng)
+            choice = pick(free, self.rng)
             router.claim_output(choice.port, choice.vc, buffer, message)
             self._active_switch.add(router.node_id)
             if choice.is_escape:
@@ -953,13 +954,12 @@ class FastEngine(Engine):
         retransmission deadline among messages the scan would reach, or
         infinity when only external activity can unblock the node.
         """
-        window = self.protocol.injection_scan_window
         gate = node.gate
         wake = _INF
         seen_dsts: Set[int] = set()
         lane_free: Optional[bool] = None
         for index, message in enumerate(node.queue):
-            if index >= window:
+            if index >= INJECTION_SCAN_WINDOW:
                 break
             if gate.enabled:
                 if message.dst in seen_dsts:

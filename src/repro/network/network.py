@@ -17,7 +17,6 @@ from .router import Router
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..routing.base import RoutingFunction
-    from ..routing.selection import SelectionPolicy
     from ..topology.base import Topology
 
 
@@ -28,7 +27,6 @@ class WormholeNetwork:
         self,
         topology: "Topology",
         routing: "RoutingFunction",
-        selection: "SelectionPolicy",
         num_vcs: int = 1,
         buffer_depth: int = 2,
         channel_latency: int = 1,
@@ -47,7 +45,6 @@ class WormholeNetwork:
             raise ValueError("need at least one injection and one sink channel")
         self.topology = topology
         self.routing = routing
-        self.selection = selection
         self.num_vcs = num_vcs
         self.buffer_depth = buffer_depth
         self.channel_latency = channel_latency

@@ -1,1 +1,1 @@
-"""Routing functions and output-selection policies."""
+"""Routing functions and the choice rule among their candidates."""

@@ -13,6 +13,9 @@ The routing function also owns two pieces of header policy:
   routing takes any free lane), and
 * ``on_header_hop`` -- header state updates as the header crosses a
   channel (the dateline bit for toroidal deadlock freedom).
+
+Which free candidate a header (or a PCS probe, or an injecting message)
+actually claims is :func:`pick`, the one choice rule of the simulator.
 """
 
 from __future__ import annotations
@@ -20,13 +23,29 @@ from __future__ import annotations
 import abc
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, TypeVar,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..network.channel import Channel
     from ..network.message import Message
     from ..network.router import Router
     from ..topology.base import Topology
+
+T = TypeVar("T")
+
+
+def pick(free: Sequence[T], rng: random.Random) -> T:
+    """The choice among free candidates (``free`` is non-empty): a lone
+    one is taken without a draw, otherwise one ``rng.choice``.
+
+    Random choice is what gives a killed worm a new path on its retry.
+    Every caller passes the engine's ``rng``, so a run's choices (with
+    its arbitration shuffle, lanes, backoff gaps and corruption) come
+    from that one source.
+    """
+    return free[0] if len(free) == 1 else rng.choice(free)
 
 
 @dataclass(frozen=True)
@@ -116,12 +135,12 @@ class RoutingFunction(abc.ABC):
         """VC to claim on the injection port, or None to wait.
 
         ``free_vcs`` lists currently unowned VCs.  The default takes any
-        free VC at random (adaptive routing treats VCs as equivalent
-        lanes).
+        free VC by :func:`pick` (adaptive routing treats VCs as
+        equivalent lanes).
         """
         if not free_vcs:
             return None
-        return free_vcs[0] if len(free_vcs) == 1 else rng.choice(free_vcs)
+        return pick(free_vcs, rng)
 
     def assign_lane(self, message: "Message", rng: random.Random) -> None:
         """Pick per-message lane state at first injection (default none)."""

@@ -34,7 +34,6 @@ from ..routing.dor import DimensionOrder
 from ..routing.duato import Duato
 from ..routing.minimal_adaptive import MinimalAdaptive, NaiveAdaptive
 from ..routing.misrouting import MisroutingAdaptive
-from ..routing.selection import RandomFree
 from ..routing.turnmodel import NegativeFirst
 from ..stats.collector import StatsCollector
 from ..topology.base import Topology
@@ -254,7 +253,6 @@ class SimConfig:
         network = WormholeNetwork(
             topology,
             routing,
-            RandomFree(),
             num_vcs=num_vcs,
             buffer_depth=self.buffer_depth,
             channel_latency=self.channel_latency,

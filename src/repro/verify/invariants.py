@@ -47,24 +47,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    """Which invariants to check, and how often.
+    """How often an armed checker sweeps, and what it plants.
 
-    The default enables everything; individual checkers can be switched
-    off for overhead experiments or to isolate a failure.  ``mutation``
-    names a seeded protocol bug from :mod:`repro.verify.mutations` to
-    inject at build time (the differential oracle: a mutated run must
-    trip a checker, an unmutated run must not).
+    An armed checker checks every invariant.  ``mutation`` names a
+    seeded protocol bug from :mod:`repro.verify.mutations` to inject at
+    build time (the differential oracle: a mutated run must trip a
+    checker, an unmutated run must not).
     """
 
     #: cycles between whole-network sweeps (conservation + credits +
-    #: liveness); event-driven checks (padding, kill) always run.
+    #: liveness); event-driven checks (padding, kill) run at each event.
     check_interval: int = 64
-    conservation: bool = True
-    credits: bool = True
-    kill_protocol: bool = True
-    padding: bool = True
-    liveness: bool = True
-    quiescence: bool = True
     #: cycles without progress before the liveness checker fires;
     #: ``None`` derives half the engine watchdog (so the typed violation
     #: beats the generic ``NetworkDeadlockError``).
@@ -189,8 +182,6 @@ class InvariantChecker:
         lemma (at commit the destination has already consumed the
         header -- tail departed implies delivery is in progress).
         """
-        if not self.config.padding:
-            return
         mode = self.engine.protocol.mode
         if mode not in (ProtocolMode.CR, ProtocolMode.FCR):
             return
@@ -232,8 +223,6 @@ class InvariantChecker:
         set -- and it keeps the postcondition O(path), not O(network),
         per kill (see ``benchmarks/bench_overhead.py``).
         """
-        if not self.config.kill_protocol:
-            return
         self.kills_checked += 1
         routers = []
         for buffer in message.segments:
@@ -279,7 +268,7 @@ class InvariantChecker:
     def on_run_end(self, drained: bool, now: int) -> None:
         self.check_all(now)
         self._check_latency_floor(now)
-        if drained and self.config.quiescence:
+        if drained:
             self._check_quiescence(now)
 
     # ------------------------------------------------------------------
@@ -289,12 +278,9 @@ class InvariantChecker:
     def check_all(self, now: int) -> None:
         """Conservation + credit accounting + liveness, one sweep."""
         self.checks_run += 1
-        if self.config.conservation:
-            self._check_conservation(now)
-        if self.config.credits:
-            self._check_credits(now)
-        if self.config.liveness:
-            self._check_liveness(now)
+        self._check_conservation(now)
+        self._check_credits(now)
+        self._check_liveness(now)
 
     def _census(self) -> int:
         """Flits resident in the network fabric right now."""

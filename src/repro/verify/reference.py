@@ -13,9 +13,11 @@ against it flit for flit: by ``repro.verify.equivalence`` (event
 stream, report and channel state of one config under both), by the
 per-cycle lockstep oracles in ``tests/network/``, and by
 ``tools/traffic_golden.py --check`` against digests recorded from this
-engine in ``tests/golden/traffic.json``.  The seeded draws (``rng``)
-and the output choice (``selection``) are constructor state of the
-base, so a harness that enumerates them replaces them here.
+engine in ``tests/golden/traffic.json``.  Every draw of a run without
+a workload generator comes from the base's ``rng`` (the arbitration
+shuffle, :func:`~repro.routing.base.pick` of an output, a probe hop or
+an injection lane, the DOR lane, backoff gaps, transient corruption),
+so a harness that enumerates choices replaces that one attribute.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import TYPE_CHECKING, List, Set
 from ..core.pcs import PCSManager
 from ..core.protocol import KillCause, ProtocolMode
 from ..network.engine import _LIVE_PHASES, Engine
-from ..routing.base import Candidate
+from ..routing.base import Candidate, pick
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..network.buffer import VCBuffer
@@ -145,7 +147,7 @@ class ReferenceEngine(Engine):
             ]
             if not free:
                 continue
-            choice = self.selection.pick(free, router, message, self.rng)
+            choice = pick(free, self.rng)
             router.claim_output(choice.port, choice.vc, buffer, message)
             if choice.is_escape:
                 message.escape_hops += 1

@@ -56,8 +56,6 @@ class ScheduledArrival:
     src: int
     dst: int
     length: int
-    #: True when delivery at ``dst`` should trigger a reply.
-    request: bool = False
     #: True when this arrival is a server's reply (accounting only).
     reply: bool = False
 
@@ -303,7 +301,6 @@ class WorkloadGenerator:
         if not self._pending:
             return
         still_pending: List[ScheduledArrival] = []
-        track = self.request_reply is not None
         for entry in self._pending:
             message = Message(
                 entry.src,
@@ -318,10 +315,6 @@ class WorkloadGenerator:
                 if entry.reply:
                     self.replies_sent += 1
                     engine.stats.counters["workload_replies"] += 1
-                elif track and entry.request:
-                    self._outstanding.add(message.uid)
-                    self.requests_sent += 1
-                    engine.stats.counters["workload_requests"] += 1
             else:
                 still_pending.append(entry)
         self._pending = still_pending

@@ -3,7 +3,6 @@
 import pytest
 
 from repro import (
-    FirstFree,
     Message,
     MinimalAdaptive,
     ProtocolConfig,
@@ -22,7 +21,6 @@ def make_engine(mode=ProtocolMode.CR, num_inject=1, order=True, **proto):
     network = WormholeNetwork(
         topology,
         MinimalAdaptive(topology),
-        FirstFree(),
         num_vcs=1,
         num_inject=num_inject,
     )

@@ -1,7 +1,6 @@
 """KillManager mechanics: wavefronts, guards, resource returns."""
 
 from repro import (
-    FirstFree,
     FixedTimeout,
     Message,
     MinimalAdaptive,
@@ -18,7 +17,7 @@ from repro.verify.reference import ReferenceEngine
 def make_engine(**proto):
     topology = torus(4, 2)
     network = WormholeNetwork(
-        topology, MinimalAdaptive(topology), FirstFree(), num_vcs=1
+        topology, MinimalAdaptive(topology), num_vcs=1
     )
     protocol = ProtocolConfig(mode=ProtocolMode.CR, **proto)
     return ReferenceEngine(network, protocol=protocol, seed=2, watchdog=5000)
@@ -33,10 +32,9 @@ def stretched_worm(engine, length=40):
     """
     topology = engine.topology
     src = topology.node_at((0, 0))
-    dst = topology.node_at((2, 0))  # straight-line, FirstFree keeps it
-    engine.network.find_link(
-        topology.node_at((1, 0)), dst
-    ).dead = True
+    dst = topology.node_at((2, 0))  # two hops either way round
+    for via in ((1, 0), (3, 0)):
+        engine.network.find_link(topology.node_at(via), dst).dead = True
     msg = Message(src, dst, length, seq=0)
     engine.admit(msg)
     # Let it stretch and stall.

@@ -5,7 +5,6 @@ from repro import (
     MinimalAdaptive,
     ProtocolConfig,
     ProtocolMode,
-    RandomFree,
     StaticGap,
     FixedTimeout,
     WormholeNetwork,
@@ -15,12 +14,11 @@ from repro.core.protocol import MessagePhase
 from repro.verify.reference import ReferenceEngine
 
 
-def cr_engine(radix=4, dims=2, selection=None, **protocol_kwargs):
+def cr_engine(radix=4, dims=2, **protocol_kwargs):
     topology = torus(radix, dims)
     network = WormholeNetwork(
         topology,
         MinimalAdaptive(topology),
-        selection or RandomFree(),
         num_vcs=1,
         buffer_depth=2,
     )

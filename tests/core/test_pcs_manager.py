@@ -1,7 +1,6 @@
 """PCSManager internals: candidate filtering and backtrack bookkeeping."""
 
 from repro import (
-    FirstFree,
     Message,
     MinimalAdaptive,
     ProtocolConfig,
@@ -16,7 +15,7 @@ from repro.verify.reference import ReferenceEngine
 def pcs_engine(pcs_wait=2):
     topology = torus(4, 2)
     network = WormholeNetwork(
-        topology, MinimalAdaptive(topology), FirstFree(), num_vcs=1
+        topology, MinimalAdaptive(topology), num_vcs=1
     )
     protocol = ProtocolConfig(mode=ProtocolMode.PCS, pcs_wait=pcs_wait)
     return ReferenceEngine(network, protocol=protocol, seed=1, watchdog=5000)

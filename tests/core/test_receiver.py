@@ -1,7 +1,6 @@
 """Receiver state machine details (driven through a live engine)."""
 
 from repro import (
-    FirstFree,
     Message,
     MinimalAdaptive,
     ProtocolConfig,
@@ -18,7 +17,6 @@ def make_engine(mode=ProtocolMode.CR, num_sink=1):
     network = WormholeNetwork(
         topology,
         MinimalAdaptive(topology),
-        FirstFree(),
         num_vcs=1,
         num_sink=num_sink,
     )

@@ -8,7 +8,6 @@ import pytest
 from repro import (
     ChannelFault,
     CompositeFaultModel,
-    FirstFree,
     MinimalAdaptive,
     PermanentFaultSchedule,
     TransientFaults,
@@ -26,7 +25,7 @@ from repro.sim.config import SimConfig
 def make_network(radix=4):
     topology = torus(radix, 2)
     return WormholeNetwork(
-        topology, MinimalAdaptive(topology), FirstFree(), num_vcs=1
+        topology, MinimalAdaptive(topology), num_vcs=1
     )
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import (
-    FirstFree,
+    GraphTopology,
     Message,
     MinimalAdaptive,
     NetworkDeadlockError,
@@ -21,13 +21,13 @@ def build_engine(
     num_vcs=1,
     buffer_depth=2,
     mode=ProtocolMode.CR,
+    topology=None,
     **engine_kwargs,
 ):
-    topology = torus(radix, dims)
+    topology = topology or torus(radix, dims)
     network = WormholeNetwork(
         topology,
         MinimalAdaptive(topology),
-        FirstFree(),
         num_vcs=num_vcs,
         buffer_depth=buffer_depth,
     )
@@ -134,12 +134,17 @@ class TestNetworkHygiene:
 
 
 class TestWatchdog:
+    #: a 4-node ring with clockwise links only
+    RING = GraphTopology.from_edges(
+        4, [(0, 1), (1, 2), (2, 3), (3, 0)], bidirectional=False
+    )
+
     @staticmethod
     def _ring_pattern(engine):
-        """Messages 0->2, 1->3, 2->0, 3->1 on a 4-ring.
+        """Messages 0->2, 1->3, 2->0, 3->1 on the clockwise ring.
 
-        With tie-breaking toward +1, every worm holds channel i->i+1 and
-        waits for (i+1)->(i+2): a textbook channel-dependency cycle.
+        Every worm holds channel i->i+1 and waits for (i+1)->(i+2): a
+        textbook channel-dependency cycle.
         """
         messages = []
         for src in range(4):
@@ -150,7 +155,7 @@ class TestWatchdog:
 
     def test_fires_on_wedged_plain_adaptive(self):
         engine = build_engine(
-            radix=4, dims=1, mode=ProtocolMode.PLAIN, watchdog=300
+            topology=self.RING, mode=ProtocolMode.PLAIN, watchdog=300
         )
         self._ring_pattern(engine)
         with pytest.raises(NetworkDeadlockError):
@@ -159,7 +164,7 @@ class TestWatchdog:
 
     def test_cr_breaks_the_same_pattern(self):
         engine = build_engine(
-            radix=4, dims=1, mode=ProtocolMode.CR, watchdog=5000
+            topology=self.RING, mode=ProtocolMode.CR, watchdog=5000
         )
         messages = self._ring_pattern(engine)
         assert engine.run_until_drained(20000)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro import (
-    FirstFree,
     MinimalAdaptive,
     DimensionOrder,
     WormholeNetwork,
@@ -17,7 +16,7 @@ def build(topology=None, **kwargs):
     defaults = dict(num_vcs=1, buffer_depth=2)
     defaults.update(kwargs)
     return WormholeNetwork(
-        topology, MinimalAdaptive(topology), FirstFree(), **defaults
+        topology, MinimalAdaptive(topology), **defaults
     )
 
 
@@ -101,7 +100,7 @@ class TestValidation:
         topology = torus(4, 2)
         with pytest.raises(ValueError, match="VCs"):
             WormholeNetwork(
-                topology, DimensionOrder(topology), FirstFree(), num_vcs=1
+                topology, DimensionOrder(topology), num_vcs=1
             )
 
     def test_bad_buffer_depth(self):

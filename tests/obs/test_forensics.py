@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro import (
-    FirstFree,
+    GraphTopology,
     Message,
     MinimalAdaptive,
     NetworkDeadlockError,
@@ -14,7 +14,6 @@ from repro import (
     ProtocolMode,
     WormholeNetwork,
     attach,
-    torus,
 )
 from repro.obs import DeadlockReport, ListSink, event_to_dict
 from repro.obs.forensics import RECENT_EVENT_LIMIT, find_cycle
@@ -24,16 +23,18 @@ from repro.verify.reference import ReferenceEngine
 def deadlocking_engine(watchdog=300, warmup_messages=0):
     """A 4-node PLAIN ring whose worms provably wedge in a cycle.
 
-    Each node sends a 40-flit worm two hops round the ring with a
+    Each node sends a 40-flit worm two hops round the clockwise-only
+    ring with a
     single VC and shallow buffers: every head ends up waiting on the
     channel its neighbour's worm holds, and PLAIN mode has no kill
     mechanism to break the cycle.  ``warmup_messages`` short one-hop
     messages per node go first and are delivered before the wedge.
     """
-    topology = torus(4, 1)
+    topology = GraphTopology.from_edges(
+        4, [(0, 1), (1, 2), (2, 3), (3, 0)], bidirectional=False
+    )
     network = WormholeNetwork(
-        topology, MinimalAdaptive(topology), FirstFree(),
-        num_vcs=1, buffer_depth=2,
+        topology, MinimalAdaptive(topology), num_vcs=1, buffer_depth=2,
     )
     engine = ReferenceEngine(
         network, protocol=ProtocolConfig(mode=ProtocolMode.PLAIN),

@@ -18,7 +18,6 @@ from repro import (
     MinimalAdaptive,
     ProtocolConfig,
     ProtocolMode,
-    RandomFree,
     WormholeNetwork,
 )
 from repro.verify.reference import ReferenceEngine
@@ -57,7 +56,7 @@ def test_cr_guarantees_on_random_graphs(case):
     n, edges, seed = case
     topology = GraphTopology.from_edges(n, edges)
     network = WormholeNetwork(
-        topology, MinimalAdaptive(topology), RandomFree(), num_vcs=1
+        topology, MinimalAdaptive(topology), num_vcs=1
     )
     engine = ReferenceEngine(
         network,

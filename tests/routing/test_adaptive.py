@@ -6,13 +6,11 @@ import pytest
 
 from repro import (
     Duato,
-    FirstFree,
     Message,
     MinimalAdaptive,
     NegativeFirst,
     ProtocolConfig,
     ProtocolMode,
-    RandomFree,
     WormholeNetwork,
     torus,
 )
@@ -23,7 +21,7 @@ from repro.verify.reference import ReferenceEngine
 
 def candidates_at(routing, topology, num_vcs, node, dst):
     network = WormholeNetwork(
-        topology, routing, FirstFree(), num_vcs=num_vcs
+        topology, routing, num_vcs=num_vcs
     )
     msg = Message(node, dst, 4)
     return routing.candidates(network.routers[node], msg)
@@ -85,7 +83,7 @@ class TestDuato:
         topology = torus(4, 2)
         routing = Duato(topology)
         network = WormholeNetwork(
-            topology, routing, RandomFree(), num_vcs=3
+            topology, routing, num_vcs=3
         )
         engine = ReferenceEngine(
             network,
@@ -108,7 +106,7 @@ class TestDuato:
     def test_escape_usage_is_counted(self):
         topology = torus(4, 2)
         routing = Duato(topology)
-        network = WormholeNetwork(topology, routing, RandomFree(), num_vcs=3)
+        network = WormholeNetwork(topology, routing, num_vcs=3)
         engine = ReferenceEngine(
             network,
             protocol=ProtocolConfig(mode=ProtocolMode.PLAIN),
@@ -162,7 +160,7 @@ class TestNegativeFirst:
     def test_saturated_mesh_drains(self):
         topology = KAryNCube(4, 2, wrap=False)
         routing = NegativeFirst(topology)
-        network = WormholeNetwork(topology, routing, RandomFree(), num_vcs=1)
+        network = WormholeNetwork(topology, routing, num_vcs=1)
         engine = ReferenceEngine(
             network,
             protocol=ProtocolConfig(mode=ProtocolMode.PLAIN),

@@ -47,9 +47,9 @@ class TestDatelineClass:
         turning into dim 1.  The dim-1 hop must claim VC0."""
         topology = torus(4, 2)
         routing = DimensionOrder(topology)
-        from repro import FirstFree, WormholeNetwork
+        from repro import WormholeNetwork
 
-        network = WormholeNetwork(topology, routing, FirstFree(), num_vcs=2)
+        network = WormholeNetwork(topology, routing, num_vcs=2)
         msg = Message(topology.node_at((3, 1)), topology.node_at((1, 3)), 4)
         hop(routing, msg, dim=0, wrap=True)   # (3,1) -> (0,1)
         hop(routing, msg, dim=0, wrap=False)  # (0,1) -> (1,1)
@@ -61,9 +61,9 @@ class TestDatelineClass:
     def test_duato_escape_same_rule(self):
         topology = torus(4, 2)
         routing = Duato(topology)
-        from repro import FirstFree, WormholeNetwork
+        from repro import WormholeNetwork
 
-        network = WormholeNetwork(topology, routing, FirstFree(), num_vcs=3)
+        network = WormholeNetwork(topology, routing, num_vcs=3)
         msg = Message(topology.node_at((3, 1)), topology.node_at((1, 3)), 4)
         hop(routing, msg, dim=0, wrap=True)
         hop(routing, msg, dim=0, wrap=False)

@@ -6,7 +6,6 @@ import pytest
 
 from repro import (
     DimensionOrder,
-    FirstFree,
     Message,
     ProtocolConfig,
     ProtocolMode,
@@ -28,7 +27,7 @@ class TestVcRequirements:
     def test_network_rejects_too_few_vcs(self):
         topo = torus(4, 2)
         with pytest.raises(ValueError, match="VCs"):
-            WormholeNetwork(topo, DimensionOrder(topo), FirstFree(), num_vcs=1)
+            WormholeNetwork(topo, DimensionOrder(topo), num_vcs=1)
 
     def test_lane_count(self):
         routing = DimensionOrder(torus(4, 2))
@@ -81,7 +80,7 @@ class TestDeadlockFreedom:
         topology = topo_factory()
         routing = DimensionOrder(topology)
         network = WormholeNetwork(
-            topology, routing, FirstFree(), num_vcs=routing.min_vcs()
+            topology, routing, num_vcs=routing.min_vcs()
         )
         engine = ReferenceEngine(
             network,
@@ -106,7 +105,7 @@ class TestDeadlockFreedom:
     def test_route_is_dimension_ordered(self):
         topology = torus(4, 2)
         routing = DimensionOrder(topology)
-        network = WormholeNetwork(topology, routing, FirstFree(), num_vcs=2)
+        network = WormholeNetwork(topology, routing, num_vcs=2)
         engine = ReferenceEngine(
             network,
             protocol=ProtocolConfig(mode=ProtocolMode.PLAIN),

@@ -5,7 +5,6 @@ from repro import (
     MisroutingAdaptive,
     ProtocolConfig,
     ProtocolMode,
-    RandomFree,
     SimConfig,
     WormholeNetwork,
     run_simulation,
@@ -40,7 +39,7 @@ class TestCandidateTiers:
         topology = torus(4, 2)
         routing = MisroutingAdaptive(topology)
         network = WormholeNetwork(
-            topology, routing, RandomFree(), num_vcs=1
+            topology, routing, num_vcs=1
         )
         return topology, routing, network
 
@@ -86,7 +85,7 @@ class TestEndToEnd:
         """The case minimal-only routing can never deliver."""
         topology = torus(4, 2)
         routing = MisroutingAdaptive(topology)
-        network = WormholeNetwork(topology, routing, RandomFree(), num_vcs=1)
+        network = WormholeNetwork(topology, routing, num_vcs=1)
         network.find_link(0, 1).dead = True
         engine = ReferenceEngine(
             network,
@@ -124,7 +123,7 @@ class TestEndToEnd:
         """Wire length grows with the attempt's misroute budget."""
         topology = torus(4, 2)
         routing = MisroutingAdaptive(topology)
-        network = WormholeNetwork(topology, routing, RandomFree(), num_vcs=1)
+        network = WormholeNetwork(topology, routing, num_vcs=1)
         network.find_link(0, 1).dead = True
         engine = ReferenceEngine(
             network,

@@ -58,7 +58,6 @@ class TestOccupancy:
 
     def test_snapshot_shows_parked_worms(self):
         from repro import (
-            FirstFree,
             Message,
             MinimalAdaptive,
             ProtocolConfig,
@@ -70,7 +69,7 @@ class TestOccupancy:
 
         topology = torus(4, 2)
         network = WormholeNetwork(
-            topology, MinimalAdaptive(topology), FirstFree(), num_vcs=1
+            topology, MinimalAdaptive(topology), num_vcs=1
         )
         engine = ReferenceEngine(
             network, protocol=ProtocolConfig(mode=ProtocolMode.PLAIN), seed=0

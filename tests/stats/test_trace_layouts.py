@@ -1,7 +1,6 @@
 """Trace helpers on non-2D layouts (fallback paths)."""
 
 from repro import (
-    FirstFree,
     Message,
     MinimalAdaptive,
     ProtocolConfig,
@@ -16,7 +15,7 @@ from repro.verify.reference import ReferenceEngine
 
 def engine_for(topology):
     network = WormholeNetwork(
-        topology, MinimalAdaptive(topology), FirstFree(), num_vcs=1
+        topology, MinimalAdaptive(topology), num_vcs=1
     )
     return ReferenceEngine(
         network, protocol=ProtocolConfig(mode=ProtocolMode.PLAIN), seed=0

@@ -12,7 +12,6 @@ from repro import (
     MinimalAdaptive,
     ProtocolConfig,
     ProtocolMode,
-    RandomFree,
     SimConfig,
     WormholeNetwork,
     run_simulation,
@@ -80,7 +79,7 @@ class TestIrregularTopology:
         ]
         topology = GraphTopology.from_edges(8, edges)
         network = WormholeNetwork(
-            topology, MinimalAdaptive(topology), RandomFree(), num_vcs=1
+            topology, MinimalAdaptive(topology), num_vcs=1
         )
         engine = ReferenceEngine(
             network,

@@ -26,7 +26,7 @@ star = {}
 exec("from repro import *", star)
 import repro
 missing = sorted(set(repro.__all__) - set(star))
-assert len(repro.__all__) == 57 and not missing, missing
+assert len(repro.__all__) == 55 and not missing, missing
 
 for package in packages:
     module = sys.modules[package]

@@ -42,9 +42,6 @@ from typing import (
 
 #: symbol -> why it stays although no resolved production site reaches it
 KEEP: Dict[str, str] = {
-    # item 2's unidirectional ring is built through GraphTopology
-    "repro.topology.graph.GraphTopology.from_edges(bidirectional=)":
-        "ROADMAP 2",
     # what only the frozen benchmark harness calls
     "repro.campaign.monitor.CampaignMonitor.on_point":
         "harness import (ROADMAP 9)",
@@ -80,10 +77,13 @@ KEEP: Dict[str, str] = {
     "repro.obs.metrics.MetricsRegistry.families": "oracle",
     "repro.obs.alerts.rules_to_json": "oracle",
     "repro.workload.spec.save_workload_trace": "oracle",
-    # the public API a script reaches for first
+    # the public API a script reaches for first; ``torus`` builds the
+    # hand-wired networks of the tests
     "repro:engine_metrics": "top-level repro export",
     "repro:parse_prometheus_text": "top-level repro export",
     "repro:run_campaign": "top-level repro export",
+    "repro.topology.torus.torus": "top-level repro export",
+    "repro.topology.torus.torus(dims=)": "top-level repro export",
     # a sink is anything with ``on_event``; the bus cannot name a class
     "repro.obs.sinks.JsonlSink.on_event":
         "unresolved: src/repro/obs/events.py:199",
