@@ -158,7 +158,7 @@ class KillManager:
             self._emit_completed(message, now, "abandoned")
             return
         message.phase = MessagePhase.QUEUED
-        engine.nodes[message.src].queue.appendleft(message)
+        engine.nodes[message.src].queue.insert(0, message)
         self._emit_completed(message, now, "requeued")
 
     def _emit_completed(

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from collections import deque
-from typing import TYPE_CHECKING, Deque, List
+from typing import TYPE_CHECKING, List
 
 from .guarantees import OrderGate
 from .injector import Injector
@@ -34,7 +33,7 @@ class Node:
         if queue_cap < 1:
             raise ValueError("queue_cap must be >= 1")
         self.node_id = node_id
-        self.queue: Deque["Message"] = deque()
+        self.queue: List["Message"] = []
         self.queue_cap = queue_cap
         self.gate = OrderGate(enabled=order_preserving)
         self.injectors = [

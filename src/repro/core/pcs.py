@@ -208,5 +208,5 @@ class PCSManager:
         engine.injecting.discard(message)
         engine.in_flight.discard(message)
         engine.abort_injection(message)
-        engine.nodes[message.src].queue.appendleft(message)
+        engine.nodes[message.src].queue.insert(0, message)
         engine.mark_progress(now)

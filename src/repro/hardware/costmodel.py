@@ -34,6 +34,14 @@ GATES_PER_FSM_STATE_BIT = 25
 CRC16_GATES = 80  # serial LFSR datapath
 CRC16_LATCHES = 16
 
+#: longest message on the wire, in flits: sizes the pad and flit counters
+MAX_WIRE_LENGTH = 256
+#: largest source timeout, in cycles: sizes the stall counter
+MAX_TIMEOUT = 1024
+#: largest backoff exponent (`ExponentialBackoff.cap`): the backoff
+#: timer's extra bits and the LFSR width
+BACKOFF_CAP = 6
+
 
 @dataclass(frozen=True)
 class Component:
@@ -56,15 +64,12 @@ def _bits(max_value: int) -> int:
 class InterfaceParams:
     """Network parameters the widths depend on.
 
-    radix/dims size the distance calculator; ``max_wire_length`` sizes
-    the pad and flit counters; ``max_timeout`` sizes the stall counter.
+    radix/dims size the distance calculator; the counter and timer
+    widths come from the module constants above.
     """
 
     radix: int = 16
     dims: int = 2
-    max_wire_length: int = 256
-    max_timeout: int = 1024
-    backoff_cap: int = 6
 
 
 def _adder(name: str, bits: int, purpose: str) -> Component:
@@ -100,8 +105,8 @@ def injector_components(
         raise ValueError(f"unknown interface mode {mode!r}")
     coord_bits = _bits(params.radix - 1)
     dist_bits = _bits(params.dims * (params.radix // 2))
-    wire_bits = _bits(params.max_wire_length)
-    timeout_bits = _bits(params.max_timeout)
+    wire_bits = _bits(MAX_WIRE_LENGTH)
+    timeout_bits = _bits(MAX_TIMEOUT)
     parts: List[Component] = [
         _counter("flit counter", wire_bits, "position in outgoing message"),
         _fsm("send FSM", 4, "idle / sending / blocked / done"),
@@ -135,15 +140,15 @@ def injector_components(
     parts.append(
         _counter(
             "backoff timer",
-            timeout_bits + params.backoff_cap,
+            timeout_bits + BACKOFF_CAP,
             "retransmission gap countdown",
         )
     )
     parts.append(
         Component(
             "backoff LFSR",
-            GATES_PER_COUNTER_BIT * params.backoff_cap,
-            params.backoff_cap,
+            GATES_PER_COUNTER_BIT * BACKOFF_CAP,
+            BACKOFF_CAP,
             "randomised exponential gap",
         )
     )
@@ -160,13 +165,15 @@ def injector_components(
     return parts
 
 
-def receiver_components(
-    params: InterfaceParams, mode: str = "cr"
-) -> List[Component]:
-    """Datapath inventory of the reception interface (paper Fig. 8)."""
+def receiver_components(mode: str = "cr") -> List[Component]:
+    """Datapath inventory of the reception interface (paper Fig. 8).
+
+    No network parameter sizes it: its one counter is
+    ``MAX_WIRE_LENGTH`` wide.
+    """
     if mode not in ("plain", "cr", "fcr"):
         raise ValueError(f"unknown interface mode {mode!r}")
-    wire_bits = _bits(params.max_wire_length)
+    wire_bits = _bits(MAX_WIRE_LENGTH)
     parts: List[Component] = [
         _counter("flit counter", wire_bits, "position in incoming message"),
         _fsm("assembly FSM", 4, "idle / header / body / done"),
@@ -203,7 +210,7 @@ def interface_table(params: InterfaceParams) -> List[Dict[str, object]]:
     rows: List[Dict[str, object]] = []
     for mode in ("plain", "cr", "fcr"):
         inj = totals(injector_components(params, mode))
-        rcv = totals(receiver_components(params, mode))
+        rcv = totals(receiver_components(mode))
         rows.append(
             {
                 "interface": mode,

@@ -10,8 +10,7 @@ timeout ablation).
 
 from __future__ import annotations
 
-from collections import deque
-from typing import TYPE_CHECKING, Deque, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .channel import Channel
@@ -47,7 +46,7 @@ class VCBuffer:
         self.port = port
         self.vc = vc
         self.depth = depth
-        self.fifo: Deque["Flit"] = deque()
+        self.fifo: List["Flit"] = []
         self.incoming: List[Tuple[int, "Flit"]] = []
         self.feeder: Optional["Channel"] = None
         self.owner: Optional["Message"] = None
@@ -91,7 +90,7 @@ class VCBuffer:
 
     def pop(self, now: int) -> "Flit":
         """Remove and return the head flit, crediting the feeder."""
-        flit = self.fifo.popleft()
+        flit = self.fifo.pop(0)
         self.last_advance = now
         if self.feeder is not None:
             self.feeder.return_credit(self.vc, now)

@@ -27,10 +27,15 @@ table's order (``repro.obs.profile.PHASES`` minus ``idle``):
 11. sampler    -- the interval sampler's window close (when attached),
 12. checker    -- the invariant checker's sweep (when attached).
 
-The watchdog is a simulator safety net, not part of CR: with CR/FCR it
-never fires (timeouts guarantee progress); with naive adaptive routing
-and PLAIN injection it fires quickly -- that *is* the deadlock CR breaks,
-and the deadlock-demonstration example relies on it.
+The watchdog is a simulator safety net, not part of CR.  It fires after
+``watchdog`` cycles without progress, and a message waiting out a
+backoff gap makes none.  So with CR/FCR it stays quiet only while the
+interval exceeds the longest backoff gap (``(2**6 - 1) * 16 = 1008``
+cycles at the defaults) plus the source timeout; the default, 20000,
+does.  A shorter interval can report a network that is only waiting.
+With naive adaptive routing and PLAIN injection it fires quickly --
+that *is* the deadlock CR breaks, and the deadlock-demonstration example
+relies on it.
 """
 
 from __future__ import annotations

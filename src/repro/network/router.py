@@ -27,7 +27,7 @@ must not be routed into a non-empty buffer.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .buffer import VCBuffer
 
@@ -39,7 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: one switch-allocation request: ``(port, vc, buffer, buffer.fifo,
 #: out_channels[port], out_channels[port].credits)``.
 ClaimRecord = Tuple[
-    int, int, VCBuffer, "Deque[Flit]", "Channel", List[int]
+    int, int, VCBuffer, "List[Flit]", "Channel", List[int]
 ]
 
 

@@ -63,6 +63,12 @@ class Candidate:
     is_misroute: bool = False
 
 
+#: a relation's answer: candidate tiers, tried in order.  An answer may
+#: be one object shared by every call that names the same candidates,
+#: so nothing mutates one.
+Tiers = Sequence[Sequence[Candidate]]
+
+
 class RoutingFunction(abc.ABC):
     """Strategy object shared by every router in a network."""
 
@@ -72,6 +78,9 @@ class RoutingFunction(abc.ABC):
     def __init__(self, topology: "Topology") -> None:
         self.topology = topology
         self._pool: Dict[Tuple[int, bool], List[List[Candidate]]] = {}
+        # One shared answer per distinct candidate set, for the
+        # relations whose answers repeat (minimal adaptive, DOR).
+        self._tiers: Dict[tuple, Tiers] = {}
 
     def _port_candidates(
         self, num_vcs: int, is_misroute: bool = False
@@ -104,9 +113,7 @@ class RoutingFunction(abc.ABC):
         """
 
     @abc.abstractmethod
-    def candidates(
-        self, router: "Router", message: "Message"
-    ) -> List[List[Candidate]]:
+    def candidates(self, router: "Router", message: "Message") -> Tiers:
         """Tiers of admissible link-port candidates at ``router``.
 
         Only called when the message still has network hops to make
@@ -119,10 +126,10 @@ class RoutingFunction(abc.ABC):
         the header waits: the fast engine re-asks a blocked header only
         after one of those (or the router's output ownership) changed.
 
-        The outer list is the caller's (a subclass may append a tier to
-        what ``super()`` returned); the candidates in it may be objects
-        shared with other answers -- they are frozen values, compare
-        them with ``==``.
+        The answer may be an object shared with other calls (see
+        :data:`Tiers`): a subclass that adds a tier builds a new outer
+        sequence.  Candidates are frozen values, compare them with
+        ``==``.
         """
 
     def injection_vc(

@@ -11,9 +11,9 @@ message picks a lane at injection and stays in it.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, List
+from typing import TYPE_CHECKING
 
-from .base import Candidate, RoutingFunction
+from .base import RoutingFunction, Tiers
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..network.channel import Channel
@@ -59,9 +59,7 @@ class DimensionOrder(RoutingFunction):
         # draw from a wide range here to stay configuration-independent.
         message.lane = rng.getrandbits(30)
 
-    def candidates(
-        self, router: "Router", message: "Message"
-    ) -> List[List[Candidate]]:
+    def candidates(self, router: "Router", message: "Message") -> Tiers:
         link = self.topology.dor_link(router.node_id, message.dst)
         lane = message.lane % self.num_lanes(router.num_vcs)
         vc = lane * self.vc_classes + (
@@ -69,7 +67,13 @@ class DimensionOrder(RoutingFunction):
             if self.vc_classes == 2
             else 0
         )
-        return [[self._port_candidates(router.num_vcs)[link.port][vc]]]
+        key = (link.port, vc)
+        tiers = self._tiers.get(key)
+        if tiers is None:
+            tiers = self._tiers[key] = (
+                (self._port_candidates(router.num_vcs)[link.port][vc],),
+            )
+        return tiers
 
     def dateline_class(self, message: "Message", hop_dim: int) -> int:
         """Dateline VC class for a hop in ``hop_dim``.

@@ -10,9 +10,9 @@ deadlocks by source timeout, kill, and retransmission.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List
+from typing import TYPE_CHECKING
 
-from .base import Candidate, RoutingFunction
+from .base import RoutingFunction, Tiers
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..network.message import Message
@@ -27,16 +27,21 @@ class MinimalAdaptive(RoutingFunction):
     def min_vcs(self) -> int:
         return 1
 
-    def candidates(
-        self, router: "Router", message: "Message"
-    ) -> List[List[Candidate]]:
-        by_port = self._port_candidates(router.num_vcs)
-        tier: List[Candidate] = []
-        for link in self.topology.productive_links(
-            router.node_id, message.dst
-        ):
-            tier += by_port[link.port]
-        return [tier]
+    def candidates(self, router: "Router", message: "Message") -> Tiers:
+        ports = tuple([
+            link.port
+            for link in self.topology.productive_links(
+                router.node_id, message.dst
+            )
+        ])
+        key = (router.num_vcs, ports)
+        tiers = self._tiers.get(key)
+        if tiers is None:
+            by_port = self._port_candidates(router.num_vcs)
+            tiers = self._tiers[key] = (
+                tuple([cand for port in ports for cand in by_port[port]]),
+            )
+        return tiers
 
 
 class NaiveAdaptive(MinimalAdaptive):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List
 
-from .base import Candidate
+from .base import Candidate, Tiers
 from .minimal_adaptive import MinimalAdaptive
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -50,9 +50,7 @@ class MisroutingAdaptive(MinimalAdaptive):
         failures = message.kills + message.fkills
         return min(2 * failures, self.budget_cap)
 
-    def candidates(
-        self, router: "Router", message: "Message"
-    ) -> List[List[Candidate]]:
+    def candidates(self, router: "Router", message: "Message") -> Tiers:
         tiers = super().candidates(router, message)
         if message.misroutes_used >= message.misroute_budget:
             return tiers
@@ -72,7 +70,6 @@ class MisroutingAdaptive(MinimalAdaptive):
             if link.port not in productive_ports:
                 detour += by_port[link.port]
         if detour:
-            # super() built this outer list for this call: appending
-            # to it reaches no other caller's answer.
-            tiers.append(detour)
+            # super()'s answer is shared: the detour goes on a copy.
+            tiers = (*tiers, detour)
         return tiers

@@ -35,7 +35,7 @@ class TestNode:
         node, _ = build_node(queue_cap=1)
         assert node.enqueue(Message(0, 1, 4))
         retry = Message(0, 2, 4)
-        node.queue.appendleft(retry)  # what KillManager._complete does
+        node.queue.insert(0, retry)  # what KillManager._complete does
         assert len(node.queue) == 2
         assert node.queue[0] is retry
 

@@ -29,9 +29,9 @@ class TestInterfaceInventory:
         assert plain["gates"] < cr["gates"] < fcr["gates"]
 
     def test_mode_ordering_receiver(self):
-        plain = totals(receiver_components(self.params, "plain"))
-        cr = totals(receiver_components(self.params, "cr"))
-        fcr = totals(receiver_components(self.params, "fcr"))
+        plain = totals(receiver_components("plain"))
+        cr = totals(receiver_components("cr"))
+        fcr = totals(receiver_components("fcr"))
         assert plain["gates"] < cr["gates"] < fcr["gates"]
 
     def test_cr_addition_is_modest(self):
@@ -51,7 +51,7 @@ class TestInterfaceInventory:
         with pytest.raises(ValueError):
             injector_components(self.params, "bogus")
         with pytest.raises(ValueError):
-            receiver_components(self.params, "bogus")
+            receiver_components("bogus")
 
     def test_table_shape(self):
         rows = interface_table(self.params)

@@ -360,7 +360,7 @@ class TestRouterDrift:
             if rebind.search(line)
         ]
         assert lines == [
-            'network/buffer.py: self.fifo: Deque["Flit"] = deque()',
+            'network/buffer.py: self.fifo: List["Flit"] = []',
             "network/channel.py: self.credits: List[int] = [0] * num_vcs",
         ]
 

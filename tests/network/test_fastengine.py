@@ -558,7 +558,7 @@ class TestRoutingTableAgainstTheRelation:
                     ) == expected, f"{node} -> {dst} {state} dead={dead}"
                     answers.append(copy.deepcopy(expected))
                 # Budget 0, budget left, budget spent -- and the same
-                # again after the budget-left call appended its detour
+                # again after the budget-left call added its detour
                 # tier: the memoised answers must not have grown one.
                 assert answers[:3] == answers[3:]
                 assert answers[0] == answers[2]

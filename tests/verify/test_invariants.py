@@ -127,7 +127,7 @@ class TestDirectFaultInjection:
             for b in port_buffers
             if b.fifo
         )
-        buffer.fifo.popleft()
+        buffer.fifo.pop(0)
         with pytest.raises(InvariantViolation) as exc:
             engine.checker.check_all(engine.now)
         # The lost flit unbalances both ledgers; conservation sweeps
