@@ -8,13 +8,12 @@ The layer between one-off sweeps and paper-scale evaluation:
 * :mod:`~repro.campaign.store` — :class:`CampaignStore`, a SQLite
   results store recording every point with full provenance (config
   hash, library version, schema version, wall time, timestamp).
-* :mod:`~repro.campaign.runner` — :func:`run_campaign`, crash-safe and
-  resumable execution on top of :mod:`repro.sim.parallel`, structured
-  as explicit submit / lease / report phases.
-* :mod:`~repro.campaign.fabric` — the distributed fabric:
-  :class:`Coordinator` plus N lease-based :class:`Worker` processes
-  sharding one campaign over a shared store, surviving worker loss
-  (``cr-sim campaign run --workers-fabric N`` / ``campaign worker``).
+* :mod:`~repro.campaign.runner` — the submit / lease / report phases,
+  and :func:`run_campaign`: one in-process fabric :class:`Worker`.
+* :mod:`~repro.campaign.fabric` — the fabric: :class:`Coordinator`
+  plus lease-based :class:`Worker` processes sharding one campaign
+  over a shared store, surviving worker loss (``cr-sim campaign run
+  --workers-fabric N`` / ``campaign worker``).
 * :mod:`~repro.campaign.report` — cross-campaign regression reports
   (markdown/CSV) using the replication significance machinery.
 * :mod:`~repro.campaign.monitor` — the heartbeat, read from the

@@ -28,19 +28,22 @@ Whether a point is done is the store's to say: the one
 the stored spec carries (``max_attempts``), so workers, the
 coordinator and any reader agree without being told.  The
 :class:`Coordinator` is a :class:`~repro.campaign.monitor.CampaignView`
-(the heartbeat read from the store, as a local run and ``cr-sim
-campaign watch`` read it) that first registers the grid (submit
-phase); its heartbeat adds a per-worker liveness pane (heartbeats,
-live and expired leases, reclaim totals).  It owns no scheduling,
+(the heartbeat read from the store, as ``cr-sim campaign watch``
+reads it) that first registers the grid (submit phase); its heartbeat
+adds a per-worker liveness pane (heartbeats, live and expired leases,
+reclaim totals).  It owns no scheduling,
 publishes ``cr_fabric_*`` gauges through the
 :class:`~repro.obs.server.TelemetryServer`, and is restartable: if it
 dies, workers keep leasing and journaling; a new coordinator folds
 what already settled and carries on.
 
 Entry points: ``cr-sim campaign run <spec> --workers-fabric N``
-(coordinator + N local worker processes) and ``cr-sim campaign worker
+(coordinator + N local worker processes), ``cr-sim campaign worker
 <name>`` (one worker against an existing campaign, e.g. on another
-host), or :func:`run_fabric` / :class:`Worker` from Python.
+host), and :func:`~repro.campaign.runner.run_campaign` (plain ``cr-sim
+campaign run``), which is one in-process :class:`Worker` over the
+caller's store, wrapped in a :class:`Coordinator` when it serves or
+traces; or :func:`run_fabric` / :class:`Worker` from Python.
 """
 
 from __future__ import annotations
@@ -117,7 +120,9 @@ class Worker:
 
     ``trace=True`` journals the worker's spans into the store, under
     the campaign's newest open root span (the coordinator's) when there
-    is one, else in a trace of the worker's own.
+    is one, else in a trace of the worker's own.  A batch runs on a
+    pool of ``pool`` processes (None: one per CPU).  ``run_stats``
+    tallies points run, skipped (settled by others) and retried.
     """
 
     def __init__(
@@ -130,6 +135,7 @@ class Worker:
         poll: float = DEFAULT_POLL,
         progress: Optional[CampaignProgress] = None,
         trace: bool = False,
+        pool: Optional[int] = 1,
     ) -> None:
         self.campaign = campaign
         self.db_path = str(db_path)
@@ -139,7 +145,9 @@ class Worker:
         self.poll = float(poll)
         self.progress = progress
         self.trace = bool(trace)
+        self.pool = pool
         self.stats = WorkerStats()
+        self.run_stats = CampaignRunStats()
         self._held: Dict[str, Lease] = {}
         self._lock = threading.Lock()
         self._stop = threading.Event()
@@ -188,15 +196,18 @@ class Worker:
 
     # -- the lease -> run -> report loop --------------------------------
 
-    def run(self) -> WorkerStats:
+    def run(self, store: Optional[CampaignStore] = None) -> WorkerStats:
         """Work the campaign until it settles; returns this worker's stats.
 
-        Raises :class:`LookupError` when the campaign was never
+        ``store``: an open connection to ``db_path`` to use instead of
+        one of the worker's own.  Raises :class:`LookupError` when the campaign was never
         registered in the store (submit the spec first — the
         coordinator, ``run_campaign``, or ``cr-sim campaign run`` all
         do).
         """
-        store = CampaignStore(self.db_path)
+        owned = store is None
+        if owned:
+            store = CampaignStore(self.db_path)
         try:
             spec = store.spec(self.campaign)
             if spec is None:
@@ -208,7 +219,8 @@ class Worker:
             return self._run(store, spec)
         finally:
             self._stop.set()
-            store.close()
+            if owned:
+                store.close()
 
     def _arm(self, store: CampaignStore) -> None:
         """Bring up this worker's tracer and open its session span."""
@@ -251,25 +263,30 @@ class Worker:
         budget = spec.max_attempts
         by_id = {point.point_id: point for point in points}
         candidates = point_candidates(points)
-        expected = dict(candidates)
-        self.stats.total = len(points)
+        self.stats.total = self.run_stats.total = len(points)
 
         self._arm(store)
-        run_stats = CampaignRunStats(total=len(points))
-        reporter = PointReporter(spec, store, run_stats,
+        reporter = PointReporter(spec, store, self.run_stats,
                                  progress=self.progress,
                                  tracer=self._tracer)
 
         self._beat(store, "running")  # visible before the first lease
-        thread = threading.Thread(
-            target=self._heartbeat_loop,
-            name=f"cr-fabric-heartbeat:{self.worker_id}",
-            daemon=True,
-        )
-        thread.start()
+        thread = None
+        if self.db_path != ":memory:":
+            # Renewal needs a second connection.  No other connection
+            # sees an in-memory store, so nobody could reclaim from it.
+            thread = threading.Thread(
+                target=self._heartbeat_loop,
+                name=f"cr-fabric-heartbeat:{self.worker_id}",
+                daemon=True,
+            )
+            thread.start()
+        pending = points
         try:
             while True:
-                if self._settled(store, expected, budget):
+                pending = reporter.skip_settled(
+                    pending, store.result_states(self.campaign), budget)
+                if not pending:
                     self.stats.complete = True
                     break
                 leases = store.acquire_leases(
@@ -284,7 +301,8 @@ class Worker:
                 self._run_batch(store, reporter, by_id, leases, budget)
         finally:
             self._stop.set()
-            thread.join(timeout=self.ttl)
+            if thread is not None:
+                thread.join(timeout=self.ttl)
             self._disarm(store)
             self._beat(store, "finished" if self.stats.complete
                        else "stopped")
@@ -358,13 +376,15 @@ class Worker:
                 self.stats.fenced += 1
             elif outcome == "failed":
                 self.stats.failed += 1
+                if not final:
+                    self.run_stats.retried += 1
             elif outcome == "ok":
                 self.stats.ran += 1
 
         try:
             run_reports(
                 [point.config for point in batch_points],
-                workers=1, on_result=journal, failures="return",
+                workers=self.pool, on_result=journal, failures="return",
             )
         finally:
             # Belt and braces: anything not journaled (interrupt
@@ -385,11 +405,6 @@ class Worker:
                     ).to_dict())
             if abandoned:
                 store.record_spans(self.campaign, abandoned)
-
-    def _settled(self, store: CampaignStore,
-                 expected: Dict[str, Optional[str]], budget: int) -> bool:
-        outcomes = store.settlement(self.campaign, expected, budget)
-        return len(outcomes) == len(expected)
 
 
 # ----------------------------------------------------------------------
@@ -481,6 +496,8 @@ class Coordinator(CampaignView):
         else:
             points = submit_campaign(spec, store, verify=verify)
         super().__init__(spec, points, store, ttl=ttl)
+        #: the expanded grid the submit registered
+        self.points = points
         self.monitor.server = server
         self._last_reclaims = 0.0
 

@@ -4,9 +4,9 @@
 reads what the store holds -- the points settled by the one rule,
 their journaled rows and alert episodes, the fabric's worker beats --
 and folds the rows settled since its last read through a
-:class:`CampaignMonitor`.  The local runner, the fabric coordinator
-and ``cr-sim campaign watch`` each hold a view, so one store gives one
-heartbeat whoever reads it.  It holds points done/total, an ETA
+:class:`CampaignMonitor`.  The fabric coordinator (a served or
+traced local run is wrapped in one too) and ``cr-sim campaign watch``
+each hold a view, so one store gives one heartbeat whoever reads it.  It holds points done/total, an ETA
 (remaining ÷ the settle rate), the last point, sparklines of wall time
 and stored ``kill_rate``, the alert episodes, and feeds a
 ``cr_campaign_`` metrics registry.
@@ -266,10 +266,10 @@ class CampaignView:
     the spec's ``max_attempts`` — into a :class:`CampaignMonitor`,
     sampling the settle rate at the journal's own timestamps, and
     returns the per-worker liveness pane and the ``fabric`` block.  It
-    only reads, so the local runner, the fabric
+    only reads, so the fabric
     :class:`~repro.campaign.fabric.Coordinator` and ``cr-sim campaign
     watch`` (over a read-only connection, see :meth:`open`) build the
-    same view; the executors :meth:`publish` it.
+    same view; the coordinator publishes it (:meth:`publish`).
     """
 
     #: carry the workers pane before any worker has joined

@@ -1,7 +1,6 @@
 """Campaign execution: resumable, crash-safe, failure-tolerant.
 
-The runner is structured as three explicit phases that the distributed
-fabric (:mod:`repro.campaign.fabric`) reuses verbatim:
+Every executor runs the same three phases:
 
 * **Submit** — :func:`submit_campaign` expands the spec into runnable
   points and registers it in the
@@ -12,38 +11,39 @@ fabric (:mod:`repro.campaign.fabric`) reuses verbatim:
   ``updated_at`` stays the start of the last run that had work to do.
   Fabric workers expand the stored spec (:func:`campaign_points`) and
   never register.
-* **Lease** — deciding which pending points this executor runs.  The
-  local runner "leases" everything the store does not hold
-  :func:`~repro.campaign.store.settled`; fabric workers lease bounded
-  batches through the store's atomic lease table instead.
+* **Lease** — a fabric :class:`~repro.campaign.fabric.Worker` leases
+  pending points through the store's atomic lease table.
+  :func:`run_campaign` is one in-process worker, id ``local``, that
+  leases every pending point in one batch.
 * **Report** — :class:`PointReporter` journals every outcome through
-  the store (``record_success``/``record_failure``; a success's
-  timeseries and alert episodes ride the same transaction), feeds the
-  caller's progress callback, and settles terminal failures so
-  progress always reaches ``total``.
+  the store (``record_success``/``record_failure``, fenced on the
+  lease; a success's timeseries and alert episodes ride the same
+  transaction), feeds the caller's progress callback, and settles
+  terminal failures so progress always reaches ``total``.
 
 The store is the campaign's only record.  The heartbeat is read back
-from it, never fed: given a telemetry server, the local runner
-publishes a :class:`~repro.campaign.monitor.CampaignView` over its own
-store exactly as the fabric coordinator does, so a local run, a fabric
-run and ``cr-sim campaign watch`` show the same heartbeat for the same
-journal.
+from it, never fed: a local run given a telemetry server publishes the
+fabric :class:`~repro.campaign.fabric.Coordinator`'s
+:class:`~repro.campaign.monitor.CampaignView` of its store, so a local
+run, a fabric run and ``cr-sim campaign watch`` show the same heartbeat
+for the same journal.
 
 Campaign-level guarantees on top of :func:`repro.sim.parallel.run_reports`:
 
-* **Resume** — settled points are skipped, so a killed-and-restarted
-  run picks up exactly where it stopped (a changed spec or library
-  version re-runs the stale ``ok`` points; a failure keeps counting its
-  journaled attempts).
+* **Resume** — settled points are skipped, so a restarted run picks up
+  where it stopped (a changed spec or library version re-runs the
+  stale ``ok`` points; a failure keeps counting its journaled
+  attempts).  An interrupt or an exception releases the held leases,
+  so a resume takes the points back at once; after a SIGKILL a resume
+  waits out the dead run's lease TTL (15 s) and then reclaims them.
 * **Crash safety** — every point is journaled via the executor's
   ``on_result`` hook the moment it lands, in its own SQLite
-  transaction; an interrupt between points loses only in-flight work.
-* **Failure tolerance** — a point whose simulation raises is retried
-  with bounded backoff (up to the spec's ``max_attempts``, sleeping
-  ``backoff * 2**round`` capped at 5 s); a point that
-  keeps failing is recorded as ``failed``, *settles into the done
-  count* (shown as ``done (N failed)``), and the campaign moves on
-  instead of aborting.
+  transaction; a kill loses only in-flight work.
+* **Failure tolerance** — a point whose simulation raises is leased
+  again at its next attempt, up to the spec's ``max_attempts``; a
+  point that keeps failing is recorded as ``failed``, *settles into
+  the done count* (shown as ``done (N failed)``), and the campaign
+  moves on instead of aborting.
 """
 
 from __future__ import annotations
@@ -55,10 +55,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..obs import open_telemetry
 from ..obs.trace import Tracer
-from ..sim.parallel import PointFailure, run_reports, unstable_fields
-from .monitor import CampaignView
+from ..sim.parallel import PointFailure, unstable_fields
 from .spec import CampaignPoint, CampaignSpec
-from .store import CampaignStore, attempts_used, settled
+from .store import CampaignStore, settled
 
 
 @dataclass(frozen=True)
@@ -138,8 +137,9 @@ def _submit(
     spec: CampaignSpec,
     store: CampaignStore,
     verify: bool,
-) -> Tuple[List[CampaignPoint], Dict[str, Dict]]:
-    """:func:`submit_campaign`, plus the result states it read.
+) -> Tuple[List[CampaignPoint], Dict[str, Dict], bool]:
+    """:func:`submit_campaign`, plus the result states it read and
+    whether any point is still pending.
 
     ``register`` runs only for a campaign the store lacks, a stored
     spec whose JSON differs, or a point that is not settled: its
@@ -150,13 +150,18 @@ def _submit(
         spec = spec.with_base(verify=True)
     points = campaign_points(spec)
     states = store.result_states(spec.name)
-    budget = spec.max_attempts
-    if (store.spec_text(spec.name) != json.dumps(spec.to_dict())
-            or any(settled(states.get(point.point_id), point.config_hash,
-                           budget) is None
-                   for point in points)):
+    pending = _pending(points, states, spec.max_attempts)
+    if pending or store.spec_text(spec.name) != json.dumps(spec.to_dict()):
         store.register(spec)
-    return points, states
+    return points, states, pending
+
+
+def _pending(points: List[CampaignPoint], states: Dict[str, Dict],
+             budget: int) -> bool:
+    """Is any of ``points`` not :func:`settled` in ``states``?"""
+    return any(settled(states.get(point.point_id), point.config_hash,
+                       budget) is None
+               for point in points)
 
 
 def point_candidates(
@@ -176,10 +181,11 @@ def point_candidates(
 class PointReporter:
     """Journals settled points: store + progress.
 
-    One reporter serves both the local runner and a fabric worker; the
-    only difference is that workers pass a lease ``fence`` so a write
-    that lost its lease to a reclaim is discarded (outcome
-    ``"fenced"``) instead of clobbering the new owner's row.
+    Every executor journals through one: a fabric worker passes its
+    lease as the ``fence``, so a write that lost its lease to a reclaim
+    is discarded (outcome ``"fenced"``) instead of clobbering the new
+    owner's row.  Each point settles into the stats once, whether this
+    reporter journaled it or :meth:`skip_settled` found it settled.
     """
 
     def __init__(
@@ -198,6 +204,31 @@ class PointReporter:
         #: closed ``run`` span (riding the fenced result transaction)
         #: and a ``journal`` span timing the store write itself.
         self.tracer = tracer
+        #: the point ids this reporter journaled settled
+        self._journaled: set = set()
+
+    def skip_settled(
+        self,
+        points: List[CampaignPoint],
+        states: Dict[str, Dict],
+        budget: int,
+    ) -> List[CampaignPoint]:
+        """Skip each of ``points`` that ``states`` (the store's
+        ``result_states``) holds :func:`settled` under ``budget``,
+        unless this reporter journaled it; returns the points still
+        pending, in order.  Pass the pending points back next time: a
+        point is skipped once."""
+        pending = []
+        journaled = self._journaled
+        for point in points:
+            stored = states.get(point.point_id)
+            outcome = settled(stored, point.config_hash, budget)
+            if outcome is None:
+                pending.append(point)
+            elif point.point_id not in journaled:
+                self.skip(point, stored["attempts"]
+                          if outcome == "failed" else 0)
+        return pending
 
     def skip(self, point: CampaignPoint, failed_attempts: int = 0) -> None:
         """Settle a point the journal already holds settled: stored ok
@@ -302,6 +333,7 @@ class PointReporter:
             if not wrote:
                 return "fenced"
             if final:
+                self._journaled.add(point.point_id)
                 self.stats.failed += 1
                 self.stats.failures.append(point.point_id)
             self._progress(point, "failed", elapsed, attempt)
@@ -324,6 +356,7 @@ class PointReporter:
         self._close_journal(journal, wrote)
         if not wrote:
             return "fenced"
+        self._journaled.add(point.point_id)
         self.stats.ran += 1
         self.stats.wall_time += elapsed
         self._progress(point, "ok", elapsed, attempt)
@@ -341,14 +374,13 @@ class PointReporter:
 
 
 # ----------------------------------------------------------------------
-# The local (single-executor) runner
+# The local runner: one in-process fabric worker
 # ----------------------------------------------------------------------
 
 def run_campaign(
     spec: CampaignSpec,
     store: CampaignStore,
     workers: Optional[int] = 1,
-    backoff: float = 0.25,
     progress: Optional[CampaignProgress] = None,
     verify: bool = False,
     heartbeat: Optional[float] = 1.0,
@@ -358,145 +390,76 @@ def run_campaign(
     """Execute (or resume) a campaign; every outcome lands in ``store``.
 
     Returns run statistics; raises only on programmer error or
-    interrupt — simulation failures are journaled and retried until
-    the spec's ``max_attempts`` are used up, counting the attempts the
-    journal already holds, then recorded as terminal ``failed`` rows
-    (which a resume leaves settled, as every executor does).
+    interrupt.  A campaign the store holds settled is reported as
+    skips, with no worker, lease or write.  Otherwise one in-process
+    fabric :class:`~repro.campaign.fabric.Worker` (id ``local``) leases
+    every pending point in one batch, runs it on a pool of ``workers``
+    processes (None: one per CPU) and journals each result, leasing a
+    failed point again until the spec's ``max_attempts`` are used up.
 
     ``verify=True`` arms the repro.verify invariant checker on every
-    point.  The verify flag changes each point's config hash, so a
-    campaign first run unverified re-runs (rather than resumes) its
-    points under checking.
-
-    ``heartbeat`` (seconds; None disables) publishes the campaign's
-    :class:`~repro.campaign.monitor.CampaignView` of ``store`` to the
-    ``serve`` server once after the resume pass, then at most once
-    every ``heartbeat`` seconds as points are journaled, and once at
-    the end.  Without a server nothing is published (``cr-sim campaign
-    watch`` reads the store itself).
-
-    ``serve`` starts a live telemetry HTTP server for the duration of
-    the campaign: a ``[HOST:]PORT`` spec / port / ``True`` (loopback,
-    ephemeral port), or an already-started
-    :class:`repro.obs.server.TelemetryServer` (which the caller then
-    owns and stops).  Every heartbeat is published to it too, so
-    ``/metrics``, ``/health``, and ``/status`` stay live while points
-    execute.
-
-    ``trace=True`` arms distributed tracing: a root span for the run,
-    a closed ``run`` + ``journal`` span pair per executed point, all
-    journaled into the store's ``spans`` table for ``cr-sim campaign
-    timeline``.  Overhead is budgeted (<3%) and asserted by
-    ``benchmarks/bench_overhead.py``.
-
-    To shard a campaign across many worker processes or hosts instead,
-    see :func:`repro.campaign.fabric.run_fabric` and
-    ``cr-sim campaign run --workers-fabric N``.
+    point (changing its config hash, so unverified rows re-run).
+    ``serve`` runs a telemetry server for the campaign: a
+    ``[HOST:]PORT`` spec / port / ``True`` (loopback, ephemeral port),
+    or a started :class:`repro.obs.server.TelemetryServer` the caller
+    owns.  ``trace=True`` journals the run's spans for ``cr-sim
+    campaign timeline``.  Either wraps the worker in a
+    :class:`~repro.campaign.fabric.Coordinator`, which owns the root
+    span and publishes the heartbeat: before the worker starts, at most
+    every ``heartbeat`` seconds (None: never) as points land, and at
+    the end.  :func:`repro.campaign.fabric.run_fabric` shards a
+    campaign across processes instead.
     """
     server, owns_server = open_telemetry(serve)
-    stats = CampaignRunStats()
-    tracer: Optional[Tracer] = None
-    root = None
+    publishing = heartbeat is not None and server is not None
+    coordinator = None
     try:
-        # -- submit phase -----------------------------------------------
-        if trace:
-            tracer = Tracer(worker_id="local")
-            root = tracer.start_span(
-                f"campaign {spec.name}", kind="root",
-                attrs={"executor": "local"},
+        if trace or publishing:
+            from .fabric import Coordinator
+
+            coordinator = Coordinator(
+                spec, store, verify=verify, trace=trace,
+                server=server if publishing else None,
             )
-        points, states = _submit(spec, store, verify)
-        stats.total = len(points)
-        if tracer is not None:
-            # Journal the root open so `campaign timeline` on a live
-            # run shows the in-flight trace; teardown closes it.
-            store.record_spans(spec.name, [root.to_dict()])
+            points = coordinator.points
+            states = store.result_states(spec.name)
+            pending = _pending(points, states, spec.max_attempts)
+            if publishing:
+                coordinator.poll()
+        else:
+            points, states, pending = _submit(spec, store, verify)
+        if not pending:
+            stats = CampaignRunStats(total=len(points))
+            PointReporter(spec, store, stats, progress).skip_settled(
+                points, states, spec.max_attempts)
+            return stats
 
-        view: Optional[CampaignView] = None
-        if heartbeat is not None and server is not None:
-            view = CampaignView(spec, points, store,
-                                started=store.updated_at(spec.name))
-            view.monitor.server = server
+        report = progress
+        if publishing:
+            published = time.monotonic()
 
-        reporter = PointReporter(spec, store, stats, progress=progress,
-                                 tracer=tracer)
-
-        # -- lease phase (local: claim everything not already settled) -
-        # The one settlement rule, with the spec's attempt budget; a
-        # pending failure resumes at the attempt after its journaled
-        # one, a row of another config at attempt 1.
-        budget = spec.max_attempts
-        pending: List[CampaignPoint] = []
-        attempts: Dict[str, int] = {}
-        for point in points:
-            stored = states.get(point.point_id)
-            outcome = settled(stored, point.config_hash, budget)
-            if outcome is not None:
-                reporter.skip(point, stored["attempts"]
-                              if outcome == "failed" else 0)
-                continue
-            attempts[point.point_id] = attempts_used(
-                stored, point.config_hash) + 1
-            pending.append(point)
-        if view is not None:
-            view.publish()
-        published = time.monotonic()
-
-        # -- run + report phases ----------------------------------------
-        round_ = 0
-        while pending:
-            failed_now: List[CampaignPoint] = []
-
-            def journal(index: int, report: object, elapsed: float,
-                        cached: bool) -> None:
+            def report(status: CampaignPointStatus) -> None:
                 nonlocal published
-                point = pending[index]
-                attempt = attempts[point.point_id]
-                final = (isinstance(report, PointFailure)
-                         and attempt >= budget)
-                outcome = reporter.report(point, report, elapsed, attempt,
-                                          final=final)
-                if outcome == "failed" and not final:
-                    attempts[point.point_id] = attempt + 1
-                    failed_now.append(point)
-                if (view is not None
-                        and time.monotonic() - published >= heartbeat):
-                    view.publish()
+                if progress is not None:
+                    progress(status)
+                if time.monotonic() - published >= heartbeat:
+                    coordinator.poll()
                     published = time.monotonic()
 
-            run_reports(
-                [point.config for point in pending],
-                workers=workers,
-                on_result=journal,
-                failures="return",
-            )
+        from .fabric import Worker
 
-            if not failed_now:
-                break
-            stats.retried += len(failed_now)
-            time.sleep(min(backoff * (2 ** round_), 5.0))
-            pending = failed_now
-            round_ += 1
-
-        if view is not None:
-            view.publish()
+        worker = Worker(spec.name, store.path, worker_id="local",
+                        batch=len(points), progress=report, trace=trace,
+                        pool=workers)
+        worker.run(store)
+        return worker.run_stats
     finally:
-        # Teardown runs on an interrupt between points too: the trace
-        # keeps its "no span left open" guarantee and a server this call
-        # started is stopped.
-        if tracer is not None:
-            closed = tracer.end_span(
-                root, "ok" if stats.complete else "error",
-                attrs={"ran": stats.ran, "skipped": stats.skipped,
-                       "failed": stats.failed},
-            )
-            store.record_spans(spec.name, [closed.to_dict()])
-            # Force-close stragglers (an interrupt between a point's
-            # open journal span and its close).
-            store.close_open_spans(spec.name)
+        if coordinator is not None:
+            # One last poll: the final heartbeat, and the root span
+            # closed with every straggler swept (an interrupt too).
+            coordinator.run(timeout=0)
         if owns_server:
             server.stop()
-    return stats
 
 
 def _project(report: object, metrics: tuple) -> dict:

@@ -800,15 +800,19 @@ class CampaignStore:
             now = time.time()
         if not point_ids:
             return 0
+        renewed = 0
+        ids = list(point_ids)
         with self._txn():
-            marks = ",".join("?" for _ in point_ids)
-            cursor = self._conn.execute(
-                f"UPDATE leases SET lease_expiry = ? "
-                f"WHERE campaign = ? AND worker_id = ? "
-                f"AND point_id IN ({marks})",
-                (now + ttl, campaign, worker_id, *point_ids),
-            )
-        return cursor.rowcount
+            for at in range(0, len(ids), _IDS_PER_QUERY):
+                chunk = ids[at:at + _IDS_PER_QUERY]
+                marks = ", ".join("?" * len(chunk))
+                renewed += self._conn.execute(
+                    f"UPDATE leases SET lease_expiry = ? "
+                    f"WHERE campaign = ? AND worker_id = ? "
+                    f"AND point_id IN ({marks})",
+                    (now + ttl, campaign, worker_id, *chunk),
+                ).rowcount
+        return renewed
 
     def release_lease(self, campaign: str, point_id: str,
                       worker_id: str, attempt: int) -> bool:

@@ -37,7 +37,7 @@ from .store import CampaignStore
 COORDINATOR_PID = 1
 
 #: worker ids rendered as the coordinator's track rather than their own.
-_COORDINATOR_IDS = ("coordinator", "local", "")
+_COORDINATOR_IDS = ("coordinator", "")
 
 #: counter metrics per point kept out of the timeline (non-numeric or
 #: bookkeeping sample fields).

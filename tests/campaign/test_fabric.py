@@ -229,7 +229,8 @@ class TestCoordinator:
                 version
         finally:
             probe.close()
-        assert stats.complete and stats.workers_seen == 0
+        # The one worker seen is the populating local run's.
+        assert stats.complete and stats.workers_seen == 1
         with open(db, "rb") as handle:
             assert hashlib.sha256(handle.read()).hexdigest() == before
 
@@ -306,8 +307,10 @@ class TestOneHeartbeat:
         with CampaignStore(local_db) as local_store:
             run_campaign(spec, local_store, heartbeat=0.0)
             local = CampaignView.open(local_store, spec.name).heartbeat()
-        assert set(status) - set(local) == {"kind", "workers", "fabric"}
-        assert set(local) <= set(status)
+        # A local run is a one-worker fabric: the same heartbeat keys,
+        # with its worker, ``local``, in the pane.
+        assert set(status) == set(local)
+        assert [w["worker_id"] for w in local["workers"]] == ["local"]
         for key in ("done", "total", "failed", "recent_kill_rates",
                     "alerts", "eta_seconds"):
             assert status[key] == local[key], key

@@ -8,9 +8,12 @@ Survivors reclaim the expired leases and finish the grid with exactly
 one ``ok`` row per point — nothing lost, nothing double-journaled.
 """
 
+import json
 import os
 import random
 import signal
+import subprocess
+import sys
 import time
 import urllib.request
 
@@ -276,3 +279,81 @@ def test_sigkilled_workers_orphan_spans_are_closed_aborted(
                 assert by_id[span["parent_id"]]["kind"] == "worker"
             elif span["kind"] in ("worker", "submit"):
                 assert span["parent_id"] == root["span_id"]
+
+
+def test_a_sigkilled_local_run_resumes_once_its_leases_expire(
+    spec, tmp_path, monkeypatch
+):
+    """``cr-sim campaign run`` SIGKILLed after its first journaled
+    point leaves its batch leased.  Once the leases expire (the test
+    expires them rather than wait out the 15 s TTL), a resume takes the
+    points back: only what was never journaled is simulated again, the
+    journaled rows stay as they landed, and no row is duplicated."""
+    import repro
+    from repro.campaign import run_campaign
+    from repro.sim import parallel
+
+    db = str(tmp_path / "local.sqlite")
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(SPEC_DICT))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        part for part in (os.path.dirname(os.path.dirname(
+            os.path.abspath(repro.__file__))), env.get("PYTHONPATH"))
+        if part)
+    total = spec.size
+    store = CampaignStore(db)
+    run = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "campaign", "run",
+         str(spec_path), "--db", db],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    try:
+        wait_for(lambda: store.result_states(spec.name), timeout=60,
+                 message="the first journaled point")
+        os.kill(run.pid, signal.SIGKILL)
+        run.wait(timeout=30)
+
+        journaled = {row["point_id"]: row for row in store.rows(spec.name)}
+        assert 0 < len(journaled) < total
+        # No cleanup ran: the rest of the batch is still leased, live.
+        leases = store.leases(spec.name)
+        assert {row["point_id"] for row in leases} == {
+            point.point_id for point in spec.points()} - set(journaled)
+        assert all(row["worker_id"] == "local" and row["live"]
+                   for row in leases)
+
+        store._conn.execute(
+            "UPDATE leases SET lease_expiry = 0 WHERE campaign = ?",
+            (spec.name,))
+        simulated = []
+        real = parallel._run_point
+
+        def counting(config):
+            simulated.append(config)
+            return real(config)
+
+        monkeypatch.setattr(parallel, "_run_point", counting)
+        stats = run_campaign(spec, store, heartbeat=None)
+
+        assert stats.complete
+        assert (stats.skipped, stats.ran) == (len(journaled),
+                                              total - len(journaled))
+        assert len(simulated) == total - len(journaled)
+        rows = {row["point_id"]: row for row in store.rows(spec.name)}
+        assert len(rows) == total
+        assert store._conn.execute(
+            "SELECT COUNT(*) FROM results WHERE campaign = ?",
+            (spec.name,)).fetchone()[0] == total
+        for point_id, row in journaled.items():
+            assert rows[point_id] == row
+        # The resume took over the dead run's leases: its attempts
+        # come after the ones the killed run was granted.
+        assert {row["attempts"] for point_id, row in rows.items()
+                if point_id not in journaled} == {2}
+        assert store.leases(spec.name) == []
+    finally:
+        if run.poll() is None:
+            run.kill()
+            run.wait(timeout=30)
+        store.close()

@@ -16,6 +16,7 @@ invariants the fabric's crash-safety argument rests on:
   so attempt numbers work as fencing tokens across worker deaths.
 """
 
+import contextlib
 from dataclasses import replace
 from unittest.mock import patch
 
@@ -30,8 +31,9 @@ from hypothesis.stateful import (
 )
 
 from repro.campaign import CampaignSpec, CampaignStore, run_campaign
-from repro.campaign.fabric import CampaignView, Coordinator, Worker
-from repro.campaign.runner import point_candidates
+from repro.campaign.fabric import CampaignView, Coordinator
+from repro.campaign.runner import (CampaignRunStats, PointReporter,
+                                   point_candidates)
 from repro.campaign.store import settled
 
 TTL = 10.0
@@ -245,27 +247,40 @@ def test_every_consumer_of_settled_agrees(tables):
         }
         assert granted == {point_id for point_id, verdict in verdicts.items()
                            if verdict is None and point_id not in live}
-        # The worker's exit test and the coordinator's done count.
-        worker = Worker("leases", ":memory:")
+        # The coordinator's done count, and the exit test every worker
+        # loops on: what it finds settled it skips, the rest is pending.
         status = coordinator.poll()
         assert status["done"] == sum(v is not None for v in verdicts.values())
         assert status["failed"] == sum(v == "failed" for v in verdicts.values())
-        assert worker._settled(store, expected, SPEC.max_attempts) == (
-            status["done"] == len(points))
+        stats = CampaignRunStats(total=len(points))
+        pending = PointReporter(SPEC, store, stats).skip_settled(
+            points, states, SPEC.max_attempts)
+        assert len(pending) == len(points) - status["done"]
+        assert (stats.skipped, stats.failed) == (
+            sum(v == "ok" for v in verdicts.values()), status["failed"])
         # The watch view, over what the same store journaled.
         view = CampaignView.open(store, "leases").heartbeat(now=clock)
         assert (view["done"], view["failed"]) == (status["done"],
                                                  status["failed"])
-        # The local runner's resume pass settles by the same rule: it
-        # runs exactly the unsettled points.
-        ran = []
-        with patch("repro.campaign.runner.run_reports",
-                   lambda configs, **kw: ran.extend(configs)):
-            stats = run_campaign(SPEC, store, heartbeat=None)
+        # The local runner skips by the same rule and leases exactly the
+        # unsettled points (every fake-clock lease is long expired).
+        ran, seen = [], []
+
+        def run_reports(configs, **kw):
+            ran.extend(configs)
+            raise Stop
+
+        with patch("repro.campaign.fabric.run_reports", run_reports), \
+                contextlib.suppress(Stop):
+            run_campaign(SPEC, store, heartbeat=None, progress=seen.append)
         assert len(ran) == sum(v is None for v in verdicts.values())
-        assert (stats.skipped, stats.failed) == (
-            sum(v == "ok" for v in verdicts.values()),
-            sum(v == "failed" for v in verdicts.values()))
+        outcomes = [status.outcome for status in seen]
+        assert (outcomes.count("skipped"), outcomes.count("failed")) == (
+            stats.skipped, stats.failed)
+
+
+class Stop(Exception):
+    """Ends a run whose simulations are stubbed out."""
 
 
 def test_completed_grid_stops_granting():

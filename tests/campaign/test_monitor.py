@@ -56,9 +56,12 @@ def mixed_spec(name="hb-mixed"):
 
 
 def without_elapsed(status):
-    """A heartbeat as JSON holds it, minus its running time."""
+    """A heartbeat as JSON holds it, minus its running time and its
+    workers' heartbeat ages (both read the clock)."""
     status = json.loads(json.dumps(status))
     del status["elapsed_seconds"]
+    for worker in status.get("workers", ()):
+        del worker["last_seen_age"]
     return status
 
 
@@ -254,8 +257,7 @@ class TestRunCampaignHeartbeat:
         registries are shown on ``/metrics`` only."""
         db = str(tmp_path / "camp.sqlite")
         spec = mixed_spec()
-        _, served, scrape, _ = served_run(spec, db, backoff=0.0,
-                                          heartbeat=0.0)
+        _, served, scrape, _ = served_run(spec, db, heartbeat=0.0)
         viewed = stored_heartbeat(db, spec.name)
         assert without_elapsed(served) == without_elapsed(viewed)
         assert (served["done"], served["failed"]) == (2, 1)
@@ -270,9 +272,8 @@ class TestRunCampaignHeartbeat:
                                                              tmp_path):
         db = str(tmp_path / "camp.sqlite")
         spec = mixed_spec()
-        _, first, _, _ = served_run(spec, db, backoff=0.0, heartbeat=0.0)
-        stats, again, _, _ = served_run(spec, db, backoff=0.0,
-                                        heartbeat=0.0)
+        _, first, _, _ = served_run(spec, db, heartbeat=0.0)
+        stats, again, _, _ = served_run(spec, db, heartbeat=0.0)
         assert stats.ran == 0
         for key in ("state", "done", "total", "failed", "alerts",
                     "last_point"):
@@ -294,12 +295,12 @@ class TestRunCampaignHeartbeat:
         a settled re-run leaves every file byte-identical."""
         db = str(tmp_path / "camp.sqlite")
         spec = mixed_spec()
-        served_run(spec, db, backoff=0.0, heartbeat=0.0)
+        served_run(spec, db, heartbeat=0.0)
         with CampaignStore(db) as store:
-            run_campaign(spec, store, backoff=0.0, heartbeat=0.0)
+            run_campaign(spec, store, heartbeat=0.0)
         assert sorted(os.listdir(tmp_path)) == ["camp.sqlite"]
         before = (tmp_path / "camp.sqlite").read_bytes()
-        served_run(spec, db, backoff=0.0, heartbeat=0.0)
+        served_run(spec, db, heartbeat=0.0)
         assert sorted(os.listdir(tmp_path)) == ["camp.sqlite"]
         assert (tmp_path / "camp.sqlite").read_bytes() == before
 

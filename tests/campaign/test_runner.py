@@ -129,13 +129,22 @@ class TestRunAndResume:
         with pytest.raises(KeyboardInterrupt):
             run_campaign(spec, store, progress=interrupt_after_two,
                          trace=True, serve=0)
-        # No span left open (`campaign timeline` relies on it), the root
-        # closed on what ran, the server this call started gone.
+        # No span left open (`campaign timeline` relies on it), the
+        # coordinator's root and the local worker's session closed on
+        # what ran, the server this call started gone.
         assert "open" not in store.span_counts("r")
-        (root,) = [s for s in store.spans("r") if s["kind"] == "root"]
-        assert root["status"] == "error"
-        assert root["attrs"] == {"executor": "local", "ran": 2,
-                                 "skipped": 0, "failed": 0}
+        spans = store.spans("r")
+        (root,) = [s for s in spans if s["kind"] == "root"]
+        assert (root["worker_id"], root["status"]) == ("coordinator",
+                                                       "error")
+        assert root["attrs"] == {"executor": "fabric", "ok": 2,
+                                 "failed": 0, "reclaims": 0}
+        (session,) = [s for s in spans if s["kind"] == "worker"]
+        assert (session["worker_id"], session["status"]) == ("local",
+                                                             "error")
+        # The interrupted worker released what it held: a resume need
+        # not wait out a lease.
+        assert store.leases("r") == []
         assert serving() == before
         # A caller's server is the caller's to stop.
         server = TelemetryServer()
@@ -248,7 +257,7 @@ class TestFailures:
             "axes": {"routing": ["dor", "nope"], "load": [0.1]},
             "max_attempts": 2,
         })
-        stats = run_campaign(spec, store, backoff=0.0)
+        stats = run_campaign(spec, store)
         assert not stats.complete
         assert (stats.ran, stats.failed) == (1, 1)
         assert stats.retried == 1
@@ -274,7 +283,7 @@ class TestFailures:
             return real(config)
 
         monkeypatch.setattr(parallel, "_run_point", flaky)
-        stats = run_campaign(spec, store, backoff=0.0)
+        stats = run_campaign(spec, store)
         assert stats.complete
         assert (stats.ran, stats.failed, stats.retried) == (2, 0, 1)
         # the retried point's stored row reflects the second attempt
@@ -297,7 +306,7 @@ class TestFailures:
             "max_attempts": 2,
         })
         seen = []
-        stats = run_campaign(spec, store, backoff=0.0,
+        stats = run_campaign(spec, store,
                              progress=seen.append)
         assert (stats.ran, stats.failed) == (1, 1)
         # progress reaches total despite the permanent failure...
@@ -323,7 +332,7 @@ class TestFailures:
         })
         db = str(tmp_path / "c.sqlite")
         with CampaignStore(db) as store:
-            run_campaign(spec, store, backoff=0.0, heartbeat=0.0)
+            run_campaign(spec, store, heartbeat=0.0)
             view = CampaignView.open(store, spec.name)
             status = view.heartbeat()
         assert (status["done"], status["failed"]) == (2, 1)
@@ -346,18 +355,18 @@ class TestFailures:
             "axes": {"routing": ["dor", "nope"], "load": [0.1]},
             "max_attempts": 1,
         })
-        run_campaign(spec, store, backoff=0.0)
+        run_campaign(spec, store)
         assert store.summary("f2") == {
             "campaign": "f2", "ok": 1, "failed": 1,
             "wall_time": store.summary("f2")["wall_time"], "versions": 1,
         }
         calls = counting_run_point(monkeypatch)
-        again = run_campaign(spec, store, backoff=0.0)
+        again = run_campaign(spec, store)
         assert calls == []
         assert (again.skipped, again.failed) == (1, 1)
         assert again.failures == ["routing=nope/load=0.1/rep=0"]
         # a larger budget re-attempts only the failed point, at attempt 2
-        run_campaign(replace(spec, max_attempts=2), store, backoff=0.0)
+        run_campaign(replace(spec, max_attempts=2), store)
         assert len(calls) == 1 and calls[0].routing == "nope"
         (row,) = store.rows("f2", status="failed")
         assert row["attempts"] == 2
@@ -374,14 +383,13 @@ class TestFailures:
             "axes": {"routing": ["dor", "nope"], "load": [0.1]},
             "max_attempts": 2,
         })
-        run_campaign(spec, store, backoff=0.0)
+        run_campaign(spec, store)
         (row,) = store.rows("f3", status="failed")
         assert row["attempts"] == 2
         body = spec.to_dict()
         body["base"]["measure"] = 120
         calls = counting_run_point(monkeypatch)
-        stats = run_campaign(CampaignSpec.from_dict(body), store,
-                             backoff=0.0)
+        stats = run_campaign(CampaignSpec.from_dict(body), store)
         assert stats.skipped == 0
         assert (stats.ran, stats.failed, stats.retried) == (1, 1, 1)
         assert sorted(c.routing for c in calls) == ["dor", "nope", "nope"]
@@ -390,13 +398,52 @@ class TestFailures:
 
 
 class TestParallelExecution:
+    def test_two_concurrent_local_runs_split_the_grid(self, spec, tmp_path,
+                                                      monkeypatch):
+        """Two local runs of one campaign over one store run each point
+        once between them, and both end complete."""
+        calls = counting_run_point(monkeypatch)
+        db = str(tmp_path / "c.sqlite")
+        results = []
+
+        def local_run():
+            with CampaignStore(db) as store:
+                results.append(run_campaign(spec, store))
+
+        runs = [threading.Thread(target=local_run) for _ in range(2)]
+        for run in runs:
+            run.start()
+        for run in runs:
+            run.join(timeout=120)
+        assert not any(run.is_alive() for run in runs)
+        assert len(results) == 2 and all(r.complete for r in results)
+        assert sum(r.ran for r in results) == spec.size
+        assert len(calls) == spec.size
+        with CampaignStore(db) as store:
+            assert [row["attempts"] for row in store.rows("r")] == \
+                [1] * spec.size
+
     def test_workers_pool_matches_serial(self, spec, tmp_path):
+        """One row set whoever executes: serial, a pool of three and a
+        two-process fabric store the same rows."""
+        from repro.campaign.fabric import run_fabric
+
+        def stored(store):
+            return [(entry["point_id"], entry["config_hash"],
+                     entry["status"], entry["report"])
+                    for entry in store.points("r")]
+
         with CampaignStore(str(tmp_path / "a.sqlite")) as a:
             run_campaign(spec, a)
-            serial = {r["point_id"]: r["latency_mean"]
-                      for r in a.rows("r")}
+            serial = stored(a)
         with CampaignStore(str(tmp_path / "b.sqlite")) as b:
             run_campaign(spec, b, workers=3)
-            fanned = {r["point_id"]: r["latency_mean"]
-                      for r in b.rows("r")}
+            fanned = stored(b)
+        fabric_db = str(tmp_path / "c.sqlite")
+        assert run_fabric(spec, fabric_db, workers=2,
+                          interval=0.05).complete
+        with CampaignStore(fabric_db) as c:
+            sharded = stored(c)
+        assert len(serial) == spec.size
         assert fanned == serial
+        assert sharded == serial

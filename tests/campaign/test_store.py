@@ -197,6 +197,22 @@ class TestResumeQueries:
         assert [len(row["alerts"]) for row in got] == [1, 0, 2]
         assert store.journal_rows("s", []) == []
 
+    @pytest.mark.skipif(not hasattr(sqlite3.Connection, "setlimit"),
+                        reason="Connection.setlimit needs Python 3.11")
+    def test_renewing_more_leases_than_the_variable_limit(self, store):
+        """A worker holding more leases than SQLite binds per statement
+        (999 before 3.32) renews them all."""
+        store._conn.setlimit(sqlite3.SQLITE_LIMIT_VARIABLE_NUMBER, 999)
+        candidates = [(f"p{index}", None) for index in range(1200)]
+        leases = store.acquire_leases("s", "w1", candidates, limit=1200,
+                                      ttl=5.0, now=100.0)
+        assert len(leases) == 1200
+        held = [lease.point_id for lease in leases]
+        assert store.renew_leases("s", "w1", held, ttl=5.0,
+                                  now=200.0) == 1200
+        assert {row["lease_expiry"] for row in store.leases("s")} == {205.0}
+        assert store.renew_leases("s", "w2", held, ttl=5.0) == 0
+
     def test_rewrite_replaces_row(self, store, spec):
         point = next(iter(spec.points()))
         store.record_failure("s", point, "boom", 0.1, attempts=1)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.campaign import CampaignSpec, CampaignStore
+from repro.campaign import CampaignSpec, CampaignStore, run_campaign
 from repro.campaign.timeline import (
     COORDINATOR_PID,
     campaign_timeline,
@@ -76,6 +76,25 @@ class TestProcessTracks:
         # workers numbered by first-span order
         assert names[COORDINATOR_PID + 1] == "w1"
         assert names[COORDINATOR_PID + 2] == "w2"
+
+    def test_a_traced_local_run_is_a_one_worker_fabric(self, store, spec):
+        """The coordinator's root and submit on its track; the session,
+        lease, run and journal spans on the ``local`` worker's."""
+        assert run_campaign(spec, store, trace=True).complete
+        events = timeline_events(store, "s")
+        names = {event["pid"]: event["args"]["name"]
+                 for event in events if event["ph"] == "M"}
+        assert names == {COORDINATOR_PID: "coordinator",
+                         COORDINATOR_PID + 1: "local"}
+        tracks = {}
+        for event in events:
+            if event["ph"] == "X":
+                tracks.setdefault(event["pid"], set()).add(event["cat"])
+        assert tracks == {
+            COORDINATOR_PID: {"root", "submit"},
+            COORDINATOR_PID + 1: {"worker", "lease", "run", "journal"},
+        }
+        assert timeline_summary(store, "s")["open"] == 0
 
     def test_every_span_becomes_a_duration_event(self, store, spec):
         store.register(spec)
