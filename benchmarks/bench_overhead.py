@@ -243,7 +243,7 @@ def campaign_run(spec):
     """Wall seconds of one plain campaign into a fresh on-disk store."""
     def run(store):
         start = time.perf_counter()
-        stats = run_campaign(spec, store, workers=1, heartbeat=None)
+        stats = run_campaign(spec, store, heartbeat=None)
         elapsed = time.perf_counter() - start
         assert stats.complete, "overhead probe campaign failed"
         assert store.span_counts(spec.name) == {}, "a plain run traced"
@@ -270,8 +270,7 @@ def trace_replay(spec):
     into a fresh store, whose spans must tally as the armed run's.
     """
     def record(store):
-        stats = run_campaign(spec, store, workers=1, heartbeat=None,
-                             trace=True)
+        stats = run_campaign(spec, store, heartbeat=None, trace=True)
         assert stats.complete, "overhead probe campaign failed"
         return store.spans(spec.name), span_tally(store, spec.name)
 

@@ -13,7 +13,7 @@ The layer between one-off sweeps and paper-scale evaluation:
 * :mod:`~repro.campaign.fabric` — the fabric: :class:`Coordinator`
   plus lease-based :class:`Worker` processes sharding one campaign
   over a shared store, surviving worker loss (``cr-sim campaign run
-  --workers-fabric N`` / ``campaign worker``).
+  --workers N`` / ``campaign worker``).
 * :mod:`~repro.campaign.report` — cross-campaign regression reports
   (markdown/CSV) using the replication significance machinery.
 * :mod:`~repro.campaign.monitor` — the heartbeat, read from the
@@ -30,12 +30,16 @@ The layer between one-off sweeps and paper-scale evaluation:
 
 Quick start::
 
-    from repro.campaign import CampaignStore, get_campaign, run_campaign
+    from repro.campaign import (CampaignStore, get_campaign, run_campaign,
+                                run_fabric)
 
     spec = get_campaign("fault-matrix")
     with CampaignStore("results/campaigns.sqlite") as store:
-        stats = run_campaign(spec, store, workers=None)
+        stats = run_campaign(spec, store)
         print(stats.ran, "run,", stats.skipped, "resumed")
+
+    # or across four worker processes:
+    run_fabric(spec, "results/campaigns.sqlite", workers=4)
 """
 
 from .._lazy import lazy_exports

@@ -6,10 +6,10 @@ The fabric applies the same stance to campaign orchestration: instead
 of a scheduler that must never lose a worker, any number of
 :class:`Worker` processes (same host or many hosts sharing the store
 path) *lease* pending points from the WAL-mode
-:class:`~repro.campaign.store.CampaignStore`, run them through the
-normal :func:`~repro.sim.parallel.run_reports` path, and journal
-results through the usual ``record_*`` store methods.  Worker loss is
-recovered, not prevented:
+:class:`~repro.campaign.store.CampaignStore`, simulate them one at a
+time in their own process, and journal results through the usual
+``record_*`` store methods.  A worker is the unit of parallelism: more
+throughput is more workers.  Worker loss is recovered, not prevented:
 
 * leases carry an expiry a background heartbeat thread keeps pushing
   forward; a SIGKILLed, crashed, or partitioned worker simply stops
@@ -37,17 +37,19 @@ publishes ``cr_fabric_*`` gauges through the
 dies, workers keep leasing and journaling; a new coordinator folds
 what already settled and carries on.
 
-Entry points: ``cr-sim campaign run <spec> --workers-fabric N``
-(coordinator + N local worker processes), ``cr-sim campaign worker
-<name>`` (one worker against an existing campaign, e.g. on another
-host), and :func:`~repro.campaign.runner.run_campaign` (plain ``cr-sim
-campaign run``), which is one in-process :class:`Worker` over the
-caller's store, wrapped in a :class:`Coordinator` when it serves or
-traces; or :func:`run_fabric` / :class:`Worker` from Python.
+Entry points: ``cr-sim campaign run <spec> --workers N`` (N > 1:
+coordinator + N local worker processes, :func:`run_fabric`), ``cr-sim
+campaign worker <name>`` (one worker against an existing campaign,
+e.g. on another host), and :func:`~repro.campaign.runner.run_campaign`
+(plain ``cr-sim campaign run``), which is one in-process
+:class:`Worker` over the caller's store, wrapped in a
+:class:`Coordinator` when it serves or traces; or :func:`run_fabric` /
+:class:`Worker` from Python.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import socket
 import subprocess
@@ -60,7 +62,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from ..obs import open_telemetry
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import Span, SpanContext, Tracer
-from ..sim.parallel import PointFailure, run_reports
+from ..sim.simulator import run_simulation
 from .monitor import DEFAULT_TTL, CampaignView, build_info_gauge
 from .runner import (
     CampaignProgress,
@@ -81,36 +83,33 @@ DEFAULT_BATCH = 2
 DEFAULT_POLL = 0.25
 
 
+#: how many worker ids this process has handed out
+_issued = itertools.count(1)
+
+
 def default_worker_id() -> str:
-    """A worker identity unique across hosts sharing one store."""
-    return f"{socket.gethostname()}-{os.getpid()}"
+    """A worker identity unique across hosts sharing one store:
+    ``<hostname>-<pid>`` for a process's first worker, then
+    ``<hostname>-<pid>-<n>`` for its n-th."""
+    base = f"{socket.gethostname()}-{os.getpid()}"
+    n = next(_issued)
+    return base if n == 1 else f"{base}-{n}"
 
 
 # ----------------------------------------------------------------------
 # Worker: lease -> run -> report, heartbeat-renewed
 # ----------------------------------------------------------------------
 
-@dataclass
-class WorkerStats:
-    """What one :class:`Worker` process contributed to a campaign."""
-
-    total: int = 0  #: points in the campaign grid
-    ran: int = 0  #: points this worker completed ok
-    failed: int = 0  #: attempts this worker journaled as failures
-    fenced: int = 0  #: stale results discarded (lease lost to a reclaim)
-    reclaims: int = 0  #: expired leases this worker took over
-    batches: int = 0  #: lease batches acquired
-    complete: bool = False  #: campaign fully settled when the worker left
-
-
 class Worker:
-    """One fabric worker process: lease a batch, simulate, journal, repeat.
+    """One fabric worker: lease a batch, simulate it, journal, repeat.
 
     The loop is crash-safe by construction — a worker holds no state
     another worker cannot reconstruct from the store.  Between
-    batches it re-reads the settlement state, so it exits (with
-    ``stats.complete``) as soon as every point is either stored ``ok``
-    under the current config hash or terminally failed.
+    batches it re-reads the settlement state, so it exits as soon as
+    every point is either stored ``ok`` under the current config hash
+    or terminally failed (``stats.settled``).  It runs its batch one
+    point at a time, in its own process: a point whose simulation
+    raises is journaled as a failed attempt, not raised.
 
     A daemon heartbeat thread (its own SQLite connection) renews the
     worker's held leases every ``ttl / 3`` seconds and upserts the
@@ -120,9 +119,9 @@ class Worker:
 
     ``trace=True`` journals the worker's spans into the store, under
     the campaign's newest open root span (the coordinator's) when there
-    is one, else in a trace of the worker's own.  A batch runs on a
-    pool of ``pool`` processes (None: one per CPU).  ``run_stats``
-    tallies points run, skipped (settled by others) and retried.
+    is one, else in a trace of the worker's own.  ``stats`` tallies
+    points run, skipped (settled by others), failed and retried, and
+    the worker's fenced writes, reclaims and lease batches.
     """
 
     def __init__(
@@ -135,7 +134,6 @@ class Worker:
         poll: float = DEFAULT_POLL,
         progress: Optional[CampaignProgress] = None,
         trace: bool = False,
-        pool: Optional[int] = 1,
     ) -> None:
         self.campaign = campaign
         self.db_path = str(db_path)
@@ -145,9 +143,9 @@ class Worker:
         self.poll = float(poll)
         self.progress = progress
         self.trace = bool(trace)
-        self.pool = pool
-        self.stats = WorkerStats()
-        self.run_stats = CampaignRunStats()
+        self.stats = CampaignRunStats()
+        #: journals this worker's points once :meth:`run` starts
+        self.reporter: Optional[PointReporter] = None
         self._held: Dict[str, Lease] = {}
         self._lock = threading.Lock()
         self._stop = threading.Event()
@@ -178,7 +176,7 @@ class Worker:
         store.worker_heartbeat(
             self.campaign, self.worker_id, state=state,
             pid=os.getpid(), host=socket.gethostname(),
-            done=self.stats.ran, failed=self.stats.failed,
+            done=self.stats.ran, failed=self.reporter.failed_attempts,
             leases=len(held_ids), reclaims=self.stats.reclaims,
             span=(f"{current.name} {current.span_id[:8]}"
                   if current is not None else ""),
@@ -196,7 +194,7 @@ class Worker:
 
     # -- the lease -> run -> report loop --------------------------------
 
-    def run(self, store: Optional[CampaignStore] = None) -> WorkerStats:
+    def run(self, store: Optional[CampaignStore] = None) -> CampaignRunStats:
         """Work the campaign until it settles; returns this worker's stats.
 
         ``store``: an open connection to ``db_path`` to use instead of
@@ -246,14 +244,15 @@ class Worker:
         if self._tracer is not None and self._session is not None:
             done = self._tracer.end_span(
                 self._session,
-                "ok" if self.stats.complete else "error",
+                "ok" if self.stats.settled else "error",
                 attrs={"ran": self.stats.ran,
-                       "failed": self.stats.failed,
+                       "failed": self.reporter.failed_attempts,
                        "fenced": self.stats.fenced},
             )
             store.record_spans(self.campaign, [done.to_dict()])
 
-    def _run(self, store: CampaignStore, spec: CampaignSpec) -> WorkerStats:
+    def _run(self, store: CampaignStore,
+             spec: CampaignSpec) -> CampaignRunStats:
         # Expand the stored spec: expansion is deterministic and
         # ``verify`` and the attempt budget are part of the stored spec,
         # so every worker sees the identical point list and settles it
@@ -263,12 +262,12 @@ class Worker:
         budget = spec.max_attempts
         by_id = {point.point_id: point for point in points}
         candidates = point_candidates(points)
-        self.stats.total = self.run_stats.total = len(points)
+        self.stats.total = len(points)
 
         self._arm(store)
-        reporter = PointReporter(spec, store, self.run_stats,
-                                 progress=self.progress,
-                                 tracer=self._tracer)
+        reporter = self.reporter = PointReporter(
+            spec, store, self.stats, progress=self.progress,
+            tracer=self._tracer)
 
         self._beat(store, "running")  # visible before the first lease
         thread = None
@@ -287,7 +286,6 @@ class Worker:
                 pending = reporter.skip_settled(
                     pending, store.result_states(self.campaign), budget)
                 if not pending:
-                    self.stats.complete = True
                     break
                 leases = store.acquire_leases(
                     self.campaign, self.worker_id, candidates,
@@ -304,7 +302,7 @@ class Worker:
             if thread is not None:
                 thread.join(timeout=self.ttl)
             self._disarm(store)
-            self._beat(store, "finished" if self.stats.complete
+            self._beat(store, "finished" if self.stats.settled
                        else "stopped")
         return self.stats
 
@@ -327,7 +325,6 @@ class Worker:
             # coordinator settles on the poll that sees the last point
             # done — its reclaim total must already be on the table.
             self._beat(store, "running")
-        batch_points = [by_id[lease.point_id] for lease in leases]
 
         if self._tracer is not None:
             # One lease span per granted point, journaled *open*: a
@@ -346,46 +343,10 @@ class Worker:
                 opened.append(span.to_dict())
             store.record_spans(self.campaign, opened)
 
-        def journal(index: int, report: object, elapsed: float,
-                    cached: bool) -> None:
-            lease = leases[index]
-            point = batch_points[index]
-            final = (isinstance(report, PointFailure)
-                     and lease.attempt >= budget)
-            parent = None
-            extra = None
-            lease_span = self._lease_spans.pop(point.point_id, None)
-            if lease_span is not None and self._tracer is not None:
-                # Close the lease span now and let it ride the fenced
-                # result transaction: if the write is fenced out, this
-                # 'ok' closure is discarded with it and the reclaimer's
-                # 'aborted' closure stands.
-                closed = self._tracer.end_span(lease_span, "ok")
-                parent = closed
-                extra = [closed.to_dict()]
-            outcome = reporter.report(
-                point, report, elapsed, lease.attempt, final=final,
-                fence=(self.worker_id, lease.attempt),
-                parent=parent, extra_spans=extra,
-            )
-            # The fenced store write released the lease atomically
-            # with the journal row; drop it from the renewal set.
-            with self._lock:
-                self._held.pop(point.point_id, None)
-            if outcome == "fenced":
-                self.stats.fenced += 1
-            elif outcome == "failed":
-                self.stats.failed += 1
-                if not final:
-                    self.run_stats.retried += 1
-            elif outcome == "ok":
-                self.stats.ran += 1
-
         try:
-            run_reports(
-                [point.config for point in batch_points],
-                workers=self.pool, on_result=journal, failures="return",
-            )
+            for lease in leases:
+                self._run_point(reporter, by_id[lease.point_id], lease,
+                                budget)
         finally:
             # Belt and braces: anything not journaled (interrupt
             # mid-batch) is released so others need not wait for expiry.
@@ -405,6 +366,45 @@ class Worker:
                     ).to_dict())
             if abandoned:
                 store.record_spans(self.campaign, abandoned)
+
+    def _run_point(
+        self,
+        reporter: PointReporter,
+        point: CampaignPoint,
+        lease: Lease,
+        budget: int,
+    ) -> None:
+        """Simulate one leased point and journal it, fenced on the
+        lease; a raising simulation journals its ``repr()``."""
+        start = time.perf_counter()
+        try:
+            result, error = run_simulation(point.config).report, None
+        except Exception as exc:
+            result, error = None, repr(exc)
+        elapsed = time.perf_counter() - start
+        parent = None
+        extra = None
+        lease_span = self._lease_spans.pop(point.point_id, None)
+        if lease_span is not None and self._tracer is not None:
+            # Close the lease span now and let it ride the fenced
+            # result transaction: if the write is fenced out, this
+            # 'ok' closure is discarded with it and the reclaimer's
+            # 'aborted' closure stands.
+            closed = self._tracer.end_span(lease_span, "ok")
+            parent = closed
+            extra = [closed.to_dict()]
+        outcome = reporter.report(
+            point, result, elapsed, lease.attempt,
+            final=error is not None and lease.attempt >= budget,
+            fence=(self.worker_id, lease.attempt),
+            parent=parent, extra_spans=extra, error=error,
+        )
+        # The fenced store write released the lease atomically with
+        # the journal row; drop it from the renewal set.
+        with self._lock:
+            self._held.pop(point.point_id, None)
+        if outcome == "fenced":
+            self.stats.fenced += 1
 
 
 # ----------------------------------------------------------------------
@@ -643,10 +643,8 @@ def spawn_worker(
     campaign: str,
     db_path: str,
     worker_id: Optional[str] = None,
-    batch: int = DEFAULT_BATCH,
-    ttl: float = DEFAULT_TTL,
-    poll: float = DEFAULT_POLL,
     trace: bool = False,
+    flags: Sequence[str] = (),
 ) -> "subprocess.Popen[bytes]":
     """Launch one ``cr-sim campaign worker`` subprocess against a store.
 
@@ -654,12 +652,13 @@ def spawn_worker(
     phase does this).  The child is a real OS process — SIGKILL it and
     the fabric's recovery path, not Python cleanup, puts its points
     back into play.  ``trace`` passes ``--trace``: the child joins the
-    campaign's newest open root span in the store.
+    campaign's newest open root span in the store.  ``flags`` are
+    further ``campaign worker`` flags (``--batch``, ``--ttl``,
+    ``--poll``); without them the worker leases with its defaults.
     """
     cmd = [
         sys.executable, "-m", "repro.cli", "campaign", "worker",
-        campaign, "--db", str(db_path),
-        "--batch", str(batch), "--ttl", str(ttl), "--poll", str(poll),
+        campaign, "--db", str(db_path), *flags,
     ]
     if worker_id:
         cmd += ["--worker-id", worker_id]
@@ -677,8 +676,6 @@ def run_fabric(
     spec: CampaignSpec,
     db_path: str,
     workers: int = 2,
-    batch: int = DEFAULT_BATCH,
-    ttl: float = DEFAULT_TTL,
     interval: float = 1.0,
     verify: bool = False,
     serve: Optional[object] = None,
@@ -690,8 +687,11 @@ def run_fabric(
     The coordinator registers the grid, spawns the workers (none when
     every point is already settled), aggregates until every point
     settles (or all workers die), then reaps the children.  Raising
-    inside aggregation still terminates the children.  ``serve``
-    attaches a telemetry server exactly like
+    inside aggregation still terminates the children.  Each worker
+    leases with the :class:`Worker` defaults (batch
+    :data:`DEFAULT_BATCH`, lease TTL
+    :data:`~repro.campaign.monitor.DEFAULT_TTL`).  ``serve`` attaches a
+    telemetry server exactly like
     :func:`~repro.campaign.runner.run_campaign`.
     """
     server, owns_server = open_telemetry(serve)
@@ -699,17 +699,15 @@ def run_fabric(
     procs: List["subprocess.Popen[bytes]"] = []
     try:
         coordinator = Coordinator(
-            spec, store, interval=interval, ttl=ttl, verify=verify,
+            spec, store, interval=interval, verify=verify,
             server=server, on_poll=on_poll, trace=trace,
         )
         # A campaign the store already holds settled spawns no worker.
         coordinator.read()
         if coordinator.monitor.done < coordinator.total:
             procs = [
-                spawn_worker(
-                    spec.name, db_path, worker_id=f"worker-{index + 1}",
-                    batch=batch, ttl=ttl, trace=trace,
-                )
+                spawn_worker(spec.name, db_path,
+                             worker_id=f"worker-{index + 1}", trace=trace)
                 for index in range(max(1, int(workers)))
             ]
         stats = coordinator.run(

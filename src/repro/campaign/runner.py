@@ -12,9 +12,9 @@ Every executor runs the same three phases:
   Fabric workers expand the stored spec (:func:`campaign_points`) and
   never register.
 * **Lease** — a fabric :class:`~repro.campaign.fabric.Worker` leases
-  pending points through the store's atomic lease table.
-  :func:`run_campaign` is one in-process worker, id ``local``, that
-  leases every pending point in one batch.
+  pending points a small batch at a time through the store's atomic
+  lease table and simulates them one by one.  :func:`run_campaign` is
+  one such worker, in-process, with the worker's defaults.
 * **Report** — :class:`PointReporter` journals every outcome through
   the store (``record_success``/``record_failure``, fenced on the
   lease; a success's timeseries and alert episodes ride the same
@@ -28,17 +28,17 @@ fabric :class:`~repro.campaign.fabric.Coordinator`'s
 run, a fabric run and ``cr-sim campaign watch`` show the same heartbeat
 for the same journal.
 
-Campaign-level guarantees on top of :func:`repro.sim.parallel.run_reports`:
+Campaign-level guarantees:
 
 * **Resume** — settled points are skipped, so a restarted run picks up
   where it stopped (a changed spec or library version re-runs the
   stale ``ok`` points; a failure keeps counting its journaled
   attempts).  An interrupt or an exception releases the held leases,
   so a resume takes the points back at once; after a SIGKILL a resume
-  waits out the dead run's lease TTL (15 s) and then reclaims them.
-* **Crash safety** — every point is journaled via the executor's
-  ``on_result`` hook the moment it lands, in its own SQLite
-  transaction; a kill loses only in-flight work.
+  waits out the dead run's lease TTL (15 s) on the batch it held and
+  then reclaims it.
+* **Crash safety** — every point is journaled the moment it lands, in
+  its own SQLite transaction; a kill loses only in-flight work.
 * **Failure tolerance** — a point whose simulation raises is leased
   again at its next attempt, up to the spec's ``max_attempts``; a
   point that keeps failing is recorded as ``failed``, *settles into
@@ -55,7 +55,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..obs import open_telemetry
 from ..obs.trace import Tracer
-from ..sim.parallel import PointFailure, unstable_fields
+from ..sim.parallel import unstable_fields
 from .spec import CampaignPoint, CampaignSpec
 from .store import CampaignStore, settled
 
@@ -77,19 +77,28 @@ CampaignProgress = Callable[[CampaignPointStatus], None]
 
 @dataclass
 class CampaignRunStats:
-    """What one ``run_campaign`` invocation did."""
+    """What one run of a campaign (one fabric worker) did."""
 
     total: int = 0  #: points in the expanded spec
     skipped: int = 0  #: already stored ok with matching provenance
     ran: int = 0  #: simulated successfully this invocation
     failed: int = 0  #: terminal failures (attempt budget used up)
     retried: int = 0  #: extra attempts spent on flaky points
+    fenced: int = 0  #: stale results discarded (lease lost to a reclaim)
+    reclaims: int = 0  #: expired leases taken over
+    batches: int = 0  #: lease batches acquired
     wall_time: float = 0.0  #: simulation seconds (not wall clock)
     failures: List[str] = field(default_factory=list)  #: failed point ids
 
     @property
     def complete(self) -> bool:
+        """Every point is stored ok."""
         return self.skipped + self.ran == self.total
+
+    @property
+    def settled(self) -> bool:
+        """Every point is stored ok or terminally failed."""
+        return self.skipped + self.ran + self.failed == self.total
 
 
 # ----------------------------------------------------------------------
@@ -207,6 +216,12 @@ class PointReporter:
         #: the point ids this reporter journaled settled
         self._journaled: set = set()
 
+    @property
+    def failed_attempts(self) -> int:
+        """Failed attempts this reporter journaled, retried or final
+        (a journaled settled point that did not run ok failed)."""
+        return self.stats.retried + len(self._journaled) - self.stats.ran
+
     def skip_settled(
         self,
         points: List[CampaignPoint],
@@ -295,38 +310,40 @@ class PointReporter:
     def report(
         self,
         point: CampaignPoint,
-        result: object,
+        result: Optional[dict],
         elapsed: float,
         attempt: int,
         final: bool = False,
         fence: Optional[Tuple[str, int]] = None,
         parent: object = None,
         extra_spans: Optional[List[dict]] = None,
+        error: Optional[str] = None,
     ) -> str:
         """Journal one landed result; returns the outcome recorded.
 
-        ``result`` is a report dict or a
-        :class:`~repro.sim.parallel.PointFailure`.  ``final`` marks a
-        failure that will not be retried: it settles into the done
-        count (the ``done (N failed)`` state) so progress and ETA
-        reach ``total`` instead of stalling just below it.  Returns
-        ``"ok"``, ``"failed"``, or ``"fenced"`` (fenced-out write,
-        nothing journaled).
+        ``result`` is the point's report dict, or None when its
+        simulation raised ``error`` (the exception's ``repr()``).
+        ``final`` marks a failure that will not be retried: it settles
+        into the done count (the ``done (N failed)`` state) so progress
+        and ETA reach ``total`` instead of stalling just below it; any
+        other failure counts as a retry.  Returns ``"ok"``,
+        ``"failed"``, or ``"fenced"`` (fenced-out write, nothing
+        journaled).
 
         With a tracer attached, ``parent`` (a span or context — a
         fabric worker passes the point's lease span) parents the
         synthesised ``run`` span, and ``extra_spans`` (span dicts)
         ride the same fenced transaction as the result row.
         """
-        if isinstance(result, PointFailure):
+        if error is not None:
             # Journal the failure immediately; a later successful
             # retry overwrites the row (INSERT OR REPLACE).
             spans, journal = self._trace_payload(
-                point, elapsed, attempt, "error", result.error,
+                point, elapsed, attempt, "error", error,
                 parent, extra_spans,
             )
             wrote = self.store.record_failure(
-                self.spec.name, point, result.error, elapsed,
+                self.spec.name, point, error, elapsed,
                 attempts=attempt, fence=fence, spans=spans,
             )
             self._close_journal(journal, wrote)
@@ -336,6 +353,8 @@ class PointReporter:
                 self._journaled.add(point.point_id)
                 self.stats.failed += 1
                 self.stats.failures.append(point.point_id)
+            else:
+                self.stats.retried += 1
             self._progress(point, "failed", elapsed, attempt)
             return "failed"
 
@@ -380,7 +399,6 @@ class PointReporter:
 def run_campaign(
     spec: CampaignSpec,
     store: CampaignStore,
-    workers: Optional[int] = 1,
     progress: Optional[CampaignProgress] = None,
     verify: bool = False,
     heartbeat: Optional[float] = 1.0,
@@ -392,10 +410,10 @@ def run_campaign(
     Returns run statistics; raises only on programmer error or
     interrupt.  A campaign the store holds settled is reported as
     skips, with no worker, lease or write.  Otherwise one in-process
-    fabric :class:`~repro.campaign.fabric.Worker` (id ``local``) leases
-    every pending point in one batch, runs it on a pool of ``workers``
-    processes (None: one per CPU) and journals each result, leasing a
-    failed point again until the spec's ``max_attempts`` are used up.
+    fabric :class:`~repro.campaign.fabric.Worker`, built with its
+    defaults, leases the pending points a batch at a time, simulates
+    and journals them one by one, and leases a failed point again
+    until the spec's ``max_attempts`` are used up.
 
     ``verify=True`` arms the repro.verify invariant checker on every
     point (changing its config hash, so unverified rows re-run).
@@ -408,7 +426,7 @@ def run_campaign(
     span and publishes the heartbeat: before the worker starts, at most
     every ``heartbeat`` seconds (None: never) as points land, and at
     the end.  :func:`repro.campaign.fabric.run_fabric` shards a
-    campaign across processes instead.
+    campaign across worker processes instead.
     """
     server, owns_server = open_telemetry(serve)
     publishing = heartbeat is not None and server is not None
@@ -448,11 +466,8 @@ def run_campaign(
 
         from .fabric import Worker
 
-        worker = Worker(spec.name, store.path, worker_id="local",
-                        batch=len(points), progress=report, trace=trace,
-                        pool=workers)
-        worker.run(store)
-        return worker.run_stats
+        return Worker(spec.name, store.path, progress=report,
+                      trace=trace).run(store)
     finally:
         if coordinator is not None:
             # One last poll: the final heartbeat, and the root span

@@ -183,7 +183,7 @@ def _checked(config: SimConfig) -> SimConfig:
 
 def _at_least(floor: float, above: bool = False,
               **flags: Optional[float]) -> None:
-    """Each given flag (``lease_ttl=-5`` is ``--lease-ttl -5``) is at
+    """Each given flag (``stale_after=-5`` is ``--stale-after -5``) is at
     least ``floor`` -- or strictly ``above`` it."""
     for name, value in flags.items():
         if value is not None and (value < floor
@@ -379,23 +379,11 @@ def _build_parser() -> argparse.ArgumentParser:
              "(see cr-sim run --workload)",
     )
     crun_p.add_argument(
-        "--workers", type=int, default=1,
-        help="process-pool width (0 = one per CPU; default 1 = serial)",
-    )
-    crun_p.add_argument(
-        "--workers-fabric", type=int, default=0, metavar="N",
-        help="shard the campaign across N lease-based worker "
-             "processes (the distributed fabric; survives worker "
-             "loss, see docs/SIMULATOR.md). 0 = off (default)",
-    )
-    crun_p.add_argument(
-        "--lease-ttl", type=float, default=None, metavar="SECONDS",
-        help="fabric lease time-to-live before a dead worker's "
-             "points are reclaimed (default: 15)",
-    )
-    crun_p.add_argument(
-        "--lease-batch", type=int, default=None, metavar="POINTS",
-        help="points per fabric lease batch (default: 2)",
+        "--workers", type=int, default=1, metavar="N",
+        help="fabric workers: 1 (default) runs one in this process; "
+             "N > 1 spawns N lease-based worker processes that survive "
+             "each other's loss (needs an on-disk --db, see "
+             "docs/SIMULATOR.md); 0 = one per CPU",
     )
     crun_p.add_argument(
         "--retries", type=int, default=None,
@@ -448,7 +436,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--trace", action="store_true",
         help="journal this worker's spans into the store, in the "
              "trace of the campaign's newest open root span (a traced "
-             "coordinator's); `campaign run --workers-fabric N --trace` "
+             "coordinator's); `campaign run --workers N --trace` "
              "passes it to the workers it spawns",
     )
     cworker_p.set_defaults(handler=_cmd_campaign_worker)
@@ -948,19 +936,12 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     if args.workload is not None:
         spec = spec.with_base(workload=args.workload)
         _checked(next(spec.points()).config)
-    _at_least(0, retries=args.retries, lease_ttl=args.lease_ttl,
-              lease_batch=args.lease_batch,
-              workers_fabric=args.workers_fabric)
+    _at_least(0, retries=args.retries)
     if args.retries is not None:
         spec = dataclasses.replace(spec, max_attempts=args.retries + 1)
-    workers = _pool_width(args.workers)
-
-    if args.workers_fabric > 0:
-        return _campaign_run_fabric(args, spec)
-    if args.lease_ttl is not None or args.lease_batch is not None:
-        raise UsageError(
-            "--lease-ttl/--lease-batch need --workers-fabric N"
-        )
+    workers = _pool_width(args.workers) or os.cpu_count() or 1
+    if workers > 1:
+        return _campaign_run_fabric(args, spec, workers)
 
     def report(status: CampaignPointStatus) -> None:
         if status.outcome == "skipped":
@@ -979,7 +960,6 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         stats = run_campaign(
             spec,
             store,
-            workers=workers,
             progress=report,
             verify=args.verify,
             serve=server,
@@ -1022,8 +1002,9 @@ def _require_shared_db(db: str) -> None:
     _open_store(db).close()
 
 
-def _campaign_run_fabric(args: argparse.Namespace, spec) -> int:
-    """`campaign run --workers-fabric N`: coordinator + N local workers."""
+def _campaign_run_fabric(args: argparse.Namespace, spec,
+                         workers: int) -> int:
+    """`campaign run --workers N`: coordinator + N local workers."""
     from .campaign.fabric import run_fabric
 
     _require_shared_db(args.db)
@@ -1048,14 +1029,11 @@ def _campaign_run_fabric(args: argparse.Namespace, spec) -> int:
         stats = run_fabric(
             spec,
             args.db,
-            workers=args.workers_fabric,
+            workers=workers,
             verify=args.verify,
             serve=server,
             on_poll=narrate,
             trace=args.trace,
-            # --lease-batch 0 / --lease-ttl 0 ask for the default too.
-            **_given(batch=args.lease_batch or None,
-                     ttl=args.lease_ttl or None),
         )
     print(
         f"campaign {spec.name!r}: {stats.ok} point(s) ok, "
@@ -1087,12 +1065,13 @@ def _cmd_campaign_worker(args: argparse.Namespace) -> int:
         raise UsageError(str(exc)) from None
     print(
         f"worker {worker.worker_id!r}: {stats.ran} point(s) run, "
-        f"{stats.failed} failed attempt(s), {stats.reclaims} lease(s) "
-        f"reclaimed over {stats.batches} batch(es); campaign "
-        f"{'complete' if stats.complete else 'incomplete'}",
+        f"{worker.reporter.failed_attempts} failed attempt(s), "
+        f"{stats.reclaims} lease(s) reclaimed over {stats.batches} "
+        f"batch(es); campaign "
+        f"{'complete' if stats.settled else 'incomplete'}",
         file=sys.stderr,
     )
-    return 0 if stats.complete else 1
+    return 0 if stats.settled else 1
 
 
 def _require_stored(store: Any, *names: str) -> None:

@@ -4,8 +4,8 @@ Every figure reproduction funnels through sweeps whose points are
 embarrassingly parallel: each ``run_simulation`` call is bit-for-bit
 seeded-deterministic and shares no state with its neighbours, so fanning
 points out across a process pool changes nothing about the rows — only
-the wall clock.  :func:`run_reports` is the single chokepoint sweeps
-(:func:`repro.sim.sweep.point_rows`) and the campaign runner go through:
+the wall clock.  :func:`run_reports` is the single chokepoint sweeps and
+experiments (:func:`repro.sim.sweep.point_rows`) go through:
 
 * ``workers=1`` (the default) runs points serially in-process, exactly
   like the historical code path — tests and small sweeps pay no pool
@@ -20,13 +20,11 @@ the wall clock.  :func:`run_reports` is the single chokepoint sweeps
   is stale, so upgrading the simulator silently invalidates old rows.
 * ``progress=`` receives a :class:`PointStatus` as each point lands, so
   long sweeps can report live status.
-* ``on_result=`` is the journal hook campaign runners build on: it
-  receives ``(index, report, elapsed, cached)`` the moment each point's
-  result exists (completion order under a pool, not submission order),
-  so a crash between points loses at most the in-flight work.
-* ``failures="return"`` turns a point that raises into a
-  :class:`PointFailure` entry instead of aborting the whole batch —
-  the campaign runner records and retries failures individually.
+
+A point that raises aborts the sweep.  Campaigns do not come through
+here: a campaign worker (:class:`repro.campaign.fabric.Worker`) runs
+its leased points itself and journals each failure as an attempt; it
+uses this module's :func:`config_cache_key` to key its rows.
 """
 
 from __future__ import annotations
@@ -46,8 +44,6 @@ from .simulator import run_simulation
 
 Report = Dict[str, object]
 ProgressCallback = Callable[["PointStatus"], None]
-#: journal hook: (index, report-or-PointFailure, elapsed, cached)
-ResultCallback = Callable[[int, object, float, bool], None]
 
 #: bump when the report schema or run semantics change in a way that
 #: makes previously cached rows incomparable.
@@ -70,18 +66,6 @@ class PointStatus:
     total: int  #: number of points in the sweep
     elapsed: float  #: seconds the simulation took (0.0 on a cache hit)
     cached: bool  #: True when the row came from the result cache
-
-
-@dataclass(frozen=True)
-class PointFailure:
-    """Stand-in result for a point whose simulation raised.
-
-    Only produced under ``failures="return"``; callers distinguish a
-    failed point from a report with ``isinstance``.
-    """
-
-    error: str  #: ``repr()`` of the exception the point raised
-    elapsed: float  #: seconds spent before the failure
 
 
 #: exact types (no subclasses) whose repr is process-stable as it is
@@ -273,41 +257,25 @@ def run_reports(
     workers: Optional[int] = 1,
     cache: CacheSpec = None,
     progress: Optional[ProgressCallback] = None,
-    on_result: Optional[ResultCallback] = None,
-    failures: str = "raise",
 ) -> List[Report]:
     """Run one simulation per config; reports in submission order.
 
     ``workers=1`` runs in-process (the exact historical serial path);
     ``workers=N`` uses a process pool of N; ``workers=None`` uses one
     worker per CPU.  Rows are reassembled in submission order, so the
-    result is independent of worker count.
-
-    ``on_result`` is called with ``(index, report, elapsed, cached)`` as
-    each point's result becomes available — in completion order under a
-    pool — so callers can journal results durably before the batch
-    finishes.  With ``failures="return"``, a point whose simulation
-    raises contributes a :class:`PointFailure` (delivered to
-    ``on_result`` and placed in the returned list) instead of aborting
-    the remaining points; the default ``failures="raise"`` re-raises.
+    result is independent of worker count.  A point whose simulation
+    raises re-raises here.
     """
-    if failures not in ("raise", "return"):
-        raise ValueError(
-            f"failures must be 'raise' or 'return', not {failures!r}"
-        )
     config_list = list(configs)
     total = len(config_list)
     store = resolve_cache(cache)
     reports: List[Optional[Report]] = [None] * total
 
-    def landed(index: int, report: object, elapsed: float,
+    def landed(index: int, report: Report, elapsed: float,
                cached: bool) -> None:
-        reports[index] = report  # type: ignore[assignment]
-        failed = isinstance(report, PointFailure)
-        if store is not None and not cached and not failed:
-            store.put(keys[index], report)  # type: ignore[arg-type]
-        if on_result is not None:
-            on_result(index, report, elapsed, cached)
+        reports[index] = report
+        if store is not None and not cached:
+            store.put(keys[index], report)
         if progress is not None:
             progress(PointStatus(index, total, elapsed, cached))
 
@@ -326,17 +294,7 @@ def run_reports(
         workers = os.cpu_count() or 1
     if workers <= 1 or len(pending) <= 1:
         for index in pending:
-            start = time.perf_counter()
-            try:
-                report, elapsed = _run_point(config_list[index])
-            except Exception as exc:
-                if failures == "raise":
-                    raise
-                report = PointFailure(  # type: ignore[assignment]
-                    repr(exc), time.perf_counter() - start
-                )
-                elapsed = report.elapsed  # type: ignore[union-attr]
-            landed(index, report, elapsed, False)
+            landed(index, *_run_point(config_list[index]), False)
     else:
         # Imported here: a serial run never loads multiprocessing.
         from concurrent.futures import (
@@ -351,19 +309,8 @@ def run_reports(
                 pool.submit(_run_point, config_list[index]): index
                 for index in pending
             }
-            start = time.perf_counter()
             while waiting:
                 done, _ = wait(set(waiting), return_when=FIRST_COMPLETED)
                 for future in done:
-                    index = waiting.pop(future)
-                    try:
-                        report, elapsed = future.result()
-                    except Exception as exc:
-                        if failures == "raise":
-                            raise
-                        report = PointFailure(
-                            repr(exc), time.perf_counter() - start
-                        )
-                        elapsed = report.elapsed
-                    landed(index, report, elapsed, False)
+                    landed(waiting.pop(future), *future.result(), False)
     return reports  # type: ignore[return-value]

@@ -108,7 +108,7 @@ class TestRunnerJournaling:
     def test_alerting_campaign_lands_episodes_in_the_store(
             self, store):
         spec = alerting_spec()
-        stats = run_campaign(spec, store, workers=1)
+        stats = run_campaign(spec, store)
         assert stats.complete
         journaled = store.alerts("al")
         assert len(journaled) == spec.size
@@ -126,10 +126,10 @@ class TestRunnerJournaling:
             "CREATE TRIGGER full_disk BEFORE INSERT ON alerts "
             "BEGIN SELECT RAISE(ABORT, 'disk full'); END")
         with pytest.raises(sqlite3.DatabaseError, match="disk full"):
-            run_campaign(spec, store, workers=1, heartbeat=None)
+            run_campaign(spec, store, heartbeat=None)
         assert store.completed("al") == {}
         store._conn.execute("DROP TRIGGER full_disk")
-        stats = run_campaign(spec, store, workers=1, heartbeat=None)
+        stats = run_campaign(spec, store, heartbeat=None)
         assert (stats.ran, stats.skipped) == (spec.size, 0)
         settled = sorted(store.completed("al"))
         assert len(settled) == spec.size
@@ -143,7 +143,7 @@ class TestRunnerJournaling:
                      "drain": 2000, "message_length": 8},
             "axes": {"routing": ["cr"], "load": [0.1]},
         })
-        run_campaign(spec, store, workers=1)
+        run_campaign(spec, store)
         assert store.alerts("flat") == {}
 
     def test_cascade_stress_arms_the_builtin_rules(self):
@@ -179,8 +179,7 @@ class TestLiveServing:
         spec = alerting_spec()
         try:
             stats = run_campaign(
-                spec, store, workers=1,
-                heartbeat=0.0, serve=server, progress=scrape,
+                spec, store, heartbeat=0.0, serve=server, progress=scrape,
             )
             final = parse_prometheus_text(server.metrics_text())
         finally:
@@ -204,14 +203,12 @@ class TestLiveServing:
         spec = alerting_spec(name="al2", loads=(0.1,))
         # A spec (True) makes the runner build and own the server; we
         # can't reach it afterwards, so just assert clean completion.
-        stats = run_campaign(spec, store, workers=1,
-                             heartbeat=0.0, serve=True)
+        stats = run_campaign(spec, store, heartbeat=0.0, serve=True)
         assert stats.complete
         # An instance stays caller-owned: still running afterwards.
         server = TelemetryServer()
         try:
-            run_campaign(spec, store, workers=1,
-                         heartbeat=0.0, serve=server)
+            run_campaign(spec, store, heartbeat=0.0, serve=server)
             assert server.running
             assert server.status()["state"] == "finished"
         finally:
@@ -356,7 +353,7 @@ class TestWatchRendering:
 class TestCampaignMarkdownAlerts:
     def test_report_counts_and_lists_episodes(self, store):
         spec = alerting_spec()
-        run_campaign(spec, store, workers=1)
+        run_campaign(spec, store)
         text = campaign_markdown(store, "al")
         assert "| alerts |" in text  # scenario table column
         assert "## Alerts" in text
@@ -370,7 +367,7 @@ class TestCampaignMarkdownAlerts:
                      "drain": 2000, "message_length": 8},
             "axes": {"routing": ["cr"], "load": [0.1]},
         })
-        run_campaign(spec, store, workers=1)
+        run_campaign(spec, store)
         text = campaign_markdown(store, "flat")
         assert "## Alerts" not in text
         assert "| — |" in text or "| alerts |" in text

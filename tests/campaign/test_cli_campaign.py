@@ -10,7 +10,7 @@ import repro.campaign
 import repro.experiments
 from repro.cli import main as cli_main
 from repro.experiments.common import Scale
-from repro.sim import parallel
+from repro.campaign import fabric
 
 #: a scale small enough that the whole fault-matrix runs in seconds
 TINY = Scale(name="tiny", radix=4, warmup=50, measure=150, drain=1000,
@@ -192,8 +192,7 @@ class TestWatch:
 
 class TestFlagBounds:
     """Fabric and watch flags refuse a bad value by name, before a
-    store is read or a worker spawned (0 keeps meaning "default" for
-    ``--lease-ttl`` / ``--lease-batch``)."""
+    store is read or a worker spawned."""
 
     @pytest.mark.parametrize("command, flag, value", [
         ("watch", "--interval", "0"),
@@ -202,8 +201,6 @@ class TestFlagBounds:
         ("worker", "--ttl", "0"),
         ("worker", "--ttl", "-1"),
         ("worker", "--poll", "-1"),
-        ("run", "--lease-ttl", "-5"),
-        ("run", "--lease-batch", "-3"),
         ("run", "--retries", "-1"),
     ])
     def test_refused_by_name(self, command, flag, value, db, usage_error):
@@ -211,7 +208,7 @@ class TestFlagBounds:
             "watch": ["watch", "x", "--once", "--db", db],
             "worker": ["worker", "x", "--db", db],
             # :memory: is refused next, so a missed check runs nothing.
-            "run": ["run", "fault-matrix", "--workers-fabric", "2",
+            "run": ["run", "fault-matrix", "--workers", "2",
                     "--db", ":memory:"],
         }[command]
         assert cli_main(["campaign", *argv, flag, value]) == 2
@@ -273,13 +270,13 @@ class TestRun:
 
         # restart: the interrupted points resume, nothing re-runs
         simulated = []
-        real_point = parallel._run_point
+        real_point = fabric.run_simulation
 
         def counting(config):
             simulated.append(config)
             return real_point(config)
 
-        monkeypatch.setattr(parallel, "_run_point", counting)
+        monkeypatch.setattr(fabric, "run_simulation", counting)
         capsys.readouterr()
         assert cli_main(["campaign", "run", "fault-matrix", "--db", db]) \
             == 0

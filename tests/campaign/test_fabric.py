@@ -109,6 +109,28 @@ class TestWorker:
                       for r in store.rows(spec.name)}
         assert fabric == classic
 
+    def test_a_raising_point_journals_its_error(self, db):
+        """A worker runs its batch itself: a point whose simulation
+        raises is journaled as a failed attempt carrying the
+        exception's repr, and the batch goes on."""
+        spec = CampaignSpec.from_dict({
+            **SPEC_DICT, "axes": {"routing": ["dor", "nope"],
+                                  "load": [0.1]},
+            "max_attempts": 1,
+        })
+        with CampaignStore(db) as store:
+            store.register(spec)
+        worker = run_worker(spec, db, worker_id="w1")
+        assert (worker.stats.ran, worker.stats.failed) == (1, 1)
+        assert worker.stats.settled and not worker.stats.complete
+        assert worker.reporter.failed_attempts == 1
+        with CampaignStore(db) as store:
+            (failed,) = store.rows(spec.name, status="failed")
+            (row,) = store.workers(spec.name)
+        assert failed["error"].startswith("ValueError(")
+        assert "nope" in failed["error"]
+        assert (row["done"], row["failed"]) == (1, 1)
+
     def test_two_inprocess_workers_split_the_grid(self, spec, db):
         with CampaignStore(db) as store:
             store.register(spec)
@@ -164,7 +186,16 @@ class TestWorker:
         assert published == [1, 1, 1, 1]
 
     def test_default_worker_id_embeds_pid(self):
-        assert default_worker_id().endswith(str(__import__("os").getpid()))
+        """Every worker a process builds has an id of its own, each
+        naming the host and the pid."""
+        import os
+        import socket
+
+        first, second = default_worker_id(), default_worker_id()
+        assert first != second
+        for worker_id in (first, second):
+            assert worker_id.startswith(f"{socket.gethostname()}-"
+                                        f"{os.getpid()}")
 
 
 class TestCoordinator:
@@ -308,9 +339,9 @@ class TestOneHeartbeat:
             run_campaign(spec, local_store, heartbeat=0.0)
             local = CampaignView.open(local_store, spec.name).heartbeat()
         # A local run is a one-worker fabric: the same heartbeat keys,
-        # with its worker, ``local``, in the pane.
+        # with its one worker in the pane.
         assert set(status) == set(local)
-        assert [w["worker_id"] for w in local["workers"]] == ["local"]
+        assert len(local["workers"]) == 1
         for key in ("done", "total", "failed", "recent_kill_rates",
                     "alerts", "eta_seconds"):
             assert status[key] == local[key], key
@@ -508,18 +539,10 @@ class TestCli:
         assert proc.returncode == 2
         usage_error("campaign worker", "on-disk", err=proc.stderr)
 
-    def test_lease_flags_require_fabric(self, tmp_path, usage_error):
-        proc = self.run_cli(
-            "campaign", "run", "fault-matrix", "--db", "c.sqlite",
-            "--lease-ttl", "5", cwd=tmp_path,
-        )
-        assert proc.returncode == 2
-        usage_error("campaign run", "--workers-fabric", err=proc.stderr)
-
     def test_fabric_run_memory_db_exits_2(self, tmp_path, usage_error):
         proc = self.run_cli(
             "campaign", "run", "fault-matrix", "--db", ":memory:",
-            "--workers-fabric", "2", cwd=tmp_path,
+            "--workers", "2", cwd=tmp_path,
         )
         assert proc.returncode == 2
         usage_error("campaign run", "on-disk", err=proc.stderr)

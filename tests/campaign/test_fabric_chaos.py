@@ -46,6 +46,11 @@ def spec():
     return CampaignSpec.from_dict(SPEC_DICT)
 
 
+def worker_flags(batch):
+    """``campaign worker`` flags: a short lease and a fast poll."""
+    return ("--batch", str(batch), "--ttl", str(TTL), "--poll", "0.05")
+
+
 def wait_for(predicate, timeout, interval=0.02, message="condition"):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -62,10 +67,8 @@ def kill_victim_then_heal(spec, db, kill_after=0, **coordinator):
     rows the victim died holding."""
     with CampaignStore(db) as store:
         store.register(spec)
-    victim = spawn_worker(
-        spec.name, db, worker_id="victim",
-        batch=4, ttl=TTL, poll=0.05,
-    )
+    victim = spawn_worker(spec.name, db, worker_id="victim",
+                          flags=worker_flags(batch=4))
     survivors = []
     watcher = CampaignStore(db)
     try:
@@ -89,7 +92,7 @@ def kill_victim_then_heal(spec, db, kill_after=0, **coordinator):
 
         survivors = [
             spawn_worker(spec.name, db, worker_id=f"survivor-{i}",
-                         batch=2, ttl=TTL, poll=0.05)
+                         flags=worker_flags(batch=2))
             for i in (1, 2)
         ]
         stats = Coordinator(
@@ -201,11 +204,8 @@ def test_sigkilled_workers_orphan_spans_are_closed_aborted(
     )
     trace_id = coordinator.root.trace_id
 
-    victim = spawn_worker(
-        spec.name, db, worker_id="victim",
-        batch=4, ttl=TTL, poll=0.05,
-        trace=True,
-    )
+    victim = spawn_worker(spec.name, db, worker_id="victim", trace=True,
+                          flags=worker_flags(batch=4))
     survivors = []
     try:
         def mid_lease_with_spans():
@@ -231,8 +231,7 @@ def test_sigkilled_workers_orphan_spans_are_closed_aborted(
 
         survivors = [
             spawn_worker(spec.name, db, worker_id=f"survivor-{i}",
-                         batch=2, ttl=TTL, poll=0.05,
-                         trace=True)
+                         trace=True, flags=worker_flags(batch=2))
             for i in (1, 2)
         ]
         stats = coordinator.run(
@@ -285,13 +284,15 @@ def test_a_sigkilled_local_run_resumes_once_its_leases_expire(
     spec, tmp_path, monkeypatch
 ):
     """``cr-sim campaign run`` SIGKILLed after its first journaled
-    point leaves its batch leased.  Once the leases expire (the test
-    expires them rather than wait out the 15 s TTL), a resume takes the
-    points back: only what was never journaled is simulated again, the
-    journaled rows stay as they landed, and no row is duplicated."""
+    point leaves at most one lease batch held.  Once the leases expire
+    (the test expires them rather than wait out the 15 s TTL), a resume
+    takes the points back: only what was never journaled is simulated
+    again, only the points the killed run held spend a second attempt,
+    the journaled rows stay as they landed, and no row is duplicated."""
+    import socket
+
     import repro
-    from repro.campaign import run_campaign
-    from repro.sim import parallel
+    from repro.campaign import fabric, run_campaign
 
     db = str(tmp_path / "local.sqlite")
     spec_path = tmp_path / "spec.json"
@@ -316,29 +317,32 @@ def test_a_sigkilled_local_run_resumes_once_its_leases_expire(
 
         journaled = {row["point_id"]: row for row in store.rows(spec.name)}
         assert 0 < len(journaled) < total
-        # No cleanup ran: the rest of the batch is still leased, live.
+        # No cleanup ran: what the killed run held is still leased,
+        # live -- one batch at most, never the rest of the grid.
         leases = store.leases(spec.name)
-        assert {row["point_id"] for row in leases} == {
-            point.point_id for point in spec.points()} - set(journaled)
-        assert all(row["worker_id"] == "local" and row["live"]
-                   for row in leases)
+        held = {row["point_id"] for row in leases}
+        assert len(held) <= fabric.DEFAULT_BATCH
+        assert not held & set(journaled)
+        assert all(row["worker_id"] == f"{socket.gethostname()}-{run.pid}"
+                   and row["live"] for row in leases)
 
         store._conn.execute(
             "UPDATE leases SET lease_expiry = 0 WHERE campaign = ?",
             (spec.name,))
         simulated = []
-        real = parallel._run_point
+        real = fabric.run_simulation
 
         def counting(config):
             simulated.append(config)
             return real(config)
 
-        monkeypatch.setattr(parallel, "_run_point", counting)
+        monkeypatch.setattr(fabric, "run_simulation", counting)
         stats = run_campaign(spec, store, heartbeat=None)
 
         assert stats.complete
         assert (stats.skipped, stats.ran) == (len(journaled),
                                               total - len(journaled))
+        assert stats.reclaims == len(held)
         assert len(simulated) == total - len(journaled)
         rows = {row["point_id"]: row for row in store.rows(spec.name)}
         assert len(rows) == total
@@ -347,10 +351,13 @@ def test_a_sigkilled_local_run_resumes_once_its_leases_expire(
             (spec.name,)).fetchone()[0] == total
         for point_id, row in journaled.items():
             assert rows[point_id] == row
-        # The resume took over the dead run's leases: its attempts
-        # come after the ones the killed run was granted.
-        assert {row["attempts"] for point_id, row in rows.items()
-                if point_id not in journaled} == {2}
+        # The resume took over the dead run's leases: their attempts
+        # come after the ones the killed run was granted.  Every other
+        # point ran once.
+        assert {point_id for point_id, row in rows.items()
+                if row["attempts"] == 2} == held
+        assert all(row["attempts"] == 1 for point_id, row in rows.items()
+                   if point_id not in held)
         assert store.leases(spec.name) == []
     finally:
         if run.poll() is None:

@@ -16,8 +16,8 @@ invariants the fabric's crash-safety argument rests on:
   so attempt numbers work as fencing tokens across worker deaths.
 """
 
-import contextlib
 from dataclasses import replace
+from types import SimpleNamespace
 from unittest.mock import patch
 
 import pytest
@@ -262,25 +262,21 @@ def test_every_consumer_of_settled_agrees(tables):
         view = CampaignView.open(store, "leases").heartbeat(now=clock)
         assert (view["done"], view["failed"]) == (status["done"],
                                                  status["failed"])
-        # The local runner skips by the same rule and leases exactly the
-        # unsettled points (every fake-clock lease is long expired).
+        # The local runner skips by the same rule and runs exactly the
+        # unsettled points (every fake-clock lease is long expired),
+        # each once: a stubbed simulation reports an empty row.
         ran, seen = [], []
 
-        def run_reports(configs, **kw):
-            ran.extend(configs)
-            raise Stop
+        def run_simulation(config):
+            ran.append(config)
+            return SimpleNamespace(report={})
 
-        with patch("repro.campaign.fabric.run_reports", run_reports), \
-                contextlib.suppress(Stop):
+        with patch("repro.campaign.fabric.run_simulation", run_simulation):
             run_campaign(SPEC, store, heartbeat=None, progress=seen.append)
         assert len(ran) == sum(v is None for v in verdicts.values())
         outcomes = [status.outcome for status in seen]
         assert (outcomes.count("skipped"), outcomes.count("failed")) == (
             stats.skipped, stats.failed)
-
-
-class Stop(Exception):
-    """Ends a run whose simulations are stubbed out."""
 
 
 def test_completed_grid_stops_granting():

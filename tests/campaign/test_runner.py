@@ -1,6 +1,8 @@
 """Campaign runner: resume, crash safety, failure retry."""
 
 import json
+import os
+import socket
 import sqlite3
 import threading
 from dataclasses import replace
@@ -13,8 +15,10 @@ from repro.campaign import (
     Coordinator,
     run_campaign,
 )
+from repro.campaign import fabric
+from repro.campaign.fabric import default_worker_id
+from repro.campaign.runner import point_candidates
 from repro.obs.metrics import parse_prometheus_text
-from repro.sim import parallel
 from repro.sim.config import SimConfig
 
 
@@ -36,15 +40,16 @@ def store(tmp_path):
 
 
 def counting_run_point(monkeypatch):
-    """Route _run_point through a call counter; returns the counter."""
+    """Route the campaign worker's simulations through a call counter;
+    returns the counter."""
     calls = []
-    real = parallel._run_point
+    real = fabric.run_simulation
 
     def wrapper(config):
         calls.append(config)
         return real(config)
 
-    monkeypatch.setattr(parallel, "_run_point", wrapper)
+    monkeypatch.setattr(fabric, "run_simulation", wrapper)
     return calls
 
 
@@ -140,8 +145,9 @@ class TestRunAndResume:
         assert root["attrs"] == {"executor": "fabric", "ok": 2,
                                  "failed": 0, "reclaims": 0}
         (session,) = [s for s in spans if s["kind"] == "worker"]
-        assert (session["worker_id"], session["status"]) == ("local",
-                                                             "error")
+        assert session["worker_id"].startswith(
+            f"{socket.gethostname()}-{os.getpid()}")
+        assert session["status"] == "error"
         # The interrupted worker released what it held: a resume need
         # not wait out a lease.
         assert store.leases("r") == []
@@ -273,7 +279,7 @@ class TestFailures:
                      "drain": 1000, "message_length": 8},
             "axes": {"load": [0.1, 0.15]},
         })
-        real = parallel._run_point
+        real = fabric.run_simulation
         failed_once = []
 
         def flaky(config):
@@ -282,7 +288,7 @@ class TestFailures:
                 raise RuntimeError("transient blip")
             return real(config)
 
-        monkeypatch.setattr(parallel, "_run_point", flaky)
+        monkeypatch.setattr(fabric, "run_simulation", flaky)
         stats = run_campaign(spec, store)
         assert stats.complete
         assert (stats.ran, stats.failed, stats.retried) == (2, 0, 1)
@@ -401,7 +407,9 @@ class TestParallelExecution:
     def test_two_concurrent_local_runs_split_the_grid(self, spec, tmp_path,
                                                       monkeypatch):
         """Two local runs of one campaign over one store run each point
-        once between them, and both end complete."""
+        once between them, and both end complete: each is a worker of
+        its own, and a run taking over another's expired leases counts
+        the reclaim."""
         calls = counting_run_point(monkeypatch)
         db = str(tmp_path / "c.sqlite")
         results = []
@@ -422,28 +430,48 @@ class TestParallelExecution:
         with CampaignStore(db) as store:
             assert [row["attempts"] for row in store.rows("r")] == \
                 [1] * spec.size
+            workers = store.workers("r")
+        assert len(workers) == 2
+        assert sum(worker["done"] for worker in workers) == spec.size
 
-    def test_workers_pool_matches_serial(self, spec, tmp_path):
-        """One row set whoever executes: serial, a pool of three and a
-        two-process fabric store the same rows."""
+        # A run killed while holding two leases left them to expire.
+        with CampaignStore(str(tmp_path / "d.sqlite")) as store:
+            store.register(spec)
+            candidates = point_candidates(list(spec.points()))
+            store.acquire_leases("r", default_worker_id(), candidates[:2],
+                                 limit=2, ttl=1.0, now=0.0)
+            stats = run_campaign(spec, store)
+            (worker,) = store.workers("r")
+            attempts = [row["attempts"] for row in store.rows("r")]
+        assert stats.complete and stats.reclaims == 2
+        assert worker["reclaims"] == 2
+        assert sorted(attempts) == [1, 1, 2, 2]
+
+    def test_workers_pool_matches_serial(self, spec, tmp_path, capsys):
+        """One row set whoever executes: serial, a two-process fabric
+        and ``cr-sim campaign run --workers 2`` store the same rows."""
         from repro.campaign.fabric import run_fabric
+        from repro.cli import main as cli_main
 
-        def stored(store):
-            return [(entry["point_id"], entry["config_hash"],
-                     entry["status"], entry["report"])
-                    for entry in store.points("r")]
+        def stored(path):
+            with CampaignStore(path) as store:
+                return [(entry["point_id"], entry["config_hash"],
+                         entry["status"], entry["report"])
+                        for entry in store.points("r")]
 
-        with CampaignStore(str(tmp_path / "a.sqlite")) as a:
+        serial_db = str(tmp_path / "a.sqlite")
+        with CampaignStore(serial_db) as a:
             run_campaign(spec, a)
-            serial = stored(a)
-        with CampaignStore(str(tmp_path / "b.sqlite")) as b:
-            run_campaign(spec, b, workers=3)
-            fanned = stored(b)
-        fabric_db = str(tmp_path / "c.sqlite")
+        fabric_db = str(tmp_path / "b.sqlite")
         assert run_fabric(spec, fabric_db, workers=2,
                           interval=0.05).complete
-        with CampaignStore(fabric_db) as c:
-            sharded = stored(c)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec.to_dict()))
+        cli_db = str(tmp_path / "c.sqlite")
+        assert cli_main(["campaign", "run", str(spec_path), "--db", cli_db,
+                         "--workers", "2"]) == 0
+        assert "across 2 worker(s)" in capsys.readouterr().out
+        serial = stored(serial_db)
         assert len(serial) == spec.size
-        assert fanned == serial
-        assert sharded == serial
+        assert stored(fabric_db) == serial
+        assert stored(cli_db) == serial

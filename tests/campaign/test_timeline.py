@@ -79,13 +79,15 @@ class TestProcessTracks:
 
     def test_a_traced_local_run_is_a_one_worker_fabric(self, store, spec):
         """The coordinator's root and submit on its track; the session,
-        lease, run and journal spans on the ``local`` worker's."""
+        lease, run and journal spans on the one worker's."""
         assert run_campaign(spec, store, trace=True).complete
         events = timeline_events(store, "s")
         names = {event["pid"]: event["args"]["name"]
                  for event in events if event["ph"] == "M"}
+        (worker_id,) = {span["worker_id"] for span in store.spans("s")
+                        if span["kind"] == "worker"}
         assert names == {COORDINATOR_PID: "coordinator",
-                         COORDINATOR_PID + 1: "local"}
+                         COORDINATOR_PID + 1: worker_id}
         tracks = {}
         for event in events:
             if event["ph"] == "X":

@@ -62,7 +62,7 @@ class TestStoreRoundTrip:
 
 class TestRunnerJournaling:
     def test_sampled_campaign_lands_series_in_the_store(self, store, spec):
-        stats = run_campaign(spec, store, workers=1)
+        stats = run_campaign(spec, store)
         assert stats.complete
         series = store.timeseries("ts")
         assert len(series) == 1
@@ -78,7 +78,7 @@ class TestRunnerJournaling:
                      "drain": 2000, "message_length": 8},
             "axes": {"routing": ["cr"], "load": [0.1]},
         })
-        run_campaign(spec, store, workers=1)
+        run_campaign(spec, store)
         assert store.timeseries("flat") == {}
 
 
@@ -114,7 +114,7 @@ class TestSaturationOnset:
 
 class TestCampaignMarkdownTimeSeries:
     def test_report_section_appears_with_series(self, store, spec):
-        run_campaign(spec, store, workers=1)
+        run_campaign(spec, store)
         text = campaign_markdown(store, "ts")
         assert "## Time series" in text
         assert "saturation onset" in text
@@ -128,5 +128,5 @@ class TestCampaignMarkdownTimeSeries:
                      "drain": 2000, "message_length": 8},
             "axes": {"routing": ["cr"], "load": [0.1]},
         })
-        run_campaign(spec, store, workers=1)
+        run_campaign(spec, store)
         assert "## Time series" not in campaign_markdown(store, "flat")

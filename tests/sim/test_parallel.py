@@ -350,75 +350,19 @@ class TestRunReports:
     def test_empty_input(self):
         assert run_reports([], workers=4) == []
 
-    def test_on_result_journal_hook(self):
-        landed = []
-        reports = run_reports(
-            [tiny(load=0.1), tiny(load=0.2)],
-            workers=1,
-            on_result=lambda i, r, e, c: landed.append((i, r, e, c)),
-        )
-        assert [entry[0] for entry in landed] == [0, 1]
-        assert [entry[1] for entry in landed] == reports
-        assert all(not entry[3] for entry in landed)
-
-    def test_on_result_fires_on_cache_hits(self, tmp_path):
-        cache = SweepCache(str(tmp_path))
-        run_reports([tiny(load=0.1)], cache=cache)
-        landed = []
-        run_reports(
-            [tiny(load=0.1)], cache=cache,
-            on_result=lambda i, r, e, c: landed.append((i, c)),
-        )
-        assert landed == [(0, True)]
-
-    def test_on_result_under_pool(self):
-        landed = []
-        configs = [tiny(load=load) for load in (0.1, 0.15, 0.2)]
-        reports = run_reports(
-            configs, workers=3,
-            on_result=lambda i, r, e, c: landed.append((i, r)),
-        )
-        # completion order may differ; every point lands exactly once
-        assert sorted(i for i, _ in landed) == [0, 1, 2]
-        for index, report in landed:
-            assert reports[index] == report
-
 
 class TestFailureCapture:
     def test_default_raises(self):
         with pytest.raises(ValueError, match="unknown routing"):
             run_reports([tiny(routing="nope")])
 
-    def test_failures_return_yields_pointfailure(self):
-        from repro.sim.parallel import PointFailure
-
-        reports = run_reports(
-            [tiny(load=0.1), tiny(routing="nope")], failures="return"
-        )
-        assert isinstance(reports[0], dict)
-        assert isinstance(reports[1], PointFailure)
-        assert "nope" in reports[1].error
-
-    def test_failures_return_under_pool(self):
-        from repro.sim.parallel import PointFailure
-
-        reports = run_reports(
-            [tiny(load=0.1), tiny(routing="nope"), tiny(load=0.15)],
-            workers=3, failures="return",
-        )
-        assert isinstance(reports[1], PointFailure)
-        assert isinstance(reports[0], dict)
-        assert isinstance(reports[2], dict)
-
     def test_failures_never_cached(self, tmp_path):
         cache = SweepCache(str(tmp_path))
-        run_reports([tiny(routing="nope")], cache=cache,
-                    failures="return")
-        assert list(tmp_path.glob("*.json")) == []
-
-    def test_bad_failures_value_rejected(self):
-        with pytest.raises(ValueError, match="failures"):
-            run_reports([tiny()], failures="ignore")
+        with pytest.raises(ValueError, match="unknown routing"):
+            run_reports([tiny(load=0.1), tiny(routing="nope")],
+                        cache=cache)
+        # the point that ran is cached, the one that raised is not
+        assert len(list(tmp_path.glob("*.json"))) == 1
 
 
 class TestSweepDeterminism:

@@ -526,7 +526,7 @@ class TestFlagBounds:
         ("trace", "--profile", "0"),
         ("trace", "--profile", "-3"),
         # a plain local campaign used to run and exit 0
-        ("campaign run", "--workers-fabric", "-1"),
+        ("campaign run", "--workers", "-1"),
         # every running heartbeat used to render STALE
         ("campaign watch", "--stale-after", "-5"),
     ])

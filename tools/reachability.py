@@ -52,9 +52,12 @@ KEEP: Dict[str, str] = {
         "harness import (ROADMAP 9)",
     "repro.campaign.store.CampaignStore.record_timeseries":
         "harness import (ROADMAP 9)",
-    # test seams: a fast poll, a fixed clock, an in-process CLI, a
-    # fault that fires mid-run, a phase and a lifecycle to observe
-    "repro.campaign.fabric.spawn_worker(poll=)": "seam",
+    "repro.campaign.fabric.run_fabric(interval=)":
+        "harness import (ROADMAP 9)",
+    # test seams: a worker's fast poll and short lease, a fixed clock,
+    # an in-process CLI, a fault that fires mid-run, a phase and a
+    # lifecycle to observe
+    "repro.campaign.fabric.spawn_worker(flags=)": "seam",
     "repro.campaign.store.CampaignStore.acquire_leases(now=)": "seam",
     "repro.campaign.store.CampaignStore.close_open_spans(now=)": "seam",
     "repro.campaign.store.CampaignStore.renew_leases(now=)": "seam",
