@@ -21,7 +21,8 @@ The layer between one-off sweeps and paper-scale evaluation:
   journal holds for each settled point through
   :class:`CampaignMonitor` (the ETA is remaining points ÷ the settle
   rate); ``cr-sim campaign watch`` renders it and an executor given a
-  telemetry server publishes it on ``/status``.
+  telemetry server publishes its ``cr_campaign_*`` counts on
+  ``/metrics``.
 * :mod:`~repro.campaign.library` — built-in campaigns
   (``fault-matrix``, ``paper-core``).
 * :mod:`~repro.campaign.timeline` — the merged campaign timeline:

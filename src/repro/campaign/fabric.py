@@ -441,9 +441,9 @@ class Coordinator(CampaignView):
     :meth:`~CampaignView.heartbeat` (a fresh coordinator folds
     everything already settled) to know when the campaign has settled
     and, with a :class:`~repro.obs.server.TelemetryServer` attached,
-    publishes it on ``/status`` with the ``cr_campaign_*`` and
-    ``cr_fabric_*`` metrics on ``/metrics``.  The attempt budget is
-    the spec's ``max_attempts``.
+    publishes the ``cr_campaign_*`` and ``cr_fabric_*`` metrics folded
+    from it on ``/metrics``.  The attempt budget is the spec's
+    ``max_attempts``.
     """
 
     fabric = True
@@ -574,8 +574,8 @@ class Coordinator(CampaignView):
 
         ``stop`` is an optional predicate polled each interval (e.g.
         "all my local worker processes exited"); ``timeout`` bounds the
-        wall clock.  Either way the final heartbeat is published before
-        returning, so a ``/status`` scrape never sees a vanishing run.
+        wall clock.  Either way the final metrics are published before
+        returning, so a ``/metrics`` scrape never sees a vanishing run.
         """
         deadline = (time.monotonic() + timeout
                     if timeout is not None else None)

@@ -12,10 +12,9 @@ and stored ``kill_rate``, the alert episodes, and feeds a
 ``cr_campaign_`` metrics registry.
 
 The store is the campaign's only record: the heartbeat is shown by
-``watch`` and, with a telemetry server attached, on ``/status``; the
-registries are shown on ``/metrics``.  Nothing is written beside the
-store.  The render functions at the bottom are pure over a heartbeat
-dict.
+``watch``; with a telemetry server attached, the registries are shown
+on ``/metrics``.  Nothing is written beside the store.  The render
+functions at the bottom are pure over a heartbeat dict.
 """
 
 from __future__ import annotations
@@ -77,7 +76,7 @@ def build_info_gauge(registry: MetricsRegistry) -> None:
 
 
 class CampaignMonitor:
-    """Folds settled points into the campaign heartbeat and publishes it.
+    """Folds settled points into the campaign heartbeat and registry.
 
     Fed by a :class:`CampaignView`, which folds each point once, when
     the store first holds it settled.  The monitor publishes its
@@ -94,8 +93,8 @@ class CampaignMonitor:
     ) -> None:
         self.name = name
         self.total = total
-        #: a repro.obs.server.TelemetryServer to republish every
-        #: heartbeat to (the executor attaches it); None: nowhere.
+        #: a repro.obs.server.TelemetryServer to republish the
+        #: registries to (the executor attaches it); None: nowhere.
         self.server = server
         self._clock = clock
         self._started = clock()
@@ -222,40 +221,13 @@ class CampaignMonitor:
             },
         }
 
-    def publish(
-        self,
-        status: Dict[str, Any],
-        registries: Sequence[MetricsRegistry] = (),
-    ) -> Dict[str, Any]:
-        """Push a heartbeat built on :meth:`snapshot` (a fabric run's
-        adds its ``workers`` and ``fabric`` blocks) to the attached
-        server, if any: ``/status``, ``/metrics`` (this monitor's and
-        the ``registries``' Prometheus text, concatenated) and
-        ``/health`` (progress, alert counts, live workers).  Returns
-        the heartbeat."""
-        if self.server is None:
-            return status
-        from .. import __version__
-
-        state = status["state"]
-        fabric = status.get("fabric")
-        self.server.publish(
-            metrics_text="".join(
+    def publish(self, registries: Sequence[MetricsRegistry] = ()) -> None:
+        """Push this monitor's and the ``registries``' Prometheus text,
+        concatenated, to the attached server, if any."""
+        if self.server is not None:
+            self.server.publish("".join(
                 registry.prometheus_text()
-                for registry in (self.registry, *registries)),
-            health={
-                "status": "ok" if state == "running" else state,
-                "campaign": self.name,
-                "done": self.done,
-                "total": self.total,
-                "alerts": status["alerts"]["by_rule"],
-                **({} if fabric is None else
-                   {"workers_live": fabric["live_workers"]}),
-                "version": __version__,
-            },
-            status=status,
-        )
-        return status
+                for registry in (self.registry, *registries)))
 
 
 class CampaignView:
@@ -269,7 +241,7 @@ class CampaignView:
     only reads, so the fabric
     :class:`~repro.campaign.fabric.Coordinator` and ``cr-sim campaign
     watch`` (over a read-only connection, see :meth:`open`) build the
-    same view; the coordinator publishes it (:meth:`publish`).
+    same view; the coordinator publishes its metrics (:meth:`publish`).
     """
 
     #: carry the workers pane before any worker has joined
@@ -372,7 +344,7 @@ class CampaignView:
 
     def heartbeat(self, now: Optional[float] = None) -> Dict[str, Any]:
         """The campaign's heartbeat, as ``cr-sim campaign watch``
-        renders it and the executors publish it: the
+        renders it and the coordinator polls it: the
         monitor's snapshot, stamped with the store's last activity (a
         journaled row or a worker beat) and, for a fabric run, the
         workers pane and the ``fabric`` block."""
@@ -395,9 +367,11 @@ class CampaignView:
 
     def publish(self, registries: Sequence[MetricsRegistry] = ()
                 ) -> Dict[str, Any]:
-        """Read the :meth:`heartbeat` and :meth:`CampaignMonitor.publish`
-        it, with the ``registries``' metrics; returns it."""
-        return self.monitor.publish(self.heartbeat(), registries)
+        """Read the :meth:`heartbeat`, :meth:`CampaignMonitor.publish`
+        the metrics it folded, with the ``registries``'; returns it."""
+        status = self.heartbeat()
+        self.monitor.publish(registries)
+        return status
 
 
 # ----------------------------------------------------------------------

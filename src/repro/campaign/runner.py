@@ -23,9 +23,9 @@ Every executor runs the same three phases:
 
 The store is the campaign's only record.  The heartbeat is read back
 from it, never fed: a local run given a telemetry server publishes the
-fabric :class:`~repro.campaign.fabric.Coordinator`'s
+metrics of the fabric :class:`~repro.campaign.fabric.Coordinator`'s
 :class:`~repro.campaign.monitor.CampaignView` of its store, so a local
-run, a fabric run and ``cr-sim campaign watch`` show the same heartbeat
+run, a fabric run and ``cr-sim campaign watch`` count the same points
 for the same journal.
 
 Campaign-level guarantees:
@@ -423,9 +423,9 @@ def run_campaign(
     owns.  ``trace=True`` journals the run's spans for ``cr-sim
     campaign timeline``.  Either wraps the worker in a
     :class:`~repro.campaign.fabric.Coordinator`, which owns the root
-    span and publishes the heartbeat: before the worker starts, at most
-    every ``heartbeat`` seconds (None: never) as points land, and at
-    the end.  :func:`repro.campaign.fabric.run_fabric` shards a
+    span and publishes the heartbeat's metrics: before the worker
+    starts, at most every ``heartbeat`` seconds (None: never) as points
+    land, and at the end.  :func:`repro.campaign.fabric.run_fabric` shards a
     campaign across worker processes instead.
     """
     server, owns_server = open_telemetry(serve)

@@ -29,8 +29,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import math
 import os
 import sys
+import time
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
 
 from . import experiments
@@ -219,8 +221,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--serve", default=None, metavar="[HOST:]PORT",
             help="serve live telemetry over HTTP while the run "
-                 "executes: /metrics (Prometheus), /health, /status "
-                 "(port 0 = ephemeral; see docs/OBSERVABILITY.md)",
+                 "executes: /metrics (Prometheus text; port 0 = "
+                 "ephemeral; see docs/OBSERVABILITY.md)",
         )
 
     def add_scale(p: argparse.ArgumentParser, help=None) -> None:
@@ -574,10 +576,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="cycles between whole-network sweeps (default: %(default)s)",
     )
     verify_p.add_argument(
-        "--progress-limit", type=int, default=None, metavar="CYCLES",
-        help="liveness threshold (default: half the engine watchdog)",
-    )
-    verify_p.add_argument(
         "--mutation", default=None, metavar="NAME",
         help="inject this seeded protocol bug; the replay then MUST "
              "trip a checker (differential oracle)",
@@ -604,7 +602,7 @@ def _serving(spec: Optional[str]) -> Iterator[Any]:
     except (ValueError, OSError) as exc:
         raise UsageError(str(exc)) from None
     print(
-        f"  telemetry: {server.url}/metrics  /health  /status",
+        f"  telemetry: {server.url}/metrics",
         file=sys.stderr,
     )
     try:
@@ -957,6 +955,17 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         )
 
     with _open_store(args.db) as store, _serving(args.serve) as server:
+        # A killed run's leases hold their points until they expire;
+        # say so, or the resume looks hung while it waits them out.
+        now = time.time()
+        held = [lease for lease in store.leases(spec.name, now=now)
+                if lease["live"]]
+        if held:
+            holders = ", ".join(sorted({lease["worker_id"]
+                                        for lease in held}))
+            wait = math.ceil(held[-1]["lease_expiry"] - now)
+            print(f"  {len(held)} point(s) leased by {holders}; resuming "
+                  f"when the leases expire (≤ {wait} s)", file=sys.stderr)
         stats = run_campaign(
             spec,
             store,
@@ -1156,8 +1165,6 @@ def _cmd_campaign_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_watch(args: argparse.Namespace) -> int:
-    import time
-
     from .campaign.monitor import CampaignView, render_status, status_svg
 
     _at_least(0, above=True, interval=args.interval)
@@ -1287,8 +1294,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from .verify import mutation_names, verify_preset
     from .verify.mutations import MUTATIONS
 
-    _at_least(1, check_interval=args.check_interval,
-              progress_limit=args.progress_limit)
+    _at_least(1, check_interval=args.check_interval)
     if args.list:
         print("experiment presets: " + ", ".join(trace_experiments()))
         print("seeded mutations:")
@@ -1318,7 +1324,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             seed=args.seed,
             mutation=args.mutation,
             check_interval=args.check_interval,
-            progress_limit=args.progress_limit,
             overrides=overrides,
         )
         for name in presets

@@ -24,12 +24,12 @@ Predicate kinds:
   minimum positive value (the :func:`~repro.campaign.report.saturation_onset`
   rule, live).
 
-The evaluation context per window contains every
-:class:`~repro.obs.sampler.IntervalSample` field, a ``<counter>_delta``
-entry per ``StatsCollector`` counter (the window's increment), and the
-derived signals ``delivery_ratio``, ``dead_channel_fraction``,
-``watchdog_fraction``, ``network_health`` and
-``health_<component>``.
+The evaluation context per window contains every key of the
+:class:`~repro.obs.sampler.IntervalSampler` sample, a
+``<counter>_delta`` entry per ``StatsCollector`` counter (the window's
+increment), and the derived signals ``delivery_ratio``,
+``dead_channel_fraction``, ``watchdog_fraction``, ``network_health``
+and ``health_<component>``.
 
 Firing/resolving transitions emit typed
 :class:`~repro.obs.events.AlertEvent` s on the engine's bus (when one
@@ -55,7 +55,6 @@ from .health import dead_channel_fraction, health_components, health_score
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..network.engine import Engine
-    from .sampler import IntervalSample
 
 SEVERITIES = ("info", "warning", "critical")
 KINDS = ("threshold", "rate", "absence", "baseline_ratio")
@@ -267,11 +266,6 @@ class AlertEngine:
 
     # -- state ----------------------------------------------------------
 
-    @property
-    def firing(self) -> List[Dict[str, Any]]:
-        """Episodes still firing, in firing order."""
-        return [ep for ep in self.episodes if ep["state"] == "firing"]
-
     def firing_by_severity(self) -> Dict[str, int]:
         """severity -> currently-firing episode count (all severities)."""
         out = {severity: 0 for severity in SEVERITIES}
@@ -295,9 +289,9 @@ class AlertEngine:
     # -- evaluation -----------------------------------------------------
 
     def context(self, engine: "Engine",
-                sample: "IntervalSample") -> Dict[str, Any]:
+                sample: Dict[str, Any]) -> Dict[str, Any]:
         """The metric namespace one window's rules evaluate over."""
-        ctx: Dict[str, Any] = sample.as_dict()
+        ctx = dict(sample)
         for name, value in engine.stats.counters.items():
             ctx[f"{name}_delta"] = value - self._counter_base.get(name, 0)
             self._counter_base[name] = value
@@ -341,11 +335,10 @@ class AlertEngine:
         return (baseline is not None and value > 0
                 and value >= rule.value * baseline)
 
-    def on_sample(self, engine: "Engine",
-                  sample: "IntervalSample") -> None:
+    def on_sample(self, engine: "Engine", sample: Dict[str, Any]) -> None:
         """Evaluate every rule against one closed sampler window."""
         ctx = self.context(engine, sample)
-        end = sample.end
+        end = sample["end"]
         bus = engine.bus
         for rule in self.rules:
             value = ctx.get(rule.metric)

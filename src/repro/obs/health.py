@@ -16,14 +16,16 @@ score in [0, 1] from four components, each itself in [0, 1]:
   capacity; sustained saturation drives this toward 0.
 
 The score is the weighted mean of the components (:data:`WEIGHTS`).
-It is computed only on demand — at sampler boundaries by the telemetry
-publisher and alert engine, or once per scrape snapshot — never in the
-per-cycle hot path.
+It is served as the ``cr_network_health`` and
+``cr_network_health_component`` gauges of
+:func:`~repro.obs.metrics.engine_metrics`, and computed only on demand
+— at sampler boundaries by the telemetry publisher and alert engine —
+never in the per-cycle hot path.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import TYPE_CHECKING, Dict
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..network.engine import Engine
@@ -85,25 +87,3 @@ def health_score(components: Dict[str, float]) -> float:
         if name in WEIGHTS
     ) / total
 
-
-def health_report(engine: "Engine",
-                  extra: Optional[Dict[str, Any]] = None
-                  ) -> Dict[str, Any]:
-    """A JSON-ready health payload for ``/health`` and the registry.
-
-    ``extra`` entries (e.g. alert counts) are merged at the top level
-    without affecting the score.
-    """
-    from .. import __version__
-
-    components = health_components(engine)
-    out: Dict[str, Any] = {
-        "status": "ok",
-        "score": health_score(components),
-        "components": components,
-        "cycle": engine.now,
-        "version": __version__,
-    }
-    if extra:
-        out.update(extra)
-    return out

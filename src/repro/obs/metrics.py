@@ -12,8 +12,8 @@ Prometheus text export (:meth:`MetricsRegistry.prometheus_text`, what
   active kill wavefronts, busy injectors), and the measured latency
   distribution as a fixed-bucket histogram;
 * the campaign monitor keeps progress counters and point wall-time
-  histograms, which ``/metrics`` shows next to the heartbeat on
-  ``/status`` (see :mod:`repro.campaign.monitor`).
+  histograms, which ``/metrics`` shows (the heartbeat itself is read
+  from the store, see :mod:`repro.campaign.monitor`).
 
 The registry is snapshot-oriented, not hot-path-resident: the engine
 keeps feeding its plain ``Counter`` dict (one dict op per event), and a

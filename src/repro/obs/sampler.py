@@ -18,7 +18,6 @@ campaign SQLite store unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
 from ..stats.latency import percentile
@@ -38,56 +37,27 @@ _DELTA_COUNTERS = (
 )
 
 
-@dataclass(frozen=True)
-class IntervalSample:
-    """Metrics for one sampling interval ``[start, end)``."""
-
-    index: int
-    start: int
-    end: int
-    injected_flits: int
-    delivered_flits: int
-    created_messages: int
-    delivered_messages: int
-    kills: int
-    accepted_load: float  #: injected flits per node-cycle
-    throughput: float  #: delivered payload flits per node-cycle
-    kill_rate: float  #: kills per message delivered in the interval
-    #: mean latency of messages delivered here; None when the interval
-    #: delivered nothing (an empty window has no latency, and 0.0 would
-    #: read as "instant delivery" in downstream aggregates).
-    latency_mean: Optional[float]
-    latency_p99: Optional[float]
-    occupancy: int  #: total buffered flits at the interval close
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "index": self.index,
-            "start": self.start,
-            "end": self.end,
-            "injected_flits": self.injected_flits,
-            "delivered_flits": self.delivered_flits,
-            "created_messages": self.created_messages,
-            "delivered_messages": self.delivered_messages,
-            "kills": self.kills,
-            "accepted_load": self.accepted_load,
-            "throughput": self.throughput,
-            "kill_rate": self.kill_rate,
-            "latency_mean": self.latency_mean,
-            "latency_p99": self.latency_p99,
-            "occupancy": self.occupancy,
-        }
-
-
 class IntervalSampler:
-    """Collects one :class:`IntervalSample` every ``interval`` cycles."""
+    """Closes one sample dict every ``interval`` cycles.
+
+    A sample covers the interval ``[start, end)``: its ``index``, the
+    counter deltas (``injected_flits``, ``delivered_flits``,
+    ``created_messages``, ``delivered_messages``, ``kills``),
+    ``accepted_load`` (injected flits per node-cycle), ``throughput``
+    (delivered payload flits per node-cycle), ``kill_rate`` (kills per
+    message delivered in the interval), ``latency_mean`` and
+    ``latency_p99`` of the messages delivered in it -- None when it
+    delivered nothing (an empty window has no latency, and 0.0 would
+    read as "instant delivery" in downstream aggregates) -- and
+    ``occupancy``, the total buffered flits at the close.
+    """
 
     def __init__(self, engine: "Engine", interval: int = 100) -> None:
         if interval < 1:
             raise ValueError("sample interval must be >= 1")
         self.engine = engine
         self.interval = interval
-        self.samples: List[IntervalSample] = []
+        self.samples: List[Dict[str, Any]] = []
         #: sample listeners, called as ``listener.on_sample(engine,
         #: sample)`` right after a window closes -- the alert engine
         #: and telemetry publisher hook in here, so their cost lands
@@ -142,40 +112,39 @@ class IntervalSampler:
         span = end - self._start
         node_cycles = engine.topology.num_nodes * span
         delivered_messages = deltas["messages_delivered"]
-        self.samples.append(IntervalSample(
-            index=len(self.samples),
-            start=self._start,
-            end=end,
-            injected_flits=deltas["flits_injected"],
-            delivered_flits=deltas["payload_flits_delivered"],
-            created_messages=deltas["messages_created"],
-            delivered_messages=delivered_messages,
-            kills=deltas["kills"],
-            accepted_load=deltas["flits_injected"] / node_cycles,
-            throughput=deltas["payload_flits_delivered"] / node_cycles,
-            kill_rate=(deltas["kills"] / delivered_messages
-                       if delivered_messages else 0.0),
-            latency_mean=mean,
-            latency_p99=p99,
-            occupancy=occupancy,
-        ))
+        sample = {
+            "index": len(self.samples),
+            "start": self._start,
+            "end": end,
+            "injected_flits": deltas["flits_injected"],
+            "delivered_flits": deltas["payload_flits_delivered"],
+            "created_messages": deltas["messages_created"],
+            "delivered_messages": delivered_messages,
+            "kills": deltas["kills"],
+            "accepted_load": deltas["flits_injected"] / node_cycles,
+            "throughput": deltas["payload_flits_delivered"] / node_cycles,
+            "kill_rate": (deltas["kills"] / delivered_messages
+                          if delivered_messages else 0.0),
+            "latency_mean": mean,
+            "latency_p99": p99,
+            "occupancy": occupancy,
+        }
+        self.samples.append(sample)
         self._start = end
-        if self.listeners:
-            sample = self.samples[-1]
-            for listener in self.listeners:
-                listener.on_sample(engine, sample)
+        for listener in self.listeners:
+            listener.on_sample(engine, sample)
 
     # ------------------------------------------------------------------
     # Export
     # ------------------------------------------------------------------
 
     def rows(self) -> List[Dict[str, Any]]:
-        """The samples as flat JSON-ready dicts."""
-        return [sample.as_dict() for sample in self.samples]
+        """The samples as flat JSON-ready dicts (copies)."""
+        return [dict(sample) for sample in self.samples]
 
     def series(self, metric: str) -> List[float]:
         """One metric's values across the samples, in time order."""
-        return [getattr(sample, metric) for sample in self.samples]
+        return [sample[metric] for sample in self.samples]
 
     def to_csv(self, path: str) -> int:
         """Write the samples as CSV rows; returns the row count."""

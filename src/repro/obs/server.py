@@ -3,28 +3,21 @@
 ROADMAP item 3 asks for the :class:`~repro.obs.metrics.MetricsRegistry`
 "on a real Prometheus scrape endpoint"; this is it.  The server owns no
 simulation state: the *simulation* thread publishes pre-rendered
-snapshots (Prometheus text, a health payload, a status payload) with
-:meth:`TelemetryServer.publish`, and the HTTP threads serve the latest
-snapshot under a lock.  Scrapes therefore never touch live engine
-structures mid-mutation, and the sim thread never blocks on a slow
-client.
+Prometheus text with :meth:`TelemetryServer.publish`, and the HTTP
+threads serve the latest text under a lock.  Scrapes therefore never
+touch live engine structures mid-mutation, and the sim thread never
+blocks on a slow client.
 
-Endpoints:
-
-* ``GET /metrics`` — Prometheus text exposition
-  (``text/plain; version=0.0.4``), round-trippable through
-  :func:`~repro.obs.metrics.parse_prometheus_text`;
-* ``GET /health`` — liveness + the composite
-  :mod:`~repro.obs.health` payload (score, components, version), JSON;
-* ``GET /status`` — the campaign heartbeat JSON for campaign runs, or
-  a small run descriptor for single runs;
-* ``GET /`` — a text index of the above.
+It serves one endpoint, ``GET /metrics``: Prometheus text exposition
+(``text/plain; version=0.0.4``), round-trippable through
+:func:`~repro.obs.metrics.parse_prometheus_text`.  Any other path is a
+404.
 
 Attach points: ``SimConfig(serve=...)`` for single runs (the
 :class:`EngineTelemetry` sampler listener republishes at every sampler
 boundary), ``run_campaign(serve=...)`` and the fabric coordinator
-(each publishes the campaign's heartbeat as read from its store, see
-:class:`~repro.campaign.monitor.CampaignView`), and ``cr-sim
+(each publishes the ``cr_campaign_*`` registry folded from its store,
+see :class:`~repro.campaign.monitor.CampaignView`), and ``cr-sim
 run|trace|campaign run --serve [HOST:]PORT``.
 
 A serve spec is a port (``9100``), a ``"[HOST:]PORT"`` string
@@ -35,14 +28,12 @@ an already-constructed :class:`TelemetryServer`.
 
 from __future__ import annotations
 
-import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..network.engine import Engine
-    from .sampler import IntervalSample
 
 ServeSpec = Union[bool, int, str, Tuple[str, int], "TelemetryServer"]
 
@@ -83,7 +74,7 @@ def parse_serve(spec: ServeSpec) -> Tuple[str, int]:
 
 
 class _Handler(BaseHTTPRequestHandler):
-    """Serves the owning :class:`TelemetryServer`'s latest snapshots."""
+    """Serves the owning :class:`TelemetryServer`'s latest text."""
 
     server_version = "cr-telemetry"
     protocol_version = "HTTP/1.1"
@@ -107,19 +98,6 @@ class _Handler(BaseHTTPRequestHandler):
         if path == "/metrics":
             self._send(telemetry.metrics_text(),
                        "text/plain; version=0.0.4; charset=utf-8")
-        elif path == "/health":
-            self._send(json.dumps(telemetry.health(), sort_keys=True),
-                       "application/json")
-        elif path == "/status":
-            self._send(json.dumps(telemetry.status(), sort_keys=True),
-                       "application/json")
-        elif path == "/":
-            self._send(
-                "cr telemetry\n\n/metrics  Prometheus text\n"
-                "/health   composite network health (JSON)\n"
-                "/status   campaign/run status (JSON)\n",
-                "text/plain; charset=utf-8",
-            )
         else:
             self._send(f"no such endpoint {path!r}\n",
                        "text/plain; charset=utf-8", code=404)
@@ -132,14 +110,13 @@ class _Server(ThreadingHTTPServer):
 
 
 class TelemetryServer:
-    """Threaded HTTP server over published telemetry snapshots.
+    """Threaded HTTP server over the latest published metrics text.
 
     Construction binds the socket (so an ephemeral ``port=0`` resolves
     immediately); :meth:`start` begins serving on a daemon thread,
     :meth:`stop` shuts it down.  Publishing and serving synchronise on
-    one internal lock; published payloads must already be plain
-    strings/JSON-ready dicts (the publisher renders them on the sim
-    side -- see module docstring).
+    one internal lock; the publisher renders the text on the sim side
+    (see module docstring).
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
@@ -148,8 +125,6 @@ class TelemetryServer:
         self.host, self.port = self._httpd.server_address[:2]
         self._lock = threading.Lock()
         self._metrics_text = _EMPTY_METRICS
-        self._health: Dict[str, Any] = {"status": "starting"}
-        self._status: Dict[str, Any] = {"state": "starting"}
         self._thread: Optional[threading.Thread] = None
         self.publishes = 0
 
@@ -184,30 +159,15 @@ class TelemetryServer:
 
     # -- snapshot exchange ----------------------------------------------
 
-    def publish(self, metrics_text: Optional[str] = None,
-                health: Optional[Dict[str, Any]] = None,
-                status: Optional[Dict[str, Any]] = None) -> None:
-        """Swap in new snapshots (None leaves a snapshot unchanged)."""
+    def publish(self, metrics_text: str) -> None:
+        """Swap in new Prometheus text."""
         with self._lock:
-            if metrics_text is not None:
-                self._metrics_text = metrics_text
-            if health is not None:
-                self._health = health
-            if status is not None:
-                self._status = status
+            self._metrics_text = metrics_text
             self.publishes += 1
 
     def metrics_text(self) -> str:
         with self._lock:
             return self._metrics_text
-
-    def health(self) -> Dict[str, Any]:
-        with self._lock:
-            return self._health
-
-    def status(self) -> Dict[str, Any]:
-        with self._lock:
-            return self._status
 
 
 def make_telemetry_server(spec: ServeSpec) -> TelemetryServer:
@@ -219,12 +179,12 @@ def make_telemetry_server(spec: ServeSpec) -> TelemetryServer:
 
 
 class EngineTelemetry:
-    """Sampler listener publishing one engine's snapshots to a server.
+    """Sampler listener publishing one engine's metrics to a server.
 
     Rides ``engine.sampler.listeners`` (``SimConfig(serve=...)`` wires
-    it), so a fresh ``/metrics``, ``/health``, and ``/status`` snapshot
-    lands at every sampler boundary; :meth:`close` publishes the final
-    state and stops the server if this publisher started it.
+    it), so a fresh ``/metrics`` text lands at every sampler boundary;
+    :meth:`close` publishes the final registry and stops the server if
+    this publisher started it.
     """
 
     def __init__(self, server: TelemetryServer,
@@ -232,34 +192,16 @@ class EngineTelemetry:
         self.server = server
         self.owns_server = owns_server
 
-    def on_sample(self, engine: "Engine",
-                  sample: "IntervalSample") -> None:
+    def on_sample(self, engine: "Engine", sample: Dict[str, Any]) -> None:
         self.publish(engine)
 
-    def publish(self, engine: "Engine", state: str = "running") -> None:
-        from .health import health_report
+    def publish(self, engine: "Engine") -> None:
         from .metrics import engine_metrics
 
-        alerts = engine.alerts
-        extra: Dict[str, Any] = {}
-        status: Dict[str, Any] = {
-            "state": state,
-            "kind": "run",
-            "cycle": engine.now,
-        }
-        if alerts is not None:
-            extra["alerts"] = alerts.summary()
-            status["alerts"] = alerts.firing
-        if state != "running":
-            extra["status"] = state
-        self.server.publish(
-            metrics_text=engine_metrics(engine).prometheus_text(),
-            health=health_report(engine, extra=extra),
-            status=status,
-        )
+        self.server.publish(engine_metrics(engine).prometheus_text())
 
     def close(self, engine: "Engine") -> None:
-        """Publish the end-of-run state; stop an owned server."""
-        self.publish(engine, state="finished")
+        """Publish the end-of-run registry; stop an owned server."""
+        self.publish(engine)
         if self.owns_server:
             self.server.stop()

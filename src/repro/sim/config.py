@@ -156,7 +156,7 @@ class SimConfig:
     alerts: Optional[Any] = None
     # Live telemetry server (repro.obs.server): True for loopback on an
     # ephemeral port, a port, "[HOST:]PORT", or a TelemetryServer.
-    # Serves /metrics, /health, /status; republished at every sampler
+    # Serves /metrics; republished at every sampler
     # boundary (a sampler is auto-attached as for alerts).
     serve: Optional[Any] = None
     # --- verification --------------------------------------------------

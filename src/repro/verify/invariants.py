@@ -58,18 +58,12 @@ class VerifyConfig:
     #: cycles between whole-network sweeps (conservation + credits +
     #: liveness); event-driven checks (padding, kill) run at each event.
     check_interval: int = 64
-    #: cycles without progress before the liveness checker fires;
-    #: ``None`` derives half the engine watchdog (so the typed violation
-    #: beats the generic ``NetworkDeadlockError``).
-    progress_limit: Optional[int] = None
     #: seeded protocol bug to inject (repro.verify.mutations name).
     mutation: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.check_interval < 1:
             raise ValueError("check_interval must be >= 1")
-        if self.progress_limit is not None and self.progress_limit < 1:
-            raise ValueError("progress_limit must be >= 1")
 
     @classmethod
     def coerce(
@@ -153,11 +147,10 @@ class InvariantChecker:
         self.commits_checked = 0
         self.kills_checked = 0
         self._last_check = 0
-        self._progress_limit = (
-            config.progress_limit
-            if config.progress_limit is not None
-            else max(256, engine.watchdog // 2)
-        )
+        #: cycles without progress before the liveness checker fires:
+        #: half the engine watchdog, so the typed violation beats the
+        #: generic ``NetworkDeadlockError``.
+        self._progress_limit = max(256, engine.watchdog // 2)
 
     # ------------------------------------------------------------------
     # Engine hooks (all guarded by ``engine.checker is not None``)

@@ -40,7 +40,6 @@ def verify_preset(
     seed: int = 42,
     mutation: Optional[str] = None,
     check_interval: int = 16,
-    progress_limit: Optional[int] = None,
     overrides: Optional[Dict[str, Any]] = None,
 ) -> VerifyOutcome:
     """Replay ``experiment`` with all invariants armed."""
@@ -52,7 +51,6 @@ def verify_preset(
         seed=seed,
         verify=VerifyConfig(
             check_interval=check_interval,
-            progress_limit=progress_limit,
             mutation=mutation,
         ),
         **(overrides or {}),
@@ -64,8 +62,8 @@ def verify_preset(
             experiment, ok=False, cycles=exc.cycle, violation=exc
         )
     except NetworkDeadlockError as exc:
-        # The watchdog outranks the checkers only when liveness is
-        # disarmed or the limit outlasts the watchdog; still a catch.
+        # The watchdog outranks the liveness check only when it is no
+        # longer than the check's 256-cycle floor; still a catch.
         return VerifyOutcome(
             experiment, ok=False, error=f"watchdog: {exc}"
         )

@@ -210,7 +210,9 @@ class TestLiveServing:
         try:
             run_campaign(spec, store, heartbeat=0.0, serve=server)
             assert server.running
-            assert server.status()["state"] == "finished"
+            final = parse_prometheus_text(server.metrics_text())
+            assert final["cr_campaign_points_total"]["samples"][
+                'cr_campaign_points_total{outcome="ok"}'] == spec.size
         finally:
             server.stop()
 
@@ -257,14 +259,14 @@ class TestMonitorAlerts:
             monitor = CampaignMonitor("m", 2, None)
             monitor.server = server
             monitor.fold(make_point(), "ok", 0.5, None, [episode()])
-            monitor.publish(monitor.snapshot("finished"))
+            monitor.publish()
             assert server.publishes == 1
-            health = server.health()
-            assert health["campaign"] == "m"
-            assert health["status"] == "finished"
-            assert health["alerts"] == {"kill-storm": 1}
-            assert "cr_campaign_points_total" in server.metrics_text()
-            assert server.status()["state"] == "finished"
+            parsed = parse_prometheus_text(server.metrics_text())
+            assert parsed["cr_campaign_points_total"]["samples"][
+                'cr_campaign_points_total{outcome="ok"}'] == 1
+            assert parsed["cr_campaign_alerts_by_rule_total"]["samples"] == {
+                'cr_campaign_alerts_by_rule_total'
+                '{rule="kill-storm",severity="critical"}': 1}
         finally:
             server.stop()
 

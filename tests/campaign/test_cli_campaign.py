@@ -235,6 +235,26 @@ class TestRun:
         assert "0 point(s) run, 2 resumed" in second.out
         assert "already stored" in second.err
 
+    def test_resume_names_the_leases_it_waits_for(self, tmp_path, db,
+                                                  capsys):
+        """A run that finds another run's live leases says so before
+        it waits them out, instead of printing nothing."""
+        from repro.campaign.runner import submit_campaign
+
+        path = spec_file(tmp_path)
+        with open(path, encoding="utf-8") as handle:
+            spec = repro.campaign.CampaignSpec.from_dict(json.load(handle))
+        with repro.campaign.CampaignStore(db) as store:
+            points = submit_campaign(spec, store)
+            (lease,) = store.acquire_leases(
+                spec.name, "ghost",
+                [(point.point_id, point.config_hash) for point in points],
+                limit=1, ttl=1.0)
+        assert cli_main(["campaign", "run", path, "--db", db]) == 0
+        err = capsys.readouterr().err
+        assert ("1 point(s) leased by ghost; resuming when the leases "
+                "expire (≤ 1 s)") in err
+
     def test_unknown_name_rejected(self, db, usage_error):
         assert cli_main(["campaign", "run", "banana", "--db", db]) == 2
         usage_error("campaign run", "neither a built-in")

@@ -308,8 +308,6 @@ class TestOneHeartbeat:
                 on_poll=polled.append)
             run_worker(spec, db, worker_id="w1")
             stats = coordinator.run(timeout=60)
-            served = server.status()
-            health = server.health()
             scrape = parse_prometheus_text(server.metrics_text())
         finally:
             server.stop()
@@ -324,11 +322,15 @@ class TestOneHeartbeat:
         assert "kills/delivered" not in text
         assert "workers: 1" in text
         # The registries are shown on /metrics only.
-        assert "metrics" not in status and "metrics" not in served
-        # One heartbeat everywhere it is read.
-        assert polled[-1]["alerts"] == served["alerts"] == status["alerts"]
-        assert health["alerts"] == {"heartbeat": 2}
-        assert health["workers_live"] == 0  # w1 left, state finished
+        assert "metrics" not in status and "metrics" not in polled[-1]
+        # One heartbeat everywhere it is read, and its counts served.
+        assert polled[-1]["alerts"] == status["alerts"]
+        assert status["alerts"]["by_rule"] == {"heartbeat": 2}
+        assert scrape["cr_campaign_alerts_by_rule_total"]["samples"] == {
+            'cr_campaign_alerts_by_rule_total'
+            '{rule="heartbeat",severity="info"}': 2}
+        assert scrape["cr_fabric_workers_live"]["samples"][
+            "cr_fabric_workers_live"] == 0  # w1 left, state finished
         assert scrape["cr_campaign_alerts_total"]["samples"][
             "cr_campaign_alerts_total"] == 2
         assert scrape["cr_fabric_points_done"]["samples"][

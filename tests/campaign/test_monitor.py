@@ -55,16 +55,6 @@ def mixed_spec(name="hb-mixed"):
     })
 
 
-def without_elapsed(status):
-    """A heartbeat as JSON holds it, minus its running time and its
-    workers' heartbeat ages (both read the clock)."""
-    status = json.loads(json.dumps(status))
-    del status["elapsed_seconds"]
-    for worker in status.get("workers", ()):
-        del worker["last_seen_age"]
-    return status
-
-
 def read_json(path):
     with open(path, encoding="utf-8") as handle:
         return json.load(handle)
@@ -72,13 +62,13 @@ def read_json(path):
 
 def served_run(spec, db, **kwargs):
     """Run ``spec`` into the store at ``db`` with a telemetry server
-    attached; returns (stats, the last ``/status``, ``/metrics``
-    parsed, the server's publish count)."""
+    attached; returns (stats, the store's heartbeat as ``watch`` shows
+    it, the last ``/metrics`` parsed, the server's publish count)."""
     server = TelemetryServer()
     try:
         with CampaignStore(db) as store:
             stats = run_campaign(spec, store, serve=server, **kwargs)
-        return (stats, server.status(),
+        return (stats, stored_heartbeat(db, spec.name),
                 parse_prometheus_text(server.metrics_text()),
                 server.publishes)
     finally:
@@ -88,6 +78,19 @@ def served_run(spec, db, **kwargs):
 def stored_heartbeat(db, name):
     with CampaignStore(db, readonly=True) as reader:
         return CampaignView.open(reader, name).heartbeat()
+
+
+def served_counts(scrape):
+    """``(ok, failed)`` as the served ``cr_campaign_points_total``
+    counts them."""
+    samples = scrape["cr_campaign_points_total"]["samples"]
+    return tuple(samples[f'cr_campaign_points_total{{outcome="{outcome}"}}']
+                 for outcome in ("ok", "failed"))
+
+
+def served_done(metrics_text):
+    """Settled points in a published ``/metrics`` text."""
+    return sum(served_counts(parse_prometheus_text(metrics_text)))
 
 
 def make_point(point_id="p/rep=0", scenario=None, replication=0):
@@ -210,35 +213,36 @@ class TestMonitorAccounting:
             with CampaignStore(db) as store:
                 run_campaign(spec, store, heartbeat=100.0, serve=server,
                              progress=lambda _: seen.append(
-                                 (server.publishes, server.status())))
+                                 (server.publishes,
+                                  served_done(server.metrics_text()))))
             publishes = server.publishes
-            final = server.status()
+            final = served_done(server.metrics_text())
         finally:
             server.stop()
-        assert [count for count, _ in seen] == [1] * spec.size
-        assert all((status["state"], status["done"]) == ("running", 0)
-                   for _, status in seen)
+        assert seen == [(1, 0)] * spec.size
         assert publishes == 2
-        assert final["state"] == "finished"
+        assert final == spec.size
 
     def test_completion_writes_even_when_throttled(self, tmp_path):
         spec = tiny_spec()
-        _, status, _, _ = served_run(spec, str(tmp_path / "camp.sqlite"),
-                                     heartbeat=1000.0)
+        _, status, scrape, _ = served_run(
+            spec, str(tmp_path / "camp.sqlite"), heartbeat=1000.0)
         assert status["done"] == status["total"] == spec.size
         assert status["state"] == "finished"
+        assert served_counts(scrape) == (spec.size, 0)
 
 
 class TestRunCampaignHeartbeat:
     def test_run_writes_and_finalizes_heartbeat(self, tmp_path):
         spec = tiny_spec()
-        stats, status, _, _ = served_run(
+        stats, status, scrape, _ = served_run(
             spec, str(tmp_path / "camp.sqlite"), heartbeat=0.0)
         assert stats.complete
         assert status["state"] == "finished"
         assert status["done"] == status["total"] == spec.size
         assert status["last_point"]["outcome"] == "ok"
         assert "load" in status["last_point"]["scenario"]
+        assert served_counts(scrape) == (spec.size, 0)
 
     def test_resume_counts_skipped_points_as_done(self, tmp_path):
         db = str(tmp_path / "camp.sqlite")
@@ -246,38 +250,44 @@ class TestRunCampaignHeartbeat:
         served_run(spec, db, heartbeat=0.0)
         # Second run resumes: every point skips, heartbeat stays
         # consistent at done == total.
-        stats, status, _, _ = served_run(spec, db, heartbeat=0.0)
+        stats, status, scrape, _ = served_run(spec, db, heartbeat=0.0)
         assert stats.skipped == spec.size
         assert status["state"] == "finished"
         assert status["done"] == status["total"] == spec.size
+        assert served_counts(scrape) == (spec.size, 0)
 
     def test_status_is_the_stores_view(self, tmp_path):
-        """One heartbeat: ``/status`` and a read-only view of the same
-        store agree on every key but the running time, and the
-        registries are shown on ``/metrics`` only."""
+        """One heartbeat: the served ``cr_campaign_*`` counts are those
+        of a read-only view of the same store (what ``watch`` shows),
+        and the registries are shown on ``/metrics`` only."""
         db = str(tmp_path / "camp.sqlite")
         spec = mixed_spec()
-        _, served, scrape, _ = served_run(spec, db, heartbeat=0.0)
-        viewed = stored_heartbeat(db, spec.name)
-        assert without_elapsed(served) == without_elapsed(viewed)
-        assert (served["done"], served["failed"]) == (2, 1)
-        assert served["alerts"]["total"] >= 1
-        assert "metrics" not in served
+        _, viewed, scrape, _ = served_run(spec, db, heartbeat=0.0)
+        assert (viewed["done"], viewed["failed"]) == (2, 1)
+        assert viewed["alerts"]["total"] >= 1
+        assert "metrics" not in viewed
         # Two failed attempts are one settled point; no skip label.
         counters = scrape["cr_campaign_points_total"]["samples"]
         assert counters == {'cr_campaign_points_total{outcome="ok"}': 1,
                             'cr_campaign_points_total{outcome="failed"}': 1}
+        assert scrape["cr_campaign_alerts_total"]["samples"][
+            "cr_campaign_alerts_total"] == viewed["alerts"]["total"]
 
     def test_resumed_run_publishes_the_first_runs_heartbeat(self,
                                                              tmp_path):
         db = str(tmp_path / "camp.sqlite")
         spec = mixed_spec()
-        _, first, _, _ = served_run(spec, db, heartbeat=0.0)
-        stats, again, _, _ = served_run(spec, db, heartbeat=0.0)
+        _, first, first_scrape, _ = served_run(spec, db, heartbeat=0.0)
+        stats, again, again_scrape, _ = served_run(spec, db, heartbeat=0.0)
         assert stats.ran == 0
         for key in ("state", "done", "total", "failed", "alerts",
                     "last_point"):
             assert again[key] == first[key], key
+        for family in ("cr_campaign_points_total",
+                       "cr_campaign_alerts_total",
+                       "cr_campaign_alerts_by_rule_total"):
+            assert (again_scrape[family]["samples"]
+                    == first_scrape[family]["samples"]), family
 
     def test_heartbeat_none_disables_monitoring(self, tmp_path):
         spec = tiny_spec()

@@ -108,7 +108,7 @@ class TestListeners:
 
         class Recorder:
             def on_sample(self, engine, sample):
-                calls.append((sample.index, sample.end))
+                calls.append((sample["index"], sample["end"]))
 
         engine = SimConfig(
             radix=4, dims=2, routing="cr", load=0.2, message_length=8,
@@ -119,7 +119,7 @@ class TestListeners:
         engine.run(20_000)
         engine.sampler.finalize(engine.now)
         assert [index for index, _ in calls] == list(range(len(calls)))
-        assert calls == [(s.index, s.end)
+        assert calls == [(s["index"], s["end"])
                          for s in engine.sampler.samples]
 
 

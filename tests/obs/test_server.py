@@ -1,6 +1,5 @@
 """Telemetry HTTP server: serve specs, endpoints, live-run publishing."""
 
-import json
 import urllib.error
 import urllib.request
 
@@ -74,33 +73,34 @@ class TestEndpoints:
         assert body.startswith("# no metrics published yet")
 
     def test_published_snapshots_are_served(self, server):
-        server.publish(
-            metrics_text="cr_up 1\n",
-            health={"status": "ok", "score": 0.5},
-            status={"state": "running", "done": 3},
-        )
-        _, _, metrics = fetch(server.url + "/metrics")
+        server.publish("cr_up 1\n")
+        assert server.publishes == 1
+        _, content_type, metrics = fetch(server.url + "/metrics")
+        assert content_type.startswith("text/plain; version=0.0.4")
         assert parse_prometheus_text(metrics)["cr_up"]["samples"] == {
             "cr_up": 1.0
         }
-        _, content_type, health = fetch(server.url + "/health")
-        assert content_type == "application/json"
-        assert json.loads(health) == {"status": "ok", "score": 0.5}
-        _, _, status = fetch(server.url + "/status")
-        assert json.loads(status) == {"state": "running", "done": 3}
 
     def test_partial_publish_leaves_other_snapshots(self, server):
-        server.publish(health={"status": "ok"})
-        server.publish(status={"state": "running"})
-        assert server.health() == {"status": "ok"}
+        """A publish swaps the whole text: families of an earlier
+        publish are not merged into the next one."""
+        server.publish("cr_up 1\ncr_cycle 10\n")
+        server.publish("cr_up 0\n")
         assert server.publishes == 2
+        assert server.metrics_text() == "cr_up 0\n"
+        _, _, metrics = fetch(server.url + "/metrics")
+        parsed = parse_prometheus_text(metrics)
+        assert parsed["cr_up"]["samples"] == {"cr_up": 0.0}
+        assert "cr_cycle" not in parsed
 
     def test_index_and_404(self, server):
-        _, _, index = fetch(server.url + "/")
-        assert "/metrics" in index and "/health" in index
-        with pytest.raises(urllib.error.HTTPError) as err:
-            fetch(server.url + "/nope")
-        assert err.value.code == 404
+        """``/metrics`` is the one served payload: the index and the
+        old JSON endpoints are 404s like any unknown path."""
+        server.publish("cr_up 1\n")
+        for path in ("/", "/health", "/status", "/nope"):
+            with pytest.raises(urllib.error.HTTPError) as err:
+                fetch(server.url + path)
+            assert err.value.code == 404, path
 
     def test_stop_is_idempotent_and_closes_the_socket(self):
         server = TelemetryServer().start()
@@ -157,27 +157,27 @@ class TestEngineTelemetry:
         from repro import __version__
 
         run_simulation(self.run_config(server))
-        _, _, body = fetch(server.url + "/health")
-        health = json.loads(body)
-        assert health["status"] == "finished"
-        assert health["version"] == __version__
-        assert 0.9 <= health["score"] <= 1.0
-        assert set(health["components"]) == {
-            "delivery", "channel_liveness", "kill_pressure",
-            "occupancy_headroom",
+        _, _, body = fetch(server.url + "/metrics")
+        parsed = parse_prometheus_text(body)
+        score = parsed["cr_network_health"]["samples"]["cr_network_health"]
+        assert 0.9 <= score <= 1.0
+        components = parsed["cr_network_health_component"]["samples"]
+        assert set(components) == {
+            f'cr_network_health_component{{component="{name}"}}'
+            for name in ("delivery", "channel_liveness", "kill_pressure",
+                         "occupancy_headroom")
         }
-        assert health["alerts"]["rules"] > 0
+        (build,) = parsed["cr_build_info"]["samples"]
+        assert f'version="{__version__}"' in build
 
-    def test_status_payload_tracks_run_state(self, server):
+    def test_cycle_gauge_tracks_the_run(self, server):
         result = run_simulation(
             self.run_config(server), keep_engine=True
         )
-        _, _, body = fetch(server.url + "/status")
-        status = json.loads(body)
-        assert status["state"] == "finished"
-        assert status["kind"] == "run"
-        assert status["cycle"] == result.engine.now
-        assert isinstance(status["alerts"], list)
+        _, _, body = fetch(server.url + "/metrics")
+        parsed = parse_prometheus_text(body)
+        assert parsed["cr_cycle"]["samples"]["cr_cycle"] == result.engine.now
+        assert "cr_alerts_firing" in parsed
 
     def test_owned_server_stops_when_the_run_finishes(self):
         config = SimConfig(
@@ -189,7 +189,8 @@ class TestEngineTelemetry:
         telemetry = result.engine.telemetry
         assert telemetry.owns_server  # serve=True built a fresh server
         assert not telemetry.server.running  # ...and stopped it on close
-        assert telemetry.server.status()["state"] == "finished"
+        final = parse_prometheus_text(telemetry.server.metrics_text())
+        assert final["cr_cycle"]["samples"]["cr_cycle"] == result.engine.now
 
     def test_build_info_labels(self, server):
         from repro import __version__

@@ -522,7 +522,6 @@ class TestFlagBounds:
     @pytest.mark.parametrize("command, flag, value", [
         ("verify", "--check-interval", "0"),
         ("verify", "--check-interval", "-3"),
-        ("verify", "--progress-limit", "-1"),
         ("trace", "--profile", "0"),
         ("trace", "--profile", "-3"),
         # a plain local campaign used to run and exit 0

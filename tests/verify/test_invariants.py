@@ -41,8 +41,6 @@ class TestVerifyConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             VerifyConfig(check_interval=0)
-        with pytest.raises(ValueError):
-            VerifyConfig(progress_limit=0)
 
     def test_stable_for_cache_keys(self):
         """The frozen dataclass reprs stably (the sweep cache and the

@@ -27,33 +27,28 @@ def _base(**overrides) -> dict:
     return params
 
 
-#: mutation name -> (SimConfig kwargs, VerifyConfig kwargs) tuned so the
-#: planted bug manifests quickly and deterministically.
+#: mutation name -> SimConfig kwargs tuned so the planted bug manifests
+#: quickly and deterministically.
 TUNED = {
-    "credit-loss": (_base(), {}),
-    "credit-double-return": (_base(), {}),
-    "eject-credit-leak": (_base(), {}),
-    "double-delivery": (_base(), {}),
-    "padding-shortfall": (_base(), {}),
-    "eject-same-cycle": (_base(), {}),
+    "credit-loss": _base(),
+    "credit-double-return": _base(),
+    "eject-credit-leak": _base(),
+    "double-delivery": _base(),
+    "padding-shortfall": _base(),
+    "eject-same-cycle": _base(),
     # Kill-path bugs need kill traffic: high load, short timeout.
-    "kill-skip-hop": (_base(timeout=FixedTimeout(8)), {}),
-    "kill-leaves-flit": (_base(load=0.45, timeout=FixedTimeout(8)), {}),
+    "kill-skip-hop": _base(timeout=FixedTimeout(8)),
+    "kill-leaves-flit": _base(load=0.45, timeout=FixedTimeout(8)),
     # Liveness bugs need a run that actually deadlocks once the
-    # protocol's escape hatch is sabotaged.
-    "timeout-disabled": (
-        _base(
-            load=0.6, message_length=12, num_vcs=1,
-            warmup=0, measure=2500, drain=2000,
-        ),
-        {"progress_limit": 1000},
+    # protocol's escape hatch is sabotaged; the liveness check fires
+    # after half the watchdog without progress (1000 / 1500 cycles).
+    "timeout-disabled": _base(
+        load=0.6, message_length=12, num_vcs=1,
+        warmup=0, measure=2500, drain=2000, watchdog=2000,
     ),
-    "dateline-skip": (
-        _base(
-            routing="dor", num_vcs=2, load=0.3, message_length=8,
-            warmup=0, measure=4000, drain=2000,
-        ),
-        {"progress_limit": 1500},
+    "dateline-skip": _base(
+        routing="dor", num_vcs=2, load=0.3, message_length=8,
+        warmup=0, measure=4000, drain=2000, watchdog=3000,
     ),
 }
 
@@ -66,14 +61,12 @@ ENGINES = ("reference", "fast")
 
 
 def _config(name: str, mutated: bool, engine: str = "reference") -> SimConfig:
-    sim_kwargs, verify_kwargs = TUNED[name]
     return SimConfig(
         engine=engine,
-        **sim_kwargs,
+        **TUNED[name],
         verify=VerifyConfig(
             check_interval=16,
             mutation=name if mutated else None,
-            **verify_kwargs,
         ),
     )
 
