@@ -457,12 +457,14 @@ def run_campaign(
             published = time.monotonic()
 
             def report(status: CampaignPointStatus) -> None:
+                # Publish first, so a progress callback that scrapes
+                # sees the point it was called for.
                 nonlocal published
-                if progress is not None:
-                    progress(status)
                 if time.monotonic() - published >= heartbeat:
                     coordinator.poll()
                     published = time.monotonic()
+                if progress is not None:
+                    progress(status)
 
         from .fabric import Worker
 

@@ -12,8 +12,21 @@ payload delivered under FCR.
 
 from __future__ import annotations
 
+from array import array
 from collections import defaultdict
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set, Tuple
+from struct import Struct
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Set,
+    Tuple,
+)
+
+from .protocol import KillCause, MessagePhase
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..network.message import Message
@@ -55,6 +68,104 @@ class GuaranteeViolation(AssertionError):
     """A CR/FCR delivery guarantee was broken (simulator bug detector)."""
 
 
+class Delivery(NamedTuple):
+    """One delivered message as the ledger keeps it.
+
+    The fields are the :class:`~repro.network.message.Message`
+    attributes of the same names, read when its tail was consumed; a
+    row answers the questions a delivered message was asked (``phase``,
+    ``kill_history``, ``total_latency()``), so a reader of
+    ``ledger.deliveries`` reads it as it read the message.
+    """
+
+    uid: int
+    src: int
+    dst: int
+    seq: int
+    payload_length: int
+    wire_length: int
+    attempts: int
+    kills: int
+    fkills: int
+    measured: bool
+    created_at: int
+    first_inject_at: Optional[int]
+    inject_start_at: Optional[int]
+    stream_start_at: Optional[int]
+    committed_at: Optional[int]
+    header_consumed_at: Optional[int]
+    delivered_at: Optional[int]
+    #: ``(cycle, cause)`` per kill across attempts, oldest first.
+    kill_history: Tuple[Tuple[int, str], ...]
+
+    phase = MessagePhase.DELIVERED
+
+    def total_latency(self) -> Optional[int]:
+        """Creation-to-delivery latency (as ``Message.total_latency``)."""
+        if self.delivered_at is None:
+            return None
+        return self.delivered_at - self.created_at
+
+
+#: A ledger row: the integer fields of ``Delivery`` in field order, then
+#: where the row's kills end in the kill log.
+_WIDTH = len(Delivery._fields)
+#: One row as native int64s: ``frombytes`` of a packed row appends it
+#: in one copy, where ``extend`` converts item by item.
+_ROW = Struct(f"{_WIDTH}q")
+_MEASURED = Delivery._fields.index("measured")
+#: Columns a message may leave unset; a row stores None as -1.
+_OPTIONAL = tuple(
+    Delivery._fields.index(name) for name in (
+        "first_inject_at", "inject_start_at", "stream_start_at",
+        "committed_at", "header_consumed_at", "delivered_at",
+    )
+)
+#: A kill's cause as the log stores it: its index here.
+_CAUSES = tuple(cause.value for cause in KillCause)
+_CAUSE_CODE = {cause: code for code, cause in enumerate(_CAUSES)}
+
+
+def _or_unset(value: Optional[int]) -> int:
+    return -1 if value is None else value
+
+
+class Deliveries:
+    """The ledger's deliveries in delivery order: a read-only sequence
+    that builds a :class:`Delivery` for each row it is asked for."""
+
+    __slots__ = ("_rows", "_kills")
+
+    def __init__(self, rows: "array[int]", kills: "array[int]") -> None:
+        self._rows = rows
+        self._kills = kills
+
+    def __len__(self) -> int:
+        return len(self._rows) // _WIDTH
+
+    def __getitem__(self, index: int) -> Delivery:
+        count = len(self)
+        if index < 0:
+            index += count
+        if not 0 <= index < count:
+            raise IndexError("delivery index out of range")
+        start = index * _WIDTH
+        values: list = self._rows[start:start + _WIDTH].tolist()
+        for column in _OPTIONAL:
+            if values[column] < 0:
+                values[column] = None
+        values[_MEASURED] = bool(values[_MEASURED])
+        log = self._kills[self._rows[start - 1] if index else 0:values[-1]]
+        values[-1] = tuple(
+            (log[at], _CAUSES[log[at + 1]]) for at in range(0, len(log), 2)
+        )
+        return Delivery._make(values)
+
+    def __iter__(self) -> Iterator[Delivery]:
+        for index in range(len(self)):
+            yield self[index]
+
+
 class DeliveryLedger:
     """Records deliveries and validates the protocol guarantees.
 
@@ -70,13 +181,25 @@ class DeliveryLedger:
     the receiver, so the ordering judgement uses the header-arrival time
     of each message's *successful* attempt, which is only known at
     delivery.
+
+    A delivery costs the ledger one row of machine integers, not the
+    message: ``deliveries`` holds, per delivered message and in delivery
+    order, its ids (uid, src, dst, seq), payload and wire length,
+    attempt / kill / fkill counts, ``measured`` flag and the cycles it
+    was created, first injected, began its last attempt, began
+    streaming (PCS), committed, had its header consumed and was
+    delivered, with None stored as -1.  Its kill history goes to a kill
+    log of ``(cycle, cause)`` integer pairs, which a message never
+    killed adds nothing to.  Each row reads back as a :class:`Delivery`.
     """
 
     def __init__(self, expect_integrity: bool = False) -> None:
         self.expect_integrity = expect_integrity
         self.delivered_uids: Set[int] = set()
         self.corrupt_deliveries = 0
-        self.deliveries: List["Message"] = []
+        self._rows: "array[int]" = array("q")
+        self._kills: "array[int]" = array("q")
+        self.deliveries = Deliveries(self._rows, self._kills)
 
     def on_delivery(self, message: "Message", corrupt: bool) -> None:
         if message.uid in self.delivered_uids:
@@ -84,7 +207,24 @@ class DeliveryLedger:
                 f"duplicate delivery of message {message.uid}"
             )
         self.delivered_uids.add(message.uid)
-        self.deliveries.append(message)
+        kills = self._kills
+        for cycle, cause in message.kill_history:
+            kills.append(cycle)
+            kills.append(_CAUSE_CODE[cause])
+        self._rows.frombytes(_ROW.pack(
+            message.uid, message.src, message.dst, message.seq,
+            message.payload_length, message.wire_length,
+            message.attempts, message.kills, message.fkills,
+            1 if message.measured else 0,
+            message.created_at,
+            _or_unset(message.first_inject_at),
+            _or_unset(message.inject_start_at),
+            _or_unset(message.stream_start_at),
+            _or_unset(message.committed_at),
+            _or_unset(message.header_consumed_at),
+            _or_unset(message.delivered_at),
+            len(kills),
+        ))
         if corrupt:
             self.corrupt_deliveries += 1
             if self.expect_integrity:
@@ -92,12 +232,12 @@ class DeliveryLedger:
                     f"corrupt payload delivered: message {message.uid}"
                 )
 
-    def _fifo_walk(self) -> Iterator[Tuple["Message", Optional[int]]]:
+    def _fifo_walk(self) -> Iterator[Tuple[Delivery, Optional[int]]]:
         """Walk each ``(src, dst)`` pair's deliveries in source-sequence
-        order, yielding ``(message, previous)``: ``previous`` is the
+        order, yielding ``(delivery, previous)``: ``previous`` is the
         header time of the pair's latest earlier message that has one
         (None before the first)."""
-        pairs: Dict[Tuple[int, int], List["Message"]] = defaultdict(list)
+        pairs: Dict[Tuple[int, int], List[Delivery]] = defaultdict(list)
         for msg in self.deliveries:
             pairs[(msg.src, msg.dst)].append(msg)
         for msgs in pairs.values():

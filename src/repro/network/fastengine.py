@@ -146,14 +146,15 @@ def channel_state(engine: Engine) -> Dict[str, list]:
 class RoutingTable:
     """Memoised routing relation lookups for the known-pure relations.
 
-    Caches the *actual output* of ``routing.candidates`` under keys
-    that capture every message-dependent input of the relation:
+    Caches the *actual output* of ``routing.candidates`` under one int
+    key that captures every message-dependent input of the relation,
+    ``node * N + dst`` on an N-node network plus, above ``N * N``:
 
-    * minimal adaptive (and its naive twin): ``(node, dst)``;
-    * dimension-order: ``(node, dst, lane)`` plus the dateline state
-      when dateline VCs are in play;
-    * misrouting-adaptive with an exhausted budget: ``(node, dst)``
-      (the relation then reduces to minimal); with budget remaining it
+    * minimal adaptive (and its naive twin): nothing;
+    * dimension-order: the lane, and with dateline VCs in play the
+      header's dimension and dateline bit;
+    * misrouting-adaptive with an exhausted budget: nothing (the
+      relation then reduces to minimal); with budget remaining it
       reads live channel-death state, so those calls stay live.
 
     Any other relation is called live every time.  The relation is
@@ -164,11 +165,16 @@ class RoutingTable:
     8 under DOR).
     """
 
-    __slots__ = ("routing", "_kind", "_cache")
+    __slots__ = ("routing", "_kind", "_cache", "_nodes", "_pairs", "_dims")
 
     def __init__(self, routing) -> None:
         self.routing = routing
-        self._cache: Dict[tuple, Tiers] = {}
+        self._cache: Dict[int, Tiers] = {}
+        topology = routing.topology
+        self._nodes = topology.num_nodes
+        self._pairs = self._nodes * self._nodes
+        # A header's dimension runs from -1 (no hop yet) to dims - 1.
+        self._dims = getattr(topology, "dims", 0) + 1
         impl = type(routing).candidates
         if impl is MisroutingAdaptive.candidates:
             self._kind = "misroute"
@@ -183,25 +189,24 @@ class RoutingTable:
         kind = self._kind
         routing = self.routing
         if kind == "minimal":
-            key = (router.node_id, message.dst)
+            key = router.node_id * self._nodes + message.dst
         elif kind == "dor":
-            lane = message.lane % routing.num_lanes(router.num_vcs)
+            state = message.lane % routing.num_lanes(router.num_vcs)
             if routing.vc_classes == 2:
-                key = (
-                    router.node_id,
-                    message.dst,
-                    lane,
-                    message.dor_dim,
-                    message.dateline_bit,
+                state = (
+                    (state * self._dims + message.dor_dim + 1) * 2
+                    + message.dateline_bit
                 )
-            else:
-                key = (router.node_id, message.dst, lane)
+            key = (
+                router.node_id * self._nodes + message.dst
+                + state * self._pairs
+            )
         elif kind == "misroute":
             if message.misroutes_used < message.misroute_budget:
                 # Budget remaining: the detour tier depends on live
                 # channel-death state, so ask the relation directly.
                 return routing.candidates(router, message)
-            key = (router.node_id, message.dst)
+            key = router.node_id * self._nodes + message.dst
         else:
             return routing.candidates(router, message)
         tiers = self._cache.get(key)

@@ -19,7 +19,14 @@ from .config import SimConfig
 
 @dataclass
 class SimResult:
-    """Everything a single run produced."""
+    """Everything a single run produced.
+
+    ``ledger`` is the run's :class:`DeliveryLedger`: the exactly-once
+    uid set, the corrupt-delivery count and ``ledger.deliveries``, one
+    :class:`~repro.core.guarantees.Delivery` row per delivered message
+    in delivery order (its ids, lengths, attempt and kill counts,
+    lifecycle cycles and kill history), not the messages themselves.
+    """
 
     config: SimConfig
     report: Dict[str, object]

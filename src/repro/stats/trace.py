@@ -9,15 +9,19 @@ a protocol change: ``occupancy_snapshot`` shows where worms are parked,
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..core.guarantees import Delivery
     from ..network.engine import Engine
     from ..network.message import Message
 
 
-def message_timeline(message: "Message") -> List[Tuple[str, object]]:
-    """The lifecycle events of a message, in order, as (event, value)."""
+def message_timeline(
+    message: Union["Message", "Delivery"],
+) -> List[Tuple[str, object]]:
+    """The lifecycle events of a message, in order, as (event, value);
+    a delivered one may be given as its ledger row."""
     events: List[Tuple[str, object]] = [
         ("created", message.created_at),
         ("src", message.src),
@@ -45,7 +49,7 @@ def message_timeline(message: "Message") -> List[Tuple[str, object]]:
     return events
 
 
-def format_timeline(message: "Message") -> str:
+def format_timeline(message: Union["Message", "Delivery"]) -> str:
     """Human-readable one-message trace."""
     lines = [f"message {message.uid}: {message.src} -> {message.dst}"]
     for event, value in message_timeline(message):

@@ -186,12 +186,15 @@ class TestLiveServing:
             server.stop()
         assert stats.complete
         assert len(scrapes) == spec.size == 2
-        # The second point's scrape reads the heartbeat published once
-        # the first point was journaled: live while the run is not done.
-        parsed = scrapes[-1]
-        counters = parsed["cr_campaign_points_total"]["samples"]
-        assert counters['cr_campaign_points_total{outcome="ok"}'] == 1
-        assert parsed["cr_campaign_alerts_total"]["samples"][
+        # Each point's scrape reads the heartbeat published once that
+        # point was journaled: the first reads 1 of 2, live while the
+        # run is not done, and the last already reads every point.
+        ok = 'cr_campaign_points_total{outcome="ok"}'
+        assert [
+            parsed["cr_campaign_points_total"]["samples"][ok]
+            for parsed in scrapes
+        ] == [1, 2]
+        assert scrapes[0]["cr_campaign_alerts_total"]["samples"][
             "cr_campaign_alerts_total"
         ] >= 1.0
         assert final["cr_campaign_points_total"]["samples"][

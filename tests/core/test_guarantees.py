@@ -2,11 +2,14 @@
 
 import pytest
 
+from repro import SimConfig, run_simulation
 from repro.core.guarantees import (
+    Delivery,
     DeliveryLedger,
     GuaranteeViolation,
     OrderGate,
 )
+from repro.core.protocol import MessagePhase
 from repro.network.message import Message
 
 
@@ -103,3 +106,88 @@ class TestDeliveryLedger:
         ledger.on_delivery(delivered(2, 3, 0, 10), corrupt=False)
         # seq 2 arrives before seq 0; seq 1 has no header time: skipped
         assert ledger.count_fifo_violations() == 1
+
+
+def snapshot(message):
+    """The row a delivery should leave: the message's fields, read at
+    the moment the ledger is handed it."""
+    fields = {
+        name: getattr(message, name) for name in Delivery._fields
+    }
+    fields["kill_history"] = tuple(message.kill_history)
+    return fields, message.total_latency()
+
+
+def recorded_run(**config):
+    """Run ``config`` with the ledger's ``on_delivery`` wrapped so each
+    message is snapshotted as it is delivered; returns the ledger and
+    the snapshots in delivery order."""
+    seen = []
+
+    def setup(engine):
+        record = engine.ledger.on_delivery
+
+        def on_delivery(message, corrupt):
+            seen.append(snapshot(message))
+            record(message, corrupt)
+
+        engine.ledger.on_delivery = on_delivery
+
+    result = run_simulation(SimConfig(**config), setup=setup)
+    return result.ledger, seen
+
+
+SMALL = dict(radix=4, dims=2, message_length=8, warmup=100, measure=500)
+
+
+class TestDeliveryRows:
+    """``ledger.deliveries`` reads back every delivered message's fields
+    as they stood at delivery, in delivery order."""
+
+    RUNS = {
+        "e01-cr": dict(radix=8, dims=2, message_length=16, num_vcs=2,
+                       buffer_depth=2, routing="cr", load=0.1,
+                       warmup=100, measure=400, seed=3),
+        "fcr-cascade": dict(SMALL, routing="fcr", misrouting=True,
+                            workload="mmpp", load=0.3, seed=11,
+                            fault_rate=1e-3,
+                            cascade_faults=(
+                                "base_hazard=2e-4,load_gain=8,"
+                                "check_interval=16,neighbor_boost=10,"
+                                "boost_cycles=96,repair_cycles=200"
+                            )),
+        "pcs": dict(SMALL, routing="pcs", load=0.15, seed=9),
+        "drop": dict(SMALL, routing="drop", load=0.3, seed=9,
+                     order_preserving=False),
+    }
+
+    @pytest.mark.parametrize("run", RUNS.values(), ids=RUNS)
+    def test_rows_equal_the_messages_at_delivery(self, run):
+        ledger, seen = recorded_run(**run)
+        rows = list(ledger.deliveries)
+        assert len(rows) == len(ledger.deliveries) == len(seen) > 100
+        for index, (row, (fields, total)) in enumerate(
+            zip(rows, seen)
+        ):
+            assert row._asdict() == fields, f"row {index}"
+            assert row.phase is MessagePhase.DELIVERED
+            assert row.total_latency() == total
+            assert ledger.deliveries[index] == row
+        assert ledger.deliveries[-1] == rows[-1]
+
+    def test_the_runs_cover_every_optional_field(self):
+        rows = {
+            name: list(recorded_run(**run)[0].deliveries)
+            for name, run in self.RUNS.items()
+        }
+        causes = {
+            cause for row in rows["fcr-cascade"]
+            for _, cause in row.kill_history
+        }
+        assert {"source_timeout", "fkill", "header_fault"} <= causes
+        assert any(row.fkills for row in rows["fcr-cascade"])
+        assert all(
+            row.stream_start_at is not None for row in rows["pcs"]
+        )
+        assert all(row.stream_start_at is None for row in rows["e01-cr"])
+        assert any(row.kill_history for row in rows["drop"])
